@@ -25,11 +25,12 @@ Estimators for the conditional expectation:
 * ``regression``   -- least-squares projection of the pathwise integrand on
   basis functions of the time-t state (ridge 1e-10).
 * ``nested-mc``    -- branch n_inner fresh continuations from each scenario's
-  time-t state; needs a re-simulatable Markov model.
+  time-t state; needs a re-simulatable Markov model.  It is a ``solve``
+  estimator only: the adjoint reduction tabulates its coefficients per outer
+  step and scenario, which inner continuations cannot read.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -37,18 +38,24 @@ from typing import Callable
 import numpy as np
 
 from .lawproc import LevyMeasure
+from .report import write_csv
 from .sde import (
+    CoefficientPartials,
     ControlPair,
     ControlledModel,
     ParticleBundle,
     PerformanceSpec,
+    _central_difference,
+    _compensated_jump_step,
+    _partial_x,
     draw_noise,
+    iter_steps,
     simulate_segment,
 )
 
 REGRESSION_RIDGE = 1e-10
 _COND_LIMIT = 1e12
-_FD_STEP = 1e-5
+_ADJOINT_ESTIMATORS = ("pathwise", "regression")
 
 
 class GammaPositivityError(RuntimeError):
@@ -107,18 +114,16 @@ class BsdeSolution:
     def mean_profile(self) -> np.ndarray:
         return self.P if self.P.ndim == 1 else self.P.mean(axis=0)
 
-    def to_csv(self, path: str, seed=None, version: str | None = None) -> None:
+    def to_csv(self, path: str, seed) -> None:
         """Rows (time, scenario, P, std_error); scenario is 0 when deterministic."""
         paths = self.P[None, :] if self.P.ndim == 1 else self.P
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "scenario", "P", "std_error"])
-            for k, t in enumerate(self.times):
-                se = 0.0 if self.diagnostics is None else float(self.diagnostics[k])
-                for i in range(paths.shape[0]):
-                    writer.writerow([f"{t:.17g}", i, f"{paths[i, k]:.17g}", f"{se:.17g}"])
-            if seed is not None:
-                fh.write(f"# seed={seed}, version={version or '1'}\n")
+        se = np.zeros(len(self.times)) if self.diagnostics is None else self.diagnostics
+        rows = (
+            (t, i, paths[i, k], float(se[k]))
+            for k, t in enumerate(self.times)
+            for i in range(paths.shape[0])
+        )
+        write_csv(path, ["time", "scenario", "P", "std_error"], rows, seed)
 
 
 def _grid_times(source) -> np.ndarray:
@@ -128,15 +133,14 @@ def _grid_times(source) -> np.ndarray:
     return np.linspace(0.0, source.n_steps * dt, source.n_steps + 1)
 
 
-def _context(source, k: int, times) -> StepContext:
+def _context(source, k: int, times, scenario=None) -> StepContext:
     if isinstance(source, ParticleBundle):
-        n = source.n_particles
         return StepContext(
             step=k,
             t=float(times[k]),
             x=source.states[:, k],
             brownian=source.brownian_levels()[:, k],
-            scenario=np.arange(n),
+            scenario=np.arange(source.n_particles) if scenario is None else scenario,
         )
     return StepContext(step=k, t=float(times[k]))
 
@@ -175,10 +179,7 @@ def simulate_gamma(spec: LinearBsdeSpec, source) -> np.ndarray:
                 raise GammaPositivityError(
                     f"jump_phi <= -1 at step {k}; Gamma cannot stay positive"
                 )
-            factor -= dt * (levy.rates[:, None] * jp).sum(axis=0)
-            idx, zeta_idx = noise.events_at(k)
-            if idx.size:
-                np.add.at(factor, idx, jp[zeta_idx, idx])
+            factor = _compensated_jump_step(factor, dt, levy, noise, k, lambda j, i: jp[j, i])
         gam[:, k + 1] = gam[:, k] * factor
         if np.any(gam[:, k + 1] <= 0.0):
             bad = int(np.flatnonzero(gam[:, k + 1] <= 0.0)[0])
@@ -189,30 +190,38 @@ def simulate_gamma(spec: LinearBsdeSpec, source) -> np.ndarray:
     return gam
 
 
-def _coefficient_tables(spec: LinearBsdeSpec, source, times) -> tuple[np.ndarray, np.ndarray]:
+def _coefficient_tables(
+    spec: LinearBsdeSpec, source, times, scenario=None
+) -> tuple[np.ndarray, np.ndarray]:
     """phi values per (scenario, step) and terminal theta per scenario."""
     noise = source.noise if isinstance(source, ParticleBundle) else source
     n, m = noise.n_particles, noise.n_steps
     phi = np.empty((n, m))
     for k in range(m):
-        ctx = _context(source, k, times)
+        ctx = _context(source, k, times, scenario)
         phi[:, k] = np.broadcast_to(
             np.asarray(spec.phi(float(times[k]), ctx), dtype=float), (n,)
         )
     theta = np.broadcast_to(
-        np.asarray(spec.terminal(_context(source, m, times)), dtype=float), (n,)
+        np.asarray(spec.terminal(_context(source, m, times, scenario)), dtype=float), (n,)
     ).astype(float)
     return phi, theta
 
 
-def _pathwise_values(spec: LinearBsdeSpec, source) -> tuple[np.ndarray, np.ndarray]:
-    """Y(t) = theta Gamma(T)/Gamma(t) + sum_{s>=t} Gamma(s)/Gamma(t) phi(s) dt."""
+def _pathwise_values(
+    spec: LinearBsdeSpec, source, scenario=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Y(t) = theta Gamma(T)/Gamma(t) + sum_{s>=t} Gamma(s)/Gamma(t) phi(s) dt.
+
+    ``scenario`` relabels the coefficients' scenarios (nested-MC inner paths
+    carry their outer scenario); by default scenario i is path i.
+    """
     times = _grid_times(source)
     noise = source.noise if isinstance(source, ParticleBundle) else source
     n, m = noise.n_particles, noise.n_steps
     dt = noise.dt
     gam = simulate_gamma(spec, source)
-    phi, theta = _coefficient_tables(spec, source, times)
+    phi, theta = _coefficient_tables(spec, source, times, scenario)
     values = np.empty((n, m + 1))
     values[:, m] = theta
     acc = theta * gam[:, m]
@@ -354,39 +363,14 @@ def solve(
             inner = ParticleBundle(sub_times, inner_states, inner_noise, child)
             # shift inner Brownian levels so ctx.brownian is the absolute B(t)
             inner._brownian = inner.brownian_levels() + np.repeat(outer_b[:, k], n_inner)[:, None]
-            y_inner, _ = _pathwise_inner(spec, inner, scen_rep)
-            y0 = y_inner.reshape(n, n_inner)
+            y_inner, _ = _pathwise_values(spec, inner, scen_rep)
+            y0 = y_inner[:, 0].reshape(n, n_inner)
             p[:, k] = y0.mean(axis=1)
             if n_inner > 1:
                 diags[k] = float(np.mean(y0.std(axis=1, ddof=1) / math.sqrt(n_inner)))
         return BsdeSolution(times=times, P=p, estimator=estimator, diagnostics=diags)
 
     raise ValueError(f"unknown estimator {estimator!r}")
-
-
-def _pathwise_inner(spec, inner_bundle, scenario_map):
-    """Pathwise value at the segment start, with outer scenario labels."""
-    times = inner_bundle.times
-    noise = inner_bundle.noise
-    n, m = noise.n_particles, noise.n_steps
-    dt = noise.dt
-    gam = simulate_gamma(spec, inner_bundle)
-
-    def ctx_at(k):
-        return StepContext(
-            step=k,
-            t=float(times[k]),
-            x=inner_bundle.states[:, k],
-            brownian=inner_bundle.brownian_levels()[:, k],
-            scenario=scenario_map,
-        )
-
-    theta = np.broadcast_to(np.asarray(spec.terminal(ctx_at(m)), dtype=float), (n,))
-    acc = theta * gam[:, m]
-    for k in range(m - 1, -1, -1):
-        phi = np.broadcast_to(np.asarray(spec.phi(float(times[k]), ctx_at(k)), dtype=float), (n,))
-        acc = acc + gam[:, k] * phi * dt
-    return acc / gam[:, 0], theta
 
 
 def backward_euler_reference(spec: LinearBsdeSpec, times: np.ndarray) -> np.ndarray:
@@ -420,8 +404,6 @@ def adjoint_p0_solve(
     estimator: str = "pathwise",
     basis=None,
     mu_mode: str = "exogenous",
-    n_inner: int | None = None,
-    seed: int | None = None,
 ) -> BsdeSolution:
     """Solve the real-valued adjoint BSDE for one player's performance.
 
@@ -433,64 +415,41 @@ def adjoint_p0_solve(
         terminal = dg/dx(X(T), M(T)),
 
     all evaluated along the bundle's baseline paths; the solution then comes
-    from `solve` with the requested estimator.
+    from `solve` with the ``pathwise`` or ``regression`` estimator.
     """
-    from .sde import iter_steps  # local import to keep module load order simple
-
+    if estimator not in _ADJOINT_ESTIMATORS:
+        raise ValueError(
+            f"adjoint_p0_solve supports the estimators {', '.join(_ADJOINT_ESTIMATORS)}, "
+            f"not {estimator!r}"
+        )
     n, m = bundle.n_particles, bundle.n_steps
     scen = np.arange(n)
     levy = model.levy
     n_atoms = levy.n_atoms if levy is not None else 0
+    partials = model.partials or CoefficientPartials()
+    lx = _partial_x(perf.running, perf.running_dx)
+    bx = _partial_x(model.drift, partials.drift_dx)
+    sx = _partial_x(model.vol, partials.vol_dx)
+    gx = _partial_x(model.jump, partials.jump_dx)
 
     phi_tab = np.empty((n, m))
     a_tab = np.empty((n, m))
     b_tab = np.empty((n, m))
     jp_tab = np.empty((n_atoms, n, m))
-
-    def d_dx(fn, t, x, *rest):
-        return (fn(t, x + _FD_STEP, *rest) - fn(t, x - _FD_STEP, *rest)) / (2 * _FD_STEP)
-
     for sv in iter_steps(bundle, controls, mu_mode):
-        k, t, x = sv.k, sv.t, sv.x
-        if perf.running_dx is not None:
-            lx = perf.running_dx(t, x, sv.law, sv.mu_ctrl, sv.u, scen)
-        else:
-            lx = d_dx(perf.running, t, x, sv.law, sv.mu_ctrl, sv.u, scen)
-        phi_tab[:, k] = np.broadcast_to(lx, (n,))
-        partials = model.partials
-        bx = partials.drift_dx if partials and partials.drift_dx else None
-        a_tab[:, k] = np.broadcast_to(
-            bx(t, x, sv.mu_coeff, sv.u, scen) if bx
-            else d_dx(model.drift, t, x, sv.mu_coeff, sv.u, scen),
-            (n,),
-        )
-        vx = partials.vol_dx if partials and partials.vol_dx else None
-        b_tab[:, k] = np.broadcast_to(
-            vx(t, x, sv.mu_coeff, sv.u, scen) if vx
-            else d_dx(model.vol, t, x, sv.mu_coeff, sv.u, scen),
-            (n,),
-        )
+        k, t, x, mu, u = sv.k, sv.t, sv.x, sv.mu_coeff, sv.u
+        phi_tab[:, k] = np.broadcast_to(lx(t, x, sv.law, sv.mu_ctrl, u, scen), (n,))
+        a_tab[:, k] = np.broadcast_to(bx(t, x, mu, u, scen), (n,))
+        b_tab[:, k] = np.broadcast_to(sx(t, x, mu, u, scen), (n,))
         for j in range(n_atoms):
-            zeta = levy.jump_sizes[j]
-            gx = partials.jump_dx if partials and partials.jump_dx else None
-            if gx:
-                val = gx(t, x, sv.mu_coeff, sv.u, zeta, scen)
-            else:
-                val = (
-                    model.jump(t, x + _FD_STEP, sv.mu_coeff, sv.u, zeta, scen)
-                    - model.jump(t, x - _FD_STEP, sv.mu_coeff, sv.u, zeta, scen)
-                ) / (2 * _FD_STEP)
-            jp_tab[j, :, k] = np.broadcast_to(val, (n,))
+            jp_tab[j, :, k] = np.broadcast_to(gx(t, x, mu, u, levy.jump_sizes[j], scen), (n,))
 
     x_T = bundle.states[:, -1]
     m_T = bundle.law_at(m)
     if perf.terminal_dx is not None:
         theta = perf.terminal_dx(x_T, m_T, scen)
     else:
-        theta = (
-            perf.terminal(x_T + _FD_STEP, m_T, scen)
-            - perf.terminal(x_T - _FD_STEP, m_T, scen)
-        ) / (2 * _FD_STEP)
+        theta = _central_difference(lambda h: perf.terminal(x_T + h, m_T, scen))
     theta = np.broadcast_to(np.asarray(theta, dtype=float), (n,)).astype(float)
 
     def zeta_index(zeta: float) -> int:
@@ -507,4 +466,4 @@ def adjoint_p0_solve(
         terminal=lambda ctx: theta,
         levy=levy,
     )
-    return solve(spec, bundle=bundle, estimator=estimator, basis=basis, n_inner=n_inner, seed=seed)
+    return solve(spec, bundle=bundle, estimator=estimator, basis=basis)

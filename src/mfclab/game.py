@@ -7,14 +7,12 @@ is its exact negation (so mu minimizes J -- the saddle orientation).
 
 The Hamiltonian of player i is
 
-    H_i = l_i(t, x, m, mu, u) + p0_i b + q0_i sigma
-          + integral r0_i(zeta) gamma(., zeta) nu(dzeta) + <p1_i, beta(m)>,
+    H_i = l_i(t, x, m, mu, u) + p0_i b + <p1_i, beta(m)>,
 
-with beta(m) = m'.  q0 and r0 contributions enter only when the linear
-reduction exposes them (they are absent for every model in scope whose sigma
-and gamma do not depend on the controls); the <p1, m'> pairing is linear in
-the Fourier table of m' and is represented through a supplied functional
-(zero by default -- it cancels from every candidate-comparison delta).
+with beta(m) = m'.  The <p1, m'> pairing is linear in the Fourier table of
+m' and is represented through a supplied functional (zero by default -- it
+cancels from every candidate-comparison delta).  Models whose sigma or gamma
+read a control raise UnsupportedModelError.
 
 Frechet derivatives in the measure argument are realized as directional
 derivatives along declared measure functionals (e.g. the mass on a fixed
@@ -24,7 +22,6 @@ common random numbers: they certify at the tested resolution, not globally.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -34,20 +31,20 @@ import numpy as np
 from .bsde import BsdeSolution, adjoint_p0_solve
 from .lawproc import FourierTable
 from .measures import DiscreteMeasure, QuadratureRule
+from .report import write_csv
 from .sde import (
     ControlPair,
     ControlledModel,
     Direction,
     ParticleBundle,
     PerformanceSpec,
+    _central_difference,
     iter_steps,
     negate_performance,
     performance_samples,
     perturbed_controls,
     simulate,
 )
-
-_FD_STEP = 1e-5
 
 
 class UnsupportedModelError(RuntimeError):
@@ -141,20 +138,11 @@ class GameSpec:
 class AdjointState:
     """Adjoint data needed to evaluate Hamiltonians along a bundle.
 
-    ``p0`` maps player -> BsdeSolution; ``q0``/``r0`` stay None unless the
-    linear reduction exposes them, in which case they map player -> arrays of
-    shape (N, M) and (n_atoms, N, M).  ``includes_qr`` records the
-    restriction for run reports.
+    ``p0`` maps player -> BsdeSolution.
     """
 
     p0: dict[int, BsdeSolution]
     p1_pairing: Callable = field(default_factory=ZeroPairing)
-    q0: dict[int, np.ndarray] | None = None
-    r0: dict[int, np.ndarray] | None = None
-
-    @property
-    def includes_qr(self) -> bool:
-        return self.q0 is not None or self.r0 is not None
 
     def step_of(self, player: int, t: float) -> int:
         times = self.p0[player].times
@@ -213,13 +201,6 @@ def hamiltonian(
     scen = np.arange(x_arr.size) if x_arr.ndim else None
     model = spec.model
     value = perf.running(t, x, m, mu, u, scen) + p0 * model.drift(t, x, mu, u, scen)
-    if adjoint.q0 is not None:
-        value = value + adjoint.q0[player][:, k] * model.vol(t, x, mu, u, scen)
-    if model.levy is not None and adjoint.r0 is not None:
-        for j in range(model.levy.n_atoms):
-            value = value + model.levy.rates[j] * adjoint.r0[player][j, :, k] * model.jump(
-                t, x, mu, u, model.levy.jump_sizes[j], scen
-            )
     value = value + adjoint.p1_pairing(t, m_prime)
     if np.ndim(value) == 0:
         return float(value)
@@ -227,48 +208,28 @@ def hamiltonian(
 
 
 def _check_coefficient_independence(spec: GameSpec, sv, player: int, scen) -> None:
-    """sigma and gamma must not see the perturbed argument unless q0/r0 exist."""
+    """sigma and gamma must not see the perturbed argument: q0/r0 are not estimated."""
     model = spec.model
+    coeffs = [("sigma", "q0", lambda mu, u: model.vol(sv.t, sv.x, mu, u, scen))]
+    if model.levy is not None:
+        coeffs += [
+            ("gamma", "r0", lambda mu, u, zeta=zeta: model.jump(sv.t, sv.x, mu, u, zeta, scen))
+            for zeta in model.levy.jump_sizes
+        ]
     if player == 2:
-        du = (
-            model.vol(sv.t, sv.x, sv.mu_ctrl, sv.u + _FD_STEP, scen)
-            - model.vol(sv.t, sv.x, sv.mu_ctrl, sv.u - _FD_STEP, scen)
-        ) / (2 * _FD_STEP)
-        if np.max(np.abs(du)) > 1e-10:
-            raise UnsupportedModelError(
-                "sigma depends on u but no q0 estimate is available"
-            )
-        if model.levy is not None:
-            for zeta in model.levy.jump_sizes:
-                du = (
-                    model.jump(sv.t, sv.x, sv.mu_ctrl, sv.u + _FD_STEP, zeta, scen)
-                    - model.jump(sv.t, sv.x, sv.mu_ctrl, sv.u - _FD_STEP, zeta, scen)
-                ) / (2 * _FD_STEP)
-                if np.max(np.abs(du)) > 1e-10:
-                    raise UnsupportedModelError(
-                        "gamma depends on u but no r0 estimate is available"
-                    )
+        shifts = [("u", lambda h: (sv.mu_ctrl, sv.u + h))]
     else:
-        for fn in spec.functionals:
-            eta = fn.unit_direction()
-            dmu = (
-                model.vol(sv.t, sv.x, sv.mu_ctrl + eta.scaled(_FD_STEP), sv.u, scen)
-                - model.vol(sv.t, sv.x, sv.mu_ctrl + eta.scaled(-_FD_STEP), sv.u, scen)
-            ) / (2 * _FD_STEP)
-            if np.max(np.abs(dmu)) > 1e-10:
+        shifts = [
+            ("mu", lambda h, eta=fn.unit_direction(): (sv.mu_ctrl + eta.scaled(h), sv.u))
+            for fn in spec.functionals
+        ]
+    for arg, shift in shifts:
+        for name, adjoint, coeff in coeffs:
+            d = _central_difference(lambda h: coeff(*shift(h)))
+            if np.max(np.abs(d)) > 1e-10:
                 raise UnsupportedModelError(
-                    "sigma depends on mu but no q0 estimate is available"
+                    f"{name} depends on {arg} but no {adjoint} estimate is available"
                 )
-            if model.levy is not None:
-                for zeta in model.levy.jump_sizes:
-                    dmu = (
-                        model.jump(sv.t, sv.x, sv.mu_ctrl + eta.scaled(_FD_STEP), sv.u, zeta, scen)
-                        - model.jump(sv.t, sv.x, sv.mu_ctrl + eta.scaled(-_FD_STEP), sv.u, zeta, scen)
-                    ) / (2 * _FD_STEP)
-                    if np.max(np.abs(dmu)) > 1e-10:
-                        raise UnsupportedModelError(
-                            "gamma depends on mu but no r0 estimate is available"
-                        )
 
 
 def _dh_du_samples(spec: GameSpec, sv, p0_vals, scen) -> np.ndarray:
@@ -278,14 +239,10 @@ def _dh_du_samples(spec: GameSpec, sv, p0_vals, scen) -> np.ndarray:
     if perf.running_du is not None:
         dl = perf.running_du(sv.t, sv.x, sv.law, sv.mu_ctrl, sv.u, scen)
     else:
-        dl = (
-            perf.running(sv.t, sv.x, sv.law, sv.mu_ctrl, sv.u + _FD_STEP, scen)
-            - perf.running(sv.t, sv.x, sv.law, sv.mu_ctrl, sv.u - _FD_STEP, scen)
-        ) / (2 * _FD_STEP)
-    db = (
-        model.drift(sv.t, sv.x, sv.mu_ctrl, sv.u + _FD_STEP, scen)
-        - model.drift(sv.t, sv.x, sv.mu_ctrl, sv.u - _FD_STEP, scen)
-    ) / (2 * _FD_STEP)
+        dl = _central_difference(
+            lambda h: perf.running(sv.t, sv.x, sv.law, sv.mu_ctrl, sv.u + h, scen)
+        )
+    db = _central_difference(lambda h: model.drift(sv.t, sv.x, sv.mu_ctrl, sv.u + h, scen))
     return np.broadcast_to(dl + p0_vals * db, (sv.x.size,))
 
 
@@ -293,16 +250,12 @@ def _dh_dmu_samples(spec: GameSpec, sv, p0_vals, eta: DiscreteMeasure, player: i
     """Per-scenario directional dH_player/dmu along eta at one step."""
     perf = spec.performance_for(player)
     model = spec.model
-    mu_p = sv.mu_ctrl + eta.scaled(_FD_STEP)
-    mu_m = sv.mu_ctrl + eta.scaled(-_FD_STEP)
-    dl = (
-        perf.running(sv.t, sv.x, sv.law, mu_p, sv.u, scen)
-        - perf.running(sv.t, sv.x, sv.law, mu_m, sv.u, scen)
-    ) / (2 * _FD_STEP)
-    db = (
-        model.drift(sv.t, sv.x, mu_p, sv.u, scen)
-        - model.drift(sv.t, sv.x, mu_m, sv.u, scen)
-    ) / (2 * _FD_STEP)
+    dl = _central_difference(
+        lambda h: perf.running(sv.t, sv.x, sv.law, sv.mu_ctrl + eta.scaled(h), sv.u, scen)
+    )
+    db = _central_difference(
+        lambda h: model.drift(sv.t, sv.x, sv.mu_ctrl + eta.scaled(h), sv.u, scen)
+    )
     return np.broadcast_to(dl + p0_vals * db, (sv.x.size,))
 
 
@@ -333,19 +286,14 @@ class ResidualCurves:
             for name, r in self.res_mu.items()
         )
 
-    def to_csv(self, path: str, seed=None, version: str | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "direction", "residual", "std_err"])
-            for k, t in enumerate(self.times):
-                writer.writerow([f"{t:.17g}", "u", f"{self.res_u[k]:.17g}", f"{self.se_u[k]:.17g}"])
-                for name in self.res_mu:
-                    writer.writerow(
-                        [f"{t:.17g}", f"mu:{name}", f"{self.res_mu[name][k]:.17g}",
-                         f"{self.se_mu[name][k]:.17g}"]
-                    )
-            if seed is not None:
-                fh.write(f"# seed={seed}, version={version or '1'}\n")
+    def to_csv(self, path: str, seed) -> None:
+        rows = []
+        for k, t in enumerate(self.times):
+            rows.append((t, "u", self.res_u[k], self.se_u[k]))
+            rows += [
+                (t, f"mu:{name}", res[k], self.se_mu[name][k]) for name, res in self.res_mu.items()
+            ]
+        write_csv(path, ["t", "direction", "residual", "std_err"], rows, seed)
 
 
 def first_order_residuals(
@@ -441,16 +389,9 @@ class SweepTable:
     def rows_for(self, direction_id: int) -> list[SweepRow]:
         return [r for r in self.rows if r.direction_id == direction_id]
 
-    def to_csv(self, path: str, seed=None, version: str | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["direction_id", "lambda", "delta_J", "std_err"])
-            for r in self.rows:
-                writer.writerow(
-                    [r.direction_id, f"{r.lam:.17g}", f"{r.delta:.17g}", f"{r.std_err:.17g}"]
-                )
-            if seed is not None:
-                fh.write(f"# seed={seed}, version={version or '1'}\n")
+    def to_csv(self, path: str, seed) -> None:
+        rows = [(r.direction_id, r.lam, r.delta, r.std_err) for r in self.rows]
+        write_csv(path, ["direction_id", "lambda", "delta_J", "std_err"], rows, seed)
 
 
 def nash_perturbation_sweep(

@@ -69,15 +69,13 @@ class ItoLevyCoeffs:
     """Bounded predictable coefficients of an uncontrolled Ito-Levy process.
 
     ``alpha(t, scenario)`` and ``beta(t, scenario)`` return drift/volatility,
-    ``gamma(t, zeta, scenario)`` the jump amplitude; ``bound`` declares the
-    common bound the model assumes.
+    ``gamma(t, zeta, scenario)`` the jump amplitude.
     """
 
     alpha: Callable
     beta: Callable
     gamma: Callable
     levy: LevyMeasure | None = None
-    bound: float | None = None
 
 
 class MeasurePath:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 VERSION = "0.1.0"
 
@@ -30,7 +30,7 @@ def fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence], seed) -> None:
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence], seed) -> None:
     """Write a CSV with a header row and a trailing metadata comment line."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:

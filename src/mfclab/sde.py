@@ -37,8 +37,12 @@ import numpy as np
 from .lawproc import LevyMeasure, MeasurePath, empirical_law
 from .measures import DiscreteMeasure
 
-FD_STATE_STEP = 1e-5
-FD_DIRECTION_STEP = 1e-5
+FD_STEP = 1e-5
+
+
+def _central_difference(g, step=FD_STEP):
+    """g'(0) by the central difference of a one-parameter shift g(h)."""
+    return (g(step) - g(-step)) / (2 * step)
 
 
 class SimulationError(RuntimeError):
@@ -120,9 +124,9 @@ class ControlPair:
 class CoefficientPartials:
     """Optional analytic partial derivatives of the model coefficients.
 
-    Any entry left as None falls back to a central finite difference
-    (step 1e-5): in x for the ``*_dx`` slots, in the control for ``*_du``,
-    and along a measure direction eta for ``*_dmu`` (directional).
+    Any entry left as None falls back to a central finite difference with
+    step ``FD_STEP``: in x for the ``*_dx`` slots, in the control for
+    ``*_du``, and along a measure direction eta for ``*_dmu`` (directional).
     """
 
     drift_dx: Callable | None = None
@@ -146,7 +150,6 @@ class ControlledModel:
     horizon: float
     jump: Callable | None = None
     levy: LevyMeasure | None = None
-    lipschitz_const: float | None = None
     partials: CoefficientPartials | None = None
 
     def __post_init__(self):
@@ -366,6 +369,23 @@ def _step_controls(k, times, states, controls, mu_mode, law_cache, scenario):
     return mu_ctrl, u, mu_coeff
 
 
+def _compensated_jump_step(y, dt, levy, noise, k, term):
+    """y - dt sum_j rate_j term(j) plus the jumps of step k's events.
+
+    ``term(j, i)`` is the jump contribution of Levy atom j at particles i:
+    one atom at every particle (``i`` a full slice) for the compensator, and
+    each event's own atom at its particle for the jumps themselves.
+    """
+    comp = np.zeros(y.shape)
+    for j in range(levy.n_atoms):
+        comp += levy.rates[j] * term(j, slice(None))
+    y = y - dt * comp
+    idx, zeta_idx = noise.events_at(k)
+    if idx.size:
+        np.add.at(y, idx, term(zeta_idx, idx))
+    return y
+
+
 def _euler_sweep(model, controls, noise, times, x_init, mu_mode):
     n = noise.n_particles
     m = len(times) - 1
@@ -383,19 +403,14 @@ def _euler_sweep(model, controls, noise, times, x_init, mu_mode):
         s = model.vol(t, x, mu_coeff, u, scenario)
         x_next = x + b * dt + s * noise.dB[:, k]
         if levy is not None:
-            comp = np.zeros(n)
-            for j in range(levy.n_atoms):
-                comp += levy.rates[j] * model.jump(
-                    t, x, mu_coeff, u, levy.jump_sizes[j], scenario
+
+            def jump_term(j, i):
+                return model.jump(
+                    t, x[i], mu_coeff, _as_particle_values(u, i),
+                    levy.jump_sizes[j], scenario[i],
                 )
-            x_next = x_next - dt * comp
-            idx, zeta_idx = noise.events_at(k)
-            if idx.size:
-                u_p = _as_particle_values(u, idx)
-                g = model.jump(
-                    t, x[idx], mu_coeff, u_p, levy.jump_sizes[zeta_idx], scenario[idx]
-                )
-                np.add.at(x_next, idx, g)
+
+            x_next = _compensated_jump_step(x_next, dt, levy, noise, k, jump_term)
         if not np.isfinite(x_next).all():
             bad = int(np.flatnonzero(~np.isfinite(x_next))[0])
             raise SimulationError(
@@ -579,56 +594,29 @@ def perturbed_controls(controls: ControlPair, direction: Direction, lam: float) 
 
 # Analytic partials, when supplied, use the same argument order as the
 # coefficient they differentiate; directional measure partials insert the
-# direction eta right after mu.
+# direction eta right after mu.  The finite-difference fallbacks serve the
+# jump coefficient too, whose extra zeta argument rides along in ``rest``.
 
-def _partial_x(fn, analytic, step=FD_STATE_STEP):
+def _partial_x(fn, analytic):
     if analytic is not None:
         return analytic
-    return lambda t, x, mu, u, scen: (
-        fn(t, x + step, mu, u, scen) - fn(t, x - step, mu, u, scen)
-    ) / (2 * step)
+    return lambda t, x, *rest: _central_difference(lambda h: fn(t, x + h, *rest))
 
 
-def _jump_partial_x(fn, analytic, step=FD_STATE_STEP):
+def _partial_mu(fn, analytic):
     if analytic is not None:
         return analytic
-    return lambda t, x, mu, u, zeta, scen: (
-        fn(t, x + step, mu, u, zeta, scen) - fn(t, x - step, mu, u, zeta, scen)
-    ) / (2 * step)
+    return lambda t, x, mu, eta, *rest: _central_difference(
+        lambda h: fn(t, x, mu + eta.scaled(h), *rest)
+    )
 
 
-def _directional_mu(fn, analytic, step=FD_DIRECTION_STEP):
+def _partial_u(fn, analytic):
     if analytic is not None:
         return analytic
-    return lambda t, x, mu, eta, u, scen: (
-        fn(t, x, mu + eta.scaled(step), u, scen)
-        - fn(t, x, mu + eta.scaled(-step), u, scen)
-    ) / (2 * step)
-
-
-def _jump_directional_mu(fn, analytic, step=FD_DIRECTION_STEP):
-    if analytic is not None:
-        return analytic
-    return lambda t, x, mu, eta, u, zeta, scen: (
-        fn(t, x, mu + eta.scaled(step), u, zeta, scen)
-        - fn(t, x, mu + eta.scaled(-step), u, zeta, scen)
-    ) / (2 * step)
-
-
-def _partial_u(fn, analytic, step=FD_DIRECTION_STEP):
-    if analytic is not None:
-        return analytic
-    return lambda t, x, mu, u, scen: (
-        fn(t, x, mu, u + step, scen) - fn(t, x, mu, u - step, scen)
-    ) / (2 * step)
-
-
-def _jump_partial_u(fn, analytic, step=FD_DIRECTION_STEP):
-    if analytic is not None:
-        return analytic
-    return lambda t, x, mu, u, zeta, scen: (
-        fn(t, x, mu, u + step, zeta, scen) - fn(t, x, mu, u - step, zeta, scen)
-    ) / (2 * step)
+    return lambda t, x, mu, u, *rest: _central_difference(
+        lambda h: fn(t, x, mu, u + h, *rest)
+    )
 
 
 def simulate_derivative_process(
@@ -647,14 +635,14 @@ def simulate_derivative_process(
     p = model.partials or CoefficientPartials()
     bx = _partial_x(model.drift, p.drift_dx)
     sx = _partial_x(model.vol, p.vol_dx)
-    bmu = _directional_mu(model.drift, p.drift_dmu)
-    smu = _directional_mu(model.vol, p.vol_dmu)
+    bmu = _partial_mu(model.drift, p.drift_dmu)
+    smu = _partial_mu(model.vol, p.vol_dmu)
     bu = _partial_u(model.drift, p.drift_du)
     su = _partial_u(model.vol, p.vol_du)
     if model.levy is not None:
-        gx = _jump_partial_x(model.jump, p.jump_dx)
-        gmu = _jump_directional_mu(model.jump, p.jump_dmu)
-        gu = _jump_partial_u(model.jump, p.jump_du)
+        gx = _partial_x(model.jump, p.jump_dx)
+        gmu = _partial_mu(model.jump, p.jump_dmu)
+        gu = _partial_u(model.jump, p.jump_du)
 
     n, m = bundle.n_particles, bundle.n_steps
     dt = bundle.dt
@@ -678,26 +666,18 @@ def simulate_derivative_process(
         z_next = zk + (bx(t, x, mu, u, scenario) * zk + b_dir) * dt
         z_next = z_next + (sx(t, x, mu, u, scenario) * zk + s_dir) * noise.dB[:, k]
         if levy is not None:
-            comp = np.zeros(n)
-            for j in range(levy.n_atoms):
+
+            def jump_term(j, i):
                 zeta = levy.jump_sizes[j]
-                term = gx(t, x, mu, u, zeta, scenario) * zk
+                x_i, u_i, scen_i = x[i], _as_particle_values(u, i), scenario[i]
+                term = gx(t, x_i, mu, u_i, zeta, scen_i) * zk[i]
                 if eta is not None:
-                    term = term + gmu(t, x, mu, eta, u, zeta, scenario)
+                    term = term + gmu(t, x_i, mu, eta, u_i, zeta, scen_i)
                 elif pi != 0.0:
-                    term = term + gu(t, x, mu, u, zeta, scenario) * pi
-                comp += levy.rates[j] * term
-            z_next = z_next - dt * comp
-            idx, zeta_idx = noise.events_at(k)
-            if idx.size:
-                u_p = _as_particle_values(u, idx)
-                zeta = levy.jump_sizes[zeta_idx]
-                term = gx(t, x[idx], mu, u_p, zeta, scenario[idx]) * zk[idx]
-                if eta is not None:
-                    term = term + gmu(t, x[idx], mu, eta, u_p, zeta, scenario[idx])
-                elif pi != 0.0:
-                    term = term + gu(t, x[idx], mu, u_p, zeta, scenario[idx]) * pi
-                np.add.at(z_next, idx, term)
+                    term = term + gu(t, x_i, mu, u_i, zeta, scen_i) * pi
+                return term
+
+            z_next = _compensated_jump_step(z_next, dt, levy, noise, k, jump_term)
         if not np.isfinite(z_next).all():
             bad = int(np.flatnonzero(~np.isfinite(z_next))[0])
             raise SimulationError(

@@ -266,6 +266,23 @@ def test_adjoint_terminal_linear_is_constant_one():
     assert np.max(np.abs(sol.P - 1.0)) <= 1e-9
 
 
+def test_adjoint_rejects_nested_mc():
+    """The adjoint tables follow the outer paths, so nested MC is refused up front."""
+    bundle = flat_bundle(n=10, m=5)
+    model = ControlledModel(
+        drift=lambda t, x, mu, u, s: np.zeros_like(x),
+        vol=lambda t, x, mu, u, s: np.zeros_like(x),
+        x0=1.0,
+        horizon=1.0,
+    )
+    perf = PerformanceSpec(
+        running=lambda t, x, m, mu, u, s: np.zeros_like(x),
+        terminal=lambda x, m, s: x,
+    )
+    with pytest.raises(ValueError, match="pathwise, regression"):
+        adjoint_p0_solve(model, perf, bundle, trivial_controls(), estimator="nested-mc")
+
+
 def test_adjoint_quadratic_terminal_deterministic_dynamics():
     """g = x^2, b = a x, sigma = 0: p0(t) = 2 x0 e^{a (2T - t)} up to Euler error."""
     a, x0 = 0.3, 1.2

@@ -208,11 +208,30 @@ def test_zero_sum_consistency(cgame):
         assert np.max(np.abs(d1 + d2)) <= 1e-12
 
 
-def test_unsupported_model_raises():
-    """sigma depending on the control needs a q0 estimate that is not available."""
+_LEVY = LevyMeasure([0.1], [0.5])
+
+
+@pytest.mark.parametrize(
+    "vol,jump,message",
+    [
+        (lambda t, x, mu, u, s: (0.1 + u) * np.ones_like(x), None, "sigma depends on u"),
+        (lambda t, x, mu, u, s: 0.1 * np.ones_like(x),
+         lambda t, x, mu, u, z, s: z * (0.1 + u) * np.ones_like(x), "gamma depends on u"),
+        (lambda t, x, mu, u, s: (0.1 + mu.mass_on(-1, 1)) * np.ones_like(x), None,
+         "sigma depends on mu"),
+        (lambda t, x, mu, u, s: 0.1 * np.ones_like(x),
+         lambda t, x, mu, u, z, s: z * (0.1 + mu.mass_on(-1, 1)) * np.ones_like(x),
+         "gamma depends on mu"),
+    ],
+    ids=["sigma-u", "gamma-u", "sigma-mu", "gamma-mu"],
+)
+def test_unsupported_model_raises(vol, jump, message):
+    """sigma or gamma reading a control needs a q0/r0 estimate that is not available."""
     model = ControlledModel(
         drift=lambda t, x, mu, u, s: np.zeros_like(x),
-        vol=lambda t, x, mu, u, s: (0.1 + u) * np.ones_like(x),
+        vol=vol,
+        jump=jump,
+        levy=None if jump is None else _LEVY,
         x0=1.0,
         horizon=1.0,
     )
@@ -227,7 +246,7 @@ def test_unsupported_model_raises():
     )
     bundle = simulate(model, ctrl, 50, 10, seed=0)
     adjoint = solve_adjoints(spec, bundle, ctrl)
-    with pytest.raises(UnsupportedModelError):
+    with pytest.raises(UnsupportedModelError, match=message):
         first_order_residuals(spec, ctrl, bundle, adjoint)
 
 

@@ -336,6 +336,45 @@ def test_derivative_uses_analytic_partials_when_given():
     z_fd = simulate_derivative_process(bundle, model, ctrl, direction)
     assert np.max(np.abs(z_analytic - z_fd)) <= 1e-8
 
+    # jump coefficient reading x, mu and u: the compensator and event terms
+    def mass(m):
+        return m.mass_on(0.0, 2.0)
+
+    levy_model = ControlledModel(
+        drift=lambda t, x, mu, u, s: (mass(mu) + u) * x,
+        vol=lambda t, x, mu, u, s: 0.1 * x,
+        jump=lambda t, x, mu, u, z, s: z * (mass(mu) + u) * x,
+        levy=LevyMeasure([0.1, -0.2], [2.0, 1.0]),
+        x0=1.0,
+        horizon=1.0,
+    )
+    levy_ctrl = ControlPair(
+        measure_ctrl=lambda t, info: DiscreteMeasure.dirac(1.0, c),
+        scalar_ctrl=lambda t, info: 0.3,
+    )
+    partials = CoefficientPartials(
+        drift_dx=lambda t, x, mu, u, s: (mass(mu) + u) * np.ones_like(x),
+        drift_dmu=lambda t, x, mu, eta, u, s: mass(eta) * x,
+        drift_du=lambda t, x, mu, u, s: x,
+        vol_dx=lambda t, x, mu, u, s: 0.1 * np.ones_like(x),
+        vol_dmu=lambda t, x, mu, eta, u, s: np.zeros_like(x),
+        vol_du=lambda t, x, mu, u, s: np.zeros_like(x),
+        jump_dx=lambda t, x, mu, u, z, s: z * (mass(mu) + u) * np.ones_like(x),
+        jump_dmu=lambda t, x, mu, eta, u, z, s: z * mass(eta) * x,
+        jump_du=lambda t, x, mu, u, z, s: z * x,
+    )
+    bundle = simulate(levy_model, levy_ctrl, 20, 50, seed=0)
+    assert bundle.noise.n_events > 0
+    for direction in (
+        Direction(kind="measure", t0=0.3, measure=DiscreteMeasure.dirac(1.0)),
+        Direction(kind="control", t0=0.3, scalar=1.0),
+    ):
+        levy_model.partials = partials
+        z_analytic = simulate_derivative_process(bundle, levy_model, levy_ctrl, direction)
+        levy_model.partials = None
+        z_fd = simulate_derivative_process(bundle, levy_model, levy_ctrl, direction)
+        assert np.max(np.abs(z_analytic - z_fd)) <= 1e-8
+
 
 # -- noise bank and serialization ---------------------------------------------------
 
