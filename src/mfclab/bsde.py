@@ -27,7 +27,11 @@ Estimators for the conditional expectation:
 * ``nested-mc``    -- branch n_inner fresh continuations from each scenario's
   time-t state; needs a re-simulatable Markov model.  It is a ``solve``
   estimator only: the adjoint reduction tabulates its coefficients per outer
-  step and scenario, which inner continuations cannot read.
+  step and scenario, which inner continuations cannot read.  It needs an
+  exogenous measure argument (``mu_mode="exogenous"``).
+
+The Gamma paths, coefficient tables and P estimates are stored time-major
+(see ``sde``): shapes (N, M+1) with contiguous per-step columns.
 """
 from __future__ import annotations
 
@@ -48,6 +52,7 @@ from .sde import (
     _central_difference,
     _compensated_jump_step,
     _partial_x,
+    _time_major,
     draw_noise,
     iter_steps,
     simulate_segment,
@@ -112,7 +117,8 @@ class BsdeSolution:
         return np.atleast_1d(self.P[..., k])
 
     def mean_profile(self) -> np.ndarray:
-        return self.P if self.P.ndim == 1 else self.P.mean(axis=0)
+        # particle-major copy: the sum over scenarios accumulates row by row
+        return self.P if self.P.ndim == 1 else np.ascontiguousarray(self.P).mean(axis=0)
 
     def to_csv(self, path: str, seed) -> None:
         """Rows (time, scenario, P, std_error); scenario is 0 when deterministic."""
@@ -157,7 +163,7 @@ def simulate_gamma(spec: LinearBsdeSpec, source) -> np.ndarray:
     n, m = noise.n_particles, noise.n_steps
     dt = noise.dt
     levy = spec.levy
-    gam = np.empty((n, m + 1))
+    gam = _time_major(n, m + 1)
     gam[:, 0] = 1.0
     for k in range(m):
         ctx = _context(source, k, times)
@@ -196,7 +202,7 @@ def _coefficient_tables(
     """phi values per (scenario, step) and terminal theta per scenario."""
     noise = source.noise if isinstance(source, ParticleBundle) else source
     n, m = noise.n_particles, noise.n_steps
-    phi = np.empty((n, m))
+    phi = _time_major(n, m)
     for k in range(m):
         ctx = _context(source, k, times, scenario)
         phi[:, k] = np.broadcast_to(
@@ -222,7 +228,7 @@ def _pathwise_values(
     dt = noise.dt
     gam = simulate_gamma(spec, source)
     phi, theta = _coefficient_tables(spec, source, times, scenario)
-    values = np.empty((n, m + 1))
+    values = _time_major(n, m + 1)
     values[:, m] = theta
     acc = theta * gam[:, m]
     for k in range(m - 1, -1, -1):
@@ -284,9 +290,16 @@ def solve(
     ``closed-form`` needs only ``times`` and deterministic data (coefficients
     are called with ctx=None and must return scalars).  The other estimators
     need a ``bundle``; ``nested-mc`` additionally needs ``n_inner``, the
-    generating ``model``/``controls`` and a ``seed`` for inner noise.
+    generating ``model``/``controls`` and a ``seed`` for inner noise, and
+    rejects ``mu_mode="empirical"``: an inner law would be taken over the
+    N * n_inner cloned continuations, not over the outer population.
     P(T) equals theta exactly for every estimator (no smoothing at T).
     """
+    if estimator == "nested-mc" and mu_mode == "empirical":
+        raise ValueError(
+            "nested-mc does not support mu_mode='empirical': inner laws would "
+            "couple the cloned continuations instead of the outer population"
+        )
     if estimator == "closed-form":
         if times is None:
             if bundle is None:
@@ -313,13 +326,26 @@ def solve(
 
     if estimator == "pathwise":
         values, _ = _pathwise_values(spec, bundle)
-        diags = values.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(m + 1)
+        if n > 1:
+            # values.std(axis=0, ddof=1), computed in place on a particle-major
+            # copy: its sums over scenarios accumulate row by row, and the copy
+            # is the only full-size temporary
+            dev = np.ascontiguousarray(values)
+            dev -= dev.mean(axis=0)
+            np.multiply(dev, dev, out=dev)
+            diags = np.sqrt(dev.sum(axis=0) / (n - 1)) / math.sqrt(n)
+        else:
+            diags = np.zeros(m + 1)
         return BsdeSolution(times=times, P=values, estimator=estimator, diagnostics=diags)
 
     if estimator == "regression":
         raw, theta = _pathwise_values(spec, bundle)
+        # fit against a particle-major copy: matmul rounds short strided and
+        # contiguous right-hand sides differently, and regression P keeps the
+        # rounding of strided per-step columns
+        raw = np.ascontiguousarray(raw)
         build = resolve_basis(basis)
-        fitted = np.empty_like(raw)
+        fitted = _time_major(n, m + 1)
         fitted[:, m] = theta
         diags = np.zeros(m + 1)
         for k in range(m):
@@ -432,17 +458,17 @@ def adjoint_p0_solve(
     sx = _partial_x(model.vol, partials.vol_dx)
     gx = _partial_x(model.jump, partials.jump_dx)
 
-    phi_tab = np.empty((n, m))
-    a_tab = np.empty((n, m))
-    b_tab = np.empty((n, m))
-    jp_tab = np.empty((n_atoms, n, m))
+    phi_tab = _time_major(n, m)
+    a_tab = _time_major(n, m)
+    b_tab = _time_major(n, m)
+    jp_tab = [_time_major(n, m) for _ in range(n_atoms)]
     for sv in iter_steps(bundle, controls, mu_mode):
         k, t, x, mu, u = sv.k, sv.t, sv.x, sv.mu_coeff, sv.u
         phi_tab[:, k] = np.broadcast_to(lx(t, x, sv.law, sv.mu_ctrl, u, scen), (n,))
         a_tab[:, k] = np.broadcast_to(bx(t, x, mu, u, scen), (n,))
         b_tab[:, k] = np.broadcast_to(sx(t, x, mu, u, scen), (n,))
         for j in range(n_atoms):
-            jp_tab[j, :, k] = np.broadcast_to(gx(t, x, mu, u, levy.jump_sizes[j], scen), (n,))
+            jp_tab[j][:, k] = np.broadcast_to(gx(t, x, mu, u, levy.jump_sizes[j], scen), (n,))
 
     x_T = bundle.states[:, -1]
     m_T = bundle.law_at(m)
@@ -462,7 +488,7 @@ def adjoint_p0_solve(
         phi=lambda t, ctx: phi_tab[:, ctx.step],
         alpha=lambda t, ctx: a_tab[:, ctx.step],
         beta=lambda t, ctx: b_tab[:, ctx.step],
-        jump_phi=lambda t, zeta, ctx: jp_tab[zeta_index(zeta), :, ctx.step],
+        jump_phi=lambda t, zeta, ctx: jp_tab[zeta_index(zeta)][:, ctx.step],
         terminal=lambda ctx: theta,
         levy=levy,
     )

@@ -378,7 +378,8 @@ def product_process_check(
     """
     horizon = model.horizon
     times = bundle.times
-    product = np.atleast_2d(adjoint.P) * bundle.states
+    # particle-major product: its mean over scenarios accumulates row by row
+    product = np.multiply(np.atleast_2d(adjoint.P), bundle.states, order="C")
     if model.theta.deterministic:
         target = model.theta.value + horizon - times
         profile = np.abs(product - target[None, :]).max(axis=0)
@@ -438,15 +439,20 @@ def verify_consumption_game(
     Simulates both mu_hat variants, solves the adjoint, computes first-order
     residuals (selecting the variant that satisfies them), checks the product
     identity, runs the saddle perturbation sweep and re-runs it with the
-    consumption rate inflated, which must break the certificate.  Writes
+    consumption rate inflated, which must break the certificate.  Every
+    simulation runs on one noise bank drawn from ``seed``.  Writes
     report.csv and controls.csv when ``out_dir`` is given.
     """
     spec = game_spec(model)
     checks: list[CheckResult] = []
     runs: dict[str, VariantRun] = {}
+    noise = None
     for variant in VARIANTS:
         cf = closed_form_controls(model, variant)
-        bundle = simulate(spec.model, feedback_pair(model, cf), n_particles, n_steps, seed)
+        bundle = simulate(
+            spec.model, feedback_pair(model, cf), n_particles, n_steps, seed, noise=noise
+        )
+        noise = bundle.noise
         controls, rho_path, mu_v_path = frozen_pair(model, cf, bundle)
         adjoint = solve_adjoints(spec, bundle, controls)
         residuals = first_order_residuals(spec, controls, bundle, adjoint)
@@ -530,8 +536,12 @@ def verify_consumption_game(
             directions=[Direction(kind="control", t0=0.0, scalar=1.0, label="u")],
             lambdas=tuple(lambdas),
         )
+        inflated_base = simulate(
+            spec.model, inflated_controls, n_particles, n_steps, seed, noise=noise
+        )
         inflated = nash_perturbation_sweep(
-            spec, inflated_controls, inflated_plan, n_particles, n_steps, seed
+            spec, inflated_controls, inflated_plan, n_particles, n_steps, seed,
+            bundle=inflated_base,
         )
         best_gain = max((r.delta - 2.0 * r.std_err) for r in inflated.rows)
         checks.append(

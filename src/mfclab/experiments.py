@@ -73,10 +73,18 @@ class ExperimentConfig:
             raise ValueError("n_steps must be positive")
         if self.quad_n < 2:
             raise ValueError("quad_n must be at least 2")
+        if not math.isfinite(self.delay):
+            raise ValueError(f"delay must be finite, got {self.delay}")
         if self.delay < 0:
             raise ValueError("delay must be nonnegative")
         if not self.lambdas:
             raise ValueError("lambda grid must be nonempty")
+        if not all(math.isfinite(lam) for lam in self.lambdas):
+            raise ValueError(f"lambdas must be finite, got {self.lambdas}")
+        for key, value in self.model.items():
+            # v_hi = inf is the unbounded interval V = (v_lo, inf)
+            if not (math.isfinite(value) or (key == "v_hi" and value == math.inf)):
+                raise ValueError(f"model value {key} must be finite, got {value}")
 
 
 def _out(cfg: ExperimentConfig, filename: str) -> str:
@@ -418,7 +426,8 @@ def run_gateaux(cfg: ExperimentConfig) -> list[CheckResult]:
         pert = perturbed_controls(ctrl, direction, lam)
         shifted = simulate(model, pert, n, m, cfg.seed, noise=bundle.noise)
         quotient = (shifted.states - bundle.states) / lam
-        err = float(np.mean(np.sum((quotient - z) ** 2, axis=1) * dt))
+        # particle-major squares: each path's sum over time stays a pairwise sum
+        err = float(np.mean(np.sum(np.square(quotient - z, order="C"), axis=1) * dt))
         errs.append(err)
         rows_l2.append(["quotient-l2", lam, err])
     monotone = errs[0] > errs[1] > errs[2]

@@ -208,7 +208,11 @@ def hamiltonian(
 
 
 def _check_coefficient_independence(spec: GameSpec, sv, player: int, scen) -> None:
-    """sigma and gamma must not see the perturbed argument: q0/r0 are not estimated."""
+    """sigma and gamma must not see the perturbed argument: q0/r0 are not estimated.
+
+    Probes one grid step; callers run it at every step they visit, since a
+    coefficient may read the control only from some time on.
+    """
     model = spec.model
     coeffs = [("sigma", "q0", lambda mu, u: model.vol(sv.t, sv.x, mu, u, scen))]
     if model.levy is not None:
@@ -317,12 +321,9 @@ def first_order_residuals(
     res_mu = {f.name: np.empty(m) for f in spec.functionals}
     se_mu = {f.name: np.empty(m) for f in spec.functionals}
     sqrt_n = math.sqrt(n)
-    checked = False
     for sv in iter_steps(bundle, candidate, mu_mode):
-        if not checked:
-            _check_coefficient_independence(spec, sv, 2, scen)
-            _check_coefficient_independence(spec, sv, 1, scen)
-            checked = True
+        _check_coefficient_independence(spec, sv, 2, scen)
+        _check_coefficient_independence(spec, sv, 1, scen)
         p2 = adjoint.p0[2].p_at(sv.k)
         du = _dh_du_samples(spec, sv, p2, scen)
         res_u[sv.k] = du.mean()
@@ -502,11 +503,8 @@ def gateaux_check(
     scen = np.arange(n)
     dt = bundle.dt
     slope_acc = np.zeros(n)
-    checked = False
     for sv in iter_steps(bundle, candidate, mu_mode):
-        if not checked:
-            _check_coefficient_independence(spec, sv, player, scen)
-            checked = True
+        _check_coefficient_independence(spec, sv, player, scen)
         p0 = adjoint.p0[player].p_at(sv.k)
         if direction.kind == "measure":
             eta = direction.eta_at(sv.t)

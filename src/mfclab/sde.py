@@ -24,6 +24,14 @@ keyed by the seed, with row i of each draw forming particle i's block:
 bundles are reproducible bit for bit from (model, controls, N, M, seed) and
 independent of any parallel schedule, and reusing a bundle's noise across
 control variants gives common random numbers.
+
+Particle-by-time arrays (states, Brownian increments and levels, derivative
+processes, and the Gamma and coefficient tables of ``bsde``) are stored
+time-major: the public shapes stay (N, M+1) or (N, M), but each is the
+transposed view of a C-ordered (M+1, N) or (M, N) buffer, so the per-step
+column ``a[:, k]`` that every kernel reads or writes is contiguous.
+Reductions over the particle axis of a whole array therefore run over the
+fast axis; where their accumulation order matters, reduce a C-ordered copy.
 """
 from __future__ import annotations
 
@@ -38,6 +46,11 @@ from .lawproc import LevyMeasure, MeasurePath, empirical_law
 from .measures import DiscreteMeasure
 
 FD_STEP = 1e-5
+
+
+def _time_major(n_particles: int, n_times: int) -> np.ndarray:
+    """Uninitialized (n_particles, n_times) array with contiguous time columns."""
+    return np.empty((n_times, n_particles)).T
 
 
 def _central_difference(g, step=FD_STEP):
@@ -233,13 +246,15 @@ def draw_noise(
 
     Row i of every draw is particle i's noise block, so the layout is a pure
     function of (seed, N, M) and never depends on how the integration is
-    scheduled; the Euler sweep itself consumes no randomness.
+    scheduled; the Euler sweep itself consumes no randomness.  The scaled
+    Brownian draw is written straight into time-major storage.
     """
     if n_particles < 1 or n_steps < 1:
         raise ValueError("need at least one particle and one step")
     dt = horizon / n_steps
     gen = np.random.Generator(np.random.Philox(key=seed))
-    dB = gen.standard_normal((n_particles, n_steps)) * math.sqrt(dt)
+    dB = _time_major(n_particles, n_steps)
+    np.multiply(gen.standard_normal((n_particles, n_steps)), math.sqrt(dt), out=dB)
     particle = np.empty(0, dtype=np.int64)
     step = np.empty(0, dtype=np.int64)
     zeta = np.empty(0, dtype=np.int64)
@@ -309,8 +324,9 @@ class ParticleBundle:
     def brownian_levels(self) -> np.ndarray:
         """B(t) per particle on the grid (zero at t=0)."""
         if self._brownian is None:
-            levels = np.zeros_like(self.states)
-            np.cumsum(self.noise.dB, axis=1, out=levels[:, 1:])
+            levels = _time_major(self.n_particles, self.n_steps + 1)
+            levels[:, 0] = 0.0
+            np.cumsum(self.noise.dB.T, axis=0, out=levels.T[1:])
             self._brownian = levels
         return self._brownian
 
@@ -391,7 +407,7 @@ def _euler_sweep(model, controls, noise, times, x_init, mu_mode):
     m = len(times) - 1
     dt = float(times[1] - times[0])
     scenario = np.arange(n)
-    states = np.empty((n, m + 1))
+    states = _time_major(n, m + 1)
     states[:, 0] = x_init
     law_cache: dict[int, DiscreteMeasure] = {}
     levy = model.levy
@@ -647,7 +663,8 @@ def simulate_derivative_process(
     n, m = bundle.n_particles, bundle.n_steps
     dt = bundle.dt
     scenario = np.arange(n)
-    z = np.zeros((n, m + 1))
+    z = _time_major(n, m + 1)
+    z[:, 0] = 0.0
     noise = bundle.noise
     levy = model.levy
     for sv in iter_steps(bundle, controls, mu_mode):

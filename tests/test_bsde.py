@@ -237,6 +237,16 @@ def test_solver_argument_validation(ou_setup):
         solve(spec, bundle=bundle, estimator="frequentist")
 
 
+def test_nested_mc_rejects_empirical_mu_mode(ou_setup):
+    """Inner laws over N * n_inner clones would be a wrong mean-field coupling."""
+    model, ctrl, bundle, spec = ou_setup
+    with pytest.raises(ValueError, match="mu_mode='empirical'"):
+        solve(
+            spec, bundle=bundle, estimator="nested-mc", n_inner=4,
+            model=model, controls=ctrl, seed=3, mu_mode="empirical",
+        )
+
+
 def test_solution_csv(tmp_path, ou_setup):
     _, _, bundle, spec = ou_setup
     sol = solve(spec, bundle=bundle, estimator="pathwise")

@@ -1,5 +1,10 @@
 """Tests for the config-driven experiment runner."""
+import math
+
+import pytest
+
 from mfclab.cli import load_config, main
+from mfclab.experiments import ExperimentConfig
 
 
 def write_config(tmp_path, body, name="cfg.ini"):
@@ -46,6 +51,43 @@ def test_negative_particles_is_config_error(tmp_path, capsys):
     )
     assert main(["run", cfg]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        dict(delay=math.nan),
+        dict(delay=math.inf),
+        dict(lambdas=(0.1, math.nan)),
+        dict(lambdas=(-math.inf, 0.1)),
+        dict(model={"sigma": math.nan}),
+        dict(model={"theta": math.inf}),
+        dict(model={"v_lo": -math.inf}),
+        dict(model={"v_hi": math.nan}),
+        dict(model={"v_hi": -math.inf}),
+    ],
+    ids=lambda knobs: ",".join(f"{k}={v}" for k, v in knobs.items()),
+)
+def test_non_finite_config_value_rejected(knobs):
+    with pytest.raises(ValueError, match="finite"):
+        ExperimentConfig(name="consumption", **knobs).validate()
+
+
+def test_unbounded_v_interval_is_valid():
+    ExperimentConfig(name="consumption", model={"v_hi": math.inf}).validate()
+
+
+@pytest.mark.parametrize(
+    "section",
+    ["[knobs]\ndelay = nan\n", "[knobs]\nlambdas = 0.1, inf\n", "[model]\nsigma = nan\n"],
+    ids=["delay", "lambdas", "model"],
+)
+def test_non_finite_ini_value_is_config_error(tmp_path, capsys, section):
+    cfg = write_config(
+        tmp_path, f"[experiment]\nname = consumption\nout_dir = {tmp_path}/out\n\n{section}"
+    )
+    assert main(["run", cfg]) == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_unknown_key_rejected(tmp_path, capsys):

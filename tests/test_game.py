@@ -250,6 +250,32 @@ def test_unsupported_model_raises(vol, jump, message):
         first_order_residuals(spec, ctrl, bundle, adjoint)
 
 
+def test_control_dependence_after_first_step_raises():
+    """sigma = 0.1 + t u ignores u at t = 0 only: every grid step is probed."""
+    model = ControlledModel(
+        drift=lambda t, x, mu, u, s: np.zeros_like(x),
+        vol=lambda t, x, mu, u, s: (0.1 + t * u) * np.ones_like(x),
+        x0=1.0,
+        horizon=1.0,
+    )
+    perf = PerformanceSpec(
+        running=lambda t, x, m, mu, u, s: np.zeros_like(x),
+        terminal=lambda x, m, s: x,
+    )
+    spec = GameSpec.nonzero_sum_game(model, perf, perf, functionals=(IntervalMass(-1, 1, 0.0),))
+    ctrl = ControlPair(
+        measure_ctrl=lambda t, info: DiscreteMeasure.dirac(0.0),
+        scalar_ctrl=lambda t, info: 0.2,
+    )
+    bundle = simulate(model, ctrl, 50, 10, seed=0)
+    adjoint = solve_adjoints(spec, bundle, ctrl)
+    with pytest.raises(UnsupportedModelError, match="sigma depends on u"):
+        first_order_residuals(spec, ctrl, bundle, adjoint)
+    direction = Direction(kind="control", t0=0.0, scalar=1.0)
+    with pytest.raises(UnsupportedModelError, match="sigma depends on u"):
+        gateaux_check(spec, ctrl, direction, (0.1,), bundle, adjoint)
+
+
 # -- perturbation sweeps ------------------------------------------------------------
 
 def test_sweep_zero_lambda_row_is_exactly_zero(lq):

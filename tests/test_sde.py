@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mfclab.bsde import LinearBsdeSpec, simulate_gamma
 from mfclab.lawproc import LevyMeasure
 from mfclab.measures import DiscreteMeasure
 from mfclab.sde import (
@@ -60,6 +61,51 @@ def test_bitwise_determinism():
     assert np.array_equal(b1.states, b2.states)
     assert np.array_equal(b1.noise.dB, b2.noise.dB)
     assert np.array_equal(b1.noise.ev_step, b2.noise.ev_step)
+
+
+def test_time_major_layout_keeps_public_shapes():
+    """Per-step columns are contiguous; shapes and the seeded draw are unchanged."""
+    n, m, seed = 300, 20, 17
+    levy = LevyMeasure([0.2, -0.1], [0.5, 1.0])
+    model = ControlledModel(
+        drift=lambda t, x, mu, u, s: 0.1 * x,
+        vol=lambda t, x, mu, u, s: 0.2 * x,
+        jump=lambda t, x, mu, u, z, s: z * x,
+        levy=levy,
+        x0=1.0,
+        horizon=1.0,
+    )
+    ctrl = trivial_controls()
+    bundle = simulate(model, ctrl, n, m, seed)
+    noise = bundle.noise
+    z = simulate_derivative_process(
+        bundle, model, ctrl, Direction(kind="measure", measure=DiscreteMeasure.dirac(0.0))
+    )
+    spec = LinearBsdeSpec(
+        phi=lambda t, ctx: 0.0,
+        alpha=lambda t, ctx: 0.1,
+        beta=lambda t, ctx: 0.3,
+        jump_phi=lambda t, zeta, ctx: zeta,
+        terminal=lambda ctx: 1.0,
+        levy=levy,
+    )
+    gam = simulate_gamma(spec, bundle)
+    brownian = bundle.brownian_levels()
+    for name, arr, shape in (
+        ("states", bundle.states, (n, m + 1)),
+        ("dB", noise.dB, (n, m)),
+        ("derivative", z, (n, m + 1)),
+        ("gamma", gam, (n, m + 1)),
+        ("brownian", brownian, (n, m + 1)),
+    ):
+        assert arr.shape == shape, name
+        for k in (0, shape[1] // 2, shape[1] - 1):
+            assert arr[:, k].flags.c_contiguous, (name, k)
+    draw = np.random.Generator(np.random.Philox(key=seed)).standard_normal((n, m))
+    expected = draw * math.sqrt(1.0 / m)
+    assert noise.dB.tobytes() == expected.tobytes()
+    assert np.array_equal(brownian[:, 1:], np.cumsum(expected, axis=1))
+    assert np.all(brownian[:, 0] == 0.0)
 
 
 def test_crn_zero_perturbation_identity():
