@@ -30,6 +30,11 @@ Estimators for the conditional expectation:
   step and scenario, which inner continuations cannot read.  It needs an
   exogenous measure argument (``mu_mode="exogenous"``).
 
+The stochastic estimators read coefficient tables, not callables.  ``solve``
+fills them from a ``LinearBsdeSpec`` along the bundle (nested-MC inner paths
+carry their outer scenario into every coefficient); ``adjoint_p0_solve``
+fills them from the model's partials.  Regression bases see the time-t state.
+
 The Gamma paths, coefficient tables and P estimates are stored time-major
 (see ``sde``): shapes (N, M+1) with contiguous per-step columns.
 """
@@ -51,16 +56,16 @@ from .sde import (
     PerformanceSpec,
     _central_difference,
     _compensated_jump_step,
+    _euler_sweep,
     _partial_x,
     _time_major,
     draw_noise,
     iter_steps,
-    simulate_segment,
 )
 
 REGRESSION_RIDGE = 1e-10
 _COND_LIMIT = 1e12
-_ADJOINT_ESTIMATORS = ("pathwise", "regression")
+_TABLE_ESTIMATORS = ("pathwise", "regression")
 
 
 class GammaPositivityError(RuntimeError):
@@ -116,10 +121,6 @@ class BsdeSolution:
     def p_at(self, k: int) -> np.ndarray:
         return np.atleast_1d(self.P[..., k])
 
-    def mean_profile(self) -> np.ndarray:
-        # particle-major copy: the sum over scenarios accumulates row by row
-        return self.P if self.P.ndim == 1 else np.ascontiguousarray(self.P).mean(axis=0)
-
     def to_csv(self, path: str, seed) -> None:
         """Rows (time, scenario, P, std_error); scenario is 0 when deterministic."""
         paths = self.P[None, :] if self.P.ndim == 1 else self.P
@@ -132,60 +133,77 @@ class BsdeSolution:
         write_csv(path, ["time", "scenario", "P", "std_error"], rows, seed)
 
 
-def _grid_times(source) -> np.ndarray:
-    if isinstance(source, ParticleBundle):
-        return source.times
-    dt = source.dt
-    return np.linspace(0.0, source.n_steps * dt, source.n_steps + 1)
+@dataclass(frozen=True)
+class _CoefficientTables:
+    """Coefficients per scenario and step: phi, alpha, beta time-major (N, M),
+    jump_phi (atoms, M, N), theta (N,); ``levy`` holds the atoms' rates."""
+
+    phi: np.ndarray | None
+    alpha: np.ndarray
+    beta: np.ndarray
+    jump_phi: np.ndarray
+    theta: np.ndarray | None
+    levy: LevyMeasure | None
 
 
-def _context(source, k: int, times, scenario=None) -> StepContext:
-    if isinstance(source, ParticleBundle):
-        return StepContext(
-            step=k,
-            t=float(times[k]),
-            x=source.states[:, k],
-            brownian=source.brownian_levels()[:, k],
-            scenario=np.arange(source.n_particles) if scenario is None else scenario,
-        )
-    return StepContext(step=k, t=float(times[k]))
+def _tabulate(spec: LinearBsdeSpec, source, scenario=None, gamma_only=False) -> _CoefficientTables:
+    """Evaluate the spec's callables along a bundle or a bare noise bank.
 
-
-def simulate_gamma(spec: LinearBsdeSpec, source) -> np.ndarray:
-    """Euler paths of the Gamma process on a bundle's (or bank's) noise.
-
-    Gamma(0) = 1 and dGamma = Gamma^-[alpha dt + beta dB + jump_phi dNtilde];
-    the compensated-jump Euler factor is
-    1 + alpha dt + beta dB + sum_{events} jump_phi - dt sum_j rate_j jump_phi.
+    ``scenario`` relabels ctx.scenario for every coefficient (scenario i is
+    path i by default); ``gamma_only`` skips phi and theta.
     """
-    noise = source.noise if isinstance(source, ParticleBundle) else source
-    times = _grid_times(source)
+    if isinstance(source, ParticleBundle):
+        bundle, noise, times = source, source.noise, source.times
+        if scenario is None:
+            scenario = np.arange(bundle.n_particles)
+    else:
+        bundle, noise = None, source
+        times = np.linspace(0.0, noise.n_steps * noise.dt, noise.n_steps + 1)
+    n, m = noise.n_particles, noise.n_steps
+
+    def context(k: int) -> StepContext:
+        if bundle is None:
+            return StepContext(step=k, t=float(times[k]))
+        return StepContext(
+            step=k, t=float(times[k]), x=bundle.states[:, k],
+            brownian=bundle.brownian_levels()[:, k], scenario=scenario,
+        )
+
+    atoms = spec.levy.jump_sizes if spec.levy is not None else ()
+    phi = None if gamma_only else _time_major(n, m)
+    alpha = _time_major(n, m)
+    beta = _time_major(n, m)
+    jump_phi = np.empty((len(atoms), m, n))
+    for k in range(m):
+        t, ctx = float(times[k]), context(k)
+        alpha[:, k] = spec.alpha(t, ctx)
+        beta[:, k] = spec.beta(t, ctx)
+        for j, zeta in enumerate(atoms):
+            jump_phi[j, k] = spec.jump_phi(t, zeta, ctx)
+        if phi is not None:
+            phi[:, k] = spec.phi(t, ctx)
+    theta = None
+    if not gamma_only:
+        theta = np.empty(n)
+        theta[:] = spec.terminal(context(m))
+    return _CoefficientTables(phi, alpha, beta, jump_phi, theta, spec.levy)
+
+
+def _gamma(tables: _CoefficientTables, noise) -> np.ndarray:
+    """Euler paths of Gamma from the tabulated alpha, beta and jump_phi."""
     n, m = noise.n_particles, noise.n_steps
     dt = noise.dt
-    levy = spec.levy
     gam = _time_major(n, m + 1)
     gam[:, 0] = 1.0
     for k in range(m):
-        ctx = _context(source, k, times)
-        t = float(times[k])
-        factor = 1.0 + np.broadcast_to(
-            np.asarray(spec.alpha(t, ctx), dtype=float), (n,)
-        ) * dt + np.broadcast_to(np.asarray(spec.beta(t, ctx), dtype=float), (n,)) * noise.dB[:, k]
-        if levy is not None and levy.n_atoms:
-            jp = np.stack(
-                [
-                    np.broadcast_to(
-                        np.asarray(spec.jump_phi(t, levy.jump_sizes[j], ctx), dtype=float),
-                        (n,),
-                    )
-                    for j in range(levy.n_atoms)
-                ]
-            )
+        factor = 1.0 + tables.alpha[:, k] * dt + tables.beta[:, k] * noise.dB[:, k]
+        if len(tables.jump_phi):
+            jp = tables.jump_phi[:, k]
             if np.any(jp <= -1.0):
                 raise GammaPositivityError(
                     f"jump_phi <= -1 at step {k}; Gamma cannot stay positive"
                 )
-            factor = _compensated_jump_step(factor, dt, levy, noise, k, lambda j, i: jp[j, i])
+            factor = _compensated_jump_step(factor, dt, tables.levy, noise, k, lambda j, i: jp[j, i])
         gam[:, k + 1] = gam[:, k] * factor
         if np.any(gam[:, k + 1] <= 0.0):
             bad = int(np.flatnonzero(gam[:, k + 1] <= 0.0)[0])
@@ -196,45 +214,79 @@ def simulate_gamma(spec: LinearBsdeSpec, source) -> np.ndarray:
     return gam
 
 
-def _coefficient_tables(
-    spec: LinearBsdeSpec, source, times, scenario=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """phi values per (scenario, step) and terminal theta per scenario."""
-    noise = source.noise if isinstance(source, ParticleBundle) else source
-    n, m = noise.n_particles, noise.n_steps
-    phi = _time_major(n, m)
-    for k in range(m):
-        ctx = _context(source, k, times, scenario)
-        phi[:, k] = np.broadcast_to(
-            np.asarray(spec.phi(float(times[k]), ctx), dtype=float), (n,)
-        )
-    theta = np.broadcast_to(
-        np.asarray(spec.terminal(_context(source, m, times, scenario)), dtype=float), (n,)
-    ).astype(float)
-    return phi, theta
+def simulate_gamma(spec: LinearBsdeSpec, source) -> np.ndarray:
+    """Euler paths of the Gamma process on a bundle's (or bank's) noise.
 
-
-def _pathwise_values(
-    spec: LinearBsdeSpec, source, scenario=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Y(t) = theta Gamma(T)/Gamma(t) + sum_{s>=t} Gamma(s)/Gamma(t) phi(s) dt.
-
-    ``scenario`` relabels the coefficients' scenarios (nested-MC inner paths
-    carry their outer scenario); by default scenario i is path i.
+    Gamma(0) = 1 and dGamma = Gamma^-[alpha dt + beta dB + jump_phi dNtilde];
+    the compensated-jump Euler factor is
+    1 + alpha dt + beta dB + sum_{events} jump_phi - dt sum_j rate_j jump_phi.
     """
-    times = _grid_times(source)
     noise = source.noise if isinstance(source, ParticleBundle) else source
+    return _gamma(_tabulate(spec, source, gamma_only=True), noise)
+
+
+def _pathwise_values(tables: _CoefficientTables, noise) -> np.ndarray:
+    """Y(t) = theta Gamma(T)/Gamma(t) + sum_{s>=t} Gamma(s)/Gamma(t) phi(s) dt."""
     n, m = noise.n_particles, noise.n_steps
     dt = noise.dt
-    gam = simulate_gamma(spec, source)
-    phi, theta = _coefficient_tables(spec, source, times, scenario)
+    gam = _gamma(tables, noise)
+    phi, theta = tables.phi, tables.theta
     values = _time_major(n, m + 1)
     values[:, m] = theta
     acc = theta * gam[:, m]
     for k in range(m - 1, -1, -1):
         acc = acc + gam[:, k] * phi[:, k] * dt
         values[:, k] = acc / gam[:, k]
-    return values, theta
+    return values
+
+
+def _estimate(tables: _CoefficientTables, bundle: ParticleBundle, estimator: str, basis) -> BsdeSolution:
+    """The ``pathwise`` or ``regression`` estimate of P from coefficient tables."""
+    times = bundle.times
+    n, m = bundle.n_particles, bundle.n_steps
+    values = _pathwise_values(tables, bundle.noise)
+
+    if estimator == "pathwise":
+        if n > 1:
+            # values.std(axis=0, ddof=1), computed in place on a particle-major
+            # copy: its sums over scenarios accumulate row by row, and the copy
+            # is the only full-size temporary
+            dev = np.ascontiguousarray(values)
+            dev -= dev.mean(axis=0)
+            np.multiply(dev, dev, out=dev)
+            diags = np.sqrt(dev.sum(axis=0) / (n - 1)) / math.sqrt(n)
+        else:
+            diags = np.zeros(m + 1)
+        return BsdeSolution(times=times, P=values, estimator=estimator, diagnostics=diags)
+
+    # fit against a particle-major copy: matmul rounds short strided and
+    # contiguous right-hand sides differently, and regression P keeps the
+    # rounding of strided per-step columns
+    raw = np.ascontiguousarray(values)
+    build = resolve_basis(basis)
+    scenario = np.arange(n)
+    fitted = _time_major(n, m + 1)
+    fitted[:, m] = tables.theta
+    diags = np.zeros(m + 1)
+    for k in range(m):
+        ctx = StepContext(step=k, t=float(times[k]), x=bundle.states[:, k], scenario=scenario)
+        if np.ptp(ctx.x) < 1e-14:
+            # constant cross-section (e.g. t = 0): conditioning is trivial
+            fitted[:, k] = raw[:, k].mean()
+        else:
+            design = build(ctx)
+            gram = design.T @ design + REGRESSION_RIDGE * np.eye(design.shape[1])
+            cond = np.linalg.cond(gram)
+            if not np.isfinite(cond) or cond > _COND_LIMIT:
+                raise EstimationError(
+                    f"regression basis is rank-deficient at step {k}: "
+                    f"condition number {cond:.3e}"
+                )
+            coef = np.linalg.solve(gram, design.T @ raw[:, k])
+            fitted[:, k] = design @ coef
+        resid = raw[:, k] - fitted[:, k]
+        diags[k] = resid.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
+    return BsdeSolution(times=times, P=fitted, estimator=estimator, diagnostics=diags)
 
 
 def _poly_basis(degree: int, include_inverse: bool = False):
@@ -253,7 +305,8 @@ def _poly_basis(degree: int, include_inverse: bool = False):
 
 
 def resolve_basis(basis) -> Callable[[StepContext], np.ndarray]:
-    """Accept "poly<k>", "poly<k>+inv", a callable, or a list of callables."""
+    """Accept "poly<k>", "poly<k>+inv", a callable, or a list of callables of
+    the time-t state (a StepContext without Brownian levels)."""
     if basis is None:
         return _poly_basis(3)
     if callable(basis):
@@ -320,83 +373,36 @@ def solve(
 
     if bundle is None:
         raise ValueError(f"estimator {estimator!r} needs a particle bundle")
+    if estimator in _TABLE_ESTIMATORS:
+        return _estimate(_tabulate(spec, bundle), bundle, estimator, basis)
+    if estimator != "nested-mc":
+        raise ValueError(f"unknown estimator {estimator!r}")
+
+    if n_inner is None or model is None or controls is None or seed is None:
+        raise ValueError("nested-mc needs n_inner, model, controls and seed")
     times = bundle.times
     n, m = bundle.n_particles, bundle.n_steps
     dt = bundle.dt
-
-    if estimator == "pathwise":
-        values, _ = _pathwise_values(spec, bundle)
-        if n > 1:
-            # values.std(axis=0, ddof=1), computed in place on a particle-major
-            # copy: its sums over scenarios accumulate row by row, and the copy
-            # is the only full-size temporary
-            dev = np.ascontiguousarray(values)
-            dev -= dev.mean(axis=0)
-            np.multiply(dev, dev, out=dev)
-            diags = np.sqrt(dev.sum(axis=0) / (n - 1)) / math.sqrt(n)
-        else:
-            diags = np.zeros(m + 1)
-        return BsdeSolution(times=times, P=values, estimator=estimator, diagnostics=diags)
-
-    if estimator == "regression":
-        raw, theta = _pathwise_values(spec, bundle)
-        # fit against a particle-major copy: matmul rounds short strided and
-        # contiguous right-hand sides differently, and regression P keeps the
-        # rounding of strided per-step columns
-        raw = np.ascontiguousarray(raw)
-        build = resolve_basis(basis)
-        fitted = _time_major(n, m + 1)
-        fitted[:, m] = theta
-        diags = np.zeros(m + 1)
-        for k in range(m):
-            ctx = _context(bundle, k, times)
-            if np.ptp(ctx.x) < 1e-14:
-                # constant cross-section (e.g. t = 0): conditioning is trivial
-                fitted[:, k] = raw[:, k].mean()
-            else:
-                design = build(ctx)
-                gram = design.T @ design + REGRESSION_RIDGE * np.eye(design.shape[1])
-                cond = np.linalg.cond(gram)
-                if not np.isfinite(cond) or cond > _COND_LIMIT:
-                    raise EstimationError(
-                        f"regression basis is rank-deficient at step {k}: "
-                        f"condition number {cond:.3e}"
-                    )
-                coef = np.linalg.solve(gram, design.T @ raw[:, k])
-                fitted[:, k] = design @ coef
-            resid = raw[:, k] - fitted[:, k]
-            diags[k] = resid.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
-        return BsdeSolution(times=times, P=fitted, estimator=estimator, diagnostics=diags)
-
-    if estimator == "nested-mc":
-        if n_inner is None or model is None or controls is None or seed is None:
-            raise ValueError("nested-mc needs n_inner, model, controls and seed")
-        _, theta_outer = _coefficient_tables(spec, bundle, times)
-        p = np.empty((n, m + 1))
-        p[:, m] = theta_outer
-        diags = np.zeros(m + 1)
-        outer_b = bundle.brownian_levels()
-        scen_rep = np.repeat(np.arange(n), n_inner)
-        for k in range(m):
-            sub_times = times[k:]
-            msub = m - k
-            child = int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
-            inner_noise = draw_noise(child, n * n_inner, msub, msub * dt, model.levy)
-            x_init = np.repeat(bundle.states[:, k], n_inner)
-            inner_states = simulate_segment(
-                model, controls, x_init, sub_times, inner_noise, mu_mode
-            )
-            inner = ParticleBundle(sub_times, inner_states, inner_noise, child)
-            # shift inner Brownian levels so ctx.brownian is the absolute B(t)
-            inner._brownian = inner.brownian_levels() + np.repeat(outer_b[:, k], n_inner)[:, None]
-            y_inner, _ = _pathwise_values(spec, inner, scen_rep)
-            y0 = y_inner[:, 0].reshape(n, n_inner)
-            p[:, k] = y0.mean(axis=1)
-            if n_inner > 1:
-                diags[k] = float(np.mean(y0.std(axis=1, ddof=1) / math.sqrt(n_inner)))
-        return BsdeSolution(times=times, P=p, estimator=estimator, diagnostics=diags)
-
-    raise ValueError(f"unknown estimator {estimator!r}")
+    p = np.empty((n, m + 1))
+    p[:, m] = _tabulate(spec, bundle).theta
+    diags = np.zeros(m + 1)
+    outer_b = bundle.brownian_levels()
+    scen_rep = np.repeat(np.arange(n), n_inner)
+    for k in range(m):
+        sub_times = times[k:]
+        msub = m - k
+        child = int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
+        inner_noise = draw_noise(child, n * n_inner, msub, msub * dt, model.levy)
+        x_init = np.repeat(bundle.states[:, k], n_inner)
+        inner = _euler_sweep(model, controls, inner_noise, sub_times, x_init, mu_mode, child)
+        # shift inner Brownian levels so ctx.brownian is the absolute B(t)
+        inner._brownian = inner.brownian_levels() + np.repeat(outer_b[:, k], n_inner)[:, None]
+        y_inner = _pathwise_values(_tabulate(spec, inner, scen_rep), inner_noise)
+        y0 = y_inner[:, 0].reshape(n, n_inner)
+        p[:, k] = y0.mean(axis=1)
+        if n_inner > 1:
+            diags[k] = float(np.mean(y0.std(axis=1, ddof=1) / math.sqrt(n_inner)))
+    return BsdeSolution(times=times, P=p, estimator=estimator, diagnostics=diags)
 
 
 def backward_euler_reference(spec: LinearBsdeSpec, times: np.ndarray) -> np.ndarray:
@@ -440,56 +446,42 @@ def adjoint_p0_solve(
         beta     = dsigma/dx        jump_phi = dgamma/dx
         terminal = dg/dx(X(T), M(T)),
 
-    all evaluated along the bundle's baseline paths; the solution then comes
-    from `solve` with the ``pathwise`` or ``regression`` estimator.
+    all tabulated along the bundle's baseline paths and handed to the
+    ``pathwise`` or ``regression`` estimator that `solve` uses.
     """
-    if estimator not in _ADJOINT_ESTIMATORS:
+    if estimator not in _TABLE_ESTIMATORS:
         raise ValueError(
-            f"adjoint_p0_solve supports the estimators {', '.join(_ADJOINT_ESTIMATORS)}, "
+            f"adjoint_p0_solve supports the estimators {', '.join(_TABLE_ESTIMATORS)}, "
             f"not {estimator!r}"
         )
     n, m = bundle.n_particles, bundle.n_steps
     scen = np.arange(n)
     levy = model.levy
-    n_atoms = levy.n_atoms if levy is not None else 0
+    atoms = levy.jump_sizes if levy is not None else ()
     partials = model.partials or CoefficientPartials()
     lx = _partial_x(perf.running, perf.running_dx)
     bx = _partial_x(model.drift, partials.drift_dx)
     sx = _partial_x(model.vol, partials.vol_dx)
     gx = _partial_x(model.jump, partials.jump_dx)
 
-    phi_tab = _time_major(n, m)
-    a_tab = _time_major(n, m)
-    b_tab = _time_major(n, m)
-    jp_tab = [_time_major(n, m) for _ in range(n_atoms)]
+    phi = _time_major(n, m)
+    alpha = _time_major(n, m)
+    beta = _time_major(n, m)
+    jump_phi = np.empty((len(atoms), m, n))
     for sv in iter_steps(bundle, controls, mu_mode):
         k, t, x, mu, u = sv.k, sv.t, sv.x, sv.mu_coeff, sv.u
-        phi_tab[:, k] = np.broadcast_to(lx(t, x, sv.law, sv.mu_ctrl, u, scen), (n,))
-        a_tab[:, k] = np.broadcast_to(bx(t, x, mu, u, scen), (n,))
-        b_tab[:, k] = np.broadcast_to(sx(t, x, mu, u, scen), (n,))
-        for j in range(n_atoms):
-            jp_tab[j][:, k] = np.broadcast_to(gx(t, x, mu, u, levy.jump_sizes[j], scen), (n,))
+        phi[:, k] = lx(t, x, sv.law, sv.mu_ctrl, u, scen)
+        alpha[:, k] = bx(t, x, mu, u, scen)
+        beta[:, k] = sx(t, x, mu, u, scen)
+        for j, zeta in enumerate(atoms):
+            jump_phi[j, k] = gx(t, x, mu, u, zeta, scen)
 
     x_T = bundle.states[:, -1]
     m_T = bundle.law_at(m)
+    theta = np.empty(n)
     if perf.terminal_dx is not None:
-        theta = perf.terminal_dx(x_T, m_T, scen)
+        theta[:] = perf.terminal_dx(x_T, m_T, scen)
     else:
-        theta = _central_difference(lambda h: perf.terminal(x_T + h, m_T, scen))
-    theta = np.broadcast_to(np.asarray(theta, dtype=float), (n,)).astype(float)
-
-    def zeta_index(zeta: float) -> int:
-        hits = np.flatnonzero(levy.jump_sizes == zeta)
-        if hits.size != 1:
-            raise ValueError(f"jump size {zeta} is not a Levy atom of the model")
-        return int(hits[0])
-
-    spec = LinearBsdeSpec(
-        phi=lambda t, ctx: phi_tab[:, ctx.step],
-        alpha=lambda t, ctx: a_tab[:, ctx.step],
-        beta=lambda t, ctx: b_tab[:, ctx.step],
-        jump_phi=lambda t, zeta, ctx: jp_tab[zeta_index(zeta)][:, ctx.step],
-        terminal=lambda ctx: theta,
-        levy=levy,
-    )
-    return solve(spec, bundle=bundle, estimator=estimator, basis=basis)
+        theta[:] = _central_difference(lambda h: perf.terminal(x_T + h, m_T, scen))
+    tables = _CoefficientTables(phi, alpha, beta, jump_phi, theta, levy)
+    return _estimate(tables, bundle, estimator, basis)

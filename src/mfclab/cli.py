@@ -25,7 +25,9 @@ The config is flat INI with three sections::
     v_hi = inf
 
 Unknown sections or keys are rejected.  Exit codes: 0 all checks passed,
-1 some check failed, 2 usage or config error.
+1 some check failed, 2 usage or config error, 3 numerical failure (a
+non-finite state, a nonpositive Gamma or a failed estimator), reported as
+one ``numerical error: ...`` line on stderr.
 """
 from __future__ import annotations
 
@@ -34,7 +36,9 @@ import configparser
 import os
 import sys
 
+from .bsde import EstimationError, GammaPositivityError
 from .experiments import DESCRIPTIONS, EXPERIMENTS, ExperimentConfig, run_experiment
+from .sde import SimulationError
 
 _KNOB_KEYS = {"seed", "n_particles", "n_steps", "quad_n", "lambdas", "delay"}
 _MODEL_KEYS = {"x0", "horizon", "sigma", "jump_size", "jump_rate", "theta", "v_lo", "v_hi"}
@@ -146,7 +150,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    checks = run_experiment(cfg)
+    try:
+        checks = run_experiment(cfg)
+    except (SimulationError, GammaPositivityError, EstimationError) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
     for check in checks:
         print(check.line())
     n_failed = sum(not c.passed for c in checks)

@@ -33,6 +33,7 @@ from .lawproc import FourierTable
 from .measures import DiscreteMeasure, QuadratureRule
 from .report import write_csv
 from .sde import (
+    FD_STEP,
     ControlPair,
     ControlledModel,
     Direction,
@@ -207,11 +208,18 @@ def hamiltonian(
     return value
 
 
-def _check_coefficient_independence(spec: GameSpec, sv, player: int, scen) -> None:
+def _mu_shifts(sv, eta: DiscreteMeasure) -> dict[float, DiscreteMeasure]:
+    """sv.mu_ctrl + h eta at h = +-FD_STEP, built once per step and direction
+    for every central difference in mu along eta (each concatenates ~N atoms)."""
+    return {h: sv.mu_ctrl + eta.scaled(h) for h in (FD_STEP, -FD_STEP)}
+
+
+def _check_coefficient_independence(spec: GameSpec, sv, player: int, scen, mu_shifts) -> None:
     """sigma and gamma must not see the perturbed argument: q0/r0 are not estimated.
 
     Probes one grid step; callers run it at every step they visit, since a
-    coefficient may read the control only from some time on.
+    coefficient may read the control only from some time on.  Player 1 probes
+    each `_mu_shifts` pair in ``mu_shifts`` (one per declared functional).
     """
     model = spec.model
     coeffs = [("sigma", "q0", lambda mu, u: model.vol(sv.t, sv.x, mu, u, scen))]
@@ -223,10 +231,7 @@ def _check_coefficient_independence(spec: GameSpec, sv, player: int, scen) -> No
     if player == 2:
         shifts = [("u", lambda h: (sv.mu_ctrl, sv.u + h))]
     else:
-        shifts = [
-            ("mu", lambda h, eta=fn.unit_direction(): (sv.mu_ctrl + eta.scaled(h), sv.u))
-            for fn in spec.functionals
-        ]
+        shifts = [("mu", lambda h, pair=pair: (pair[h], sv.u)) for pair in mu_shifts]
     for arg, shift in shifts:
         for name, adjoint, coeff in coeffs:
             d = _central_difference(lambda h: coeff(*shift(h)))
@@ -250,16 +255,14 @@ def _dh_du_samples(spec: GameSpec, sv, p0_vals, scen) -> np.ndarray:
     return np.broadcast_to(dl + p0_vals * db, (sv.x.size,))
 
 
-def _dh_dmu_samples(spec: GameSpec, sv, p0_vals, eta: DiscreteMeasure, player: int, scen) -> np.ndarray:
-    """Per-scenario directional dH_player/dmu along eta at one step."""
+def _dh_dmu_samples(spec: GameSpec, sv, p0_vals, mu_shifts, player: int, scen) -> np.ndarray:
+    """Per-scenario directional dH_player/dmu at one step along a `_mu_shifts` pair."""
     perf = spec.performance_for(player)
     model = spec.model
     dl = _central_difference(
-        lambda h: perf.running(sv.t, sv.x, sv.law, sv.mu_ctrl + eta.scaled(h), sv.u, scen)
+        lambda h: perf.running(sv.t, sv.x, sv.law, mu_shifts[h], sv.u, scen)
     )
-    db = _central_difference(
-        lambda h: model.drift(sv.t, sv.x, sv.mu_ctrl + eta.scaled(h), sv.u, scen)
-    )
+    db = _central_difference(lambda h: model.drift(sv.t, sv.x, mu_shifts[h], sv.u, scen))
     return np.broadcast_to(dl + p0_vals * db, (sv.x.size,))
 
 
@@ -322,8 +325,9 @@ def first_order_residuals(
     se_mu = {f.name: np.empty(m) for f in spec.functionals}
     sqrt_n = math.sqrt(n)
     for sv in iter_steps(bundle, candidate, mu_mode):
-        _check_coefficient_independence(spec, sv, 2, scen)
-        _check_coefficient_independence(spec, sv, 1, scen)
+        mu_shifts = [_mu_shifts(sv, f.unit_direction()) for f in spec.functionals]
+        _check_coefficient_independence(spec, sv, 2, scen, mu_shifts)
+        _check_coefficient_independence(spec, sv, 1, scen, mu_shifts)
         p2 = adjoint.p0[2].p_at(sv.k)
         du = _dh_du_samples(spec, sv, p2, scen)
         res_u[sv.k] = du.mean()
@@ -333,8 +337,8 @@ def first_order_residuals(
             u_min, u_max = float(np.min(sv.u)), float(np.max(sv.u))
             boundary[sv.k] = u_min <= lo + 1e-12 or u_max >= hi - 1e-12
         p1 = adjoint.p0[1].p_at(sv.k)
-        for f in spec.functionals:
-            dmu = _dh_dmu_samples(spec, sv, p1, f.unit_direction(), 1, scen)
+        for f, pair in zip(spec.functionals, mu_shifts):
+            dmu = _dh_dmu_samples(spec, sv, p1, pair, 1, scen)
             res_mu[f.name][sv.k] = dmu.mean()
             se_mu[f.name][sv.k] = dmu.std(ddof=1) / sqrt_n if n > 1 else 0.0
     return ResidualCurves(
@@ -386,9 +390,6 @@ class SweepTable:
     def certified(self) -> bool:
         """Nash verdict at the tested resolution: no deviation improves."""
         return not any(r.improves for r in self.rows)
-
-    def rows_for(self, direction_id: int) -> list[SweepRow]:
-        return [r for r in self.rows if r.direction_id == direction_id]
 
     def to_csv(self, path: str, seed) -> None:
         rows = [(r.direction_id, r.lam, r.delta, r.std_err) for r in self.rows]
@@ -504,13 +505,16 @@ def gateaux_check(
     dt = bundle.dt
     slope_acc = np.zeros(n)
     for sv in iter_steps(bundle, candidate, mu_mode):
-        _check_coefficient_independence(spec, sv, player, scen)
+        mu_shifts = []
+        if player == 1:
+            mu_shifts = [_mu_shifts(sv, f.unit_direction()) for f in spec.functionals]
+        _check_coefficient_independence(spec, sv, player, scen, mu_shifts)
         p0 = adjoint.p0[player].p_at(sv.k)
         if direction.kind == "measure":
             eta = direction.eta_at(sv.t)
             if eta is None:
                 continue
-            slope_acc += _dh_dmu_samples(spec, sv, p0, eta, player, scen) * dt
+            slope_acc += _dh_dmu_samples(spec, sv, p0, _mu_shifts(sv, eta), player, scen) * dt
         else:
             pi = direction.pi_at(sv.t)
             if pi == 0.0:

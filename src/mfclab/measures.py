@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -76,11 +76,6 @@ class DiscreteMeasure:
     @classmethod
     def zero(cls) -> "DiscreteMeasure":
         return cls([], [])
-
-    @classmethod
-    def from_atoms(cls, atoms: Iterable[tuple[float, float]]) -> "DiscreteMeasure":
-        pairs = list(atoms)
-        return cls([p[0] for p in pairs], [p[1] for p in pairs])
 
     # -- basic queries -------------------------------------------------------
     @property

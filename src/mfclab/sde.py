@@ -93,23 +93,22 @@ class SimInfo:
     """What a control is allowed to see at evaluation time.
 
     Exposes the (possibly delayed) observation time, per-particle states and
-    the cross-sectional empirical law at that time; the law is built lazily.
+    the cross-sectional empirical law at that time; the law is built lazily,
+    once per grid step, in the cache of the particle system being observed.
     """
 
-    __slots__ = ("t", "step", "x", "scenario", "_law")
+    __slots__ = ("t", "step", "x", "scenario", "_bundle")
 
-    def __init__(self, t: float, step: int, x: np.ndarray, scenario: np.ndarray):
-        self.t = t
+    def __init__(self, bundle: "ParticleBundle", step: int, scenario: np.ndarray):
+        self.t = float(bundle.times[step])
         self.step = step
-        self.x = x
+        self.x = bundle.states[:, step]
         self.scenario = scenario
-        self._law: DiscreteMeasure | None = None
+        self._bundle = bundle
 
     @property
     def law(self) -> DiscreteMeasure:
-        if self._law is None:
-            self._law = empirical_law(self.x)
-        return self._law
+        return self._bundle.law_at(self.step)
 
     def law_mass(self, lo: float, hi: float) -> float:
         """Empirical mass on (lo, hi] without building the atom list."""
@@ -281,7 +280,12 @@ def draw_noise(
 # ---------------------------------------------------------------------------
 
 class ParticleBundle:
-    """Simulated paths plus the noise that produced them (for CRN reuse)."""
+    """Simulated paths plus the noise that produced them (for CRN reuse).
+
+    ``law_at`` keeps the one cache of cross-sectional laws of this particle
+    system; the Euler sweep, the controls' ``SimInfo`` and ``iter_steps`` all
+    read it.
+    """
 
     __slots__ = ("times", "states", "noise", "seed", "_laws", "_brownian")
 
@@ -349,22 +353,19 @@ class ParticleBundle:
 # stepping
 # ---------------------------------------------------------------------------
 
-def _info_for(pattern: InfoPattern, k: int, times, states, scenario) -> SimInfo:
-    k_info = max(0, k - pattern.lag_steps(float(times[1] - times[0])))
-    return SimInfo(float(times[k_info]), k_info, states[:, k_info], scenario)
+def _info_for(pattern: InfoPattern, k: int, bundle: ParticleBundle, scenario) -> SimInfo:
+    return SimInfo(bundle, max(0, k - pattern.lag_steps(bundle.dt)), scenario)
 
 
 def _as_particle_values(u, idx: np.ndarray):
     return u[idx] if isinstance(u, np.ndarray) and u.ndim else u
 
 
-def _step_controls(k, times, states, controls, mu_mode, law_cache, scenario):
+def _step_controls(k, bundle, controls, mu_mode, scenario):
     """Evaluate both controls at step k and pick the coefficients' measure."""
-    t = float(times[k])
-    info_mu = _info_for(controls.mu_info, k, times, states, scenario)
-    info_u = _info_for(controls.u_info, k, times, states, scenario)
-    mu_ctrl = controls.measure_ctrl(t, info_mu)
-    u = controls.scalar_ctrl(t, info_u)
+    t = float(bundle.times[k])
+    mu_ctrl = controls.measure_ctrl(t, _info_for(controls.mu_info, k, bundle, scenario))
+    u = controls.scalar_ctrl(t, _info_for(controls.u_info, k, bundle, scenario))
     if controls.u_bounds is not None:
         lo, hi = controls.u_bounds
         u_min = float(np.min(u))
@@ -374,14 +375,7 @@ def _step_controls(k, times, states, controls, mu_mode, law_cache, scenario):
                 f"scalar control leaves U=[{lo}, {hi}] at t={t:.6g}: "
                 f"range [{u_min:.6g}, {u_max:.6g}]"
             )
-    if mu_mode == "empirical":
-        law = law_cache.get(k)
-        if law is None:
-            law = empirical_law(states[:, k])
-            law_cache[k] = law
-        mu_coeff = law
-    else:
-        mu_coeff = mu_ctrl
+    mu_coeff = bundle.law_at(k) if mu_mode == "empirical" else mu_ctrl
     return mu_ctrl, u, mu_coeff
 
 
@@ -402,19 +396,20 @@ def _compensated_jump_step(y, dt, levy, noise, k, term):
     return y
 
 
-def _euler_sweep(model, controls, noise, times, x_init, mu_mode):
+def _euler_sweep(model, controls, noise, times, x_init, mu_mode, seed) -> ParticleBundle:
+    """Integrate forward from ``x_init`` on ``times``, filling a new bundle's states."""
     n = noise.n_particles
     m = len(times) - 1
     dt = float(times[1] - times[0])
     scenario = np.arange(n)
-    states = _time_major(n, m + 1)
+    bundle = ParticleBundle(times, _time_major(n, m + 1), noise, seed)
+    states = bundle.states
     states[:, 0] = x_init
-    law_cache: dict[int, DiscreteMeasure] = {}
     levy = model.levy
     for k in range(m):
         t = float(times[k])
         x = states[:, k]
-        _, u, mu_coeff = _step_controls(k, times, states, controls, mu_mode, law_cache, scenario)
+        _, u, mu_coeff = _step_controls(k, bundle, controls, mu_mode, scenario)
         b = model.drift(t, x, mu_coeff, u, scenario)
         s = model.vol(t, x, mu_coeff, u, scenario)
         x_next = x + b * dt + s * noise.dB[:, k]
@@ -433,7 +428,7 @@ def _euler_sweep(model, controls, noise, times, x_init, mu_mode):
                 f"non-finite state at step {k} (t={t:.6g}), particle {bad}"
             )
         states[:, k + 1] = x_next
-    return states
+    return bundle
 
 
 def simulate(
@@ -460,20 +455,7 @@ def simulate(
         if noise.n_particles != n_particles or noise.n_steps != n_steps:
             raise ValueError("supplied noise bank does not match (N, M)")
     times = np.linspace(0.0, model.horizon, n_steps + 1)
-    states = _euler_sweep(model, controls, noise, times, model.x0, mu_mode)
-    return ParticleBundle(times, states, noise, seed)
-
-
-def simulate_segment(
-    model: ControlledModel,
-    controls: ControlPair,
-    x_init: np.ndarray,
-    times: np.ndarray,
-    noise: NoiseBank,
-    mu_mode: str = "exogenous",
-) -> np.ndarray:
-    """Integrate forward from given initial states on a sub-grid (inner MC)."""
-    return _euler_sweep(model, controls, noise, times, x_init, mu_mode)
+    return _euler_sweep(model, controls, noise, times, model.x0, mu_mode, seed)
 
 
 @dataclass(frozen=True)
@@ -491,15 +473,11 @@ class StepView:
 
 def iter_steps(bundle: ParticleBundle, controls: ControlPair, mu_mode: str = "exogenous"):
     """Replay the per-step control and measure arguments of a simulation."""
-    times, states = bundle.times, bundle.states
     scenario = np.arange(bundle.n_particles)
-    law_cache: dict[int, DiscreteMeasure] = {}
     for k in range(bundle.n_steps):
-        mu_ctrl, u, mu_coeff = _step_controls(
-            k, times, states, controls, mu_mode, law_cache, scenario
-        )
+        mu_ctrl, u, mu_coeff = _step_controls(k, bundle, controls, mu_mode, scenario)
         yield StepView(
-            k=k, t=float(times[k]), x=states[:, k], law=bundle.law_at(k),
+            k=k, t=float(bundle.times[k]), x=bundle.states[:, k], law=bundle.law_at(k),
             mu_ctrl=mu_ctrl, mu_coeff=mu_coeff, u=u,
         )
 

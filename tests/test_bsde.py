@@ -247,6 +247,33 @@ def test_nested_mc_rejects_empirical_mu_mode(ou_setup):
         )
 
 
+def test_nested_mc_coefficients_read_outer_scenario():
+    """Every coefficient of an inner path sees its outer scenario in ctx.scenario.
+
+    alpha = 0.5 (scenario mod 2) with no noise in Gamma makes P deterministic
+    per scenario, so nested MC must reproduce the pathwise P.
+    """
+    model = ControlledModel(
+        drift=lambda t, x, mu, u, s: -0.5 * x,
+        vol=lambda t, x, mu, u, s: 0.8 * np.ones_like(x),
+        x0=1.0,
+        horizon=1.0,
+    )
+    ctrl = trivial_controls()
+    bundle = simulate(model, ctrl, 6, 8, seed=4)
+    spec = LinearBsdeSpec(
+        phi=lambda t, ctx: 0.0,
+        alpha=lambda t, ctx: 0.5 * (ctx.scenario % 2),
+        beta=lambda t, ctx: 0.0,
+        jump_phi=lambda t, z, ctx: 0.0,
+        terminal=lambda ctx: 1.0,
+    )
+    nested = solve(spec, bundle=bundle, estimator="nested-mc", n_inner=4, model=model, controls=ctrl, seed=9)
+    pathwise = solve(spec, bundle=bundle, estimator="pathwise")
+    assert pathwise.P[1, 0] > pathwise.P[0, 0] == 1.0
+    assert np.max(np.abs(nested.P - pathwise.P)) <= 1e-12
+
+
 def test_solution_csv(tmp_path, ou_setup):
     _, _, bundle, spec = ou_setup
     sol = solve(spec, bundle=bundle, estimator="pathwise")

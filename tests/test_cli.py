@@ -3,8 +3,10 @@ import math
 
 import pytest
 
+from mfclab.bsde import EstimationError, GammaPositivityError
 from mfclab.cli import load_config, main
 from mfclab.experiments import ExperimentConfig
+from mfclab.sde import SimulationError
 
 
 def write_config(tmp_path, body, name="cfg.ini"):
@@ -166,3 +168,22 @@ def test_failing_check_exits_one(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, f"[experiment]\nname = norms\nout_dir = {tmp_path}/o\n")
     assert main(["run", cfg]) == 1
     assert "[FAIL]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "error",
+    [SimulationError, GammaPositivityError, EstimationError],
+    ids=lambda error: error.__name__,
+)
+def test_numerical_error_exits_three(tmp_path, capsys, monkeypatch, error):
+    """A numerical failure inside an experiment is one stderr line and exit 3."""
+    import mfclab.experiments as exp
+
+    def blows_up(cfg):
+        raise error("non-finite state at step 7")
+
+    monkeypatch.setitem(exp.EXPERIMENTS, "norms", blows_up)
+    cfg = write_config(tmp_path, f"[experiment]\nname = norms\nout_dir = {tmp_path}/o\n")
+    assert main(["run", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical error: non-finite state at step 7\n"

@@ -14,6 +14,7 @@ from mfclab.game import (
     UnsupportedModelError,
     ZeroPairing,
     _dh_dmu_samples,
+    _mu_shifts,
     first_order_residuals,
     gateaux_check,
     hamiltonian,
@@ -203,8 +204,8 @@ def test_zero_sum_consistency(cgame):
         p1 = adjoint.p0[1].p_at(sv.k)
         p2 = adjoint.p0[2].p_at(sv.k)
         assert np.max(np.abs(p1 + p2)) <= 1e-12 * max(1.0, np.max(np.abs(p2)))
-        d1 = _dh_dmu_samples(spec, sv, p1, eta, 1, scen)
-        d2 = _dh_dmu_samples(spec, sv, p2, eta, 2, scen)
+        d1 = _dh_dmu_samples(spec, sv, p1, _mu_shifts(sv, eta), 1, scen)
+        d2 = _dh_dmu_samples(spec, sv, p2, _mu_shifts(sv, eta), 2, scen)
         assert np.max(np.abs(d1 + d2)) <= 1e-12
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfclab.measures import (
     DiscreteMeasure,
@@ -258,3 +260,64 @@ def test_rule_invariants():
     assert np.all(r.weights > 0)
     with pytest.raises(ValueError):
         type(r)(nodes=np.array([1.0, 0.0]), weights=np.array([1.0, 1.0]), kind="bad")
+
+
+# -- properties on arbitrary inputs ------------------------------------------
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
+_GH16 = gauss_hermite_rule(16)
+_coords = st.floats(-6.0, 6.0, allow_nan=False)
+_weights = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def measures(draw, locations=_coords, max_atoms=6):
+    n = draw(st.integers(1, max_atoms))
+    return DiscreteMeasure(
+        draw(st.lists(locations, min_size=n, max_size=n)),
+        draw(st.lists(_weights, min_size=n, max_size=n)),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(mu=measures(), eta=measures(), k=st.integers(0, 2))
+def test_inner_product_symmetric(mu, eta, k):
+    assert inner_product(mu, eta, k, _GH16) == pytest.approx(inner_product(eta, mu, k, _GH16), rel=1e-12, abs=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(
+    mu1=measures(), mu2=measures(), eta=measures(), k=st.integers(0, 2),
+    a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
+)
+def test_inner_product_bilinear(mu1, mu2, eta, k, a, b):
+    ip1 = inner_product(mu1, eta, k, _GH16)
+    ip2 = inner_product(mu2, eta, k, _GH16)
+    combined = inner_product(mu1.scaled(a) + mu2.scaled(b), eta, k, _GH16)
+    scale = 1.0 + abs(a * ip1) + abs(b * ip2)
+    assert combined == pytest.approx(a * ip1 + b * ip2, abs=1e-10 * scale)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(1, 30).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n),
+            st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n),
+        )
+    )
+)
+def test_law_distance_bound_holds_on_paired_samples(samples):
+    x1, x2 = samples
+    check = law_distance_bound_check(x1, x2, _GH16)
+    assert check.holds, check
+
+
+@PROPERTY_SETTINGS
+@given(mu=measures(locations=st.sampled_from([-1.5, -0.25, 0.0, 0.5, 2.0]), max_atoms=12))
+def test_coalesce_keeps_fourier(mu):
+    merged = mu.coalesce()
+    assert merged.n_atoms == np.unique(mu.locations).size
+    y = _GH16.nodes
+    tol = 1e-12 * (1.0 + np.abs(mu.weights).sum())
+    assert np.max(np.abs(merged.fourier(y) - mu.fourier(y))) <= tol
