@@ -27,8 +27,9 @@ Estimators for the conditional expectation:
 * ``nested-mc``    -- branch n_inner fresh continuations from each scenario's
   time-t state; needs a re-simulatable Markov model.  It is a ``solve``
   estimator only: the adjoint reduction tabulates its coefficients per outer
-  step and scenario, which inner continuations cannot read.  It needs an
-  exogenous measure argument (``mu_mode="exogenous"``).
+  step and scenario, which inner continuations cannot read.  Its inner
+  continuations run in the measure mode recorded on the bundle (chosen once,
+  in ``sde.simulate``), and that mode must be ``"exogenous"``.
 
 The stochastic estimators read coefficient tables, not callables.  ``solve``
 fills them from a ``LinearBsdeSpec`` along the bundle (nested-MC inner paths
@@ -336,7 +337,6 @@ def solve(
     model: ControlledModel | None = None,
     controls: ControlPair | None = None,
     seed: int | None = None,
-    mu_mode: str = "exogenous",
 ) -> BsdeSolution:
     """Estimate the P-component of the linear BSDE on the grid.
 
@@ -344,11 +344,11 @@ def solve(
     are called with ctx=None and must return scalars).  The other estimators
     need a ``bundle``; ``nested-mc`` additionally needs ``n_inner``, the
     generating ``model``/``controls`` and a ``seed`` for inner noise, and
-    rejects ``mu_mode="empirical"``: an inner law would be taken over the
+    rejects an empirical-mode bundle: an inner law would be taken over the
     N * n_inner cloned continuations, not over the outer population.
     P(T) equals theta exactly for every estimator (no smoothing at T).
     """
-    if estimator == "nested-mc" and mu_mode == "empirical":
+    if estimator == "nested-mc" and bundle is not None and bundle.mu_mode == "empirical":
         raise ValueError(
             "nested-mc does not support mu_mode='empirical': inner laws would "
             "couple the cloned continuations instead of the outer population"
@@ -394,7 +394,7 @@ def solve(
         child = int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
         inner_noise = draw_noise(child, n * n_inner, msub, msub * dt, model.levy)
         x_init = np.repeat(bundle.states[:, k], n_inner)
-        inner = _euler_sweep(model, controls, inner_noise, sub_times, x_init, mu_mode, child)
+        inner = _euler_sweep(model, controls, inner_noise, sub_times, x_init, bundle.mu_mode, child)
         # shift inner Brownian levels so ctx.brownian is the absolute B(t)
         inner._brownian = inner.brownian_levels() + np.repeat(outer_b[:, k], n_inner)[:, None]
         y_inner = _pathwise_values(_tabulate(spec, inner, scen_rep), inner_noise)
@@ -435,7 +435,6 @@ def adjoint_p0_solve(
     controls: ControlPair,
     estimator: str = "pathwise",
     basis=None,
-    mu_mode: str = "exogenous",
 ) -> BsdeSolution:
     """Solve the real-valued adjoint BSDE for one player's performance.
 
@@ -468,7 +467,7 @@ def adjoint_p0_solve(
     alpha = _time_major(n, m)
     beta = _time_major(n, m)
     jump_phi = np.empty((len(atoms), m, n))
-    for sv in iter_steps(bundle, controls, mu_mode):
+    for sv in iter_steps(bundle, controls):
         k, t, x, mu, u = sv.k, sv.t, sv.x, sv.mu_coeff, sv.u
         phi[:, k] = lx(t, x, sv.law, sv.mu_ctrl, u, scen)
         alpha[:, k] = bx(t, x, mu, u, scen)

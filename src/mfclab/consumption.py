@@ -516,9 +516,7 @@ def verify_consumption_game(
             ],
             lambdas=tuple(lambdas),
         )
-        sweep = nash_perturbation_sweep(
-            spec, run.controls, plan, n_particles, n_steps, seed, bundle=run.bundle
-        )
+        sweep = nash_perturbation_sweep(spec, run.controls, plan, run.bundle)
         worst_row = max((r.delta - 2.0 * r.std_err) for r in sweep.rows)
         checks.append(
             CheckResult(
@@ -540,8 +538,7 @@ def verify_consumption_game(
             spec.model, inflated_controls, n_particles, n_steps, seed, noise=noise
         )
         inflated = nash_perturbation_sweep(
-            spec, inflated_controls, inflated_plan, n_particles, n_steps, seed,
-            bundle=inflated_base,
+            spec, inflated_controls, inflated_plan, inflated_base
         )
         best_gain = max((r.delta - 2.0 * r.std_err) for r in inflated.rows)
         checks.append(

@@ -538,7 +538,8 @@ def run_nash_sweep(cfg: ExperimentConfig) -> list[CheckResult]:
         lambdas=tuple(cfg.lambdas),
     )
     candidate = lq_candidates(q1, q2, horizon, dt_shift=dt)
-    sweep = nash_perturbation_sweep(spec, candidate, plan, n, m, cfg.seed)
+    bundle = simulate(spec.model, candidate, n, m, cfg.seed)
+    sweep = nash_perturbation_sweep(spec, candidate, plan, bundle)
     checks = [
         CheckResult("lq-sweep-certified", float(max(r.delta - 2 * r.std_err for r in sweep.rows)),
                     0.0, sweep.certified)
@@ -553,7 +554,8 @@ def run_nash_sweep(cfg: ExperimentConfig) -> list[CheckResult]:
                     detail="|delta + lambda^2 (T - t0)/2| within max(2se, 1e-9)")
     )
     inflated = lq_candidates(1.1 * q1, 1.1 * q2, horizon, dt_shift=dt)
-    sweep_bad = nash_perturbation_sweep(spec, inflated, plan, n, m, cfg.seed)
+    bundle_bad = simulate(spec.model, inflated, n, m, cfg.seed)
+    sweep_bad = nash_perturbation_sweep(spec, inflated, plan, bundle_bad)
     checks.append(
         CheckResult("lq-inflated-breaks", float(max(r.delta - 2 * r.std_err for r in sweep_bad.rows)),
                     0.0, not sweep_bad.certified,

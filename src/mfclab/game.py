@@ -160,7 +160,6 @@ def solve_adjoints(
     estimator: str = "pathwise",
     basis=None,
     p1_pairing: Callable | None = None,
-    mu_mode: str = "exogenous",
 ) -> AdjointState:
     """Solve both players' real-valued adjoint BSDEs along the bundle."""
     p0 = {
@@ -171,7 +170,6 @@ def solve_adjoints(
             candidate,
             estimator=estimator,
             basis=basis,
-            mu_mode=mu_mode,
         )
         for player in (1, 2)
     }
@@ -308,7 +306,6 @@ def first_order_residuals(
     candidate: ControlPair,
     bundle: ParticleBundle,
     adjoint: AdjointState,
-    mu_mode: str = "exogenous",
 ) -> ResidualCurves:
     """Residuals of the necessary maximum principle along the candidate.
 
@@ -324,7 +321,7 @@ def first_order_residuals(
     res_mu = {f.name: np.empty(m) for f in spec.functionals}
     se_mu = {f.name: np.empty(m) for f in spec.functionals}
     sqrt_n = math.sqrt(n)
-    for sv in iter_steps(bundle, candidate, mu_mode):
+    for sv in iter_steps(bundle, candidate):
         mu_shifts = [_mu_shifts(sv, f.unit_direction()) for f in spec.functionals]
         _check_coefficient_independence(spec, sv, 2, scen, mu_shifts)
         _check_coefficient_independence(spec, sv, 1, scen, mu_shifts)
@@ -396,25 +393,28 @@ class SweepTable:
         write_csv(path, ["direction_id", "lambda", "delta_J", "std_err"], rows, seed)
 
 
+def _crn_samples(spec: GameSpec, controls: ControlPair, perf, bundle: ParticleBundle) -> np.ndarray:
+    """Performance samples of ``controls`` re-run on ``bundle``'s noise, N, M, seed and mode."""
+    deviated = simulate(
+        spec.model, controls, bundle.n_particles, bundle.n_steps, bundle.seed,
+        bundle.mu_mode, noise=bundle.noise,
+    )
+    return performance_samples(deviated, controls, perf)
+
+
 def nash_perturbation_sweep(
     spec: GameSpec,
     candidate: ControlPair,
     plan: PerturbationPlan,
-    n_particles: int,
-    n_steps: int,
-    seed: int,
-    bundle: ParticleBundle | None = None,
-    mu_mode: str = "exogenous",
+    bundle: ParticleBundle,
 ) -> SweepTable:
     """Grid search over unilateral deviations with common random numbers.
 
-    Every J evaluation reuses one noise bundle, so the lambda = 0 row is
-    exactly zero and the per-row standard error reflects only the control
-    difference.  The deltas are in the deviating player's own criterion; a
-    positive delta beyond 2 standard errors refutes the candidate.
+    Every J evaluation reuses the candidate bundle's noise, so the lambda = 0
+    row is exactly zero and the per-row standard error reflects only the
+    control difference.  The deltas are in the deviating player's own
+    criterion; a positive delta beyond 2 standard errors refutes the candidate.
     """
-    if bundle is None:
-        bundle = simulate(spec.model, candidate, n_particles, n_steps, seed, mu_mode)
     base: dict[int, np.ndarray] = {}
     rows: list[SweepRow] = []
     sqrt_n = math.sqrt(bundle.n_particles)
@@ -422,14 +422,10 @@ def nash_perturbation_sweep(
         player = 1 if direction.kind == "measure" else 2
         perf = spec.performance_for(player)
         if player not in base:
-            base[player] = performance_samples(bundle, candidate, perf, mu_mode)
+            base[player] = performance_samples(bundle, candidate, perf)
         for lam in plan.lambdas:
             pert = perturbed_controls(candidate, direction, lam)
-            pert_bundle = simulate(
-                spec.model, pert, n_particles, n_steps, seed, mu_mode, noise=bundle.noise
-            )
-            samples = performance_samples(pert_bundle, pert, perf, mu_mode)
-            diff = samples - base[player]
+            diff = _crn_samples(spec, pert, perf, bundle) - base[player]
             se = float(diff.std(ddof=1) / sqrt_n) if diff.size > 1 else 0.0
             rows.append(
                 SweepRow(
@@ -441,7 +437,7 @@ def nash_perturbation_sweep(
                     std_err=se,
                 )
             )
-    return SweepTable(rows=rows, n_particles=n_particles, seed=seed)
+    return SweepTable(rows=rows, n_particles=bundle.n_particles, seed=bundle.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +461,6 @@ def gateaux_check(
     lambdas: Sequence[float],
     bundle: ParticleBundle,
     adjoint: AdjointState | None = None,
-    mu_mode: str = "exogenous",
 ) -> GateauxResult:
     """Compare finite-difference dJ/dlambda against the adjoint expression.
 
@@ -476,7 +471,7 @@ def gateaux_check(
     """
     player = 1 if direction.kind == "measure" else 2
     perf = spec.performance_for(player)
-    n, m = bundle.n_particles, bundle.n_steps
+    n = bundle.n_particles
     sqrt_n = math.sqrt(n)
     lambdas = np.asarray(sorted(lambdas, key=abs, reverse=True), dtype=float)
     if np.any(lambdas == 0.0):
@@ -487,24 +482,18 @@ def gateaux_check(
     for i, lam in enumerate(lambdas):
         plus = perturbed_controls(candidate, direction, float(lam))
         minus = perturbed_controls(candidate, direction, -float(lam))
-        s_plus = performance_samples(
-            simulate(spec.model, plus, n, m, bundle.seed, mu_mode, noise=bundle.noise),
-            plus, perf, mu_mode,
-        )
-        s_minus = performance_samples(
-            simulate(spec.model, minus, n, m, bundle.seed, mu_mode, noise=bundle.noise),
-            minus, perf, mu_mode,
-        )
+        s_plus = _crn_samples(spec, plus, perf, bundle)
+        s_minus = _crn_samples(spec, minus, perf, bundle)
         slope_samples = (s_plus - s_minus) / (2.0 * lam)
         fd_slopes[i] = slope_samples.mean()
         fd_se[i] = slope_samples.std(ddof=1) / sqrt_n if n > 1 else 0.0
 
     if adjoint is None:
-        adjoint = solve_adjoints(spec, bundle, candidate, mu_mode=mu_mode)
+        adjoint = solve_adjoints(spec, bundle, candidate)
     scen = np.arange(n)
     dt = bundle.dt
     slope_acc = np.zeros(n)
-    for sv in iter_steps(bundle, candidate, mu_mode):
+    for sv in iter_steps(bundle, candidate):
         mu_shifts = []
         if player == 1:
             mu_shifts = [_mu_shifts(sv, f.unit_direction()) for f in spec.functionals]

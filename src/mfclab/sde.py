@@ -9,7 +9,10 @@ by an explicit Euler scheme with left-endpoint coefficients and compensated
 finite-activity jumps.  The measure argument fed to the coefficients is
 either a measure-valued control (``mu_mode="exogenous"``) or the previous
 step's cross-sectional empirical law (``mu_mode="empirical"``, the mean-field
-coupling) -- the explicit coupling avoids a fixed-point solve per step.
+coupling) -- the explicit coupling avoids a fixed-point solve per step.  The
+mode is chosen once, in ``simulate``, and recorded on the bundle as
+``ParticleBundle.mu_mode``; every replay of a bundle (``iter_steps`` and all
+that build on it) reads it from there.
 
 Coefficients are numpy-vectorized over particles:
 
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -282,18 +285,22 @@ def draw_noise(
 class ParticleBundle:
     """Simulated paths plus the noise that produced them (for CRN reuse).
 
-    ``law_at`` keeps the one cache of cross-sectional laws of this particle
-    system; the Euler sweep, the controls' ``SimInfo`` and ``iter_steps`` all
-    read it.
+    ``mu_mode`` is the measure mode the paths were simulated in; replays
+    read it.  ``law_at`` keeps the one cache of cross-sectional laws of this
+    particle system; the Euler sweep, the controls' ``SimInfo`` and
+    ``iter_steps`` all read it.
     """
 
-    __slots__ = ("times", "states", "noise", "seed", "_laws", "_brownian")
+    __slots__ = ("times", "states", "noise", "seed", "mu_mode", "_laws", "_brownian")
 
-    def __init__(self, times: np.ndarray, states: np.ndarray, noise: NoiseBank, seed: int):
+    def __init__(
+        self, times: np.ndarray, states: np.ndarray, noise: NoiseBank, seed: int, mu_mode: str
+    ):
         self.times = times
         self.states = states
         self.noise = noise
         self.seed = seed
+        self.mu_mode = mu_mode
         self._laws: dict[int, DiscreteMeasure] = {}
         self._brownian: np.ndarray | None = None
 
@@ -361,7 +368,7 @@ def _as_particle_values(u, idx: np.ndarray):
     return u[idx] if isinstance(u, np.ndarray) and u.ndim else u
 
 
-def _step_controls(k, bundle, controls, mu_mode, scenario):
+def _step_controls(k, bundle, controls, scenario):
     """Evaluate both controls at step k and pick the coefficients' measure."""
     t = float(bundle.times[k])
     mu_ctrl = controls.measure_ctrl(t, _info_for(controls.mu_info, k, bundle, scenario))
@@ -375,7 +382,7 @@ def _step_controls(k, bundle, controls, mu_mode, scenario):
                 f"scalar control leaves U=[{lo}, {hi}] at t={t:.6g}: "
                 f"range [{u_min:.6g}, {u_max:.6g}]"
             )
-    mu_coeff = bundle.law_at(k) if mu_mode == "empirical" else mu_ctrl
+    mu_coeff = bundle.law_at(k) if bundle.mu_mode == "empirical" else mu_ctrl
     return mu_ctrl, u, mu_coeff
 
 
@@ -402,14 +409,14 @@ def _euler_sweep(model, controls, noise, times, x_init, mu_mode, seed) -> Partic
     m = len(times) - 1
     dt = float(times[1] - times[0])
     scenario = np.arange(n)
-    bundle = ParticleBundle(times, _time_major(n, m + 1), noise, seed)
+    bundle = ParticleBundle(times, _time_major(n, m + 1), noise, seed, mu_mode)
     states = bundle.states
     states[:, 0] = x_init
     levy = model.levy
     for k in range(m):
         t = float(times[k])
         x = states[:, k]
-        _, u, mu_coeff = _step_controls(k, bundle, controls, mu_mode, scenario)
+        _, u, mu_coeff = _step_controls(k, bundle, controls, scenario)
         b = model.drift(t, x, mu_coeff, u, scenario)
         s = model.vol(t, x, mu_coeff, u, scenario)
         x_next = x + b * dt + s * noise.dB[:, k]
@@ -445,40 +452,46 @@ def simulate(
     Passing a previously drawn ``noise`` bank re-uses that realization
     (common random numbers); otherwise noise is drawn from ``seed``.  The
     result is reproducible bit for bit from (model, controls, n_particles,
-    n_steps, seed, mu_mode).
+    n_steps, seed, mu_mode), and records ``seed`` and ``mu_mode``.
     """
     if mu_mode not in ("exogenous", "empirical"):
         raise ValueError(f"unknown mu_mode {mu_mode!r}")
     if noise is None:
         noise = draw_noise(seed, n_particles, n_steps, model.horizon, model.levy)
-    else:
-        if noise.n_particles != n_particles or noise.n_steps != n_steps:
-            raise ValueError("supplied noise bank does not match (N, M)")
+    elif noise.n_particles != n_particles or noise.n_steps != n_steps:
+        raise ValueError("supplied noise bank does not match (N, M)")
+    elif noise.dt != model.horizon / n_steps:
+        raise ValueError(f"supplied noise bank has step {noise.dt!r}, not horizon / M")
     times = np.linspace(0.0, model.horizon, n_steps + 1)
     return _euler_sweep(model, controls, noise, times, model.x0, mu_mode, seed)
 
 
 @dataclass(frozen=True)
 class StepView:
-    """Everything observable at one grid step of a finished bundle."""
+    """Everything observable at one grid step of a bundle; ``law`` is built on first read."""
 
     k: int
     t: float
     x: np.ndarray
-    law: DiscreteMeasure
     mu_ctrl: DiscreteMeasure
     mu_coeff: DiscreteMeasure
     u: float | np.ndarray
+    bundle: ParticleBundle = field(repr=False)
+
+    @property
+    def law(self) -> DiscreteMeasure:
+        return self.bundle.law_at(self.k)
 
 
-def iter_steps(bundle: ParticleBundle, controls: ControlPair, mu_mode: str = "exogenous"):
-    """Replay the per-step control and measure arguments of a simulation."""
+def iter_steps(bundle: ParticleBundle, controls: ControlPair):
+    """Replay the per-step control and measure arguments of a simulation,
+    in the measure mode the bundle was simulated in."""
     scenario = np.arange(bundle.n_particles)
     for k in range(bundle.n_steps):
-        mu_ctrl, u, mu_coeff = _step_controls(k, bundle, controls, mu_mode, scenario)
+        mu_ctrl, u, mu_coeff = _step_controls(k, bundle, controls, scenario)
         yield StepView(
-            k=k, t=float(bundle.times[k]), x=bundle.states[:, k], law=bundle.law_at(k),
-            mu_ctrl=mu_ctrl, mu_coeff=mu_coeff, u=u,
+            k=k, t=float(bundle.times[k]), x=bundle.states[:, k],
+            mu_ctrl=mu_ctrl, mu_coeff=mu_coeff, u=u, bundle=bundle,
         )
 
 
@@ -490,14 +503,13 @@ def performance_samples(
     bundle: ParticleBundle,
     controls: ControlPair,
     perf: PerformanceSpec,
-    mu_mode: str = "exogenous",
 ) -> np.ndarray:
     """Per-particle performance: left-endpoint time integral plus terminal cost."""
     n = bundle.n_particles
     dt = bundle.dt
     scenario = np.arange(n)
     total = np.zeros(n)
-    for sv in iter_steps(bundle, controls, mu_mode):
+    for sv in iter_steps(bundle, controls):
         total += np.broadcast_to(
             perf.running(sv.t, sv.x, sv.law, sv.mu_ctrl, sv.u, scenario), (n,)
         ) * dt
@@ -515,10 +527,9 @@ def evaluate_performance(
     bundle: ParticleBundle,
     controls: ControlPair,
     perf: PerformanceSpec,
-    mu_mode: str = "exogenous",
 ) -> tuple[float, float]:
     """Monte Carlo estimate of J and its standard error."""
-    samples = performance_samples(bundle, controls, perf, mu_mode)
+    samples = performance_samples(bundle, controls, perf)
     n = samples.size
     se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return float(samples.mean()), se
@@ -566,24 +577,12 @@ def perturbed_controls(controls: ControlPair, direction: Direction, lam: float) 
                 return base
             return base + eta.scaled(lam)
 
-        return ControlPair(
-            measure_ctrl=measure_ctrl,
-            scalar_ctrl=controls.scalar_ctrl,
-            mu_info=controls.mu_info,
-            u_info=controls.u_info,
-            u_bounds=controls.u_bounds,
-        )
+        return replace(controls, measure_ctrl=measure_ctrl)
 
     def scalar_ctrl(t, info, _base=controls.scalar_ctrl):
         return _base(t, info) + lam * direction.pi_at(t)
 
-    return ControlPair(
-        measure_ctrl=controls.measure_ctrl,
-        scalar_ctrl=scalar_ctrl,
-        mu_info=controls.mu_info,
-        u_info=controls.u_info,
-        u_bounds=controls.u_bounds,
-    )
+    return replace(controls, scalar_ctrl=scalar_ctrl)
 
 
 # Analytic partials, when supplied, use the same argument order as the
@@ -618,7 +617,6 @@ def simulate_derivative_process(
     model: ControlledModel,
     controls: ControlPair,
     direction: Direction,
-    mu_mode: str = "exogenous",
 ) -> np.ndarray:
     """Euler integration of the linear derivative SDE along the baseline paths.
 
@@ -645,7 +643,7 @@ def simulate_derivative_process(
     z[:, 0] = 0.0
     noise = bundle.noise
     levy = model.levy
-    for sv in iter_steps(bundle, controls, mu_mode):
+    for sv in iter_steps(bundle, controls):
         k, t, x, mu, u = sv.k, sv.t, sv.x, sv.mu_coeff, sv.u
         zk = z[:, k]
         eta = direction.eta_at(t)

@@ -239,11 +239,12 @@ def test_solver_argument_validation(ou_setup):
 
 def test_nested_mc_rejects_empirical_mu_mode(ou_setup):
     """Inner laws over N * n_inner clones would be a wrong mean-field coupling."""
-    model, ctrl, bundle, spec = ou_setup
+    model, ctrl, _, spec = ou_setup
+    bundle = simulate(model, ctrl, 256, 16, seed=31, mu_mode="empirical")
     with pytest.raises(ValueError, match="mu_mode='empirical'"):
         solve(
             spec, bundle=bundle, estimator="nested-mc", n_inner=4,
-            model=model, controls=ctrl, seed=3, mu_mode="empirical",
+            model=model, controls=ctrl, seed=3,
         )
 
 

@@ -178,7 +178,8 @@ def test_mu_offset_breaks_saddle_in_mu_direction(tmp_path):
         directions=[Direction(kind="measure", t0=0.0, measure=DiscreteMeasure.dirac(model.v_probe), label="mu")],
         lambdas=(0.05, 0.1, 0.2, -0.05, -0.1, -0.2),
     )
-    sweep = nash_perturbation_sweep(spec, shifted, plan, 2000, 100, seed=7)
+    base = simulate(spec.model, shifted, 2000, 100, seed=7)
+    sweep = nash_perturbation_sweep(spec, shifted, plan, base)
     assert not sweep.certified
 
 

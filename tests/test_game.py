@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mfclab.consumption as cons
 from mfclab.experiments import lq_candidates, lq_toy_game
@@ -285,7 +287,7 @@ def test_sweep_zero_lambda_row_is_exactly_zero(lq):
         directions=[Direction(kind="control", t0=0.0, scalar=1.0, label="u")],
         lambdas=(0.0, 0.1),
     )
-    table = nash_perturbation_sweep(spec, candidate, plan, 2000, 50, seed=15, bundle=bundle)
+    table = nash_perturbation_sweep(spec, candidate, plan, bundle)
     zero_row = [r for r in table.rows if r.lam == 0.0][0]
     assert zero_row.delta == 0.0 and zero_row.std_err == 0.0
 
@@ -296,7 +298,7 @@ def test_sweep_csv_columns(tmp_path, lq):
         directions=[Direction(kind="measure", t0=0.0, measure=DiscreteMeasure.dirac(0.0), label="mu")],
         lambdas=(0.05, -0.05),
     )
-    table = nash_perturbation_sweep(spec, candidate, plan, 2000, 50, seed=15, bundle=bundle)
+    table = nash_perturbation_sweep(spec, candidate, plan, bundle)
     f = tmp_path / "sweep.csv"
     table.to_csv(str(f), seed=15)
     lines = f.read_text().strip().splitlines()
@@ -315,7 +317,7 @@ def test_saddle_orientation_consumption(cgame):
         ],
         lambdas=(0.1, -0.1),
     )
-    table = nash_perturbation_sweep(spec, candidate, plan, 2000, 100, seed=51, bundle=bundle)
+    table = nash_perturbation_sweep(spec, candidate, plan, bundle)
     assert table.certified
     for row in table.rows:
         # deltas are in the deviating player's criterion; for the zero-sum
@@ -324,6 +326,27 @@ def test_saddle_orientation_consumption(cgame):
             assert row.delta <= 2 * row.std_err
         else:
             assert row.delta <= 2 * row.std_err  # equals -(delta J) <= 2 se
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    m=st.integers(1, 12),
+    kind=st.sampled_from(["measure", "control"]),
+    mu_mode=st.sampled_from(["exogenous", "empirical"]),
+)
+def test_sweep_zero_lambda_row_is_exactly_zero_property(seed, n, m, kind, mu_mode):
+    """CRN lambda = 0 identity: the zero row is exactly zero in either measure mode."""
+    spec = lq_toy_game()
+    candidate = lq_candidates(1.0, 1.0, 1.0)
+    bundle = simulate(spec.model, candidate, n, m, seed=seed, mu_mode=mu_mode)
+    direction = Direction(kind=kind, t0=0.0, measure=DiscreteMeasure.dirac(0.0))
+    plan = PerturbationPlan(directions=[direction], lambdas=(0.1, 0.0, -0.1))
+    table = nash_perturbation_sweep(spec, candidate, plan, bundle)
+    zero_row = [r for r in table.rows if r.lam == 0.0][0]
+    assert zero_row.delta == 0.0 and zero_row.std_err == 0.0
+    assert (table.n_particles, table.seed) == (n, seed)
 
 
 # -- Gateaux check ----------------------------------------------------------------

@@ -17,6 +17,7 @@ from mfclab.sde import (
     SimulationError,
     draw_noise,
     evaluate_performance,
+    iter_steps,
     perturbed_controls,
     simulate,
     simulate_derivative_process,
@@ -204,6 +205,25 @@ def test_empirical_mu_mode_feeds_previous_law():
     )
     simulate(model, ctrl, 10, 3, seed=0, mu_mode="empirical")
     assert seen and all(v == pytest.approx(1.0) for v in seen)
+
+
+def test_empirical_bundle_replays_its_own_law():
+    """An empirical-mode bundle records its mode and replays the law as mu_coeff."""
+    model = ControlledModel(
+        drift=lambda t, x, mu, u, s: mu.mass_on(0.0, 2.0) - x,
+        vol=lambda t, x, mu, u, s: 0.3 * np.ones_like(x),
+        x0=1.0,
+        horizon=1.0,
+    )
+    ctrl = trivial_controls()
+    bundle = simulate(model, ctrl, 50, 8, seed=4, mu_mode="empirical")
+    assert bundle.mu_mode == "empirical"
+    steps = list(iter_steps(bundle, ctrl))
+    assert [sv.k for sv in steps] == list(range(8))
+    for sv in steps:
+        assert sv.mu_coeff is bundle.law_at(sv.k)
+        assert sv.law is bundle.law_at(sv.k)
+    assert simulate(model, ctrl, 50, 8, seed=4).mu_mode == "exogenous"
 
 
 def test_delay_pattern_sees_lagged_state():
@@ -450,6 +470,21 @@ def test_noise_bank_mismatch_rejected():
     noise = draw_noise(0, 10, 10, 1.0)
     with pytest.raises(ValueError):
         simulate(model, trivial_controls(), 20, 10, seed=0, noise=noise)
+
+
+def test_noise_bank_for_other_horizon_rejected():
+    """A bank drawn on [0, 1] would drive a horizon-4 model with dt = 1/M."""
+    model = ControlledModel(
+        drift=lambda t, x, mu, u, s: np.zeros_like(x),
+        vol=lambda t, x, mu, u, s: np.ones_like(x),
+        x0=0.0,
+        horizon=4.0,
+    )
+    noise = draw_noise(0, 10, 10, 1.0)
+    with pytest.raises(ValueError, match="horizon / M"):
+        simulate(model, trivial_controls(), 10, 10, seed=0, noise=noise)
+    own = draw_noise(0, 10, 10, 4.0)
+    assert simulate(model, trivial_controls(), 10, 10, seed=0, noise=own).noise is own
 
 
 def test_bundle_to_csv(tmp_path):
