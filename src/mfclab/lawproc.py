@@ -22,7 +22,6 @@ for a finite-activity Levy measure nu = sum_j rate_j delta_{zeta_j}.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -105,36 +104,6 @@ class MeasurePath:
         if not np.allclose(dts, h, rtol=1e-9, atol=1e-12):
             raise ValueError("path grid is not uniform")
         return h
-
-    def to_csv(self, path: str) -> None:
-        """Serialize as rows (time, atom_location, atom_weight)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "atom_location", "atom_weight"])
-            for t, m in zip(self.times, self.values):
-                for x, w in zip(m.locations, m.weights):
-                    writer.writerow([f"{t:.17g}", f"{x:.17g}", f"{w:.17g}"])
-
-    @classmethod
-    def from_csv(cls, path: str) -> "MeasurePath":
-        times: list[float] = []
-        atoms: list[tuple[list[float], list[float]]] = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header[:3] != ["time", "atom_location", "atom_weight"]:
-                raise ValueError(f"unexpected MeasurePath header: {header}")
-            for row in reader:
-                if not row or row[0].startswith("#"):
-                    continue
-                t, x, w = float(row[0]), float(row[1]), float(row[2])
-                if not times or t != times[-1]:
-                    times.append(t)
-                    atoms.append(([], []))
-                atoms[-1][0].append(x)
-                atoms[-1][1].append(w)
-        values = [DiscreteMeasure(xs, ws) for xs, ws in atoms]
-        return cls(times, values)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ A finite signed measure mu with atoms (x_j, w_j) has Fourier transform
 
     mu_hat(y) = sum_j w_j * exp(i * x_j * y),
 
-which is exact (no discretization) for atomic measures.  The order-k inner
-product of two random measures is
+which is exact (no discretization) for atomic measures.  Atoms and weights
+are real, so mu_hat(-y) = conj(mu_hat(y)): on exactly antisymmetric nodes
+(every Gauss-Hermite rule) ``fourier`` sums only the nonnegative half and
+mirrors the rest.  The order-k inner product of two random measures is
 
     <mu, eta>_k = E[ integral Re(conj(mu_hat(y)) * eta_hat(y)) |y|^k e^{-y^2} dy ],
 
@@ -139,14 +141,33 @@ class DiscreteMeasure:
 
     # -- Fourier transform ----------------------------------------------------
     def fourier(self, y) -> np.ndarray:
-        """Fourier transform ``sum_j w_j exp(i x_j y)`` at the points ``y``."""
+        """Fourier transform ``sum_j w_j exp(i x_j y)`` at the points ``y``.
+
+        On nodes with ``y == -y[::-1]`` exactly (every Gauss-Hermite rule)
+        only the nonnegative half is summed and the rest is its conjugate
+        mirror, which equals the full sum bit for bit.  A single-node half
+        is not mirrored: numpy rounds a one-row product differently.
+        """
         y = np.atleast_1d(np.asarray(y, dtype=float))
         out = np.zeros(y.shape, dtype=complex)
+        n = y.size
+        if y.ndim == 1 and n > 2 and np.array_equal(y, -y[::-1]):
+            upper = out[n // 2 :]
+            self._fourier_sum(y[n // 2 :], upper)
+            lower = n - upper.size
+            # added into zeros, not assigned, so an exactly cancelled
+            # imaginary part is +0.0 as in the full sum, never -0.0
+            out[:lower] += np.conj(upper[::-1][:lower])
+        else:
+            self._fourier_sum(y, out)
+        return out
+
+    def _fourier_sum(self, y: np.ndarray, out: np.ndarray) -> None:
+        """Add ``sum_j w_j exp(i x_j y)`` into ``out``, in atom chunks."""
         for start in range(0, self.n_atoms, _FOURIER_CHUNK):
             x = self.locations[start : start + _FOURIER_CHUNK]
             w = self.weights[start : start + _FOURIER_CHUNK]
             out += np.exp(1j * np.outer(y, x)) @ w
-        return out
 
     def __repr__(self) -> str:
         return f"DiscreteMeasure(n_atoms={self.n_atoms}, mass={self.total_mass():.6g})"

@@ -38,7 +38,6 @@ fast axis; where their accumulation order matters, reduce a C-ordered copy.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -96,8 +95,9 @@ class SimInfo:
     """What a control is allowed to see at evaluation time.
 
     Exposes the (possibly delayed) observation time, per-particle states and
-    the cross-sectional empirical law at that time; the law is built lazily,
-    once per grid step, in the cache of the particle system being observed.
+    the cross-sectional empirical law at that time; the law comes from the
+    observed particle system's ``law_at`` cache, and its atoms are built on
+    their first read, at most once per grid step.
     """
 
     __slots__ = ("t", "step", "x", "scenario", "_bundle")
@@ -205,19 +205,28 @@ def negate_performance(perf: PerformanceSpec) -> PerformanceSpec:
 # noise
 # ---------------------------------------------------------------------------
 
+def _levy_arrays(levy: LevyMeasure | None) -> tuple[np.ndarray, np.ndarray]:
+    """Jump sizes and rates of a Levy measure; both empty for none."""
+    if levy is None:
+        return np.empty(0), np.empty(0)
+    return levy.jump_sizes, levy.rates
+
+
 class NoiseBank:
     """Brownian increments and jump events for one particle system.
 
     Jump events are stored flat as (particle, step, zeta-index) triples sorted
-    by step; ``events_at(k)`` returns the slice for one interval.
+    by step; ``events_at(k)`` returns the slice for one interval.  The bank
+    records the seed and the Levy jump sizes and rates it was drawn for
+    (both empty without a Levy measure).
     """
 
     __slots__ = (
-        "n_particles", "n_steps", "dt", "dB",
-        "ev_particle", "ev_step", "ev_zeta", "_step_offsets", "seed",
+        "n_particles", "n_steps", "dt", "dB", "ev_particle", "ev_step", "ev_zeta",
+        "_step_offsets", "seed", "jump_sizes", "jump_rates",
     )
 
-    def __init__(self, n_particles, n_steps, dt, dB, ev_particle, ev_step, ev_zeta, seed):
+    def __init__(self, n_particles, n_steps, dt, dB, ev_particle, ev_step, ev_zeta, seed, levy):
         self.n_particles = n_particles
         self.n_steps = n_steps
         self.dt = dt
@@ -226,11 +235,17 @@ class NoiseBank:
         self.ev_step = ev_step
         self.ev_zeta = ev_zeta
         self.seed = seed
+        self.jump_sizes, self.jump_rates = _levy_arrays(levy)
         self._step_offsets = np.searchsorted(ev_step, np.arange(n_steps + 1))
 
     @property
     def n_events(self) -> int:
         return self.ev_step.size
+
+    def drawn_for(self, levy: LevyMeasure | None) -> bool:
+        """True when the bank's jump events come from exactly this Levy measure."""
+        sizes, rates = _levy_arrays(levy)
+        return np.array_equal(self.jump_sizes, sizes) and np.array_equal(self.jump_rates, rates)
 
     def events_at(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self._step_offsets[k], self._step_offsets[k + 1]
@@ -275,7 +290,7 @@ def draw_noise(
                 )
             order = np.lexsort((particle, step))
             particle, step, zeta = particle[order], step[order], zeta[order]
-    return NoiseBank(n_particles, n_steps, dt, dB, particle, step, zeta, seed)
+    return NoiseBank(n_particles, n_steps, dt, dB, particle, step, zeta, seed, levy)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +303,8 @@ class ParticleBundle:
     ``mu_mode`` is the measure mode the paths were simulated in; replays
     read it.  ``law_at`` keeps the one cache of cross-sectional laws of this
     particle system; the Euler sweep, the controls' ``SimInfo`` and
-    ``iter_steps`` all read it.
+    ``iter_steps`` all read it.  A cached law builds its atoms on their first
+    read, so a step whose law nothing reads costs no empirical law.
     """
 
     __slots__ = ("times", "states", "noise", "seed", "mu_mode", "_laws", "_brownian")
@@ -321,10 +337,10 @@ class ParticleBundle:
         return self.noise.dB
 
     def law_at(self, k: int) -> DiscreteMeasure:
-        """Cross-sectional empirical law at grid index k (cached)."""
+        """Cross-sectional empirical law at grid index k (cached, built on first read)."""
         law = self._laws.get(k)
         if law is None:
-            law = empirical_law(self.states[:, k])
+            law = _LazyLaw(self.states[:, k])
             self._laws[k] = law
         return law
 
@@ -341,19 +357,23 @@ class ParticleBundle:
             self._brownian = levels
         return self._brownian
 
-    def to_csv(self, states_path: str, events_path: str) -> None:
-        """Binary-free serialization: a states file and a jump-events file."""
-        with open(states_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["particle", "time", "state"])
-            for i in range(self.n_particles):
-                for k, t in enumerate(self.times):
-                    writer.writerow([i, f"{t:.17g}", f"{self.states[i, k]:.17g}"])
-        with open(events_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["particle", "step_index", "zeta_index"])
-            for p, s, z in zip(self.noise.ev_particle, self.noise.ev_step, self.noise.ev_zeta):
-                writer.writerow([int(p), int(s), int(z)])
+class _LazyLaw(DiscreteMeasure):
+    """Empirical law of one state column; ``empirical_law`` runs on the first
+    read of ``locations`` or ``weights`` and fills both slots."""
+
+    __slots__ = ("_column",)
+
+    def __init__(self, column: np.ndarray):
+        self._column = column
+
+    def __getattr__(self, name):
+        # only reached while a slot is unset; later reads are plain slot reads
+        if name not in DiscreteMeasure.__slots__:
+            raise AttributeError(name)
+        law = empirical_law(self._column)
+        self.locations = law.locations
+        self.weights = law.weights
+        return getattr(self, name)
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +470,11 @@ def simulate(
     """Euler-Maruyama particle simulation of the controlled SDE.
 
     Passing a previously drawn ``noise`` bank re-uses that realization
-    (common random numbers); otherwise noise is drawn from ``seed``.  The
-    result is reproducible bit for bit from (model, controls, n_particles,
-    n_steps, seed, mu_mode), and records ``seed`` and ``mu_mode``.
+    (common random numbers); it must have been drawn for this N, M, step
+    ``horizon / M``, ``seed`` and Levy measure.  Otherwise noise is drawn
+    from ``seed``.  The result is reproducible bit for bit from (model,
+    controls, n_particles, n_steps, seed, mu_mode), and records ``seed`` and
+    ``mu_mode``.
     """
     if mu_mode not in ("exogenous", "empirical"):
         raise ValueError(f"unknown mu_mode {mu_mode!r}")
@@ -462,13 +484,25 @@ def simulate(
         raise ValueError("supplied noise bank does not match (N, M)")
     elif noise.dt != model.horizon / n_steps:
         raise ValueError(f"supplied noise bank has step {noise.dt!r}, not horizon / M")
+    elif noise.seed != seed:
+        raise ValueError(f"supplied noise bank was drawn from seed {noise.seed}, not seed {seed}")
+    elif not noise.drawn_for(model.levy):
+        raise ValueError(
+            "supplied noise bank was drawn for Levy jump sizes "
+            f"{noise.jump_sizes.tolist()} at rates {noise.jump_rates.tolist()}, "
+            "not for the model's Levy measure"
+        )
     times = np.linspace(0.0, model.horizon, n_steps + 1)
     return _euler_sweep(model, controls, noise, times, model.x0, mu_mode, seed)
 
 
 @dataclass(frozen=True)
 class StepView:
-    """Everything observable at one grid step of a bundle; ``law`` is built on first read."""
+    """Everything observable at one grid step of a bundle.
+
+    ``law`` is the bundle's cached law at step k, whose atoms are built on
+    their first read, so a replay whose costs read no law builds none.
+    """
 
     k: int
     t: float

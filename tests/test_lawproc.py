@@ -300,23 +300,6 @@ def test_m4_brownian_stable_under_refinement(rule):
 
 # -- measure path plumbing ---------------------------------------------------------
 
-def test_measure_path_csv_roundtrip(tmp_path):
-    ts = [0.0, 0.5, 1.0]
-    values = [
-        DiscreteMeasure([0.0], [1.0]),
-        DiscreteMeasure([-1.0, 1.0], [0.5, 0.5]),
-        DiscreteMeasure([2.0], [1.0]),
-    ]
-    path = MeasurePath(ts, values)
-    f = tmp_path / "path.csv"
-    path.to_csv(str(f))
-    back = MeasurePath.from_csv(str(f))
-    assert np.array_equal(back.times, path.times)
-    for a, b in zip(back.values, path.values):
-        assert np.array_equal(a.locations, b.locations)
-        assert np.array_equal(a.weights, b.weights)
-
-
 def test_measure_path_validation():
     mu = DiscreteMeasure.dirac(0.0)
     with pytest.raises(ValueError):

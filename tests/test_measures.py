@@ -321,3 +321,59 @@ def test_coalesce_keeps_fourier(mu):
     y = _GH16.nodes
     tol = 1e-12 * (1.0 + np.abs(mu.weights).sum())
     assert np.max(np.abs(merged.fourier(y) - mu.fourier(y))) <= tol
+
+
+# -- half-node Fourier evaluation --------------------------------------------
+
+def _full_fourier(mu, y):
+    """The chunked kernel on every node, without the conjugate mirror."""
+    out = np.zeros(y.shape, dtype=complex)
+    mu._fourier_sum(y, out)
+    return out
+
+
+@st.composite
+def fourier_measures(draw):
+    """Small measures with repeated atoms, optionally mirrored to x -> -x (so
+    imaginary parts cancel exactly), or more than one 65536-atom chunk."""
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n = 65536 + draw(st.integers(1, 4096))
+        loc = rng.normal(scale=draw(st.sampled_from([0.01, 1.0, 6.0])), size=n)
+        loc[:: draw(st.integers(2, 9))] = draw(_coords)
+        wts = rng.uniform(-1.0, 1.0, size=n) / n
+        return DiscreteMeasure(loc, wts)
+    mu = draw(measures(locations=st.one_of(_coords, st.sampled_from([-1.5, 0.0, 0.5])), max_atoms=40))
+    if draw(st.booleans()):
+        mu = mu + DiscreteMeasure(-mu.locations, mu.weights)
+    return mu
+
+
+@settings(max_examples=40, deadline=None)
+@given(mu=fourier_measures(), n=st.integers(2, 128))
+def test_mirrored_fourier_is_bitwise_full(mu, n):
+    y = gauss_hermite_rule(n).nodes
+    full = _full_fourier(mu, y)
+    assert mu.fourier(y).tobytes() == full.tobytes()
+    assert np.array_equal(full[::-1], np.conj(full))
+
+
+def test_fourier_mirrors_only_antisymmetric_nodes(monkeypatch):
+    seen = []
+    kernel = DiscreteMeasure._fourier_sum
+
+    def spy(self, y, out):
+        seen.append(y.size)
+        kernel(self, y, out)
+
+    monkeypatch.setattr(DiscreteMeasure, "_fourier_sum", spy)
+    mu = DiscreteMeasure([-0.7, 0.2, 0.2, 1.9], [0.1, -0.4, 0.3, 1.0])
+    trap = trapezoid_rule().nodes
+    assert not np.array_equal(trap, -trap[::-1])
+    assert mu.fourier(trap).tobytes() == _full_fourier(mu, trap).tobytes()
+    assert seen[0] == trap.size
+    seen.clear()
+    for n in (2, 3, 64, 65):
+        mu.fourier(gauss_hermite_rule(n).nodes)
+    # a two-node rule keeps the full sum: its half would be a one-row product
+    assert seen == [2, 2, 32, 33]

@@ -18,6 +18,7 @@ from mfclab.sde import (
     draw_noise,
     evaluate_performance,
     iter_steps,
+    performance_samples,
     perturbed_controls,
     simulate,
     simulate_derivative_process,
@@ -487,25 +488,81 @@ def test_noise_bank_for_other_horizon_rejected():
     assert simulate(model, trivial_controls(), 10, 10, seed=0, noise=own).noise is own
 
 
-def test_bundle_to_csv(tmp_path):
+def test_noise_bank_for_other_levy_measure_rejected():
+    """A bank drawn without jumps would drive a pure-jump model with Var X(T) = 0."""
     model = ControlledModel(
         drift=lambda t, x, mu, u, s: np.zeros_like(x),
         vol=lambda t, x, mu, u, s: np.zeros_like(x),
         jump=lambda t, x, mu, u, z, s: z * np.ones_like(x),
-        levy=LevyMeasure([0.2], [5.0]),
+        levy=LevyMeasure([1.0], [5.0]),
         x0=0.0,
         horizon=1.0,
     )
-    bundle = simulate(model, trivial_controls(), 4, 6, seed=2)
-    states_f = tmp_path / "states.csv"
-    events_f = tmp_path / "events.csv"
-    bundle.to_csv(str(states_f), str(events_f))
-    lines = states_f.read_text().strip().splitlines()
-    assert lines[0] == "particle,time,state"
-    assert len(lines) == 1 + 4 * 7
-    ev_lines = events_f.read_text().strip().splitlines()
-    assert ev_lines[0] == "particle,step_index,zeta_index"
-    assert len(ev_lines) == 1 + bundle.noise.n_events
+    with pytest.raises(ValueError, match="Levy"):
+        simulate(model, trivial_controls(), 2000, 20, seed=0, noise=draw_noise(0, 2000, 20, 1.0))
+    other_rate = draw_noise(0, 2000, 20, 1.0, LevyMeasure([1.0], [2.0]))
+    with pytest.raises(ValueError, match="Levy"):
+        simulate(model, trivial_controls(), 2000, 20, seed=0, noise=other_rate)
+    own = draw_noise(0, 2000, 20, 1.0, model.levy)
+    assert simulate(model, trivial_controls(), 2000, 20, seed=0, noise=own).noise is own
+    no_jumps = ControlledModel(
+        drift=model.drift, vol=model.vol, x0=0.0, horizon=1.0,
+    )
+    with pytest.raises(ValueError, match="Levy"):
+        simulate(no_jumps, trivial_controls(), 2000, 20, seed=0, noise=own)
+
+
+def test_noise_bank_from_other_seed_rejected():
+    model = ControlledModel(
+        drift=lambda t, x, mu, u, s: np.zeros_like(x),
+        vol=lambda t, x, mu, u, s: np.ones_like(x),
+        x0=0.0,
+        horizon=1.0,
+    )
+    with pytest.raises(ValueError, match="seed 9.*seed 5"):
+        simulate(model, trivial_controls(), 10, 5, 5, noise=draw_noise(9, 10, 5, 1.0))
+
+
+def test_laws_are_built_on_first_read(monkeypatch):
+    import mfclab.sde as sde_module
+    from mfclab.lawproc import empirical_law
+
+    built = []
+
+    def counting_law(particles):
+        built.append(particles)
+        return empirical_law(particles)
+
+    monkeypatch.setattr(sde_module, "empirical_law", counting_law)
+    model = ControlledModel(
+        drift=lambda t, x, mu, u, s: -x,
+        vol=lambda t, x, mu, u, s: 0.5 * np.ones_like(x),
+        x0=1.0,
+        horizon=1.0,
+    )
+    ctrl = trivial_controls()
+    bundle = simulate(model, ctrl, 300, 12, seed=8)
+    lawless = PerformanceSpec(
+        running=lambda t, x, m, mu, u, s: x * x, terminal=lambda x, m, s: x,
+    )
+    performance_samples(bundle, ctrl, lawless)
+    assert built == []
+    law = bundle.law_at(5)
+    assert built == []
+    expected = empirical_law(bundle.states[:, 5])
+    assert law.locations.tobytes() == expected.locations.tobytes()
+    assert law.weights.tobytes() == expected.weights.tobytes()
+    assert len(built) == 1
+    assert bundle.law_at(5).locations is law.locations
+    assert law.n_atoms == expected.n_atoms and law.total_mass() == expected.total_mass()
+    assert len(built) == 1
+    reading = PerformanceSpec(
+        running=lambda t, x, m, mu, u, s: m.mass_on(0.0, np.inf) * x,
+        terminal=lambda x, m, s: x,
+    )
+    performance_samples(bundle, ctrl, reading)
+    # steps 0..M-1 once each (step 5 was cached); the terminal law is unread
+    assert len(built) == bundle.n_steps
 
 
 def test_consumption_performance_regression_fixture():
