@@ -79,13 +79,14 @@ class EstimationError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepContext:
-    """Per-step scenario data the BSDE coefficients may read."""
+    """Per-step scenario data the BSDE coefficients may read; regression
+    bases see no Brownian levels."""
 
     step: int
     t: float
-    x: np.ndarray | None = None
+    x: np.ndarray
+    scenario: np.ndarray
     brownian: np.ndarray | None = None
-    scenario: np.ndarray | None = None
 
 
 @dataclass
@@ -147,24 +148,20 @@ class _CoefficientTables:
     levy: LevyMeasure | None
 
 
-def _tabulate(spec: LinearBsdeSpec, source, scenario=None, gamma_only=False) -> _CoefficientTables:
-    """Evaluate the spec's callables along a bundle or a bare noise bank.
+def _tabulate(
+    spec: LinearBsdeSpec, bundle: ParticleBundle, scenario=None, gamma_only=False
+) -> _CoefficientTables:
+    """Evaluate the spec's callables along a bundle.
 
     ``scenario`` relabels ctx.scenario for every coefficient (scenario i is
     path i by default); ``gamma_only`` skips phi and theta.
     """
-    if isinstance(source, ParticleBundle):
-        bundle, noise, times = source, source.noise, source.times
-        if scenario is None:
-            scenario = np.arange(bundle.n_particles)
-    else:
-        bundle, noise = None, source
-        times = np.linspace(0.0, noise.n_steps * noise.dt, noise.n_steps + 1)
-    n, m = noise.n_particles, noise.n_steps
+    times = bundle.times
+    n, m = bundle.n_particles, bundle.n_steps
+    if scenario is None:
+        scenario = np.arange(n)
 
     def context(k: int) -> StepContext:
-        if bundle is None:
-            return StepContext(step=k, t=float(times[k]))
         return StepContext(
             step=k, t=float(times[k]), x=bundle.states[:, k],
             brownian=bundle.brownian_levels()[:, k], scenario=scenario,
@@ -215,15 +212,14 @@ def _gamma(tables: _CoefficientTables, noise) -> np.ndarray:
     return gam
 
 
-def simulate_gamma(spec: LinearBsdeSpec, source) -> np.ndarray:
-    """Euler paths of the Gamma process on a bundle's (or bank's) noise.
+def simulate_gamma(spec: LinearBsdeSpec, bundle: ParticleBundle) -> np.ndarray:
+    """Euler paths of the Gamma process on a bundle's noise.
 
     Gamma(0) = 1 and dGamma = Gamma^-[alpha dt + beta dB + jump_phi dNtilde];
     the compensated-jump Euler factor is
     1 + alpha dt + beta dB + sum_{events} jump_phi - dt sum_j rate_j jump_phi.
     """
-    noise = source.noise if isinstance(source, ParticleBundle) else source
-    return _gamma(_tabulate(spec, source, gamma_only=True), noise)
+    return _gamma(_tabulate(spec, bundle, gamma_only=True), bundle.noise)
 
 
 def _pathwise_values(tables: _CoefficientTables, noise) -> np.ndarray:
@@ -394,7 +390,7 @@ def solve(
         child = int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
         inner_noise = draw_noise(child, n * n_inner, msub, msub * dt, model.levy)
         x_init = np.repeat(bundle.states[:, k], n_inner)
-        inner = _euler_sweep(model, controls, inner_noise, sub_times, x_init, bundle.mu_mode, child)
+        inner = _euler_sweep(model, controls, inner_noise, sub_times, x_init, bundle.mu_mode)
         # shift inner Brownian levels so ctx.brownian is the absolute B(t)
         inner._brownian = inner.brownian_levels() + np.repeat(outer_b[:, k], n_inner)[:, None]
         y_inner = _pathwise_values(_tabulate(spec, inner, scen_rep), inner_noise)

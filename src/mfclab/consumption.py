@@ -64,10 +64,15 @@ from .sde import (
     InfoPattern,
     ParticleBundle,
     PerformanceSpec,
+    draw_noise,
     simulate,
 )
 
 VARIANTS = ("first-order-derived", "stated-theorem")
+# largest accepted deviation of p0 X from theta + T - t (the product identity)
+PRODUCT_TOL = 0.05
+# a consumption rate inflated by this factor must break the saddle certificate
+INFLATION = 1.2
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,6 @@ class TerminalWeight:
 
     value: float | None = None
     fn: Callable[[np.ndarray], np.ndarray] | None = None
-    mean: float | None = None
 
     def __post_init__(self):
         if (self.value is None) == (self.fn is None):
@@ -431,28 +435,23 @@ def verify_consumption_game(
     seed: int = 2024,
     out_dir: str | None = None,
     lambdas: Sequence[float] = (0.05, 0.1, 0.2, -0.05, -0.1, -0.2),
-    product_tol: float = 0.05,
-    inflation: float = 1.2,
 ) -> ConsumptionGameReport:
     """Run the full candidate-verification pipeline on the consumption game.
 
     Simulates both mu_hat variants, solves the adjoint, computes first-order
     residuals (selecting the variant that satisfies them), checks the product
     identity, runs the saddle perturbation sweep and re-runs it with the
-    consumption rate inflated, which must break the certificate.  Every
-    simulation runs on one noise bank drawn from ``seed``.  Writes
-    report.csv and controls.csv when ``out_dir`` is given.
+    consumption rate inflated by ``INFLATION``, which must break the
+    certificate.  Every simulation runs on one noise bank drawn from
+    ``seed``.  Writes report.csv and controls.csv when ``out_dir`` is given.
     """
     spec = game_spec(model)
     checks: list[CheckResult] = []
     runs: dict[str, VariantRun] = {}
-    noise = None
+    noise = draw_noise(seed, n_particles, n_steps, model.horizon, model.levy)
     for variant in VARIANTS:
         cf = closed_form_controls(model, variant)
-        bundle = simulate(
-            spec.model, feedback_pair(model, cf), n_particles, n_steps, seed, noise=noise
-        )
-        noise = bundle.noise
+        bundle = simulate(spec.model, feedback_pair(model, cf), noise=noise)
         controls, rho_path, mu_v_path = frozen_pair(model, cf, bundle)
         adjoint = solve_adjoints(spec, bundle, controls)
         residuals = first_order_residuals(spec, controls, bundle, adjoint)
@@ -488,8 +487,8 @@ def verify_consumption_game(
             CheckResult(
                 name="product-process-max-deviation",
                 value=product.max_deviation,
-                threshold=product_tol,
-                passed=product.max_deviation <= product_tol,
+                threshold=PRODUCT_TOL,
+                passed=product.max_deviation <= PRODUCT_TOL,
                 detail=f"variant={selected}",
             )
         )
@@ -529,14 +528,12 @@ def verify_consumption_game(
         )
 
         cf_sel = closed_form_controls(model, selected)
-        inflated_controls, _, _ = frozen_pair(model, cf_sel, run.bundle, rho_scale=inflation)
+        inflated_controls, _, _ = frozen_pair(model, cf_sel, run.bundle, rho_scale=INFLATION)
         inflated_plan = PerturbationPlan(
             directions=[Direction(kind="control", t0=0.0, scalar=1.0, label="u")],
             lambdas=tuple(lambdas),
         )
-        inflated_base = simulate(
-            spec.model, inflated_controls, n_particles, n_steps, seed, noise=noise
-        )
+        inflated_base = simulate(spec.model, inflated_controls, noise=noise)
         inflated = nash_perturbation_sweep(
             spec, inflated_controls, inflated_plan, inflated_base
         )
@@ -547,7 +544,7 @@ def verify_consumption_game(
                 value=best_gain,
                 threshold=0.0,
                 passed=not inflated.certified,
-                detail=f"rho scaled by {inflation}",
+                detail=f"rho scaled by {INFLATION}",
             )
         )
 

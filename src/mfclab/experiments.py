@@ -49,6 +49,10 @@ from .sde import (
     simulate_derivative_process,
 )
 
+# Philox keys lie in [0, 2**128), and experiments also draw from seed + 1 and
+# seed + 2
+_SEED_LIMIT = 2**128 - 2
+
 
 @dataclass
 class ExperimentConfig:
@@ -67,6 +71,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.name not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.name!r}")
+        if not 0 <= self.seed < _SEED_LIMIT:
+            raise ValueError(f"seed must lie in [0, 2**128 - 2), got {self.seed}")
         if self.n_particles < 1:
             raise ValueError("n_particles must be positive")
         if self.n_steps < 1:
@@ -85,6 +91,9 @@ class ExperimentConfig:
             # v_hi = inf is the unbounded interval V = (v_lo, inf)
             if not (math.isfinite(value) or (key == "v_hi" and value == math.inf)):
                 raise ValueError(f"model value {key} must be finite, got {value}")
+        if self.name == "consumption":
+            # the model's own checks, run before any simulation
+            cons.state_model(consumption_model_from(self))
 
 
 def _out(cfg: ExperimentConfig, filename: str) -> str:
@@ -424,7 +433,7 @@ def run_gateaux(cfg: ExperimentConfig) -> list[CheckResult]:
     errs = []
     for lam in (0.1, 0.05, 0.025):
         pert = perturbed_controls(ctrl, direction, lam)
-        shifted = simulate(model, pert, n, m, cfg.seed, noise=bundle.noise)
+        shifted = simulate(model, pert, noise=bundle.noise)
         quotient = (shifted.states - bundle.states) / lam
         # particle-major squares: each path's sum over time stays a pairwise sum
         err = float(np.mean(np.sum(np.square(quotient - z, order="C"), axis=1) * dt))
@@ -574,6 +583,8 @@ def consumption_model_from(cfg: ExperimentConfig) -> cons.ConsumptionModel:
     sigma = float(p.get("sigma", 0.2))
     jump_size = float(p.get("jump_size", 0.1))
     jump_rate = float(p.get("jump_rate", 0.5))
+    if jump_rate < 0:
+        raise ValueError(f"jump_rate must be nonnegative (0 means no jumps), got {jump_rate}")
     levy = LevyMeasure([jump_size], [jump_rate]) if jump_rate > 0 else None
     return cons.ConsumptionModel(
         x0=float(p.get("x0", 1.0)),

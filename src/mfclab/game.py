@@ -380,8 +380,6 @@ class SweepTable:
     """Per-direction performance deltas of unilateral deviations (CRN)."""
 
     rows: list[SweepRow]
-    n_particles: int
-    seed: int
 
     @property
     def certified(self) -> bool:
@@ -394,11 +392,8 @@ class SweepTable:
 
 
 def _crn_samples(spec: GameSpec, controls: ControlPair, perf, bundle: ParticleBundle) -> np.ndarray:
-    """Performance samples of ``controls`` re-run on ``bundle``'s noise, N, M, seed and mode."""
-    deviated = simulate(
-        spec.model, controls, bundle.n_particles, bundle.n_steps, bundle.seed,
-        bundle.mu_mode, noise=bundle.noise,
-    )
+    """Performance samples of ``controls`` re-run on ``bundle``'s noise and mode."""
+    deviated = simulate(spec.model, controls, mu_mode=bundle.mu_mode, noise=bundle.noise)
     return performance_samples(deviated, controls, perf)
 
 
@@ -437,7 +432,7 @@ def nash_perturbation_sweep(
                     std_err=se,
                 )
             )
-    return SweepTable(rows=rows, n_particles=bundle.n_particles, seed=bundle.seed)
+    return SweepTable(rows=rows)
 
 
 # ---------------------------------------------------------------------------

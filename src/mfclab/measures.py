@@ -176,41 +176,22 @@ class DiscreteMeasure:
 class RandomMeasureEnsemble:
     """A random measure sampled scenario-by-scenario (one measure per omega).
 
-    Scenario weights default to uniform, so the expectation in the inner
-    product is a plain average; supplying weights changes it to a weighted
-    average.  Scenarios of two ensembles are paired by index (common omega).
+    Scenarios are equally likely, so the expectation in the inner product is
+    a plain average.  Scenarios of two ensembles are paired by index (common
+    omega).
     """
 
-    __slots__ = ("scenarios", "scenario_weights")
+    __slots__ = ("scenarios",)
 
-    def __init__(
-        self,
-        scenarios: Sequence[DiscreteMeasure],
-        scenario_weights: Sequence[float] | None = None,
-    ):
+    def __init__(self, scenarios: Sequence[DiscreteMeasure]):
         scenarios = list(scenarios)
         if not scenarios:
             raise ValueError("ensemble needs at least one scenario")
         self.scenarios = scenarios
-        if scenario_weights is None:
-            self.scenario_weights = None
-        else:
-            w = np.asarray(scenario_weights, dtype=float)
-            if w.size != len(scenarios):
-                raise ValueError("scenario_weights length mismatch")
-            if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-                raise ValueError("scenario_weights must be a probability vector")
-            self.scenario_weights = w
 
     @property
     def n_scenarios(self) -> int:
         return len(self.scenarios)
-
-    def weights_vector(self) -> np.ndarray:
-        if self.scenario_weights is not None:
-            return self.scenario_weights
-        n = self.n_scenarios
-        return np.full(n, 1.0 / n)
 
 
 def as_ensemble(mu) -> RandomMeasureEnsemble:
@@ -230,14 +211,11 @@ class QuadratureRule:
 
         rule.integrate(f) == sum_i weights[i] * f(nodes[i]).
 
-    ``k_target`` records the |y|^k order the rule was requested for; the
-    factor itself is applied by the caller at evaluation time.
+    The |y|^k factor of an order-k integrand is applied by the caller.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
-    k_target: int = 0
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -267,7 +245,7 @@ class QuadratureRule:
         return float(np.dot(self.weights, vals))
 
 
-def gauss_hermite_rule(n: int, k: int = 0) -> QuadratureRule:
+def gauss_hermite_rule(n: int) -> QuadratureRule:
     """Gauss-Hermite rule with weight function e^{-y^2}.
 
     Exact for polynomial integrands of degree <= 2n-1.  The |y|^k factor of
@@ -277,10 +255,10 @@ def gauss_hermite_rule(n: int, k: int = 0) -> QuadratureRule:
     if n < 2:
         raise ValueError(f"Gauss-Hermite rule needs n >= 2, got {n}")
     nodes, weights = hermgauss(n)
-    return QuadratureRule(nodes=nodes, weights=weights, kind="gauss-hermite", k_target=k)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
-def trapezoid_rule(n: int = 4096, half_width: float = 8.0, k: int = 0) -> QuadratureRule:
+def trapezoid_rule(n: int = 4096, half_width: float = 8.0) -> QuadratureRule:
     """Truncated trapezoid rule on [-L, L] with e^{-y^2} folded into the weights.
 
     Independent cross-check for the Gauss-Hermite rule; spectrally accurate
@@ -296,7 +274,7 @@ def trapezoid_rule(n: int = 4096, half_width: float = 8.0, k: int = 0) -> Quadra
     w = np.full(n, h)
     w[0] = w[-1] = h / 2
     weights = w * np.exp(-nodes**2)
-    return QuadratureRule(nodes=nodes, weights=weights, kind="truncated-trapezoid", k_target=k)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +289,7 @@ def fourier_transform(mu: DiscreteMeasure, y: float) -> complex:
 def inner_product(mu, eta, k: int, rule: QuadratureRule) -> float:
     """Order-k inner product of two (random) measures.
 
-    Scenario-weighted average of
+    Average of
     ``integral Re(conj(mu_hat) eta_hat)(y) |y|^k e^{-y^2} dy`` over paired
     scenarios.  Symmetric in its measure arguments and bilinear in the atom
     weights.
@@ -332,15 +310,11 @@ def inner_product(mu, eta, k: int, rule: QuadratureRule) -> float:
         raise ValueError("k must be a nonnegative integer")
     y = rule.nodes
     yk = np.abs(y) ** k if k else 1.0
-    sw = mu_e.weights_vector()
-    if eta_e.scenario_weights is not None and not np.allclose(
-        sw, eta_e.weights_vector()
-    ):
-        raise ValueError("paired ensembles carry different scenario weights")
+    weight = 1.0 / mu_e.n_scenarios
     total = 0.0
-    for p, (m_i, e_i) in enumerate(zip(mu_e.scenarios, eta_e.scenarios)):
+    for m_i, e_i in zip(mu_e.scenarios, eta_e.scenarios):
         integrand = np.real(np.conj(m_i.fourier(y)) * e_i.fourier(y)) * yk
-        total += sw[p] * rule.integrate(integrand)
+        total += weight * rule.integrate(integrand)
     return float(total)
 
 

@@ -23,10 +23,11 @@ Coefficients are numpy-vectorized over particles:
 with ``x`` the particle-state vector, ``mu`` a DiscreteMeasure, ``u`` a
 scalar or per-particle array and ``scen`` the particle indices.  Noise is
 drawn once per bundle, before stepping, from a counter-based Philox stream
-keyed by the seed, with row i of each draw forming particle i's block:
-bundles are reproducible bit for bit from (model, controls, N, M, seed) and
-independent of any parallel schedule, and reusing a bundle's noise across
-control variants gives common random numbers.
+keyed by the seed, with row i of each draw forming particle i's block.  The
+noise bank is the one record of N, M, dt and the Levy measure it was drawn
+for: a bundle is a bit-for-bit function of (model, controls, noise,
+mu_mode), independent of any parallel schedule, and re-running a bundle's
+bank under other controls gives common random numbers.
 
 Particle-by-time arrays (states, Brownian increments and levels, derivative
 processes, and the Gamma and coefficient tables of ``bsde``) are stored
@@ -217,16 +218,16 @@ class NoiseBank:
 
     Jump events are stored flat as (particle, step, zeta-index) triples sorted
     by step; ``events_at(k)`` returns the slice for one interval.  The bank
-    records the seed and the Levy jump sizes and rates it was drawn for
-    (both empty without a Levy measure).
+    records the Levy jump sizes and rates it was drawn for (both empty
+    without a Levy measure).
     """
 
     __slots__ = (
         "n_particles", "n_steps", "dt", "dB", "ev_particle", "ev_step", "ev_zeta",
-        "_step_offsets", "seed", "jump_sizes", "jump_rates",
+        "_step_offsets", "jump_sizes", "jump_rates",
     )
 
-    def __init__(self, n_particles, n_steps, dt, dB, ev_particle, ev_step, ev_zeta, seed, levy):
+    def __init__(self, n_particles, n_steps, dt, dB, ev_particle, ev_step, ev_zeta, levy):
         self.n_particles = n_particles
         self.n_steps = n_steps
         self.dt = dt
@@ -234,7 +235,6 @@ class NoiseBank:
         self.ev_particle = ev_particle
         self.ev_step = ev_step
         self.ev_zeta = ev_zeta
-        self.seed = seed
         self.jump_sizes, self.jump_rates = _levy_arrays(levy)
         self._step_offsets = np.searchsorted(ev_step, np.arange(n_steps + 1))
 
@@ -290,7 +290,7 @@ def draw_noise(
                 )
             order = np.lexsort((particle, step))
             particle, step, zeta = particle[order], step[order], zeta[order]
-    return NoiseBank(n_particles, n_steps, dt, dB, particle, step, zeta, seed, levy)
+    return NoiseBank(n_particles, n_steps, dt, dB, particle, step, zeta, levy)
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +307,12 @@ class ParticleBundle:
     read, so a step whose law nothing reads costs no empirical law.
     """
 
-    __slots__ = ("times", "states", "noise", "seed", "mu_mode", "_laws", "_brownian")
+    __slots__ = ("times", "states", "noise", "mu_mode", "_laws", "_brownian")
 
-    def __init__(
-        self, times: np.ndarray, states: np.ndarray, noise: NoiseBank, seed: int, mu_mode: str
-    ):
+    def __init__(self, times: np.ndarray, states: np.ndarray, noise: NoiseBank, mu_mode: str):
         self.times = times
         self.states = states
         self.noise = noise
-        self.seed = seed
         self.mu_mode = mu_mode
         self._laws: dict[int, DiscreteMeasure] = {}
         self._brownian: np.ndarray | None = None
@@ -331,10 +328,6 @@ class ParticleBundle:
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
-
-    @property
-    def dB(self) -> np.ndarray:
-        return self.noise.dB
 
     def law_at(self, k: int) -> DiscreteMeasure:
         """Cross-sectional empirical law at grid index k (cached, built on first read)."""
@@ -423,13 +416,13 @@ def _compensated_jump_step(y, dt, levy, noise, k, term):
     return y
 
 
-def _euler_sweep(model, controls, noise, times, x_init, mu_mode, seed) -> ParticleBundle:
+def _euler_sweep(model, controls, noise, times, x_init, mu_mode) -> ParticleBundle:
     """Integrate forward from ``x_init`` on ``times``, filling a new bundle's states."""
     n = noise.n_particles
     m = len(times) - 1
     dt = float(times[1] - times[0])
     scenario = np.arange(n)
-    bundle = ParticleBundle(times, _time_major(n, m + 1), noise, seed, mu_mode)
+    bundle = ParticleBundle(times, _time_major(n, m + 1), noise, mu_mode)
     states = bundle.states
     states[:, 0] = x_init
     levy = model.levy
@@ -461,39 +454,41 @@ def _euler_sweep(model, controls, noise, times, x_init, mu_mode, seed) -> Partic
 def simulate(
     model: ControlledModel,
     controls: ControlPair,
-    n_particles: int,
-    n_steps: int,
-    seed: int,
+    n_particles: int | None = None,
+    n_steps: int | None = None,
+    seed: int | None = None,
     mu_mode: str = "exogenous",
     noise: NoiseBank | None = None,
 ) -> ParticleBundle:
     """Euler-Maruyama particle simulation of the controlled SDE.
 
-    Passing a previously drawn ``noise`` bank re-uses that realization
-    (common random numbers); it must have been drawn for this N, M, step
-    ``horizon / M``, ``seed`` and Levy measure.  Otherwise noise is drawn
-    from ``seed``.  The result is reproducible bit for bit from (model,
-    controls, n_particles, n_steps, seed, mu_mode), and records ``seed`` and
-    ``mu_mode``.
+    The noise is drawn from ``(n_particles, n_steps, seed)`` or given as a
+    previously drawn ``noise`` bank, never both; a bank supplies N and M
+    itself, and re-running it under other controls gives common random
+    numbers.  A bank is rejected only when its step is not ``horizon / M``
+    or it was drawn for another Levy measure than the model's.  The result
+    is a bit-for-bit function of (model, controls, noise, mu_mode) and
+    records its bank and ``mu_mode``.
     """
     if mu_mode not in ("exogenous", "empirical"):
         raise ValueError(f"unknown mu_mode {mu_mode!r}")
+    drawn_from = (n_particles, n_steps, seed)
     if noise is None:
+        if any(v is None for v in drawn_from):
+            raise TypeError("simulate needs n_particles, n_steps and seed, or a noise bank")
         noise = draw_noise(seed, n_particles, n_steps, model.horizon, model.levy)
-    elif noise.n_particles != n_particles or noise.n_steps != n_steps:
-        raise ValueError("supplied noise bank does not match (N, M)")
-    elif noise.dt != model.horizon / n_steps:
+    elif any(v is not None for v in drawn_from):
+        raise TypeError("simulate takes a noise bank or (n_particles, n_steps, seed), not both")
+    elif noise.dt != model.horizon / noise.n_steps:
         raise ValueError(f"supplied noise bank has step {noise.dt!r}, not horizon / M")
-    elif noise.seed != seed:
-        raise ValueError(f"supplied noise bank was drawn from seed {noise.seed}, not seed {seed}")
     elif not noise.drawn_for(model.levy):
         raise ValueError(
             "supplied noise bank was drawn for Levy jump sizes "
             f"{noise.jump_sizes.tolist()} at rates {noise.jump_rates.tolist()}, "
             "not for the model's Levy measure"
         )
-    times = np.linspace(0.0, model.horizon, n_steps + 1)
-    return _euler_sweep(model, controls, noise, times, model.x0, mu_mode, seed)
+    times = np.linspace(0.0, model.horizon, noise.n_steps + 1)
+    return _euler_sweep(model, controls, noise, times, model.x0, mu_mode)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfclab.bsde import (
     EstimationError,
@@ -340,19 +342,31 @@ def test_adjoint_quadratic_terminal_deterministic_dynamics():
     assert np.max(np.abs(sol.P[0] - target) / target) <= 5e-3
 
 
-def test_adjoint_consumption_product_identity():
-    """p0(t) X(t) = theta0 + T - t pathwise for the consumption adjoint."""
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 200),
+    m=st.integers(2, 60),
+    theta=st.floats(0.1, 5.0),
+    # Euler steps up to 0.05, so T = M dt up to 3; a coarser step can drive
+    # Gamma nonpositive, which GammaPositivityError reports
+    dt=st.floats(0.005, 0.05),
+)
+def test_adjoint_consumption_product_identity(seed, n, m, theta, dt):
+    """p0(t) X(t) = theta + T - t pathwise for the consumption adjoint, on any
+    seed, population, grid, terminal weight and horizon."""
     import mfclab.consumption as cons
 
+    horizon = m * dt
     model = cons.ConsumptionModel(
-        x0=1.0, horizon=1.0, vol=lambda t: 0.2, theta=1.0,
+        x0=1.0, horizon=horizon, vol=lambda t: 0.2, theta=theta,
         jump_scale=lambda t, z: z, levy=LevyMeasure([0.1], [0.5]),
     )
     cf = cons.closed_form_controls(model)
     state = cons.state_model(model)
-    bundle = simulate(state, cons.feedback_pair(model, cf), 2000, 100, seed=6)
+    bundle = simulate(state, cons.feedback_pair(model, cf), n, m, seed=seed)
     pair, _, _ = cons.frozen_pair(model, cf, bundle)
     sol = adjoint_p0_solve(state, cons.performance(model), bundle, pair)
     product = sol.P * bundle.states
-    target = 1.0 + 1.0 - bundle.times
+    target = theta + horizon - bundle.times
     assert np.max(np.abs(product - target[None, :])) <= 1e-10

@@ -81,6 +81,43 @@ def test_unbounded_v_interval_is_valid():
 
 @pytest.mark.parametrize(
     "section",
+    [
+        "[model]\ntheta = 0.0\n",
+        "[model]\nx0 = -1.0\n",
+        "[model]\nhorizon = 0.0\n",
+        "[model]\nv_lo = 2.0\nv_hi = 1.0\n",
+        "[model]\njump_size = 0.0\n",
+        "[model]\njump_size = -1.5\n",
+        "[model]\njump_rate = -0.5\n",
+        "[knobs]\nseed = -1\n",
+        f"[knobs]\nseed = {2**128}\n",
+    ],
+    ids=[
+        "theta=0", "x0=-1", "horizon=0", "v_lo>v_hi", "jump_size=0", "jump_size=-1.5",
+        "jump_rate=-0.5", "seed=-1", "seed=2**128",
+    ],
+)
+def test_bad_model_value_or_seed_is_config_error(tmp_path, capsys, section):
+    """Rejected while loading the config: exit 2, one line, nothing simulated."""
+    cfg = write_config(
+        tmp_path, f"[experiment]\nname = consumption\nout_dir = {tmp_path}/out\n\n{section}"
+    )
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_jump_rate_means_no_jumps():
+    from mfclab.experiments import consumption_model_from
+
+    cfg = ExperimentConfig(name="consumption", model={"jump_rate": 0.0})
+    cfg.validate()
+    assert consumption_model_from(cfg).levy is None
+
+
+@pytest.mark.parametrize(
+    "section",
     ["[knobs]\ndelay = nan\n", "[knobs]\nlambdas = 0.1, inf\n", "[model]\nsigma = nan\n"],
     ids=["delay", "lambdas", "model"],
 )

@@ -66,7 +66,7 @@ def test_variant_and_theta_validation():
         cons.TerminalWeight(value=1.0, fn=lambda b: b)
     with pytest.raises(ValueError):
         cons.TerminalWeight()
-    stochastic = canonical_model(theta=cons.TerminalWeight(fn=lambda b: 1 + 0.5 * np.tanh(b), mean=1.0))
+    stochastic = canonical_model(theta=cons.TerminalWeight(fn=lambda b: 1 + 0.5 * np.tanh(b)))
     with pytest.raises(ValueError, match="deterministic"):
         cons.closed_form_controls(stochastic)
 
@@ -110,7 +110,7 @@ def test_product_max_deviation_small(small_run):
 
 def test_product_stochastic_theta_mean_identity():
     """theta = 1 + tanh(B_T)/2: E[P(0)] = E[theta] + T within 3 SE (E[theta] = 1)."""
-    theta = cons.TerminalWeight(fn=lambda b: 1.0 + 0.5 * np.tanh(b), mean=1.0)
+    theta = cons.TerminalWeight(fn=lambda b: 1.0 + 0.5 * np.tanh(b))
     model = canonical_model(theta=theta)
     state = cons.state_model(model)
     # fixed admissible controls (closed forms need deterministic theta)

@@ -159,8 +159,6 @@ def test_ensemble_pairing_error(rule):
 def test_ensemble_weights_validation():
     with pytest.raises(ValueError):
         RandomMeasureEnsemble([])
-    with pytest.raises(ValueError):
-        RandomMeasureEnsemble([DiscreteMeasure.dirac(0.0)], [0.7])
 
 
 def test_random_ensemble_norm_averages(rule):
@@ -259,7 +257,7 @@ def test_rule_invariants():
     assert np.all(np.diff(r.nodes) > 0)
     assert np.all(r.weights > 0)
     with pytest.raises(ValueError):
-        type(r)(nodes=np.array([1.0, 0.0]), weights=np.array([1.0, 1.0]), kind="bad")
+        type(r)(nodes=np.array([1.0, 0.0]), weights=np.array([1.0, 1.0]))
 
 
 # -- properties on arbitrary inputs ------------------------------------------

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfclab.bsde import LinearBsdeSpec, simulate_gamma
 from mfclab.lawproc import LevyMeasure
@@ -124,7 +126,7 @@ def test_crn_zero_perturbation_identity():
     )
     base = simulate(model, ctrl, 300, 40, seed=5)
     direction = Direction(kind="control", t0=0.0, scalar=1.0)
-    again = simulate(model, perturbed_controls(ctrl, direction, 0.0), 300, 40, seed=5, noise=base.noise)
+    again = simulate(model, perturbed_controls(ctrl, direction, 0.0), noise=base.noise)
     assert np.array_equal(base.states, again.states)
 
 
@@ -177,6 +179,42 @@ def test_compensated_jumps_preserve_mean():
     xt = bundle.states[:, -1]
     z = (xt.mean() - 1.0) / (xt.std(ddof=1) / math.sqrt(xt.size))
     assert abs(z) <= 3.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 300),
+    m=st.integers(1, 60),
+    x0=st.floats(-5.0, 5.0),
+    horizon=st.floats(0.1, 3.0),
+    atoms=st.lists(
+        st.tuples(
+            st.floats(0.05, 2.0) | st.floats(-2.0, -0.05),  # jump size, nonzero
+            st.floats(0.1, 3.0),  # rate
+        ),
+        min_size=2,
+        max_size=4,
+    ),
+)
+def test_compensated_jumps_preserve_mean_pathwise(seed, n, m, x0, horizon, atoms):
+    """With jump = zeta and no drift or noise, each path ends at
+    x0 + sum of its jumps - T sum_j rate_j zeta_j, which has mean x0."""
+    sizes = np.array([z for z, _ in atoms])
+    rates = np.array([r for _, r in atoms])
+    model = ControlledModel(
+        drift=lambda t, x, mu, u, s: np.zeros_like(x),
+        vol=lambda t, x, mu, u, s: np.zeros_like(x),
+        jump=lambda t, x, mu, u, zeta, s: zeta * np.ones_like(x),
+        levy=LevyMeasure(sizes, rates),
+        x0=x0,
+        horizon=horizon,
+    )
+    bundle = simulate(model, trivial_controls(), n, m, seed=seed)
+    noise = bundle.noise
+    jumps = np.bincount(noise.ev_particle, sizes[noise.ev_zeta], minlength=n)
+    expected = x0 + jumps - horizon * np.dot(rates, sizes)
+    assert np.max(np.abs(bundle.states[:, -1] - expected)) <= 1e-10
 
 
 def test_simulation_error_names_step_and_particle():
@@ -360,7 +398,7 @@ def test_derivative_l2_convergence():
     z = simulate_derivative_process(bundle, model, ctrl, direction)
     errs = []
     for lam in (0.1, 0.05, 0.025):
-        shifted = simulate(model, perturbed_controls(ctrl, direction, lam), N_FAST, 100, seed=21, noise=bundle.noise)
+        shifted = simulate(model, perturbed_controls(ctrl, direction, lam), noise=bundle.noise)
         quot = (shifted.states - bundle.states) / lam
         errs.append(float(np.mean(np.sum((quot - z) ** 2, axis=1) * bundle.dt)))
     assert errs[0] > errs[1] > errs[2]
@@ -379,7 +417,7 @@ def test_fd_quotient_slope_converges_with_crn():
     limit = z[:, -1].mean()
     gaps = []
     for lam in (0.2, 0.1, 0.05):
-        shifted = simulate(model, perturbed_controls(ctrl, direction, lam), 500, 100, seed=33, noise=bundle.noise)
+        shifted = simulate(model, perturbed_controls(ctrl, direction, lam), noise=bundle.noise)
         slope = ((shifted.states[:, -1] - bundle.states[:, -1]) / lam).mean()
         gaps.append(abs(slope - limit))
     assert gaps[0] > gaps[1] > gaps[2]
@@ -443,7 +481,7 @@ def test_derivative_uses_analytic_partials_when_given():
         assert np.max(np.abs(z_analytic - z_fd)) <= 1e-8
 
 
-# -- noise bank and serialization ---------------------------------------------------
+# -- noise bank ------------------------------------------------------------------
 
 def test_draw_noise_validation():
     with pytest.raises(ValueError):
@@ -462,6 +500,7 @@ def test_draw_noise_validation():
 
 
 def test_noise_bank_mismatch_rejected():
+    """The noise comes from (N, M, seed) or from a bank, never from both or neither."""
     model = ControlledModel(
         drift=lambda t, x, mu, u, s: np.zeros_like(x),
         vol=lambda t, x, mu, u, s: np.zeros_like(x),
@@ -469,8 +508,14 @@ def test_noise_bank_mismatch_rejected():
         horizon=1.0,
     )
     noise = draw_noise(0, 10, 10, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="not both"):
         simulate(model, trivial_controls(), 20, 10, seed=0, noise=noise)
+    with pytest.raises(TypeError, match="not both"):
+        simulate(model, trivial_controls(), n_steps=10, noise=noise)
+    with pytest.raises(TypeError, match="or a noise bank"):
+        simulate(model, trivial_controls())
+    with pytest.raises(TypeError, match="or a noise bank"):
+        simulate(model, trivial_controls(), 10, 10)
 
 
 def test_noise_bank_for_other_horizon_rejected():
@@ -483,9 +528,9 @@ def test_noise_bank_for_other_horizon_rejected():
     )
     noise = draw_noise(0, 10, 10, 1.0)
     with pytest.raises(ValueError, match="horizon / M"):
-        simulate(model, trivial_controls(), 10, 10, seed=0, noise=noise)
+        simulate(model, trivial_controls(), noise=noise)
     own = draw_noise(0, 10, 10, 4.0)
-    assert simulate(model, trivial_controls(), 10, 10, seed=0, noise=own).noise is own
+    assert simulate(model, trivial_controls(), noise=own).noise is own
 
 
 def test_noise_bank_for_other_levy_measure_rejected():
@@ -499,28 +544,36 @@ def test_noise_bank_for_other_levy_measure_rejected():
         horizon=1.0,
     )
     with pytest.raises(ValueError, match="Levy"):
-        simulate(model, trivial_controls(), 2000, 20, seed=0, noise=draw_noise(0, 2000, 20, 1.0))
+        simulate(model, trivial_controls(), noise=draw_noise(0, 2000, 20, 1.0))
     other_rate = draw_noise(0, 2000, 20, 1.0, LevyMeasure([1.0], [2.0]))
     with pytest.raises(ValueError, match="Levy"):
-        simulate(model, trivial_controls(), 2000, 20, seed=0, noise=other_rate)
+        simulate(model, trivial_controls(), noise=other_rate)
     own = draw_noise(0, 2000, 20, 1.0, model.levy)
-    assert simulate(model, trivial_controls(), 2000, 20, seed=0, noise=own).noise is own
+    assert simulate(model, trivial_controls(), noise=own).noise is own
     no_jumps = ControlledModel(
         drift=model.drift, vol=model.vol, x0=0.0, horizon=1.0,
     )
     with pytest.raises(ValueError, match="Levy"):
-        simulate(no_jumps, trivial_controls(), 2000, 20, seed=0, noise=own)
+        simulate(no_jumps, trivial_controls(), noise=own)
 
 
 def test_noise_bank_from_other_seed_rejected():
+    """A bank carries its own seed: a seed restated beside it is rejected, and
+    the bank alone reproduces the run drawn from that seed bit for bit."""
     model = ControlledModel(
         drift=lambda t, x, mu, u, s: np.zeros_like(x),
         vol=lambda t, x, mu, u, s: np.ones_like(x),
         x0=0.0,
         horizon=1.0,
     )
-    with pytest.raises(ValueError, match="seed 9.*seed 5"):
-        simulate(model, trivial_controls(), 10, 5, 5, noise=draw_noise(9, 10, 5, 1.0))
+    bank = draw_noise(9, 10, 5, 1.0)
+    with pytest.raises(TypeError, match="not both"):
+        simulate(model, trivial_controls(), 10, 5, 5, noise=bank)
+    with pytest.raises(TypeError, match="not both"):
+        simulate(model, trivial_controls(), seed=9, noise=bank)
+    from_bank = simulate(model, trivial_controls(), noise=bank)
+    from_seed = simulate(model, trivial_controls(), 10, 5, seed=9)
+    assert np.array_equal(from_bank.states, from_seed.states)
 
 
 def test_laws_are_built_on_first_read(monkeypatch):
