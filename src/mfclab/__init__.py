@@ -62,12 +62,10 @@ from .game import (
     GameSpec,
     GateauxResult,
     IntervalMass,
-    MeasurePairing,
     PerturbationPlan,
     ResidualCurves,
     SweepTable,
     UnsupportedModelError,
-    ZeroPairing,
     first_order_residuals,
     gateaux_check,
     hamiltonian,

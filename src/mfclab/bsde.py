@@ -25,11 +25,14 @@ Estimators for the conditional expectation:
 * ``regression``   -- least-squares projection of the pathwise integrand on
   basis functions of the time-t state (ridge 1e-10).
 * ``nested-mc``    -- branch n_inner fresh continuations from each scenario's
-  time-t state; needs a re-simulatable Markov model.  It is a ``solve``
-  estimator only: the adjoint reduction tabulates its coefficients per outer
-  step and scenario, which inner continuations cannot read.  Its inner
+  time-t state; needs a re-simulatable Markov model.  Its inner
   continuations run in the measure mode recorded on the bundle (chosen once,
   in ``sde.simulate``), and that mode must be ``"exogenous"``.
+
+``solve`` offers all four, so that the estimators can be checked against
+each other.  The adjoint reduction ``adjoint_p0_solve`` uses the pathwise
+estimator only: no certificate asks for another, and it is exact for the
+adjoints of the catalogue games, whose integrands are measurable at time t.
 
 The stochastic estimators read coefficient tables, not callables.  ``solve``
 fills them from a ``LinearBsdeSpec`` along the bundle (nested-MC inner paths
@@ -41,14 +44,12 @@ The Gamma paths, coefficient tables and P estimates are stored time-major
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .lawproc import LevyMeasure
-from .report import write_csv
 from .sde import (
     CoefficientPartials,
     ControlPair,
@@ -66,7 +67,6 @@ from .sde import (
 
 REGRESSION_RIDGE = 1e-10
 _COND_LIMIT = 1e12
-_TABLE_ESTIMATORS = ("pathwise", "regression")
 
 
 class GammaPositivityError(RuntimeError):
@@ -111,28 +111,14 @@ class BsdeSolution:
     """P-component estimates on the grid.
 
     ``P`` has shape (M+1,) for the closed-form estimator and (N, M+1)
-    otherwise.  ``diagnostics`` carries a per-time standard error where the
-    estimator has one.
+    otherwise.
     """
 
     times: np.ndarray
     P: np.ndarray
-    estimator: str
-    diagnostics: np.ndarray | None = None
 
     def p_at(self, k: int) -> np.ndarray:
         return np.atleast_1d(self.P[..., k])
-
-    def to_csv(self, path: str, seed) -> None:
-        """Rows (time, scenario, P, std_error); scenario is 0 when deterministic."""
-        paths = self.P[None, :] if self.P.ndim == 1 else self.P
-        se = np.zeros(len(self.times)) if self.diagnostics is None else self.diagnostics
-        rows = (
-            (t, i, paths[i, k], float(se[k]))
-            for k, t in enumerate(self.times)
-            for i in range(paths.shape[0])
-        )
-        write_csv(path, ["time", "scenario", "P", "std_error"], rows, seed)
 
 
 @dataclass(frozen=True)
@@ -148,6 +134,13 @@ class _CoefficientTables:
     levy: LevyMeasure | None
 
 
+def _step_context(bundle: ParticleBundle, k: int, scenario: np.ndarray) -> StepContext:
+    return StepContext(
+        step=k, t=float(bundle.times[k]), x=bundle.states[:, k],
+        brownian=bundle.brownian_levels()[:, k], scenario=scenario,
+    )
+
+
 def _tabulate(
     spec: LinearBsdeSpec, bundle: ParticleBundle, scenario=None, gamma_only=False
 ) -> _CoefficientTables:
@@ -160,20 +153,13 @@ def _tabulate(
     n, m = bundle.n_particles, bundle.n_steps
     if scenario is None:
         scenario = np.arange(n)
-
-    def context(k: int) -> StepContext:
-        return StepContext(
-            step=k, t=float(times[k]), x=bundle.states[:, k],
-            brownian=bundle.brownian_levels()[:, k], scenario=scenario,
-        )
-
     atoms = spec.levy.jump_sizes if spec.levy is not None else ()
     phi = None if gamma_only else _time_major(n, m)
     alpha = _time_major(n, m)
     beta = _time_major(n, m)
     jump_phi = np.empty((len(atoms), m, n))
     for k in range(m):
-        t, ctx = float(times[k]), context(k)
+        t, ctx = float(times[k]), _step_context(bundle, k, scenario)
         alpha[:, k] = spec.alpha(t, ctx)
         beta[:, k] = spec.beta(t, ctx)
         for j, zeta in enumerate(atoms):
@@ -183,7 +169,7 @@ def _tabulate(
     theta = None
     if not gamma_only:
         theta = np.empty(n)
-        theta[:] = spec.terminal(context(m))
+        theta[:] = spec.terminal(_step_context(bundle, m, scenario))
     return _CoefficientTables(phi, alpha, beta, jump_phi, theta, spec.levy)
 
 
@@ -237,34 +223,18 @@ def _pathwise_values(tables: _CoefficientTables, noise) -> np.ndarray:
     return values
 
 
-def _estimate(tables: _CoefficientTables, bundle: ParticleBundle, estimator: str, basis) -> BsdeSolution:
-    """The ``pathwise`` or ``regression`` estimate of P from coefficient tables."""
+def _regression_values(tables: _CoefficientTables, bundle: ParticleBundle, basis) -> np.ndarray:
+    """Least-squares projection of the pathwise values on a basis of the time-t state."""
     times = bundle.times
     n, m = bundle.n_particles, bundle.n_steps
-    values = _pathwise_values(tables, bundle.noise)
-
-    if estimator == "pathwise":
-        if n > 1:
-            # values.std(axis=0, ddof=1), computed in place on a particle-major
-            # copy: its sums over scenarios accumulate row by row, and the copy
-            # is the only full-size temporary
-            dev = np.ascontiguousarray(values)
-            dev -= dev.mean(axis=0)
-            np.multiply(dev, dev, out=dev)
-            diags = np.sqrt(dev.sum(axis=0) / (n - 1)) / math.sqrt(n)
-        else:
-            diags = np.zeros(m + 1)
-        return BsdeSolution(times=times, P=values, estimator=estimator, diagnostics=diags)
-
     # fit against a particle-major copy: matmul rounds short strided and
     # contiguous right-hand sides differently, and regression P keeps the
     # rounding of strided per-step columns
-    raw = np.ascontiguousarray(values)
+    raw = np.ascontiguousarray(_pathwise_values(tables, bundle.noise))
     build = resolve_basis(basis)
     scenario = np.arange(n)
     fitted = _time_major(n, m + 1)
     fitted[:, m] = tables.theta
-    diags = np.zeros(m + 1)
     for k in range(m):
         ctx = StepContext(step=k, t=float(times[k]), x=bundle.states[:, k], scenario=scenario)
         if np.ptp(ctx.x) < 1e-14:
@@ -281,9 +251,7 @@ def _estimate(tables: _CoefficientTables, bundle: ParticleBundle, estimator: str
                 )
             coef = np.linalg.solve(gram, design.T @ raw[:, k])
             fitted[:, k] = design @ coef
-        resid = raw[:, k] - fitted[:, k]
-        diags[k] = resid.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
-    return BsdeSolution(times=times, P=fitted, estimator=estimator, diagnostics=diags)
+    return fitted
 
 
 def _poly_basis(degree: int, include_inverse: bool = False):
@@ -365,12 +333,14 @@ def solve(
             t = float(times[k])
             a = float(spec.alpha(t, None))
             p[k] = (1.0 + a * dt) * p[k + 1] + float(spec.phi(t, None)) * dt
-        return BsdeSolution(times=np.asarray(times, dtype=float), P=p, estimator=estimator)
+        return BsdeSolution(times=np.asarray(times, dtype=float), P=p)
 
     if bundle is None:
         raise ValueError(f"estimator {estimator!r} needs a particle bundle")
-    if estimator in _TABLE_ESTIMATORS:
-        return _estimate(_tabulate(spec, bundle), bundle, estimator, basis)
+    if estimator == "pathwise":
+        return BsdeSolution(times=bundle.times, P=_pathwise_values(_tabulate(spec, bundle), bundle.noise))
+    if estimator == "regression":
+        return BsdeSolution(times=bundle.times, P=_regression_values(_tabulate(spec, bundle), bundle, basis))
     if estimator != "nested-mc":
         raise ValueError(f"unknown estimator {estimator!r}")
 
@@ -380,8 +350,7 @@ def solve(
     n, m = bundle.n_particles, bundle.n_steps
     dt = bundle.dt
     p = np.empty((n, m + 1))
-    p[:, m] = _tabulate(spec, bundle).theta
-    diags = np.zeros(m + 1)
+    p[:, m] = spec.terminal(_step_context(bundle, m, np.arange(n)))
     outer_b = bundle.brownian_levels()
     scen_rep = np.repeat(np.arange(n), n_inner)
     for k in range(m):
@@ -396,9 +365,7 @@ def solve(
         y_inner = _pathwise_values(_tabulate(spec, inner, scen_rep), inner_noise)
         y0 = y_inner[:, 0].reshape(n, n_inner)
         p[:, k] = y0.mean(axis=1)
-        if n_inner > 1:
-            diags[k] = float(np.mean(y0.std(axis=1, ddof=1) / math.sqrt(n_inner)))
-    return BsdeSolution(times=times, P=p, estimator=estimator, diagnostics=diags)
+    return BsdeSolution(times=times, P=p)
 
 
 def backward_euler_reference(spec: LinearBsdeSpec, times: np.ndarray) -> np.ndarray:
@@ -429,8 +396,6 @@ def adjoint_p0_solve(
     perf: PerformanceSpec,
     bundle: ParticleBundle,
     controls: ControlPair,
-    estimator: str = "pathwise",
-    basis=None,
 ) -> BsdeSolution:
     """Solve the real-valued adjoint BSDE for one player's performance.
 
@@ -442,13 +407,8 @@ def adjoint_p0_solve(
         terminal = dg/dx(X(T), M(T)),
 
     all tabulated along the bundle's baseline paths and handed to the
-    ``pathwise`` or ``regression`` estimator that `solve` uses.
+    pathwise estimator of `solve`.
     """
-    if estimator not in _TABLE_ESTIMATORS:
-        raise ValueError(
-            f"adjoint_p0_solve supports the estimators {', '.join(_TABLE_ESTIMATORS)}, "
-            f"not {estimator!r}"
-        )
     n, m = bundle.n_particles, bundle.n_steps
     scen = np.arange(n)
     levy = model.levy
@@ -479,4 +439,4 @@ def adjoint_p0_solve(
     else:
         theta[:] = _central_difference(lambda h: perf.terminal(x_T + h, m_T, scen))
     tables = _CoefficientTables(phi, alpha, beta, jump_phi, theta, levy)
-    return _estimate(tables, bundle, estimator, basis)
+    return BsdeSolution(times=bundle.times, P=_pathwise_values(tables, bundle.noise))

@@ -24,7 +24,8 @@ The config is flat INI with three sections::
     v_lo = 0.25
     v_hi = inf
 
-Unknown sections or keys are rejected.  Exit codes: 0 all checks passed,
+Unknown sections or keys are rejected, and so is a non-empty [model]
+section for any experiment but consumption.  Exit codes: 0 all checks passed,
 1 some check failed, 2 usage or config error, 3 numerical failure (a
 non-finite state, a nonpositive Gamma or a failed estimator), reported as
 one ``numerical error: ...`` line on stderr.

@@ -43,12 +43,13 @@ import numpy as np
 
 from .bsde import BsdeSolution
 from .game import (
+    RESIDUAL_FLOOR,
+    RESIDUAL_N_SE,
     AdjointState,
     GameSpec,
     IntervalMass,
     PerturbationPlan,
     ResidualCurves,
-    SweepTable,
     first_order_residuals,
     nash_perturbation_sweep,
     solve_adjoints,
@@ -400,10 +401,8 @@ def product_process_check(
 
 @dataclass
 class VariantRun:
-    variant: str
     bundle: ParticleBundle
     controls: ControlPair
-    rho_path: np.ndarray
     mu_v_path: np.ndarray
     adjoint: AdjointState
     residuals: ResidualCurves
@@ -414,18 +413,10 @@ class VariantRun:
 class ConsumptionGameReport:
     checks: list[CheckResult]
     selected_variant: str | None
-    runs: dict[str, VariantRun]
-    sweep: SweepTable | None
-    inflated_sweep: SweepTable | None
-    product: ProductCheck | None
 
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-
-def _residuals_pass(res: ResidualCurves, n_se: float = 3.0, floor: float = 1e-8) -> bool:
-    return res.u_within(n_se, floor) and res.mu_within(n_se, floor)
 
 
 def verify_consumption_game(
@@ -452,18 +443,16 @@ def verify_consumption_game(
     for variant in VARIANTS:
         cf = closed_form_controls(model, variant)
         bundle = simulate(spec.model, feedback_pair(model, cf), noise=noise)
-        controls, rho_path, mu_v_path = frozen_pair(model, cf, bundle)
+        controls, _, mu_v_path = frozen_pair(model, cf, bundle)
         adjoint = solve_adjoints(spec, bundle, controls)
         residuals = first_order_residuals(spec, controls, bundle, adjoint)
         runs[variant] = VariantRun(
-            variant=variant,
             bundle=bundle,
             controls=controls,
-            rho_path=rho_path,
             mu_v_path=mu_v_path,
             adjoint=adjoint,
             residuals=residuals,
-            passes_residuals=_residuals_pass(residuals),
+            passes_residuals=residuals.u_within() and residuals.mu_within(),
         )
 
     passing = [v for v in VARIANTS if runs[v].passes_residuals]
@@ -478,7 +467,7 @@ def verify_consumption_game(
         )
     )
 
-    sweep = inflated = product = None
+    sweep = None
     if selected is not None:
         run = runs[selected]
         # product-process identity on the selected candidate
@@ -493,16 +482,16 @@ def verify_consumption_game(
             )
         )
         res = run.residuals
-        worst_u = float(np.max(np.abs(res.res_u) - 3.0 * res.se_u))
+        worst_u = float(np.max(np.abs(res.res_u) - RESIDUAL_N_SE * res.se_u))
         worst_mu = max(
-            float(np.max(np.abs(r) - 3.0 * res.se_mu[name]))
+            float(np.max(np.abs(r) - RESIDUAL_N_SE * res.se_mu[name]))
             for name, r in res.res_mu.items()
         )
         checks.append(
             CheckResult(
                 name="first-order-residuals-3se",
                 value=max(worst_u, worst_mu),
-                threshold=1e-8,
+                threshold=RESIDUAL_FLOOR,
                 passed=run.passes_residuals,
                 detail=f"variant={selected}",
             )
@@ -510,8 +499,8 @@ def verify_consumption_game(
 
         plan = PerturbationPlan(
             directions=[
-                Direction(kind="measure", t0=0.0, measure=DiscreteMeasure.dirac(model.v_probe), label="mu"),
-                Direction(kind="control", t0=0.0, scalar=1.0, label="u"),
+                Direction(kind="measure", t0=0.0, measure=DiscreteMeasure.dirac(model.v_probe)),
+                Direction(kind="control", t0=0.0, scalar=1.0),
             ],
             lambdas=tuple(lambdas),
         )
@@ -530,7 +519,7 @@ def verify_consumption_game(
         cf_sel = closed_form_controls(model, selected)
         inflated_controls, _, _ = frozen_pair(model, cf_sel, run.bundle, rho_scale=INFLATION)
         inflated_plan = PerturbationPlan(
-            directions=[Direction(kind="control", t0=0.0, scalar=1.0, label="u")],
+            directions=[Direction(kind="control", t0=0.0, scalar=1.0)],
             lambdas=tuple(lambdas),
         )
         inflated_base = simulate(spec.model, inflated_controls, noise=noise)
@@ -616,11 +605,4 @@ def verify_consumption_game(
                 os.path.join(out_dir, "residuals.csv"), seed=seed
             )
 
-    return ConsumptionGameReport(
-        checks=checks,
-        selected_variant=selected,
-        runs=runs,
-        sweep=sweep,
-        inflated_sweep=inflated,
-        product=product,
-    )
+    return ConsumptionGameReport(checks=checks, selected_variant=selected)

@@ -1,18 +1,20 @@
 """Two-player verification machinery: Hamiltonians, residuals, sweeps.
 
 Player 1 steers the measure-valued control mu(.), player 2 the real-valued
-control u(.); each maximizes its own criterion J_i.  A zero-sum game stores
-the single functional J once: player 2 maximizes J and player 1's criterion
-is its exact negation (so mu minimizes J -- the saddle orientation).
+control u(.); each maximizes its own criterion J_i.  In a zero-sum game
+player 2 maximizes J and player 1's criterion is its exact negation (so mu
+minimizes J -- the saddle orientation).
 
-The Hamiltonian of player i is
+The Hamiltonian of player i is evaluated as
 
-    H_i = l_i(t, x, m, mu, u) + p0_i b + <p1_i, beta(m)>,
+    H_i = l_i(t, x, m, mu, u) + p0_i b.
 
-with beta(m) = m'.  The <p1, m'> pairing is linear in the Fourier table of
-m' and is represented through a supplied functional (zero by default -- it
-cancels from every candidate-comparison delta).  Models whose sigma or gamma
-read a control raise UnsupportedModelError.
+The paper's H_i also carries q0_i sigma + r0_i gamma and the pairing
+<p1_i, beta(m)> with beta(m) = m'.  The pairing reads neither control, so
+it cancels from every candidate comparison and every derivative in a
+control, and it is not represented.  The q0/r0 terms drop out of every
+derivative in a control as long as sigma and gamma read no control; models
+whose sigma or gamma do raise UnsupportedModelError.
 
 Frechet derivatives in the measure argument are realized as directional
 derivatives along declared measure functionals (e.g. the mass on a fixed
@@ -23,14 +25,13 @@ common random numbers: they certify at the tested resolution, not globally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .bsde import BsdeSolution, adjoint_p0_solve
-from .lawproc import FourierTable
-from .measures import DiscreteMeasure, QuadratureRule
+from .measures import DiscreteMeasure
 from .report import write_csv
 from .sde import (
     FD_STEP,
@@ -46,6 +47,11 @@ from .sde import (
     perturbed_controls,
     simulate,
 )
+
+
+# a residual is statistically zero within this many standard errors plus the floor
+RESIDUAL_N_SE = 3.0
+RESIDUAL_FLOOR = 1e-8
 
 
 class UnsupportedModelError(RuntimeError):
@@ -69,34 +75,8 @@ class IntervalMass:
         if not (self.lo < self.probe <= self.hi):
             raise ValueError("probe atom must lie inside the interval")
 
-    def value(self, measure: DiscreteMeasure) -> float:
-        return measure.mass_on(self.lo, self.hi)
-
     def unit_direction(self) -> DiscreteMeasure:
         return DiscreteMeasure.dirac(self.probe)
-
-
-class ZeroPairing:
-    """The trivial <p1, beta(m)> functional (p1 = 0)."""
-
-    def __call__(self, t: float, table: FourierTable | None) -> float:
-        return 0.0
-
-
-@dataclass(frozen=True)
-class MeasurePairing:
-    """<p1, .> represented by an M0 element: pairing through the rule's nodes."""
-
-    representer: DiscreteMeasure
-    rule: QuadratureRule
-
-    def __call__(self, t: float, table: FourierTable | None) -> float:
-        if table is None:
-            return 0.0
-        if not np.array_equal(table.nodes, self.rule.nodes):
-            raise ValueError("fourier table nodes do not match the pairing rule")
-        rep = self.representer.fourier(self.rule.nodes)
-        return float(self.rule.integrate(np.real(np.conj(rep) * table.values)))
 
 
 @dataclass
@@ -104,32 +84,18 @@ class GameSpec:
     """Model, per-player criteria and the measure functionals they read."""
 
     model: ControlledModel
+    perf1: PerformanceSpec
     perf2: PerformanceSpec
-    perf1: PerformanceSpec | None = None
     functionals: tuple = ()
-    zero_sum: bool = False
-
-    def __post_init__(self):
-        if self.zero_sum:
-            if self.perf1 is not None:
-                raise ValueError("zero-sum games store a single performance spec")
-            self._perf1 = negate_performance(self.perf2)
-        else:
-            if self.perf1 is None:
-                raise ValueError("nonzero-sum games need both performance specs")
-            self._perf1 = self.perf1
 
     @classmethod
     def zero_sum_game(cls, model, perf, functionals=()) -> "GameSpec":
-        return cls(model=model, perf2=perf, functionals=tuple(functionals), zero_sum=True)
-
-    @classmethod
-    def nonzero_sum_game(cls, model, perf1, perf2, functionals=()) -> "GameSpec":
-        return cls(model=model, perf2=perf2, perf1=perf1, functionals=tuple(functionals))
+        """Player 2 maximizes ``perf``; player 1 maximizes its negation."""
+        return cls(model, negate_performance(perf), perf, tuple(functionals))
 
     def performance_for(self, player: int) -> PerformanceSpec:
         if player == 1:
-            return self._perf1
+            return self.perf1
         if player == 2:
             return self.perf2
         raise ValueError(f"player must be 1 or 2, got {player}")
@@ -143,7 +109,6 @@ class AdjointState:
     """
 
     p0: dict[int, BsdeSolution]
-    p1_pairing: Callable = field(default_factory=ZeroPairing)
 
     def step_of(self, player: int, t: float) -> int:
         times = self.p0[player].times
@@ -153,27 +118,13 @@ class AdjointState:
         return k
 
 
-def solve_adjoints(
-    spec: GameSpec,
-    bundle: ParticleBundle,
-    candidate: ControlPair,
-    estimator: str = "pathwise",
-    basis=None,
-    p1_pairing: Callable | None = None,
-) -> AdjointState:
+def solve_adjoints(spec: GameSpec, bundle: ParticleBundle, candidate: ControlPair) -> AdjointState:
     """Solve both players' real-valued adjoint BSDEs along the bundle."""
     p0 = {
-        player: adjoint_p0_solve(
-            spec.model,
-            spec.performance_for(player),
-            bundle,
-            candidate,
-            estimator=estimator,
-            basis=basis,
-        )
+        player: adjoint_p0_solve(spec.model, spec.performance_for(player), bundle, candidate)
         for player in (1, 2)
     }
-    return AdjointState(p0=p0, p1_pairing=p1_pairing or ZeroPairing())
+    return AdjointState(p0=p0)
 
 
 def hamiltonian(
@@ -185,7 +136,6 @@ def hamiltonian(
     mu: DiscreteMeasure,
     u,
     adjoint: AdjointState,
-    m_prime: FourierTable | None = None,
 ):
     """Evaluate H_player at one grid time along the adjoint's scenarios.
 
@@ -200,7 +150,6 @@ def hamiltonian(
     scen = np.arange(x_arr.size) if x_arr.ndim else None
     model = spec.model
     value = perf.running(t, x, m, mu, u, scen) + p0 * model.drift(t, x, mu, u, scen)
-    value = value + adjoint.p1_pairing(t, m_prime)
     if np.ndim(value) == 0:
         return float(value)
     return value
@@ -281,13 +230,13 @@ class ResidualCurves:
     se_mu: dict[str, np.ndarray]
     u_at_boundary: np.ndarray
 
-    def u_within(self, n_se: float = 3.0, floor: float = 1e-8) -> bool:
-        ok = np.abs(self.res_u) <= n_se * self.se_u + floor
+    def u_within(self) -> bool:
+        ok = np.abs(self.res_u) <= RESIDUAL_N_SE * self.se_u + RESIDUAL_FLOOR
         return bool(np.all(ok | self.u_at_boundary))
 
-    def mu_within(self, n_se: float = 3.0, floor: float = 1e-8) -> bool:
+    def mu_within(self) -> bool:
         return all(
-            bool(np.all(np.abs(r) <= n_se * self.se_mu[name] + floor))
+            bool(np.all(np.abs(r) <= RESIDUAL_N_SE * self.se_mu[name] + RESIDUAL_FLOOR))
             for name, r in self.res_mu.items()
         )
 
@@ -363,8 +312,6 @@ class PerturbationPlan:
 @dataclass(frozen=True)
 class SweepRow:
     direction_id: int
-    label: str
-    player: int
     lam: float
     delta: float
     std_err: float
@@ -425,8 +372,6 @@ def nash_perturbation_sweep(
             rows.append(
                 SweepRow(
                     direction_id=d_id,
-                    label=direction.label or direction.kind,
-                    player=player,
                     lam=float(lam),
                     delta=float(diff.mean()),
                     std_err=se,
@@ -446,6 +391,7 @@ class GateauxResult:
     fd_se: np.ndarray
     adjoint_slope: float
     adjoint_se: float
+    tol: float
     agree: bool
 
 
@@ -461,8 +407,9 @@ def gateaux_check(
 
     The finite-difference slopes are central differences under common random
     numbers; the adjoint slope is E[integral dH/dmu . eta dt] (or
-    dH/du . pi).  Agreement at the smallest lambda within
-    max(3 SE, 5% of the slope) is the verdict.
+    dH/du . pi).  The verdict is agreement at the smallest lambda within
+    ``tol`` = max(3 combined SE, 5% of the adjoint slope, 1e-12), which the
+    result records.
     """
     player = 1 if direction.kind == "measure" else 2
     perf = spec.performance_for(player)
@@ -517,5 +464,6 @@ def gateaux_check(
         fd_se=fd_se,
         adjoint_slope=adjoint_slope,
         adjoint_se=adjoint_se,
+        tol=tol,
         agree=bool(diff <= tol),
     )

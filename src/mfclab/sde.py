@@ -71,25 +71,20 @@ class InadmissiblePerturbation(ValueError):
 
 @dataclass(frozen=True)
 class InfoPattern:
-    """Information available to a control: full or fixed-delay observation.
+    """Information available to a control: observation with a fixed delay.
 
-    Under ``delay``, the control sees state and law from time (t - delay)+,
-    rounded to the simulation grid.
+    The control sees state and law from time (t - delay)+, rounded to the
+    simulation grid; the default delay 0 is full information.
     """
 
-    kind: str = "full"
     delay: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("full", "delay"):
-            raise ValueError(f"unknown info pattern {self.kind!r}")
         if self.delay < 0:
             raise ValueError("delay must be nonnegative")
-        if self.kind == "full" and self.delay != 0.0:
-            raise ValueError("full information cannot carry a delay")
 
     def lag_steps(self, dt: float) -> int:
-        return 0 if self.kind == "full" else int(round(self.delay / dt))
+        return int(round(self.delay / dt))
 
 
 class SimInfo:
@@ -576,7 +571,6 @@ class Direction:
     t0: float = 0.0
     measure: DiscreteMeasure | None = None
     scalar: float = 1.0
-    label: str = ""
 
     def __post_init__(self):
         if self.kind not in ("measure", "control"):

@@ -254,7 +254,9 @@ def test_nested_mc_coefficients_read_outer_scenario():
     """Every coefficient of an inner path sees its outer scenario in ctx.scenario.
 
     alpha = 0.5 (scenario mod 2) with no noise in Gamma makes P deterministic
-    per scenario, so nested MC must reproduce the pathwise P.
+    per scenario, so nested MC must reproduce the pathwise P.  Nested MC
+    evaluates alpha on inner paths only: sum_k (M - k) = 36 calls of size
+    N * n_inner = 24, none along the 6 outer paths.
     """
     model = ControlledModel(
         drift=lambda t, x, mu, u, s: -0.5 * x,
@@ -264,27 +266,24 @@ def test_nested_mc_coefficients_read_outer_scenario():
     )
     ctrl = trivial_controls()
     bundle = simulate(model, ctrl, 6, 8, seed=4)
+    alpha_sizes = []
+
+    def alpha(t, ctx):
+        alpha_sizes.append(ctx.x.size)
+        return 0.5 * (ctx.scenario % 2)
+
     spec = LinearBsdeSpec(
         phi=lambda t, ctx: 0.0,
-        alpha=lambda t, ctx: 0.5 * (ctx.scenario % 2),
+        alpha=alpha,
         beta=lambda t, ctx: 0.0,
         jump_phi=lambda t, z, ctx: 0.0,
         terminal=lambda ctx: 1.0,
     )
     nested = solve(spec, bundle=bundle, estimator="nested-mc", n_inner=4, model=model, controls=ctrl, seed=9)
+    assert alpha_sizes == [24] * 36
     pathwise = solve(spec, bundle=bundle, estimator="pathwise")
     assert pathwise.P[1, 0] > pathwise.P[0, 0] == 1.0
     assert np.max(np.abs(nested.P - pathwise.P)) <= 1e-12
-
-
-def test_solution_csv(tmp_path, ou_setup):
-    _, _, bundle, spec = ou_setup
-    sol = solve(spec, bundle=bundle, estimator="pathwise")
-    path = tmp_path / "bsde.csv"
-    sol.to_csv(str(path), seed=31)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "time,scenario,P,std_error"
-    assert lines[-1].startswith("# seed=31")
 
 
 # -- adjoint reduction -------------------------------------------------------------
@@ -304,23 +303,6 @@ def test_adjoint_terminal_linear_is_constant_one():
     )
     sol = adjoint_p0_solve(model, perf, bundle, trivial_controls())
     assert np.max(np.abs(sol.P - 1.0)) <= 1e-9
-
-
-def test_adjoint_rejects_nested_mc():
-    """The adjoint tables follow the outer paths, so nested MC is refused up front."""
-    bundle = flat_bundle(n=10, m=5)
-    model = ControlledModel(
-        drift=lambda t, x, mu, u, s: np.zeros_like(x),
-        vol=lambda t, x, mu, u, s: np.zeros_like(x),
-        x0=1.0,
-        horizon=1.0,
-    )
-    perf = PerformanceSpec(
-        running=lambda t, x, m, mu, u, s: np.zeros_like(x),
-        terminal=lambda x, m, s: x,
-    )
-    with pytest.raises(ValueError, match="pathwise, regression"):
-        adjoint_p0_solve(model, perf, bundle, trivial_controls(), estimator="nested-mc")
 
 
 def test_adjoint_quadratic_terminal_deterministic_dynamics():

@@ -80,27 +80,29 @@ def test_unbounded_v_interval_is_valid():
 
 
 @pytest.mark.parametrize(
-    "section",
+    "name,section",
     [
-        "[model]\ntheta = 0.0\n",
-        "[model]\nx0 = -1.0\n",
-        "[model]\nhorizon = 0.0\n",
-        "[model]\nv_lo = 2.0\nv_hi = 1.0\n",
-        "[model]\njump_size = 0.0\n",
-        "[model]\njump_size = -1.5\n",
-        "[model]\njump_rate = -0.5\n",
-        "[knobs]\nseed = -1\n",
-        f"[knobs]\nseed = {2**128}\n",
+        ("consumption", "[model]\ntheta = 0.0\n"),
+        ("consumption", "[model]\nx0 = -1.0\n"),
+        ("consumption", "[model]\nhorizon = 0.0\n"),
+        ("consumption", "[model]\nv_lo = 2.0\nv_hi = 1.0\n"),
+        ("consumption", "[model]\njump_size = 0.0\n"),
+        ("consumption", "[model]\njump_size = -1.5\n"),
+        ("consumption", "[model]\njump_rate = -0.5\n"),
+        ("consumption", "[knobs]\nseed = -1\n"),
+        ("consumption", f"[knobs]\nseed = {2**128}\n"),
+        # only consumption reads [model]; elsewhere it would be silently ignored
+        ("norms", "[model]\ntheta = 0.0\n"),
     ],
     ids=[
         "theta=0", "x0=-1", "horizon=0", "v_lo>v_hi", "jump_size=0", "jump_size=-1.5",
-        "jump_rate=-0.5", "seed=-1", "seed=2**128",
+        "jump_rate=-0.5", "seed=-1", "seed=2**128", "model-for-norms",
     ],
 )
-def test_bad_model_value_or_seed_is_config_error(tmp_path, capsys, section):
+def test_bad_model_value_or_seed_is_config_error(tmp_path, capsys, name, section):
     """Rejected while loading the config: exit 2, one line, nothing simulated."""
     cfg = write_config(
-        tmp_path, f"[experiment]\nname = consumption\nout_dir = {tmp_path}/out\n\n{section}"
+        tmp_path, f"[experiment]\nname = {name}\nout_dir = {tmp_path}/out\n\n{section}"
     )
     assert main(["run", cfg]) == 2
     err = capsys.readouterr().err

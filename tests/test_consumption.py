@@ -175,7 +175,7 @@ def test_mu_offset_breaks_saddle_in_mu_direction(tmp_path):
         pair, Direction(kind="measure", t0=0.0, measure=DiscreteMeasure.dirac(model.v_probe)), 0.5
     )
     plan = PerturbationPlan(
-        directions=[Direction(kind="measure", t0=0.0, measure=DiscreteMeasure.dirac(model.v_probe), label="mu")],
+        directions=[Direction(kind="measure", t0=0.0, measure=DiscreteMeasure.dirac(model.v_probe))],
         lambdas=(0.05, 0.1, 0.2, -0.05, -0.1, -0.2),
     )
     base = simulate(spec.model, shifted, 2000, 100, seed=7)
@@ -186,8 +186,8 @@ def test_mu_offset_breaks_saddle_in_mu_direction(tmp_path):
 def test_delay_information_pattern_runs():
     """The fixed-delay pattern is simulatable and keeps the product identity."""
     model = canonical_model(
-        mu_info=InfoPattern(kind="delay", delay=0.1),
-        u_info=InfoPattern(kind="delay", delay=0.1),
+        mu_info=InfoPattern(delay=0.1),
+        u_info=InfoPattern(delay=0.1),
     )
     cf = cons.closed_form_controls(model)
     state = cons.state_model(model)

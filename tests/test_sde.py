@@ -281,7 +281,7 @@ def test_delay_pattern_sees_lagged_state():
     ctrl = ControlPair(
         measure_ctrl=lambda t, info: DiscreteMeasure.dirac(0.0),
         scalar_ctrl=u_ctrl,
-        u_info=InfoPattern(kind="delay", delay=0.2),
+        u_info=InfoPattern(delay=0.2),
     )
     simulate(model, ctrl, 4, 10, seed=0)
     assert observed[0.0] == 0.0
@@ -290,10 +290,8 @@ def test_delay_pattern_sees_lagged_state():
 
 
 def test_info_pattern_validation():
-    with pytest.raises(ValueError):
-        InfoPattern(kind="full", delay=0.1)
-    with pytest.raises(ValueError):
-        InfoPattern(kind="psychic")
+    with pytest.raises(ValueError, match="nonnegative"):
+        InfoPattern(delay=-0.1)
 
 
 # -- performance functionals ----------------------------------------------------
