@@ -10,7 +10,6 @@ The config is flat INI with three sections::
     seed = 2024
     n_particles = 10000
     n_steps = 200
-    quad_n = 64
     lambdas = 0.05, 0.1, 0.2, -0.05, -0.1, -0.2
     delay = 0.0
 
@@ -24,11 +23,12 @@ The config is flat INI with three sections::
     v_lo = 0.25
     v_hi = inf
 
-Unknown sections or keys are rejected, and so is a non-empty [model]
-section for any experiment but consumption.  Exit codes: 0 all checks passed,
-1 some check failed, 2 usage or config error, 3 numerical failure (a
-non-finite state, a nonpositive Gamma or a failed estimator), reported as
-one ``numerical error: ...`` line on stderr.
+Unknown sections or keys are rejected, and so are a [knobs] key that the
+named experiment does not read (`mfclab list` names the ones each reads)
+and a non-empty [model] section for any experiment but consumption.  Exit
+codes: 0 all checks passed, 1 some check failed, 2 usage or config error,
+3 numerical failure (a non-finite state, a nonpositive Gamma or a failed
+estimator), reported as one ``numerical error: ...`` line on stderr.
 """
 from __future__ import annotations
 
@@ -38,10 +38,16 @@ import os
 import sys
 
 from .bsde import EstimationError, GammaPositivityError
-from .experiments import DESCRIPTIONS, EXPERIMENTS, ExperimentConfig, run_experiment
+from .experiments import (
+    DESCRIPTIONS,
+    EXPERIMENTS,
+    KNOB_READERS,
+    ExperimentConfig,
+    run_experiment,
+)
 from .sde import SimulationError
 
-_KNOB_KEYS = {"seed", "n_particles", "n_steps", "quad_n", "lambdas", "delay"}
+_KNOB_KEYS = set().union(*KNOB_READERS.values())
 _MODEL_KEYS = {"x0", "horizon", "sigma", "jump_size", "jump_rate", "theta", "v_lo", "v_hi"}
 _EXPERIMENT_KEYS = {"name", "out_dir"}
 
@@ -76,8 +82,8 @@ def load_config(path: str) -> ExperimentConfig:
         )
     cfg = ExperimentConfig(name=name, out_dir=exp.get("out_dir", "out"))
 
-    if parser.has_section("knobs"):
-        knobs = dict(parser.items("knobs"))
+    knobs = dict(parser.items("knobs")) if parser.has_section("knobs") else {}
+    if knobs:
         if set(knobs) - _KNOB_KEYS:
             raise ConfigError(f"unknown [knobs] keys: {sorted(set(knobs) - _KNOB_KEYS)}")
         try:
@@ -114,6 +120,13 @@ def load_config(path: str) -> ExperimentConfig:
         cfg.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # after validate, so a bad value is reported for its own sake
+    unread = set(knobs) - set(KNOB_READERS[name])
+    if unread:
+        raise ConfigError(
+            f"experiment {name!r} reads no [knobs] {sorted(unread)}; "
+            f"it reads {list(KNOB_READERS[name])}"
+        )
     return cfg
 
 

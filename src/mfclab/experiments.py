@@ -627,15 +627,31 @@ EXPERIMENTS: dict[str, Callable[[ExperimentConfig], list[CheckResult]]] = {
     "consumption": run_consumption,
 }
 
+# the [knobs] each experiment reads; a config setting any other is rejected
+KNOB_READERS: dict[str, tuple[str, ...]] = {
+    "norms": ("quad_n", "seed"),
+    "law-distance": ("n_particles", "quad_n", "seed"),
+    "law-derivative": ("n_particles", "quad_n", "seed"),
+    "sde-moments": ("n_particles", "n_steps", "seed"),
+    "bsde-oracles": ("n_steps", "seed"),
+    "gateaux": ("n_particles", "n_steps", "seed"),
+    "nash-sweep": ("n_particles", "n_steps", "seed", "lambdas"),
+    "consumption": ("n_particles", "n_steps", "seed", "lambdas", "delay"),
+}
+
+_SUMMARIES = {
+    "norms": "Dirac norm exactness in M0/M^(2)",
+    "law-distance": "law-distance bound on 100 randomized paired samples",
+    "law-derivative": "law-derivative oracles and h^2 increment scaling",
+    "sde-moments": "Euler moment oracles and jump compensation",
+    "bsde-oracles": "closed-form linear BSDE identities",
+    "gateaux": "derivative-process L2 convergence and FD-vs-adjoint slopes",
+    "nash-sweep": "LQ toy-game Nash certificate and refutation",
+    "consumption": "consumption-game end-to-end verification with a [model] section",
+}
+
 DESCRIPTIONS = {
-    "norms": "Dirac norm exactness in M0/M^(2) (quad_n)",
-    "law-distance": "law-distance bound on 100 randomized paired samples (seed, quad_n)",
-    "law-derivative": "law-derivative oracles and h^2 increment scaling (seed, n_particles)",
-    "sde-moments": "Euler moment oracles and jump compensation (n_particles, n_steps, seed)",
-    "bsde-oracles": "closed-form linear BSDE identities (n_steps)",
-    "gateaux": "derivative-process L2 convergence and FD-vs-adjoint slopes (n_particles, seed)",
-    "nash-sweep": "LQ toy-game Nash certificate and refutation (n_particles, lambdas, seed)",
-    "consumption": "consumption-game end-to-end verification (n_particles, n_steps, seed, lambdas, model)",
+    name: f"{summary} ({', '.join(KNOB_READERS[name])})" for name, summary in _SUMMARIES.items()
 }
 
 

@@ -155,13 +155,25 @@ def empirical_law(particles) -> DiscreteMeasure:
     """Empirical law of a sample vector: uniform-weight atoms, mass 1.
 
     Duplicate sample values are coalesced by exact equality, which never
-    changes the Fourier transform.
+    changes the Fourier transform.  The atoms come out sorted, bit for bit
+    as from ``np.unique(x, return_counts=True)`` with weights counts / n.
     """
     x = np.asarray(particles, dtype=float).reshape(-1)
-    if x.size == 0:
+    n = x.size
+    if n == 0:
         raise ValueError("empirical law of an empty sample")
-    loc, counts = np.unique(x, return_counts=True)
-    return DiscreteMeasure(loc, counts / x.size)
+    loc = np.sort(x)
+    # NaN sorts last, so the two ends show any non-finite sample
+    if not (math.isfinite(loc[0]) and math.isfinite(loc[-1])):
+        raise ValueError("atom locations must be finite")
+    distinct = np.empty(n, dtype=bool)
+    distinct[0] = True
+    np.not_equal(loc[1:], loc[:-1], out=distinct[1:])
+    if distinct.all():
+        return DiscreteMeasure._from_checked(loc, np.full(n, 1 / n), n)
+    starts = np.flatnonzero(distinct)
+    counts = np.diff(starts, append=n)
+    return DiscreteMeasure._from_checked(loc[starts], counts / n, starts.size)
 
 
 def generator_on_test_fn(

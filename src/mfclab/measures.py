@@ -51,9 +51,13 @@ class DiscreteMeasure:
         Atom positions; finite reals.
     weights : array_like
         Signed atom weights, same length as ``locations``.
+
+    The first ``_n_sorted`` atoms are known to be sorted ascending, so
+    ``mass_on`` finds them by binary search.  An empirical law is sorted
+    throughout, and a sum keeps its left operand's prefix.
     """
 
-    __slots__ = ("locations", "weights")
+    __slots__ = ("locations", "weights", "_n_sorted")
 
     def __init__(self, locations, weights):
         loc = np.asarray(locations, dtype=float).reshape(-1)
@@ -68,6 +72,17 @@ class DiscreteMeasure:
             raise ValueError("atom weights must be finite")
         self.locations = loc
         self.weights = wts
+        self._n_sorted = 0
+
+    @classmethod
+    def _from_checked(cls, locations, weights, n_sorted: int) -> "DiscreteMeasure":
+        """Measure on 1-d float arrays of equal length, finite locations and
+        weights, whose first ``n_sorted`` locations ascend; nothing is rescanned."""
+        mu = cls.__new__(cls)
+        mu.locations = locations
+        mu.weights = weights
+        mu._n_sorted = n_sorted
+        return mu
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -99,18 +114,29 @@ class DiscreteMeasure:
         """Signed mass of the half-open interval ``(lo, hi]``.
 
         ``hi`` may be ``inf``; atoms exactly at ``lo`` are excluded so that
-        complementary intervals partition the line.
+        complementary intervals partition the line.  The sorted prefix is
+        binary-searched and only the tail is masked; the weights summed, and
+        their order, are those a mask over every atom selects.
         """
+        if math.isnan(lo) or math.isnan(hi):
+            raise ValueError(f"interval bounds must not be NaN, got ({lo}, {hi}]")
         if self.n_atoms == 0:
             return 0.0
-        inside = (self.locations > lo) & (self.locations <= hi)
-        return float(self.weights[inside].sum())
+        k = self._n_sorted
+        i, j = np.searchsorted(self.locations[:k], (lo, hi), side="right")
+        if k == self.n_atoms:
+            return float(self.weights[i:j].sum())
+        tail = self.locations[k:]
+        inside = (tail > lo) & (tail <= hi)
+        return float(np.concatenate([self.weights[i:j], self.weights[k:][inside]]).sum())
 
     # -- algebra -------------------------------------------------------------
     def __add__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
-        return DiscreteMeasure(
+        # both operands were checked when built
+        return DiscreteMeasure._from_checked(
             np.concatenate([self.locations, other.locations]),
             np.concatenate([self.weights, other.weights]),
+            self._n_sorted,
         )
 
     def __sub__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":

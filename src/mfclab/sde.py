@@ -347,7 +347,7 @@ class ParticleBundle:
 
 class _LazyLaw(DiscreteMeasure):
     """Empirical law of one state column; ``empirical_law`` runs on the first
-    read of ``locations`` or ``weights`` and fills both slots."""
+    read of any ``DiscreteMeasure`` slot and fills all of them."""
 
     __slots__ = ("_column",)
 
@@ -361,6 +361,7 @@ class _LazyLaw(DiscreteMeasure):
         law = empirical_law(self._column)
         self.locations = law.locations
         self.weights = law.weights
+        self._n_sorted = law._n_sorted
         return getattr(self, name)
 
 
@@ -383,8 +384,11 @@ def _step_controls(k, bundle, controls, scenario):
     u = controls.scalar_ctrl(t, _info_for(controls.u_info, k, bundle, scenario))
     if controls.u_bounds is not None:
         lo, hi = controls.u_bounds
-        u_min = float(np.min(u))
-        u_max = float(np.max(u))
+        if np.ndim(u) == 0:
+            u_min = u_max = float(u)
+        else:
+            u_min = float(np.min(u))
+            u_max = float(np.max(u))
         if u_min < lo - 1e-12 or u_max > hi + 1e-12:
             raise InadmissiblePerturbation(
                 f"scalar control leaves U=[{lo}, {hi}] at t={t:.6g}: "

@@ -93,10 +93,16 @@ def test_unbounded_v_interval_is_valid():
         ("consumption", f"[knobs]\nseed = {2**128}\n"),
         # only consumption reads [model]; elsewhere it would be silently ignored
         ("norms", "[model]\ntheta = 0.0\n"),
+        # so is a knob the experiment never reads
+        ("norms", "[knobs]\ndelay = 0.5\n"),
+        ("norms", "[knobs]\nlambdas = 7.0\n"),
+        ("consumption", "[knobs]\nquad_n = 64\n"),
+        ("bsde-oracles", "[knobs]\nn_particles = 100\n"),
     ],
     ids=[
         "theta=0", "x0=-1", "horizon=0", "v_lo>v_hi", "jump_size=0", "jump_size=-1.5",
         "jump_rate=-0.5", "seed=-1", "seed=2**128", "model-for-norms",
+        "delay-for-norms", "lambdas-for-norms", "quad_n-for-consumption", "n_particles-for-bsde",
     ],
 )
 def test_bad_model_value_or_seed_is_config_error(tmp_path, capsys, name, section):
@@ -108,6 +114,51 @@ def test_bad_model_value_or_seed_is_config_error(tmp_path, capsys, name, section
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_unread_knob_reported_after_bad_value(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, "[experiment]\nname = norms\n\n[knobs]\nn_particles = -5\ndelay = 0.5\n"
+    )
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "n_particles must be positive" in err and "delay" not in err
+
+
+_KNOB_SAMPLES = {"seed": 3, "n_particles": 10, "n_steps": 5, "quad_n": 8, "lambdas": "0.1, -0.1", "delay": 0.0}
+
+
+def test_knob_readers_match_the_runners(tmp_path):
+    """Each experiment's table entry is the set of ``cfg`` knobs its runner and
+    the helpers it passes ``cfg`` to read; every knob it reads is accepted."""
+    import ast
+    import inspect
+
+    import mfclab.experiments as exp
+
+    tree = ast.parse(inspect.getsource(exp))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def knobs_read(fn, seen):
+        out = set()
+        for node in ast.walk(defs[fn]):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "cfg":
+                out.add(node.attr)
+            callee = getattr(node.func, "id", None) if isinstance(node, ast.Call) else None
+            passes_cfg = callee and any(getattr(a, "id", None) == "cfg" for a in node.args)
+            if passes_cfg and callee in defs and callee not in seen:
+                seen.add(callee)
+                out |= knobs_read(callee, seen)
+        return out
+
+    knob_names = set().union(*exp.KNOB_READERS.values())
+    assert set(exp.KNOB_READERS) == set(exp.EXPERIMENTS)
+    for name, runner in exp.EXPERIMENTS.items():
+        read = knobs_read(runner.__name__, set()) & knob_names
+        assert read == set(exp.KNOB_READERS[name]), name
+        assert exp.DESCRIPTIONS[name].endswith(f"({', '.join(exp.KNOB_READERS[name])})")
+        knobs = "".join(f"{k} = {_KNOB_SAMPLES[k]}\n" for k in exp.KNOB_READERS[name])
+        load_config(write_config(tmp_path, f"[experiment]\nname = {name}\n\n[knobs]\n{knobs}"))
 
 
 def test_zero_jump_rate_means_no_jumps():

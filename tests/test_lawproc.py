@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfclab.experiments import _binned_normal, _poisson_pmf_derivative, _poisson_pmf_measure
 from mfclab.lawproc import (
@@ -20,7 +22,7 @@ from mfclab.lawproc import (
     table_norm_sq,
 )
 from mfclab.measures import DiscreteMeasure, SQRT_PI, gauss_hermite_rule, norm_sq
-from mfclab.sde import ControlPair, ControlledModel, simulate
+from mfclab.sde import ControlPair, ControlledModel, _LazyLaw, simulate
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +66,64 @@ def test_empirical_law_mass_is_one():
     for n in (3, 17, 1000):
         mu = empirical_law(rng.standard_normal(n))
         assert abs(mu.total_mass() - 1.0) <= 1e-14
+
+
+def _unique_law(x):
+    """The former kernel: ``np.unique`` counts over n."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    loc, counts = np.unique(x, return_counts=True)
+    return loc, counts / x.size
+
+
+@st.composite
+def samples(draw):
+    """Samples with or without repeats and signed zeros, up to 3000 values."""
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        x = rng.normal(size=draw(st.integers(1, 3000)))
+        if draw(st.booleans()):
+            x = np.round(x, draw(st.integers(0, 2)))
+        if draw(st.booleans()):
+            x[:: draw(st.integers(2, 7))] = draw(st.sampled_from([0.0, -0.0]))
+        return x
+    pool = st.sampled_from([-0.0, 0.0, 0.5, -2.25, 5e-324])
+    value = st.one_of(pool, st.floats(allow_nan=False, allow_infinity=False))
+    return np.array(draw(st.lists(value, min_size=1, max_size=60)), dtype=float)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=samples())
+def test_empirical_law_is_bitwise_unique_counts(x):
+    law = empirical_law(x)
+    loc, wts = _unique_law(x)
+    assert law.locations.tobytes() == loc.tobytes()
+    assert np.array_equal(np.signbit(law.locations), np.signbit(loc))
+    assert law.weights.tobytes() == wts.tobytes()
+    assert law._n_sorted == law.n_atoms
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    x=samples(),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    where=st.floats(0.0, 1.0),
+)
+def test_empirical_law_rejects_non_finite_sample(x, bad, where):
+    x = x.copy()
+    x[int(where * (x.size - 1))] = bad
+    with pytest.raises(ValueError, match="atom locations must be finite"):
+        empirical_law(x)
+
+
+def test_lazy_law_fills_sorted_prefix_on_first_read():
+    column = np.array([0.3, -1.0, 0.3, 2.0, -0.0, 0.0])
+    law = _LazyLaw(column)
+    assert law._n_sorted == 4  # the first read: four distinct values, all sorted
+    expected = empirical_law(column)
+    assert law.locations.tobytes() == expected.locations.tobytes()
+    assert law.weights.tobytes() == expected.weights.tobytes()
+    shifted = _LazyLaw(column) + DiscreteMeasure([0.1], [1.0])
+    assert shifted._n_sorted == 4 and shifted.n_atoms == 5
 
 
 def test_empirical_law_close_to_binned_normal(rule):

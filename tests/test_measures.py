@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfclab.lawproc import empirical_law
 from mfclab.measures import (
     DiscreteMeasure,
     RandomMeasureEnsemble,
@@ -375,3 +376,53 @@ def test_fourier_mirrors_only_antisymmetric_nodes(monkeypatch):
         mu.fourier(gauss_hermite_rule(n).nodes)
     # a two-node rule keeps the full sum: its half would be a one-row product
     assert seen == [2, 2, 32, 33]
+
+
+# -- interval masses on a sorted prefix ---------------------------------------
+
+def _mask_mass(mu, lo, hi):
+    """The former kernel: a boolean mask over every atom."""
+    inside = (mu.locations > lo) & (mu.locations <= hi)
+    return float(mu.weights[inside].sum())
+
+
+@st.composite
+def sorted_prefix_measures(draw):
+    """An empirical law, law + signed pair (a frozen control) or law + pair +
+    lambda eta (a CRN deviation); repeats and signed zeros included."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=draw(st.integers(1, 3000)))
+    if draw(st.booleans()):
+        x = np.round(x, 1)
+    x[:: draw(st.integers(2, 9))] = draw(st.sampled_from([0.0, -0.0, 0.25]))
+    mu = empirical_law(x)
+    if draw(st.booleans()):
+        offset = draw(st.floats(-1.0, 1.0))
+        mu = mu + DiscreteMeasure([0.25, draw(_coords)], [offset, -offset])
+        if draw(st.booleans()):
+            eta = DiscreteMeasure([draw(_coords), 0.0], [1.0, -1.0])
+            mu = mu + eta.scaled(draw(st.floats(-0.2, 0.2)))
+    return mu
+
+
+_bounds = st.one_of(_coords, st.sampled_from([-0.0, 0.0, 0.25, -math.inf, math.inf]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mu=sorted_prefix_measures(), lo=_bounds, hi=_bounds)
+def test_mass_on_is_bitwise_mask_sum(mu, lo, hi):
+    assert np.all(np.diff(mu.locations[: mu._n_sorted]) > 0)
+    for a, b in ((lo, hi), (lo, math.inf), (lo, lo), (hi, hi)):
+        assert np.float64(mu.mass_on(a, b)).tobytes() == np.float64(_mask_mass(mu, a, b)).tobytes()
+
+
+def test_mass_on_unsorted_measure_and_nan_bounds():
+    mu = DiscreteMeasure([2.0, -1.0, 0.5, 0.5], [0.1, 0.2, 0.3, 0.4])
+    assert mu._n_sorted == 0
+    assert mu.mass_on(0.0, 2.0) == _mask_mass(mu, 0.0, 2.0)
+    law = empirical_law([0.3, 1.2, -0.4])
+    for m in (mu, law, law + mu):
+        with pytest.raises(ValueError, match="NaN"):
+            m.mass_on(0.0, math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            m.mass_on(math.nan, 1.0)
