@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import DiscreteMeasure, QuadratureRule, norm_sq
+from .measures import DiscreteMeasure, QuadratureRule, fourier_tables, norm_sq
 
 
 @dataclass(frozen=True)
@@ -244,7 +244,7 @@ def abs_continuity_scan(
     dt = path.step()
     # Fourier tables per grid time, computed once; increments are table
     # differences under the rule.
-    tables = np.stack([m.fourier(rule.nodes) for m in path.values])
+    tables = fourier_tables(path.values, rule.nodes)
     out: list[tuple[float, float]] = []
     for mult in multiples:
         if mult < 1 or mult >= len(path):

@@ -23,10 +23,21 @@ for X1, X2 in L^2 the empirical-law distance satisfies
     || L(X1) - L(X2) ||^2  <=  sqrt(pi) * E[(X1 - X2)^2],
 
 which `law_distance_bound_check` evaluates on paired samples.
+
+``fourier_tables`` evaluates a list of measures on one node array.  Above a
+small amount of work it shares whole measures between the calling thread and
+one long-lived helper thread per further CPU in the process's affinity set;
+each measure runs the same kernel as ``fourier``, so the table is bitwise
+independent of the CPU count, and ``taskset -c 0`` runs it serially.  These
+helpers are separate from the BLAS library's own threads (the benchmark
+pins those to one).
 """
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -40,6 +51,10 @@ SQRT_PI = math.sqrt(math.pi)
 NORM_SQ_ROUNDOFF = 1e-12
 
 _FOURIER_CHUNK = 65536
+
+#: atom x node products below which ``fourier_tables`` starts no thread; a
+#: helper's hand-off costs far less than this much kernel work
+_PARALLEL_MIN_WORK = 100_000
 
 
 class DiscreteMeasure:
@@ -169,15 +184,21 @@ class DiscreteMeasure:
     def fourier(self, y) -> np.ndarray:
         """Fourier transform ``sum_j w_j exp(i x_j y)`` at the points ``y``.
 
-        On nodes with ``y == -y[::-1]`` exactly (every Gauss-Hermite rule)
-        only the nonnegative half is summed and the rest is its conjugate
-        mirror, which equals the full sum bit for bit.  A single-node half
-        is not mirrored: numpy rounds a one-row product differently.
+        ``y`` is a scalar or a 1-d array of finite nodes.  On nodes with
+        ``y == -y[::-1]`` exactly (every Gauss-Hermite rule) only the
+        nonnegative half is summed and the rest is its conjugate mirror,
+        which equals the full sum bit for bit.  A single-node half is not
+        mirrored: numpy rounds a one-row product differently.
         """
-        y = np.atleast_1d(np.asarray(y, dtype=float))
+        y = _fourier_nodes(y)
         out = np.zeros(y.shape, dtype=complex)
+        self._fourier_into(y, out)
+        return out
+
+    def _fourier_into(self, y: np.ndarray, out: np.ndarray) -> None:
+        """Write the transform at the checked 1-d nodes ``y`` into the zeros ``out``."""
         n = y.size
-        if y.ndim == 1 and n > 2 and np.array_equal(y, -y[::-1]):
+        if n > 2 and np.array_equal(y, -y[::-1]):
             upper = out[n // 2 :]
             self._fourier_sum(y[n // 2 :], upper)
             lower = n - upper.size
@@ -186,17 +207,131 @@ class DiscreteMeasure:
             out[:lower] += np.conj(upper[::-1][:lower])
         else:
             self._fourier_sum(y, out)
-        return out
 
     def _fourier_sum(self, y: np.ndarray, out: np.ndarray) -> None:
         """Add ``sum_j w_j exp(i x_j y)`` into ``out``, in atom chunks."""
         for start in range(0, self.n_atoms, _FOURIER_CHUNK):
             x = self.locations[start : start + _FOURIER_CHUNK]
             w = self.weights[start : start + _FOURIER_CHUNK]
-            out += np.exp(1j * np.outer(y, x)) @ w
+            e = 1j * np.outer(y, x)
+            np.exp(e, out=e)
+            out += e @ w
 
     def __repr__(self) -> str:
         return f"DiscreteMeasure(n_atoms={self.n_atoms}, mass={self.total_mass():.6g})"
+
+
+def _fourier_nodes(y) -> np.ndarray:
+    """Fourier nodes as a 1-d float array; anything else is rejected here,
+    not deep in the kernel."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if y.ndim > 1:
+        raise ValueError(f"Fourier nodes must be a scalar or a 1-d array, got shape {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError("Fourier nodes must be finite")
+    return y
+
+
+def fourier_tables(measures: Sequence[DiscreteMeasure], y) -> np.ndarray:
+    """Fourier transforms of ``measures`` at ``y``, one row per measure.
+
+    Bit for bit ``np.stack([mu.fourier(y) for mu in measures])``.  Above
+    ``_PARALLEL_MIN_WORK`` atom x node products, the calling thread and one
+    helper per further CPU each claim whole measures in turn; every measure
+    still runs the kernel of ``fourier``, so the CPU count changes no bit.
+    """
+    y = _fourier_nodes(y)
+    measures = list(measures)
+    out = np.zeros((len(measures), y.size), dtype=complex)
+    # reading n_atoms builds a lazy law here, on the calling thread
+    work = sum(mu.n_atoms for mu in measures) * y.size
+    n_threads = min(_cpu_count(), len(measures))
+    if n_threads < 2 or work < _PARALLEL_MIN_WORK:
+        for mu, row in zip(measures, out):
+            mu._fourier_into(y, row)
+    else:
+        _share_out(lambda i: measures[i]._fourier_into(y, out[i]), len(measures), n_threads)
+    return out
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _share_out(run: Callable[[int], None], count: int, n_threads: int) -> None:
+    """Call ``run(i)`` for every ``i < count`` on the calling thread and
+    ``n_threads - 1`` helpers, each claiming the next unclaimed index.
+
+    Waits for every helper before returning; the first error raised on any
+    thread is then raised here, and no index is claimed after it.
+    """
+    lock = threading.Lock()
+    indices = iter(range(count))
+    errors: list[BaseException] = []
+
+    def share() -> None:
+        try:
+            while True:
+                with lock:
+                    i = None if errors else next(indices, None)
+                if i is None:
+                    return
+                run(i)
+        except BaseException as exc:  # raised again on the calling thread
+            with lock:
+                errors.append(exc)
+
+    done = _helpers.submit(share, n_threads - 1)
+    share()
+    for event in done:
+        event.wait()
+    if errors:
+        raise errors[0]
+
+
+class _Helpers:
+    """Long-lived daemon threads that run submitted calls one at a time.
+
+    They start on first use, never on import.  Fork copies only the calling
+    thread, so a forked child starts helpers of its own.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._pid = os.getpid()
+        self._jobs = queue.SimpleQueue()
+        self._started = 0
+
+    def submit(self, fn: Callable[[], None], n: int) -> list[threading.Event]:
+        """Queue ``n`` calls of ``fn``, with at least ``n`` helpers serving
+        the queue; each call's event is set when it returns."""
+        with self._lock:
+            if self._pid != os.getpid():
+                self._pid = os.getpid()
+                self._jobs = queue.SimpleQueue()
+                self._started = 0
+            for _ in range(self._started, n):
+                threading.Thread(target=_serve, args=(self._jobs,), daemon=True).start()
+                self._started += 1
+        done = [threading.Event() for _ in range(n)]
+        for event in done:
+            self._jobs.put((fn, event))
+        return done
+
+
+def _serve(jobs) -> None:
+    while True:
+        fn, done = jobs.get()
+        try:
+            fn()
+        finally:
+            done.set()
+        # an idle helper must not keep the last batch's measures alive
+        del fn, done
+
+
+_helpers = _Helpers()
 
 
 class RandomMeasureEnsemble:
@@ -339,7 +474,10 @@ def inner_product(mu, eta, k: int, rule: QuadratureRule) -> float:
     weight = 1.0 / mu_e.n_scenarios
     total = 0.0
     for m_i, e_i in zip(mu_e.scenarios, eta_e.scenarios):
-        integrand = np.real(np.conj(m_i.fourier(y)) * e_i.fourier(y)) * yk
+        m_hat = m_i.fourier(y)
+        # a squared norm pairs each scenario with itself: one transform
+        e_hat = m_hat if e_i is m_i else e_i.fourier(y)
+        integrand = np.real(np.conj(m_hat) * e_hat) * yk
         total += weight * rule.integrate(integrand)
     return float(total)
 

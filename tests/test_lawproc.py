@@ -1,5 +1,6 @@
 """Tests for the law process: empirical laws, generator, t-derivatives."""
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from mfclab.lawproc import (
     m4_norm_bound_check,
     table_norm_sq,
 )
+from mfclab import lawproc, measures, sde
 from mfclab.measures import DiscreteMeasure, SQRT_PI, gauss_hermite_rule, norm_sq
 from mfclab.sde import ControlPair, ControlledModel, _LazyLaw, simulate
 
@@ -317,7 +319,7 @@ def test_scan_dirac_drift_analytic(rule):
     assert loglog_slope(scan) >= 1.96
 
 
-def test_scan_brownian_particles_slope(rule):
+def _brownian_bundle(n_particles, n_steps, seed):
     model = ControlledModel(
         drift=lambda t, x, mu, u, s: np.zeros_like(x),
         vol=lambda t, x, mu, u, s: np.ones_like(x),
@@ -328,9 +330,61 @@ def test_scan_brownian_particles_slope(rule):
         measure_ctrl=lambda t, info: DiscreteMeasure.dirac(0.0),
         scalar_ctrl=lambda t, info: 0.0,
     )
-    bundle = simulate(model, ctrl, 10_000, 100, seed=2024)
+    return simulate(model, ctrl, n_particles, n_steps, seed=seed)
+
+
+def test_scan_brownian_particles_slope(rule):
+    bundle = _brownian_bundle(10_000, 100, seed=2024)
     slope = loglog_slope(abs_continuity_scan(bundle.law_path, rule))
     assert 1.6 <= slope <= 2.2
+
+
+def test_scan_reads_laws_on_the_calling_thread(rule, monkeypatch):
+    """Helpers run only the private kernel: every law build and every public
+    transform happens on the calling thread, and the scan's bits do not
+    depend on how many CPUs shared it."""
+    caller = threading.get_ident()
+    seen = []
+
+    def spy(fn):
+        def on_thread(*args, **kwargs):
+            seen.append((fn.__name__, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return on_thread
+
+    kernel_threads = set()
+    kernel = DiscreteMeasure._fourier_sum
+
+    def kernel_spy(self, y, out):
+        kernel_threads.add(threading.get_ident())
+        kernel(self, y, out)
+
+    # the lazy law calls sde's name for empirical_law, other callers lawproc's
+    monkeypatch.setattr(sde, "empirical_law", spy(lawproc.empirical_law))
+    monkeypatch.setattr(lawproc, "empirical_law", spy(lawproc.empirical_law))
+    monkeypatch.setattr(DiscreteMeasure, "fourier", spy(DiscreteMeasure.fourier))
+    monkeypatch.setattr(DiscreteMeasure, "_fourier_sum", kernel_spy)
+    monkeypatch.setattr(measures, "_PARALLEL_MIN_WORK", 0)
+    monkeypatch.setattr(measures, "_cpu_count", lambda: 3)
+    shared = abs_continuity_scan(_brownian_bundle(2000, 40, seed=11).law_path, rule)
+    assert [name for name, _ in seen] == ["empirical_law"] * 41
+    assert {ident for _, ident in seen} == {caller}
+    monkeypatch.setattr(measures, "_cpu_count", lambda: 1)
+    kernel_threads.clear()
+    assert abs_continuity_scan(_brownian_bundle(2000, 40, seed=11).law_path, rule) == shared
+    assert kernel_threads == {caller}
+
+
+def test_scan_of_dirac_laws_starts_no_thread(rule, monkeypatch):
+    """101 one-atom laws are far below the work worth a helper."""
+
+    def no_helpers(*args):
+        raise AssertionError("a helper was asked to share the work")
+
+    monkeypatch.setattr(measures, "_share_out", no_helpers)
+    monkeypatch.setattr(measures, "_cpu_count", lambda: 2)
+    ts = np.linspace(0.0, 1.0, 101)
+    abs_continuity_scan(MeasurePath(ts, [DiscreteMeasure.dirac(t) for t in ts]), rule)
 
 
 # -- the k=4 norm bound -----------------------------------------------------------

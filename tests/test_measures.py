@@ -1,16 +1,27 @@
 """Tests for the Fourier-weighted measure space: norms, bounds, quadrature."""
+import gc
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
+import weakref
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfclab import measures as measures_module
 from mfclab.lawproc import empirical_law
 from mfclab.measures import (
     DiscreteMeasure,
     RandomMeasureEnsemble,
     SQRT_PI,
+    fourier_tables,
     fourier_transform,
     gauss_hermite_rule,
     inner_product,
@@ -376,6 +387,139 @@ def test_fourier_mirrors_only_antisymmetric_nodes(monkeypatch):
         mu.fourier(gauss_hermite_rule(n).nodes)
     # a two-node rule keeps the full sum: its half would be a one-row product
     assert seen == [2, 2, 32, 33]
+
+
+def test_fourier_rejects_bad_nodes():
+    mu = DiscreteMeasure([0.1, 0.5, 2.0], [0.2, 0.3, 0.5])
+    for y in (np.ones((2, 3)), np.ones((2, 1)), [0.5, np.nan], [-np.inf, 0.0]):
+        with pytest.raises(ValueError, match="Fourier nodes"):
+            mu.fourier(y)
+        with pytest.raises(ValueError, match="Fourier nodes"):
+            fourier_tables([mu, mu], y)
+
+
+def test_norm_sq_transforms_each_scenario_once(rule, monkeypatch):
+    calls = []
+    kernel = DiscreteMeasure._fourier_sum
+
+    def spy(self, y, out):
+        calls.append(self)
+        kernel(self, y, out)
+
+    scenarios = [empirical_law(np.linspace(-1.0, 1.0, 7) * s) for s in (0.5, 1.0, 2.0)]
+    copies = [DiscreteMeasure(m.locations, m.weights) for m in scenarios]
+    paired = inner_product(RandomMeasureEnsemble(scenarios), RandomMeasureEnsemble(copies), 2, rule)
+    monkeypatch.setattr(DiscreteMeasure, "_fourier_sum", spy)
+    value = norm_sq(RandomMeasureEnsemble(scenarios), 2, rule)
+    assert calls == scenarios
+    assert np.float64(value).tobytes() == np.float64(paired).tobytes()
+
+
+# -- Fourier tables of many measures ------------------------------------------
+
+_edge_measures = st.sampled_from(
+    [DiscreteMeasure.zero(), DiscreteMeasure([0.0, -0.0, 0.0, 1.0], [0.5, -0.25, 1.0, -0.0])]
+)
+_nodes = st.one_of(
+    st.integers(2, 128).map(lambda n: gauss_hermite_rule(n).nodes),
+    st.integers(2, 300).map(lambda n: trapezoid_rule(n).nodes),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ms=st.lists(st.one_of(fourier_measures(), _edge_measures), min_size=1, max_size=5),
+    y=_nodes,
+    cpus=st.sampled_from([1, 2, 3]),
+)
+def test_fourier_tables_are_bitwise_stacked_transforms(ms, y, cpus):
+    stacked = np.stack([m.fourier(y) for m in ms])
+    with mock.patch.object(measures_module, "_cpu_count", lambda: cpus), \
+            mock.patch.object(measures_module, "_PARALLEL_MIN_WORK", 0):
+        tables = fourier_tables(ms, y)
+    assert tables.tobytes() == stacked.tobytes()
+
+
+def test_fourier_tables_error_surfaces_after_every_helper(rule, monkeypatch):
+    monkeypatch.setattr(measures_module, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(measures_module, "_PARALLEL_MIN_WORK", 0)
+    ms = [empirical_law(np.arange(50.0) * s) for s in np.linspace(0.1, 1.0, 12)]
+    fourier_tables(ms, rule.nodes)  # helpers started
+    baseline = threading.active_count()
+    kernel = DiscreteMeasure._fourier_sum
+
+    def fails_once(self, y, out):
+        if self is ms[5]:
+            raise RuntimeError("kernel failed")
+        kernel(self, y, out)
+
+    monkeypatch.setattr(DiscreteMeasure, "_fourier_sum", fails_once)
+    with pytest.raises(RuntimeError, match="kernel failed"):
+        fourier_tables(ms, rule.nodes)
+    assert threading.active_count() == baseline
+    monkeypatch.setattr(DiscreteMeasure, "_fourier_sum", kernel)
+    stacked = np.stack([m.fourier(rule.nodes) for m in ms])
+    assert fourier_tables(ms, rule.nodes).tobytes() == stacked.tobytes()
+
+
+class _Tracked(DiscreteMeasure):
+    __slots__ = ("__weakref__",)
+
+
+def test_idle_helpers_keep_no_measure_alive(rule, monkeypatch):
+    monkeypatch.setattr(measures_module, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(measures_module, "_PARALLEL_MIN_WORK", 0)
+    ms = [_Tracked(np.arange(50.0) * s, np.full(50, 0.02)) for s in np.linspace(0.1, 1.0, 12)]
+    refs = [weakref.ref(m) for m in ms]
+    fourier_tables(ms, rule.nodes)
+    del ms
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_fourier_tables_on_one_cpu_start_no_thread(rule, monkeypatch):
+    def no_helpers(*args):
+        raise AssertionError("a helper was asked to share the work")
+
+    monkeypatch.setattr(measures_module, "_share_out", no_helpers)
+    monkeypatch.setattr(measures_module, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(measures_module, "_PARALLEL_MIN_WORK", 0)
+    ms = [empirical_law(np.arange(50.0) * s) for s in (0.5, 1.0)]
+    assert fourier_tables(ms, rule.nodes).shape == (2, rule.n)
+    assert fourier_tables([], rule.nodes).shape == (0, rule.n)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_helpers_of_its_own(rule, monkeypatch):
+    monkeypatch.setattr(measures_module, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(measures_module, "_PARALLEL_MIN_WORK", 0)
+    ms = [empirical_law(np.arange(50.0) * s) for s in np.linspace(0.1, 1.0, 12)]
+    expected = fourier_tables(ms, rule.nodes).tobytes()  # the parent's helpers run
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            status = 0 if fourier_tables(ms, rule.nodes).tobytes() == expected else 2
+        finally:
+            os._exit(status)
+    for _ in range(600):
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.05)
+    else:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child waited for helpers it does not have")
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_import_loads_no_executor_and_starts_no_thread():
+    src = str(Path(measures_module.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, threading, mfclab; print('concurrent.futures' in sys.modules, threading.active_count())"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["False", "1"]
 
 
 # -- interval masses on a sorted prefix ---------------------------------------
