@@ -2,6 +2,7 @@
 import gc
 import math
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -440,10 +441,14 @@ def test_fourier_tables_are_bitwise_stacked_transforms(ms, y, cpus):
     assert tables.tobytes() == stacked.tobytes()
 
 
+def _small_laws():
+    return [empirical_law(np.arange(50.0) * s) for s in np.linspace(0.1, 1.0, 12)]
+
+
 def test_fourier_tables_error_surfaces_after_every_helper(rule, monkeypatch):
     monkeypatch.setattr(measures_module, "_cpu_count", lambda: 3)
     monkeypatch.setattr(measures_module, "_PARALLEL_MIN_WORK", 0)
-    ms = [empirical_law(np.arange(50.0) * s) for s in np.linspace(0.1, 1.0, 12)]
+    ms = _small_laws()
     fourier_tables(ms, rule.nodes)  # helpers started
     baseline = threading.active_count()
     kernel = DiscreteMeasure._fourier_sum
@@ -484,16 +489,17 @@ def test_fourier_tables_on_one_cpu_start_no_thread(rule, monkeypatch):
     monkeypatch.setattr(measures_module, "_share_out", no_helpers)
     monkeypatch.setattr(measures_module, "_cpu_count", lambda: 1)
     monkeypatch.setattr(measures_module, "_PARALLEL_MIN_WORK", 0)
-    ms = [empirical_law(np.arange(50.0) * s) for s in (0.5, 1.0)]
+    ms = _small_laws()[:2]
     assert fourier_tables(ms, rule.nodes).shape == (2, rule.n)
     assert fourier_tables([], rule.nodes).shape == (0, rule.n)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 def test_forked_child_starts_helpers_of_its_own(rule, monkeypatch):
     monkeypatch.setattr(measures_module, "_cpu_count", lambda: 2)
     monkeypatch.setattr(measures_module, "_PARALLEL_MIN_WORK", 0)
-    ms = [empirical_law(np.arange(50.0) * s) for s in np.linspace(0.1, 1.0, 12)]
+    ms = _small_laws()
     expected = fourier_tables(ms, rule.nodes).tobytes()  # the parent's helpers run
     pid = os.fork()
     if pid == 0:
@@ -508,7 +514,7 @@ def test_forked_child_starts_helpers_of_its_own(rule, monkeypatch):
             break
         time.sleep(0.05)
     else:
-        os.kill(pid, 9)
+        os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
         pytest.fail("the forked child waited for helpers it does not have")
     assert os.waitstatus_to_exitcode(status) == 0
