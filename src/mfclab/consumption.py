@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -331,7 +331,7 @@ def frozen_pair(
     times = bundle.times
     m = bundle.n_steps
     dt = bundle.dt
-    rho_path = np.array([rho_scale * cf.rho_hat(float(t)) for t in times[:-1]])
+    scalar_ctrl, rho_path = _frozen_rate(cf, bundle, rho_scale)
     mass_path = np.array([bundle.law_at(k).mass_on(lo, hi) for k in range(m)])
     mu_v_path = np.array(
         [cf.mu_hat_V(float(times[k]), mass_path[k]) for k in range(m)]
@@ -344,9 +344,6 @@ def frozen_pair(
     def measure_ctrl(t, info):
         return frozen_measures[int(round(t / dt))]
 
-    def scalar_ctrl(t, info):
-        return rho_path[int(round(t / dt))]
-
     pair = ControlPair(
         measure_ctrl=measure_ctrl,
         scalar_ctrl=scalar_ctrl,
@@ -355,6 +352,18 @@ def frozen_pair(
         u_bounds=(0.0, math.inf),
     )
     return pair, rho_path, mu_v_path
+
+
+def _frozen_rate(cf: ClosedFormControls, bundle: ParticleBundle, rho_scale: float):
+    """The consumption rate ``rho_scale * rho_hat`` on the bundle's grid, as
+    an exogenous scalar control and its path."""
+    dt = bundle.dt
+    rho_path = np.array([rho_scale * cf.rho_hat(float(t)) for t in bundle.times[:-1]])
+
+    def scalar_ctrl(t, info):
+        return rho_path[int(round(t / dt))]
+
+    return scalar_ctrl, rho_path
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +525,10 @@ def verify_consumption_game(
             )
         )
 
-        cf_sel = closed_form_controls(model, selected)
-        inflated_controls, _, _ = frozen_pair(model, cf_sel, run.bundle, rho_scale=INFLATION)
+        # the frozen measures do not depend on rho: reuse the candidate's,
+        # interval masses and all
+        inflated_rate, _ = _frozen_rate(closed_form_controls(model, selected), run.bundle, INFLATION)
+        inflated_controls = replace(run.controls, scalar_ctrl=inflated_rate)
         inflated_plan = PerturbationPlan(
             directions=[Direction(kind="control", t0=0.0, scalar=1.0)],
             lambdas=tuple(lambdas),

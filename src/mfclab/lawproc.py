@@ -28,27 +28,36 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import DiscreteMeasure, QuadratureRule, fourier_tables, norm_sq
+from .measures import (
+    DiscreteMeasure,
+    QuadratureRule,
+    _clamp_norm_sq,
+    _read_only,
+    fourier_tables,
+)
 
 
 @dataclass(frozen=True)
 class LevyMeasure:
-    """Finite-activity Levy measure nu = sum_j rates[j] * delta_{jump_sizes[j]}."""
+    """Finite-activity Levy measure nu = sum_j rates[j] * delta_{jump_sizes[j]}.
+
+    Both arrays are read-only copies of what the caller passed.
+    """
 
     jump_sizes: np.ndarray
     rates: np.ndarray
 
     def __post_init__(self):
-        sizes = np.asarray(self.jump_sizes, dtype=float).reshape(-1)
-        rates = np.asarray(self.rates, dtype=float).reshape(-1)
+        sizes = np.array(self.jump_sizes, dtype=float).reshape(-1)
+        rates = np.array(self.rates, dtype=float).reshape(-1)
         if sizes.shape != rates.shape:
             raise ValueError("jump_sizes and rates must have equal length")
         if np.any(sizes == 0.0):
             raise ValueError("jump sizes must be nonzero (support in R \\ {0})")
         if np.any(rates <= 0.0):
             raise ValueError("jump rates must be positive")
-        object.__setattr__(self, "jump_sizes", sizes)
-        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "jump_sizes", _read_only(sizes))
+        object.__setattr__(self, "rates", _read_only(rates))
 
     @property
     def n_atoms(self) -> int:
@@ -210,11 +219,7 @@ def law_derivative_fd(
     m = len(path) - 1
     if not 1 <= index <= m - 1:
         raise ValueError(f"central difference needs an interior index, got {index}")
-    h_left = path.times[index] - path.times[index - 1]
-    h_right = path.times[index + 1] - path.times[index]
-    if abs(h_left - h_right) > 1e-9 * max(h_left, h_right):
-        raise ValueError("grid is not locally uniform around the index")
-    h = 0.5 * (h_left + h_right)
+    h = _central_step(path, index)
     y = rule.nodes
 
     def central(step: int) -> np.ndarray:
@@ -229,6 +234,15 @@ def law_derivative_fd(
         raise ValueError("Richardson extrapolation needs two interior neighbours")
     d2 = central(2)
     return FourierTable(y, (4.0 * d1 - d2) / 3.0)
+
+
+def _central_step(path: MeasurePath, index: int) -> float:
+    """Grid step around an interior index; the two sides must agree."""
+    h_left = path.times[index] - path.times[index - 1]
+    h_right = path.times[index + 1] - path.times[index]
+    if abs(h_left - h_right) > 1e-9 * max(h_left, h_right):
+        raise ValueError("grid is not locally uniform around the index")
+    return 0.5 * (h_left + h_right)
 
 
 def abs_continuity_scan(
@@ -270,15 +284,22 @@ def m4_norm_bound_check(path: MeasurePath, rule: QuadratureRule) -> np.ndarray:
     """Ratios ||M'(t)|| / ||M(t)||_{k=4} over interior grid points.
 
     The bound's constant is not quantified, so callers assert boundedness and
-    stability under refinement rather than a specific value.
+    stability under refinement rather than a specific value.  Each law is
+    transformed once; the numerator is ``table_norm_sq`` of
+    ``law_derivative_fd`` and the denominator ``norm_sq(law, 4, rule)``, bit
+    for bit.
     """
     if len(path) < 3:
         raise ValueError("need at least 3 grid points")
+    tables = fourier_tables(path.values, rule.nodes)
+    y4 = np.abs(rule.nodes) ** 4
     ratios = np.empty(len(path) - 2)
     for i in range(1, len(path) - 1):
-        deriv = law_derivative_fd(path, i, rule)
-        num = math.sqrt(table_norm_sq(deriv, rule, k=0))
-        den = math.sqrt(norm_sq(path.values[i], 4, rule))
+        deriv = (tables[i + 1] - tables[i - 1]) / (2.0 * _central_step(path, i))
+        num = math.sqrt(rule.integrate(np.abs(deriv) ** 2))
+        law_hat = tables[i]
+        # inner_product's integrand: np.abs(z) ** 2 differs in the last bit
+        den = math.sqrt(_clamp_norm_sq(rule.integrate(np.real(np.conj(law_hat) * law_hat) * y4)))
         if num == 0.0:
             ratios[i - 1] = 0.0
         elif den == 0.0:

@@ -24,6 +24,12 @@ for X1, X2 in L^2 the empirical-law distance satisfies
 
 which `law_distance_bound_check` evaluates on paired samples.
 
+A measure is a read-only value: its atom arrays are copied in and frozen
+(``flags.writeable`` is False), so writing to them raises ``ValueError``;
+edit a ``.copy()`` and build a new measure from it.  Because nothing can
+change its atoms, a measure keeps every interval mass it has computed, and
+``mass_on`` computes each ``(lo, hi]`` once per measure.
+
 ``fourier_tables`` evaluates a list of measures on one node array.  Above a
 small amount of work it shares whole measures between the calling thread and
 one long-lived helper thread per further CPU in the process's affinity set;
@@ -67,16 +73,19 @@ class DiscreteMeasure:
     weights : array_like
         Signed atom weights, same length as ``locations``.
 
-    The first ``_n_sorted`` atoms are known to be sorted ascending, so
-    ``mass_on`` finds them by binary search.  An empirical law is sorted
-    throughout, and a sum keeps its left operand's prefix.
+    Both arrays are read-only copies of what the caller passed.  The first
+    ``_n_sorted`` atoms are known to be sorted ascending, so ``mass_on``
+    finds them by binary search.  An empirical law is sorted throughout, and
+    a sum keeps its left operand's prefix.  ``_masses`` holds the interval
+    masses computed so far, keyed by ``(lo, hi)``.
     """
 
-    __slots__ = ("locations", "weights", "_n_sorted")
+    __slots__ = ("locations", "weights", "_n_sorted", "_masses")
 
     def __init__(self, locations, weights):
-        loc = np.asarray(locations, dtype=float).reshape(-1)
-        wts = np.asarray(weights, dtype=float).reshape(-1)
+        # copies: a read-only view would not stop writes through the caller's array
+        loc = np.array(locations, dtype=float).reshape(-1)
+        wts = np.array(weights, dtype=float).reshape(-1)
         if loc.shape != wts.shape:
             raise ValueError(
                 f"locations and weights differ in length: {loc.size} vs {wts.size}"
@@ -85,18 +94,21 @@ class DiscreteMeasure:
             raise ValueError("atom locations must be finite")
         if wts.size and not np.isfinite(wts).all():
             raise ValueError("atom weights must be finite")
-        self.locations = loc
-        self.weights = wts
+        self.locations = _read_only(loc)
+        self.weights = _read_only(wts)
         self._n_sorted = 0
+        self._masses = {}
 
     @classmethod
     def _from_checked(cls, locations, weights, n_sorted: int) -> "DiscreteMeasure":
-        """Measure on 1-d float arrays of equal length, finite locations and
-        weights, whose first ``n_sorted`` locations ascend; nothing is rescanned."""
+        """Measure on fresh 1-d float arrays of equal length, finite locations
+        and weights, whose first ``n_sorted`` locations ascend; nothing is
+        rescanned or copied, and the arrays are frozen in place."""
         mu = cls.__new__(cls)
-        mu.locations = locations
-        mu.weights = weights
+        mu.locations = _read_only(locations)
+        mu.weights = _read_only(weights)
         mu._n_sorted = n_sorted
+        mu._masses = {}
         return mu
 
     # -- constructors -------------------------------------------------------
@@ -129,12 +141,22 @@ class DiscreteMeasure:
         """Signed mass of the half-open interval ``(lo, hi]``.
 
         ``hi`` may be ``inf``; atoms exactly at ``lo`` are excluded so that
-        complementary intervals partition the line.  The sorted prefix is
-        binary-searched and only the tail is masked; the weights summed, and
-        their order, are those a mask over every atom selects.
+        complementary intervals partition the line.  Each interval's mass is
+        computed once and kept; ``0.0`` and ``-0.0`` are one key, as they are
+        one bound.
         """
         if math.isnan(lo) or math.isnan(hi):
             raise ValueError(f"interval bounds must not be NaN, got ({lo}, {hi}]")
+        key = (float(lo), float(hi))
+        mass = self._masses.get(key)
+        if mass is None:
+            mass = self._masses[key] = self._mass_on(*key)
+        return mass
+
+    def _mass_on(self, lo: float, hi: float) -> float:
+        """``mass_on`` computed afresh.  The sorted prefix is binary-searched
+        and only the tail is masked; the weights summed, and their order, are
+        those a mask over every atom selects."""
         if self.n_atoms == 0:
             return 0.0
         k = self._n_sorted
@@ -219,6 +241,11 @@ class DiscreteMeasure:
 
     def __repr__(self) -> str:
         return f"DiscreteMeasure(n_atoms={self.n_atoms}, mass={self.total_mass():.6g})"
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _fourier_nodes(y) -> np.ndarray:
@@ -484,7 +511,11 @@ def inner_product(mu, eta, k: int, rule: QuadratureRule) -> float:
 
 def norm_sq(mu, k: int, rule: QuadratureRule) -> float:
     """Squared order-k norm; tiny quadrature negatives are clamped to zero."""
-    val = inner_product(mu, mu, k, rule)
+    return _clamp_norm_sq(inner_product(mu, mu, k, rule))
+
+
+def _clamp_norm_sq(val: float) -> float:
+    """A squared norm with quadrature round-off below zero clamped to zero."""
     if val < 0.0:
         if val < -NORM_SQ_ROUNDOFF:
             raise ValueError(f"squared norm is negative beyond round-off: {val}")

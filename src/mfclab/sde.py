@@ -36,6 +36,13 @@ transposed view of a C-ordered (M+1, N) or (M, N) buffer, so the per-step
 column ``a[:, k]`` that every kernel reads or writes is contiguous.
 Reductions over the particle axis of a whole array therefore run over the
 fast axis; where their accumulation order matters, reduce a C-ordered copy.
+
+Noise banks, Levy measures and the measures handed to coefficients are
+read-only values, and so is a bundle's ``states`` array once the Euler sweep
+has filled it (with its cached Brownian levels and each law's state column):
+writing to any of them raises ``ValueError``, so edit a ``.copy()``.  Every
+cache here (sorted laws, interval masses, the laws of a bundle, the sums of a
+perturbed measure control) rests on this.
 """
 from __future__ import annotations
 
@@ -46,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from .lawproc import LevyMeasure, MeasurePath, empirical_law
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _read_only
 
 FD_STEP = 1e-5
 
@@ -202,10 +209,10 @@ def negate_performance(perf: PerformanceSpec) -> PerformanceSpec:
 # ---------------------------------------------------------------------------
 
 def _levy_arrays(levy: LevyMeasure | None) -> tuple[np.ndarray, np.ndarray]:
-    """Jump sizes and rates of a Levy measure; both empty for none."""
+    """Copies of a Levy measure's jump sizes and rates; both empty for none."""
     if levy is None:
         return np.empty(0), np.empty(0)
-    return levy.jump_sizes, levy.rates
+    return levy.jump_sizes.copy(), levy.rates.copy()
 
 
 class NoiseBank:
@@ -213,8 +220,8 @@ class NoiseBank:
 
     Jump events are stored flat as (particle, step, zeta-index) triples sorted
     by step; ``events_at(k)`` returns the slice for one interval.  The bank
-    records the Levy jump sizes and rates it was drawn for (both empty
-    without a Levy measure).
+    records the Levy jump sizes and rates it was drawn for (its own copies,
+    both empty without a Levy measure).  Every array is frozen in place.
     """
 
     __slots__ = (
@@ -226,12 +233,12 @@ class NoiseBank:
         self.n_particles = n_particles
         self.n_steps = n_steps
         self.dt = dt
-        self.dB = dB
-        self.ev_particle = ev_particle
-        self.ev_step = ev_step
-        self.ev_zeta = ev_zeta
-        self.jump_sizes, self.jump_rates = _levy_arrays(levy)
-        self._step_offsets = np.searchsorted(ev_step, np.arange(n_steps + 1))
+        self.dB = _read_only(dB)
+        self.ev_particle = _read_only(ev_particle)
+        self.ev_step = _read_only(ev_step)
+        self.ev_zeta = _read_only(ev_zeta)
+        self.jump_sizes, self.jump_rates = map(_read_only, _levy_arrays(levy))
+        self._step_offsets = _read_only(np.searchsorted(ev_step, np.arange(n_steps + 1)))
 
     @property
     def n_events(self) -> int:
@@ -299,7 +306,8 @@ class ParticleBundle:
     read it.  ``law_at`` keeps the one cache of cross-sectional laws of this
     particle system; the Euler sweep, the controls' ``SimInfo`` and
     ``iter_steps`` all read it.  A cached law builds its atoms on their first
-    read, so a step whose law nothing reads costs no empirical law.
+    read, so a step whose law nothing reads costs no empirical law.  The
+    Euler sweep freezes ``states`` once it has filled them.
     """
 
     __slots__ = ("times", "states", "noise", "mu_mode", "_laws", "_brownian")
@@ -342,17 +350,19 @@ class ParticleBundle:
             levels = _time_major(self.n_particles, self.n_steps + 1)
             levels[:, 0] = 0.0
             np.cumsum(self.noise.dB.T, axis=0, out=levels.T[1:])
-            self._brownian = levels
+            self._brownian = _read_only(levels)
         return self._brownian
 
 class _LazyLaw(DiscreteMeasure):
     """Empirical law of one state column; ``empirical_law`` runs on the first
-    read of any ``DiscreteMeasure`` slot and fills all of them."""
+    read of an atom slot and fills all of them."""
 
     __slots__ = ("_column",)
 
     def __init__(self, column: np.ndarray):
-        self._column = column
+        # a read-only view of its own: the sweep may still be filling states
+        self._column = _read_only(column.view())
+        self._masses = {}
 
     def __getattr__(self, name):
         # only reached while a slot is unset; later reads are plain slot reads
@@ -447,6 +457,7 @@ def _euler_sweep(model, controls, noise, times, x_init, mu_mode) -> ParticleBund
                 f"non-finite state at step {k} (t={t:.6g}), particle {bad}"
             )
         states[:, k + 1] = x_next
+    _read_only(states)
     return bundle
 
 
@@ -594,15 +605,26 @@ class Direction:
 
 
 def perturbed_controls(controls: ControlPair, direction: Direction, lam: float) -> ControlPair:
-    """Candidate controls shifted by lam along a step direction."""
+    """Candidate controls shifted by lam along a step direction.
+
+    A measure shift keeps, per time, the base measure it was last given and
+    the sum it built, and returns that sum while the base is the same
+    object, so a simulation and its replay share one ``base + lam eta`` (and
+    its interval masses).  A base that is a new object gets a new sum.
+    """
     if direction.kind == "measure":
+        # t -> (base, sum); holding the base keeps its id from being reused
+        sums: dict[float, tuple[DiscreteMeasure, DiscreteMeasure]] = {}
 
         def measure_ctrl(t, info, _base=controls.measure_ctrl):
             base = _base(t, info)
             eta = direction.eta_at(t)
             if eta is None or lam == 0.0:
                 return base
-            return base + eta.scaled(lam)
+            held = sums.get(t)
+            if held is None or held[0] is not base:
+                held = sums[t] = (base, base + eta.scaled(lam))
+            return held[1]
 
         return replace(controls, measure_ctrl=measure_ctrl)
 

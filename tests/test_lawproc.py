@@ -412,6 +412,35 @@ def test_m4_brownian_stable_under_refinement(rule):
     assert maxima[1] == pytest.approx(maxima[0], rel=0.2)
 
 
+def _m4_reference(path, rule):
+    """The k=4 ratios from law_derivative_fd and norm_sq, law by law."""
+    ratios = []
+    for i in range(1, len(path) - 1):
+        num = math.sqrt(table_norm_sq(law_derivative_fd(path, i, rule), rule, k=0))
+        den = math.sqrt(norm_sq(path.values[i], 4, rule))
+        ratios.append(0.0 if num == 0.0 else math.inf if den == 0.0 else num / den)
+    return np.array(ratios)
+
+
+@pytest.mark.parametrize("law_at", [DiscreteMeasure.dirac, lambda t: _binned_normal(math.sqrt(t))])
+def test_m4_transforms_each_law_once_and_keeps_every_bit(law_at, monkeypatch):
+    rule = gauss_hermite_rule(16)
+    ts = np.linspace(0.5, 1.5, 11)
+    path = MeasurePath(ts, [law_at(t) for t in ts])
+    expected = _m4_reference(path, rule)
+    calls = []
+    kernel = DiscreteMeasure._fourier_sum
+
+    def spy(self, y, out):
+        calls.append(self)
+        kernel(self, y, out)
+
+    monkeypatch.setattr(DiscreteMeasure, "_fourier_sum", spy)
+    ratios = m4_norm_bound_check(path, rule)
+    assert sorted(map(id, calls)) == sorted(map(id, path.values))
+    assert ratios.tobytes() == expected.tobytes()
+
+
 # -- measure path plumbing ---------------------------------------------------------
 
 def test_measure_path_validation():

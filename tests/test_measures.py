@@ -562,7 +562,9 @@ _bounds = st.one_of(_coords, st.sampled_from([-0.0, 0.0, 0.25, -math.inf, math.i
 @given(mu=sorted_prefix_measures(), lo=_bounds, hi=_bounds)
 def test_mass_on_is_bitwise_mask_sum(mu, lo, hi):
     assert np.all(np.diff(mu.locations[: mu._n_sorted]) > 0)
-    for a, b in ((lo, hi), (lo, math.inf), (lo, lo), (hi, hi)):
+    bounds = [(lo, hi), (lo, math.inf), (lo, lo), (hi, hi), (0.0, hi), (-0.0, hi), (lo, -0.0)]
+    # repeated and interleaved reads: the second pass is served by the memo
+    for a, b in bounds + bounds[::-1]:
         assert np.float64(mu.mass_on(a, b)).tobytes() == np.float64(_mask_mass(mu, a, b)).tobytes()
 
 
@@ -572,7 +574,54 @@ def test_mass_on_unsorted_measure_and_nan_bounds():
     assert mu.mass_on(0.0, 2.0) == _mask_mass(mu, 0.0, 2.0)
     law = empirical_law([0.3, 1.2, -0.4])
     for m in (mu, law, law + mu):
+        m.mass_on(0.0, 1.0)
         with pytest.raises(ValueError, match="NaN"):
             m.mass_on(0.0, math.nan)
         with pytest.raises(ValueError, match="NaN"):
             m.mass_on(math.nan, 1.0)
+
+
+def test_mass_on_computes_each_interval_once(monkeypatch):
+    computed = []
+    kernel = DiscreteMeasure._mass_on
+
+    def spy(self, lo, hi):
+        computed.append((self, lo, hi))
+        return kernel(self, lo, hi)
+
+    monkeypatch.setattr(DiscreteMeasure, "_mass_on", spy)
+    law = empirical_law([-0.5, 0.0, 0.0, 1.0, 2.0])
+    pair = law + DiscreteMeasure([0.25, -1.0], [0.1, -0.1])
+    for _ in range(3):
+        assert law.mass_on(0.0, 1.0) == 0.2
+        assert law.mass_on(-0.0, 1.0) == 0.2
+        assert law.mass_on(0.0, math.inf) == 0.4
+        assert pair.mass_on(0.0, 1.0) == _mask_mass(pair, 0.0, 1.0)
+    assert computed == [
+        (law, 0.0, 1.0), (law, 0.0, math.inf), (pair, 0.0, 1.0),
+    ]
+    # a new measure starts with no masses of its own
+    assert (-law).mass_on(0.0, 1.0) == -0.2
+    assert len(computed) == 4
+
+
+def test_measure_arrays_are_read_only_copies():
+    loc, wts = np.array([3.0, 1.0, 2.0]), np.full(3, 1 / 3)
+    mu = DiscreteMeasure(loc, wts)
+    for caller, mine in ((loc, mu.locations), (wts, mu.weights)):
+        assert caller.flags.writeable and not np.shares_memory(caller, mine)
+    loc[0] = 9.0
+    assert mu.locations[0] == 3.0
+    law = empirical_law(loc)
+    built = [
+        mu, law, law + mu, law - mu, -law, law.scaled(2.0), law.coalesce(),
+        DiscreteMeasure.dirac(0.5), DiscreteMeasure.zero(),
+    ]
+    for m in built:
+        for arr in (m.locations, m.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[:1] = 1.2
+    # the write that used to desynchronise a sorted law from its binary search
+    with pytest.raises(ValueError, match="read-only"):
+        law.locations[2] = 1.2
+    assert law.mass_on(0.5, 1.5) == _mask_mass(law, 0.5, 1.5)

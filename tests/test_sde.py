@@ -11,6 +11,7 @@ from mfclab.lawproc import LevyMeasure
 from mfclab.measures import DiscreteMeasure
 from mfclab.sde import (
     ControlPair,
+    SimInfo,
     ControlledModel,
     Direction,
     InadmissiblePerturbation,
@@ -631,3 +632,86 @@ def test_consumption_performance_regression_fixture():
     val, se = evaluate_performance(bundle, pair, cons.performance(model))
     assert val == pytest.approx(-0.503088122597, rel=1e-9)
     assert 0.0 < se < 0.02
+
+
+def _assert_read_only(*arrays):
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 0
+
+
+def test_noise_bank_and_filled_bundle_are_read_only():
+    levy = LevyMeasure([-0.2, 0.3], [1.0, 2.0])
+    model = ControlledModel(
+        drift=lambda t, x, mu, u, s: mu.mass_on(0.0, 2.0) - x,
+        vol=lambda t, x, mu, u, s: 0.5 * np.ones_like(x),
+        jump=lambda t, x, mu, u, zeta, s: zeta * np.ones_like(x),
+        levy=levy,
+        x0=1.0,
+        horizon=1.0,
+    )
+    bundle = simulate(model, trivial_controls(), 200, 10, seed=4, mu_mode="empirical")
+    bank = bundle.noise
+    assert bank.n_events > 0
+    _assert_read_only(
+        bank.dB, bank.ev_particle, bank.ev_step, bank.ev_zeta, bank._step_offsets,
+        bank.jump_sizes, bank.jump_rates,
+        bundle.states, bundle.brownian_levels(), bundle.law_at(3)._column,
+        SimInfo(bundle, 4, np.arange(200)).x,
+    )
+    # the sweep read laws while it filled states; their columns were frozen too
+    law = bundle.law_at(2)
+    _assert_read_only(law._column, law.locations, law.weights)
+
+
+def test_levy_measure_and_its_noise_bank_hold_separate_read_only_arrays():
+    sizes, rates = np.array([0.1]), np.array([0.5])
+    levy = LevyMeasure(sizes, rates)
+    bank = draw_noise(1, 50, 10, 1.0, levy)
+    sizes[0] = 0.7
+    _assert_read_only(levy.jump_sizes, levy.rates, bank.jump_sizes, bank.jump_rates)
+    assert not np.shares_memory(bank.jump_sizes, levy.jump_sizes)
+    assert not np.shares_memory(bank.jump_rates, levy.rates)
+    assert levy.jump_sizes.tolist() == bank.jump_sizes.tolist() == [0.1]
+    assert bank.drawn_for(levy) and bank.drawn_for(LevyMeasure([0.1], [0.5]))
+
+
+def test_perturbed_measure_control_shares_one_sum_per_step_and_base():
+    frozen = [DiscreteMeasure([0.5 * k, 3.0], [1.0, -0.25]) for k in range(8)]
+    controls = ControlPair(
+        measure_ctrl=lambda t, info: frozen[info.step],
+        scalar_ctrl=lambda t, info: 0.0,
+    )
+    seen = {"drift": [], "running": []}
+    model = ControlledModel(
+        drift=lambda t, x, mu, u, s: seen["drift"].append(mu) or mu.mass_on(0.0, 2.0) * x,
+        vol=lambda t, x, mu, u, s: 0.3 * np.ones_like(x),
+        x0=1.0,
+        horizon=1.0,
+    )
+    perf = PerformanceSpec(
+        running=lambda t, x, m, mu, u, s: seen["running"].append(mu) or mu.mass_on(0.0, 2.0) * x,
+        terminal=lambda x, m, s: x,
+    )
+    direction = Direction(kind="measure", t0=0.3, measure=DiscreteMeasure.dirac(1.0))
+    pert = perturbed_controls(controls, direction, 0.1)
+    bundle = simulate(model, pert, 50, 8, seed=3)
+    performance_samples(bundle, pert, perf)
+    for k, (sim_mu, replay_mu) in enumerate(zip(seen["drift"], seen["running"])):
+        assert sim_mu is replay_mu
+        if bundle.times[k] < direction.t0:
+            assert sim_mu is frozen[k]
+        else:
+            expected = frozen[k] + DiscreteMeasure.dirac(1.0, 0.1)
+            assert sim_mu.locations.tobytes() == expected.locations.tobytes()
+            assert sim_mu.weights.tobytes() == expected.weights.tobytes()
+    # a base that is a new object at the same t gets a sum of its own
+    fresh = ControlPair(
+        measure_ctrl=lambda t, info: DiscreteMeasure([0.5, 3.0], [1.0, -0.25]),
+        scalar_ctrl=lambda t, info: 0.0,
+    )
+    pert = perturbed_controls(fresh, direction, 0.1)
+    info = SimInfo(bundle, 5, np.arange(50))
+    first, second = pert.measure_ctrl(info.t, info), pert.measure_ctrl(info.t, info)
+    assert first is not second
+    assert first.weights.tolist() == second.weights.tolist() == [1.0, -0.25, 0.1]
