@@ -92,7 +92,6 @@ def _masses(mu: DiscreteMeasure, model: cons.ConsumptionModel) -> list[float]:
 
 def _run_arrays(out: dict, seed: int, n: int, m: int) -> None:
     """Feedback-candidate runs: states, samples, laws, masses, Fourier tables."""
-    cf = None
     for levy in (False, True):
         for delay in (False, True):
             model = _model(levy, delay)
