@@ -15,6 +15,12 @@ batched kernel, a reordered loop) can prove it by running one test:
 - the per-row sample differences of the main and the inflated consumption
   sweeps, and the residual curves of both variants, at N=600, M=40
 - ``fourier_tables`` of one bundle's laws with one and with two CPUs
+- the whole atoms, weights and Fourier tables of the frozen candidate's
+  measures and of their lambda deviations, read after their masses
+- both players' ``adjoint_p0_solve`` P in both measure modes, with and
+  without the Levy measure; ``simulate_gamma`` paths and pathwise and
+  regression ``solve`` P of a state-dependent spec on the same bundles
+- ``gateaux_check``'s slopes and standard errors on a control direction
 
 Each array is hashed with its dtype and shape.  The digests depend on
 numpy's rounding, so the tests skip on a numpy other than the one that
@@ -35,6 +41,8 @@ import pytest
 
 import mfclab.consumption as cons
 from mfclab import measures as measures_module
+from mfclab.bsde import LinearBsdeSpec, adjoint_p0_solve, simulate_gamma, solve
+from mfclab.game import gateaux_check
 from mfclab.lawproc import LevyMeasure
 from mfclab.measures import DiscreteMeasure, fourier_tables, gauss_hermite_rule
 from mfclab.sde import (
@@ -52,7 +60,10 @@ KNOBS = dict(seed=2024, run_particles=400, run_steps=30, game_particles=600, gam
 LEVY = LevyMeasure([-0.2, 0.1, 0.3], [0.5, 1.0, 0.7])
 DELAY = 0.1
 LAMBDA = 0.1
-GROUPS = ("run", "law", "mass", "sweep", "residuals", "fourier")
+GROUPS = (
+    "run", "law", "mass", "sweep", "residuals", "fourier",
+    "sum", "adjoint", "gamma", "bsde", "gateaux",
+)
 
 
 def _digest(a) -> str:
@@ -90,8 +101,21 @@ def _masses(mu: DiscreteMeasure, model: cons.ConsumptionModel) -> list[float]:
     return [mu.mass_on(lo, hi) for _ in range(2) for lo, hi in bounds]
 
 
+def _bsde_spec(levy: bool) -> LinearBsdeSpec:
+    """State-dependent coefficients; a scalar beta, as callers may return."""
+    return LinearBsdeSpec(
+        phi=lambda t, ctx: 0.5 * np.tanh(ctx.x),
+        alpha=lambda t, ctx: -0.2 - 0.1 * np.tanh(ctx.x),
+        beta=lambda t, ctx: 0.3,
+        jump_phi=lambda t, z, ctx: z * (0.5 + 0.2 * np.tanh(ctx.x)),
+        terminal=lambda ctx: 2.0 + np.tanh(ctx.x),
+        levy=LEVY if levy else None,
+    )
+
+
 def _run_arrays(out: dict, seed: int, n: int, m: int) -> None:
-    """Feedback-candidate runs: states, samples, laws, masses, Fourier tables."""
+    """Feedback-candidate runs: states, samples, laws, masses, Fourier tables,
+    adjoints and BSDE solutions."""
     for levy in (False, True):
         for delay in (False, True):
             model = _model(levy, delay)
@@ -105,13 +129,26 @@ def _run_arrays(out: dict, seed: int, n: int, m: int) -> None:
                 out[f"run/{name}/performance"] = performance_samples(
                     bundle, controls, cons.performance(model)
                 )
-                if delay or mu_mode != "exogenous":
+                if delay:
                     continue
+                spec = cons.game_spec(model)
+                frozen, _, _ = cons.frozen_pair(model, cf, bundle)
+                for player in (1, 2):
+                    out[f"adjoint/{name}/player={player}"] = adjoint_p0_solve(
+                        spec.model, spec.performance_for(player), bundle, frozen
+                    ).P
+                if mu_mode != "exogenous":
+                    continue
+                bsde = _bsde_spec(levy)
+                out[f"gamma/{name}"] = simulate_gamma(bsde, bundle)
+                for estimator in ("pathwise", "regression"):
+                    out[f"bsde/{name}/{estimator}"] = solve(
+                        bsde, bundle=bundle, estimator=estimator, basis="poly3"
+                    ).P
                 laws = [bundle.law_at(k) for k in range(m + 1)]
                 out[f"law/{name}/locations"] = np.concatenate([law.locations for law in laws])
                 out[f"law/{name}/weights"] = np.concatenate([law.weights for law in laws])
                 out[f"mass/{name}/laws"] = [_masses(law, model) for law in laws]
-                frozen, _, _ = cons.frozen_pair(model, cf, bundle)
                 scen = np.arange(n)
                 infos = [SimInfo(bundle, k, scen) for k in range(m)]
                 out[f"mass/{name}/frozen"] = [
@@ -122,6 +159,12 @@ def _run_arrays(out: dict, seed: int, n: int, m: int) -> None:
                 out[f"mass/{name}/frozen-deviation"] = [
                     _masses(pert.measure_ctrl(info.t, info), model) for info in infos
                 ]
+                nodes = gauss_hermite_rule(32).nodes
+                for label, ctrl in (("frozen", frozen), ("frozen-deviation", pert)):
+                    sums = [ctrl.measure_ctrl(info.t, info) for info in infos]
+                    out[f"sum/{name}/{label}/locations"] = np.concatenate([mu.locations for mu in sums])
+                    out[f"sum/{name}/{label}/weights"] = np.concatenate([mu.weights for mu in sums])
+                    out[f"sum/{name}/{label}/fourier"] = np.stack([mu.fourier(nodes) for mu in sums])
                 # one perturbed feedback pair read along two bundles: the same
                 # t meets another base measure
                 pert = perturbed_controls(controls, direction, LAMBDA)
@@ -131,7 +174,6 @@ def _run_arrays(out: dict, seed: int, n: int, m: int) -> None:
                         _masses(pert.measure_ctrl(float(b.times[k]), SimInfo(b, k, scen)), model)
                         for k in range(m)
                     ]
-                nodes = gauss_hermite_rule(32).nodes
                 for cpus in (1, 2):
                     with mock.patch.object(measures_module, "_cpu_count", lambda: cpus):
                         table = fourier_tables(laws, nodes)
@@ -172,9 +214,24 @@ def _game_arrays(out: dict, seed: int, n: int, m: int) -> None:
         out[f"residuals/{variant}/mu"] = [curves.res_mu["mass_V"], curves.se_mu["mass_V"]]
 
 
+def _gateaux_arrays(out: dict, seed: int, n: int, m: int) -> None:
+    """Gateaux slopes of a scaled-rate candidate along a late control step."""
+    model = _model(levy=True, delay=False)
+    spec = cons.game_spec(model)
+    cf = cons.closed_form_controls(model)
+    noise = draw_noise(seed, n, m, model.horizon, model.levy)
+    base = simulate(spec.model, cons.feedback_pair(model, cf), noise=noise)
+    candidate, _, _ = cons.frozen_pair(model, cf, base, rho_scale=1.5)
+    bundle = simulate(spec.model, candidate, noise=noise)
+    direction = Direction(kind="control", t0=0.5, scalar=1.0)
+    res = gateaux_check(spec, candidate, direction, (0.1, 0.05), bundle)
+    out["gateaux/control"] = [*res.fd_slopes, *res.fd_se, res.adjoint_slope, res.adjoint_se]
+
+
 def golden_digests() -> dict[str, str]:
     arrays: dict = {}
     _run_arrays(arrays, KNOBS["seed"], KNOBS["run_particles"], KNOBS["run_steps"])
+    _gateaux_arrays(arrays, KNOBS["seed"], KNOBS["run_particles"], KNOBS["run_steps"])
     _game_arrays(arrays, KNOBS["seed"], KNOBS["game_particles"], KNOBS["game_steps"])
     return {key: _digest(a) for key, a in arrays.items()}
 
