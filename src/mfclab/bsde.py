@@ -39,8 +39,11 @@ fills them from a ``LinearBsdeSpec`` along the bundle (nested-MC inner paths
 carry their outer scenario into every coefficient); ``adjoint_p0_solve``
 fills them from the model's partials.  Regression bases see the time-t state.
 
-The Gamma paths, coefficient tables and P estimates are stored time-major
-(see ``sde``): shapes (N, M+1) with contiguous per-step columns.
+The tables are phi, Gamma and theta: Gamma is advanced while the
+coefficients are evaluated, from each step's alpha, beta and jump_phi, so
+those are never stored.  Gamma paths, phi tables and P estimates are stored
+time-major (see ``sde``): shapes (N, M+1) or (N, M) with contiguous
+per-step columns.
 """
 from __future__ import annotations
 
@@ -123,15 +126,12 @@ class BsdeSolution:
 
 @dataclass(frozen=True)
 class _CoefficientTables:
-    """Coefficients per scenario and step: phi, alpha, beta time-major (N, M),
-    jump_phi (atoms, M, N), theta (N,); ``levy`` holds the atoms' rates."""
+    """Per scenario and step: phi time-major (N, M), the Gamma paths
+    time-major (N, M+1), theta (N,)."""
 
     phi: np.ndarray | None
-    alpha: np.ndarray
-    beta: np.ndarray
-    jump_phi: np.ndarray
+    gamma: np.ndarray
     theta: np.ndarray | None
-    levy: LevyMeasure | None
 
 
 def _step_context(bundle: ParticleBundle, k: int, scenario: np.ndarray) -> StepContext:
@@ -141,10 +141,46 @@ def _step_context(bundle: ParticleBundle, k: int, scenario: np.ndarray) -> StepC
     )
 
 
+def _column(n: int, value) -> np.ndarray:
+    """A coefficient's scalar or per-scenario value as a float (n,) array."""
+    col = np.empty(n)
+    col[:] = value
+    return col
+
+
+def _gamma_step(gam: np.ndarray, k: int, alpha, beta, jump_phi, levy, noise) -> None:
+    """Fill Gamma at step k + 1 from step k and that step's coefficients:
+    ``alpha`` and ``beta`` as returned, ``jump_phi`` one value per Levy atom."""
+    n, dt = noise.n_particles, noise.dt
+    factor = 1.0 + _column(n, alpha) * dt + _column(n, beta) * noise.dB[:, k]
+    if len(jump_phi):
+        jp = np.empty((len(jump_phi), n))
+        for j, value in enumerate(jump_phi):
+            jp[j] = value
+        if np.any(jp <= -1.0):
+            raise GammaPositivityError(
+                f"jump_phi <= -1 at step {k}; Gamma cannot stay positive"
+            )
+        factor = _compensated_jump_step(factor, dt, levy, noise, k, lambda j, i: jp[j, i])
+    gam[:, k + 1] = gam[:, k] * factor
+    if np.any(gam[:, k + 1] <= 0.0):
+        bad = int(np.flatnonzero(gam[:, k + 1] <= 0.0)[0])
+        raise GammaPositivityError(
+            f"Gamma nonpositive at step {k + 1}, scenario {bad}; "
+            "decrease the step size"
+        )
+
+
+def _gamma_start(n: int, m: int) -> np.ndarray:
+    gam = _time_major(n, m + 1)
+    gam[:, 0] = 1.0
+    return gam
+
+
 def _tabulate(
     spec: LinearBsdeSpec, bundle: ParticleBundle, scenario=None, gamma_only=False
 ) -> _CoefficientTables:
-    """Evaluate the spec's callables along a bundle.
+    """Evaluate the spec's callables along a bundle, advancing Gamma step by step.
 
     ``scenario`` relabels ctx.scenario for every coefficient (scenario i is
     path i by default); ``gamma_only`` skips phi and theta.
@@ -155,47 +191,19 @@ def _tabulate(
         scenario = np.arange(n)
     atoms = spec.levy.jump_sizes if spec.levy is not None else ()
     phi = None if gamma_only else _time_major(n, m)
-    alpha = _time_major(n, m)
-    beta = _time_major(n, m)
-    jump_phi = np.empty((len(atoms), m, n))
+    gam = _gamma_start(n, m)
     for k in range(m):
         t, ctx = float(times[k]), _step_context(bundle, k, scenario)
-        alpha[:, k] = spec.alpha(t, ctx)
-        beta[:, k] = spec.beta(t, ctx)
-        for j, zeta in enumerate(atoms):
-            jump_phi[j, k] = spec.jump_phi(t, zeta, ctx)
+        alpha = spec.alpha(t, ctx)
+        beta = spec.beta(t, ctx)
+        jump_phi = [spec.jump_phi(t, zeta, ctx) for zeta in atoms]
         if phi is not None:
             phi[:, k] = spec.phi(t, ctx)
+        _gamma_step(gam, k, alpha, beta, jump_phi, spec.levy, bundle.noise)
     theta = None
     if not gamma_only:
-        theta = np.empty(n)
-        theta[:] = spec.terminal(_step_context(bundle, m, scenario))
-    return _CoefficientTables(phi, alpha, beta, jump_phi, theta, spec.levy)
-
-
-def _gamma(tables: _CoefficientTables, noise) -> np.ndarray:
-    """Euler paths of Gamma from the tabulated alpha, beta and jump_phi."""
-    n, m = noise.n_particles, noise.n_steps
-    dt = noise.dt
-    gam = _time_major(n, m + 1)
-    gam[:, 0] = 1.0
-    for k in range(m):
-        factor = 1.0 + tables.alpha[:, k] * dt + tables.beta[:, k] * noise.dB[:, k]
-        if len(tables.jump_phi):
-            jp = tables.jump_phi[:, k]
-            if np.any(jp <= -1.0):
-                raise GammaPositivityError(
-                    f"jump_phi <= -1 at step {k}; Gamma cannot stay positive"
-                )
-            factor = _compensated_jump_step(factor, dt, tables.levy, noise, k, lambda j, i: jp[j, i])
-        gam[:, k + 1] = gam[:, k] * factor
-        if np.any(gam[:, k + 1] <= 0.0):
-            bad = int(np.flatnonzero(gam[:, k + 1] <= 0.0)[0])
-            raise GammaPositivityError(
-                f"Gamma nonpositive at step {k + 1}, scenario {bad}; "
-                "decrease the step size"
-            )
-    return gam
+        theta = _column(n, spec.terminal(_step_context(bundle, m, scenario)))
+    return _CoefficientTables(phi, gam, theta)
 
 
 def simulate_gamma(spec: LinearBsdeSpec, bundle: ParticleBundle) -> np.ndarray:
@@ -205,15 +213,13 @@ def simulate_gamma(spec: LinearBsdeSpec, bundle: ParticleBundle) -> np.ndarray:
     the compensated-jump Euler factor is
     1 + alpha dt + beta dB + sum_{events} jump_phi - dt sum_j rate_j jump_phi.
     """
-    return _gamma(_tabulate(spec, bundle, gamma_only=True), bundle.noise)
+    return _tabulate(spec, bundle, gamma_only=True).gamma
 
 
-def _pathwise_values(tables: _CoefficientTables, noise) -> np.ndarray:
+def _pathwise_values(tables: _CoefficientTables, dt: float) -> np.ndarray:
     """Y(t) = theta Gamma(T)/Gamma(t) + sum_{s>=t} Gamma(s)/Gamma(t) phi(s) dt."""
-    n, m = noise.n_particles, noise.n_steps
-    dt = noise.dt
-    gam = _gamma(tables, noise)
-    phi, theta = tables.phi, tables.theta
+    gam, phi, theta = tables.gamma, tables.phi, tables.theta
+    n, m = phi.shape
     values = _time_major(n, m + 1)
     values[:, m] = theta
     acc = theta * gam[:, m]
@@ -230,7 +236,7 @@ def _regression_values(tables: _CoefficientTables, bundle: ParticleBundle, basis
     # fit against a particle-major copy: matmul rounds short strided and
     # contiguous right-hand sides differently, and regression P keeps the
     # rounding of strided per-step columns
-    raw = np.ascontiguousarray(_pathwise_values(tables, bundle.noise))
+    raw = np.ascontiguousarray(_pathwise_values(tables, bundle.noise.dt))
     build = resolve_basis(basis)
     scenario = np.arange(n)
     fitted = _time_major(n, m + 1)
@@ -338,7 +344,7 @@ def solve(
     if bundle is None:
         raise ValueError(f"estimator {estimator!r} needs a particle bundle")
     if estimator == "pathwise":
-        return BsdeSolution(times=bundle.times, P=_pathwise_values(_tabulate(spec, bundle), bundle.noise))
+        return BsdeSolution(times=bundle.times, P=_pathwise_values(_tabulate(spec, bundle), bundle.noise.dt))
     if estimator == "regression":
         return BsdeSolution(times=bundle.times, P=_regression_values(_tabulate(spec, bundle), bundle, basis))
     if estimator != "nested-mc":
@@ -362,7 +368,7 @@ def solve(
         inner = _euler_sweep(model, controls, inner_noise, sub_times, x_init, bundle.mu_mode)
         # shift inner Brownian levels so ctx.brownian is the absolute B(t)
         inner._brownian = inner.brownian_levels() + np.repeat(outer_b[:, k], n_inner)[:, None]
-        y_inner = _pathwise_values(_tabulate(spec, inner, scen_rep), inner_noise)
+        y_inner = _pathwise_values(_tabulate(spec, inner, scen_rep), inner_noise.dt)
         y0 = y_inner[:, 0].reshape(n, n_inner)
         p[:, k] = y0.mean(axis=1)
     return BsdeSolution(times=times, P=p)
@@ -406,8 +412,9 @@ def adjoint_p0_solve(
         beta     = dsigma/dx        jump_phi = dgamma/dx
         terminal = dg/dx(X(T), M(T)),
 
-    all tabulated along the bundle's baseline paths and handed to the
-    pathwise estimator of `solve`.
+    all evaluated along the bundle's baseline paths: phi is tabulated and
+    Gamma advanced step by step, then handed to the pathwise estimator of
+    `solve`.
     """
     n, m = bundle.n_particles, bundle.n_steps
     scen = np.arange(n)
@@ -420,23 +427,20 @@ def adjoint_p0_solve(
     gx = _partial_x(model.jump, partials.jump_dx)
 
     phi = _time_major(n, m)
-    alpha = _time_major(n, m)
-    beta = _time_major(n, m)
-    jump_phi = np.empty((len(atoms), m, n))
+    gam = _gamma_start(n, m)
     for sv in iter_steps(bundle, controls):
         k, t, x, mu, u = sv.k, sv.t, sv.x, sv.mu_coeff, sv.u
         phi[:, k] = lx(t, x, sv.law, sv.mu_ctrl, u, scen)
-        alpha[:, k] = bx(t, x, mu, u, scen)
-        beta[:, k] = sx(t, x, mu, u, scen)
-        for j, zeta in enumerate(atoms):
-            jump_phi[j, k] = gx(t, x, mu, u, zeta, scen)
+        alpha = bx(t, x, mu, u, scen)
+        beta = sx(t, x, mu, u, scen)
+        jump_phi = [gx(t, x, mu, u, zeta, scen) for zeta in atoms]
+        _gamma_step(gam, k, alpha, beta, jump_phi, levy, bundle.noise)
 
     x_T = bundle.states[:, -1]
     m_T = bundle.law_at(m)
-    theta = np.empty(n)
     if perf.terminal_dx is not None:
-        theta[:] = perf.terminal_dx(x_T, m_T, scen)
+        theta = _column(n, perf.terminal_dx(x_T, m_T, scen))
     else:
-        theta[:] = _central_difference(lambda h: perf.terminal(x_T + h, m_T, scen))
-    tables = _CoefficientTables(phi, alpha, beta, jump_phi, theta, levy)
-    return BsdeSolution(times=bundle.times, P=_pathwise_values(tables, bundle.noise))
+        theta = _column(n, _central_difference(lambda h: perf.terminal(x_T + h, m_T, scen)))
+    tables = _CoefficientTables(phi, gam, theta)
+    return BsdeSolution(times=bundle.times, P=_pathwise_values(tables, bundle.noise.dt))

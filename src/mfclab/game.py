@@ -430,8 +430,11 @@ def gateaux_check(
         fd_slopes[i] = slope_samples.mean()
         fd_se[i] = slope_samples.std(ddof=1) / sqrt_n if n > 1 else 0.0
 
-    if adjoint is None:
-        adjoint = solve_adjoints(spec, bundle, candidate)
+    # only the deviating player's adjoint is read
+    p0_sol = (
+        adjoint.p0[player] if adjoint is not None
+        else adjoint_p0_solve(spec.model, perf, bundle, candidate)
+    )
     scen = np.arange(n)
     dt = bundle.dt
     slope_acc = np.zeros(n)
@@ -440,7 +443,7 @@ def gateaux_check(
         if player == 1:
             mu_shifts = [_mu_shifts(sv, f.unit_direction()) for f in spec.functionals]
         _check_coefficient_independence(spec, sv, player, scen, mu_shifts)
-        p0 = adjoint.p0[player].p_at(sv.k)
+        p0 = p0_sol.p_at(sv.k)
         if direction.kind == "measure":
             eta = direction.eta_at(sv.t)
             if eta is None:

@@ -22,6 +22,7 @@ for a finite-activity Levy measure nu = sum_j rate_j delta_{zeta_j}.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -166,6 +167,7 @@ def empirical_law(particles) -> DiscreteMeasure:
     Duplicate sample values are coalesced by exact equality, which never
     changes the Fourier transform.  The atoms come out sorted, bit for bit
     as from ``np.unique(x, return_counts=True)`` with weights counts / n.
+    Laws of ``n`` distinct samples share one read-only weights array.
     """
     x = np.asarray(particles, dtype=float).reshape(-1)
     n = x.size
@@ -179,10 +181,17 @@ def empirical_law(particles) -> DiscreteMeasure:
     distinct[0] = True
     np.not_equal(loc[1:], loc[:-1], out=distinct[1:])
     if distinct.all():
-        return DiscreteMeasure._from_checked(loc, np.full(n, 1 / n), n)
+        return DiscreteMeasure._from_parts(loc, _uniform_weights(n))
     starts = np.flatnonzero(distinct)
     counts = np.diff(starts, append=n)
-    return DiscreteMeasure._from_checked(loc[starts], counts / n, starts.size)
+    return DiscreteMeasure._from_parts(loc[starts], counts / n)
+
+
+@functools.lru_cache(maxsize=8)
+def _uniform_weights(n: int) -> np.ndarray:
+    """``np.full(n, 1 / n)``, one read-only array per ``n`` that every
+    all-distinct law of ``n`` samples shares."""
+    return _read_only(np.full(n, 1 / n))
 
 
 def generator_on_test_fn(

@@ -28,7 +28,12 @@ A measure is a read-only value: its atom arrays are copied in and frozen
 (``flags.writeable`` is False), so writing to them raises ``ValueError``;
 edit a ``.copy()`` and build a new measure from it.  Because nothing can
 change its atoms, a measure keeps every interval mass it has computed, and
-``mass_on`` computes each ``(lo, hi]`` once per measure.
+``mass_on`` computes each ``(lo, hi]`` once per measure.  For the same
+reason values share arrays instead of copying them: a sum ``a + b`` shares
+``a``'s sorted prefix and copies only the small tail after it, and builds
+its whole ``locations``/``weights`` on their first read (``mass_on`` and
+``n_atoms`` never need them); empirical laws of ``n`` distinct samples share
+one weights array.
 
 ``fourier_tables`` evaluates a list of measures on one node array.  Above a
 small amount of work it shares whole measures between the calling thread and
@@ -63,6 +68,14 @@ _FOURIER_CHUNK = 65536
 _PARALLEL_MIN_WORK = 100_000
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+_EMPTY = _read_only(np.empty(0))
+
+
 class DiscreteMeasure:
     """Finite signed measure represented as weighted point masses.
 
@@ -73,14 +86,21 @@ class DiscreteMeasure:
     weights : array_like
         Signed atom weights, same length as ``locations``.
 
-    Both arrays are read-only copies of what the caller passed.  The first
-    ``_n_sorted`` atoms are known to be sorted ascending, so ``mass_on``
-    finds them by binary search.  An empirical law is sorted throughout, and
-    a sum keeps its left operand's prefix.  ``_masses`` holds the interval
-    masses computed so far, keyed by ``(lo, hi)``.
+    The atoms are held in two parts: a prefix sorted ascending, which
+    ``mass_on`` binary-searches, followed by a tail in any order, which it
+    masks.  A measure built from arrays is all tail; an empirical law is all
+    prefix.  A sum ``a + b`` shares ``a``'s prefix arrays, without a copy,
+    and owns the tail ``a``'s tail then ``b``'s atoms.  ``locations`` and
+    ``weights`` are the prefix then the tail: one part's arrays themselves,
+    or, for a sum with both parts, arrays built on their first read and kept.
+    Every array is read-only, and the constructor copies what the caller
+    passed.  ``_masses`` holds the interval masses computed so far, keyed by
+    ``(lo, hi)``.
     """
 
-    __slots__ = ("locations", "weights", "_n_sorted", "_masses")
+    __slots__ = (
+        "locations", "weights", "_sorted_loc", "_sorted_w", "_tail_loc", "_tail_w", "_masses",
+    )
 
     def __init__(self, locations, weights):
         # copies: a read-only view would not stop writes through the caller's array
@@ -94,22 +114,34 @@ class DiscreteMeasure:
             raise ValueError("atom locations must be finite")
         if wts.size and not np.isfinite(wts).all():
             raise ValueError("atom weights must be finite")
-        self.locations = _read_only(loc)
-        self.weights = _read_only(wts)
-        self._n_sorted = 0
+        self._set_atoms(_EMPTY, _EMPTY, loc, wts)
         self._masses = {}
 
     @classmethod
-    def _from_checked(cls, locations, weights, n_sorted: int) -> "DiscreteMeasure":
-        """Measure on fresh 1-d float arrays of equal length, finite locations
-        and weights, whose first ``n_sorted`` locations ascend; nothing is
-        rescanned or copied, and the arrays are frozen in place."""
+    def _from_parts(cls, sorted_loc, sorted_w, tail_loc=_EMPTY, tail_w=_EMPTY) -> "DiscreteMeasure":
+        """Measure on 1-d float arrays of finite locations and weights, paired
+        by length, whose ``sorted_loc`` ascend; nothing is rescanned or
+        copied, and the arrays are frozen in place."""
         mu = cls.__new__(cls)
-        mu.locations = _read_only(locations)
-        mu.weights = _read_only(weights)
-        mu._n_sorted = n_sorted
+        mu._set_atoms(sorted_loc, sorted_w, tail_loc, tail_w)
         mu._masses = {}
         return mu
+
+    def _set_atoms(self, sorted_loc, sorted_w, tail_loc, tail_w) -> None:
+        self._sorted_loc, self._sorted_w = _read_only(sorted_loc), _read_only(sorted_w)
+        self._tail_loc, self._tail_w = _read_only(tail_loc), _read_only(tail_w)
+        if not tail_loc.size:
+            self.locations, self.weights = sorted_loc, sorted_w
+        elif not sorted_loc.size:
+            self.locations, self.weights = tail_loc, tail_w
+
+    def __getattr__(self, name):
+        # only reached while a slot is unset: a sum's whole arrays before their first read
+        if name not in ("locations", "weights"):
+            raise AttributeError(name)
+        self.locations = _read_only(np.concatenate([self._sorted_loc, self._tail_loc]))
+        self.weights = _read_only(np.concatenate([self._sorted_w, self._tail_w]))
+        return getattr(self, name)
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -124,7 +156,13 @@ class DiscreteMeasure:
     # -- basic queries -------------------------------------------------------
     @property
     def n_atoms(self) -> int:
-        return self.locations.size
+        # never builds a sum's whole arrays
+        return self._sorted_loc.size + self._tail_loc.size
+
+    @property
+    def _n_sorted(self) -> int:
+        """Length of the sorted prefix."""
+        return self._sorted_loc.size
 
     def total_mass(self) -> float:
         return float(math.fsum(self.weights.tolist()))
@@ -156,24 +194,22 @@ class DiscreteMeasure:
     def _mass_on(self, lo: float, hi: float) -> float:
         """``mass_on`` computed afresh.  The sorted prefix is binary-searched
         and only the tail is masked; the weights summed, and their order, are
-        those a mask over every atom selects."""
-        if self.n_atoms == 0:
-            return 0.0
-        k = self._n_sorted
-        i, j = np.searchsorted(self.locations[:k], (lo, hi), side="right")
-        if k == self.n_atoms:
-            return float(self.weights[i:j].sum())
-        tail = self.locations[k:]
+        those a mask over ``locations`` selects."""
+        i, j = np.searchsorted(self._sorted_loc, (lo, hi), side="right")
+        tail = self._tail_loc
+        if not tail.size:
+            return float(self._sorted_w[i:j].sum())
         inside = (tail > lo) & (tail <= hi)
-        return float(np.concatenate([self.weights[i:j], self.weights[k:][inside]]).sum())
+        return float(np.concatenate([self._sorted_w[i:j], self._tail_w[inside]]).sum())
 
     # -- algebra -------------------------------------------------------------
     def __add__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
-        # both operands were checked when built
-        return DiscreteMeasure._from_checked(
-            np.concatenate([self.locations, other.locations]),
-            np.concatenate([self.weights, other.weights]),
-            self._n_sorted,
+        # both operands were checked when built; the prefix is shared, O(tail) is copied
+        return DiscreteMeasure._from_parts(
+            self._sorted_loc,
+            self._sorted_w,
+            np.concatenate([self._tail_loc, other.locations]),
+            np.concatenate([self._tail_w, other.weights]),
         )
 
     def __sub__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
@@ -241,11 +277,6 @@ class DiscreteMeasure:
 
     def __repr__(self) -> str:
         return f"DiscreteMeasure(n_atoms={self.n_atoms}, mass={self.total_mass():.6g})"
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _fourier_nodes(y) -> np.ndarray:

@@ -369,9 +369,7 @@ class _LazyLaw(DiscreteMeasure):
         if name not in DiscreteMeasure.__slots__:
             raise AttributeError(name)
         law = empirical_law(self._column)
-        self.locations = law.locations
-        self.weights = law.weights
-        self._n_sorted = law._n_sorted
+        self._set_atoms(law._sorted_loc, law._sorted_w, law._tail_loc, law._tail_w)
         return getattr(self, name)
 
 

@@ -1,5 +1,6 @@
 """Tests for the linear BSDE solver and the Gamma representation."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -352,3 +353,28 @@ def test_adjoint_consumption_product_identity(seed, n, m, theta, dt):
     product = sol.P * bundle.states
     target = theta + horizon - bundle.times
     assert np.max(np.abs(product - target[None, :])) <= 1e-10
+
+
+def test_adjoint_solve_peak_memory_is_phi_gamma_and_p():
+    """alpha, beta and jump_phi are folded into Gamma step by step, not
+    tabulated: the peak is phi, Gamma and P, about 3 of the (N, M+1) tables
+    where it was 6 (one Levy atom)."""
+    import mfclab.consumption as cons
+
+    n, m = 2000, 50
+    model = cons.ConsumptionModel(
+        x0=1.0, horizon=1.0, vol=lambda t: 0.2, theta=1.0,
+        jump_scale=lambda t, z: z, levy=LevyMeasure([0.1], [0.5]),
+    )
+    cf = cons.closed_form_controls(model)
+    state = cons.state_model(model)
+    bundle = simulate(state, cons.feedback_pair(model, cf), n, m, seed=5)
+    pair, _, _ = cons.frozen_pair(model, cf, bundle)
+    tracemalloc.start()
+    try:
+        sol = adjoint_p0_solve(state, cons.performance(model), bundle, pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.P.shape == (n, m + 1)
+    assert peak < 3.5 * n * (m + 1) * 8

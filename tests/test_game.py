@@ -391,6 +391,28 @@ def test_gateaux_consumption_control_direction(cgame):
     assert res.adjoint_slope == pytest.approx(analytic, rel=0.02)
 
 
+def test_gateaux_solves_only_the_deviating_players_adjoint(cgame, monkeypatch):
+    """gateaux_check reads one player's p0; it solves that one alone, and
+    gets the bits that solve_adjoints gives."""
+    import mfclab.game as game_module
+
+    model, spec, candidate, bundle, adjoint = cgame
+    calls = []
+    solve = game_module.adjoint_p0_solve
+
+    def spy(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(game_module, "adjoint_p0_solve", spy)
+    direction = Direction(kind="control", t0=0.5, scalar=1.0)
+    res = gateaux_check(spec, candidate, direction, (0.1,), bundle)
+    assert len(calls) == 1 and calls[0][1] is spec.performance_for(2)
+    ref = gateaux_check(spec, candidate, direction, (0.1,), bundle, adjoint=adjoint)
+    assert len(calls) == 1
+    assert (res.adjoint_slope, res.adjoint_se) == (ref.adjoint_slope, ref.adjoint_se)
+
+
 def test_gateaux_consumption_measure_direction(cgame):
     """An adversarial mass offset of +0.3 gives slope -0.6 (T - t0) in J_1."""
     model, spec, _, base_bundle, _ = cgame

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -625,3 +626,118 @@ def test_measure_arrays_are_read_only_copies():
     with pytest.raises(ValueError, match="read-only"):
         law.locations[2] = 1.2
     assert law.mass_on(0.5, 1.5) == _mask_mass(law, 0.5, 1.5)
+
+
+# -- shared atoms: sums, laws and their memory ---------------------------------
+
+def _whole_arrays_built(mu) -> bool:
+    """True once ``locations`` is set; for a sum of two nonempty parts, only
+    after its first whole read."""
+    try:
+        DiscreteMeasure.locations.__get__(mu)
+    except AttributeError:
+        return False
+    return True
+
+
+@st.composite
+def measure_chains(draw, depth=2):
+    """(measure, locations, weights): a law, a plain measure or a sum of two
+    such, the left one possibly a sum itself (law + pair + lambda eta), with
+    the atoms the concatenation must hold, computed without the measure."""
+    kinds = ["law", "plain", "sum", "sum"] if depth else ["law", "plain"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "law":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        x = rng.normal(size=draw(st.integers(1, 300)))
+        if draw(st.booleans()):
+            x = np.round(x, 1)
+        x[:: draw(st.integers(2, 9))] = draw(st.sampled_from([0.0, -0.0, 0.25]))
+        loc, counts = np.unique(x, return_counts=True)
+        return empirical_law(x), loc, counts / x.size
+    if kind == "plain":
+        n = draw(st.integers(0, 4))
+        loc = np.array(draw(st.lists(_bounds.filter(math.isfinite), min_size=n, max_size=n)), dtype=float)
+        wts = np.array(draw(st.lists(_weights, min_size=n, max_size=n)), dtype=float)
+        mu = DiscreteMeasure(loc, wts)
+        if draw(st.booleans()):
+            lam = draw(st.floats(-0.2, 0.2))
+            return mu.scaled(lam), loc, lam * wts
+        return mu, loc, wts
+    a, a_loc, a_w = draw(measure_chains(depth - 1))
+    b, b_loc, b_w = draw(measure_chains(depth - 1))
+    return a + b, np.concatenate([a_loc, b_loc]), np.concatenate([a_w, b_w])
+
+
+def _masked(loc, wts, lo, hi) -> float:
+    inside = (loc > lo) & (loc <= hi)
+    return float(wts[inside].sum())
+
+
+@settings(max_examples=80, deadline=None)
+@given(chain=measure_chains(), lo=_bounds, hi=_bounds, n=st.integers(2, 40))
+def test_sums_read_as_their_concatenation(chain, lo, hi, n):
+    mu, loc, wts = chain
+    assert mu.n_atoms == loc.size
+    two_parts = mu._n_sorted and mu._n_sorted < mu.n_atoms
+    bounds = [(lo, hi), (lo, math.inf), (-math.inf, hi), (0.0, hi), (-0.0, hi), (lo, -0.0), (lo, 0.0)]
+    for a, b in bounds:
+        assert np.float64(mu.mass_on(a, b)).tobytes() == np.float64(_masked(loc, wts, a, b)).tobytes()
+    # n_atoms and every mass above leave a two-part sum's whole arrays unbuilt
+    assert _whole_arrays_built(mu) == (not two_parts)
+    y = gauss_hermite_rule(n).nodes
+    assert mu.fourier(y).tobytes() == DiscreteMeasure(loc, wts).fourier(y).tobytes()
+    for mine, expected in ((mu.locations, loc), (mu.weights, wts)):
+        assert mine.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            mine[:1] = 1.2
+    # built once and kept
+    assert mu.locations is mu.locations and mu.weights is mu.weights
+
+
+def _consumption_bundle(n, m, seed=5):
+    import mfclab.consumption as cons
+    from mfclab.lawproc import LevyMeasure
+    from mfclab.sde import simulate
+
+    model = cons.ConsumptionModel(
+        x0=1.0, horizon=1.0, vol=lambda t: 0.2, theta=1.0,
+        jump_scale=lambda t, z: z, levy=LevyMeasure([0.1], [0.5]),
+    )
+    cf = cons.closed_form_controls(model)
+    bundle = simulate(cons.state_model(model), cons.feedback_pair(model, cf), n, m, seed=seed)
+    for k in range(m + 1):
+        bundle.law_at(k).n_atoms
+    return model, cf, bundle
+
+
+def _kept_bytes(build):
+    """Bytes still allocated after ``build()`` returns, while its result lives."""
+    tracemalloc.start()
+    try:
+        kept = build()
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del kept
+    return size
+
+
+def test_frozen_candidate_shares_the_laws_atoms():
+    """200 frozen measures law + pair used to copy every law's atoms."""
+    import mfclab.consumption as cons
+
+    n, m = 2000, 50
+    model, cf, bundle = _consumption_bundle(n, m)
+    kept = _kept_bytes(lambda: cons.frozen_pair(model, cf, bundle))
+    assert kept < 0.2 * n * (m + 1) * 8
+
+
+def test_all_distinct_laws_share_one_weights_array():
+    n, count = 2000, 50
+    samples = np.random.default_rng(3).standard_normal((count, n))
+    kept = _kept_bytes(lambda: [empirical_law(row) for row in samples])
+    assert kept < 1.1 * n * (count + 1) * 8
+    a, b = empirical_law(samples[0]), empirical_law(samples[1])
+    assert a.weights is b.weights and not a.weights.flags.writeable
+    assert a.weights.tobytes() == np.full(n, 1 / n).tobytes()
