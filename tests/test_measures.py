@@ -695,40 +695,27 @@ def test_sums_read_as_their_concatenation(chain, lo, hi, n):
     assert mu.locations is mu.locations and mu.weights is mu.weights
 
 
-def _consumption_bundle(n, m, seed=5):
-    import mfclab.consumption as cons
-    from mfclab.lawproc import LevyMeasure
-    from mfclab.sde import simulate
-
-    model = cons.ConsumptionModel(
-        x0=1.0, horizon=1.0, vol=lambda t: 0.2, theta=1.0,
-        jump_scale=lambda t, z: z, levy=LevyMeasure([0.1], [0.5]),
-    )
-    cf = cons.closed_form_controls(model)
-    bundle = simulate(cons.state_model(model), cons.feedback_pair(model, cf), n, m, seed=seed)
-    for k in range(m + 1):
-        bundle.law_at(k).n_atoms
-    return model, cf, bundle
-
-
 def _kept_bytes(build):
     """Bytes still allocated after ``build()`` returns, while its result lives."""
     tracemalloc.start()
     try:
-        kept = build()
-        size = tracemalloc.get_traced_memory()[0]
+        kept = build()  # noqa: F841 (alive while the memory is read)
+        return tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    del kept
-    return size
 
 
 def test_frozen_candidate_shares_the_laws_atoms():
-    """200 frozen measures law + pair used to copy every law's atoms."""
+    """Each frozen measure law + pair used to copy its law's atoms."""
     import mfclab.consumption as cons
+    from mfclab.sde import simulate
 
     n, m = 2000, 50
-    model, cf, bundle = _consumption_bundle(n, m)
+    model = cons.ConsumptionModel(x0=1.0, horizon=1.0, vol=lambda t: 0.2, theta=1.0)
+    cf = cons.closed_form_controls(model)
+    bundle = simulate(cons.state_model(model), cons.feedback_pair(model, cf), n, m, seed=5)
+    for k in range(m + 1):
+        bundle.law_at(k).n_atoms  # the laws are built outside the measured call
     kept = _kept_bytes(lambda: cons.frozen_pair(model, cf, bundle))
     assert kept < 0.2 * n * (m + 1) * 8
 
