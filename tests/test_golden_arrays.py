@@ -19,7 +19,10 @@ batched kernel, a reordered loop) can prove it by running one test:
   measures and of their lambda deviations, read after their masses
 - both players' ``adjoint_p0_solve`` P in both measure modes, with and
   without the Levy measure; ``simulate_gamma`` paths and pathwise and
-  regression ``solve`` P of a state-dependent spec on the same bundles
+  regression ``solve`` P of a state-dependent spec on the same bundles, and
+  its nested-MC P along the frozen candidate
+- ``simulate_derivative_process`` in the measure and the control direction,
+  with the model's analytic partials and with finite-difference partials
 - ``gateaux_check``'s slopes and standard errors on a control direction
 
 Each array is hashed with its dtype and shape.  The digests depend on
@@ -34,6 +37,7 @@ import json
 import math
 import pathlib
 import sys
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -53,6 +57,7 @@ from mfclab.sde import (
     performance_samples,
     perturbed_controls,
     simulate,
+    simulate_derivative_process,
 )
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_arrays.json")
@@ -62,7 +67,7 @@ DELAY = 0.1
 LAMBDA = 0.1
 GROUPS = (
     "run", "law", "mass", "sweep", "residuals", "fourier",
-    "sum", "adjoint", "gamma", "bsde", "gateaux",
+    "sum", "adjoint", "gamma", "bsde", "gateaux", "deriv",
 )
 
 
@@ -145,6 +150,20 @@ def _run_arrays(out: dict, seed: int, n: int, m: int) -> None:
                     out[f"bsde/{name}/{estimator}"] = solve(
                         bsde, bundle=bundle, estimator=estimator, basis="poly3"
                     ).P
+                out[f"bsde/{name}/nested-mc"] = solve(
+                    bsde, bundle=bundle, estimator="nested-mc", n_inner=4,
+                    model=spec.model, controls=frozen, seed=seed,
+                ).P
+                directions = {
+                    "measure": Direction(kind="measure", measure=DiscreteMeasure.dirac(model.v_probe)),
+                    "control": Direction(kind="control", t0=0.5, scalar=1.0),
+                }
+                partials = {"analytic": spec.model, "fd": replace(spec.model, partials=None)}
+                for kind, direction in directions.items():
+                    for label, state in partials.items():
+                        out[f"deriv/{name}/{kind}/{label}"] = simulate_derivative_process(
+                            bundle, state, frozen, direction
+                        )
                 laws = [bundle.law_at(k) for k in range(m + 1)]
                 out[f"law/{name}/locations"] = np.concatenate([law.locations for law in laws])
                 out[f"law/{name}/weights"] = np.concatenate([law.weights for law in laws])
