@@ -6,9 +6,7 @@ from .measures import (
     QuadratureRule,
     RandomMeasureEnsemble,
     SQRT_PI,
-    distance,
     fourier_tables,
-    fourier_transform,
     gauss_hermite_rule,
     inner_product,
     law_distance_bound_check,
@@ -22,7 +20,6 @@ from .lawproc import (
     MeasurePath,
     abs_continuity_scan,
     empirical_law,
-    fourier_table,
     generator_on_test_fn,
     law_derivative_fd,
     loglog_slope,
@@ -41,7 +38,6 @@ from .sde import (
     PerformanceSpec,
     SimulationError,
     draw_noise,
-    evaluate_performance,
     negate_performance,
     performance_samples,
     perturbed_controls,
@@ -55,7 +51,6 @@ from .bsde import (
     LinearBsdeSpec,
     adjoint_p0_solve,
     backward_euler_reference,
-    simulate_gamma,
     solve,
 )
 from .game import (
@@ -69,7 +64,6 @@ from .game import (
     UnsupportedModelError,
     first_order_residuals,
     gateaux_check,
-    hamiltonian,
     nash_perturbation_sweep,
     solve_adjoints,
 )

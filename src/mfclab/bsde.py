@@ -47,6 +47,7 @@ per-step columns.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -129,9 +130,9 @@ class _CoefficientTables:
     """Per scenario and step: phi time-major (N, M), the Gamma paths
     time-major (N, M+1), theta (N,)."""
 
-    phi: np.ndarray | None
+    phi: np.ndarray
     gamma: np.ndarray
-    theta: np.ndarray | None
+    theta: np.ndarray
 
 
 def _step_context(bundle: ParticleBundle, k: int, scenario: np.ndarray) -> StepContext:
@@ -150,7 +151,12 @@ def _column(n: int, value) -> np.ndarray:
 
 def _gamma_step(gam: np.ndarray, k: int, alpha, beta, jump_phi, levy, noise) -> None:
     """Fill Gamma at step k + 1 from step k and that step's coefficients:
-    ``alpha`` and ``beta`` as returned, ``jump_phi`` one value per Levy atom."""
+    ``alpha`` and ``beta`` as returned, ``jump_phi`` one value per Levy atom.
+
+    Gamma(0) = 1 and dGamma = Gamma^-[alpha dt + beta dB + jump_phi dNtilde];
+    the compensated-jump Euler factor is
+    1 + alpha dt + beta dB + sum_{events} jump_phi - dt sum_j rate_j jump_phi.
+    """
     n, dt = noise.n_particles, noise.dt
     factor = 1.0 + _column(n, alpha) * dt + _column(n, beta) * noise.dB[:, k]
     if len(jump_phi):
@@ -177,43 +183,28 @@ def _gamma_start(n: int, m: int) -> np.ndarray:
     return gam
 
 
-def _tabulate(
-    spec: LinearBsdeSpec, bundle: ParticleBundle, scenario=None, gamma_only=False
-) -> _CoefficientTables:
+def _tabulate(spec: LinearBsdeSpec, bundle: ParticleBundle, scenario=None) -> _CoefficientTables:
     """Evaluate the spec's callables along a bundle, advancing Gamma step by step.
 
     ``scenario`` relabels ctx.scenario for every coefficient (scenario i is
-    path i by default); ``gamma_only`` skips phi and theta.
+    path i by default).
     """
     times = bundle.times
     n, m = bundle.n_particles, bundle.n_steps
     if scenario is None:
         scenario = np.arange(n)
     atoms = spec.levy.jump_sizes if spec.levy is not None else ()
-    phi = None if gamma_only else _time_major(n, m)
+    phi = _time_major(n, m)
     gam = _gamma_start(n, m)
     for k in range(m):
         t, ctx = float(times[k]), _step_context(bundle, k, scenario)
         alpha = spec.alpha(t, ctx)
         beta = spec.beta(t, ctx)
         jump_phi = [spec.jump_phi(t, zeta, ctx) for zeta in atoms]
-        if phi is not None:
-            phi[:, k] = spec.phi(t, ctx)
+        phi[:, k] = spec.phi(t, ctx)
         _gamma_step(gam, k, alpha, beta, jump_phi, spec.levy, bundle.noise)
-    theta = None
-    if not gamma_only:
-        theta = _column(n, spec.terminal(_step_context(bundle, m, scenario)))
+    theta = _column(n, spec.terminal(_step_context(bundle, m, scenario)))
     return _CoefficientTables(phi, gam, theta)
-
-
-def simulate_gamma(spec: LinearBsdeSpec, bundle: ParticleBundle) -> np.ndarray:
-    """Euler paths of the Gamma process on a bundle's noise.
-
-    Gamma(0) = 1 and dGamma = Gamma^-[alpha dt + beta dB + jump_phi dNtilde];
-    the compensated-jump Euler factor is
-    1 + alpha dt + beta dB + sum_{events} jump_phi - dt sum_j rate_j jump_phi.
-    """
-    return _tabulate(spec, bundle, gamma_only=True).gamma
 
 
 def _pathwise_values(tables: _CoefficientTables, dt: float) -> np.ndarray:
@@ -260,35 +251,35 @@ def _regression_values(tables: _CoefficientTables, bundle: ParticleBundle, basis
     return fitted
 
 
-def _poly_basis(degree: int, include_inverse: bool = False):
+def _poly_basis(degree: int):
     # polynomials in the standardized state span the same space as in the
     # raw state but keep the normal equations well conditioned
     def build(ctx: StepContext) -> np.ndarray:
         x = ctx.x
         spread = x.std()
         z = (x - x.mean()) / spread if spread > 0 else np.zeros_like(x)
-        cols = [np.ones_like(x)] + [z**d for d in range(1, degree + 1)]
-        if include_inverse:
-            cols.append(1.0 / x)
-        return np.column_stack(cols)
+        return np.column_stack([np.ones_like(x)] + [z**d for d in range(1, degree + 1)])
 
     return build
 
 
 def resolve_basis(basis) -> Callable[[StepContext], np.ndarray]:
-    """Accept "poly<k>", "poly<k>+inv", a callable, or a list of callables of
-    the time-t state (a StepContext without Brownian levels)."""
+    """Accept "poly<k>", a list of callables of the time-t state (a
+    StepContext without Brownian levels), or None for "poly3"."""
     if basis is None:
         return _poly_basis(3)
-    if callable(basis):
-        return basis
     if isinstance(basis, str):
-        inv = basis.endswith("+inv")
-        name = basis[:-4] if inv else basis
-        if not name.startswith("poly"):
-            raise ValueError(f"unknown basis spec {basis!r}")
-        return _poly_basis(int(name[4:]), include_inverse=inv)
-    fns = list(basis)
+        match = re.fullmatch(r"poly([0-9]+)", basis)
+        if match is None:
+            raise ValueError(f"unknown basis spec {basis!r}; expected 'poly<k>'")
+        return _poly_basis(int(match[1]))
+    try:
+        fns = list(basis)
+    except TypeError:
+        raise TypeError(
+            "basis must be 'poly<k>', a list of callables of the time-t state, "
+            f"or None, got {type(basis).__name__}"
+        ) from None
 
     def build(ctx: StepContext) -> np.ndarray:
         return np.column_stack([np.broadcast_to(f(ctx), ctx.x.shape) for f in fns])
@@ -310,7 +301,7 @@ def solve(
 ) -> BsdeSolution:
     """Estimate the P-component of the linear BSDE on the grid.
 
-    ``closed-form`` needs only ``times`` and deterministic data (coefficients
+    ``closed-form`` needs ``times`` and deterministic data (coefficients
     are called with ctx=None and must return scalars).  The other estimators
     need a ``bundle``; ``nested-mc`` additionally needs ``n_inner``, the
     generating ``model``/``controls`` and a ``seed`` for inner noise, and
@@ -325,9 +316,7 @@ def solve(
         )
     if estimator == "closed-form":
         if times is None:
-            if bundle is None:
-                raise ValueError("closed-form estimator needs a time grid")
-            times = bundle.times
+            raise ValueError("closed-form estimator needs a time grid")
         m = len(times) - 1
         dt = float(times[1] - times[0])
         p = np.empty(m + 1)

@@ -325,13 +325,12 @@ def frozen_pair(
     Game-theoretic sweeps must hold one player's control fixed while the
     other deviates, so the feedback rules are evaluated once along the
     baseline bundle and replayed as exogenous processes.  Returns the pair
-    plus the frozen (rho(t_k), mu_hat(t_k)(V)) arrays.
+    plus the law masses M(t_k)(V) and the frozen mu_hat(t_k)(V).
     """
     lo, hi = model.v_interval
     times = bundle.times
     m = bundle.n_steps
     dt = bundle.dt
-    scalar_ctrl, rho_path = _frozen_rate(cf, bundle, rho_scale)
     mass_path = np.array([bundle.law_at(k).mass_on(lo, hi) for k in range(m)])
     mu_v_path = np.array(
         [cf.mu_hat_V(float(times[k]), mass_path[k]) for k in range(m)]
@@ -346,24 +345,24 @@ def frozen_pair(
 
     pair = ControlPair(
         measure_ctrl=measure_ctrl,
-        scalar_ctrl=scalar_ctrl,
+        scalar_ctrl=_frozen_rate(cf, bundle, rho_scale),
         mu_info=model.mu_info,
         u_info=model.u_info,
         u_bounds=(0.0, math.inf),
     )
-    return pair, rho_path, mu_v_path
+    return pair, mass_path, mu_v_path
 
 
 def _frozen_rate(cf: ClosedFormControls, bundle: ParticleBundle, rho_scale: float):
     """The consumption rate ``rho_scale * rho_hat`` on the bundle's grid, as
-    an exogenous scalar control and its path."""
+    an exogenous scalar control."""
     dt = bundle.dt
     rho_path = np.array([rho_scale * cf.rho_hat(float(t)) for t in bundle.times[:-1]])
 
     def scalar_ctrl(t, info):
         return rho_path[int(round(t / dt))]
 
-    return scalar_ctrl, rho_path
+    return scalar_ctrl
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +411,29 @@ def product_process_check(
 class VariantRun:
     bundle: ParticleBundle
     controls: ControlPair
+    mass_path: np.ndarray
     mu_v_path: np.ndarray
     adjoint: AdjointState
     residuals: ResidualCurves
     passes_residuals: bool
+
+
+def _variant_run(spec: GameSpec, model: ConsumptionModel, variant: str, noise) -> VariantRun:
+    """Simulate, freeze, solve the adjoints of and test the residuals of one variant."""
+    cf = closed_form_controls(model, variant)
+    bundle = simulate(spec.model, feedback_pair(model, cf), noise=noise)
+    controls, mass_path, mu_v_path = frozen_pair(model, cf, bundle)
+    adjoint = solve_adjoints(spec, bundle, controls)
+    residuals = first_order_residuals(spec, controls, bundle, adjoint)
+    return VariantRun(
+        bundle=bundle,
+        controls=controls,
+        mass_path=mass_path,
+        mu_v_path=mu_v_path,
+        adjoint=adjoint,
+        residuals=residuals,
+        passes_residuals=residuals.u_within() and residuals.mu_within(),
+    )
 
 
 @dataclass
@@ -447,25 +465,13 @@ def verify_consumption_game(
     """
     spec = game_spec(model)
     checks: list[CheckResult] = []
-    runs: dict[str, VariantRun] = {}
     noise = draw_noise(seed, n_particles, n_steps, model.horizon, model.levy)
-    for variant in VARIANTS:
-        cf = closed_form_controls(model, variant)
-        bundle = simulate(spec.model, feedback_pair(model, cf), noise=noise)
-        controls, _, mu_v_path = frozen_pair(model, cf, bundle)
-        adjoint = solve_adjoints(spec, bundle, controls)
-        residuals = first_order_residuals(spec, controls, bundle, adjoint)
-        runs[variant] = VariantRun(
-            bundle=bundle,
-            controls=controls,
-            mu_v_path=mu_v_path,
-            adjoint=adjoint,
-            residuals=residuals,
-            passes_residuals=residuals.u_within() and residuals.mu_within(),
-        )
-
+    runs = {variant: _variant_run(spec, model, variant, noise) for variant in VARIANTS}
     passing = [v for v in VARIANTS if runs[v].passes_residuals]
     selected = passing[0] if passing else None
+    # the other variant is read no further: let its bundle and adjoints go
+    run = runs[selected or "first-order-derived"]
+    del runs
     checks.append(
         CheckResult(
             name="residuals-select-exactly-one-variant",
@@ -478,7 +484,6 @@ def verify_consumption_game(
 
     sweep = None
     if selected is not None:
-        run = runs[selected]
         # product-process identity on the selected candidate
         product = product_process_check(model, run.bundle, run.adjoint.p0[2])
         checks.append(
@@ -527,7 +532,7 @@ def verify_consumption_game(
 
         # the frozen measures do not depend on rho: reuse the candidate's,
         # interval masses and all
-        inflated_rate, _ = _frozen_rate(closed_form_controls(model, selected), run.bundle, INFLATION)
+        inflated_rate = _frozen_rate(closed_form_controls(model, selected), run.bundle, INFLATION)
         inflated_controls = replace(run.controls, scalar_ctrl=inflated_rate)
         inflated_plan = PerturbationPlan(
             directions=[Direction(kind="control", t0=0.0, scalar=1.0)],
@@ -552,11 +557,7 @@ def verify_consumption_game(
         if selected == "first-order-derived":
             theta_bar = model.theta_bar()
             times_k = run.bundle.times[:-1]
-            lo, hi = model.v_interval
-            mass = np.array(
-                [run.bundle.law_at(k).mass_on(lo, hi) for k in range(run.bundle.n_steps)]
-            )
-            lhs = (run.mu_v_path - mass) ** 2
+            lhs = (run.mu_v_path - run.mass_path) ** 2
             rhs = 0.25 * (model.horizon - times_k + theta_bar) ** 2
             rel = float(np.max(np.abs(lhs - rhs) / np.maximum(rhs, 1e-300)))
             checks.append(
@@ -588,19 +589,14 @@ def verify_consumption_game(
         )
         cf_stated = closed_form_controls(model, "stated-theorem")
         cf_derived = closed_form_controls(model, "first-order-derived")
-        ref = runs[selected or "first-order-derived"]
-        lo, hi = model.v_interval
-        mass = np.array(
-            [ref.bundle.law_at(k).mass_on(lo, hi) for k in range(ref.bundle.n_steps)]
-        )
         rows = []
-        for k, t in enumerate(ref.bundle.times[:-1]):
+        for t, mass in zip(run.bundle.times[:-1], run.mass_path):
             rows.append(
                 [
                     t,
                     cf_derived.rho_hat(float(t)),
-                    cf_stated.mu_hat_V(float(t), mass[k]),
-                    cf_derived.mu_hat_V(float(t), mass[k]),
+                    cf_stated.mu_hat_V(float(t), mass),
+                    cf_derived.mu_hat_V(float(t), mass),
                 ]
             )
         write_csv(
@@ -612,7 +608,7 @@ def verify_consumption_game(
         if sweep is not None:
             sweep.to_csv(os.path.join(out_dir, "sweep.csv"), seed=seed)
         if selected is not None:
-            runs[selected].residuals.to_csv(
+            run.residuals.to_csv(
                 os.path.join(out_dir, "residuals.csv"), seed=seed
             )
 

@@ -1,13 +1,15 @@
-"""Two-player verification machinery: Hamiltonians, residuals, sweeps.
+"""Two-player verification machinery: Hamiltonian derivatives, residuals, sweeps.
 
 Player 1 steers the measure-valued control mu(.), player 2 the real-valued
 control u(.); each maximizes its own criterion J_i.  In a zero-sum game
 player 2 maximizes J and player 1's criterion is its exact negation (so mu
 minimizes J -- the saddle orientation).
 
-The Hamiltonian of player i is evaluated as
+The Hamiltonian of player i is taken as
 
-    H_i = l_i(t, x, m, mu, u) + p0_i b.
+    H_i = l_i(t, x, m, mu, u) + p0_i b,
+
+and only its derivatives in the controls are evaluated.
 
 The paper's H_i also carries q0_i sigma + r0_i gamma and the pairing
 <p1_i, beta(m)> with beta(m) = m'.  The pairing reads neither control, so
@@ -103,19 +105,12 @@ class GameSpec:
 
 @dataclass
 class AdjointState:
-    """Adjoint data needed to evaluate Hamiltonians along a bundle.
+    """Adjoint data needed to evaluate Hamiltonian derivatives along a bundle.
 
     ``p0`` maps player -> BsdeSolution.
     """
 
     p0: dict[int, BsdeSolution]
-
-    def step_of(self, player: int, t: float) -> int:
-        times = self.p0[player].times
-        k = int(round((t - times[0]) / (times[1] - times[0])))
-        if not (0 <= k < len(times)) or abs(times[k] - t) > 1e-9:
-            raise ValueError(f"no adjoint value at t={t}")
-        return k
 
 
 def solve_adjoints(spec: GameSpec, bundle: ParticleBundle, candidate: ControlPair) -> AdjointState:
@@ -125,34 +120,6 @@ def solve_adjoints(spec: GameSpec, bundle: ParticleBundle, candidate: ControlPai
         for player in (1, 2)
     }
     return AdjointState(p0=p0)
-
-
-def hamiltonian(
-    spec: GameSpec,
-    player: int,
-    t: float,
-    x,
-    m: DiscreteMeasure,
-    mu: DiscreteMeasure,
-    u,
-    adjoint: AdjointState,
-):
-    """Evaluate H_player at one grid time along the adjoint's scenarios.
-
-    ``x`` (and ``u``) may be scalars or per-scenario arrays; the result
-    broadcasts against the stored p0 scenarios.  Raises if ``t`` is not a
-    grid point of the adjoint solution.
-    """
-    k = adjoint.step_of(player, t)
-    p0 = adjoint.p0[player].p_at(k)
-    perf = spec.performance_for(player)
-    x_arr = np.asarray(x, dtype=float)
-    scen = np.arange(x_arr.size) if x_arr.ndim else None
-    model = spec.model
-    value = perf.running(t, x, m, mu, u, scen) + p0 * model.drift(t, x, mu, u, scen)
-    if np.ndim(value) == 0:
-        return float(value)
-    return value
 
 
 def _mu_shifts(sv, eta: DiscreteMeasure) -> dict[float, DiscreteMeasure]:

@@ -68,10 +68,6 @@ class LevyMeasure:
     def total_rate(self) -> float:
         return float(self.rates.sum())
 
-    def compensator_sum(self, f: Callable[[float], float]) -> float:
-        """sum_j rates[j] * f(zeta_j) -- the integral of f against nu."""
-        return float(sum(r * f(z) for z, r in zip(self.jump_sizes, self.rates)))
-
 
 @dataclass
 class ItoLevyCoeffs:
@@ -151,10 +147,6 @@ def table_norm_sq(table: FourierTable, rule: QuadratureRule, k: int = 0) -> floa
         raise ValueError("table nodes do not match the quadrature rule")
     yk = np.abs(rule.nodes) ** k if k else 1.0
     return float(rule.integrate(np.abs(table.values) ** 2 * yk))
-
-
-def fourier_table(mu: DiscreteMeasure, rule: QuadratureRule) -> FourierTable:
-    return FourierTable(rule.nodes, mu.fourier(rule.nodes))
 
 
 # ---------------------------------------------------------------------------

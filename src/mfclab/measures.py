@@ -167,14 +167,6 @@ class DiscreteMeasure:
     def total_mass(self) -> float:
         return float(math.fsum(self.weights.tolist()))
 
-    def is_probability(self, tol: float = 1e-12) -> bool:
-        """True when all weights are nonnegative and the total mass is 1."""
-        if self.n_atoms == 0:
-            return False
-        return bool(
-            np.all(self.weights >= -tol) and abs(self.total_mass() - 1.0) <= tol
-        )
-
     def mass_on(self, lo: float, hi: float) -> float:
         """Signed mass of the half-open interval ``(lo, hi]``.
 
@@ -500,11 +492,6 @@ def trapezoid_rule(n: int = 4096, half_width: float = 8.0) -> QuadratureRule:
 # inner products, norms, distances
 # ---------------------------------------------------------------------------
 
-def fourier_transform(mu: DiscreteMeasure, y: float) -> complex:
-    """Fourier transform of an atomic measure at a single frequency."""
-    return complex(mu.fourier(y)[0])
-
-
 def inner_product(mu, eta, k: int, rule: QuadratureRule) -> float:
     """Order-k inner product of two (random) measures.
 
@@ -552,11 +539,6 @@ def _clamp_norm_sq(val: float) -> float:
             raise ValueError(f"squared norm is negative beyond round-off: {val}")
         val = 0.0
     return val
-
-
-def distance(mu: DiscreteMeasure, eta: DiscreteMeasure, k: int, rule: QuadratureRule) -> float:
-    """Norm distance ||mu - eta|| for deterministic measures."""
-    return math.sqrt(norm_sq(mu - eta, k, rule))
 
 
 class BoundCheck(NamedTuple):

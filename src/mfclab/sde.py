@@ -560,18 +560,6 @@ def performance_samples(
     return total
 
 
-def evaluate_performance(
-    bundle: ParticleBundle,
-    controls: ControlPair,
-    perf: PerformanceSpec,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of J and its standard error."""
-    samples = performance_samples(bundle, controls, perf)
-    n = samples.size
-    se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return float(samples.mean()), se
-
-
 # ---------------------------------------------------------------------------
 # perturbation directions and the derivative process
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ from mfclab.bsde import (
     EstimationError,
     GammaPositivityError,
     LinearBsdeSpec,
+    _tabulate,
     adjoint_p0_solve,
     backward_euler_reference,
-    simulate_gamma,
+    resolve_basis,
     solve,
 )
 from mfclab.lawproc import LevyMeasure
@@ -53,9 +54,14 @@ def flat_bundle(n=200, m=50, seed=0, x0=1.0, drift=None, vol=None, levy=None, ju
 
 # -- Gamma process -----------------------------------------------------------
 
+def gamma_paths(spec, bundle):
+    """Euler paths of the Gamma process on a bundle's noise."""
+    return _tabulate(spec, bundle).gamma
+
+
 def test_gamma_trivial_is_one():
     bundle = flat_bundle(n=20, m=10)
-    gam = simulate_gamma(det_spec(), bundle)
+    gam = gamma_paths(det_spec(), bundle)
     assert np.all(gam == 1.0)
 
 
@@ -63,7 +69,7 @@ def test_gamma_deterministic_exponential():
     """alpha = a, beta = 0: Gamma(t_k) = (1 + a dt)^k, close to e^{at}."""
     a = 0.4
     bundle = flat_bundle(n=3, m=100)
-    gam = simulate_gamma(det_spec(alpha=a), bundle)
+    gam = gamma_paths(det_spec(alpha=a), bundle)
     dt = bundle.dt
     expected = (1 + a * dt) ** np.arange(101)
     assert np.allclose(gam[0], expected, rtol=1e-12)
@@ -72,7 +78,7 @@ def test_gamma_deterministic_exponential():
 
 def test_gamma_martingale_mean_one():
     bundle = flat_bundle(n=40_000, m=50, seed=41)
-    gam = simulate_gamma(det_spec(beta=0.4), bundle)
+    gam = gamma_paths(det_spec(beta=0.4), bundle)
     gt = gam[:, -1]
     z = (gt.mean() - 1.0) / (gt.std(ddof=1) / math.sqrt(gt.size))
     assert abs(z) <= 3.0
@@ -81,7 +87,7 @@ def test_gamma_martingale_mean_one():
 def test_gamma_with_jumps_stays_positive_and_compensated():
     levy = LevyMeasure([0.5], [1.0])
     bundle = flat_bundle(n=20_000, m=100, seed=13, levy=levy, jump=lambda t, x, mu, u, z, s: np.zeros_like(x))
-    gam = simulate_gamma(det_spec(jump_phi=0.8, levy=levy), bundle)
+    gam = gamma_paths(det_spec(jump_phi=0.8, levy=levy), bundle)
     assert np.all(gam > 0)
     gt = gam[:, -1]
     z = (gt.mean() - 1.0) / (gt.std(ddof=1) / math.sqrt(gt.size))
@@ -92,13 +98,13 @@ def test_gamma_jump_phi_below_minus_one_rejected():
     levy = LevyMeasure([0.5], [1.0])
     bundle = flat_bundle(n=100, m=10, seed=2, levy=levy, jump=lambda t, x, mu, u, z, s: np.zeros_like(x))
     with pytest.raises(GammaPositivityError):
-        simulate_gamma(det_spec(jump_phi=-1.5, levy=levy), bundle)
+        gamma_paths(det_spec(jump_phi=-1.5, levy=levy), bundle)
 
 
 def test_gamma_step_size_error():
     bundle = flat_bundle(n=50, m=4, seed=3)  # dt = 0.25, huge negative drift
     with pytest.raises(GammaPositivityError, match="step"):
-        simulate_gamma(det_spec(alpha=-5.0), bundle)
+        gamma_paths(det_spec(alpha=-5.0), bundle)
 
 
 # -- closed-form estimator ------------------------------------------------------
@@ -197,7 +203,7 @@ def test_martingale_property_nested_mc(ou_setup):
         terminal=lambda ctx: 2.0 + np.tanh(ctx.x),
     )
     sol = solve(spec0, bundle=bundle, estimator="nested-mc", n_inner=128, model=model, controls=ctrl, seed=78)
-    gam = simulate_gamma(spec0, bundle)
+    gam = gamma_paths(spec0, bundle)
     prod = gam * sol.P
     ref = prod[:, -1]
     rt = math.sqrt(bundle.n_particles)
@@ -210,7 +216,7 @@ def test_pathwise_gamma_p_identity(ou_setup):
     """Pathwise estimator: Gamma(t) Y(t) + int_0^t Gamma phi is constant by construction."""
     _, _, bundle, spec = ou_setup
     sol = solve(spec, bundle=bundle, estimator="pathwise")
-    gam = simulate_gamma(spec, bundle)
+    gam = gamma_paths(spec, bundle)
     dt = bundle.dt
     phi_vals = np.stack(
         [0.5 * np.tanh(bundle.states[:, k]) for k in range(bundle.n_steps)], axis=1
@@ -228,6 +234,19 @@ def test_regression_rank_deficiency_error(ou_setup):
     duplicate = [lambda ctx: np.ones_like(ctx.x), lambda ctx: ctx.x, lambda ctx: ctx.x]
     with pytest.raises(EstimationError, match="condition number"):
         solve(spec, bundle=bundle, estimator="regression", basis=duplicate)
+
+
+@pytest.mark.parametrize("basis", ["poly3+inv", "polyx", "cubic", "poly", "poly-1"])
+def test_malformed_basis_spec_raises(ou_setup, basis):
+    _, _, bundle, spec = ou_setup
+    with pytest.raises(ValueError, match="unknown basis spec"):
+        solve(spec, bundle=bundle, estimator="regression", basis=basis)
+
+
+@pytest.mark.parametrize("basis", [3, 2.5, lambda ctx: ctx.x])
+def test_basis_of_another_type_raises(basis):
+    with pytest.raises(TypeError, match="poly<k>.*list of callables.*None"):
+        resolve_basis(basis)
 
 
 def test_solver_argument_validation(ou_setup):

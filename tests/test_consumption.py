@@ -90,9 +90,9 @@ def small_run():
     cf = cons.closed_form_controls(model)
     state = cons.state_model(model)
     bundle = simulate(state, cons.feedback_pair(model, cf), 2000, 100, seed=14)
-    pair, rho_path, mu_v_path = cons.frozen_pair(model, cf, bundle)
+    pair, mass_path, mu_v_path = cons.frozen_pair(model, cf, bundle)
     adjoint = adjoint_p0_solve(state, cons.performance(model), bundle, pair)
-    return model, bundle, pair, rho_path, mu_v_path, adjoint
+    return model, bundle, pair, mass_path, mu_v_path, adjoint
 
 
 def test_product_terminal_exact(small_run):

@@ -17,7 +17,6 @@ from mfclab.game import (
     _mu_shifts,
     first_order_residuals,
     gateaux_check,
-    hamiltonian,
     nash_perturbation_sweep,
     solve_adjoints,
 )
@@ -51,12 +50,32 @@ def cgame():
     spec = cons.game_spec(model)
     cf = cons.closed_form_controls(model)
     bundle = simulate(spec.model, cons.feedback_pair(model, cf), 2000, 100, seed=51)
-    candidate, rho_path, mu_v_path = cons.frozen_pair(model, cf, bundle)
+    candidate, _, _ = cons.frozen_pair(model, cf, bundle)
     adjoint = solve_adjoints(spec, bundle, candidate)
     return model, spec, candidate, bundle, adjoint
 
 
 # -- Hamiltonian evaluation ----------------------------------------------------
+
+def hamiltonian(spec, player, t, x, m, mu, u, adjoint):
+    """H_player = l + p0 b at one grid time along the adjoint's scenarios:
+    the reference that the dH samples of the residuals are checked against.
+
+    ``x`` (and ``u``) may be scalars or per-scenario arrays; the result
+    broadcasts against the stored p0 scenarios.  Raises if ``t`` is not a
+    grid point of the adjoint solution.
+    """
+    times = adjoint.p0[player].times
+    k = int(round((t - times[0]) / (times[1] - times[0])))
+    if not (0 <= k < len(times)) or abs(times[k] - t) > 1e-9:
+        raise ValueError(f"no adjoint value at t={t}")
+    p0 = adjoint.p0[player].p_at(k)
+    perf = spec.performance_for(player)
+    x_arr = np.asarray(x, dtype=float)
+    scen = np.arange(x_arr.size) if x_arr.ndim else None
+    value = perf.running(t, x, m, mu, u, scen) + p0 * spec.model.drift(t, x, mu, u, scen)
+    return float(value) if np.ndim(value) == 0 else value
+
 
 def test_hamiltonian_reduces_to_running_cost(lq):
     """With null dynamics and l = 1 the Hamiltonian is 1."""
@@ -177,6 +196,21 @@ def test_zero_sum_consistency(cgame):
         d1 = _dh_dmu_samples(spec, sv, p1, _mu_shifts(sv, eta), 1, scen)
         d2 = _dh_dmu_samples(spec, sv, p2, _mu_shifts(sv, eta), 2, scen)
         assert np.max(np.abs(d1 + d2)) <= 1e-12
+
+
+@pytest.mark.parametrize("levy", [None, LevyMeasure([0.1], [0.5])], ids=["no-levy", "levy"])
+def test_zero_sum_adjoints_are_exact_negations(levy):
+    """Player 1's criterion negates player 2's, and so does its adjoint P, bit for bit."""
+    model = cons.ConsumptionModel(
+        x0=1.0, horizon=1.0, vol=lambda t: 0.2, theta=1.0,
+        jump_scale=(lambda t, z: z) if levy is not None else None, levy=levy,
+    )
+    spec = cons.game_spec(model)
+    cf = cons.closed_form_controls(model)
+    bundle = simulate(spec.model, cons.feedback_pair(model, cf), 400, 30, seed=3)
+    candidate, _, _ = cons.frozen_pair(model, cf, bundle)
+    adjoint = solve_adjoints(spec, bundle, candidate)
+    assert np.array_equal(adjoint.p0[1].P, -adjoint.p0[2].P)
 
 
 _LEVY = LevyMeasure([0.1], [0.5])

@@ -18,7 +18,7 @@ batched kernel, a reordered loop) can prove it by running one test:
 - the whole atoms, weights and Fourier tables of the frozen candidate's
   measures and of their lambda deviations, read after their masses
 - both players' ``adjoint_p0_solve`` P in both measure modes, with and
-  without the Levy measure; ``simulate_gamma`` paths and pathwise and
+  without the Levy measure; Gamma paths and pathwise and
   regression ``solve`` P of a state-dependent spec on the same bundles, and
   its nested-MC P along the frozen candidate
 - ``simulate_derivative_process`` in the measure and the control direction,
@@ -45,7 +45,7 @@ import pytest
 
 import mfclab.consumption as cons
 from mfclab import measures as measures_module
-from mfclab.bsde import LinearBsdeSpec, adjoint_p0_solve, simulate_gamma, solve
+from mfclab.bsde import LinearBsdeSpec, _tabulate, adjoint_p0_solve, solve
 from mfclab.game import gateaux_check
 from mfclab.lawproc import LevyMeasure
 from mfclab.measures import DiscreteMeasure, fourier_tables, gauss_hermite_rule
@@ -145,7 +145,7 @@ def _run_arrays(out: dict, seed: int, n: int, m: int) -> None:
                 if mu_mode != "exogenous":
                     continue
                 bsde = _bsde_spec(levy)
-                out[f"gamma/{name}"] = simulate_gamma(bsde, bundle)
+                out[f"gamma/{name}"] = _tabulate(bsde, bundle).gamma
                 for estimator in ("pathwise", "regression"):
                     out[f"bsde/{name}/{estimator}"] = solve(
                         bsde, bundle=bundle, estimator=estimator, basis="poly3"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfclab.bsde import LinearBsdeSpec, simulate_gamma
+from mfclab.bsde import LinearBsdeSpec, _tabulate
 from mfclab.lawproc import LevyMeasure
 from mfclab.measures import DiscreteMeasure
 from mfclab.sde import (
@@ -19,7 +19,6 @@ from mfclab.sde import (
     PerformanceSpec,
     SimulationError,
     draw_noise,
-    evaluate_performance,
     iter_steps,
     performance_samples,
     perturbed_controls,
@@ -94,7 +93,7 @@ def test_time_major_layout_keeps_public_shapes():
         terminal=lambda ctx: 1.0,
         levy=levy,
     )
-    gam = simulate_gamma(spec, bundle)
+    gam = _tabulate(spec, bundle).gamma
     brownian = bundle.brownian_levels()
     for name, arr, shape in (
         ("states", bundle.states, (n, m + 1)),
@@ -297,6 +296,11 @@ def test_info_pattern_validation():
 
 # -- performance functionals ----------------------------------------------------
 
+def _mean_and_se(samples):
+    """Monte Carlo estimate of J and its standard error."""
+    return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(samples.size))
+
+
 def test_performance_constants():
     model = ControlledModel(
         drift=lambda t, x, mu, u, s: np.zeros_like(x),
@@ -309,12 +313,12 @@ def test_performance_constants():
         running=lambda t, x, m, mu, u, s: np.zeros_like(x),
         terminal=lambda x, m, s: np.ones_like(x),
     )
-    assert evaluate_performance(bundle, trivial_controls(), perf_g) == (1.0, 0.0)
+    assert _mean_and_se(performance_samples(bundle, trivial_controls(), perf_g)) == (1.0, 0.0)
     perf_l = PerformanceSpec(
         running=lambda t, x, m, mu, u, s: np.ones_like(x),
         terminal=lambda x, m, s: np.zeros_like(x),
     )
-    est, se = evaluate_performance(bundle, trivial_controls(), perf_l)
+    est, se = _mean_and_se(performance_samples(bundle, trivial_controls(), perf_l))
     assert est == pytest.approx(1.0, abs=1e-12)  # left Riemann sum of 1 over [0, T]
     assert se == 0.0
 
@@ -332,7 +336,7 @@ def test_performance_nan_raises():
         terminal=lambda x, m, s: np.log(x),  # log(0) = -inf
     )
     with np.errstate(divide="ignore"), pytest.raises(SimulationError):
-        evaluate_performance(bundle, trivial_controls(), perf)
+        performance_samples(bundle, trivial_controls(), perf)
 
 
 def test_inadmissible_perturbation_raises():
@@ -629,7 +633,7 @@ def test_consumption_performance_regression_fixture():
     cf = cons.closed_form_controls(model)
     bundle = simulate(cons.state_model(model), cons.feedback_pair(model, cf), 2000, 100, seed=99)
     pair, _, _ = cons.frozen_pair(model, cf, bundle)
-    val, se = evaluate_performance(bundle, pair, cons.performance(model))
+    val, se = _mean_and_se(performance_samples(bundle, pair, cons.performance(model)))
     assert val == pytest.approx(-0.503088122597, rel=1e-9)
     assert 0.0 < se < 0.02
 
