@@ -87,8 +87,8 @@ class TerminalWeight:
     def __post_init__(self):
         if (self.value is None) == (self.fn is None):
             raise ValueError("specify exactly one of value and fn")
-        if self.value is not None and self.value <= 0:
-            raise ValueError("theta must be positive")
+        if self.value is not None and not (math.isfinite(self.value) and self.value > 0):
+            raise ValueError(f"theta value must be finite and positive, got {self.value}")
 
     @property
     def deterministic(self) -> bool:
@@ -126,8 +126,10 @@ class ConsumptionModel:
     u_info: InfoPattern = field(default_factory=InfoPattern)
 
     def __post_init__(self):
-        if self.x0 <= 0:
-            raise ValueError("x0 must be positive (log utility)")
+        if not (math.isfinite(self.x0) and self.x0 > 0):
+            raise ValueError(f"x0 must be finite and positive (log utility), got {self.x0}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if isinstance(self.theta, (int, float)):
             self.theta = TerminalWeight(value=float(self.theta))
         lo, hi = self.v_interval
@@ -440,10 +442,6 @@ def _variant_run(spec: GameSpec, model: ConsumptionModel, variant: str, noise) -
 class ConsumptionGameReport:
     checks: list[CheckResult]
     selected_variant: str | None
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def verify_consumption_game(

@@ -368,7 +368,6 @@ def gateaux_check(
     direction: Direction,
     lambdas: Sequence[float],
     bundle: ParticleBundle,
-    adjoint: AdjointState | None = None,
 ) -> GateauxResult:
     """Compare finite-difference dJ/dlambda against the adjoint expression.
 
@@ -398,10 +397,7 @@ def gateaux_check(
         fd_se[i] = slope_samples.std(ddof=1) / sqrt_n if n > 1 else 0.0
 
     # only the deviating player's adjoint is read
-    p0_sol = (
-        adjoint.p0[player] if adjoint is not None
-        else adjoint_p0_solve(spec.model, perf, bundle, candidate)
-    )
+    p0_sol = adjoint_p0_solve(spec.model, perf, bundle, candidate)
     scen = np.arange(n)
     dt = bundle.dt
     slope_acc = np.zeros(n)

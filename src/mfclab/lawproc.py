@@ -53,6 +53,9 @@ class LevyMeasure:
         rates = np.array(self.rates, dtype=float).reshape(-1)
         if sizes.shape != rates.shape:
             raise ValueError("jump_sizes and rates must have equal length")
+        for name, values in (("jump_sizes", sizes), ("rates", rates)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
         if np.any(sizes == 0.0):
             raise ValueError("jump sizes must be nonzero (support in R \\ {0})")
         if np.any(rates <= 0.0):
@@ -207,34 +210,19 @@ def generator_on_test_fn(
     return out if np.ndim(x) else complex(out)
 
 
-def law_derivative_fd(
-    path: MeasurePath, index: int, rule: QuadratureRule, richardson: bool = False
-) -> FourierTable:
+def law_derivative_fd(path: MeasurePath, index: int, rule: QuadratureRule) -> FourierTable:
     """Central-difference t-derivative of a law path, as a Fourier table.
 
     Returns y |-> (M_hat(t+h)(y) - M_hat(t-h)(y)) / (2h) on the rule's nodes;
-    O(h^2)-consistent on smooth law paths.  With ``richardson=True``, combines
-    the h and 2h stencils to cancel the h^2 term (needs two interior
-    neighbours on each side).
+    O(h^2)-consistent on smooth law paths.
     """
-    m = len(path) - 1
-    if not 1 <= index <= m - 1:
+    if not 1 <= index <= len(path) - 2:
         raise ValueError(f"central difference needs an interior index, got {index}")
     h = _central_step(path, index)
     y = rule.nodes
-
-    def central(step: int) -> np.ndarray:
-        plus = path.values[index + step].fourier(y)
-        minus = path.values[index - step].fourier(y)
-        return (plus - minus) / (2.0 * step * h)
-
-    d1 = central(1)
-    if not richardson:
-        return FourierTable(y, d1)
-    if not 2 <= index <= m - 2:
-        raise ValueError("Richardson extrapolation needs two interior neighbours")
-    d2 = central(2)
-    return FourierTable(y, (4.0 * d1 - d2) / 3.0)
+    plus = path.values[index + 1].fourier(y)
+    minus = path.values[index - 1].fourier(y)
+    return FourierTable(y, (plus - minus) / (2.0 * h))
 
 
 def _central_step(path: MeasurePath, index: int) -> float:

@@ -37,17 +37,16 @@ one weights array.
 
 ``fourier_tables`` evaluates a list of measures on one node array.  Above a
 small amount of work it shares whole measures between the calling thread and
-one long-lived helper thread per further CPU in the process's affinity set;
-each measure runs the same kernel as ``fourier``, so the table is bitwise
-independent of the CPU count, and ``taskset -c 0`` runs it serially.  These
-helpers are separate from the BLAS library's own threads (the benchmark
-pins those to one).
+one helper thread per further CPU in the process's affinity set; the helpers
+start with the call and are joined before it returns.  Each measure runs the
+same kernel as ``fourier``, so the table is bitwise independent of the CPU
+count, and ``taskset -c 0`` runs it serially.  These helpers are separate
+from the BLAS library's own threads (the benchmark pins those to one).
 """
 from __future__ import annotations
 
 import math
 import os
-import queue
 import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -63,8 +62,8 @@ NORM_SQ_ROUNDOFF = 1e-12
 
 _FOURIER_CHUNK = 65536
 
-#: atom x node products below which ``fourier_tables`` starts no thread; a
-#: helper's hand-off costs far less than this much kernel work
+#: atom x node products below which ``fourier_tables`` starts no thread;
+#: starting and joining a helper costs far less than this much kernel work
 _PARALLEL_MIN_WORK = 100_000
 
 
@@ -149,10 +148,6 @@ class DiscreteMeasure:
         """Unit point mass at ``x0`` (or ``weight``-scaled point mass)."""
         return cls([x0], [weight])
 
-    @classmethod
-    def zero(cls) -> "DiscreteMeasure":
-        return cls([], [])
-
     # -- basic queries -------------------------------------------------------
     @property
     def n_atoms(self) -> int:
@@ -221,15 +216,6 @@ class DiscreteMeasure:
 
     __rmul__ = __mul__
 
-    def coalesce(self) -> "DiscreteMeasure":
-        """Merge atoms with exactly equal locations (no binning tolerance)."""
-        if self.n_atoms == 0:
-            return self
-        loc, inverse = np.unique(self.locations, return_inverse=True)
-        wts = np.zeros(loc.size)
-        np.add.at(wts, inverse, self.weights)
-        return DiscreteMeasure(loc, wts)
-
     # -- Fourier transform ----------------------------------------------------
     def fourier(self, y) -> np.ndarray:
         """Fourier transform ``sum_j w_j exp(i x_j y)`` at the points ``y``.
@@ -287,8 +273,9 @@ def fourier_tables(measures: Sequence[DiscreteMeasure], y) -> np.ndarray:
 
     Bit for bit ``np.stack([mu.fourier(y) for mu in measures])``.  Above
     ``_PARALLEL_MIN_WORK`` atom x node products, the calling thread and one
-    helper per further CPU each claim whole measures in turn; every measure
-    still runs the kernel of ``fourier``, so the CPU count changes no bit.
+    helper thread per further CPU, started for this call, each claim whole
+    measures in turn; every measure still runs the kernel of ``fourier``, so
+    the CPU count changes no bit.
     """
     y = _fourier_nodes(y)
     measures = list(measures)
@@ -311,10 +298,11 @@ def _cpu_count() -> int:
 
 def _share_out(run: Callable[[int], None], count: int, n_threads: int) -> None:
     """Call ``run(i)`` for every ``i < count`` on the calling thread and
-    ``n_threads - 1`` helpers, each claiming the next unclaimed index.
+    ``n_threads - 1`` helper threads, each claiming the next unclaimed index.
 
-    Waits for every helper before returning; the first error raised on any
-    thread is then raised here, and no index is claimed after it.
+    The helpers start here and are joined before this returns, so none
+    outlives the call; the first error raised on any thread is then raised
+    here, and no index is claimed after it.
     """
     lock = threading.Lock()
     indices = iter(range(count))
@@ -332,56 +320,14 @@ def _share_out(run: Callable[[int], None], count: int, n_threads: int) -> None:
             with lock:
                 errors.append(exc)
 
-    done = _helpers.submit(share, n_threads - 1)
+    helpers = [threading.Thread(target=share) for _ in range(n_threads - 1)]
+    for helper in helpers:
+        helper.start()
     share()
-    for event in done:
-        event.wait()
+    for helper in helpers:
+        helper.join()
     if errors:
         raise errors[0]
-
-
-class _Helpers:
-    """Long-lived daemon threads that run submitted calls one at a time.
-
-    They start on first use, never on import.  Fork copies only the calling
-    thread, so a forked child starts helpers of its own.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._pid = os.getpid()
-        self._jobs = queue.SimpleQueue()
-        self._started = 0
-
-    def submit(self, fn: Callable[[], None], n: int) -> list[threading.Event]:
-        """Queue ``n`` calls of ``fn``, with at least ``n`` helpers serving
-        the queue; each call's event is set when it returns."""
-        with self._lock:
-            if self._pid != os.getpid():
-                self._pid = os.getpid()
-                self._jobs = queue.SimpleQueue()
-                self._started = 0
-            for _ in range(self._started, n):
-                threading.Thread(target=_serve, args=(self._jobs,), daemon=True).start()
-                self._started += 1
-        done = [threading.Event() for _ in range(n)]
-        for event in done:
-            self._jobs.put((fn, event))
-        return done
-
-
-def _serve(jobs) -> None:
-    while True:
-        fn, done = jobs.get()
-        try:
-            fn()
-        finally:
-            done.set()
-        # an idle helper must not keep the last batch's measures alive
-        del fn, done
-
-
-_helpers = _Helpers()
 
 
 class RandomMeasureEnsemble:

@@ -87,8 +87,8 @@ class InfoPattern:
     delay: float = 0.0
 
     def __post_init__(self):
-        if self.delay < 0:
-            raise ValueError("delay must be nonnegative")
+        if not (math.isfinite(self.delay) and self.delay >= 0):
+            raise ValueError(f"delay must be finite and nonnegative, got {self.delay}")
 
     def lag_steps(self, dt: float) -> int:
         return int(round(self.delay / dt))
@@ -171,8 +171,10 @@ class ControlledModel:
     partials: CoefficientPartials | None = None
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not math.isfinite(self.x0):
+            raise ValueError(f"x0 must be finite, got {self.x0}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if (self.levy is None) != (self.jump is None):
             raise ValueError("jump coefficient and Levy measure must come together")
 

@@ -7,7 +7,7 @@ import pytest
 import mfclab.consumption as cons
 from mfclab.bsde import adjoint_p0_solve
 from mfclab.lawproc import LevyMeasure
-from mfclab.sde import InfoPattern, simulate
+from mfclab.sde import ControlledModel, InfoPattern, simulate
 
 
 def canonical_model(**overrides):
@@ -22,6 +22,37 @@ def canonical_model(**overrides):
     )
     kwargs.update(overrides)
     return cons.ConsumptionModel(**kwargs)
+
+
+# -- construction checks --------------------------------------------------------
+
+NAN, INF = math.nan, math.inf
+
+
+def _controlled(**overrides):
+    kwargs = dict(drift=lambda *a: 0.0, vol=lambda *a: 0.0, x0=1.0, horizon=1.0)
+    return ControlledModel(**{**kwargs, **overrides})
+
+
+@pytest.mark.parametrize(
+    "build, field_name",
+    [
+        pytest.param(lambda: InfoPattern(NAN), "delay", id="delay-nan"),
+        pytest.param(lambda: InfoPattern(INF), "delay", id="delay-inf"),
+        pytest.param(lambda: LevyMeasure([1.0], [NAN]), "rates", id="levy-rate-nan"),
+        pytest.param(lambda: LevyMeasure([INF], [1.0]), "jump_sizes", id="levy-size-inf"),
+        pytest.param(lambda: _controlled(x0=NAN), "x0", id="controlled-x0-nan"),
+        pytest.param(lambda: _controlled(horizon=INF), "horizon", id="controlled-horizon-inf"),
+        pytest.param(lambda: cons.TerminalWeight(value=NAN), "theta", id="theta-nan"),
+        pytest.param(lambda: canonical_model(x0=NAN), "x0", id="consumption-x0-nan"),
+        pytest.param(lambda: canonical_model(horizon=NAN), "horizon", id="consumption-horizon-nan"),
+        pytest.param(lambda: canonical_model(theta=NAN), "theta", id="consumption-theta-nan"),
+    ],
+)
+def test_non_finite_inputs_raise_at_construction(build, field_name):
+    """Each value names its field here, not as a conversion error deep in a run."""
+    with pytest.raises(ValueError, match=field_name):
+        build()
 
 
 # -- closed-form candidates -----------------------------------------------------
@@ -152,7 +183,7 @@ def test_verify_consumption_game_small(tmp_path):
         model, n_particles=2000, n_steps=100, seed=7, out_dir=str(tmp_path)
     )
     assert report.selected_variant == "first-order-derived"
-    assert report.all_passed
+    assert all(c.passed for c in report.checks)
     assert (tmp_path / "report.csv").exists()
     assert (tmp_path / "controls.csv").exists()
     controls = (tmp_path / "controls.csv").read_text().strip().splitlines()

@@ -134,15 +134,6 @@ def test_empirical_law_close_to_binned_normal(rule):
     assert dist <= 0.05
 
 
-def test_coalescing_preserves_fourier(rule):
-    rng = np.random.default_rng(4)
-    locs = rng.integers(-3, 4, 60).astype(float)
-    mu = DiscreteMeasure(locs, rng.uniform(-1, 1, 60))
-    t1 = mu.fourier(rule.nodes)
-    t2 = mu.coalesce().fourier(rule.nodes)
-    assert np.max(np.abs(t1 - t2)) <= 1e-14 * max(1.0, np.max(np.abs(t1)))
-
-
 # -- generator on Fourier test functions ---------------------------------------
 
 def test_generator_null_dynamics():
@@ -280,18 +271,6 @@ def test_law_derivative_h2_convergence(rule):
     assert 3.0 <= errs[0.02] / errs[0.01] <= 8.0
 
 
-def test_richardson_improves(rule):
-    target = FourierTable(rule.nodes, -0.5 * rule.nodes**2 * np.exp(-rule.nodes**2 / 2))
-    h = 0.02
-    ts = [1 + i * h for i in (-2, -1, 0, 1, 2)]
-    path = MeasurePath(ts, [_binned_normal(math.sqrt(t)) for t in ts])
-    plain = law_derivative_fd(path, 2, rule)
-    extrap = law_derivative_fd(path, 2, rule, richardson=True)
-    err_plain = math.sqrt(table_norm_sq(plain - target, rule))
-    err_extrap = math.sqrt(table_norm_sq(extrap - target, rule))
-    assert err_extrap < err_plain
-
-
 # -- absolute-continuity scan ----------------------------------------------------
 
 def test_scan_constant_path(rule):
@@ -376,10 +355,10 @@ def test_scan_reads_laws_on_the_calling_thread(rule, monkeypatch):
 def test_scan_of_dirac_laws_starts_no_thread(rule, monkeypatch):
     """101 one-atom laws are far below the work worth a helper."""
 
-    def no_helpers(*args):
-        raise AssertionError("a helper was asked to share the work")
+    def no_thread_start(self):
+        raise AssertionError("a helper thread was started")
 
-    monkeypatch.setattr(measures, "_share_out", no_helpers)
+    monkeypatch.setattr(threading.Thread, "start", no_thread_start)
     monkeypatch.setattr(measures, "_cpu_count", lambda: 2)
     ts = np.linspace(0.0, 1.0, 101)
     abs_continuity_scan(MeasurePath(ts, [DiscreteMeasure.dirac(t) for t in ts]), rule)

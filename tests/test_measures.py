@@ -52,7 +52,7 @@ def test_fourier_dirac():
 
 
 def test_fourier_zero_measure():
-    assert DiscreteMeasure.zero().fourier(1.7)[0] == 0j
+    assert DiscreteMeasure([], []).fourier(1.7)[0] == 0j
 
 
 def test_fourier_symmetric_pair_is_cosine():
@@ -153,7 +153,7 @@ def test_triangle_inequality(rule):
 
 
 def test_norm_sq_never_negative(rule):
-    assert norm_sq(DiscreteMeasure.zero(), 0, rule) == 0.0
+    assert norm_sq(DiscreteMeasure([], []), 0, rule) == 0.0
     mu = DiscreteMeasure([0.5], [1e-9])
     assert norm_sq(mu, 4, rule) >= 0.0
 
@@ -322,16 +322,6 @@ def test_law_distance_bound_holds_on_paired_samples(samples):
     assert check.holds, check
 
 
-@PROPERTY_SETTINGS
-@given(mu=measures(locations=st.sampled_from([-1.5, -0.25, 0.0, 0.5, 2.0]), max_atoms=12))
-def test_coalesce_keeps_fourier(mu):
-    merged = mu.coalesce()
-    assert merged.n_atoms == np.unique(mu.locations).size
-    y = _GH16.nodes
-    tol = 1e-12 * (1.0 + np.abs(mu.weights).sum())
-    assert np.max(np.abs(merged.fourier(y) - mu.fourier(y))) <= tol
-
-
 # -- half-node Fourier evaluation --------------------------------------------
 
 def _full_fourier(mu, y):
@@ -417,7 +407,7 @@ def test_norm_sq_transforms_each_scenario_once(rule, monkeypatch):
 # -- Fourier tables of many measures ------------------------------------------
 
 _edge_measures = st.sampled_from(
-    [DiscreteMeasure.zero(), DiscreteMeasure([0.0, -0.0, 0.0, 1.0], [0.5, -0.25, 1.0, -0.0])]
+    [DiscreteMeasure([], []), DiscreteMeasure([0.0, -0.0, 0.0, 1.0], [0.5, -0.25, 1.0, -0.0])]
 )
 _nodes = st.one_of(
     st.integers(2, 128).map(lambda n: gauss_hermite_rule(n).nodes),
@@ -447,7 +437,6 @@ def test_fourier_tables_error_surfaces_after_every_helper(rule, monkeypatch):
     monkeypatch.setattr(measures_module, "_cpu_count", lambda: 3)
     monkeypatch.setattr(measures_module, "_PARALLEL_MIN_WORK", 0)
     ms = _small_laws()
-    fourier_tables(ms, rule.nodes)  # helpers started
     baseline = threading.active_count()
     kernel = DiscreteMeasure._fourier_sum
 
@@ -465,6 +454,23 @@ def test_fourier_tables_error_surfaces_after_every_helper(rule, monkeypatch):
     assert fourier_tables(ms, rule.nodes).tobytes() == stacked.tobytes()
 
 
+def test_no_thread_outlives_a_parallel_call(rule, monkeypatch):
+    monkeypatch.setattr(measures_module, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(measures_module, "_PARALLEL_MIN_WORK", 0)
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    before = threading.active_count()
+    fourier_tables(_small_laws(), rule.nodes)
+    assert len(started) == 2
+    assert threading.active_count() == before
+
+
 class _Tracked(DiscreteMeasure):
     __slots__ = ("__weakref__",)
 
@@ -480,11 +486,12 @@ def test_idle_helpers_keep_no_measure_alive(rule, monkeypatch):
     assert all(ref() is None for ref in refs)
 
 
-def test_fourier_tables_on_one_cpu_start_no_thread(rule, monkeypatch):
-    def no_helpers(*args):
-        raise AssertionError("a helper was asked to share the work")
+def _no_thread_start(self):
+    raise AssertionError("a helper thread was started")
 
-    monkeypatch.setattr(measures_module, "_share_out", no_helpers)
+
+def test_fourier_tables_on_one_cpu_start_no_thread(rule, monkeypatch):
+    monkeypatch.setattr(threading.Thread, "start", _no_thread_start)
     monkeypatch.setattr(measures_module, "_cpu_count", lambda: 1)
     monkeypatch.setattr(measures_module, "_PARALLEL_MIN_WORK", 0)
     ms = _small_laws()[:2]
@@ -493,12 +500,14 @@ def test_fourier_tables_on_one_cpu_start_no_thread(rule, monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+# Python 3.12+ warns on a fork while the OS lists more than one thread, which
+# the BLAS library's own thread pool does once numpy is imported
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 def test_forked_child_starts_helpers_of_its_own(rule, monkeypatch):
     monkeypatch.setattr(measures_module, "_cpu_count", lambda: 2)
     monkeypatch.setattr(measures_module, "_PARALLEL_MIN_WORK", 0)
     ms = _small_laws()
-    expected = fourier_tables(ms, rule.nodes).tobytes()  # the parent's helpers run
+    expected = fourier_tables(ms, rule.nodes).tobytes()  # the parent's helper runs
     pid = os.fork()
     if pid == 0:
         status = 1
@@ -612,8 +621,8 @@ def test_measure_arrays_are_read_only_copies():
     assert mu.locations[0] == 3.0
     law = empirical_law(loc)
     built = [
-        mu, law, law + mu, law - mu, -law, law.scaled(2.0), law.coalesce(),
-        DiscreteMeasure.dirac(0.5), DiscreteMeasure.zero(),
+        mu, law, law + mu, law - mu, -law, law.scaled(2.0),
+        DiscreteMeasure.dirac(0.5), DiscreteMeasure([], []),
     ]
     for m in built:
         for arr in (m.locations, m.weights):

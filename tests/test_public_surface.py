@@ -1,10 +1,14 @@
-"""Every name ``mfclab`` exports is read by the package's own code.
+"""Every name ``mfclab`` exports, and every public method of its classes,
+is read by the package's own code.
 
 A public name that only tests call is surface that no certificate, no
 experiment and no CLI path reaches.  This test walks the syntax trees of
 ``src/mfclab/*.py`` (``__init__.py`` aside) and requires each exported name
 to appear as a ``Name`` or an ``Attribute`` outside its own top-level
 ``def`` or ``class``; a mention in a docstring or a comment does not count.
+A public ``def`` in a class body (a method, property or classmethod) must be
+read the same way, anywhere outside its own class or inside it; dataclass
+fields are not checked.
 """
 import ast
 import pathlib
@@ -22,6 +26,20 @@ KEPT_PAPER_FORMULAS = (
     "m4_norm_bound_check",
 )
 
+#: public methods that only the benchmark harness reads, as ``Class.name``
+READ_BY_BENCHMARK = (
+    # perfbench/tracing.py counts a simulation's jump events with it
+    "NoiseBank.n_events",
+)
+
+
+def _modules() -> list[ast.Module]:
+    return [
+        ast.parse(path.read_text())
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+
 
 def _exports() -> set[str]:
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
@@ -37,10 +55,8 @@ def _references() -> set[str]:
     """Names read in module code, each outside the top-level def or class
     that defines it."""
     seen = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for stmt in ast.parse(path.read_text()).body:
+    for tree in _modules():
+        for stmt in tree.body:
             own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
@@ -54,6 +70,18 @@ def _references() -> set[str]:
     return seen
 
 
+def _public_methods() -> dict[str, str]:
+    """``Class.name`` to ``name`` for every public def in a top-level class."""
+    return {
+        f"{cls.name}.{fn.name}": fn.name
+        for tree in _modules()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+    }
+
+
 def test_every_export_is_read_by_package_code():
     exports = _exports()
     assert set(KEPT_PAPER_FORMULAS) <= exports
@@ -61,7 +89,24 @@ def test_every_export_is_read_by_package_code():
     assert not unread, f"exported but read only by tests: {unread}"
 
 
+def test_every_public_method_is_read_by_package_code():
+    methods = _public_methods()
+    assert set(READ_BY_BENCHMARK) <= set(methods)
+    read = _references()
+    unread = sorted(
+        key for key, name in methods.items() if name not in read and key not in READ_BY_BENCHMARK
+    )
+    assert not unread, f"public methods read only by tests: {unread}"
+
+
 def test_kept_paper_formulas_are_still_unread():
     """An exception that package code has started to read is no longer one."""
     read = sorted(set(KEPT_PAPER_FORMULAS) & _references())
     assert not read, f"read by package code, drop from KEPT_PAPER_FORMULAS: {read}"
+
+
+def test_benchmark_read_methods_are_still_unread():
+    """As for the paper formulas: package code reading one ends its exception."""
+    methods = _public_methods()
+    read = sorted(key for key in READ_BY_BENCHMARK if methods[key] in _references())
+    assert not read, f"read by package code, drop from READ_BY_BENCHMARK: {read}"
