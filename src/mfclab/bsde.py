@@ -41,9 +41,10 @@ fills them from the model's partials.  Regression bases see the time-t state.
 
 The tables are phi, Gamma and theta: Gamma is advanced while the
 coefficients are evaluated, from each step's alpha, beta and jump_phi, so
-those are never stored.  Gamma paths, phi tables and P estimates are stored
-time-major (see ``sde``): shapes (N, M+1) or (N, M) with contiguous
-per-step columns.
+those are never stored.  The pathwise estimator writes its values over the
+Gamma table it consumes, so a solve holds two (N, M+1)-sized tables, not
+three.  Gamma paths, phi tables and P estimates are stored time-major (see
+``sde``): shapes (N, M+1) or (N, M) with contiguous per-step columns.
 """
 from __future__ import annotations
 
@@ -208,15 +209,18 @@ def _tabulate(spec: LinearBsdeSpec, bundle: ParticleBundle, scenario=None) -> _C
 
 
 def _pathwise_values(tables: _CoefficientTables, dt: float) -> np.ndarray:
-    """Y(t) = theta Gamma(T)/Gamma(t) + sum_{s>=t} Gamma(s)/Gamma(t) phi(s) dt."""
-    gam, phi, theta = tables.gamma, tables.phi, tables.theta
-    n, m = phi.shape
-    values = _time_major(n, m + 1)
+    """Y(t) = theta Gamma(T)/Gamma(t) + sum_{s>=t} Gamma(s)/Gamma(t) phi(s) dt.
+
+    Consumes ``tables.gamma``: Y(t) is written over Gamma(t) as soon as the
+    backward sweep has read it, and the returned array is that table.
+    """
+    values, phi, theta = tables.gamma, tables.phi, tables.theta
+    m = phi.shape[1]
+    acc = theta * values[:, m]
     values[:, m] = theta
-    acc = theta * gam[:, m]
     for k in range(m - 1, -1, -1):
-        acc = acc + gam[:, k] * phi[:, k] * dt
-        values[:, k] = acc / gam[:, k]
+        acc = acc + values[:, k] * phi[:, k] * dt
+        values[:, k] = acc / values[:, k]
     return values
 
 
@@ -403,7 +407,7 @@ def adjoint_p0_solve(
 
     all evaluated along the bundle's baseline paths: phi is tabulated and
     Gamma advanced step by step, then handed to the pathwise estimator of
-    `solve`.
+    `solve`, which writes P over the Gamma table.
     """
     n, m = bundle.n_particles, bundle.n_steps
     scen = np.arange(n)

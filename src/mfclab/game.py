@@ -3,7 +3,10 @@
 Player 1 steers the measure-valued control mu(.), player 2 the real-valued
 control u(.); each maximizes its own criterion J_i.  In a zero-sum game
 player 2 maximizes J and player 1's criterion is its exact negation (so mu
-minimizes J -- the saddle orientation).
+minimizes J -- the saddle orientation).  Its adjoint is then the exact
+negation of player 2's, so `solve_adjoints` solves player 2's alone and
+reads player 1's as its negation; a game with two unrelated criteria solves
+both.
 
 The Hamiltonian of player i is taken as
 
@@ -103,23 +106,46 @@ class GameSpec:
         raise ValueError(f"player must be 1 or 2, got {player}")
 
 
+class _NegatedSolution:
+    """A BsdeSolution read as its exact negation, with no table of its own."""
+
+    def __init__(self, solution: BsdeSolution):
+        self._solution = solution
+        self.times = solution.times
+
+    @property
+    def P(self) -> np.ndarray:
+        return -self._solution.P
+
+    def p_at(self, k: int) -> np.ndarray:
+        return -self._solution.p_at(k)
+
+
 @dataclass
 class AdjointState:
     """Adjoint data needed to evaluate Hamiltonian derivatives along a bundle.
 
-    ``p0`` maps player -> BsdeSolution.
+    ``p0`` maps player -> BsdeSolution (player 1's reads as the negation of
+    player 2's in a zero-sum game).
     """
 
-    p0: dict[int, BsdeSolution]
+    p0: dict[int, BsdeSolution | _NegatedSolution]
 
 
 def solve_adjoints(spec: GameSpec, bundle: ParticleBundle, candidate: ControlPair) -> AdjointState:
-    """Solve both players' real-valued adjoint BSDEs along the bundle."""
-    p0 = {
-        player: adjoint_p0_solve(spec.model, spec.performance_for(player), bundle, candidate)
-        for player in (1, 2)
-    }
-    return AdjointState(p0=p0)
+    """Solve the players' real-valued adjoint BSDEs along the bundle.
+
+    When player 1's criterion is the negation of player 2's, player 1's
+    adjoint is read as the negation of player 2's: IEEE negation commutes
+    exactly with every sum, product, quotient and central difference of
+    `adjoint_p0_solve`, so it is the same bits as a second solve.
+    """
+    p2 = adjoint_p0_solve(spec.model, spec.perf2, bundle, candidate)
+    if spec.perf1._negates is spec.perf2:
+        p1 = _NegatedSolution(p2)
+    else:
+        p1 = adjoint_p0_solve(spec.model, spec.perf1, bundle, candidate)
+    return AdjointState(p0={1: p1, 2: p2})
 
 
 def _mu_shifts(sv, eta: DiscreteMeasure) -> dict[float, DiscreteMeasure]:
@@ -275,6 +301,10 @@ class PerturbationPlan:
     directions: Sequence[Direction]
     lambdas: Sequence[float] = (0.2, 0.1, 0.05, -0.05, -0.1, -0.2)
 
+    def __post_init__(self):
+        if not all(math.isfinite(lam) for lam in self.lambdas):
+            raise ValueError(f"lambdas must be finite, got {self.lambdas}")
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -384,6 +414,8 @@ def gateaux_check(
     lambdas = np.asarray(sorted(lambdas, key=abs, reverse=True), dtype=float)
     if np.any(lambdas == 0.0):
         raise ValueError("finite-difference magnitudes must be nonzero")
+    if not np.all(np.isfinite(lambdas)):
+        raise ValueError(f"finite-difference magnitudes must be finite, got {lambdas}")
 
     fd_slopes = np.empty(lambdas.size)
     fd_se = np.empty(lambdas.size)

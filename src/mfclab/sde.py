@@ -185,7 +185,8 @@ class PerformanceSpec:
 
     ``running(t, x, m, mu, u, scen)`` sees the current law ``m`` and the
     measure control ``mu``; ``terminal(x, m, scen)`` the terminal pair.
-    Partials default to central finite differences.
+    Partials default to central finite differences.  ``_negates`` is the
+    spec that `negate_performance` negated to build this one, else None.
     """
 
     running: Callable
@@ -193,17 +194,20 @@ class PerformanceSpec:
     running_dx: Callable | None = None
     running_du: Callable | None = None
     terminal_dx: Callable | None = None
+    _negates: PerformanceSpec | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def negate_performance(perf: PerformanceSpec) -> PerformanceSpec:
     """The performance of the opposing player in a zero-sum game."""
-    return PerformanceSpec(
+    negated = PerformanceSpec(
         running=lambda *a: -perf.running(*a),
         terminal=lambda *a: -perf.terminal(*a),
         running_dx=None if perf.running_dx is None else (lambda *a: -perf.running_dx(*a)),
         running_du=None if perf.running_du is None else (lambda *a: -perf.running_du(*a)),
         terminal_dx=None if perf.terminal_dx is None else (lambda *a: -perf.terminal_dx(*a)),
     )
+    negated._negates = perf
+    return negated
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +584,9 @@ class Direction:
             raise ValueError(f"unknown direction kind {self.kind!r}")
         if self.kind == "measure" and self.measure is None:
             raise ValueError("measure direction needs its measure alpha_1")
+        for name in ("t0", "scalar"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     def eta_at(self, t: float) -> DiscreteMeasure | None:
         if self.kind != "measure" or t < self.t0:

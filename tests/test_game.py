@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfclab.consumption as cons
+from mfclab.bsde import adjoint_p0_solve
 from mfclab.experiments import lq_candidates, lq_toy_game
 from mfclab.game import (
     GameSpec,
@@ -211,6 +212,50 @@ def test_zero_sum_adjoints_are_exact_negations(levy):
     candidate, _, _ = cons.frozen_pair(model, cf, bundle)
     adjoint = solve_adjoints(spec, bundle, candidate)
     assert np.array_equal(adjoint.p0[1].P, -adjoint.p0[2].P)
+
+
+def _spy_adjoint_solves(monkeypatch):
+    """Record the args of every adjoint_p0_solve call that game makes."""
+    import mfclab.game as game_module
+
+    calls = []
+    solve = game_module.adjoint_p0_solve
+
+    def spy(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(game_module, "adjoint_p0_solve", spy)
+    return calls
+
+
+def test_zero_sum_game_solves_one_adjoint(cgame, monkeypatch):
+    """A zero-sum game solves player 2's adjoint alone; player 1's reads as
+    its negation, with the bits that a solve of player 1's criterion gives."""
+    _, spec, candidate, bundle, _ = cgame
+    calls = _spy_adjoint_solves(monkeypatch)
+    adjoint = solve_adjoints(spec, bundle, candidate)
+    assert len(calls) == 1 and calls[0][1] is spec.perf2
+    own = adjoint_p0_solve(spec.model, spec.perf1, bundle, candidate)
+    assert adjoint.p0[1].P.tobytes() == own.P.tobytes()
+    assert adjoint.p0[1].p_at(7).tobytes() == own.p_at(7).tobytes()
+    assert adjoint.p0[1].times is adjoint.p0[2].times
+
+
+def test_general_game_solves_both_adjoints(lq, monkeypatch):
+    """Two unrelated criteria, even ones that negate each other's values, are
+    solved one by one."""
+    spec, candidate, bundle, _ = lq
+    calls = _spy_adjoint_solves(monkeypatch)
+    solve_adjoints(spec, bundle, candidate)
+    assert sorted(id(args[1]) for args in calls) == sorted(map(id, (spec.perf1, spec.perf2)))
+    perf_a = spec.perf2
+    perf_b = PerformanceSpec(
+        running=lambda *a: -perf_a.running(*a), terminal=lambda *a: -perf_a.terminal(*a)
+    )
+    calls.clear()
+    solve_adjoints(GameSpec(spec.model, perf_b, perf_a), bundle, candidate)
+    assert len(calls) == 2
 
 
 _LEVY = LevyMeasure([0.1], [0.5])
@@ -516,3 +561,24 @@ def test_game_spec_validation():
         spec.performance_for(3)
     with pytest.raises(ValueError):
         IntervalMass(0.0, 1.0, probe=2.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["t0", "scalar"])
+def test_direction_rejects_non_finite_fields(field, bad):
+    """A NaN switch time would read as t0 = -inf in pi_at and eta_at."""
+    with pytest.raises(ValueError, match=field):
+        Direction(kind="control", **{field: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_perturbation_plan_rejects_non_finite_lambdas(bad):
+    with pytest.raises(ValueError, match="lambdas"):
+        PerturbationPlan(directions=[Direction(kind="control")], lambdas=(0.1, bad))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gateaux_rejects_non_finite_lambdas(lq, bad):
+    spec, candidate, bundle, _ = lq
+    with pytest.raises(ValueError, match="finite"):
+        gateaux_check(spec, candidate, Direction(kind="control"), (0.1, bad), bundle)
