@@ -138,7 +138,8 @@ def solve_adjoints(spec: GameSpec, bundle: ParticleBundle, candidate: ControlPai
     When player 1's criterion is the negation of player 2's, player 1's
     adjoint is read as the negation of player 2's: IEEE negation commutes
     exactly with every sum, product, quotient and central difference of
-    `adjoint_p0_solve`, so it is the same bits as a second solve.
+    `adjoint_p0_solve`, so it is the same bits as a second solve (save the
+    sign of an exact zero).
     """
     p2 = adjoint_p0_solve(spec.model, spec.perf2, bundle, candidate)
     if spec.perf1._negates is spec.perf2:

@@ -564,21 +564,24 @@ def test_game_spec_validation():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("field", ["t0", "scalar"])
-def test_direction_rejects_non_finite_fields(field, bad):
-    """A NaN switch time would read as t0 = -inf in pi_at and eta_at."""
-    with pytest.raises(ValueError, match=field):
-        Direction(kind="control", **{field: bad})
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_perturbation_plan_rejects_non_finite_lambdas(bad):
-    with pytest.raises(ValueError, match="lambdas"):
-        PerturbationPlan(directions=[Direction(kind="control")], lambdas=(0.1, bad))
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_gateaux_rejects_non_finite_lambdas(lq, bad):
-    spec, candidate, bundle, _ = lq
-    with pytest.raises(ValueError, match="finite"):
-        gateaux_check(spec, candidate, Direction(kind="control"), (0.1, bad), bundle)
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda lq, bad: Direction(kind="control", t0=bad), "t0 must be finite"),
+        (lambda lq, bad: Direction(kind="control", scalar=bad), "scalar must be finite"),
+        (
+            lambda lq, bad: PerturbationPlan([Direction(kind="control")], lambdas=(0.1, bad)),
+            "lambdas must be finite",
+        ),
+        (
+            lambda lq, bad: gateaux_check(lq[0], lq[1], Direction(kind="control"), (0.1, bad), lq[2]),
+            "magnitudes must be finite",
+        ),
+    ],
+    ids=["direction-t0", "direction-scalar", "plan-lambdas", "gateaux-lambdas"],
+)
+def test_non_finite_perturbations_raise(lq, build, message, bad):
+    """A NaN switch time would read as t0 = -inf in pi_at and eta_at, and a
+    non-finite lambda would certify a perturbation other than the one named."""
+    with pytest.raises(ValueError, match=message):
+        build(lq, bad)
