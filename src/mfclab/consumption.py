@@ -45,7 +45,6 @@ from .bsde import BsdeSolution
 from .game import (
     RESIDUAL_FLOOR,
     RESIDUAL_N_SE,
-    AdjointState,
     GameSpec,
     IntervalMass,
     PerturbationPlan,
@@ -387,18 +386,24 @@ def product_process_check(
     """Check p0(t) X(t) = E[theta | F_t] + T - t along the bundle.
 
     With a deterministic theta the identity is pathwise and the profile holds
-    the per-time maximum absolute deviation; with a stochastic theta only the
-    unconditional mean E[P(t)] = E[theta] + T - t is checkable and the
-    profile compares means.
+    the per-time maximum absolute deviation, taken one time column at a time
+    (a max does not depend on the order it is taken in), so no (N, M+1)
+    product table is built; with a stochastic theta only the unconditional
+    mean E[P(t)] = E[theta] + T - t is checkable and the profile compares
+    means of the whole particle-major product.
     """
     horizon = model.horizon
     times = bundle.times
-    # particle-major product: its mean over scenarios accumulates row by row
-    product = np.multiply(np.atleast_2d(adjoint.P), bundle.states, order="C")
+    p_table = np.atleast_2d(adjoint.P)
     if model.theta.deterministic:
         target = model.theta.value + horizon - times
-        profile = np.abs(product - target[None, :]).max(axis=0)
+        profile = np.array([
+            np.abs(p_table[:, k] * bundle.states[:, k] - target[k]).max()
+            for k in range(times.size)
+        ])
         return ProductCheck(times=times, profile=profile, max_deviation=float(profile.max()), pathwise=True)
+    # particle-major product: its mean over scenarios accumulates row by row
+    product = np.multiply(p_table, bundle.states, order="C")
     theta_mean = float(model.theta.samples(bundle).mean())
     target = theta_mean + horizon - times
     profile = np.abs(product.mean(axis=0) - target)
@@ -415,26 +420,32 @@ class VariantRun:
     controls: ControlPair
     mass_path: np.ndarray
     mu_v_path: np.ndarray
-    adjoint: AdjointState
     residuals: ResidualCurves
     passes_residuals: bool
+    product: ProductCheck | None
 
 
 def _variant_run(spec: GameSpec, model: ConsumptionModel, variant: str, noise) -> VariantRun:
-    """Simulate, freeze, solve the adjoints of and test the residuals of one variant."""
+    """Simulate, freeze, solve the adjoints of and test the residuals of one
+    variant, and check the product identity of a variant that passes them.
+
+    The adjoints are read by nothing after the product check, so they go
+    when this returns.
+    """
     cf = closed_form_controls(model, variant)
     bundle = simulate(spec.model, feedback_pair(model, cf), noise=noise)
     controls, mass_path, mu_v_path = frozen_pair(model, cf, bundle)
     adjoint = solve_adjoints(spec, bundle, controls)
     residuals = first_order_residuals(spec, controls, bundle, adjoint)
+    passes = residuals.u_within() and residuals.mu_within()
     return VariantRun(
         bundle=bundle,
         controls=controls,
         mass_path=mass_path,
         mu_v_path=mu_v_path,
-        adjoint=adjoint,
         residuals=residuals,
-        passes_residuals=residuals.u_within() and residuals.mu_within(),
+        passes_residuals=passes,
+        product=product_process_check(model, bundle, adjoint.p0[2]) if passes else None,
     )
 
 
@@ -454,22 +465,32 @@ def verify_consumption_game(
 ) -> ConsumptionGameReport:
     """Run the full candidate-verification pipeline on the consumption game.
 
-    Simulates both mu_hat variants, solves the adjoint, computes first-order
-    residuals (selecting the variant that satisfies them), checks the product
-    identity, runs the saddle perturbation sweep and re-runs it with the
-    consumption rate inflated by ``INFLATION``, which must break the
-    certificate.  Every simulation runs on one noise bank drawn from
-    ``seed``.  Writes report.csv and controls.csv when ``out_dir`` is given.
+    Simulates the mu_hat variants one at a time, in reverse order of
+    ``VARIANTS``: a variant that fails its first-order residuals goes before
+    the next one is simulated, and each variant's adjoints go once its
+    product identity is checked (`_variant_run`).  The selected variant is
+    the first in ``VARIANTS`` order that passes.  Then runs the saddle perturbation sweep and
+    re-runs it with the consumption rate inflated by ``INFLATION``, which
+    must break the certificate.  Every simulation runs on one noise bank
+    drawn from ``seed``.  Writes report.csv and controls.csv when
+    ``out_dir`` is given; with no passing variant, controls.csv reads the
+    run of ``VARIANTS[0]``.
     """
     spec = game_spec(model)
     checks: list[CheckResult] = []
     noise = draw_noise(seed, n_particles, n_steps, model.horizon, model.levy)
-    runs = {variant: _variant_run(spec, model, variant, noise) for variant in VARIANTS}
-    passing = [v for v in VARIANTS if runs[v].passes_residuals]
+    run = None
+    passing: list[str] = []
+    for variant in reversed(VARIANTS):
+        candidate = _variant_run(spec, model, variant, noise)
+        if candidate.passes_residuals:
+            passing.insert(0, variant)
+        # a failing variant goes before the next one is simulated; with no
+        # pass at all, controls.csv reads VARIANTS[0], the last one run
+        if candidate.passes_residuals or (variant == VARIANTS[0] and not passing):
+            run = candidate
+        del candidate
     selected = passing[0] if passing else None
-    # the other variant is read no further: let its bundle and adjoints go
-    run = runs[selected or "first-order-derived"]
-    del runs
     checks.append(
         CheckResult(
             name="residuals-select-exactly-one-variant",
@@ -483,7 +504,7 @@ def verify_consumption_game(
     sweep = None
     if selected is not None:
         # product-process identity on the selected candidate
-        product = product_process_check(model, run.bundle, run.adjoint.p0[2])
+        product = run.product
         checks.append(
             CheckResult(
                 name="product-process-max-deviation",

@@ -53,6 +53,8 @@ from .sde import (
 # Philox keys lie in [0, 2**128), and experiments also draw from seed + 1 and
 # seed + 2
 _SEED_LIMIT = 2**128 - 2
+# experiments whose checks read a standard error over the particles
+_STANDARD_ERROR_EXPERIMENTS = ("sde-moments", "gateaux", "nash-sweep", "consumption")
 
 
 @dataclass
@@ -76,6 +78,11 @@ class ExperimentConfig:
             raise ValueError(f"seed must lie in [0, 2**128 - 2), got {self.seed}")
         if self.n_particles < 1:
             raise ValueError("n_particles must be positive")
+        if self.name in _STANDARD_ERROR_EXPERIMENTS and self.n_particles < 2:
+            raise ValueError(
+                f"experiment {self.name!r} reports standard errors and needs "
+                f"n_particles >= 2, got {self.n_particles}"
+            )
         if self.n_steps < 1:
             raise ValueError("n_steps must be positive")
         if self.quad_n < 2:
@@ -94,7 +101,17 @@ class ExperimentConfig:
                 raise ValueError(f"model value {key} must be finite, got {value}")
         if self.name == "consumption":
             # the model's own checks, run before any simulation
-            cons.state_model(consumption_model_from(self))
+            model = consumption_model_from(self)
+            cons.state_model(model)
+            # the sweeps shift the rate by every lambda from t = 0 on, where
+            # rho_hat = 1/(T + theta) is smallest, and the cost takes log u
+            rate = cons.closed_form_controls(model).rho_hat(0.0)
+            if rate + min(self.lambdas) <= 0:
+                raise ValueError(
+                    f"consumption rate 1/(T + theta) = {rate:.6g} at theta = "
+                    f"{model.theta_bar():g} plus the smallest lambda {min(self.lambdas):g} "
+                    "must stay positive"
+                )
         elif self.model:
             raise ValueError(f"experiment {self.name!r} reads no [model] section; only consumption does")
 

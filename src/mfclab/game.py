@@ -207,6 +207,16 @@ def _dh_dmu_samples(spec: GameSpec, sv, p0_vals, mu_shifts, player: int, scen) -
     return np.broadcast_to(dl + p0_vals * db, (sv.x.size,))
 
 
+def _sqrt_n(bundle: ParticleBundle, caller: str) -> float:
+    """sqrt(N) for a standard error over the bundle's particles, N >= 2."""
+    if bundle.n_particles < 2:
+        raise ValueError(
+            f"{caller} reports standard errors and needs at least 2 particles, "
+            f"got {bundle.n_particles}"
+        )
+    return math.sqrt(bundle.n_particles)
+
+
 @dataclass
 class ResidualCurves:
     """First-order residual estimates E[dH/d(control) | info] per grid time.
@@ -263,7 +273,7 @@ def first_order_residuals(
     boundary = np.zeros(m, dtype=bool)
     res_mu = {f.name: np.empty(m) for f in spec.functionals}
     se_mu = {f.name: np.empty(m) for f in spec.functionals}
-    sqrt_n = math.sqrt(n)
+    sqrt_n = _sqrt_n(bundle, "first_order_residuals")
     for sv in iter_steps(bundle, candidate):
         mu_shifts = [_mu_shifts(sv, f.unit_direction()) for f in spec.functionals]
         _check_coefficient_independence(spec, sv, 2, scen, mu_shifts)
@@ -271,7 +281,7 @@ def first_order_residuals(
         p2 = adjoint.p0[2].p_at(sv.k)
         du = _dh_du_samples(spec, sv, p2, scen)
         res_u[sv.k] = du.mean()
-        se_u[sv.k] = du.std(ddof=1) / sqrt_n if n > 1 else 0.0
+        se_u[sv.k] = du.std(ddof=1) / sqrt_n
         if candidate.u_bounds is not None:
             lo, hi = candidate.u_bounds
             u_min, u_max = float(np.min(sv.u)), float(np.max(sv.u))
@@ -280,7 +290,7 @@ def first_order_residuals(
         for f, pair in zip(spec.functionals, mu_shifts):
             dmu = _dh_dmu_samples(spec, sv, p1, pair, 1, scen)
             res_mu[f.name][sv.k] = dmu.mean()
-            se_mu[f.name][sv.k] = dmu.std(ddof=1) / sqrt_n if n > 1 else 0.0
+            se_mu[f.name][sv.k] = dmu.std(ddof=1) / sqrt_n
     return ResidualCurves(
         times=bundle.times[:-1],
         res_u=res_u,
@@ -357,7 +367,7 @@ def nash_perturbation_sweep(
     """
     base: dict[int, np.ndarray] = {}
     rows: list[SweepRow] = []
-    sqrt_n = math.sqrt(bundle.n_particles)
+    sqrt_n = _sqrt_n(bundle, "nash_perturbation_sweep")
     for d_id, direction in enumerate(plan.directions):
         player = 1 if direction.kind == "measure" else 2
         perf = spec.performance_for(player)
@@ -366,7 +376,7 @@ def nash_perturbation_sweep(
         for lam in plan.lambdas:
             pert = perturbed_controls(candidate, direction, lam)
             diff = _crn_samples(spec, pert, perf, bundle) - base[player]
-            se = float(diff.std(ddof=1) / sqrt_n) if diff.size > 1 else 0.0
+            se = float(diff.std(ddof=1) / sqrt_n)
             rows.append(
                 SweepRow(
                     direction_id=d_id,
@@ -411,7 +421,7 @@ def gateaux_check(
     player = 1 if direction.kind == "measure" else 2
     perf = spec.performance_for(player)
     n = bundle.n_particles
-    sqrt_n = math.sqrt(n)
+    sqrt_n = _sqrt_n(bundle, "gateaux_check")
     lambdas = np.asarray(sorted(lambdas, key=abs, reverse=True), dtype=float)
     if np.any(lambdas == 0.0):
         raise ValueError("finite-difference magnitudes must be nonzero")
@@ -427,7 +437,7 @@ def gateaux_check(
         s_minus = _crn_samples(spec, minus, perf, bundle)
         slope_samples = (s_plus - s_minus) / (2.0 * lam)
         fd_slopes[i] = slope_samples.mean()
-        fd_se[i] = slope_samples.std(ddof=1) / sqrt_n if n > 1 else 0.0
+        fd_se[i] = slope_samples.std(ddof=1) / sqrt_n
 
     # only the deviating player's adjoint is read
     p0_sol = adjoint_p0_solve(spec.model, perf, bundle, candidate)
@@ -451,7 +461,7 @@ def gateaux_check(
                 continue
             slope_acc += _dh_du_samples(spec, sv, p0, scen) * pi * dt
     adjoint_slope = float(slope_acc.mean())
-    adjoint_se = float(slope_acc.std(ddof=1) / sqrt_n) if n > 1 else 0.0
+    adjoint_se = float(slope_acc.std(ddof=1) / sqrt_n)
 
     smallest = int(np.argmin(np.abs(lambdas)))
     diff = abs(fd_slopes[smallest] - adjoint_slope)

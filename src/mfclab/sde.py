@@ -42,7 +42,10 @@ read-only values, and so is a bundle's ``states`` array once the Euler sweep
 has filled it (with its cached Brownian levels and each law's state column):
 writing to any of them raises ``ValueError``, so edit a ``.copy()``.  Every
 cache here (sorted laws, interval masses, the laws of a bundle, the sums of a
-perturbed measure control) rests on this.
+perturbed measure control) rests on this.  A bundle's law cache may also drop
+a law, since a rebuilt law is the same bits: ``performance_samples`` drops
+each step's law that its running cost's read put in the cache, so a replay
+that nothing else reads holds one law at a time.
 """
 from __future__ import annotations
 
@@ -547,15 +550,24 @@ def performance_samples(
     controls: ControlPair,
     perf: PerformanceSpec,
 ) -> np.ndarray:
-    """Per-particle performance: left-endpoint time integral plus terminal cost."""
+    """Per-particle performance: left-endpoint time integral plus terminal cost.
+
+    A step's law that the running cost's read put in the bundle's cache (not
+    an earlier reader, nor this step's controls) leaves the cache again after
+    that read, so a replay that nothing else reads holds one law at a time; a
+    later ``law_at`` rebuilds the same bits.
+    """
     n = bundle.n_particles
     dt = bundle.dt
     scenario = np.arange(n)
     total = np.zeros(n)
     for sv in iter_steps(bundle, controls):
+        built_here = sv.k not in bundle._laws
         total += np.broadcast_to(
             perf.running(sv.t, sv.x, sv.law, sv.mu_ctrl, sv.u, scenario), (n,)
         ) * dt
+        if built_here:
+            del bundle._laws[sv.k]
     m_terminal = bundle.law_at(bundle.n_steps)
     total = total + np.broadcast_to(
         perf.terminal(bundle.states[:, -1], m_terminal, scenario), (n,)

@@ -116,6 +116,50 @@ def test_bad_model_value_or_seed_is_config_error(tmp_path, capsys, name, section
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "theta, lambdas", [("10.0", "-0.2"), ("4.0", "-0.2"), ("1.0", "-0.5")],
+    ids=["theta=10", "theta=4", "lambda=-0.5"],
+)
+def test_nonpositive_consumption_rate_is_config_error(tmp_path, capsys, theta, lambdas):
+    """rho_hat(0) + min(lambda) = 1/(T + theta) + min(lambda) <= 0 would
+    leave U (theta > 4 at the default grid: a traceback and exit 1 before) or
+    reach log 0 (theta = 4: exit 3); both are config faults."""
+    cfg = write_config(
+        tmp_path,
+        f"[experiment]\nname = consumption\nout_dir = {tmp_path}/out\n\n"
+        f"[knobs]\nn_particles = 500\nn_steps = 40\nlambdas = 0.1, {lambdas}\n\n"
+        f"[model]\ntheta = {theta}\n",
+    )
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: consumption rate") and err.count("\n") == 1
+    assert f"theta = {float(theta):g}" in err and f"lambda {float(lambdas):g}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("theta, lambdas", [(3.9, (-0.2,)), (10.0, (-0.05, 0.1))])
+def test_positive_consumption_rate_is_valid(theta, lambdas):
+    ExperimentConfig(name="consumption", lambdas=lambdas, model={"theta": theta}).validate()
+
+
+@pytest.mark.parametrize("name", ["sde-moments", "gateaux", "nash-sweep", "consumption"])
+def test_one_particle_is_config_error(tmp_path, capsys, name):
+    """A standard error over one particle is 0, so one path would pass
+    every check (consumption exited 0 with 7/7 before)."""
+    cfg = write_config(
+        tmp_path,
+        f"[experiment]\nname = {name}\nout_dir = {tmp_path}/out\n\n"
+        "[knobs]\nn_particles = 1\nn_steps = 10\n",
+    )
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"config error: experiment {name!r} reports standard errors and needs "
+        "n_particles >= 2, got 1\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_unread_knob_reported_after_bad_value(tmp_path, capsys):
     cfg = write_config(
         tmp_path, "[experiment]\nname = norms\n\n[knobs]\nn_particles = -5\ndelay = 0.5\n"

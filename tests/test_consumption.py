@@ -1,10 +1,12 @@
 """Tests for the consumption application: closed forms, product identity, report."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import mfclab.consumption as cons
+from mfclab import sde
 from mfclab.bsde import adjoint_p0_solve
 from mfclab.lawproc import LevyMeasure
 from mfclab.sde import ControlledModel, InfoPattern, simulate
@@ -227,3 +229,90 @@ def test_delay_information_pattern_runs():
     adjoint = adjoint_p0_solve(state, cons.performance(model), bundle, pair)
     check = cons.product_process_check(model, bundle, adjoint)
     assert check.max_deviation <= 0.05
+
+
+# -- live set -------------------------------------------------------------------------
+
+def test_verify_consumption_game_peak_memory():
+    """At most one variant's adjoint and two particle systems' laws are live.
+
+    A variant that fails its residuals goes before the next one is simulated,
+    the adjoint goes once the product identity is checked (column by column,
+    with no (N, M+1) product table), and a sweep replay lets each law go
+    after its one read.  The peak is about 5.3 of the (N, M+1) tables; with
+    any one of those four undone it is 6.2 or more (8.3 with all of them)."""
+    n, m = 2000, 50
+    model = canonical_model()
+    # a small run first, so that lazy imports are not traced
+    cons.verify_consumption_game(model, n_particles=50, n_steps=5, seed=1)
+    tracemalloc.start()
+    try:
+        report = cons.verify_consumption_game(model, n_particles=n, n_steps=m, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.selected_variant == "first-order-derived"
+    assert peak < 6 * n * (m + 1) * 8
+
+
+def test_verify_consumption_game_builds_each_law_once(monkeypatch):
+    """21 simulations (two variants, 12 main and 6 inflated deviations, the
+    inflated base) read M laws each; a dropped law is never read again."""
+    built = []
+
+    def counting_law(column):
+        built.append(column.size)
+        return real_law(column)
+
+    real_law = sde.empirical_law
+    monkeypatch.setattr(sde, "empirical_law", counting_law)
+    n, m = 2000, 50
+    cons.verify_consumption_game(canonical_model(), n_particles=n, n_steps=m, seed=3)
+    assert len(built) == 21 * m == 1050
+    assert set(built) == {n}
+
+
+@pytest.mark.parametrize("derived_passes", [True, False])
+@pytest.mark.parametrize("stated_passes", [True, False])
+def test_variant_selection_keeps_one_failing_variant_at_most(
+    tmp_path, monkeypatch, derived_passes, stated_passes
+):
+    """Variants run in reverse order of VARIANTS; a failing one is gone before
+    the next is simulated, the first passing one in VARIANTS order is selected,
+    and with none passing controls.csv reads the run of VARIANTS[0]."""
+    import gc
+    import weakref
+
+    forced = {"first-order-derived": derived_passes, "stated-theorem": stated_passes}
+    runs, live_at_call, mass_paths = {}, [], {}
+
+    def spy_run(spec, model, variant, noise):
+        gc.collect()
+        live_at_call.append([v for v, ref in runs.items() if ref() is not None])
+        current[:] = [variant]
+        run = real_run(spec, model, variant, noise)
+        runs[variant] = weakref.ref(run)
+        mass_paths[variant] = run.mass_path
+        return run
+
+    def forced_residuals(*args):
+        curves = real_residuals(*args)
+        curves.u_within = curves.mu_within = lambda: forced[current[0]]
+        return curves
+
+    current = []
+    real_run, real_residuals = cons._variant_run, cons.first_order_residuals
+    monkeypatch.setattr(cons, "_variant_run", spy_run)
+    monkeypatch.setattr(cons, "first_order_residuals", forced_residuals)
+    report = cons.verify_consumption_game(
+        canonical_model(), n_particles=200, n_steps=10, seed=5, out_dir=str(tmp_path)
+    )
+    passing = [v for v in cons.VARIANTS if forced[v]]
+    assert live_at_call == [[], ["stated-theorem"] if stated_passes else []]
+    assert report.selected_variant == (passing[0] if passing else None)
+    assert report.checks[0].detail == f"passing={passing or 'none'}"
+    rows = [row.split(",") for row in (tmp_path / "controls.csv").read_text().splitlines()[1:-1]]
+    read = passing[0] if passing else cons.VARIANTS[0]
+    derived = cons.closed_form_controls(canonical_model())
+    expected = [derived.mu_hat_V(float(row[0]), m) for row, m in zip(rows, mass_paths[read])]
+    assert [float(row[3]) for row in rows] == expected

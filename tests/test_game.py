@@ -585,3 +585,24 @@ def test_non_finite_perturbations_raise(lq, build, message, bad):
     non-finite lambda would certify a perturbation other than the one named."""
     with pytest.raises(ValueError, match=message):
         build(lq, bad)
+
+
+@pytest.mark.parametrize("entry", ["residuals", "sweep", "gateaux"])
+def test_one_particle_bundle_raises(entry):
+    """A standard error over one particle would read 0, and a single path
+    would then certify anything."""
+    spec = lq_toy_game()
+    candidate = lq_candidates(1.0, 1.0, 1.0)
+    bundle = simulate(spec.model, candidate, 1, 5, seed=3)
+    direction = Direction(kind="control")
+    calls = {
+        "residuals": lambda: first_order_residuals(
+            spec, candidate, bundle, solve_adjoints(spec, bundle, candidate)
+        ),
+        "sweep": lambda: nash_perturbation_sweep(
+            spec, candidate, PerturbationPlan([direction]), bundle
+        ),
+        "gateaux": lambda: gateaux_check(spec, candidate, direction, (0.1,), bundle),
+    }
+    with pytest.raises(ValueError, match="needs at least 2 particles, got 1"):
+        calls[entry]()

@@ -200,24 +200,25 @@ def _run_arrays(out: dict, seed: int, n: int, m: int) -> None:
 
 
 def _game_arrays(out: dict, seed: int, n: int, m: int) -> None:
-    """Sweep rows and residual curves of the consumption certificate."""
-    sweeps, residuals = [], []
+    """Sweep rows and residual curves of the consumption certificate; each
+    curve is labelled with the variant whose run produced it."""
+    sweeps, residuals = [], {}
 
     def sweep_spy(spec, candidate, plan, bundle):
         sweeps.append((spec, candidate, plan, bundle))
         return real_sweep(spec, candidate, plan, bundle)
 
-    def residual_spy(*args):
-        curves = real_residuals(*args)
-        residuals.append(curves)
-        return curves
+    def variant_spy(spec, model, variant, noise):
+        run = real_variant_run(spec, model, variant, noise)
+        residuals[variant] = run.residuals
+        return run
 
-    real_sweep, real_residuals = cons.nash_perturbation_sweep, cons.first_order_residuals
+    real_sweep, real_variant_run = cons.nash_perturbation_sweep, cons._variant_run
     model = _model(levy=True, delay=False)
     with mock.patch.object(cons, "nash_perturbation_sweep", sweep_spy), \
-            mock.patch.object(cons, "first_order_residuals", residual_spy):
+            mock.patch.object(cons, "_variant_run", variant_spy):
         cons.verify_consumption_game(model, n_particles=n, n_steps=m, seed=seed)
-    assert len(sweeps) == 2 and len(residuals) == 2
+    assert len(sweeps) == 2 and sorted(residuals) == sorted(cons.VARIANTS)
     for label, (spec, candidate, plan, bundle) in zip(("main", "inflated"), sweeps):
         for d_id, direction in enumerate(plan.directions):
             perf = spec.performance_for(1 if direction.kind == "measure" else 2)
@@ -228,7 +229,7 @@ def _game_arrays(out: dict, seed: int, n: int, m: int) -> None:
                 out[f"sweep/{label}/direction={d_id},lambda={lam}"] = (
                     performance_samples(deviated, pert, perf) - base
                 )
-    for variant, curves in zip(cons.VARIANTS, residuals):
+    for variant, curves in residuals.items():
         out[f"residuals/{variant}/u"] = [curves.res_u, curves.se_u]
         out[f"residuals/{variant}/mu"] = [curves.res_mu["mass_V"], curves.se_mu["mass_V"]]
 

@@ -616,9 +616,14 @@ def test_laws_are_built_on_first_read(monkeypatch):
         running=lambda t, x, m, mu, u, s: m.mass_on(0.0, np.inf) * x,
         terminal=lambda x, m, s: x,
     )
-    performance_samples(bundle, ctrl, reading)
+    first = performance_samples(bundle, ctrl, reading)
     # steps 0..M-1 once each (step 5 was cached); the terminal law is unread
     assert len(built) == bundle.n_steps
+    # the laws the replays put in the cache left it again; a rerun rebuilds
+    # them bit for bit
+    assert sorted(bundle._laws) == [5, bundle.n_steps]
+    assert performance_samples(bundle, ctrl, reading).tobytes() == first.tobytes()
+    assert len(built) == 2 * bundle.n_steps - 1
 
 
 def test_consumption_performance_regression_fixture():
