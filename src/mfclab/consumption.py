@@ -504,13 +504,12 @@ def verify_consumption_game(
     sweep = None
     if selected is not None:
         # product-process identity on the selected candidate
-        product = run.product
         checks.append(
             CheckResult(
                 name="product-process-max-deviation",
-                value=product.max_deviation,
+                value=run.product.max_deviation,
                 threshold=PRODUCT_TOL,
-                passed=product.max_deviation <= PRODUCT_TOL,
+                passed=run.product.max_deviation <= PRODUCT_TOL,
                 detail=f"variant={selected}",
             )
         )

@@ -240,7 +240,7 @@ def test_verify_consumption_game_peak_memory():
     the adjoint goes once the product identity is checked (column by column,
     with no (N, M+1) product table), and a sweep replay lets each law go
     after its one read.  The peak is about 5.3 of the (N, M+1) tables; with
-    any one of those four undone it is 6.2 or more (8.3 with all of them)."""
+    any one of those four undone it is 6.3 to 7.3 (8.3 with all of them)."""
     n, m = 2000, 50
     model = canonical_model()
     # a small run first, so that lazy imports are not traced
@@ -274,7 +274,7 @@ def test_verify_consumption_game_builds_each_law_once(monkeypatch):
 
 @pytest.mark.parametrize("derived_passes", [True, False])
 @pytest.mark.parametrize("stated_passes", [True, False])
-def test_variant_selection_keeps_one_failing_variant_at_most(
+def test_variants_run_one_at_a_time_and_select_in_variants_order(
     tmp_path, monkeypatch, derived_passes, stated_passes
 ):
     """Variants run in reverse order of VARIANTS; a failing one is gone before
@@ -284,7 +284,7 @@ def test_variant_selection_keeps_one_failing_variant_at_most(
     import weakref
 
     forced = {"first-order-derived": derived_passes, "stated-theorem": stated_passes}
-    runs, live_at_call, mass_paths = {}, [], {}
+    runs, live_at_call, mass_paths, current = {}, [], {}, []
 
     def spy_run(spec, model, variant, noise):
         gc.collect()
@@ -300,7 +300,6 @@ def test_variant_selection_keeps_one_failing_variant_at_most(
         curves.u_within = curves.mu_within = lambda: forced[current[0]]
         return curves
 
-    current = []
     real_run, real_residuals = cons._variant_run, cons.first_order_residuals
     monkeypatch.setattr(cons, "_variant_run", spy_run)
     monkeypatch.setattr(cons, "first_order_residuals", forced_residuals)
