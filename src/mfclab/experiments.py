@@ -304,6 +304,14 @@ def run_law_derivative(cfg: ExperimentConfig) -> list[CheckResult]:
 # sde-moments
 # ---------------------------------------------------------------------------
 
+def _mean_z_score(xt: np.ndarray, target: float) -> tuple[float, float, float]:
+    """Sample mean, its standard error and its z-score against target.  A
+    sample without spread (two particles that never jumped) certifies no
+    mean: its z-score is inf, a failed check, not a ZeroDivisionError."""
+    mean, se = float(xt.mean()), float(xt.std(ddof=1) / math.sqrt(xt.size))
+    return mean, se, (mean - target) / se if se > 0 else math.inf
+
+
 def run_sde_moments(cfg: ExperimentConfig) -> list[CheckResult]:
     """Geometric-dynamics mean oracles and compensated-jump mean preservation."""
     n, m = cfg.n_particles, cfg.n_steps
@@ -321,10 +329,8 @@ def run_sde_moments(cfg: ExperimentConfig) -> list[CheckResult]:
             horizon=1.0,
         )
         bundle = simulate(model, ctrl, n, m, cfg.seed)
-        xt = bundle.states[:, -1]
-        mean, se = float(xt.mean()), float(xt.std(ddof=1) / math.sqrt(n))
         target = math.exp(a)
-        z = (mean - target) / se
+        mean, se, z = _mean_z_score(bundle.states[:, -1], target)
         rows.append([f"geometric a={a} s={s}", mean, target, se, z])
         checks.append(
             CheckResult(f"sde-mean-geometric-a={a}", abs(z), 3.0, abs(z) <= 3.0,
@@ -339,9 +345,7 @@ def run_sde_moments(cfg: ExperimentConfig) -> list[CheckResult]:
         horizon=1.0,
     )
     bundle = simulate(model_j, ctrl, n, m, cfg.seed + 1)
-    xt = bundle.states[:, -1]
-    mean, se = float(xt.mean()), float(xt.std(ddof=1) / math.sqrt(n))
-    z = (mean - 1.0) / se
+    mean, se, z = _mean_z_score(bundle.states[:, -1], 1.0)
     rows.append(["compensated-jump", mean, 1.0, se, z])
     checks.append(CheckResult("sde-mean-compensated-jump", abs(z), 3.0, abs(z) <= 3.0))
 
@@ -359,10 +363,8 @@ def run_sde_moments(cfg: ExperimentConfig) -> list[CheckResult]:
         scalar_ctrl=lambda t, info: r,
     )
     bundle = simulate(model_c, ctrl_c, n, m, cfg.seed + 2)
-    xt = bundle.states[:, -1]
-    mean, se = float(xt.mean()), float(xt.std(ddof=1) / math.sqrt(n))
     target = math.exp(c_gross - r)
-    z = (mean - target) / se
+    mean, se, z = _mean_z_score(bundle.states[:, -1], target)
     rows.append(["consumption-drift", mean, target, se, z])
     checks.append(CheckResult("sde-mean-consumption-drift", abs(z), 3.0, abs(z) <= 3.0))
     write_csv(_out(cfg, "sde_moments.csv"), ["case", "mean", "target", "std_err", "z"], rows, cfg.seed)
@@ -425,12 +427,33 @@ def run_bsde_oracles(cfg: ExperimentConfig) -> list[CheckResult]:
 # gateaux
 # ---------------------------------------------------------------------------
 
-def run_gateaux(cfg: ExperimentConfig) -> list[CheckResult]:
-    """Derivative-process L^2 convergence and FD-vs-adjoint slope agreement."""
-    checks = []
-    rows_l2 = []
+# the lambda grid of both Gateaux checks
+_GATEAUX_LAMBDAS = (0.1, 0.05, 0.025)
+# particle rows per block of the quotient's L^2 error; a block's temporaries
+# are (_L2_BLOCK_ROWS, M+1), never another (N, M+1) table
+_L2_BLOCK_ROWS = 128
 
-    # L^2 convergence of the difference quotient to Z, with jumps and CRN
+
+def _quotient_l2_error(shifted, base, z, lam: float, dt: float) -> float:
+    """E int |(shifted - base)/lam - z|^2 dt over (N, M+1) paths, one block of
+    particle rows at a time.
+
+    Bitwise equal to the whole-table expression: each element is the same
+    IEEE operation, each path's time sum is one pairwise sum over its
+    C-ordered row, and the mean runs over the same (N,) vector.
+    """
+    per_path = np.empty(base.shape[0])
+    for start in range(0, base.shape[0], _L2_BLOCK_ROWS):
+        rows = slice(start, start + _L2_BLOCK_ROWS)
+        q = (shifted[rows] - base[rows]) / lam
+        per_path[rows] = np.sum(np.square(q - z[rows], order="C"), axis=1)
+    return float(np.mean(per_path * dt))
+
+
+def _quotient_l2_errors(cfg: ExperimentConfig) -> list[float]:
+    """L^2 errors of the difference quotient against Z over `_GATEAUX_LAMBDAS`,
+    with jumps and CRN.  Each lambda's paths go before the next lambda is
+    simulated; the base paths, Z and the noise go on return."""
     v = (0.0, 2.0)
     model = ControlledModel(
         drift=lambda t, x, mu, u, scen: mu.mass_on(*v) * x,
@@ -445,20 +468,27 @@ def run_gateaux(cfg: ExperimentConfig) -> list[CheckResult]:
         measure_ctrl=lambda t, info: base_measure,
         scalar_ctrl=lambda t, info: 0.0,
     )
-    n, m = min(cfg.n_particles, 10_000), cfg.n_steps
-    bundle = simulate(model, ctrl, n, m, cfg.seed)
+    bundle = simulate(model, ctrl, cfg.n_particles, cfg.n_steps, cfg.seed)
     direction = Direction(kind="measure", t0=0.0, measure=DiscreteMeasure.dirac(1.0))
     z = simulate_derivative_process(bundle, model, ctrl, direction)
-    dt = bundle.dt
-    errs = []
-    for lam in (0.1, 0.05, 0.025):
-        pert = perturbed_controls(ctrl, direction, lam)
-        shifted = simulate(model, pert, noise=bundle.noise)
-        quotient = (shifted.states - bundle.states) / lam
-        # particle-major squares: each path's sum over time stays a pairwise sum
-        err = float(np.mean(np.sum(np.square(quotient - z, order="C"), axis=1) * dt))
-        errs.append(err)
-        rows_l2.append(["quotient-l2", lam, err])
+    return [
+        _quotient_l2_error(
+            simulate(model, perturbed_controls(ctrl, direction, lam), noise=bundle.noise).states,
+            bundle.states, z, lam, bundle.dt,
+        )
+        for lam in _GATEAUX_LAMBDAS
+    ]
+
+
+def run_gateaux(cfg: ExperimentConfig) -> list[CheckResult]:
+    """Derivative-process L^2 convergence and FD-vs-adjoint slope agreement.
+
+    The L^2 section's paths, Z and noise are gone before the slope check
+    simulates, so the run never holds both sections' (N, M+1) tables.
+    """
+    checks = []
+    errs = _quotient_l2_errors(cfg)
+    rows_l2 = [["quotient-l2", lam, err] for lam, err in zip(_GATEAUX_LAMBDAS, errs)]
     monotone = errs[0] > errs[1] > errs[2]
     checks.append(
         CheckResult("quotient-l2-monotone", errs[-1], errs[0], monotone,
@@ -482,9 +512,9 @@ def run_gateaux(cfg: ExperimentConfig) -> list[CheckResult]:
         measure_ctrl=lambda t, info: DiscreteMeasure.dirac(0.0),
         scalar_ctrl=lambda t, info: u0,
     )
-    bundle_u = simulate(model_u, ctrl_u, n, m, cfg.seed + 1)
+    bundle_u = simulate(model_u, ctrl_u, cfg.n_particles, cfg.n_steps, cfg.seed + 1)
     direction_u = Direction(kind="control", t0=0.0, scalar=1.0)
-    result = gateaux_check(spec, ctrl_u, direction_u, (0.1, 0.05, 0.025), bundle_u)
+    result = gateaux_check(spec, ctrl_u, direction_u, _GATEAUX_LAMBDAS, bundle_u)
     analytic = (1.0 - u0) * 1.0
     rows_fd = [["drift-control", lam, slope, result.adjoint_slope]
                for lam, slope in zip(result.lambdas, result.fd_slopes)]

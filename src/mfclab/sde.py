@@ -561,17 +561,20 @@ def performance_samples(
     dt = bundle.dt
     scenario = np.arange(n)
     total = np.zeros(n)
-    for sv in iter_steps(bundle, controls):
-        built_here = sv.k not in bundle._laws
-        total += np.broadcast_to(
-            perf.running(sv.t, sv.x, sv.law, sv.mu_ctrl, sv.u, scenario), (n,)
-        ) * dt
-        if built_here:
-            del bundle._laws[sv.k]
-    m_terminal = bundle.law_at(bundle.n_steps)
-    total = total + np.broadcast_to(
-        perf.terminal(bundle.states[:, -1], m_terminal, scenario), (n,)
-    )
+    # a cost outside its domain (log of a negative Euler state) is reported
+    # once, by the SimulationError below, not by numpy warnings on stderr
+    with np.errstate(all="ignore"):
+        for sv in iter_steps(bundle, controls):
+            built_here = sv.k not in bundle._laws
+            total += np.broadcast_to(
+                perf.running(sv.t, sv.x, sv.law, sv.mu_ctrl, sv.u, scenario), (n,)
+            ) * dt
+            if built_here:
+                del bundle._laws[sv.k]
+        m_terminal = bundle.law_at(bundle.n_steps)
+        total = total + np.broadcast_to(
+            perf.terminal(bundle.states[:, -1], m_terminal, scenario), (n,)
+        )
     if not np.isfinite(total).all():
         bad = int(np.flatnonzero(~np.isfinite(total))[0])
         raise SimulationError(f"performance evaluation is non-finite for particle {bad}")

@@ -1,11 +1,18 @@
 """Tests for the config-driven experiment runner."""
+import contextlib
+import io
 import math
+import os
+import tempfile
+import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mfclab.bsde import EstimationError, GammaPositivityError
 from mfclab.cli import load_config, main
-from mfclab.experiments import ExperimentConfig
+from mfclab.experiments import KNOB_READERS, ExperimentConfig
 from mfclab.sde import SimulationError
 
 
@@ -321,3 +328,92 @@ def test_numerical_error_exits_three(tmp_path, capsys, monkeypatch, error):
     assert main(["run", cfg]) == 3
     err = capsys.readouterr().err
     assert err == "numerical error: non-finite state at step 7\n"
+
+
+# -- the exit code as a contract ------------------------------------------------------
+
+@st.composite
+def _model_sections(draw):
+    """Some [model] keys, each inside the range that the config accepts."""
+    ranges = {
+        "x0": st.floats(1e-3, 1e3),
+        "horizon": st.floats(1e-2, 10.0),
+        "sigma": st.floats(-2.0, 2.0),
+        "jump_size": st.floats(-1.0, 0.0, exclude_min=True, exclude_max=True)
+        | st.floats(0.0, 2.0, exclude_min=True),
+        "jump_rate": st.floats(0.0, 5.0),
+        "theta": st.floats(1e-3, 50.0),
+        "v_lo": st.floats(-3.0, 3.0),
+    }
+    model = {key: draw(st.none() | value) for key, value in ranges.items()}
+    model = {key: value for key, value in model.items() if value is not None}
+    width = draw(st.none() | st.just(math.inf) | st.floats(1e-3, 5.0))
+    if width is not None:
+        model["v_hi"] = model.get("v_lo", 0.25) + width
+    return model
+
+
+def _contract_ini(name, n, m, seed, lambdas, delay, model):
+    values = {
+        "seed": seed, "n_particles": n, "n_steps": m, "delay": repr(delay),
+        "lambdas": ", ".join(repr(lam) for lam in lambdas),
+    }
+    knobs = "".join(f"{k} = {values[k]}\n" for k in KNOB_READERS[name] if k in values)
+    body = f"[experiment]\nname = {name}\n\n[knobs]\n{knobs}"
+    if name == "consumption" and model:
+        body += "\n[model]\n" + "".join(f"{k} = {v!r}\n" for k, v in model.items())
+    return body
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(KNOB_READERS)),
+    n=st.integers(1, 64),
+    m=st.integers(1, 16),
+    seed=st.integers(0, 1000),
+    lambdas=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=6),
+    delay=st.floats(0.0, 2.0),
+    model=_model_sections(),
+)
+# the three configs of the first exit-code fixes: theta > 4 left U (exit 1),
+# theta = 4 reached log 0 (exit 3), and one particle passed every check
+@example(name="consumption", n=500, m=40, seed=2024,
+         lambdas=(0.05, 0.1, 0.2, -0.05, -0.1, -0.2), delay=0.0, model={"theta": 10.0})
+@example(name="consumption", n=500, m=40, seed=2024,
+         lambdas=(0.05, 0.1, 0.2, -0.05, -0.1, -0.2), delay=0.0, model={"theta": 4.0})
+@example(name="consumption", n=1, m=10, seed=2024,
+         lambdas=(0.05, 0.1, 0.2, -0.05, -0.1, -0.2), delay=0.0, model={})
+# an Euler state below 0 puts log x out of its domain: exit 3, and numpy's
+# "invalid value encountered in log" warnings went to stderr beside it
+@example(name="consumption", n=8, m=7, seed=176, lambdas=(0.1,), delay=0.0, model={"sigma": 1.0})
+# neither particle jumps, so the standard error is 0: a ZeroDivisionError
+# traceback and exit 1
+@example(name="sde-moments", n=2, m=4, seed=225, lambdas=(0.0,), delay=0.0, model={})
+def test_exit_code_contract(name, n, m, seed, lambdas, delay, model):
+    """Exit 0, 1, 2 or 3; stderr holds only config and numerical error lines;
+    exit 0 exactly when every check line passes; exit 2 writes nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.ini")
+        with open(path, "w") as fh:
+            fh.write(_contract_ini(name, n, m, seed, lambdas, delay, model))
+        out_dir = os.path.join(tmp, "out")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, {"MFCLAB_OUT": out_dir}), \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings(record=True) as caught:
+            # a warning would print to stderr outside pytest
+            warnings.simplefilter("always")
+            code = main(["run", path])
+        assert code in (0, 1, 2, 3)
+        err_lines = stderr.getvalue().splitlines()
+        err_lines += [f"{w.category.__name__}: {w.message}" for w in caught]
+        assert all(line.startswith(("config error:", "numerical error:")) for line in err_lines)
+        checks = [line for line in stdout.getvalue().splitlines() if line.startswith("[")]
+        if code in (0, 1):
+            assert checks and not err_lines
+            assert (code == 0) == all(line.startswith("[PASS]") for line in checks)
+        else:
+            assert not checks and len(err_lines) == 1
+        if code == 2:
+            assert err_lines[0].startswith("config error:")
+            assert not os.path.exists(out_dir)
