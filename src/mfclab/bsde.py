@@ -42,9 +42,12 @@ fills them from the model's partials.  Regression bases see the time-t state.
 The tables are phi, Gamma and theta: Gamma is advanced while the
 coefficients are evaluated, from each step's alpha, beta and jump_phi, so
 those are never stored.  The pathwise estimator writes its values over the
-Gamma table it consumes, so a solve holds two (N, M+1)-sized tables, not
-three.  Gamma paths, phi tables and P estimates are stored time-major (see
-``sde``): shapes (N, M+1) or (N, M) with contiguous per-step columns.
+Gamma table it consumes and reads phi one step at a time, so a ``solve``
+holds two (N, M+1)-sized tables (phi and Gamma) and ``adjoint_p0_solve``
+holds one: it stores no phi table, but evaluates step k's phi during the
+backward sweep, just before that step's sum reads it.  Gamma paths, phi
+tables and P estimates are stored time-major (see ``sde``): shapes (N, M+1)
+or (N, M) with contiguous per-step columns.
 """
 from __future__ import annotations
 
@@ -65,6 +68,7 @@ from .sde import (
     _compensated_jump_step,
     _euler_sweep,
     _partial_x,
+    _step_view,
     _time_major,
     draw_noise,
     iter_steps,
@@ -208,20 +212,28 @@ def _tabulate(spec: LinearBsdeSpec, bundle: ParticleBundle, scenario=None) -> _C
     return _CoefficientTables(phi, gam, theta)
 
 
-def _pathwise_values(tables: _CoefficientTables, dt: float) -> np.ndarray:
+def _pathwise_values(
+    gamma: np.ndarray, theta: np.ndarray, phi_at: Callable[[int], np.ndarray], dt: float
+) -> np.ndarray:
     """Y(t) = theta Gamma(T)/Gamma(t) + sum_{s>=t} Gamma(s)/Gamma(t) phi(s) dt.
 
-    Consumes ``tables.gamma``: Y(t) is written over Gamma(t) as soon as the
-    backward sweep has read it, and the returned array is that table.
+    ``phi_at(k)`` gives phi's (N,) column at step k; the sweep reads it once,
+    at step k.  Consumes ``gamma``: Y(t) is written over Gamma(t) as soon as
+    the backward sweep has read it, and the returned array is that table.
     """
-    values, phi, theta = tables.gamma, tables.phi, tables.theta
-    m = phi.shape[1]
+    values = gamma
+    m = values.shape[1] - 1
     acc = theta * values[:, m]
     values[:, m] = theta
     for k in range(m - 1, -1, -1):
-        acc = acc + values[:, k] * phi[:, k] * dt
+        acc = acc + values[:, k] * phi_at(k) * dt
         values[:, k] = acc / values[:, k]
     return values
+
+
+def _tabulated_values(tables: _CoefficientTables, dt: float) -> np.ndarray:
+    """The pathwise values of tabulated coefficients (consumes their Gamma)."""
+    return _pathwise_values(tables.gamma, tables.theta, lambda k: tables.phi[:, k], dt)
 
 
 def _regression_values(tables: _CoefficientTables, bundle: ParticleBundle, basis) -> np.ndarray:
@@ -231,7 +243,7 @@ def _regression_values(tables: _CoefficientTables, bundle: ParticleBundle, basis
     # fit against a particle-major copy: matmul rounds short strided and
     # contiguous right-hand sides differently, and regression P keeps the
     # rounding of strided per-step columns
-    raw = np.ascontiguousarray(_pathwise_values(tables, bundle.noise.dt))
+    raw = np.ascontiguousarray(_tabulated_values(tables, bundle.noise.dt))
     build = resolve_basis(basis)
     scenario = np.arange(n)
     fitted = _time_major(n, m + 1)
@@ -337,7 +349,7 @@ def solve(
     if bundle is None:
         raise ValueError(f"estimator {estimator!r} needs a particle bundle")
     if estimator == "pathwise":
-        return BsdeSolution(times=bundle.times, P=_pathwise_values(_tabulate(spec, bundle), bundle.noise.dt))
+        return BsdeSolution(times=bundle.times, P=_tabulated_values(_tabulate(spec, bundle), bundle.noise.dt))
     if estimator == "regression":
         return BsdeSolution(times=bundle.times, P=_regression_values(_tabulate(spec, bundle), bundle, basis))
     if estimator != "nested-mc":
@@ -361,7 +373,7 @@ def solve(
         inner = _euler_sweep(model, controls, inner_noise, sub_times, x_init, bundle.mu_mode)
         # shift inner Brownian levels so ctx.brownian is the absolute B(t)
         inner._brownian = inner.brownian_levels() + np.repeat(outer_b[:, k], n_inner)[:, None]
-        y_inner = _pathwise_values(_tabulate(spec, inner, scen_rep), inner_noise.dt)
+        y_inner = _tabulated_values(_tabulate(spec, inner, scen_rep), inner_noise.dt)
         y0 = y_inner[:, 0].reshape(n, n_inner)
         p[:, k] = y0.mean(axis=1)
     return BsdeSolution(times=times, P=p)
@@ -405,9 +417,12 @@ def adjoint_p0_solve(
         beta     = dsigma/dx        jump_phi = dgamma/dx
         terminal = dg/dx(X(T), M(T)),
 
-    all evaluated along the bundle's baseline paths: phi is tabulated and
-    Gamma advanced step by step, then handed to the pathwise estimator of
-    `solve`, which writes P over the Gamma table.
+    all evaluated along the bundle's baseline paths.  The forward pass
+    advances Gamma step by step; the pathwise estimator of `solve` then
+    writes P over the Gamma table, evaluating each step's phi as its
+    backward sweep reaches that step.  No phi table is stored: the live set
+    is the Gamma/P table, and the controls are evaluated once per step in
+    each pass.
     """
     n, m = bundle.n_particles, bundle.n_steps
     scen = np.arange(n)
@@ -419,11 +434,9 @@ def adjoint_p0_solve(
     sx = _partial_x(model.vol, partials.vol_dx)
     gx = _partial_x(model.jump, partials.jump_dx)
 
-    phi = _time_major(n, m)
     gam = _gamma_start(n, m)
     for sv in iter_steps(bundle, controls):
         k, t, x, mu, u = sv.k, sv.t, sv.x, sv.mu_coeff, sv.u
-        phi[:, k] = lx(t, x, sv.law, sv.mu_ctrl, u, scen)
         alpha = bx(t, x, mu, u, scen)
         beta = sx(t, x, mu, u, scen)
         jump_phi = [gx(t, x, mu, u, zeta, scen) for zeta in atoms]
@@ -435,5 +448,9 @@ def adjoint_p0_solve(
         theta = _column(n, perf.terminal_dx(x_T, m_T, scen))
     else:
         theta = _column(n, _central_difference(lambda h: perf.terminal(x_T + h, m_T, scen)))
-    tables = _CoefficientTables(phi, gam, theta)
-    return BsdeSolution(times=bundle.times, P=_pathwise_values(tables, bundle.noise.dt))
+
+    def phi_at(k: int) -> np.ndarray:
+        sv = _step_view(bundle, controls, k, scen)
+        return _column(n, lx(sv.t, sv.x, sv.law, sv.mu_ctrl, sv.u, scen))
+
+    return BsdeSolution(times=bundle.times, P=_pathwise_values(gam, theta, phi_at, bundle.noise.dt))

@@ -49,6 +49,9 @@ from .game import (
     IntervalMass,
     PerturbationPlan,
     ResidualCurves,
+    SweepTable,
+    _base_samples,
+    _sweep_rows,
     first_order_residuals,
     nash_perturbation_sweep,
     solve_adjoints,
@@ -430,7 +433,9 @@ def _variant_run(spec: GameSpec, model: ConsumptionModel, variant: str, noise) -
     variant, and check the product identity of a variant that passes them.
 
     The adjoints are read by nothing after the product check, so they go
-    when this returns.
+    when this returns.  While the adjoint is solved, the live (N, M+1)
+    tables are the noise bank, the states, the frozen laws and one Gamma/P
+    table: `adjoint_p0_solve` stores no phi table.
     """
     cf = closed_form_controls(model, variant)
     bundle = simulate(spec.model, feedback_pair(model, cf), noise=noise)
@@ -447,6 +452,18 @@ def _variant_run(spec: GameSpec, model: ConsumptionModel, variant: str, noise) -
         passes_residuals=passes,
         product=product_process_check(model, bundle, adjoint.p0[2]) if passes else None,
     )
+
+
+def _inflated_sweep(
+    spec: GameSpec, controls: ControlPair, plan: PerturbationPlan, noise
+) -> SweepTable:
+    """`nash_perturbation_sweep` of ``controls`` from a base simulated here on
+    ``noise``.  The base's paths go once its samples are taken, before the
+    first deviation is simulated: the rows read only its noise and mode."""
+    base = simulate(spec.model, controls, noise=noise)
+    samples, mu_mode = _base_samples(spec, controls, plan, base), base.mu_mode
+    del base
+    return _sweep_rows(spec, controls, plan, samples, noise, mu_mode)
 
 
 @dataclass
@@ -471,7 +488,8 @@ def verify_consumption_game(
     product identity is checked (`_variant_run`).  The selected variant is
     the first in ``VARIANTS`` order that passes.  Then runs the saddle perturbation sweep and
     re-runs it with the consumption rate inflated by ``INFLATION``, which
-    must break the certificate.  Every simulation runs on one noise bank
+    must break the certificate; the inflated base's paths go once its
+    samples are taken (`_inflated_sweep`).  Every simulation runs on one noise bank
     drawn from ``seed``.  Writes report.csv and controls.csv when
     ``out_dir`` is given; with no passing variant, controls.csv reads the
     run of ``VARIANTS[0]``.
@@ -556,10 +574,7 @@ def verify_consumption_game(
             directions=[Direction(kind="control", t0=0.0, scalar=1.0)],
             lambdas=tuple(lambdas),
         )
-        inflated_base = simulate(spec.model, inflated_controls, noise=noise)
-        inflated = nash_perturbation_sweep(
-            spec, inflated_controls, inflated_plan, inflated_base
-        )
+        inflated = _inflated_sweep(spec, inflated_controls, inflated_plan, noise)
         best_gain = max((r.delta - 2.0 * r.std_err) for r in inflated.rows)
         checks.append(
             CheckResult(

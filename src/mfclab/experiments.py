@@ -283,7 +283,7 @@ def increment_scaling_checks(cfg: ExperimentConfig) -> list[CheckResult]:
         measure_ctrl=lambda t, info: DiscreteMeasure.dirac(0.0),
         scalar_ctrl=lambda t, info: 0.0,
     )
-    bundle = simulate(model, ctrl, min(cfg.n_particles, 10_000), 100, cfg.seed)
+    bundle = simulate(model, ctrl, cfg.n_particles, 100, cfg.seed)
     scan_b = abs_continuity_scan(bundle.law_path, rule)
     slope_b = loglog_slope(scan_b)
     scan_rows += [["brownian-particles", h, v] for h, v in scan_b]

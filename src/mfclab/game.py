@@ -207,14 +207,14 @@ def _dh_dmu_samples(spec: GameSpec, sv, p0_vals, mu_shifts, player: int, scen) -
     return np.broadcast_to(dl + p0_vals * db, (sv.x.size,))
 
 
-def _sqrt_n(bundle: ParticleBundle, caller: str) -> float:
-    """sqrt(N) for a standard error over the bundle's particles, N >= 2."""
-    if bundle.n_particles < 2:
+def _sqrt_n(n_particles: int, caller: str) -> float:
+    """sqrt(N) for a standard error over N >= 2 particles."""
+    if n_particles < 2:
         raise ValueError(
             f"{caller} reports standard errors and needs at least 2 particles, "
-            f"got {bundle.n_particles}"
+            f"got {n_particles}"
         )
-    return math.sqrt(bundle.n_particles)
+    return math.sqrt(n_particles)
 
 
 @dataclass
@@ -273,7 +273,7 @@ def first_order_residuals(
     boundary = np.zeros(m, dtype=bool)
     res_mu = {f.name: np.empty(m) for f in spec.functionals}
     se_mu = {f.name: np.empty(m) for f in spec.functionals}
-    sqrt_n = _sqrt_n(bundle, "first_order_residuals")
+    sqrt_n = _sqrt_n(bundle.n_particles, "first_order_residuals")
     for sv in iter_steps(bundle, candidate):
         mu_shifts = [_mu_shifts(sv, f.unit_direction()) for f in spec.functionals]
         _check_coefficient_independence(spec, sv, 2, scen, mu_shifts)
@@ -346,10 +346,53 @@ class SweepTable:
         write_csv(path, ["direction_id", "lambda", "delta_J", "std_err"], rows, seed)
 
 
-def _crn_samples(spec: GameSpec, controls: ControlPair, perf, bundle: ParticleBundle) -> np.ndarray:
-    """Performance samples of ``controls`` re-run on ``bundle``'s noise and mode."""
-    deviated = simulate(spec.model, controls, mu_mode=bundle.mu_mode, noise=bundle.noise)
+def _crn_samples(spec: GameSpec, controls: ControlPair, perf, noise, mu_mode: str) -> np.ndarray:
+    """Performance samples of ``controls`` re-run on a candidate's noise and mode."""
+    deviated = simulate(spec.model, controls, mu_mode=mu_mode, noise=noise)
     return performance_samples(deviated, controls, perf)
+
+
+def _base_samples(
+    spec: GameSpec, candidate: ControlPair, plan: PerturbationPlan, bundle: ParticleBundle
+) -> dict[int, np.ndarray]:
+    """The candidate's performance samples for each player that a direction of
+    the plan deviates, in the order the directions name them."""
+    base: dict[int, np.ndarray] = {}
+    for direction in plan.directions:
+        player = 1 if direction.kind == "measure" else 2
+        if player not in base:
+            base[player] = performance_samples(bundle, candidate, spec.performance_for(player))
+    return base
+
+
+def _sweep_rows(
+    spec: GameSpec,
+    candidate: ControlPair,
+    plan: PerturbationPlan,
+    base: dict[int, np.ndarray],
+    noise,
+    mu_mode: str,
+) -> SweepTable:
+    """The rows of a sweep, from its `_base_samples` and the candidate's noise
+    and mode: no row reads the candidate's paths."""
+    rows: list[SweepRow] = []
+    sqrt_n = _sqrt_n(noise.n_particles, "nash_perturbation_sweep")
+    for d_id, direction in enumerate(plan.directions):
+        player = 1 if direction.kind == "measure" else 2
+        perf = spec.performance_for(player)
+        for lam in plan.lambdas:
+            pert = perturbed_controls(candidate, direction, lam)
+            diff = _crn_samples(spec, pert, perf, noise, mu_mode) - base[player]
+            se = float(diff.std(ddof=1) / sqrt_n)
+            rows.append(
+                SweepRow(
+                    direction_id=d_id,
+                    lam=float(lam),
+                    delta=float(diff.mean()),
+                    std_err=se,
+                )
+            )
+    return SweepTable(rows=rows)
 
 
 def nash_perturbation_sweep(
@@ -365,27 +408,8 @@ def nash_perturbation_sweep(
     control difference.  The deltas are in the deviating player's own
     criterion; a positive delta beyond 2 standard errors refutes the candidate.
     """
-    base: dict[int, np.ndarray] = {}
-    rows: list[SweepRow] = []
-    sqrt_n = _sqrt_n(bundle, "nash_perturbation_sweep")
-    for d_id, direction in enumerate(plan.directions):
-        player = 1 if direction.kind == "measure" else 2
-        perf = spec.performance_for(player)
-        if player not in base:
-            base[player] = performance_samples(bundle, candidate, perf)
-        for lam in plan.lambdas:
-            pert = perturbed_controls(candidate, direction, lam)
-            diff = _crn_samples(spec, pert, perf, bundle) - base[player]
-            se = float(diff.std(ddof=1) / sqrt_n)
-            rows.append(
-                SweepRow(
-                    direction_id=d_id,
-                    lam=float(lam),
-                    delta=float(diff.mean()),
-                    std_err=se,
-                )
-            )
-    return SweepTable(rows=rows)
+    base = _base_samples(spec, candidate, plan, bundle)
+    return _sweep_rows(spec, candidate, plan, base, bundle.noise, bundle.mu_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +445,7 @@ def gateaux_check(
     player = 1 if direction.kind == "measure" else 2
     perf = spec.performance_for(player)
     n = bundle.n_particles
-    sqrt_n = _sqrt_n(bundle, "gateaux_check")
+    sqrt_n = _sqrt_n(bundle.n_particles, "gateaux_check")
     lambdas = np.asarray(sorted(lambdas, key=abs, reverse=True), dtype=float)
     if np.any(lambdas == 0.0):
         raise ValueError("finite-difference magnitudes must be nonzero")
@@ -433,8 +457,8 @@ def gateaux_check(
     for i, lam in enumerate(lambdas):
         plus = perturbed_controls(candidate, direction, float(lam))
         minus = perturbed_controls(candidate, direction, -float(lam))
-        s_plus = _crn_samples(spec, plus, perf, bundle)
-        s_minus = _crn_samples(spec, minus, perf, bundle)
+        s_plus = _crn_samples(spec, plus, perf, bundle.noise, bundle.mu_mode)
+        s_minus = _crn_samples(spec, minus, perf, bundle.noise, bundle.mu_mode)
         slope_samples = (s_plus - s_minus) / (2.0 * lam)
         fd_slopes[i] = slope_samples.mean()
         fd_se[i] = slope_samples.std(ddof=1) / sqrt_n

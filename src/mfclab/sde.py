@@ -59,6 +59,8 @@ from .lawproc import LevyMeasure, MeasurePath, empirical_law
 from .measures import DiscreteMeasure, _read_only
 
 FD_STEP = 1e-5
+# particle rows per block of a noise draw
+_NOISE_BLOCK_ROWS = 1024
 
 
 def _time_major(n_particles: int, n_times: int) -> np.ndarray:
@@ -274,23 +276,38 @@ def draw_noise(
 
     Row i of every draw is particle i's noise block, so the layout is a pure
     function of (seed, N, M) and never depends on how the integration is
-    scheduled; the Euler sweep itself consumes no randomness.  The scaled
-    Brownian draw is written straight into time-major storage.
+    scheduled; the Euler sweep itself consumes no randomness.  Each draw
+    runs ``_NOISE_BLOCK_ROWS`` particle rows at a time, which consumes the
+    stream in the same row-major order as one (N, M) draw and so gives the
+    same bits with no (N, M) temporary; the scaled Brownian block is
+    written straight into time-major storage.
     """
     if n_particles < 1 or n_steps < 1:
         raise ValueError("need at least one particle and one step")
     dt = horizon / n_steps
     gen = np.random.Generator(np.random.Philox(key=seed))
     dB = _time_major(n_particles, n_steps)
-    np.multiply(gen.standard_normal((n_particles, n_steps)), math.sqrt(dt), out=dB)
+    blocks = [slice(lo, min(lo + _NOISE_BLOCK_ROWS, n_particles))
+              for lo in range(0, n_particles, _NOISE_BLOCK_ROWS)]
+    normal = np.empty((blocks[0].stop, n_steps))
+    sqrt_dt = math.sqrt(dt)
+    for rows in blocks:
+        block = normal[: rows.stop - rows.start]
+        gen.standard_normal(out=block)
+        np.multiply(block, sqrt_dt, out=dB[rows])
     particle = np.empty(0, dtype=np.int64)
     step = np.empty(0, dtype=np.int64)
     zeta = np.empty(0, dtype=np.int64)
     if levy is not None:
-        counts = gen.poisson(levy.total_rate * dt, (n_particles, n_steps))
-        idx_p, idx_s = np.nonzero(counts)
+        idx_p, idx_s, reps = [], [], []
+        for rows in blocks:
+            counts = gen.poisson(levy.total_rate * dt, (rows.stop - rows.start, n_steps))
+            p, s = np.nonzero(counts)
+            idx_p.append(p + rows.start)
+            idx_s.append(s)
+            reps.append(counts[p, s])
+        idx_p, idx_s, reps = map(np.concatenate, (idx_p, idx_s, reps))
         if idx_p.size:
-            reps = counts[idx_p, idx_s]
             particle = np.repeat(idx_p, reps)
             step = np.repeat(idx_s, reps)
             if levy.n_atoms == 1:
@@ -529,16 +546,21 @@ class StepView:
         return self.bundle.law_at(self.k)
 
 
+def _step_view(bundle: ParticleBundle, controls: ControlPair, k: int, scenario) -> StepView:
+    """The control and measure arguments of a simulation at step k."""
+    mu_ctrl, u, mu_coeff = _step_controls(k, bundle, controls, scenario)
+    return StepView(
+        k=k, t=float(bundle.times[k]), x=bundle.states[:, k],
+        mu_ctrl=mu_ctrl, mu_coeff=mu_coeff, u=u, bundle=bundle,
+    )
+
+
 def iter_steps(bundle: ParticleBundle, controls: ControlPair):
     """Replay the per-step control and measure arguments of a simulation,
     in the measure mode the bundle was simulated in."""
     scenario = np.arange(bundle.n_particles)
     for k in range(bundle.n_steps):
-        mu_ctrl, u, mu_coeff = _step_controls(k, bundle, controls, scenario)
-        yield StepView(
-            k=k, t=float(bundle.times[k]), x=bundle.states[:, k],
-            mu_ctrl=mu_ctrl, mu_coeff=mu_coeff, u=u, bundle=bundle,
-        )
+        yield _step_view(bundle, controls, k, scenario)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from mfclab.bsde import (
     EstimationError,
     GammaPositivityError,
     LinearBsdeSpec,
+    _gamma_start,
+    _gamma_step,
     _tabulate,
     adjoint_p0_solve,
     backward_euler_reference,
@@ -19,7 +21,17 @@ from mfclab.bsde import (
 )
 from mfclab.lawproc import LevyMeasure
 from mfclab.measures import DiscreteMeasure
-from mfclab.sde import ControlPair, ControlledModel, PerformanceSpec, simulate
+from mfclab.sde import (
+    ControlPair,
+    ControlledModel,
+    InfoPattern,
+    PerformanceSpec,
+    _central_difference,
+    _partial_x,
+    _time_major,
+    iter_steps,
+    simulate,
+)
 
 
 def det_spec(phi=0.0, alpha=0.0, beta=0.0, jump_phi=0.0, theta=1.0, levy=None):
@@ -374,11 +386,12 @@ def test_adjoint_consumption_product_identity(seed, n, m, theta, dt):
     assert np.max(np.abs(product - target[None, :])) <= 1e-10
 
 
-def test_adjoint_solve_peak_memory_is_phi_gamma_and_p():
-    """alpha, beta and jump_phi are folded into Gamma step by step, not
-    tabulated, and P is written over the Gamma table: the peak is phi and
-    Gamma, about 2.2 of the (N, M+1) tables (one Levy atom), where a separate
-    P table reads 3.15 and tabulated coefficients 6."""
+def test_adjoint_solve_peak_memory_is_one_gamma_table():
+    """alpha, beta and jump_phi are folded into Gamma step by step, phi is
+    evaluated one step at a time in the backward sweep, and P is written
+    over the Gamma table: the peak is that one table, about 1.2 of the
+    (N, M+1) tables (one Levy atom), where a stored phi table reads 2.2, a
+    separate P table 3.15 and tabulated coefficients 6."""
     import mfclab.consumption as cons
 
     n, m = 2000, 50
@@ -397,4 +410,61 @@ def test_adjoint_solve_peak_memory_is_phi_gamma_and_p():
     finally:
         tracemalloc.stop()
     assert sol.P.shape == (n, m + 1)
-    assert peak < 2.5 * n * (m + 1) * 8
+    assert peak < 1.5 * n * (m + 1) * 8
+
+
+def test_adjoint_recomputed_phi_is_bitwise_the_two_table_formula():
+    """With no analytic partials, phi = dl/dx is the central difference of a
+    running cost that reads the law, under feedback controls that see a
+    delayed law.  Evaluating phi in the backward sweep gives the bits of a
+    tabulated phi table swept after the Gamma pass."""
+    levy = LevyMeasure([-0.2, 0.3], [0.7, 1.1])
+    model = ControlledModel(
+        drift=lambda t, x, mu, u, s: (mu.mass_on(0.0, math.inf) - u) * x + 0.1 * np.sin(x),
+        vol=lambda t, x, mu, u, s: 0.2 * x + 0.05 * np.cos(x),
+        jump=lambda t, x, mu, u, z, s: z * x / (1.0 + 0.1 * x * x),
+        levy=levy,
+        x0=1.0,
+        horizon=1.0,
+    )
+    delay = InfoPattern(delay=0.1)
+    controls = ControlPair(
+        measure_ctrl=lambda t, info: info.law + DiscreteMeasure([2.0, -1.0], [0.1, -0.1]),
+        scalar_ctrl=lambda t, info: 0.5 + 0.1 * info.x,
+        mu_info=delay,
+        u_info=delay,
+    )
+    perf = PerformanceSpec(
+        running=lambda t, x, m, mu, u, s: (
+            np.log(1.0 + x * x) * m.mass_on(0.5, math.inf) + (mu.mass_on(0.0, 1.0) - u) * x
+        ),
+        terminal=lambda x, m, s: np.sqrt(1.0 + x * x) * m.mass_on(-math.inf, 1.0),
+    )
+    n, m = 300, 40
+    bundle = simulate(model, controls, n, m, seed=11, mu_mode="empirical")
+    assert controls.mu_info.lag_steps(bundle.dt) > 0
+
+    sol = adjoint_p0_solve(model, perf, bundle, controls)
+
+    # the two-table formula: tabulate phi and Gamma forward, then sweep back
+    scen = np.arange(n)
+    dt = bundle.noise.dt
+    lx = _partial_x(perf.running, None)
+    bx, sx, gx = (_partial_x(f, None) for f in (model.drift, model.vol, model.jump))
+    phi = _time_major(n, m)
+    gam = _gamma_start(n, m)
+    for sv in iter_steps(bundle, controls):
+        k, t, x, mu, u = sv.k, sv.t, sv.x, sv.mu_coeff, sv.u
+        phi[:, k] = lx(t, x, sv.law, sv.mu_ctrl, u, scen)
+        jump_phi = [gx(t, x, mu, u, zeta, scen) for zeta in levy.jump_sizes]
+        _gamma_step(gam, k, bx(t, x, mu, u, scen), sx(t, x, mu, u, scen), jump_phi, levy, bundle.noise)
+    x_T, m_T = bundle.states[:, -1], bundle.law_at(m)
+    theta = np.empty(n)
+    theta[:] = _central_difference(lambda h: perf.terminal(x_T + h, m_T, scen))
+    expected = np.empty((n, m + 1))
+    acc = theta * gam[:, m]
+    expected[:, m] = theta
+    for k in range(m - 1, -1, -1):
+        acc = acc + gam[:, k] * phi[:, k] * dt
+        expected[:, k] = acc / gam[:, k]
+    assert sol.P.tobytes(order="F") == expected.tobytes(order="F")

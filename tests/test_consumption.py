@@ -238,9 +238,11 @@ def test_verify_consumption_game_peak_memory():
 
     A variant that fails its residuals goes before the next one is simulated,
     the adjoint goes once the product identity is checked (column by column,
-    with no (N, M+1) product table), and a sweep replay lets each law go
-    after its one read.  The peak is about 5.3 of the (N, M+1) tables; with
-    any one of those four undone it is 6.3 to 7.3 (8.3 with all of them)."""
+    with no (N, M+1) product table) and stores no phi table, a sweep replay
+    lets each law go after its one read, and the inflated base's paths go
+    before its first deviation.  The peak is about 4.3 of the (N, M+1)
+    tables; with a stored phi table or a kept inflated base it is 5.3, and
+    with any one of the first four undone 6.3 to 7.3."""
     n, m = 2000, 50
     model = canonical_model()
     # a small run first, so that lazy imports are not traced
@@ -252,7 +254,36 @@ def test_verify_consumption_game_peak_memory():
     finally:
         tracemalloc.stop()
     assert report.selected_variant == "first-order-derived"
-    assert peak < 6 * n * (m + 1) * 8
+    assert peak < 5 * n * (m + 1) * 8
+
+
+def test_inflated_base_is_gone_before_its_first_deviation(monkeypatch):
+    """The inflated sweep's rows read only the base's noise and mode: its
+    states table (which each of its laws' columns views) is freed, with no
+    garbage collection, once its samples are taken."""
+    import weakref
+
+    import mfclab.game as game
+
+    bases, alive_at_deviation = [], []
+
+    def spy_base(*args, **kwargs):
+        bundle = real_cons_simulate(*args, **kwargs)
+        bases.append(weakref.ref(bundle.states))
+        return bundle
+
+    def spy_deviation(*args, **kwargs):
+        # the main sweep's 12 deviations run first, after the three bases
+        if len(bases) == 3:
+            alive_at_deviation.append(bases[2]() is not None)
+        return real_game_simulate(*args, **kwargs)
+
+    real_cons_simulate, real_game_simulate = cons.simulate, game.simulate
+    monkeypatch.setattr(cons, "simulate", spy_base)
+    monkeypatch.setattr(game, "simulate", spy_deviation)
+    report = cons.verify_consumption_game(canonical_model(), n_particles=200, n_steps=10, seed=3)
+    assert report.selected_variant == "first-order-derived"
+    assert len(bases) == 3 and alive_at_deviation == [False] * 6
 
 
 def test_verify_consumption_game_builds_each_law_once(monkeypatch):

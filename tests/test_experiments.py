@@ -1,12 +1,13 @@
 """Tests of the `gateaux` runner: its live set, its blocked L^2 error and the
-particle count it simulates."""
+particle count it simulates; and the particle count `law-derivative`
+simulates."""
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import mfclab.experiments as exp
-from mfclab.experiments import ExperimentConfig, run_gateaux
+from mfclab.experiments import ExperimentConfig, run_gateaux, run_law_derivative
 from mfclab.sde import _time_major
 
 
@@ -60,4 +61,23 @@ def test_gateaux_simulates_the_configured_particle_count(tmp_path, monkeypatch):
     real_simulate = exp.simulate
     monkeypatch.setattr(exp, "simulate", spy)
     run_gateaux(ExperimentConfig(name="gateaux", out_dir=str(tmp_path), n_particles=10_001, n_steps=4))
+    assert seen and set(seen) == {10_001}
+
+
+def test_law_derivative_simulates_the_configured_particle_count(tmp_path, monkeypatch):
+    """No silent cap: the Brownian increment scan of a config above 10,000
+    particles simulates all of them."""
+    seen = []
+
+    def spy(*args, **kwargs):
+        bundle = real_simulate(*args, **kwargs)
+        seen.append(bundle.n_particles)
+        return bundle
+
+    real_simulate = exp.simulate
+    monkeypatch.setattr(exp, "simulate", spy)
+    checks = run_law_derivative(
+        ExperimentConfig(name="law-derivative", out_dir=str(tmp_path), n_particles=10_001)
+    )
+    assert all(c.passed for c in checks)
     assert seen and set(seen) == {10_001}

@@ -44,6 +44,7 @@ import numpy as np
 import pytest
 
 import mfclab.consumption as cons
+from mfclab import game as game_module
 from mfclab import measures as measures_module
 from mfclab.bsde import LinearBsdeSpec, _tabulate, adjoint_p0_solve, solve
 from mfclab.game import gateaux_check
@@ -201,33 +202,37 @@ def _run_arrays(out: dict, seed: int, n: int, m: int) -> None:
 
 def _game_arrays(out: dict, seed: int, n: int, m: int) -> None:
     """Sweep rows and residual curves of the consumption certificate; each
-    curve is labelled with the variant whose run produced it."""
+    curve is labelled with the variant whose run produced it.  Both sweeps
+    reach the row loop `_sweep_rows`, the main one through
+    `nash_perturbation_sweep` and the inflated one through its own helper;
+    the spy there sees each sweep's base samples, noise and mode."""
     sweeps, residuals = [], {}
 
-    def sweep_spy(spec, candidate, plan, bundle):
-        sweeps.append((spec, candidate, plan, bundle))
-        return real_sweep(spec, candidate, plan, bundle)
+    def rows_spy(spec, candidate, plan, base, noise, mu_mode):
+        sweeps.append((spec, candidate, plan, base, noise, mu_mode))
+        return real_rows(spec, candidate, plan, base, noise, mu_mode)
 
     def variant_spy(spec, model, variant, noise):
         run = real_variant_run(spec, model, variant, noise)
         residuals[variant] = run.residuals
         return run
 
-    real_sweep, real_variant_run = cons.nash_perturbation_sweep, cons._variant_run
+    real_rows, real_variant_run = game_module._sweep_rows, cons._variant_run
     model = _model(levy=True, delay=False)
-    with mock.patch.object(cons, "nash_perturbation_sweep", sweep_spy), \
+    with mock.patch.object(game_module, "_sweep_rows", rows_spy), \
+            mock.patch.object(cons, "_sweep_rows", rows_spy), \
             mock.patch.object(cons, "_variant_run", variant_spy):
         cons.verify_consumption_game(model, n_particles=n, n_steps=m, seed=seed)
     assert len(sweeps) == 2 and sorted(residuals) == sorted(cons.VARIANTS)
-    for label, (spec, candidate, plan, bundle) in zip(("main", "inflated"), sweeps):
+    for label, (spec, candidate, plan, base, noise, mu_mode) in zip(("main", "inflated"), sweeps):
         for d_id, direction in enumerate(plan.directions):
-            perf = spec.performance_for(1 if direction.kind == "measure" else 2)
-            base = performance_samples(bundle, candidate, perf)
+            player = 1 if direction.kind == "measure" else 2
+            perf = spec.performance_for(player)
             for lam in plan.lambdas:
                 pert = perturbed_controls(candidate, direction, lam)
-                deviated = simulate(spec.model, pert, mu_mode=bundle.mu_mode, noise=bundle.noise)
+                deviated = simulate(spec.model, pert, mu_mode=mu_mode, noise=noise)
                 out[f"sweep/{label}/direction={d_id},lambda={lam}"] = (
-                    performance_samples(deviated, pert, perf) - base
+                    performance_samples(deviated, pert, perf) - base[player]
                 )
     for variant, curves in residuals.items():
         out[f"residuals/{variant}/u"] = [curves.res_u, curves.se_u]

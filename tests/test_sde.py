@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mfclab.bsde import LinearBsdeSpec, _tabulate
 from mfclab.lawproc import LevyMeasure
+from mfclab import sde as sde_module
 from mfclab.measures import DiscreteMeasure
 from mfclab.sde import (
     ControlPair,
@@ -500,6 +501,56 @@ def test_draw_noise_validation():
             seed=0,
             mu_mode="bogus",
         )
+
+
+def _whole_array_noise(seed, n, m, horizon, levy):
+    """A bank's arrays drawn as one (N, M) normal and one (N, M) Poisson
+    draw, then the atom choice, from the same Philox stream."""
+    dt = horizon / m
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    dB = gen.standard_normal((n, m)) * math.sqrt(dt)
+    empty = np.empty(0, dtype=np.int64)
+    if levy is None:
+        return dB, empty, empty, empty
+    counts = gen.poisson(levy.total_rate * dt, (n, m))
+    idx_p, idx_s = np.nonzero(counts)
+    if not idx_p.size:
+        return dB, empty, empty, empty
+    reps = counts[idx_p, idx_s]
+    particle, step = np.repeat(idx_p, reps), np.repeat(idx_s, reps)
+    if levy.n_atoms == 1:
+        zeta = np.zeros(particle.size, dtype=np.int64)
+    else:
+        zeta = gen.choice(levy.n_atoms, size=particle.size, p=levy.rates / levy.total_rate)
+    order = np.lexsort((particle, step))
+    return dB, particle[order], step[order], zeta[order]
+
+
+@pytest.mark.parametrize(
+    "levy",
+    [None, LevyMeasure([0.3], [2.0]), LevyMeasure([-0.2, 0.4], [1.5, 0.8])],
+    ids=["no-levy", "one-atom", "two-atoms"],
+)
+@pytest.mark.parametrize(
+    "n",
+    [
+        2 * sde_module._NOISE_BLOCK_ROWS,
+        2 * sde_module._NOISE_BLOCK_ROWS + 37,
+        sde_module._NOISE_BLOCK_ROWS // 3,
+    ],
+    ids=["multiple-of-block", "ragged-last-block", "below-one-block"],
+)
+def test_blocked_noise_draw_is_bitwise_the_whole_array_draw(n, levy):
+    """Drawing a block of particle rows at a time consumes the stream in the
+    same order as one (N, M) draw: the bank is the same bits."""
+    bank = draw_noise(17, n, 23, 1.5, levy)
+    expected = _whole_array_noise(17, n, 23, 1.5, levy)
+    if levy is not None:
+        assert bank.n_events > 0
+    for name, want in zip(("dB", "ev_particle", "ev_step", "ev_zeta"), expected):
+        got = getattr(bank, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes(order="F") == want.tobytes(order="F"), name
 
 
 def test_noise_bank_mismatch_rejected():
