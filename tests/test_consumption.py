@@ -273,7 +273,8 @@ def test_inflated_base_is_gone_before_its_first_deviation(monkeypatch):
         return bundle
 
     def spy_deviation(*args, **kwargs):
-        # the main sweep's 12 deviations run first, after the three bases
+        # the two variants are simulated before the main sweep's deviations,
+        # the inflated base before the inflated sweep's
         if len(bases) == 3:
             alive_at_deviation.append(bases[2]() is not None)
         return real_game_simulate(*args, **kwargs)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfclab import sde as sde_module
 from mfclab.bsde import LinearBsdeSpec, _tabulate
 from mfclab.lawproc import LevyMeasure
-from mfclab import sde as sde_module
 from mfclab.measures import DiscreteMeasure
 from mfclab.sde import (
     ControlPair,
