@@ -46,7 +46,6 @@ from .sde import (
 )
 from .bsde import (
     BsdeSolution,
-    EstimationError,
     GammaPositivityError,
     LinearBsdeSpec,
     adjoint_p0_solve,

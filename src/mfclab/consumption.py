@@ -397,7 +397,7 @@ def product_process_check(
     """
     horizon = model.horizon
     times = bundle.times
-    p_table = np.atleast_2d(adjoint.P)
+    p_table = adjoint.P
     if model.theta.deterministic:
         target = model.theta.value + horizon - times
         profile = np.array([

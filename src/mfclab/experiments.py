@@ -383,28 +383,19 @@ def run_bsde_oracles(cfg: ExperimentConfig) -> list[CheckResult]:
     rows = []
     checks = []
 
-    spec_const = LinearBsdeSpec(
-        phi=lambda t, ctx: 0.0, alpha=lambda t, ctx: 0.0, beta=lambda t, ctx: 0.0,
-        jump_phi=lambda t, z, ctx: 0.0, terminal=lambda ctx: theta0,
-    )
-    dev = float(np.abs(solve(spec_const, times=times).P - theta0).max())
+    spec_const = LinearBsdeSpec(phi=lambda t: 0.0, alpha=lambda t: 0.0, terminal=theta0)
+    dev = float(np.abs(solve(spec_const, times) - theta0).max())
     rows.append(["constant", dev, 1e-12])
     checks.append(CheckResult("bsde-constant", dev, 1e-12, dev <= 1e-12))
 
-    spec_lin = LinearBsdeSpec(
-        phi=lambda t, ctx: 1.0, alpha=lambda t, ctx: 0.0, beta=lambda t, ctx: 0.0,
-        jump_phi=lambda t, z, ctx: 0.0, terminal=lambda ctx: theta0,
-    )
-    dev = float(np.abs(solve(spec_lin, times=times).P - (theta0 + 1.0 - times)).max())
+    spec_lin = LinearBsdeSpec(phi=lambda t: 1.0, alpha=lambda t: 0.0, terminal=theta0)
+    dev = float(np.abs(solve(spec_lin, times) - (theta0 + 1.0 - times)).max())
     rows.append(["theta0-plus-T-minus-t", dev, 1e-12])
     checks.append(CheckResult("bsde-linear-exact", dev, 1e-12, dev <= 1e-12))
 
     a = 0.5
-    spec_exp = LinearBsdeSpec(
-        phi=lambda t, ctx: 0.0, alpha=lambda t, ctx: a, beta=lambda t, ctx: 0.0,
-        jump_phi=lambda t, z, ctx: 0.0, terminal=lambda ctx: theta0,
-    )
-    gamma_rep = solve(spec_exp, times=times).P
+    spec_exp = LinearBsdeSpec(phi=lambda t: 0.0, alpha=lambda t: a, terminal=theta0)
+    gamma_rep = solve(spec_exp, times)
     implicit = backward_euler_reference(spec_exp, times)
     dev_schemes = float(np.abs(gamma_rep - implicit).max())
     tol_schemes = 2.0 * dt * abs(a) * theta0

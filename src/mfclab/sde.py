@@ -30,10 +30,10 @@ mu_mode), independent of any parallel schedule, and re-running a bundle's
 bank under other controls gives common random numbers.
 
 Particle-by-time arrays (states, Brownian increments and levels, derivative
-processes, and the Gamma and coefficient tables of ``bsde``) are stored
-time-major: the public shapes stay (N, M+1) or (N, M), but each is the
-transposed view of a C-ordered (M+1, N) or (M, N) buffer, so the per-step
-column ``a[:, k]`` that every kernel reads or writes is contiguous.
+processes, and the Gamma/P tables of ``bsde``) are stored time-major: the
+public shapes stay (N, M+1) or (N, M), but each is the transposed view of a
+C-ordered (M+1, N) or (M, N) buffer, so the per-step column ``a[:, k]`` that
+every kernel reads or writes is contiguous.
 Reductions over the particle axis of a whole array therefore run over the
 fast axis; where their accumulation order matters, reduce a C-ordered copy.
 
@@ -449,42 +449,6 @@ def _compensated_jump_step(y, dt, levy, noise, k, term):
     return y
 
 
-def _euler_sweep(model, controls, noise, times, x_init, mu_mode) -> ParticleBundle:
-    """Integrate forward from ``x_init`` on ``times``, filling a new bundle's states."""
-    n = noise.n_particles
-    m = len(times) - 1
-    dt = float(times[1] - times[0])
-    scenario = np.arange(n)
-    bundle = ParticleBundle(times, _time_major(n, m + 1), noise, mu_mode)
-    states = bundle.states
-    states[:, 0] = x_init
-    levy = model.levy
-    for k in range(m):
-        t = float(times[k])
-        x = states[:, k]
-        _, u, mu_coeff = _step_controls(k, bundle, controls, scenario)
-        b = model.drift(t, x, mu_coeff, u, scenario)
-        s = model.vol(t, x, mu_coeff, u, scenario)
-        x_next = x + b * dt + s * noise.dB[:, k]
-        if levy is not None:
-
-            def jump_term(j, i):
-                return model.jump(
-                    t, x[i], mu_coeff, _as_particle_values(u, i),
-                    levy.jump_sizes[j], scenario[i],
-                )
-
-            x_next = _compensated_jump_step(x_next, dt, levy, noise, k, jump_term)
-        if not np.isfinite(x_next).all():
-            bad = int(np.flatnonzero(~np.isfinite(x_next))[0])
-            raise SimulationError(
-                f"non-finite state at step {k} (t={t:.6g}), particle {bad}"
-            )
-        states[:, k + 1] = x_next
-    _read_only(states)
-    return bundle
-
-
 def simulate(
     model: ControlledModel,
     controls: ControlPair,
@@ -521,8 +485,38 @@ def simulate(
             f"{noise.jump_sizes.tolist()} at rates {noise.jump_rates.tolist()}, "
             "not for the model's Levy measure"
         )
-    times = np.linspace(0.0, model.horizon, noise.n_steps + 1)
-    return _euler_sweep(model, controls, noise, times, model.x0, mu_mode)
+    n, m = noise.n_particles, noise.n_steps
+    times = np.linspace(0.0, model.horizon, m + 1)
+    dt = float(times[1] - times[0])
+    scenario = np.arange(n)
+    bundle = ParticleBundle(times, _time_major(n, m + 1), noise, mu_mode)
+    states = bundle.states
+    states[:, 0] = model.x0
+    levy = model.levy
+    for k in range(m):
+        t = float(times[k])
+        x = states[:, k]
+        _, u, mu_coeff = _step_controls(k, bundle, controls, scenario)
+        b = model.drift(t, x, mu_coeff, u, scenario)
+        s = model.vol(t, x, mu_coeff, u, scenario)
+        x_next = x + b * dt + s * noise.dB[:, k]
+        if levy is not None:
+
+            def jump_term(j, i):
+                return model.jump(
+                    t, x[i], mu_coeff, _as_particle_values(u, i),
+                    levy.jump_sizes[j], scenario[i],
+                )
+
+            x_next = _compensated_jump_step(x_next, dt, levy, noise, k, jump_term)
+        if not np.isfinite(x_next).all():
+            bad = int(np.flatnonzero(~np.isfinite(x_next))[0])
+            raise SimulationError(
+                f"non-finite state at step {k} (t={t:.6g}), particle {bad}"
+            )
+        states[:, k + 1] = x_next
+    _read_only(states)
+    return bundle
 
 
 @dataclass(frozen=True)

@@ -8,15 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfclab.bsde import (
-    EstimationError,
     GammaPositivityError,
     LinearBsdeSpec,
     _gamma_start,
     _gamma_step,
-    _tabulate,
     adjoint_p0_solve,
     backward_euler_reference,
-    resolve_basis,
     solve,
 )
 from mfclab.lawproc import LevyMeasure
@@ -34,15 +31,8 @@ from mfclab.sde import (
 )
 
 
-def det_spec(phi=0.0, alpha=0.0, beta=0.0, jump_phi=0.0, theta=1.0, levy=None):
-    return LinearBsdeSpec(
-        phi=lambda t, ctx: phi,
-        alpha=lambda t, ctx: alpha,
-        beta=lambda t, ctx: beta,
-        jump_phi=lambda t, z, ctx: jump_phi,
-        terminal=lambda ctx: theta,
-        levy=levy,
-    )
+def det_spec(phi=0.0, alpha=0.0, theta=1.0):
+    return LinearBsdeSpec(phi=lambda t: phi, alpha=lambda t: alpha, terminal=theta)
 
 
 def trivial_controls():
@@ -66,14 +56,19 @@ def flat_bundle(n=200, m=50, seed=0, x0=1.0, drift=None, vol=None, levy=None, ju
 
 # -- Gamma process -----------------------------------------------------------
 
-def gamma_paths(spec, bundle):
-    """Euler paths of the Gamma process on a bundle's noise."""
-    return _tabulate(spec, bundle).gamma
+def gamma_paths(bundle, alpha=0.0, beta=0.0, jump_phi=0.0, levy=None):
+    """Euler paths of the Gamma process with constant coefficients on a
+    bundle's noise."""
+    atoms = levy.jump_sizes if levy is not None else ()
+    gam = _gamma_start(bundle.n_particles, bundle.n_steps)
+    for k in range(bundle.n_steps):
+        _gamma_step(gam, k, alpha, beta, [jump_phi for _ in atoms], levy, bundle.noise)
+    return gam
 
 
 def test_gamma_trivial_is_one():
     bundle = flat_bundle(n=20, m=10)
-    gam = gamma_paths(det_spec(), bundle)
+    gam = gamma_paths(bundle)
     assert np.all(gam == 1.0)
 
 
@@ -81,7 +76,7 @@ def test_gamma_deterministic_exponential():
     """alpha = a, beta = 0: Gamma(t_k) = (1 + a dt)^k, close to e^{at}."""
     a = 0.4
     bundle = flat_bundle(n=3, m=100)
-    gam = gamma_paths(det_spec(alpha=a), bundle)
+    gam = gamma_paths(bundle, alpha=a)
     dt = bundle.dt
     expected = (1 + a * dt) ** np.arange(101)
     assert np.allclose(gam[0], expected, rtol=1e-12)
@@ -90,7 +85,7 @@ def test_gamma_deterministic_exponential():
 
 def test_gamma_martingale_mean_one():
     bundle = flat_bundle(n=40_000, m=50, seed=41)
-    gam = gamma_paths(det_spec(beta=0.4), bundle)
+    gam = gamma_paths(bundle, beta=0.4)
     gt = gam[:, -1]
     z = (gt.mean() - 1.0) / (gt.std(ddof=1) / math.sqrt(gt.size))
     assert abs(z) <= 3.0
@@ -99,7 +94,7 @@ def test_gamma_martingale_mean_one():
 def test_gamma_with_jumps_stays_positive_and_compensated():
     levy = LevyMeasure([0.5], [1.0])
     bundle = flat_bundle(n=20_000, m=100, seed=13, levy=levy, jump=lambda t, x, mu, u, z, s: np.zeros_like(x))
-    gam = gamma_paths(det_spec(jump_phi=0.8, levy=levy), bundle)
+    gam = gamma_paths(bundle, jump_phi=0.8, levy=levy)
     assert np.all(gam > 0)
     gt = gam[:, -1]
     z = (gt.mean() - 1.0) / (gt.std(ddof=1) / math.sqrt(gt.size))
@@ -110,34 +105,34 @@ def test_gamma_jump_phi_below_minus_one_rejected():
     levy = LevyMeasure([0.5], [1.0])
     bundle = flat_bundle(n=100, m=10, seed=2, levy=levy, jump=lambda t, x, mu, u, z, s: np.zeros_like(x))
     with pytest.raises(GammaPositivityError):
-        gamma_paths(det_spec(jump_phi=-1.5, levy=levy), bundle)
+        gamma_paths(bundle, jump_phi=-1.5, levy=levy)
 
 
 def test_gamma_step_size_error():
     bundle = flat_bundle(n=50, m=4, seed=3)  # dt = 0.25, huge negative drift
     with pytest.raises(GammaPositivityError, match="step"):
-        gamma_paths(det_spec(alpha=-5.0), bundle)
+        gamma_paths(bundle, alpha=-5.0)
 
 
 # -- closed-form estimator ------------------------------------------------------
 
 def test_constant_terminal():
     times = np.linspace(0, 1, 51)
-    sol = solve(det_spec(theta=0.7), times=times)
-    assert np.all(sol.P == pytest.approx(0.7, abs=1e-15))
+    p = solve(det_spec(theta=0.7), times)
+    assert np.all(p == pytest.approx(0.7, abs=1e-15))
 
 
 def test_theta_plus_time_to_go_exact():
     times = np.linspace(0, 1, 201)
-    sol = solve(det_spec(phi=1.0, theta=1.0), times=times)
-    assert np.max(np.abs(sol.P - (1.0 + 1.0 - times))) < 1e-12
+    p = solve(det_spec(phi=1.0, theta=1.0), times)
+    assert np.max(np.abs(p - (1.0 + 1.0 - times))) < 1e-12
 
 
 def test_exponential_case_and_backward_euler_agreement():
     a, theta0 = 0.5, 1.0
     times = np.linspace(0, 1, 201)
     spec = det_spec(alpha=a, theta=theta0)
-    gamma_rep = solve(spec, times=times).P
+    gamma_rep = solve(spec, times)
     implicit = backward_euler_reference(spec, times)
     dt = times[1] - times[0]
     assert np.max(np.abs(gamma_rep - implicit)) <= 2 * dt * abs(a) * theta0
@@ -145,177 +140,13 @@ def test_exponential_case_and_backward_euler_agreement():
     assert np.max(np.abs(gamma_rep - exact)) <= theta0 * math.exp(a) * a * a * dt
 
 
-def test_closed_form_requires_deterministic_terminal():
-    spec = LinearBsdeSpec(
-        phi=lambda t, ctx: 0.0,
-        alpha=lambda t, ctx: 0.0,
-        beta=lambda t, ctx: 0.0,
-        jump_phi=lambda t, z, ctx: 0.0,
-        terminal=lambda ctx: np.array([1.0, 2.0]),
-    )
-    with pytest.raises(ValueError):
-        solve(spec, times=np.linspace(0, 1, 11))
-
-
-# -- stochastic estimators --------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def ou_setup():
-    model = ControlledModel(
-        drift=lambda t, x, mu, u, s: -0.5 * x,
-        vol=lambda t, x, mu, u, s: 0.8 * np.ones_like(x),
-        x0=1.0,
-        horizon=1.0,
-    )
-    ctrl = trivial_controls()
-    bundle = simulate(model, ctrl, 256, 16, seed=31)
-    spec = LinearBsdeSpec(
-        phi=lambda t, ctx: 0.5 * np.tanh(ctx.x) if ctx is not None else 0.0,
-        alpha=lambda t, ctx: -0.2 - 0.1 * np.tanh(ctx.x),
-        beta=lambda t, ctx: 0.3,
-        jump_phi=lambda t, z, ctx: 0.0,
-        terminal=lambda ctx: 2.0 + np.tanh(ctx.x),
-    )
-    return model, ctrl, bundle, spec
-
-
-def test_terminal_exactness_every_estimator(ou_setup):
-    model, ctrl, bundle, spec = ou_setup
-    theta = 2.0 + np.tanh(bundle.states[:, -1])
-    for estimator, kwargs in (
-        ("pathwise", {}),
-        ("regression", {"basis": "poly3"}),
-        ("nested-mc", {"n_inner": 8, "model": model, "controls": ctrl, "seed": 5}),
-    ):
-        sol = solve(spec, bundle=bundle, estimator=estimator, **kwargs)
-        assert np.array_equal(sol.P[:, -1], theta)
-
-
-def test_estimator_agreement_nested_vs_regression(ou_setup):
-    """Scenario-mean P(t) agreement within 3 combined standard errors."""
-    model, ctrl, bundle, spec = ou_setup
-    sol_n = solve(spec, bundle=bundle, estimator="nested-mc", n_inner=128, model=model, controls=ctrl, seed=77)
-    sol_r = solve(spec, bundle=bundle, estimator="regression", basis="poly3")
-    sol_p = solve(spec, bundle=bundle, estimator="pathwise")
-    rt = math.sqrt(bundle.n_particles)
-    for k in (0, 8, 12):
-        diff = abs(sol_n.P[:, k].mean() - sol_r.P[:, k].mean())
-        se = math.hypot(sol_n.P[:, k].std(ddof=1) / rt, sol_p.P[:, k].std(ddof=1) / rt)
-        assert diff <= 3 * se
-
-
-def test_martingale_property_nested_mc(ou_setup):
-    """phi = 0: E[Gamma(t) P(t)] is constant across the grid within 3 SE."""
-    model, ctrl, bundle, _ = ou_setup
-    spec0 = LinearBsdeSpec(
-        phi=lambda t, ctx: 0.0,
-        alpha=lambda t, ctx: -0.2 - 0.1 * np.tanh(ctx.x) if ctx is not None else -0.2,
-        beta=lambda t, ctx: 0.3,
-        jump_phi=lambda t, z, ctx: 0.0,
-        terminal=lambda ctx: 2.0 + np.tanh(ctx.x),
-    )
-    sol = solve(spec0, bundle=bundle, estimator="nested-mc", n_inner=128, model=model, controls=ctrl, seed=78)
-    gam = gamma_paths(spec0, bundle)
-    prod = gam * sol.P
-    ref = prod[:, -1]
-    rt = math.sqrt(bundle.n_particles)
-    for k in (0, 4, 8, 12):
-        d = prod[:, k] - ref
-        assert abs(d.mean()) <= 3 * d.std(ddof=1) / rt
-
-
-def test_pathwise_gamma_p_identity(ou_setup):
-    """Pathwise estimator: Gamma(t) Y(t) + int_0^t Gamma phi is constant by construction."""
-    _, _, bundle, spec = ou_setup
-    sol = solve(spec, bundle=bundle, estimator="pathwise")
-    gam = gamma_paths(spec, bundle)
-    dt = bundle.dt
-    phi_vals = np.stack(
-        [0.5 * np.tanh(bundle.states[:, k]) for k in range(bundle.n_steps)], axis=1
-    )
-    running = np.concatenate(
-        [np.zeros((bundle.n_particles, 1)), np.cumsum(gam[:, :-1] * phi_vals * dt, axis=1)],
-        axis=1,
-    )
-    total = gam * sol.P + running
-    assert np.max(np.abs(total - total[:, [0]])) <= 1e-10
-
-
-def test_regression_rank_deficiency_error(ou_setup):
-    _, _, bundle, spec = ou_setup
-    duplicate = [lambda ctx: np.ones_like(ctx.x), lambda ctx: ctx.x, lambda ctx: ctx.x]
-    with pytest.raises(EstimationError, match="condition number"):
-        solve(spec, bundle=bundle, estimator="regression", basis=duplicate)
-
-
-@pytest.mark.parametrize("basis", ["poly3+inv", "polyx", "cubic", "poly", "poly-1"])
-def test_malformed_basis_spec_raises(ou_setup, basis):
-    _, _, bundle, spec = ou_setup
-    with pytest.raises(ValueError, match="unknown basis spec"):
-        solve(spec, bundle=bundle, estimator="regression", basis=basis)
-
-
-@pytest.mark.parametrize("basis", [3, 2.5, lambda ctx: ctx.x])
-def test_basis_of_another_type_raises(basis):
-    with pytest.raises(TypeError, match="poly<k>.*list of callables.*None"):
-        resolve_basis(basis)
-
-
-def test_solver_argument_validation(ou_setup):
-    _, _, bundle, spec = ou_setup
-    with pytest.raises(ValueError):
-        solve(spec, estimator="pathwise")  # no bundle
-    with pytest.raises(ValueError):
-        solve(spec, bundle=bundle, estimator="nested-mc")  # missing pieces
-    with pytest.raises(ValueError):
-        solve(spec, bundle=bundle, estimator="frequentist")
-
-
-def test_nested_mc_rejects_empirical_mu_mode(ou_setup):
-    """Inner laws over N * n_inner clones would be a wrong mean-field coupling."""
-    model, ctrl, _, spec = ou_setup
-    bundle = simulate(model, ctrl, 256, 16, seed=31, mu_mode="empirical")
-    with pytest.raises(ValueError, match="mu_mode='empirical'"):
-        solve(
-            spec, bundle=bundle, estimator="nested-mc", n_inner=4,
-            model=model, controls=ctrl, seed=3,
-        )
-
-
-def test_nested_mc_coefficients_read_outer_scenario():
-    """Every coefficient of an inner path sees its outer scenario in ctx.scenario.
-
-    alpha = 0.5 (scenario mod 2) with no noise in Gamma makes P deterministic
-    per scenario, so nested MC must reproduce the pathwise P.  Nested MC
-    evaluates alpha on inner paths only: sum_k (M - k) = 36 calls of size
-    N * n_inner = 24, none along the 6 outer paths.
-    """
-    model = ControlledModel(
-        drift=lambda t, x, mu, u, s: -0.5 * x,
-        vol=lambda t, x, mu, u, s: 0.8 * np.ones_like(x),
-        x0=1.0,
-        horizon=1.0,
-    )
-    ctrl = trivial_controls()
-    bundle = simulate(model, ctrl, 6, 8, seed=4)
-    alpha_sizes = []
-
-    def alpha(t, ctx):
-        alpha_sizes.append(ctx.x.size)
-        return 0.5 * (ctx.scenario % 2)
-
-    spec = LinearBsdeSpec(
-        phi=lambda t, ctx: 0.0,
-        alpha=alpha,
-        beta=lambda t, ctx: 0.0,
-        jump_phi=lambda t, z, ctx: 0.0,
-        terminal=lambda ctx: 1.0,
-    )
-    nested = solve(spec, bundle=bundle, estimator="nested-mc", n_inner=4, model=model, controls=ctrl, seed=9)
-    assert alpha_sizes == [24] * 36
-    pathwise = solve(spec, bundle=bundle, estimator="pathwise")
-    assert pathwise.P[1, 0] > pathwise.P[0, 0] == 1.0
-    assert np.max(np.abs(nested.P - pathwise.P)) <= 1e-12
+@pytest.mark.parametrize(
+    "terminal", [np.array([1.0, 2.0]), math.nan, math.inf], ids=["array", "nan", "inf"]
+)
+def test_closed_form_requires_deterministic_terminal(terminal):
+    """theta must be a finite scalar: a NaN would make every P NaN."""
+    with pytest.raises(ValueError, match="terminal"):
+        det_spec(theta=terminal)
 
 
 # -- adjoint reduction -------------------------------------------------------------

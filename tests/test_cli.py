@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mfclab.bsde import EstimationError, GammaPositivityError
+from mfclab.bsde import GammaPositivityError
 from mfclab.cli import load_config, main
 from mfclab.experiments import KNOB_READERS, ExperimentConfig
 from mfclab.sde import SimulationError
@@ -313,7 +313,7 @@ def test_failing_check_exits_one(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "error",
-    [SimulationError, GammaPositivityError, EstimationError],
+    [SimulationError, GammaPositivityError],
     ids=lambda error: error.__name__,
 )
 def test_numerical_error_exits_three(tmp_path, capsys, monkeypatch, error):

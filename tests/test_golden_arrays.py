@@ -18,9 +18,8 @@ batched kernel, a reordered loop) can prove it by running one test:
 - the whole atoms, weights and Fourier tables of the frozen candidate's
   measures and of their lambda deviations, read after their masses
 - both players' ``adjoint_p0_solve`` P in both measure modes, with and
-  without the Levy measure; Gamma paths and pathwise and
-  regression ``solve`` P of a state-dependent spec on the same bundles, and
-  its nested-MC P along the frozen candidate
+  without the Levy measure, and the Gamma paths of state-dependent
+  coefficients on the same bundles
 - ``simulate_derivative_process`` in the measure and the control direction,
   with the model's analytic partials and with finite-difference partials
 - ``gateaux_check``'s slopes and standard errors on a control direction
@@ -46,7 +45,7 @@ import pytest
 import mfclab.consumption as cons
 from mfclab import game as game_module
 from mfclab import measures as measures_module
-from mfclab.bsde import LinearBsdeSpec, _tabulate, adjoint_p0_solve, solve
+from mfclab.bsde import _gamma_start, _gamma_step, adjoint_p0_solve
 from mfclab.game import gateaux_check
 from mfclab.lawproc import LevyMeasure
 from mfclab.measures import DiscreteMeasure, fourier_tables, gauss_hermite_rule
@@ -68,7 +67,7 @@ DELAY = 0.1
 LAMBDA = 0.1
 GROUPS = (
     "run", "law", "mass", "sweep", "residuals", "fourier",
-    "sum", "adjoint", "gamma", "bsde", "gateaux", "deriv",
+    "sum", "adjoint", "gamma", "gateaux", "deriv",
 )
 
 
@@ -107,21 +106,23 @@ def _masses(mu: DiscreteMeasure, model: cons.ConsumptionModel) -> list[float]:
     return [mu.mass_on(lo, hi) for _ in range(2) for lo, hi in bounds]
 
 
-def _bsde_spec(levy: bool) -> LinearBsdeSpec:
-    """State-dependent coefficients; a scalar beta, as callers may return."""
-    return LinearBsdeSpec(
-        phi=lambda t, ctx: 0.5 * np.tanh(ctx.x),
-        alpha=lambda t, ctx: -0.2 - 0.1 * np.tanh(ctx.x),
-        beta=lambda t, ctx: 0.3,
-        jump_phi=lambda t, z, ctx: z * (0.5 + 0.2 * np.tanh(ctx.x)),
-        terminal=lambda ctx: 2.0 + np.tanh(ctx.x),
-        levy=LEVY if levy else None,
-    )
+def _gamma_paths(bundle, levy: bool) -> np.ndarray:
+    """Gamma paths of state-dependent alpha and jump_phi along a bundle; a
+    scalar beta, as the model's partials may return."""
+    levy_measure = LEVY if levy else None
+    atoms = LEVY.jump_sizes if levy else ()
+    gam = _gamma_start(bundle.n_particles, bundle.n_steps)
+    for k in range(bundle.n_steps):
+        x = bundle.states[:, k]
+        alpha = -0.2 - 0.1 * np.tanh(x)
+        jump_phi = [z * (0.5 + 0.2 * np.tanh(x)) for z in atoms]
+        _gamma_step(gam, k, alpha, 0.3, jump_phi, levy_measure, bundle.noise)
+    return gam
 
 
 def _run_arrays(out: dict, seed: int, n: int, m: int) -> None:
     """Feedback-candidate runs: states, samples, laws, masses, Fourier tables,
-    adjoints and BSDE solutions."""
+    adjoints and Gamma paths."""
     for levy in (False, True):
         for delay in (False, True):
             model = _model(levy, delay)
@@ -145,16 +146,7 @@ def _run_arrays(out: dict, seed: int, n: int, m: int) -> None:
                     ).P
                 if mu_mode != "exogenous":
                     continue
-                bsde = _bsde_spec(levy)
-                out[f"gamma/{name}"] = _tabulate(bsde, bundle).gamma
-                for estimator in ("pathwise", "regression"):
-                    out[f"bsde/{name}/{estimator}"] = solve(
-                        bsde, bundle=bundle, estimator=estimator, basis="poly3"
-                    ).P
-                out[f"bsde/{name}/nested-mc"] = solve(
-                    bsde, bundle=bundle, estimator="nested-mc", n_inner=4,
-                    model=spec.model, controls=frozen, seed=seed,
-                ).P
+                out[f"gamma/{name}"] = _gamma_paths(bundle, levy)
                 directions = {
                     "measure": Direction(kind="measure", measure=DiscreteMeasure.dirac(model.v_probe)),
                     "control": Direction(kind="control", t0=0.5, scalar=1.0),

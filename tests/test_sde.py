@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfclab import sde as sde_module
-from mfclab.bsde import LinearBsdeSpec, _tabulate
+from mfclab.bsde import _gamma_start, _gamma_step
 from mfclab.lawproc import LevyMeasure
 from mfclab.measures import DiscreteMeasure
 from mfclab.sde import (
@@ -86,15 +86,9 @@ def test_time_major_layout_keeps_public_shapes():
     z = simulate_derivative_process(
         bundle, model, ctrl, Direction(kind="measure", measure=DiscreteMeasure.dirac(0.0))
     )
-    spec = LinearBsdeSpec(
-        phi=lambda t, ctx: 0.0,
-        alpha=lambda t, ctx: 0.1,
-        beta=lambda t, ctx: 0.3,
-        jump_phi=lambda t, zeta, ctx: zeta,
-        terminal=lambda ctx: 1.0,
-        levy=levy,
-    )
-    gam = _tabulate(spec, bundle).gamma
+    gam = _gamma_start(n, m)
+    for k in range(m):
+        _gamma_step(gam, k, 0.1, 0.3, list(levy.jump_sizes), levy, noise)
     brownian = bundle.brownian_levels()
     for name, arr, shape in (
         ("states", bundle.states, (n, m + 1)),
