@@ -70,7 +70,6 @@ from .consumption import (
     ClosedFormControls,
     ConsumptionModel,
     ConsumptionGameReport,
-    TerminalWeight,
     closed_form_controls,
     feedback_pair,
     frozen_pair,

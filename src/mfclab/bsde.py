@@ -203,7 +203,7 @@ def adjoint_p0_solve(
 
     gam = _gamma_start(n, m)
     for sv in iter_steps(bundle, controls):
-        k, t, x, mu, u = sv.k, sv.t, sv.x, sv.mu_coeff, sv.u
+        k, t, x, mu, u = sv.k, sv.t, sv.x, sv.mu_ctrl, sv.u
         alpha = bx(t, x, mu, u, scen)
         beta = sx(t, x, mu, u, scen)
         jump_phi = [gx(t, x, mu, u, zeta, scen) for zeta in atoms]

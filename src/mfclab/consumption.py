@@ -12,17 +12,19 @@ criterion is
 
     J(mu, rho) = E[ integral {log(rho X) + [(mu - M)(V)]^2} dt + theta log X(T) ].
 
-Closed-form candidates: the consumption rate is
+The terminal weight theta is a positive constant, so every conditional
+mean E[theta | G_t] the closed forms read is theta itself.  Closed-form
+candidates: the consumption rate is
 
-    rho_hat(t) = 1 / (T - t + E[theta | G^(2)_t]),
+    rho_hat(t) = 1 / (T - t + theta),
 
 and the adversarial mass on V ships in BOTH circulating variants,
 
-    stated-theorem:       mu_hat(t)(V) = M_hat(t)(V) + (T - t) - E[theta]/2
-    first-order-derived:  mu_hat(t)(V) = M_hat(t)(V) - (T - t + E[theta])/2,
+    stated-theorem:       mu_hat(t)(V) = M_hat(t)(V) + (T - t) - theta/2
+    first-order-derived:  mu_hat(t)(V) = M_hat(t)(V) - (T - t + theta)/2,
 
 the second obtained by substituting the product identity
-p0_hat(t) X_hat(t) = E[theta | F_t] + T - t into the stationarity condition
+p0_hat(t) X_hat(t) = theta + T - t into the stationarity condition
 mu_hat(V) = E[M_hat(V) - p0_hat X_hat / 2 | G^(1)].  The two variants
 disagree; the first-order residual test adjudicates numerically and the
 report records the surviving one rather than silently picking.
@@ -78,73 +80,42 @@ PRODUCT_TOL = 0.05
 INFLATION = 1.2
 
 
-@dataclass(frozen=True)
-class TerminalWeight:
-    """Terminal utility weight theta: a positive constant or a function of
-    the terminal Brownian level (bounded, positive)."""
-
-    value: float | None = None
-    fn: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self):
-        if (self.value is None) == (self.fn is None):
-            raise ValueError("specify exactly one of value and fn")
-        if self.value is not None and not (math.isfinite(self.value) and self.value > 0):
-            raise ValueError(f"theta value must be finite and positive, got {self.value}")
-
-    @property
-    def deterministic(self) -> bool:
-        return self.value is not None
-
-    def samples(self, bundle: ParticleBundle) -> np.ndarray:
-        if self.deterministic:
-            return np.full(bundle.n_particles, self.value)
-        theta = np.asarray(self.fn(bundle.brownian_levels()[:, -1]), dtype=float)
-        if np.any(theta <= 0):
-            raise ValueError("theta samples must stay positive")
-        return theta
-
-
 @dataclass
 class ConsumptionModel:
     """Section-scale cash-flow model: deterministic relative coefficients.
 
-    ``vol(t)`` and ``jump_scale(t, zeta)`` multiply the state; V is the
-    interval whose mass the adversary's control and penalty read, with
-    ``v_probe`` an atom inside V and ``v_outside`` one outside it (the signed
-    pair that calibrates mu_hat's mass).
+    ``vol(t)`` and ``jump_scale(t, zeta)`` multiply the state; ``theta`` is
+    the terminal utility weight.  V is the interval whose mass the
+    adversary's control and penalty read; ``v_probe``, an atom inside V, and
+    ``v_outside``, one outside it, are derived from V (the signed pair that
+    calibrates mu_hat's mass).
     """
 
     x0: float
     horizon: float
     vol: Callable[[float], float]
-    theta: TerminalWeight | float
+    theta: float
     v_interval: tuple[float, float] = (0.25, math.inf)
     jump_scale: Callable[[float, float], float] | None = None
     levy: LevyMeasure | None = None
-    v_probe: float | None = None
-    v_outside: float | None = None
     mu_info: InfoPattern = field(default_factory=InfoPattern)
     u_info: InfoPattern = field(default_factory=InfoPattern)
+    v_probe: float = field(init=False)
+    v_outside: float = field(init=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.x0) and self.x0 > 0):
             raise ValueError(f"x0 must be finite and positive (log utility), got {self.x0}")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
-        if isinstance(self.theta, (int, float)):
-            self.theta = TerminalWeight(value=float(self.theta))
+        self.theta = float(self.theta)
+        if not (math.isfinite(self.theta) and self.theta > 0):
+            raise ValueError(f"theta must be finite and positive, got {self.theta}")
         lo, hi = self.v_interval
         if not lo < hi:
             raise ValueError("V interval is empty")
-        if self.v_probe is None:
-            self.v_probe = lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
-        if self.v_outside is None:
-            self.v_outside = lo - 1.0
-        if not (lo < self.v_probe <= hi):
-            raise ValueError("v_probe must lie inside V")
-        if lo < self.v_outside <= hi:
-            raise ValueError("v_outside must lie outside V")
+        self.v_probe = lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
+        self.v_outside = lo - 1.0
         if (self.levy is None) != (self.jump_scale is None):
             raise ValueError("jump_scale and levy must come together")
         if self.levy is not None:
@@ -154,18 +125,6 @@ class ConsumptionModel:
                         raise ValueError(
                             "jump_scale must stay above -1 so X remains positive"
                         )
-
-    def theta_bar(self) -> float:
-        """E[theta | G_t] for the supported information patterns.
-
-        Deterministic theta is known under every sub-filtration; a stochastic
-        theta has no computable conditional mean here.
-        """
-        if not self.theta.deterministic:
-            raise ValueError(
-                "closed-form controls need a deterministic terminal weight"
-            )
-        return float(self.theta.value)
 
 
 def state_model(model: ConsumptionModel) -> ControlledModel:
@@ -206,36 +165,20 @@ def state_model(model: ConsumptionModel) -> ControlledModel:
     )
 
 
-def performance(model: ConsumptionModel, theta_samples: np.ndarray | None = None) -> PerformanceSpec:
-    """The zero-sum criterion J; player 2 maximizes it, player 1 minimizes.
-
-    For a stochastic terminal weight, pass the per-scenario theta samples of
-    the bundle under evaluation.
-    """
+def performance(model: ConsumptionModel) -> PerformanceSpec:
+    """The zero-sum criterion J; player 2 maximizes it, player 1 minimizes."""
     lo, hi = model.v_interval
+    theta = model.theta
 
     def running(t, x, m, mu, u, scen):
         gap = mu.mass_on(lo, hi) - m.mass_on(lo, hi)
         return np.log(u * x) + gap * gap
 
-    if model.theta.deterministic:
-        theta0 = model.theta.value
+    def terminal(x, m, scen):
+        return theta * np.log(x)
 
-        def terminal(x, m, scen):
-            return theta0 * np.log(x)
-
-        def terminal_dx(x, m, scen):
-            return theta0 / x
-
-    else:
-        if theta_samples is None:
-            raise ValueError("stochastic theta needs per-scenario samples")
-
-        def terminal(x, m, scen):
-            return theta_samples[scen] * np.log(x)
-
-        def terminal_dx(x, m, scen):
-            return theta_samples[scen] / x
+    def terminal_dx(x, m, scen):
+        return theta / x
 
     return PerformanceSpec(
         running=running,
@@ -246,12 +189,10 @@ def performance(model: ConsumptionModel, theta_samples: np.ndarray | None = None
     )
 
 
-def game_spec(model: ConsumptionModel, theta_samples: np.ndarray | None = None) -> GameSpec:
+def game_spec(model: ConsumptionModel) -> GameSpec:
     lo, hi = model.v_interval
     functional = IntervalMass(lo, hi, probe=model.v_probe, name="mass_V")
-    return GameSpec.zero_sum_game(
-        state_model(model), performance(model, theta_samples), functionals=(functional,)
-    )
+    return GameSpec.zero_sum_game(state_model(model), performance(model), functionals=(functional,))
 
 
 # ---------------------------------------------------------------------------
@@ -264,33 +205,32 @@ class ClosedFormControls:
 
     rho_hat: Callable[[float], float]
     mu_hat_V: Callable[[float, float], float]
-    provenance: str
 
 
 def closed_form_controls(model: ConsumptionModel, variant: str = "first-order-derived") -> ClosedFormControls:
     """Candidate optimal consumption rate and adversarial mass on V.
 
-    ``rho_hat(t) = 1 / (T - t + E[theta])`` in both variants; the mu_hat mass
-    offset from M_hat(t)(V) is ``+ (T - t) - E[theta]/2`` as the theorem
-    states it and ``- (T - t + E[theta])/2`` for the version derived from
-    the first-order condition.  The residual tests select the variant.
+    ``rho_hat(t) = 1 / (T - t + theta)`` in both variants; the mu_hat mass
+    offset from M_hat(t)(V) is ``+ (T - t) - theta/2`` as the theorem
+    states it and ``- (T - t + theta)/2`` for the version derived from the
+    first-order condition.  The residual tests select the variant.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     horizon = model.horizon
-    theta_bar = model.theta_bar()
+    theta = model.theta
 
     def rho_hat(t: float) -> float:
-        return 1.0 / (horizon - t + theta_bar)
+        return 1.0 / (horizon - t + theta)
 
     if variant == "stated-theorem":
         def mu_hat_V(t: float, m_v: float) -> float:
-            return m_v + (horizon - t) - 0.5 * theta_bar
+            return m_v + (horizon - t) - 0.5 * theta
     else:
         def mu_hat_V(t: float, m_v: float) -> float:
-            return m_v - 0.5 * (horizon - t + theta_bar)
+            return m_v - 0.5 * (horizon - t + theta)
 
-    return ClosedFormControls(rho_hat=rho_hat, mu_hat_V=mu_hat_V, provenance=variant)
+    return ClosedFormControls(rho_hat=rho_hat, mu_hat_V=mu_hat_V)
 
 
 def _signed_pair(model: ConsumptionModel, offset: float) -> DiscreteMeasure:
@@ -375,42 +315,29 @@ def _frozen_rate(cf: ClosedFormControls, bundle: ParticleBundle, rho_scale: floa
 
 @dataclass
 class ProductCheck:
-    """Deviation of p0(t) X(t) from E[theta | F_t] + T - t."""
+    """Deviation of p0(t) X(t) from theta + T - t."""
 
     times: np.ndarray
     profile: np.ndarray
     max_deviation: float
-    pathwise: bool
 
 
 def product_process_check(
     model: ConsumptionModel, bundle: ParticleBundle, adjoint: BsdeSolution
 ) -> ProductCheck:
-    """Check p0(t) X(t) = E[theta | F_t] + T - t along the bundle.
+    """Check the pathwise identity p0(t) X(t) = theta + T - t along the bundle.
 
-    With a deterministic theta the identity is pathwise and the profile holds
-    the per-time maximum absolute deviation, taken one time column at a time
-    (a max does not depend on the order it is taken in), so no (N, M+1)
-    product table is built; with a stochastic theta only the unconditional
-    mean E[P(t)] = E[theta] + T - t is checkable and the profile compares
-    means of the whole particle-major product.
+    The profile holds the per-time maximum absolute deviation, taken one
+    time column at a time (a max does not depend on the order it is taken
+    in), so no (N, M+1) product table is built.
     """
-    horizon = model.horizon
     times = bundle.times
-    p_table = adjoint.P
-    if model.theta.deterministic:
-        target = model.theta.value + horizon - times
-        profile = np.array([
-            np.abs(p_table[:, k] * bundle.states[:, k] - target[k]).max()
-            for k in range(times.size)
-        ])
-        return ProductCheck(times=times, profile=profile, max_deviation=float(profile.max()), pathwise=True)
-    # particle-major product: its mean over scenarios accumulates row by row
-    product = np.multiply(p_table, bundle.states, order="C")
-    theta_mean = float(model.theta.samples(bundle).mean())
-    target = theta_mean + horizon - times
-    profile = np.abs(product.mean(axis=0) - target)
-    return ProductCheck(times=times, profile=profile, max_deviation=float(profile.max()), pathwise=False)
+    target = model.theta + model.horizon - times
+    profile = np.array([
+        np.abs(adjoint.p_at(k) * bundle.states[:, k] - target[k]).max()
+        for k in range(times.size)
+    ])
+    return ProductCheck(times=times, profile=profile, max_deviation=float(profile.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +386,11 @@ def _inflated_sweep(
 ) -> SweepTable:
     """`nash_perturbation_sweep` of ``controls`` from a base simulated here on
     ``noise``.  The base's paths go once its samples are taken, before the
-    first deviation is simulated: the rows read only its noise and mode."""
+    first deviation is simulated: the rows read only its noise."""
     base = simulate(spec.model, controls, noise=noise)
-    samples, mu_mode = _base_samples(spec, controls, plan, base), base.mu_mode
+    samples = _base_samples(spec, controls, plan, base)
     del base
-    return _sweep_rows(spec, controls, plan, samples, noise, mu_mode)
+    return _sweep_rows(spec, controls, plan, samples, noise)
 
 
 @dataclass
@@ -588,10 +515,9 @@ def verify_consumption_game(
 
         # penalty identity under the derived-variant control
         if selected == "first-order-derived":
-            theta_bar = model.theta_bar()
             times_k = run.bundle.times[:-1]
             lhs = (run.mu_v_path - run.mass_path) ** 2
-            rhs = 0.25 * (model.horizon - times_k + theta_bar) ** 2
+            rhs = 0.25 * (model.horizon - times_k + model.theta) ** 2
             rel = float(np.max(np.abs(lhs - rhs) / np.maximum(rhs, 1e-300)))
             checks.append(
                 CheckResult(

@@ -109,7 +109,7 @@ class ExperimentConfig:
             if rate + min(self.lambdas) <= 0:
                 raise ValueError(
                     f"consumption rate 1/(T + theta) = {rate:.6g} at theta = "
-                    f"{model.theta_bar():g} plus the smallest lambda {min(self.lambdas):g} "
+                    f"{model.theta:g} plus the smallest lambda {min(self.lambdas):g} "
                     "must stay positive"
                 )
         elif self.model:
@@ -679,12 +679,17 @@ KNOB_READERS: dict[str, tuple[str, ...]] = {
 
 _SUMMARIES = {
     "norms": "Dirac norm exactness in M0/M^(2)",
-    "law-distance": "law-distance bound on 100 randomized paired samples",
+    "law-distance": (
+        "law-distance bound on 100 randomized paired samples of min(n_particles, 1000) draws each"
+    ),
     "law-derivative": "law-derivative oracles and h^2 increment scaling",
     "sde-moments": "Euler moment oracles and jump compensation",
     "bsde-oracles": "closed-form linear BSDE identities",
     "gateaux": "derivative-process L2 convergence and FD-vs-adjoint slopes",
-    "nash-sweep": "LQ toy-game Nash certificate and refutation",
+    "nash-sweep": (
+        "LQ toy-game Nash certificate and refutation, run at min(n_particles, 4000) particles "
+        "and min(n_steps, 100) steps"
+    ),
     "consumption": "consumption-game end-to-end verification with a [model] section",
 }
 

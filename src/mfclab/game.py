@@ -111,11 +111,6 @@ class _NegatedSolution:
 
     def __init__(self, solution: BsdeSolution):
         self._solution = solution
-        self.times = solution.times
-
-    @property
-    def P(self) -> np.ndarray:
-        return -self._solution.P
 
     def p_at(self, k: int) -> np.ndarray:
         return -self._solution.p_at(k)
@@ -346,9 +341,9 @@ class SweepTable:
         write_csv(path, ["direction_id", "lambda", "delta_J", "std_err"], rows, seed)
 
 
-def _crn_samples(spec: GameSpec, controls: ControlPair, perf, noise, mu_mode: str) -> np.ndarray:
-    """Performance samples of ``controls`` re-run on a candidate's noise and mode."""
-    deviated = simulate(spec.model, controls, mu_mode=mu_mode, noise=noise)
+def _crn_samples(spec: GameSpec, controls: ControlPair, perf, noise) -> np.ndarray:
+    """Performance samples of ``controls`` re-run on a candidate's noise."""
+    deviated = simulate(spec.model, controls, noise=noise)
     return performance_samples(deviated, controls, perf)
 
 
@@ -371,10 +366,9 @@ def _sweep_rows(
     plan: PerturbationPlan,
     base: dict[int, np.ndarray],
     noise,
-    mu_mode: str,
 ) -> SweepTable:
-    """The rows of a sweep, from its `_base_samples` and the candidate's noise
-    and mode: no row reads the candidate's paths."""
+    """The rows of a sweep, from its `_base_samples` and the candidate's
+    noise: no row reads the candidate's paths."""
     rows: list[SweepRow] = []
     sqrt_n = _sqrt_n(noise.n_particles, "nash_perturbation_sweep")
     for d_id, direction in enumerate(plan.directions):
@@ -382,7 +376,7 @@ def _sweep_rows(
         perf = spec.performance_for(player)
         for lam in plan.lambdas:
             pert = perturbed_controls(candidate, direction, lam)
-            diff = _crn_samples(spec, pert, perf, noise, mu_mode) - base[player]
+            diff = _crn_samples(spec, pert, perf, noise) - base[player]
             se = float(diff.std(ddof=1) / sqrt_n)
             rows.append(
                 SweepRow(
@@ -409,7 +403,7 @@ def nash_perturbation_sweep(
     criterion; a positive delta beyond 2 standard errors refutes the candidate.
     """
     base = _base_samples(spec, candidate, plan, bundle)
-    return _sweep_rows(spec, candidate, plan, base, bundle.noise, bundle.mu_mode)
+    return _sweep_rows(spec, candidate, plan, base, bundle.noise)
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +451,8 @@ def gateaux_check(
     for i, lam in enumerate(lambdas):
         plus = perturbed_controls(candidate, direction, float(lam))
         minus = perturbed_controls(candidate, direction, -float(lam))
-        s_plus = _crn_samples(spec, plus, perf, bundle.noise, bundle.mu_mode)
-        s_minus = _crn_samples(spec, minus, perf, bundle.noise, bundle.mu_mode)
+        s_plus = _crn_samples(spec, plus, perf, bundle.noise)
+        s_minus = _crn_samples(spec, minus, perf, bundle.noise)
         slope_samples = (s_plus - s_minus) / (2.0 * lam)
         fd_slopes[i] = slope_samples.mean()
         fd_se[i] = slope_samples.std(ddof=1) / sqrt_n

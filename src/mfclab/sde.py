@@ -7,12 +7,10 @@ Simulates N i.i.d. copies of
 
 by an explicit Euler scheme with left-endpoint coefficients and compensated
 finite-activity jumps.  The measure argument fed to the coefficients is
-either a measure-valued control (``mu_mode="exogenous"``) or the previous
-step's cross-sectional empirical law (``mu_mode="empirical"``, the mean-field
-coupling) -- the explicit coupling avoids a fixed-point solve per step.  The
-mode is chosen once, in ``simulate``, and recorded on the bundle as
-``ParticleBundle.mu_mode``; every replay of a bundle (``iter_steps`` and all
-that build on it) reads it from there.
+player 1's measure-valued control.  The classical mean-field coupling
+mu(t) = L(X(t)) is one such control: ``lambda t, info: info.law`` under full
+information hands the coefficients each step's left-endpoint cross-sectional
+law, an explicit coupling that avoids a fixed-point solve per step.
 
 Coefficients are numpy-vectorized over particles:
 
@@ -25,11 +23,11 @@ scalar or per-particle array and ``scen`` the particle indices.  Noise is
 drawn once per bundle, before stepping, from a counter-based Philox stream
 keyed by the seed, with row i of each draw forming particle i's block.  The
 noise bank is the one record of N, M, dt and the Levy measure it was drawn
-for: a bundle is a bit-for-bit function of (model, controls, noise,
-mu_mode), independent of any parallel schedule, and re-running a bundle's
-bank under other controls gives common random numbers.
+for: a bundle is a bit-for-bit function of (model, controls, noise),
+independent of any parallel schedule, and re-running a bundle's bank under
+other controls gives common random numbers.
 
-Particle-by-time arrays (states, Brownian increments and levels, derivative
+Particle-by-time arrays (states, Brownian increments, derivative
 processes, and the Gamma/P tables of ``bsde``) are stored time-major: the
 public shapes stay (N, M+1) or (N, M), but each is the transposed view of a
 C-ordered (M+1, N) or (M, N) buffer, so the per-step column ``a[:, k]`` that
@@ -39,7 +37,7 @@ fast axis; where their accumulation order matters, reduce a C-ordered copy.
 
 Noise banks, Levy measures and the measures handed to coefficients are
 read-only values, and so is a bundle's ``states`` array once the Euler sweep
-has filled it (with its cached Brownian levels and each law's state column):
+has filled it (with each law's state column):
 writing to any of them raises ``ValueError``, so edit a ``.copy()``.  Every
 cache here (sorted laws, interval masses, the laws of a bundle, the sums of a
 perturbed measure control) rests on this.  A bundle's law cache may also drop
@@ -328,23 +326,20 @@ def draw_noise(
 class ParticleBundle:
     """Simulated paths plus the noise that produced them (for CRN reuse).
 
-    ``mu_mode`` is the measure mode the paths were simulated in; replays
-    read it.  ``law_at`` keeps the one cache of cross-sectional laws of this
+    ``law_at`` keeps the one cache of cross-sectional laws of this
     particle system; the Euler sweep, the controls' ``SimInfo`` and
     ``iter_steps`` all read it.  A cached law builds its atoms on their first
     read, so a step whose law nothing reads costs no empirical law.  The
     Euler sweep freezes ``states`` once it has filled them.
     """
 
-    __slots__ = ("times", "states", "noise", "mu_mode", "_laws", "_brownian")
+    __slots__ = ("times", "states", "noise", "_laws")
 
-    def __init__(self, times: np.ndarray, states: np.ndarray, noise: NoiseBank, mu_mode: str):
+    def __init__(self, times: np.ndarray, states: np.ndarray, noise: NoiseBank):
         self.times = times
         self.states = states
         self.noise = noise
-        self.mu_mode = mu_mode
         self._laws: dict[int, DiscreteMeasure] = {}
-        self._brownian: np.ndarray | None = None
 
     @property
     def n_particles(self) -> int:
@@ -370,14 +365,6 @@ class ParticleBundle:
     def law_path(self) -> MeasurePath:
         return MeasurePath(self.times, [self.law_at(k) for k in range(len(self.times))])
 
-    def brownian_levels(self) -> np.ndarray:
-        """B(t) per particle on the grid (zero at t=0)."""
-        if self._brownian is None:
-            levels = _time_major(self.n_particles, self.n_steps + 1)
-            levels[:, 0] = 0.0
-            np.cumsum(self.noise.dB.T, axis=0, out=levels.T[1:])
-            self._brownian = _read_only(levels)
-        return self._brownian
 
 class _LazyLaw(DiscreteMeasure):
     """Empirical law of one state column; ``empirical_law`` runs on the first
@@ -412,7 +399,7 @@ def _as_particle_values(u, idx: np.ndarray):
 
 
 def _step_controls(k, bundle, controls, scenario):
-    """Evaluate both controls at step k and pick the coefficients' measure."""
+    """Evaluate both controls at step k, checking u against ``u_bounds``."""
     t = float(bundle.times[k])
     mu_ctrl = controls.measure_ctrl(t, _info_for(controls.mu_info, k, bundle, scenario))
     u = controls.scalar_ctrl(t, _info_for(controls.u_info, k, bundle, scenario))
@@ -428,8 +415,7 @@ def _step_controls(k, bundle, controls, scenario):
                 f"scalar control leaves U=[{lo}, {hi}] at t={t:.6g}: "
                 f"range [{u_min:.6g}, {u_max:.6g}]"
             )
-    mu_coeff = bundle.law_at(k) if bundle.mu_mode == "empirical" else mu_ctrl
-    return mu_ctrl, u, mu_coeff
+    return mu_ctrl, u
 
 
 def _compensated_jump_step(y, dt, levy, noise, k, term):
@@ -455,7 +441,6 @@ def simulate(
     n_particles: int | None = None,
     n_steps: int | None = None,
     seed: int | None = None,
-    mu_mode: str = "exogenous",
     noise: NoiseBank | None = None,
 ) -> ParticleBundle:
     """Euler-Maruyama particle simulation of the controlled SDE.
@@ -465,11 +450,9 @@ def simulate(
     itself, and re-running it under other controls gives common random
     numbers.  A bank is rejected only when its step is not ``horizon / M``
     or it was drawn for another Levy measure than the model's.  The result
-    is a bit-for-bit function of (model, controls, noise, mu_mode) and
-    records its bank and ``mu_mode``.
+    is a bit-for-bit function of (model, controls, noise) and records its
+    bank.
     """
-    if mu_mode not in ("exogenous", "empirical"):
-        raise ValueError(f"unknown mu_mode {mu_mode!r}")
     drawn_from = (n_particles, n_steps, seed)
     if noise is None:
         if any(v is None for v in drawn_from):
@@ -489,22 +472,22 @@ def simulate(
     times = np.linspace(0.0, model.horizon, m + 1)
     dt = float(times[1] - times[0])
     scenario = np.arange(n)
-    bundle = ParticleBundle(times, _time_major(n, m + 1), noise, mu_mode)
+    bundle = ParticleBundle(times, _time_major(n, m + 1), noise)
     states = bundle.states
     states[:, 0] = model.x0
     levy = model.levy
     for k in range(m):
         t = float(times[k])
         x = states[:, k]
-        _, u, mu_coeff = _step_controls(k, bundle, controls, scenario)
-        b = model.drift(t, x, mu_coeff, u, scenario)
-        s = model.vol(t, x, mu_coeff, u, scenario)
+        mu, u = _step_controls(k, bundle, controls, scenario)
+        b = model.drift(t, x, mu, u, scenario)
+        s = model.vol(t, x, mu, u, scenario)
         x_next = x + b * dt + s * noise.dB[:, k]
         if levy is not None:
 
             def jump_term(j, i):
                 return model.jump(
-                    t, x[i], mu_coeff, _as_particle_values(u, i),
+                    t, x[i], mu, _as_particle_values(u, i),
                     levy.jump_sizes[j], scenario[i],
                 )
 
@@ -531,7 +514,6 @@ class StepView:
     t: float
     x: np.ndarray
     mu_ctrl: DiscreteMeasure
-    mu_coeff: DiscreteMeasure
     u: float | np.ndarray
     bundle: ParticleBundle = field(repr=False)
 
@@ -542,16 +524,14 @@ class StepView:
 
 def _step_view(bundle: ParticleBundle, controls: ControlPair, k: int, scenario) -> StepView:
     """The control and measure arguments of a simulation at step k."""
-    mu_ctrl, u, mu_coeff = _step_controls(k, bundle, controls, scenario)
+    mu_ctrl, u = _step_controls(k, bundle, controls, scenario)
     return StepView(
-        k=k, t=float(bundle.times[k]), x=bundle.states[:, k],
-        mu_ctrl=mu_ctrl, mu_coeff=mu_coeff, u=u, bundle=bundle,
+        k=k, t=float(bundle.times[k]), x=bundle.states[:, k], mu_ctrl=mu_ctrl, u=u, bundle=bundle,
     )
 
 
 def iter_steps(bundle: ParticleBundle, controls: ControlPair):
-    """Replay the per-step control and measure arguments of a simulation,
-    in the measure mode the bundle was simulated in."""
+    """Replay the per-step control and measure arguments of a simulation."""
     scenario = np.arange(bundle.n_particles)
     for k in range(bundle.n_steps):
         yield _step_view(bundle, controls, k, scenario)
@@ -719,7 +699,7 @@ def simulate_derivative_process(
     noise = bundle.noise
     levy = model.levy
     for sv in iter_steps(bundle, controls):
-        k, t, x, mu, u = sv.k, sv.t, sv.x, sv.mu_coeff, sv.u
+        k, t, x, mu, u = sv.k, sv.t, sv.x, sv.mu_ctrl, sv.u
         zk = z[:, k]
         eta = direction.eta_at(t)
         pi = direction.pi_at(t)

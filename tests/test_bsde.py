@@ -272,7 +272,7 @@ def test_adjoint_recomputed_phi_is_bitwise_the_two_table_formula():
         terminal=lambda x, m, s: np.sqrt(1.0 + x * x) * m.mass_on(-math.inf, 1.0),
     )
     n, m = 300, 40
-    bundle = simulate(model, controls, n, m, seed=11, mu_mode="empirical")
+    bundle = simulate(model, controls, n, m, seed=11)
     assert controls.mu_info.lag_steps(bundle.dt) > 0
 
     sol = adjoint_p0_solve(model, perf, bundle, controls)
@@ -285,7 +285,7 @@ def test_adjoint_recomputed_phi_is_bitwise_the_two_table_formula():
     phi = _time_major(n, m)
     gam = _gamma_start(n, m)
     for sv in iter_steps(bundle, controls):
-        k, t, x, mu, u = sv.k, sv.t, sv.x, sv.mu_coeff, sv.u
+        k, t, x, mu, u = sv.k, sv.t, sv.x, sv.mu_ctrl, sv.u
         phi[:, k] = lx(t, x, sv.law, sv.mu_ctrl, u, scen)
         jump_phi = [gx(t, x, mu, u, zeta, scen) for zeta in levy.jump_sizes]
         _gamma_step(gam, k, bx(t, x, mu, u, scen), sx(t, x, mu, u, scen), jump_phi, levy, bundle.noise)

@@ -211,7 +211,8 @@ def test_zero_sum_adjoints_are_exact_negations(levy):
     bundle = simulate(spec.model, cons.feedback_pair(model, cf), 400, 30, seed=3)
     candidate, _, _ = cons.frozen_pair(model, cf, bundle)
     adjoint = solve_adjoints(spec, bundle, candidate)
-    assert np.array_equal(adjoint.p0[1].P, -adjoint.p0[2].P)
+    for k in range(bundle.n_steps + 1):
+        assert adjoint.p0[1].p_at(k).tobytes() == (-adjoint.p0[2].p_at(k)).tobytes()
 
 
 def _spy_adjoint_solves(monkeypatch):
@@ -237,9 +238,8 @@ def test_zero_sum_game_solves_one_adjoint(cgame, monkeypatch):
     adjoint = solve_adjoints(spec, bundle, candidate)
     assert len(calls) == 1 and calls[0][1] is spec.perf2
     own = adjoint_p0_solve(spec.model, spec.perf1, bundle, candidate)
-    assert adjoint.p0[1].P.tobytes() == own.P.tobytes()
-    assert adjoint.p0[1].p_at(7).tobytes() == own.p_at(7).tobytes()
-    assert adjoint.p0[1].times is adjoint.p0[2].times
+    for k in range(bundle.n_steps + 1):
+        assert adjoint.p0[1].p_at(k).tobytes() == own.p_at(k).tobytes()
 
 
 def test_general_game_solves_both_adjoints(lq, monkeypatch):
@@ -378,13 +378,12 @@ def test_saddle_orientation_consumption(cgame):
     n=st.integers(2, 40),
     m=st.integers(1, 12),
     kind=st.sampled_from(["measure", "control"]),
-    mu_mode=st.sampled_from(["exogenous", "empirical"]),
 )
-def test_sweep_zero_lambda_row_is_exactly_zero_property(seed, n, m, kind, mu_mode):
-    """CRN lambda = 0 identity: the zero row is exactly zero in either measure mode."""
+def test_sweep_zero_lambda_row_is_exactly_zero_property(seed, n, m, kind):
+    """CRN lambda = 0 identity: the zero row is exactly zero."""
     spec = lq_toy_game()
     candidate = lq_candidates(1.0, 1.0, 1.0)
-    bundle = simulate(spec.model, candidate, n, m, seed=seed, mu_mode=mu_mode)
+    bundle = simulate(spec.model, candidate, n, m, seed=seed)
     direction = Direction(kind=kind, t0=0.0, measure=DiscreteMeasure.dirac(0.0))
     plan = PerturbationPlan(directions=[direction], lambdas=(0.1, 0.0, -0.1))
     table = nash_perturbation_sweep(spec, candidate, plan, bundle)

@@ -5,8 +5,9 @@ arrays in between, so that a change meant to keep every bit (a cache, a
 batched kernel, a reordered loop) can prove it by running one test:
 
 - states and ``performance_samples`` of the consumption cash flow under its
-  feedback candidate, in both measure modes, with and without a 3-atom Levy
-  measure, and with and without delayed information (N=400, M=30)
+  feedback candidate, with and without a 3-atom Levy measure, and with and
+  without delayed information (N=400, M=30), and the states of the same
+  runs with the measure control replaced by the law under full information
 - every ``empirical_law``'s atoms and weights along two of those bundles
 - ``mass_on`` over laws, over laws plus a signed pair (the frozen candidate)
   and over lambda deviations of the frozen and of the feedback candidate,
@@ -17,8 +18,7 @@ batched kernel, a reordered loop) can prove it by running one test:
 - ``fourier_tables`` of one bundle's laws with one and with two CPUs
 - the whole atoms, weights and Fourier tables of the frozen candidate's
   measures and of their lambda deviations, read after their masses
-- both players' ``adjoint_p0_solve`` P in both measure modes, with and
-  without the Levy measure, and the Gamma paths of state-dependent
+- both players' ``adjoint_p0_solve`` P with and without the Levy measure, and the Gamma paths of state-dependent
   coefficients on the same bundles
 - ``simulate_derivative_process`` in the measure and the control direction,
   with the model's analytic partials and with finite-difference partials
@@ -129,67 +129,72 @@ def _run_arrays(out: dict, seed: int, n: int, m: int) -> None:
             cf = cons.closed_form_controls(model)
             controls = cons.feedback_pair(model, cf)
             noise = draw_noise(seed, n, m, model.horizon, model.levy)
-            for mu_mode in ("exogenous", "empirical"):
-                name = f"levy={int(levy)},delay={int(delay)},{mu_mode}"
-                bundle = simulate(cons.state_model(model), controls, mu_mode=mu_mode, noise=noise)
-                out[f"run/{name}/states"] = bundle.states
-                out[f"run/{name}/performance"] = performance_samples(
-                    bundle, controls, cons.performance(model)
-                )
-                if delay:
-                    continue
-                spec = cons.game_spec(model)
-                frozen, _, _ = cons.frozen_pair(model, cf, bundle)
-                for player in (1, 2):
-                    out[f"adjoint/{name}/player={player}"] = adjoint_p0_solve(
-                        spec.model, spec.performance_for(player), bundle, frozen
-                    ).P
-                if mu_mode != "exogenous":
-                    continue
-                out[f"gamma/{name}"] = _gamma_paths(bundle, levy)
-                directions = {
-                    "measure": Direction(kind="measure", measure=DiscreteMeasure.dirac(model.v_probe)),
-                    "control": Direction(kind="control", t0=0.5, scalar=1.0),
-                }
-                partials = {"analytic": spec.model, "fd": replace(spec.model, partials=None)}
-                for kind, direction in directions.items():
-                    for label, state in partials.items():
-                        out[f"deriv/{name}/{kind}/{label}"] = simulate_derivative_process(
-                            bundle, state, frozen, direction
-                        )
-                laws = [bundle.law_at(k) for k in range(m + 1)]
-                out[f"law/{name}/locations"] = np.concatenate([law.locations for law in laws])
-                out[f"law/{name}/weights"] = np.concatenate([law.weights for law in laws])
-                out[f"mass/{name}/laws"] = [_masses(law, model) for law in laws]
-                scen = np.arange(n)
-                infos = [SimInfo(bundle, k, scen) for k in range(m)]
-                out[f"mass/{name}/frozen"] = [
-                    _masses(frozen.measure_ctrl(info.t, info), model) for info in infos
+            tag = f"levy={int(levy)},delay={int(delay)}"
+            # the classical coupling mu(t) = L(X(t)) as a measure control
+            law_control = replace(
+                controls, measure_ctrl=lambda t, info: info.law, mu_info=InfoPattern()
+            )
+            out[f"run/{tag},law-control/states"] = simulate(
+                cons.state_model(model), law_control, noise=noise
+            ).states
+            name = f"{tag},exogenous"
+            bundle = simulate(cons.state_model(model), controls, noise=noise)
+            out[f"run/{name}/states"] = bundle.states
+            out[f"run/{name}/performance"] = performance_samples(
+                bundle, controls, cons.performance(model)
+            )
+            if delay:
+                continue
+            spec = cons.game_spec(model)
+            frozen, _, _ = cons.frozen_pair(model, cf, bundle)
+            for player in (1, 2):
+                out[f"adjoint/{name}/player={player}"] = adjoint_p0_solve(
+                    spec.model, spec.performance_for(player), bundle, frozen
+                ).P
+            out[f"gamma/{name}"] = _gamma_paths(bundle, levy)
+            directions = {
+                "measure": Direction(kind="measure", measure=DiscreteMeasure.dirac(model.v_probe)),
+                "control": Direction(kind="control", t0=0.5, scalar=1.0),
+            }
+            partials = {"analytic": spec.model, "fd": replace(spec.model, partials=None)}
+            for kind, direction in directions.items():
+                for label, state in partials.items():
+                    out[f"deriv/{name}/{kind}/{label}"] = simulate_derivative_process(
+                        bundle, state, frozen, direction
+                    )
+            laws = [bundle.law_at(k) for k in range(m + 1)]
+            out[f"law/{name}/locations"] = np.concatenate([law.locations for law in laws])
+            out[f"law/{name}/weights"] = np.concatenate([law.weights for law in laws])
+            out[f"mass/{name}/laws"] = [_masses(law, model) for law in laws]
+            scen = np.arange(n)
+            infos = [SimInfo(bundle, k, scen) for k in range(m)]
+            out[f"mass/{name}/frozen"] = [
+                _masses(frozen.measure_ctrl(info.t, info), model) for info in infos
+            ]
+            direction = Direction(kind="measure", measure=DiscreteMeasure.dirac(model.v_probe))
+            pert = perturbed_controls(frozen, direction, LAMBDA)
+            out[f"mass/{name}/frozen-deviation"] = [
+                _masses(pert.measure_ctrl(info.t, info), model) for info in infos
+            ]
+            nodes = gauss_hermite_rule(32).nodes
+            for label, ctrl in (("frozen", frozen), ("frozen-deviation", pert)):
+                sums = [ctrl.measure_ctrl(info.t, info) for info in infos]
+                out[f"sum/{name}/{label}/locations"] = np.concatenate([mu.locations for mu in sums])
+                out[f"sum/{name}/{label}/weights"] = np.concatenate([mu.weights for mu in sums])
+                out[f"sum/{name}/{label}/fourier"] = np.stack([mu.fourier(nodes) for mu in sums])
+            # one perturbed feedback pair read along two bundles: the same
+            # t meets another base measure
+            pert = perturbed_controls(controls, direction, LAMBDA)
+            other = simulate(cons.state_model(model), controls, n, m, seed + 1)
+            for label, b in (("", bundle), ("-other", other)):
+                out[f"mass/{name}/feedback-deviation{label}"] = [
+                    _masses(pert.measure_ctrl(float(b.times[k]), SimInfo(b, k, scen)), model)
+                    for k in range(m)
                 ]
-                direction = Direction(kind="measure", measure=DiscreteMeasure.dirac(model.v_probe))
-                pert = perturbed_controls(frozen, direction, LAMBDA)
-                out[f"mass/{name}/frozen-deviation"] = [
-                    _masses(pert.measure_ctrl(info.t, info), model) for info in infos
-                ]
-                nodes = gauss_hermite_rule(32).nodes
-                for label, ctrl in (("frozen", frozen), ("frozen-deviation", pert)):
-                    sums = [ctrl.measure_ctrl(info.t, info) for info in infos]
-                    out[f"sum/{name}/{label}/locations"] = np.concatenate([mu.locations for mu in sums])
-                    out[f"sum/{name}/{label}/weights"] = np.concatenate([mu.weights for mu in sums])
-                    out[f"sum/{name}/{label}/fourier"] = np.stack([mu.fourier(nodes) for mu in sums])
-                # one perturbed feedback pair read along two bundles: the same
-                # t meets another base measure
-                pert = perturbed_controls(controls, direction, LAMBDA)
-                other = simulate(cons.state_model(model), controls, n, m, seed + 1)
-                for label, b in (("", bundle), ("-other", other)):
-                    out[f"mass/{name}/feedback-deviation{label}"] = [
-                        _masses(pert.measure_ctrl(float(b.times[k]), SimInfo(b, k, scen)), model)
-                        for k in range(m)
-                    ]
-                for cpus in (1, 2):
-                    with mock.patch.object(measures_module, "_cpu_count", lambda: cpus):
-                        table = fourier_tables(laws, nodes)
-                    out[f"fourier/{name}/cpus={cpus}"] = table
+            for cpus in (1, 2):
+                with mock.patch.object(measures_module, "_cpu_count", lambda: cpus):
+                    table = fourier_tables(laws, nodes)
+                out[f"fourier/{name}/cpus={cpus}"] = table
 
 
 def _game_arrays(out: dict, seed: int, n: int, m: int) -> None:
@@ -197,12 +202,12 @@ def _game_arrays(out: dict, seed: int, n: int, m: int) -> None:
     curve is labelled with the variant whose run produced it.  Both sweeps
     reach the row loop `_sweep_rows`, the main one through
     `nash_perturbation_sweep` and the inflated one through its own helper;
-    the spy there sees each sweep's base samples, noise and mode."""
+    the spy there sees each sweep's base samples and noise."""
     sweeps, residuals = [], {}
 
-    def rows_spy(spec, candidate, plan, base, noise, mu_mode):
-        sweeps.append((spec, candidate, plan, base, noise, mu_mode))
-        return real_rows(spec, candidate, plan, base, noise, mu_mode)
+    def rows_spy(spec, candidate, plan, base, noise):
+        sweeps.append((spec, candidate, plan, base, noise))
+        return real_rows(spec, candidate, plan, base, noise)
 
     def variant_spy(spec, model, variant, noise):
         run = real_variant_run(spec, model, variant, noise)
@@ -216,13 +221,13 @@ def _game_arrays(out: dict, seed: int, n: int, m: int) -> None:
             mock.patch.object(cons, "_variant_run", variant_spy):
         cons.verify_consumption_game(model, n_particles=n, n_steps=m, seed=seed)
     assert len(sweeps) == 2 and sorted(residuals) == sorted(cons.VARIANTS)
-    for label, (spec, candidate, plan, base, noise, mu_mode) in zip(("main", "inflated"), sweeps):
+    for label, (spec, candidate, plan, base, noise) in zip(("main", "inflated"), sweeps):
         for d_id, direction in enumerate(plan.directions):
             player = 1 if direction.kind == "measure" else 2
             perf = spec.performance_for(player)
             for lam in plan.lambdas:
                 pert = perturbed_controls(candidate, direction, lam)
-                deviated = simulate(spec.model, pert, mu_mode=mu_mode, noise=noise)
+                deviated = simulate(spec.model, pert, noise=noise)
                 out[f"sweep/{label}/direction={d_id},lambda={lam}"] = (
                     performance_samples(deviated, pert, perf) - base[player]
                 )

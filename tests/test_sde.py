@@ -89,13 +89,11 @@ def test_time_major_layout_keeps_public_shapes():
     gam = _gamma_start(n, m)
     for k in range(m):
         _gamma_step(gam, k, 0.1, 0.3, list(levy.jump_sizes), levy, noise)
-    brownian = bundle.brownian_levels()
     for name, arr, shape in (
         ("states", bundle.states, (n, m + 1)),
         ("dB", noise.dB, (n, m)),
         ("derivative", z, (n, m + 1)),
         ("gamma", gam, (n, m + 1)),
-        ("brownian", brownian, (n, m + 1)),
     ):
         assert arr.shape == shape, name
         for k in (0, shape[1] // 2, shape[1] - 1):
@@ -103,8 +101,6 @@ def test_time_major_layout_keeps_public_shapes():
     draw = np.random.Generator(np.random.Philox(key=seed)).standard_normal((n, m))
     expected = draw * math.sqrt(1.0 / m)
     assert noise.dB.tobytes() == expected.tobytes()
-    assert np.array_equal(brownian[:, 1:], np.cumsum(expected, axis=1))
-    assert np.all(brownian[:, 0] == 0.0)
 
 
 def test_crn_zero_perturbation_identity():
@@ -224,40 +220,28 @@ def test_simulation_error_names_step_and_particle():
         simulate(model, trivial_controls(), 10, 10, seed=1)
 
 
-def test_empirical_mu_mode_feeds_previous_law():
-    """Coefficients in empirical mode see the cross-sectional law, not the control."""
+def test_law_control_feeds_the_drift_the_bundle_law():
+    """The classical coupling mu(t) = L(X(t)) is the control that returns
+    ``info.law``: under full information the drift sees the bundle's own law
+    at every step, and a replay hands it back as the measure control."""
     seen = []
 
     def drift(t, x, mu, u, s):
-        seen.append(mu.total_mass())
-        return np.zeros_like(x)
+        seen.append(mu)
+        return mu.mass_on(0.0, 2.0) - x
 
-    model = ControlledModel(drift=drift, vol=lambda t, x, mu, u, s: np.zeros_like(x), x0=2.0, horizon=1.0)
-    ctrl = ControlPair(
-        measure_ctrl=lambda t, info: DiscreteMeasure.dirac(0.0, 5.0),  # mass 5 control
-        scalar_ctrl=lambda t, info: 0.0,
-    )
-    simulate(model, ctrl, 10, 3, seed=0, mu_mode="empirical")
-    assert seen and all(v == pytest.approx(1.0) for v in seen)
-
-
-def test_empirical_bundle_replays_its_own_law():
-    """An empirical-mode bundle records its mode and replays the law as mu_coeff."""
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: mu.mass_on(0.0, 2.0) - x,
-        vol=lambda t, x, mu, u, s: 0.3 * np.ones_like(x),
-        x0=1.0,
-        horizon=1.0,
+        drift=drift, vol=lambda t, x, mu, u, s: 0.3 * np.ones_like(x), x0=1.0, horizon=1.0
     )
-    ctrl = trivial_controls()
-    bundle = simulate(model, ctrl, 50, 8, seed=4, mu_mode="empirical")
-    assert bundle.mu_mode == "empirical"
+    ctrl = ControlPair(measure_ctrl=lambda t, info: info.law, scalar_ctrl=lambda t, info: 0.0)
+    bundle = simulate(model, ctrl, 50, 8, seed=4)
+    assert len(seen) == 8
+    for k, mu in enumerate(seen):
+        assert mu is bundle.law_at(k)
     steps = list(iter_steps(bundle, ctrl))
     assert [sv.k for sv in steps] == list(range(8))
     for sv in steps:
-        assert sv.mu_coeff is bundle.law_at(sv.k)
-        assert sv.law is bundle.law_at(sv.k)
-    assert simulate(model, ctrl, 50, 8, seed=4).mu_mode == "exogenous"
+        assert sv.mu_ctrl is sv.law is bundle.law_at(sv.k)
 
 
 def test_delay_pattern_sees_lagged_state():
@@ -484,17 +468,6 @@ def test_derivative_uses_analytic_partials_when_given():
 def test_draw_noise_validation():
     with pytest.raises(ValueError):
         draw_noise(0, 0, 10, 1.0)
-    with pytest.raises(ValueError):
-        simulate(
-            ControlledModel(
-                drift=lambda t, x, mu, u, s: x, vol=lambda t, x, mu, u, s: x, x0=1.0, horizon=1.0
-            ),
-            trivial_controls(),
-            10,
-            10,
-            seed=0,
-            mu_mode="bogus",
-        )
 
 
 def _whole_array_noise(seed, n, m, horizon, levy):
@@ -704,13 +677,14 @@ def test_noise_bank_and_filled_bundle_are_read_only():
         x0=1.0,
         horizon=1.0,
     )
-    bundle = simulate(model, trivial_controls(), 200, 10, seed=4, mu_mode="empirical")
+    law_control = ControlPair(measure_ctrl=lambda t, info: info.law, scalar_ctrl=lambda t, info: 0.0)
+    bundle = simulate(model, law_control, 200, 10, seed=4)
     bank = bundle.noise
     assert bank.n_events > 0
     _assert_read_only(
         bank.dB, bank.ev_particle, bank.ev_step, bank.ev_zeta, bank._step_offsets,
         bank.jump_sizes, bank.jump_rates,
-        bundle.states, bundle.brownian_levels(), bundle.law_at(3)._column,
+        bundle.states, bundle.law_at(3)._column,
         SimInfo(bundle, 4, np.arange(200)).x,
     )
     # the sweep read laws while it filled states; their columns were frozen too
