@@ -95,6 +95,7 @@ def test_mu_hat_variant_offsets():
 def test_variant_and_theta_validation():
     with pytest.raises(ValueError):
         cons.closed_form_controls(canonical_model(), "folk-theorem")
+    assert type(canonical_model(theta=2).theta) is float
 
 
 def test_model_validation():
