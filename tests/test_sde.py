@@ -220,24 +220,36 @@ def test_simulation_error_names_step_and_particle():
         simulate(model, trivial_controls(), 10, 10, seed=1)
 
 
-def test_law_control_feeds_the_drift_the_bundle_law():
-    """The classical coupling mu(t) = L(X(t)) is the control that returns
-    ``info.law``: under full information the drift sees the bundle's own law
-    at every step, and a replay hands it back as the measure control."""
-    seen = []
+def _simulate_law_control(seen=None):
+    """Simulate under the classical coupling mu(t) = L(X(t)): the measure
+    control that returns ``info.law``. The drift appends each mu to ``seen``."""
 
     def drift(t, x, mu, u, s):
-        seen.append(mu)
+        if seen is not None:
+            seen.append(mu)
         return mu.mass_on(0.0, 2.0) - x
 
     model = ControlledModel(
         drift=drift, vol=lambda t, x, mu, u, s: 0.3 * np.ones_like(x), x0=1.0, horizon=1.0
     )
     ctrl = ControlPair(measure_ctrl=lambda t, info: info.law, scalar_ctrl=lambda t, info: 0.0)
-    bundle = simulate(model, ctrl, 50, 8, seed=4)
+    return simulate(model, ctrl, 50, 8, seed=4), ctrl
+
+
+def test_empirical_mu_mode_feeds_previous_law():
+    """Under full information the law control feeds the drift the bundle's own
+    cross-sectional law at every step, a probability measure."""
+    seen = []
+    bundle, _ = _simulate_law_control(seen)
     assert len(seen) == 8
     for k, mu in enumerate(seen):
         assert mu is bundle.law_at(k)
+        assert mu.total_mass() == pytest.approx(1.0)
+
+
+def test_empirical_bundle_replays_its_own_law():
+    """A replay of a law-control bundle hands its law back as the measure control."""
+    bundle, ctrl = _simulate_law_control()
     steps = list(iter_steps(bundle, ctrl))
     assert [sv.k for sv in steps] == list(range(8))
     for sv in steps:
