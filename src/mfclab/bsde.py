@@ -89,7 +89,7 @@ class BsdeSolution:
 
 
 def _column(n: int, value) -> np.ndarray:
-    """A coefficient's scalar or per-scenario value as a float (n,) array."""
+    """A coefficient's scalar or per-particle value as a float (n,) array."""
     col = np.empty(n)
     col[:] = value
     return col
@@ -118,7 +118,7 @@ def _gamma_step(gam: np.ndarray, k: int, alpha, beta, jump_phi, levy, noise) -> 
     if np.any(gam[:, k + 1] <= 0.0):
         bad = int(np.flatnonzero(gam[:, k + 1] <= 0.0)[0])
         raise GammaPositivityError(
-            f"Gamma nonpositive at step {k + 1}, scenario {bad}; "
+            f"Gamma nonpositive at step {k + 1}, particle {bad}; "
             "decrease the step size"
         )
 
@@ -192,7 +192,6 @@ def adjoint_p0_solve(
     in each pass.
     """
     n, m = bundle.n_particles, bundle.n_steps
-    scen = np.arange(n)
     levy = model.levy
     atoms = levy.jump_sizes if levy is not None else ()
     partials = model.partials or CoefficientPartials()
@@ -204,24 +203,24 @@ def adjoint_p0_solve(
     gam = _gamma_start(n, m)
     for sv in iter_steps(bundle, controls):
         k, t, x, mu, u = sv.k, sv.t, sv.x, sv.mu_ctrl, sv.u
-        alpha = bx(t, x, mu, u, scen)
-        beta = sx(t, x, mu, u, scen)
-        jump_phi = [gx(t, x, mu, u, zeta, scen) for zeta in atoms]
+        alpha = bx(t, x, mu, u)
+        beta = sx(t, x, mu, u)
+        jump_phi = [gx(t, x, mu, u, zeta) for zeta in atoms]
         _gamma_step(gam, k, alpha, beta, jump_phi, levy, bundle.noise)
 
     x_T = bundle.states[:, -1]
     m_T = bundle.law_at(m)
     if perf.terminal_dx is not None:
-        theta = _column(n, perf.terminal_dx(x_T, m_T, scen))
+        theta = _column(n, perf.terminal_dx(x_T, m_T))
     else:
-        theta = _column(n, _central_difference(lambda h: perf.terminal(x_T + h, m_T, scen)))
+        theta = _column(n, _central_difference(lambda h: perf.terminal(x_T + h, m_T)))
 
     p, dt = gam, bundle.noise.dt
     acc = theta * p[:, m]
     p[:, m] = theta
     for k in range(m - 1, -1, -1):
-        sv = _step_view(bundle, controls, k, scen)
-        phi = _column(n, lx(sv.t, sv.x, sv.law, sv.mu_ctrl, sv.u, scen))
+        sv = _step_view(bundle, controls, k)
+        phi = _column(n, lx(sv.t, sv.x, sv.law, sv.mu_ctrl, sv.u))
         acc = acc + p[:, k] * phi * dt
         p[:, k] = acc / p[:, k]
     return BsdeSolution(times=bundle.times, P=p)

@@ -131,28 +131,28 @@ def state_model(model: ConsumptionModel) -> ControlledModel:
     """The cash flow as a controlled SDE with analytic coefficient partials."""
     lo, hi = model.v_interval
 
-    def drift(t, x, mu, u, scen):
+    def drift(t, x, mu, u):
         return (mu.mass_on(lo, hi) - u) * x
 
-    def vol(t, x, mu, u, scen):
+    def vol(t, x, mu, u):
         return model.vol(t) * x
 
     partials = CoefficientPartials(
-        drift_dx=lambda t, x, mu, u, scen: (mu.mass_on(lo, hi) - u) * np.ones_like(x),
-        vol_dx=lambda t, x, mu, u, scen: model.vol(t) * np.ones_like(x),
-        drift_du=lambda t, x, mu, u, scen: -x,
-        vol_du=lambda t, x, mu, u, scen: np.zeros_like(x),
-        drift_dmu=lambda t, x, mu, eta, u, scen: eta.mass_on(lo, hi) * x,
-        vol_dmu=lambda t, x, mu, eta, u, scen: np.zeros_like(x),
+        drift_dx=lambda t, x, mu, u: (mu.mass_on(lo, hi) - u) * np.ones_like(x),
+        vol_dx=lambda t, x, mu, u: model.vol(t) * np.ones_like(x),
+        drift_du=lambda t, x, mu, u: -x,
+        vol_du=lambda t, x, mu, u: np.zeros_like(x),
+        drift_dmu=lambda t, x, mu, eta, u: eta.mass_on(lo, hi) * x,
+        vol_dmu=lambda t, x, mu, eta, u: np.zeros_like(x),
     )
     jump = None
     if model.levy is not None:
-        def jump(t, x, mu, u, zeta, scen):
+        def jump(t, x, mu, u, zeta):
             return model.jump_scale(t, zeta) * x
 
-        partials.jump_dx = lambda t, x, mu, u, zeta, scen: model.jump_scale(t, zeta) * np.ones_like(x)
-        partials.jump_du = lambda t, x, mu, u, zeta, scen: np.zeros_like(x)
-        partials.jump_dmu = lambda t, x, mu, eta, u, zeta, scen: np.zeros_like(x)
+        partials.jump_dx = lambda t, x, mu, u, zeta: model.jump_scale(t, zeta) * np.ones_like(x)
+        partials.jump_du = lambda t, x, mu, u, zeta: np.zeros_like(x)
+        partials.jump_dmu = lambda t, x, mu, eta, u, zeta: np.zeros_like(x)
 
     return ControlledModel(
         drift=drift,
@@ -170,21 +170,21 @@ def performance(model: ConsumptionModel) -> PerformanceSpec:
     lo, hi = model.v_interval
     theta = model.theta
 
-    def running(t, x, m, mu, u, scen):
+    def running(t, x, m, mu, u):
         gap = mu.mass_on(lo, hi) - m.mass_on(lo, hi)
         return np.log(u * x) + gap * gap
 
-    def terminal(x, m, scen):
+    def terminal(x, m):
         return theta * np.log(x)
 
-    def terminal_dx(x, m, scen):
+    def terminal_dx(x, m):
         return theta / x
 
     return PerformanceSpec(
         running=running,
         terminal=terminal,
-        running_dx=lambda t, x, m, mu, u, scen: 1.0 / x,
-        running_du=lambda t, x, m, mu, u, scen: (1.0 / u) * np.ones_like(np.asarray(x, dtype=float)),
+        running_dx=lambda t, x, m, mu, u: 1.0 / x,
+        running_du=lambda t, x, m, mu, u: (1.0 / u) * np.ones_like(np.asarray(x, dtype=float)),
         terminal_dx=terminal_dx,
     )
 

@@ -274,8 +274,8 @@ def increment_scaling_checks(cfg: ExperimentConfig) -> list[CheckResult]:
     checks.append(CheckResult("increment-slope-dirac", slope_d, 1.8, slope_d >= 1.8))
 
     model = ControlledModel(
-        drift=lambda t, x, mu, u, scen: np.zeros_like(x),
-        vol=lambda t, x, mu, u, scen: np.ones_like(x),
+        drift=lambda t, x, mu, u: np.zeros_like(x),
+        vol=lambda t, x, mu, u: np.ones_like(x),
         x0=0.0,
         horizon=1.0,
     )
@@ -323,8 +323,8 @@ def run_sde_moments(cfg: ExperimentConfig) -> list[CheckResult]:
     checks = []
     for a, s in ((0.1, 0.2), (-0.05, 0.3)):
         model = ControlledModel(
-            drift=lambda t, x, mu, u, scen, a=a: a * x,
-            vol=lambda t, x, mu, u, scen, s=s: s * x,
+            drift=lambda t, x, mu, u, a=a: a * x,
+            vol=lambda t, x, mu, u, s=s: s * x,
             x0=1.0,
             horizon=1.0,
         )
@@ -337,9 +337,9 @@ def run_sde_moments(cfg: ExperimentConfig) -> list[CheckResult]:
                         detail=f"mean={mean:.6f} target={target:.6f}")
         )
     model_j = ControlledModel(
-        drift=lambda t, x, mu, u, scen: np.zeros_like(x),
-        vol=lambda t, x, mu, u, scen: np.zeros_like(x),
-        jump=lambda t, x, mu, u, zeta, scen: 0.3 * x,
+        drift=lambda t, x, mu, u: np.zeros_like(x),
+        vol=lambda t, x, mu, u: np.zeros_like(x),
+        jump=lambda t, x, mu, u, zeta: 0.3 * x,
         levy=LevyMeasure([1.0], [1.0]),
         x0=1.0,
         horizon=1.0,
@@ -353,8 +353,8 @@ def run_sde_moments(cfg: ExperimentConfig) -> list[CheckResult]:
     c_gross, r = 0.3, 0.1
     mu_const = DiscreteMeasure.dirac(1.0, c_gross)
     model_c = ControlledModel(
-        drift=lambda t, x, mu, u, scen: (mu.mass_on(0.0, 2.0) - u) * x,
-        vol=lambda t, x, mu, u, scen: 0.2 * x,
+        drift=lambda t, x, mu, u: (mu.mass_on(0.0, 2.0) - u) * x,
+        vol=lambda t, x, mu, u: 0.2 * x,
         x0=1.0,
         horizon=1.0,
     )
@@ -447,9 +447,9 @@ def _quotient_l2_errors(cfg: ExperimentConfig) -> list[float]:
     simulated; the base paths, Z and the noise go on return."""
     v = (0.0, 2.0)
     model = ControlledModel(
-        drift=lambda t, x, mu, u, scen: mu.mass_on(*v) * x,
-        vol=lambda t, x, mu, u, scen: 0.2 * x,
-        jump=lambda t, x, mu, u, zeta, scen: zeta * x,
+        drift=lambda t, x, mu, u: mu.mass_on(*v) * x,
+        vol=lambda t, x, mu, u: 0.2 * x,
+        jump=lambda t, x, mu, u, zeta: zeta * x,
         levy=LevyMeasure([0.1], [0.5]),
         x0=1.0,
         horizon=1.0,
@@ -488,14 +488,14 @@ def run_gateaux(cfg: ExperimentConfig) -> list[CheckResult]:
 
     # FD slope vs adjoint slope on the drift-control model (p0 = 1)
     model_u = ControlledModel(
-        drift=lambda t, x, mu, u, scen: u * np.ones_like(x),
-        vol=lambda t, x, mu, u, scen: 0.3 * np.ones_like(x),
+        drift=lambda t, x, mu, u: u * np.ones_like(x),
+        vol=lambda t, x, mu, u: 0.3 * np.ones_like(x),
         x0=0.0,
         horizon=1.0,
     )
     perf = PerformanceSpec(
-        running=lambda t, x, m_, mu, u, scen: -0.5 * u * u * np.ones_like(x),
-        terminal=lambda x, m_, scen: x,
+        running=lambda t, x, m_, mu, u: -0.5 * u * u * np.ones_like(x),
+        terminal=lambda x, m_: x,
     )
     spec = GameSpec(model_u, perf1=perf, perf2=perf)
     u0 = 0.5
@@ -541,18 +541,18 @@ def lq_toy_game(sigma0: float = 0.3, q1: float = 1.0, q2: float = 1.0):
     """
     v = (-1.0, 1.0)
     model = ControlledModel(
-        drift=lambda t, x, mu, u, scen: u + mu.mass_on(*v) + 0.0 * x,
-        vol=lambda t, x, mu, u, scen: sigma0 * np.ones_like(x),
+        drift=lambda t, x, mu, u: u + mu.mass_on(*v) + 0.0 * x,
+        vol=lambda t, x, mu, u: sigma0 * np.ones_like(x),
         x0=0.0,
         horizon=1.0,
     )
     perf1 = PerformanceSpec(
-        running=lambda t, x, m_, mu, u, scen: -0.5 * mu.mass_on(*v) ** 2 + q1 * x,
-        terminal=lambda x, m_, scen: np.zeros_like(x),
+        running=lambda t, x, m_, mu, u: -0.5 * mu.mass_on(*v) ** 2 + q1 * x,
+        terminal=lambda x, m_: np.zeros_like(x),
     )
     perf2 = PerformanceSpec(
-        running=lambda t, x, m_, mu, u, scen: -0.5 * np.asarray(u) ** 2 + q2 * x,
-        terminal=lambda x, m_, scen: np.zeros_like(x),
+        running=lambda t, x, m_, mu, u: -0.5 * np.asarray(u) ** 2 + q2 * x,
+        terminal=lambda x, m_: np.zeros_like(x),
     )
     functional = IntervalMass(*v, probe=0.0, name="mass_V")
     return GameSpec(model, perf1, perf2, functionals=(functional,))
@@ -690,7 +690,8 @@ _SUMMARIES = {
         "LQ toy-game Nash certificate and refutation, run at min(n_particles, 4000) particles "
         "and min(n_steps, 100) steps"
     ),
-    "consumption": "consumption-game end-to-end verification with a [model] section",
+    "consumption": "consumption-game end-to-end verification with a [model] section; its "
+    "certificate is known to hold only while the law keeps its mass in V",
 }
 
 DESCRIPTIONS = {

@@ -150,7 +150,7 @@ def _mu_shifts(sv, eta: DiscreteMeasure) -> dict[float, DiscreteMeasure]:
     return {h: sv.mu_ctrl + eta.scaled(h) for h in (FD_STEP, -FD_STEP)}
 
 
-def _check_coefficient_independence(spec: GameSpec, sv, player: int, scen, mu_shifts) -> None:
+def _check_coefficient_independence(spec: GameSpec, sv, player: int, mu_shifts) -> None:
     """sigma and gamma must not see the perturbed argument: q0/r0 are not estimated.
 
     Probes one grid step; callers run it at every step they visit, since a
@@ -158,10 +158,10 @@ def _check_coefficient_independence(spec: GameSpec, sv, player: int, scen, mu_sh
     each `_mu_shifts` pair in ``mu_shifts`` (one per declared functional).
     """
     model = spec.model
-    coeffs = [("sigma", "q0", lambda mu, u: model.vol(sv.t, sv.x, mu, u, scen))]
+    coeffs = [("sigma", "q0", lambda mu, u: model.vol(sv.t, sv.x, mu, u))]
     if model.levy is not None:
         coeffs += [
-            ("gamma", "r0", lambda mu, u, zeta=zeta: model.jump(sv.t, sv.x, mu, u, zeta, scen))
+            ("gamma", "r0", lambda mu, u, zeta=zeta: model.jump(sv.t, sv.x, mu, u, zeta))
             for zeta in model.levy.jump_sizes
         ]
     if player == 2:
@@ -177,28 +177,28 @@ def _check_coefficient_independence(spec: GameSpec, sv, player: int, scen, mu_sh
                 )
 
 
-def _dh_du_samples(spec: GameSpec, sv, p0_vals, scen) -> np.ndarray:
-    """Per-scenario dH_2/du at one step (q0/r0 terms checked absent)."""
+def _dh_du_samples(spec: GameSpec, sv, p0_vals) -> np.ndarray:
+    """Per-particle dH_2/du at one step (q0/r0 terms checked absent)."""
     perf = spec.performance_for(2)
     model = spec.model
     if perf.running_du is not None:
-        dl = perf.running_du(sv.t, sv.x, sv.law, sv.mu_ctrl, sv.u, scen)
+        dl = perf.running_du(sv.t, sv.x, sv.law, sv.mu_ctrl, sv.u)
     else:
         dl = _central_difference(
-            lambda h: perf.running(sv.t, sv.x, sv.law, sv.mu_ctrl, sv.u + h, scen)
+            lambda h: perf.running(sv.t, sv.x, sv.law, sv.mu_ctrl, sv.u + h)
         )
-    db = _central_difference(lambda h: model.drift(sv.t, sv.x, sv.mu_ctrl, sv.u + h, scen))
+    db = _central_difference(lambda h: model.drift(sv.t, sv.x, sv.mu_ctrl, sv.u + h))
     return np.broadcast_to(dl + p0_vals * db, (sv.x.size,))
 
 
-def _dh_dmu_samples(spec: GameSpec, sv, p0_vals, mu_shifts, player: int, scen) -> np.ndarray:
-    """Per-scenario directional dH_player/dmu at one step along a `_mu_shifts` pair."""
+def _dh_dmu_samples(spec: GameSpec, sv, p0_vals, mu_shifts, player: int) -> np.ndarray:
+    """Per-particle directional dH_player/dmu at one step along a `_mu_shifts` pair."""
     perf = spec.performance_for(player)
     model = spec.model
     dl = _central_difference(
-        lambda h: perf.running(sv.t, sv.x, sv.law, mu_shifts[h], sv.u, scen)
+        lambda h: perf.running(sv.t, sv.x, sv.law, mu_shifts[h], sv.u)
     )
-    db = _central_difference(lambda h: model.drift(sv.t, sv.x, mu_shifts[h], sv.u, scen))
+    db = _central_difference(lambda h: model.drift(sv.t, sv.x, mu_shifts[h], sv.u))
     return np.broadcast_to(dl + p0_vals * db, (sv.x.size,))
 
 
@@ -216,7 +216,7 @@ def _sqrt_n(n_particles: int, caller: str) -> float:
 class ResidualCurves:
     """First-order residual estimates E[dH/d(control) | info] per grid time.
 
-    Reported as cross-scenario means with standard errors (the projection on
+    Reported as cross-particle means with standard errors (the projection on
     any information pattern preserves the mean, which is what the 3-sigma
     tests consume).  ``u_at_boundary`` flags times where the candidate sits
     on the boundary of U and the residual need not vanish.
@@ -261,8 +261,7 @@ def first_order_residuals(
     E[dH_1/dmu(t)] per declared measure functional; at an interior optimum
     both curves are statistically zero.
     """
-    n, m = bundle.n_particles, bundle.n_steps
-    scen = np.arange(n)
+    m = bundle.n_steps
     res_u = np.empty(m)
     se_u = np.empty(m)
     boundary = np.zeros(m, dtype=bool)
@@ -271,10 +270,10 @@ def first_order_residuals(
     sqrt_n = _sqrt_n(bundle.n_particles, "first_order_residuals")
     for sv in iter_steps(bundle, candidate):
         mu_shifts = [_mu_shifts(sv, f.unit_direction()) for f in spec.functionals]
-        _check_coefficient_independence(spec, sv, 2, scen, mu_shifts)
-        _check_coefficient_independence(spec, sv, 1, scen, mu_shifts)
+        _check_coefficient_independence(spec, sv, 2, mu_shifts)
+        _check_coefficient_independence(spec, sv, 1, mu_shifts)
         p2 = adjoint.p0[2].p_at(sv.k)
-        du = _dh_du_samples(spec, sv, p2, scen)
+        du = _dh_du_samples(spec, sv, p2)
         res_u[sv.k] = du.mean()
         se_u[sv.k] = du.std(ddof=1) / sqrt_n
         if candidate.u_bounds is not None:
@@ -283,7 +282,7 @@ def first_order_residuals(
             boundary[sv.k] = u_min <= lo + 1e-12 or u_max >= hi - 1e-12
         p1 = adjoint.p0[1].p_at(sv.k)
         for f, pair in zip(spec.functionals, mu_shifts):
-            dmu = _dh_dmu_samples(spec, sv, p1, pair, 1, scen)
+            dmu = _dh_dmu_samples(spec, sv, p1, pair, 1)
             res_mu[f.name][sv.k] = dmu.mean()
             se_mu[f.name][sv.k] = dmu.std(ddof=1) / sqrt_n
     return ResidualCurves(
@@ -432,9 +431,12 @@ def gateaux_check(
 
     The finite-difference slopes are central differences under common random
     numbers; the adjoint slope is E[integral dH/dmu . eta dt] (or
-    dH/du . pi).  The verdict is agreement at the smallest lambda within
-    ``tol`` = max(3 combined SE, 5% of the adjoint slope, 1e-12), which the
-    result records.
+    dH/du . pi) with the controls read along the baseline paths (open loop):
+    a feedback control's response to the state is not differentiated, so the
+    two slopes estimate one derivative only for a candidate that reads no
+    state, such as ``consumption.frozen_pair``.  The verdict is agreement at
+    the smallest lambda within ``tol`` = max(3 combined SE, 5% of the adjoint
+    slope, 1e-12), which the result records.
     """
     player = 1 if direction.kind == "measure" else 2
     perf = spec.performance_for(player)
@@ -459,25 +461,24 @@ def gateaux_check(
 
     # only the deviating player's adjoint is read
     p0_sol = adjoint_p0_solve(spec.model, perf, bundle, candidate)
-    scen = np.arange(n)
     dt = bundle.dt
     slope_acc = np.zeros(n)
     for sv in iter_steps(bundle, candidate):
         mu_shifts = []
         if player == 1:
             mu_shifts = [_mu_shifts(sv, f.unit_direction()) for f in spec.functionals]
-        _check_coefficient_independence(spec, sv, player, scen, mu_shifts)
+        _check_coefficient_independence(spec, sv, player, mu_shifts)
         p0 = p0_sol.p_at(sv.k)
         if direction.kind == "measure":
             eta = direction.eta_at(sv.t)
             if eta is None:
                 continue
-            slope_acc += _dh_dmu_samples(spec, sv, p0, _mu_shifts(sv, eta), player, scen) * dt
+            slope_acc += _dh_dmu_samples(spec, sv, p0, _mu_shifts(sv, eta), player) * dt
         else:
             pi = direction.pi_at(sv.t)
             if pi == 0.0:
                 continue
-            slope_acc += _dh_du_samples(spec, sv, p0, scen) * pi * dt
+            slope_acc += _dh_du_samples(spec, sv, p0) * pi * dt
     adjoint_slope = float(slope_acc.mean())
     adjoint_se = float(slope_acc.std(ddof=1) / sqrt_n)
 

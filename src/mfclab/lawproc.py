@@ -76,8 +76,8 @@ class LevyMeasure:
 class ItoLevyCoeffs:
     """Bounded predictable coefficients of an uncontrolled Ito-Levy process.
 
-    ``alpha(t, scenario)`` and ``beta(t, scenario)`` return drift/volatility,
-    ``gamma(t, zeta, scenario)`` the jump amplitude.
+    ``alpha(t)`` and ``beta(t)`` return drift/volatility,
+    ``gamma(t, zeta)`` the jump amplitude.
     """
 
     alpha: Callable
@@ -190,7 +190,7 @@ def _uniform_weights(n: int) -> np.ndarray:
 
 
 def generator_on_test_fn(
-    coeffs: ItoLevyCoeffs, t: float, x, y: float, scenario=None
+    coeffs: ItoLevyCoeffs, t: float, x, y: float
 ) -> complex | np.ndarray:
     """Generator applied to phi_y(x) = exp(ixy) for finite-activity dynamics.
 
@@ -198,12 +198,12 @@ def generator_on_test_fn(
     * exp(ixy)`` where ``a = alpha(t)``, ``b = beta(t)`` and
     ``g_j = gamma(t, zeta_j)``.  Vectorized over ``x``.
     """
-    a = coeffs.alpha(t, scenario)
-    b = coeffs.beta(t, scenario)
+    a = coeffs.alpha(t)
+    b = coeffs.beta(t)
     symbol = 1j * y * a - 0.5 * b * b * y * y
     if coeffs.levy is not None and coeffs.levy.n_atoms:
         for zeta, rate in zip(coeffs.levy.jump_sizes, coeffs.levy.rates):
-            g = coeffs.gamma(t, zeta, scenario)
+            g = coeffs.gamma(t, zeta)
             symbol = symbol + rate * (np.exp(1j * g * y) - 1.0 - 1j * y * g)
     phi = np.exp(1j * np.asarray(x, dtype=float) * y)
     out = symbol * phi

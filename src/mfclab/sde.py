@@ -14,12 +14,13 @@ law, an explicit coupling that avoids a fixed-point solve per step.
 
 Coefficients are numpy-vectorized over particles:
 
-    b(t, x, mu, u, scen) -> array
-    sigma(t, x, mu, u, scen) -> array
-    gamma(t, x, mu, u, zeta, scen) -> array
+    b(t, x, mu, u) -> array
+    sigma(t, x, mu, u) -> array
+    gamma(t, x, mu, u, zeta) -> array
 
-with ``x`` the particle-state vector, ``mu`` a DiscreteMeasure, ``u`` a
-scalar or per-particle array and ``scen`` the particle indices.  Noise is
+with ``x`` the particle-state vector (``gamma`` also sees one step's jump
+event rows), ``mu`` a DiscreteMeasure and ``u`` a scalar or one value per
+row of ``x``; no coefficient sees a particle index.  Noise is
 drawn once per bundle, before stepping, from a counter-based Philox stream
 keyed by the seed, with row i of each draw forming particle i's block.  The
 noise bank is the one record of N, M, dt and the Levy measure it was drawn
@@ -106,13 +107,12 @@ class SimInfo:
     their first read, at most once per grid step.
     """
 
-    __slots__ = ("t", "step", "x", "scenario", "_bundle")
+    __slots__ = ("t", "step", "x", "_bundle")
 
-    def __init__(self, bundle: "ParticleBundle", step: int, scenario: np.ndarray):
+    def __init__(self, bundle: "ParticleBundle", step: int):
         self.t = float(bundle.times[step])
         self.step = step
         self.x = bundle.states[:, step]
-        self.scenario = scenario
         self._bundle = bundle
 
     @property
@@ -186,8 +186,8 @@ class ControlledModel:
 class PerformanceSpec:
     """Running and terminal cost of a performance functional.
 
-    ``running(t, x, m, mu, u, scen)`` sees the current law ``m`` and the
-    measure control ``mu``; ``terminal(x, m, scen)`` the terminal pair.
+    ``running(t, x, m, mu, u)`` sees the current law ``m`` and the
+    measure control ``mu``; ``terminal(x, m)`` the terminal pair.
     Partials default to central finite differences.  ``_negates`` is the
     spec that `negate_performance` negated to build this one, else None.
     """
@@ -390,19 +390,19 @@ class _LazyLaw(DiscreteMeasure):
 # stepping
 # ---------------------------------------------------------------------------
 
-def _info_for(pattern: InfoPattern, k: int, bundle: ParticleBundle, scenario) -> SimInfo:
-    return SimInfo(bundle, max(0, k - pattern.lag_steps(bundle.dt)), scenario)
+def _info_for(pattern: InfoPattern, k: int, bundle: ParticleBundle) -> SimInfo:
+    return SimInfo(bundle, max(0, k - pattern.lag_steps(bundle.dt)))
 
 
 def _as_particle_values(u, idx: np.ndarray):
     return u[idx] if isinstance(u, np.ndarray) and u.ndim else u
 
 
-def _step_controls(k, bundle, controls, scenario):
+def _step_controls(k, bundle, controls):
     """Evaluate both controls at step k, checking u against ``u_bounds``."""
     t = float(bundle.times[k])
-    mu_ctrl = controls.measure_ctrl(t, _info_for(controls.mu_info, k, bundle, scenario))
-    u = controls.scalar_ctrl(t, _info_for(controls.u_info, k, bundle, scenario))
+    mu_ctrl = controls.measure_ctrl(t, _info_for(controls.mu_info, k, bundle))
+    u = controls.scalar_ctrl(t, _info_for(controls.u_info, k, bundle))
     if controls.u_bounds is not None:
         lo, hi = controls.u_bounds
         if np.ndim(u) == 0:
@@ -471,7 +471,6 @@ def simulate(
     n, m = noise.n_particles, noise.n_steps
     times = np.linspace(0.0, model.horizon, m + 1)
     dt = float(times[1] - times[0])
-    scenario = np.arange(n)
     bundle = ParticleBundle(times, _time_major(n, m + 1), noise)
     states = bundle.states
     states[:, 0] = model.x0
@@ -479,16 +478,16 @@ def simulate(
     for k in range(m):
         t = float(times[k])
         x = states[:, k]
-        mu, u = _step_controls(k, bundle, controls, scenario)
-        b = model.drift(t, x, mu, u, scenario)
-        s = model.vol(t, x, mu, u, scenario)
+        mu, u = _step_controls(k, bundle, controls)
+        b = model.drift(t, x, mu, u)
+        s = model.vol(t, x, mu, u)
         x_next = x + b * dt + s * noise.dB[:, k]
         if levy is not None:
 
             def jump_term(j, i):
                 return model.jump(
                     t, x[i], mu, _as_particle_values(u, i),
-                    levy.jump_sizes[j], scenario[i],
+                    levy.jump_sizes[j],
                 )
 
             x_next = _compensated_jump_step(x_next, dt, levy, noise, k, jump_term)
@@ -522,9 +521,9 @@ class StepView:
         return self.bundle.law_at(self.k)
 
 
-def _step_view(bundle: ParticleBundle, controls: ControlPair, k: int, scenario) -> StepView:
+def _step_view(bundle: ParticleBundle, controls: ControlPair, k: int) -> StepView:
     """The control and measure arguments of a simulation at step k."""
-    mu_ctrl, u = _step_controls(k, bundle, controls, scenario)
+    mu_ctrl, u = _step_controls(k, bundle, controls)
     return StepView(
         k=k, t=float(bundle.times[k]), x=bundle.states[:, k], mu_ctrl=mu_ctrl, u=u, bundle=bundle,
     )
@@ -532,9 +531,8 @@ def _step_view(bundle: ParticleBundle, controls: ControlPair, k: int, scenario) 
 
 def iter_steps(bundle: ParticleBundle, controls: ControlPair):
     """Replay the per-step control and measure arguments of a simulation."""
-    scenario = np.arange(bundle.n_particles)
     for k in range(bundle.n_steps):
-        yield _step_view(bundle, controls, k, scenario)
+        yield _step_view(bundle, controls, k)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +553,6 @@ def performance_samples(
     """
     n = bundle.n_particles
     dt = bundle.dt
-    scenario = np.arange(n)
     total = np.zeros(n)
     # a cost outside its domain (log of a negative Euler state) is reported
     # once, by the SimulationError below, not by numpy warnings on stderr
@@ -563,13 +560,13 @@ def performance_samples(
         for sv in iter_steps(bundle, controls):
             built_here = sv.k not in bundle._laws
             total += np.broadcast_to(
-                perf.running(sv.t, sv.x, sv.law, sv.mu_ctrl, sv.u, scenario), (n,)
+                perf.running(sv.t, sv.x, sv.law, sv.mu_ctrl, sv.u), (n,)
             ) * dt
             if built_here:
                 del bundle._laws[sv.k]
         m_terminal = bundle.law_at(bundle.n_steps)
         total = total + np.broadcast_to(
-            perf.terminal(bundle.states[:, -1], m_terminal, scenario), (n,)
+            perf.terminal(bundle.states[:, -1], m_terminal), (n,)
         )
     if not np.isfinite(total).all():
         bad = int(np.flatnonzero(~np.isfinite(total))[0])
@@ -677,7 +674,8 @@ def simulate_derivative_process(
 
     Reuses the bundle's Brownian increments and jump events; Z(0) = 0.  The
     coefficient partials come from the model's declared partials or central
-    finite differences.
+    finite differences.  The controls are read along the baseline paths (open
+    loop), so a feedback control's response to the state is not differentiated.
     """
     p = model.partials or CoefficientPartials()
     bx = _partial_x(model.drift, p.drift_dx)
@@ -693,7 +691,6 @@ def simulate_derivative_process(
 
     n, m = bundle.n_particles, bundle.n_steps
     dt = bundle.dt
-    scenario = np.arange(n)
     z = _time_major(n, m + 1)
     z[:, 0] = 0.0
     noise = bundle.noise
@@ -704,25 +701,25 @@ def simulate_derivative_process(
         eta = direction.eta_at(t)
         pi = direction.pi_at(t)
         if eta is not None:
-            b_dir = bmu(t, x, mu, eta, u, scenario)
-            s_dir = smu(t, x, mu, eta, u, scenario)
+            b_dir = bmu(t, x, mu, eta, u)
+            s_dir = smu(t, x, mu, eta, u)
         elif pi != 0.0:
-            b_dir = bu(t, x, mu, u, scenario) * pi
-            s_dir = su(t, x, mu, u, scenario) * pi
+            b_dir = bu(t, x, mu, u) * pi
+            s_dir = su(t, x, mu, u) * pi
         else:
             b_dir = s_dir = 0.0
-        z_next = zk + (bx(t, x, mu, u, scenario) * zk + b_dir) * dt
-        z_next = z_next + (sx(t, x, mu, u, scenario) * zk + s_dir) * noise.dB[:, k]
+        z_next = zk + (bx(t, x, mu, u) * zk + b_dir) * dt
+        z_next = z_next + (sx(t, x, mu, u) * zk + s_dir) * noise.dB[:, k]
         if levy is not None:
 
             def jump_term(j, i):
                 zeta = levy.jump_sizes[j]
-                x_i, u_i, scen_i = x[i], _as_particle_values(u, i), scenario[i]
-                term = gx(t, x_i, mu, u_i, zeta, scen_i) * zk[i]
+                x_i, u_i = x[i], _as_particle_values(u, i)
+                term = gx(t, x_i, mu, u_i, zeta) * zk[i]
                 if eta is not None:
-                    term = term + gmu(t, x_i, mu, eta, u_i, zeta, scen_i)
+                    term = term + gmu(t, x_i, mu, eta, u_i, zeta)
                 elif pi != 0.0:
-                    term = term + gu(t, x_i, mu, u_i, zeta, scen_i) * pi
+                    term = term + gu(t, x_i, mu, u_i, zeta) * pi
                 return term
 
             z_next = _compensated_jump_step(z_next, dt, levy, noise, k, jump_term)

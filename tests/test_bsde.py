@@ -44,8 +44,8 @@ def trivial_controls():
 
 def flat_bundle(n=200, m=50, seed=0, x0=1.0, drift=None, vol=None, levy=None, jump=None):
     model = ControlledModel(
-        drift=drift or (lambda t, x, mu, u, s: np.zeros_like(x)),
-        vol=vol or (lambda t, x, mu, u, s: np.zeros_like(x)),
+        drift=drift or (lambda t, x, mu, u: np.zeros_like(x)),
+        vol=vol or (lambda t, x, mu, u: np.zeros_like(x)),
         jump=jump,
         levy=levy,
         x0=x0,
@@ -93,7 +93,7 @@ def test_gamma_martingale_mean_one():
 
 def test_gamma_with_jumps_stays_positive_and_compensated():
     levy = LevyMeasure([0.5], [1.0])
-    bundle = flat_bundle(n=20_000, m=100, seed=13, levy=levy, jump=lambda t, x, mu, u, z, s: np.zeros_like(x))
+    bundle = flat_bundle(n=20_000, m=100, seed=13, levy=levy, jump=lambda t, x, mu, u, z: np.zeros_like(x))
     gam = gamma_paths(bundle, jump_phi=0.8, levy=levy)
     assert np.all(gam > 0)
     gt = gam[:, -1]
@@ -103,14 +103,14 @@ def test_gamma_with_jumps_stays_positive_and_compensated():
 
 def test_gamma_jump_phi_below_minus_one_rejected():
     levy = LevyMeasure([0.5], [1.0])
-    bundle = flat_bundle(n=100, m=10, seed=2, levy=levy, jump=lambda t, x, mu, u, z, s: np.zeros_like(x))
+    bundle = flat_bundle(n=100, m=10, seed=2, levy=levy, jump=lambda t, x, mu, u, z: np.zeros_like(x))
     with pytest.raises(GammaPositivityError):
         gamma_paths(bundle, jump_phi=-1.5, levy=levy)
 
 
 def test_gamma_step_size_error():
     bundle = flat_bundle(n=50, m=4, seed=3)  # dt = 0.25, huge negative drift
-    with pytest.raises(GammaPositivityError, match="step"):
+    with pytest.raises(GammaPositivityError, match=r"at step \d+, particle \d+; decrease the step"):
         gamma_paths(bundle, alpha=-5.0)
 
 
@@ -155,14 +155,14 @@ def test_adjoint_terminal_linear_is_constant_one():
     """g = x, l = 0, null dynamics: p0 = 1 everywhere."""
     bundle = flat_bundle(n=50, m=20, x0=2.0)
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: np.zeros_like(x),
-        vol=lambda t, x, mu, u, s: np.zeros_like(x),
+        drift=lambda t, x, mu, u: np.zeros_like(x),
+        vol=lambda t, x, mu, u: np.zeros_like(x),
         x0=2.0,
         horizon=1.0,
     )
     perf = PerformanceSpec(
-        running=lambda t, x, m, mu, u, s: np.zeros_like(x),
-        terminal=lambda x, m, s: x,
+        running=lambda t, x, m, mu, u: np.zeros_like(x),
+        terminal=lambda x, m: x,
     )
     sol = adjoint_p0_solve(model, perf, bundle, trivial_controls())
     assert np.max(np.abs(sol.P - 1.0)) <= 1e-9
@@ -172,15 +172,15 @@ def test_adjoint_quadratic_terminal_deterministic_dynamics():
     """g = x^2, b = a x, sigma = 0: p0(t) = 2 x0 e^{a (2T - t)} up to Euler error."""
     a, x0 = 0.3, 1.2
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: a * x,
-        vol=lambda t, x, mu, u, s: np.zeros_like(x),
+        drift=lambda t, x, mu, u: a * x,
+        vol=lambda t, x, mu, u: np.zeros_like(x),
         x0=x0,
         horizon=1.0,
     )
     bundle = simulate(model, trivial_controls(), 3, 400, seed=0)
     perf = PerformanceSpec(
-        running=lambda t, x, m, mu, u, s: np.zeros_like(x),
-        terminal=lambda x, m, s: x * x,
+        running=lambda t, x, m, mu, u: np.zeros_like(x),
+        terminal=lambda x, m: x * x,
     )
     sol = adjoint_p0_solve(model, perf, bundle, trivial_controls())
     target = 2 * x0 * np.exp(a * (2.0 - bundle.times))
@@ -251,9 +251,9 @@ def test_adjoint_recomputed_phi_is_bitwise_the_two_table_formula():
     tabulated phi table swept after the Gamma pass."""
     levy = LevyMeasure([-0.2, 0.3], [0.7, 1.1])
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: (mu.mass_on(0.0, math.inf) - u) * x + 0.1 * np.sin(x),
-        vol=lambda t, x, mu, u, s: 0.2 * x + 0.05 * np.cos(x),
-        jump=lambda t, x, mu, u, z, s: z * x / (1.0 + 0.1 * x * x),
+        drift=lambda t, x, mu, u: (mu.mass_on(0.0, math.inf) - u) * x + 0.1 * np.sin(x),
+        vol=lambda t, x, mu, u: 0.2 * x + 0.05 * np.cos(x),
+        jump=lambda t, x, mu, u, z: z * x / (1.0 + 0.1 * x * x),
         levy=levy,
         x0=1.0,
         horizon=1.0,
@@ -266,10 +266,10 @@ def test_adjoint_recomputed_phi_is_bitwise_the_two_table_formula():
         u_info=delay,
     )
     perf = PerformanceSpec(
-        running=lambda t, x, m, mu, u, s: (
+        running=lambda t, x, m, mu, u: (
             np.log(1.0 + x * x) * m.mass_on(0.5, math.inf) + (mu.mass_on(0.0, 1.0) - u) * x
         ),
-        terminal=lambda x, m, s: np.sqrt(1.0 + x * x) * m.mass_on(-math.inf, 1.0),
+        terminal=lambda x, m: np.sqrt(1.0 + x * x) * m.mass_on(-math.inf, 1.0),
     )
     n, m = 300, 40
     bundle = simulate(model, controls, n, m, seed=11)
@@ -278,7 +278,6 @@ def test_adjoint_recomputed_phi_is_bitwise_the_two_table_formula():
     sol = adjoint_p0_solve(model, perf, bundle, controls)
 
     # the two-table formula: tabulate phi and Gamma forward, then sweep back
-    scen = np.arange(n)
     dt = bundle.noise.dt
     lx = _partial_x(perf.running, None)
     bx, sx, gx = (_partial_x(f, None) for f in (model.drift, model.vol, model.jump))
@@ -286,12 +285,12 @@ def test_adjoint_recomputed_phi_is_bitwise_the_two_table_formula():
     gam = _gamma_start(n, m)
     for sv in iter_steps(bundle, controls):
         k, t, x, mu, u = sv.k, sv.t, sv.x, sv.mu_ctrl, sv.u
-        phi[:, k] = lx(t, x, sv.law, sv.mu_ctrl, u, scen)
-        jump_phi = [gx(t, x, mu, u, zeta, scen) for zeta in levy.jump_sizes]
-        _gamma_step(gam, k, bx(t, x, mu, u, scen), sx(t, x, mu, u, scen), jump_phi, levy, bundle.noise)
+        phi[:, k] = lx(t, x, sv.law, sv.mu_ctrl, u)
+        jump_phi = [gx(t, x, mu, u, zeta) for zeta in levy.jump_sizes]
+        _gamma_step(gam, k, bx(t, x, mu, u), sx(t, x, mu, u), jump_phi, levy, bundle.noise)
     x_T, m_T = bundle.states[:, -1], bundle.law_at(m)
     theta = np.empty(n)
-    theta[:] = _central_difference(lambda h: perf.terminal(x_T + h, m_T, scen))
+    theta[:] = _central_difference(lambda h: perf.terminal(x_T + h, m_T))
     expected = np.empty((n, m + 1))
     acc = theta * gam[:, m]
     expected[:, m] = theta

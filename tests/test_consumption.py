@@ -164,6 +164,33 @@ def test_verify_consumption_game_small(tmp_path):
     assert controls[-1].startswith("# seed=7")
 
 
+@pytest.mark.parametrize("horizon, certified", [(1.0, True), (2.0, False)])
+def test_certificate_regime_is_the_law_keeping_its_mass_in_v(tmp_path, horizon, certified):
+    """The saddle certificate holds while M(t)(V) stays at 1 and fails, by far
+    more than its noise, once the law leaves V, though the residuals pass."""
+    report = cons.verify_consumption_game(
+        canonical_model(horizon=horizon), n_particles=2000, n_steps=100, seed=1,
+        out_dir=str(tmp_path),
+    )
+    checks = {c.name: c for c in report.checks}
+    assert report.selected_variant == "first-order-derived"
+    assert checks["first-order-residuals-3se"].passed
+    assert checks["saddle-sweep-certified"].passed == certified
+    # M(t)(V) = mu_hat_V_derived(t) + (T - t + theta) / 2, theta = 1
+    controls = np.loadtxt(tmp_path / "controls.csv", delimiter=",", skiprows=1)
+    mass_v = controls[:, 3] + 0.5 * (horizon - controls[:, 0] + 1.0)
+    sweep = np.loadtxt(tmp_path / "sweep.csv", delimiter=",", skiprows=1)
+    delta, se = sweep[:, 2], sweep[:, 3]
+    worst = int(np.argmax(delta - 2.0 * se))
+    if certified:
+        assert mass_v.min() == pytest.approx(1.0, abs=1e-12)
+        assert delta[worst] < -100 * se[worst]
+    else:
+        assert mass_v.min() < 0.9
+        assert sweep[worst, 0] == 0  # the measure direction dirac(v_probe)
+        assert delta[worst] > 100 * se[worst]
+
+
 def test_mu_offset_breaks_saddle_in_mu_direction(tmp_path):
     """Shifting mu_hat(V) by +0.5 is refuted by the mu-direction sweep."""
     from mfclab.game import PerturbationPlan, nash_perturbation_sweep

@@ -59,11 +59,11 @@ def cgame():
 # -- Hamiltonian evaluation ----------------------------------------------------
 
 def hamiltonian(spec, player, t, x, m, mu, u, adjoint):
-    """H_player = l + p0 b at one grid time along the adjoint's scenarios:
+    """H_player = l + p0 b at one grid time along the adjoint's particles:
     the reference that the dH samples of the residuals are checked against.
 
-    ``x`` (and ``u``) may be scalars or per-scenario arrays; the result
-    broadcasts against the stored p0 scenarios.  Raises if ``t`` is not a
+    ``x`` (and ``u``) may be scalars or per-particle arrays; the result
+    broadcasts against the stored p0 particles.  Raises if ``t`` is not a
     grid point of the adjoint solution.
     """
     times = adjoint.p0[player].times
@@ -72,23 +72,21 @@ def hamiltonian(spec, player, t, x, m, mu, u, adjoint):
         raise ValueError(f"no adjoint value at t={t}")
     p0 = adjoint.p0[player].p_at(k)
     perf = spec.performance_for(player)
-    x_arr = np.asarray(x, dtype=float)
-    scen = np.arange(x_arr.size) if x_arr.ndim else None
-    value = perf.running(t, x, m, mu, u, scen) + p0 * spec.model.drift(t, x, mu, u, scen)
+    value = perf.running(t, x, m, mu, u) + p0 * spec.model.drift(t, x, mu, u)
     return float(value) if np.ndim(value) == 0 else value
 
 
 def test_hamiltonian_reduces_to_running_cost(lq):
     """With null dynamics and l = 1 the Hamiltonian is 1."""
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: np.zeros_like(np.asarray(x, dtype=float)),
-        vol=lambda t, x, mu, u, s: np.zeros_like(np.asarray(x, dtype=float)),
+        drift=lambda t, x, mu, u: np.zeros_like(np.asarray(x, dtype=float)),
+        vol=lambda t, x, mu, u: np.zeros_like(np.asarray(x, dtype=float)),
         x0=0.0,
         horizon=1.0,
     )
     perf = PerformanceSpec(
-        running=lambda t, x, m, mu, u, s: np.ones_like(np.asarray(x, dtype=float)),
-        terminal=lambda x, m, s: np.zeros_like(np.asarray(x, dtype=float)),
+        running=lambda t, x, m, mu, u: np.ones_like(np.asarray(x, dtype=float)),
+        terminal=lambda x, m: np.zeros_like(np.asarray(x, dtype=float)),
     )
     spec = GameSpec(model, perf, perf)
     ctrl = ControlPair(
@@ -186,7 +184,6 @@ def test_consumption_wrong_rho_residual_bounded_away(cgame):
 def test_zero_sum_consistency(cgame):
     """Player-1 residual equals the exact negation of the player-2-side value."""
     model, spec, candidate, bundle, adjoint = cgame
-    scen = np.arange(bundle.n_particles)
     eta = spec.functionals[0].unit_direction()
     for sv in iter_steps(bundle, candidate):
         if sv.k not in (0, 25, 50):
@@ -194,8 +191,8 @@ def test_zero_sum_consistency(cgame):
         p1 = adjoint.p0[1].p_at(sv.k)
         p2 = adjoint.p0[2].p_at(sv.k)
         assert np.max(np.abs(p1 + p2)) <= 1e-12 * max(1.0, np.max(np.abs(p2)))
-        d1 = _dh_dmu_samples(spec, sv, p1, _mu_shifts(sv, eta), 1, scen)
-        d2 = _dh_dmu_samples(spec, sv, p2, _mu_shifts(sv, eta), 2, scen)
+        d1 = _dh_dmu_samples(spec, sv, p1, _mu_shifts(sv, eta), 1)
+        d2 = _dh_dmu_samples(spec, sv, p2, _mu_shifts(sv, eta), 2)
         assert np.max(np.abs(d1 + d2)) <= 1e-12
 
 
@@ -264,13 +261,13 @@ _LEVY = LevyMeasure([0.1], [0.5])
 @pytest.mark.parametrize(
     "vol,jump,message",
     [
-        (lambda t, x, mu, u, s: (0.1 + u) * np.ones_like(x), None, "sigma depends on u"),
-        (lambda t, x, mu, u, s: 0.1 * np.ones_like(x),
-         lambda t, x, mu, u, z, s: z * (0.1 + u) * np.ones_like(x), "gamma depends on u"),
-        (lambda t, x, mu, u, s: (0.1 + mu.mass_on(-1, 1)) * np.ones_like(x), None,
+        (lambda t, x, mu, u: (0.1 + u) * np.ones_like(x), None, "sigma depends on u"),
+        (lambda t, x, mu, u: 0.1 * np.ones_like(x),
+         lambda t, x, mu, u, z: z * (0.1 + u) * np.ones_like(x), "gamma depends on u"),
+        (lambda t, x, mu, u: (0.1 + mu.mass_on(-1, 1)) * np.ones_like(x), None,
          "sigma depends on mu"),
-        (lambda t, x, mu, u, s: 0.1 * np.ones_like(x),
-         lambda t, x, mu, u, z, s: z * (0.1 + mu.mass_on(-1, 1)) * np.ones_like(x),
+        (lambda t, x, mu, u: 0.1 * np.ones_like(x),
+         lambda t, x, mu, u, z: z * (0.1 + mu.mass_on(-1, 1)) * np.ones_like(x),
          "gamma depends on mu"),
     ],
     ids=["sigma-u", "gamma-u", "sigma-mu", "gamma-mu"],
@@ -278,7 +275,7 @@ _LEVY = LevyMeasure([0.1], [0.5])
 def test_unsupported_model_raises(vol, jump, message):
     """sigma or gamma reading a control needs a q0/r0 estimate that is not available."""
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: np.zeros_like(x),
+        drift=lambda t, x, mu, u: np.zeros_like(x),
         vol=vol,
         jump=jump,
         levy=None if jump is None else _LEVY,
@@ -286,8 +283,8 @@ def test_unsupported_model_raises(vol, jump, message):
         horizon=1.0,
     )
     perf = PerformanceSpec(
-        running=lambda t, x, m, mu, u, s: np.zeros_like(x),
-        terminal=lambda x, m, s: x,
+        running=lambda t, x, m, mu, u: np.zeros_like(x),
+        terminal=lambda x, m: x,
     )
     spec = GameSpec(model, perf, perf, functionals=(IntervalMass(-1, 1, 0.0),))
     ctrl = ControlPair(
@@ -303,14 +300,14 @@ def test_unsupported_model_raises(vol, jump, message):
 def test_control_dependence_after_first_step_raises():
     """sigma = 0.1 + t u ignores u at t = 0 only: every grid step is probed."""
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: np.zeros_like(x),
-        vol=lambda t, x, mu, u, s: (0.1 + t * u) * np.ones_like(x),
+        drift=lambda t, x, mu, u: np.zeros_like(x),
+        vol=lambda t, x, mu, u: (0.1 + t * u) * np.ones_like(x),
         x0=1.0,
         horizon=1.0,
     )
     perf = PerformanceSpec(
-        running=lambda t, x, m, mu, u, s: np.zeros_like(x),
-        terminal=lambda x, m, s: x,
+        running=lambda t, x, m, mu, u: np.zeros_like(x),
+        terminal=lambda x, m: x,
     )
     spec = GameSpec(model, perf, perf, functionals=(IntervalMass(-1, 1, 0.0),))
     ctrl = ControlPair(
@@ -408,14 +405,14 @@ def test_gateaux_zero_direction():
 def test_gateaux_drift_control_toy():
     """b = u, l = -u^2/2, g = x: slope = int (p0 - u) pi dt with p0 = 1."""
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: u * np.ones_like(x),
-        vol=lambda t, x, mu, u, s: 0.3 * np.ones_like(x),
+        drift=lambda t, x, mu, u: u * np.ones_like(x),
+        vol=lambda t, x, mu, u: 0.3 * np.ones_like(x),
         x0=0.0,
         horizon=1.0,
     )
     perf = PerformanceSpec(
-        running=lambda t, x, m, mu, u, s: -0.5 * u * u * np.ones_like(x),
-        terminal=lambda x, m, s: x,
+        running=lambda t, x, m, mu, u: -0.5 * u * u * np.ones_like(x),
+        terminal=lambda x, m: x,
     )
     spec = GameSpec(model, perf, perf)
     u0 = 0.5
@@ -434,14 +431,14 @@ def test_gateaux_verdict_uses_recorded_tolerance():
     """b = u x makes dH/du = p0 x - u state-dependent, so adjoint_se > 0 and the
     recorded tol combines both standard errors; the verdict is read against it."""
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: u * x,
-        vol=lambda t, x, mu, u, s: 0.3 * np.ones_like(x),
+        drift=lambda t, x, mu, u: u * x,
+        vol=lambda t, x, mu, u: 0.3 * np.ones_like(x),
         x0=1.0,
         horizon=1.0,
     )
     perf = PerformanceSpec(
-        running=lambda t, x, m, mu, u, s: -0.5 * u * u * np.ones_like(x),
-        terminal=lambda x, m, s: x,
+        running=lambda t, x, m, mu, u: -0.5 * u * u * np.ones_like(x),
+        terminal=lambda x, m: x,
     )
     spec = GameSpec(model, perf, perf)
     ctrl = ControlPair(
@@ -546,14 +543,14 @@ def test_consumption_hamiltonian_curvature(cgame):
 
 def test_game_spec_validation():
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: np.zeros_like(x),
-        vol=lambda t, x, mu, u, s: np.zeros_like(x),
+        drift=lambda t, x, mu, u: np.zeros_like(x),
+        vol=lambda t, x, mu, u: np.zeros_like(x),
         x0=0.0,
         horizon=1.0,
     )
     perf = PerformanceSpec(
-        running=lambda t, x, m, mu, u, s: np.zeros_like(x),
-        terminal=lambda x, m, s: np.zeros_like(x),
+        running=lambda t, x, m, mu, u: np.zeros_like(x),
+        terminal=lambda x, m: np.zeros_like(x),
     )
     spec = GameSpec.zero_sum_game(model, perf)
     with pytest.raises(ValueError):

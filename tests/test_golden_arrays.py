@@ -166,8 +166,7 @@ def _run_arrays(out: dict, seed: int, n: int, m: int) -> None:
             out[f"law/{name}/locations"] = np.concatenate([law.locations for law in laws])
             out[f"law/{name}/weights"] = np.concatenate([law.weights for law in laws])
             out[f"mass/{name}/laws"] = [_masses(law, model) for law in laws]
-            scen = np.arange(n)
-            infos = [SimInfo(bundle, k, scen) for k in range(m)]
+            infos = [SimInfo(bundle, k) for k in range(m)]
             out[f"mass/{name}/frozen"] = [
                 _masses(frozen.measure_ctrl(info.t, info), model) for info in infos
             ]
@@ -188,7 +187,7 @@ def _run_arrays(out: dict, seed: int, n: int, m: int) -> None:
             other = simulate(cons.state_model(model), controls, n, m, seed + 1)
             for label, b in (("", bundle), ("-other", other)):
                 out[f"mass/{name}/feedback-deviation{label}"] = [
-                    _masses(pert.measure_ctrl(float(b.times[k]), SimInfo(b, k, scen)), model)
+                    _masses(pert.measure_ctrl(float(b.times[k]), SimInfo(b, k)), model)
                     for k in range(m)
                 ]
             for cpus in (1, 2):

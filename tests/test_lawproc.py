@@ -137,19 +137,19 @@ def test_empirical_law_close_to_binned_normal(rule):
 # -- generator on Fourier test functions ---------------------------------------
 
 def test_generator_null_dynamics():
-    coeffs = ItoLevyCoeffs(alpha=lambda t, s: 0.0, beta=lambda t, s: 0.0, gamma=lambda t, z, s: 0.0)
+    coeffs = ItoLevyCoeffs(alpha=lambda t: 0.0, beta=lambda t: 0.0, gamma=lambda t, z: 0.0)
     assert generator_on_test_fn(coeffs, 0.0, 1.0, 2.0) == 0j
 
 
 def test_generator_pure_drift():
-    coeffs = ItoLevyCoeffs(alpha=lambda t, s: 1.0, beta=lambda t, s: 0.0, gamma=lambda t, z, s: 0.0)
+    coeffs = ItoLevyCoeffs(alpha=lambda t: 1.0, beta=lambda t: 0.0, gamma=lambda t, z: 0.0)
     x, y = 0.7, 1.9
     expected = 1j * y * complex(math.cos(x * y), math.sin(x * y))
     assert generator_on_test_fn(coeffs, 0.0, x, y) == pytest.approx(expected)
 
 
 def test_generator_pure_diffusion():
-    coeffs = ItoLevyCoeffs(alpha=lambda t, s: 0.0, beta=lambda t, s: 1.0, gamma=lambda t, z, s: 0.0)
+    coeffs = ItoLevyCoeffs(alpha=lambda t: 0.0, beta=lambda t: 1.0, gamma=lambda t, z: 0.0)
     x, y = -0.4, 1.1
     expected = -0.5 * y * y * complex(math.cos(x * y), math.sin(x * y))
     assert generator_on_test_fn(coeffs, 0.0, x, y) == pytest.approx(expected)
@@ -158,9 +158,9 @@ def test_generator_pure_diffusion():
 def test_generator_jump_term_manual():
     levy = LevyMeasure([0.3, -0.1], [1.0, 2.0])
     coeffs = ItoLevyCoeffs(
-        alpha=lambda t, s: 0.2,
-        beta=lambda t, s: 0.5,
-        gamma=lambda t, z, s: 2.0 * z,
+        alpha=lambda t: 0.2,
+        beta=lambda t: 0.5,
+        gamma=lambda t, z: 2.0 * z,
         levy=levy,
     )
     x, y = 0.9, 1.3
@@ -173,7 +173,7 @@ def test_generator_jump_term_manual():
 
 
 def test_generator_vectorized_over_states():
-    coeffs = ItoLevyCoeffs(alpha=lambda t, s: 1.0, beta=lambda t, s: 0.0, gamma=lambda t, z, s: 0.0)
+    coeffs = ItoLevyCoeffs(alpha=lambda t: 1.0, beta=lambda t: 0.0, gamma=lambda t, z: 0.0)
     x = np.array([0.0, 0.5])
     out = generator_on_test_fn(coeffs, 0.0, x, 1.0)
     assert out.shape == (2,)
@@ -184,8 +184,8 @@ def test_dynkin_consistency(alpha, beta):
     """E[phi_y(X_{t+h})] - E[phi_y(X_t)] matches E[int A phi_y ds] to C(h^2 + N^-1/2)."""
     n, m_steps = 10_000, 500
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: alpha * np.ones_like(x),
-        vol=lambda t, x, mu, u, s: beta * np.ones_like(x),
+        drift=lambda t, x, mu, u: alpha * np.ones_like(x),
+        vol=lambda t, x, mu, u: beta * np.ones_like(x),
         x0=0.3,
         horizon=1.0,
     )
@@ -194,7 +194,7 @@ def test_dynkin_consistency(alpha, beta):
         scalar_ctrl=lambda t, info: 0.0,
     )
     bundle = simulate(model, ctrl, n, m_steps, seed=9)
-    coeffs = ItoLevyCoeffs(alpha=lambda t, s: alpha, beta=lambda t, s: beta, gamma=lambda t, z, s: 0.0)
+    coeffs = ItoLevyCoeffs(alpha=lambda t: alpha, beta=lambda t: beta, gamma=lambda t, z: 0.0)
     dt = bundle.dt
     k0, k1 = 200, 250  # h = 0.1
     h = (k1 - k0) * dt
@@ -298,8 +298,8 @@ def test_scan_dirac_drift_analytic(rule):
 
 def _brownian_bundle(n_particles, n_steps, seed):
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: np.zeros_like(x),
-        vol=lambda t, x, mu, u, s: np.ones_like(x),
+        drift=lambda t, x, mu, u: np.zeros_like(x),
+        vol=lambda t, x, mu, u: np.ones_like(x),
         x0=0.0,
         horizon=1.0,
     )

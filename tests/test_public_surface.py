@@ -8,7 +8,9 @@ to appear as a ``Name`` or an ``Attribute`` outside its own top-level
 ``def`` or ``class``; a mention in a docstring or a comment does not count.
 A public ``def`` in a class body (a method, property or classmethod) must be
 read the same way, anywhere outside its own class or inside it; dataclass
-fields are not checked.
+fields are not checked.  A public ``__slots__`` attribute of a class must be
+read as an attribute (an ``Attribute`` load, in any class or function), so a
+slot that package code only writes fails.
 """
 import ast
 import pathlib
@@ -82,6 +84,33 @@ def _public_methods() -> dict[str, str]:
     }
 
 
+def _public_slots() -> dict[str, str]:
+    """``Class.name`` to ``name`` for every public entry of a top-level
+    class's ``__slots__``."""
+    slots = {}
+    for tree in _modules():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+                ):
+                    for name in ast.literal_eval(stmt.value):
+                        if not name.startswith("_"):
+                            slots[f"{cls.name}.{name}"] = name
+    return slots
+
+
+def _attribute_loads() -> set[str]:
+    return {
+        node.attr
+        for tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def test_every_export_is_read_by_package_code():
     exports = _exports()
     assert set(KEPT_PAPER_FORMULAS) <= exports
@@ -110,3 +139,11 @@ def test_benchmark_read_methods_are_still_unread():
     methods = _public_methods()
     read = sorted(key for key in READ_BY_BENCHMARK if methods[key] in _references())
     assert not read, f"read by package code, drop from READ_BY_BENCHMARK: {read}"
+
+
+def test_every_public_slot_is_read_by_package_code():
+    slots = _public_slots()
+    assert "SimInfo.x" in slots
+    read = _attribute_loads()
+    unread = sorted(key for key, name in slots.items() if name not in read)
+    assert not unread, f"public slots that package code never reads: {unread}"

@@ -39,9 +39,9 @@ def trivial_controls(u=0.0):
 
 def test_zero_dynamics_constant_paths():
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: np.zeros_like(x),
-        vol=lambda t, x, mu, u, s: np.zeros_like(x),
-        jump=lambda t, x, mu, u, z, s: np.zeros_like(x),
+        drift=lambda t, x, mu, u: np.zeros_like(x),
+        vol=lambda t, x, mu, u: np.zeros_like(x),
+        jump=lambda t, x, mu, u, z: np.zeros_like(x),
         levy=LevyMeasure([0.5], [1.0]),
         x0=1.5,
         horizon=1.0,
@@ -54,9 +54,9 @@ def test_zero_dynamics_constant_paths():
 
 def test_bitwise_determinism():
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: 0.1 * x,
-        vol=lambda t, x, mu, u, s: 0.2 * x,
-        jump=lambda t, x, mu, u, z, s: z * x,
+        drift=lambda t, x, mu, u: 0.1 * x,
+        vol=lambda t, x, mu, u: 0.2 * x,
+        jump=lambda t, x, mu, u, z: z * x,
         levy=LevyMeasure([0.1, -0.05], [0.5, 0.3]),
         x0=1.0,
         horizon=1.0,
@@ -73,9 +73,9 @@ def test_time_major_layout_keeps_public_shapes():
     n, m, seed = 300, 20, 17
     levy = LevyMeasure([0.2, -0.1], [0.5, 1.0])
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: 0.1 * x,
-        vol=lambda t, x, mu, u, s: 0.2 * x,
-        jump=lambda t, x, mu, u, z, s: z * x,
+        drift=lambda t, x, mu, u: 0.1 * x,
+        vol=lambda t, x, mu, u: 0.2 * x,
+        jump=lambda t, x, mu, u, z: z * x,
         levy=levy,
         x0=1.0,
         horizon=1.0,
@@ -106,8 +106,8 @@ def test_time_major_layout_keeps_public_shapes():
 def test_crn_zero_perturbation_identity():
     """Re-simulating on a bundle's noise with identical controls is bitwise equal."""
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: (mu.mass_on(0, 2) - u) * x,
-        vol=lambda t, x, mu, u, s: 0.2 * x,
+        drift=lambda t, x, mu, u: (mu.mass_on(0, 2) - u) * x,
+        vol=lambda t, x, mu, u: 0.2 * x,
         x0=1.0,
         horizon=1.0,
     )
@@ -125,8 +125,8 @@ def test_geometric_mean_oracle():
     """E[X_T] = x0 e^{aT} for geometric dynamics."""
     a, s = 0.1, 0.2
     model = ControlledModel(
-        drift=lambda t, x, mu, u, sc: a * x,
-        vol=lambda t, x, mu, u, sc: s * x,
+        drift=lambda t, x, mu, u: a * x,
+        vol=lambda t, x, mu, u: s * x,
         x0=1.0,
         horizon=1.0,
     )
@@ -140,9 +140,9 @@ def test_consumption_drift_oracle():
     """Constant mass c and rate r: E[X_T] = x0 e^{(c - r) T}."""
     c, r = 0.3, 0.1
     model = ControlledModel(
-        drift=lambda t, x, mu, u, sc: (mu.mass_on(0.0, 2.0) - u) * x,
-        vol=lambda t, x, mu, u, sc: 0.2 * x,
-        jump=lambda t, x, mu, u, z, sc: z * x,
+        drift=lambda t, x, mu, u: (mu.mass_on(0.0, 2.0) - u) * x,
+        vol=lambda t, x, mu, u: 0.2 * x,
+        jump=lambda t, x, mu, u, z: z * x,
         levy=LevyMeasure([0.1], [0.5]),
         x0=1.0,
         horizon=1.0,
@@ -159,9 +159,9 @@ def test_consumption_drift_oracle():
 
 def test_compensated_jumps_preserve_mean():
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: np.zeros_like(x),
-        vol=lambda t, x, mu, u, s: np.zeros_like(x),
-        jump=lambda t, x, mu, u, z, s: 0.3 * x,
+        drift=lambda t, x, mu, u: np.zeros_like(x),
+        vol=lambda t, x, mu, u: np.zeros_like(x),
+        jump=lambda t, x, mu, u, z: 0.3 * x,
         levy=LevyMeasure([1.0], [1.0]),
         x0=1.0,
         horizon=1.0,
@@ -194,9 +194,9 @@ def test_compensated_jumps_preserve_mean_pathwise(seed, n, m, x0, horizon, atoms
     sizes = np.array([z for z, _ in atoms])
     rates = np.array([r for _, r in atoms])
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: np.zeros_like(x),
-        vol=lambda t, x, mu, u, s: np.zeros_like(x),
-        jump=lambda t, x, mu, u, zeta, s: zeta * np.ones_like(x),
+        drift=lambda t, x, mu, u: np.zeros_like(x),
+        vol=lambda t, x, mu, u: np.zeros_like(x),
+        jump=lambda t, x, mu, u, zeta: zeta * np.ones_like(x),
         levy=LevyMeasure(sizes, rates),
         x0=x0,
         horizon=horizon,
@@ -209,13 +209,13 @@ def test_compensated_jumps_preserve_mean_pathwise(seed, n, m, x0, horizon, atoms
 
 
 def test_simulation_error_names_step_and_particle():
-    def bad_drift(t, x, mu, u, s):
+    def bad_drift(t, x, mu, u):
         out = np.zeros_like(x)
         if t >= 0.3:
             out[7] = np.inf
         return out
 
-    model = ControlledModel(drift=bad_drift, vol=lambda t, x, mu, u, s: np.zeros_like(x), x0=0.0, horizon=1.0)
+    model = ControlledModel(drift=bad_drift, vol=lambda t, x, mu, u: np.zeros_like(x), x0=0.0, horizon=1.0)
     with pytest.raises(SimulationError, match=r"step 3.*particle 7"):
         simulate(model, trivial_controls(), 10, 10, seed=1)
 
@@ -224,13 +224,13 @@ def _simulate_law_control(seen=None):
     """Simulate under the classical coupling mu(t) = L(X(t)): the measure
     control that returns ``info.law``. The drift appends each mu to ``seen``."""
 
-    def drift(t, x, mu, u, s):
+    def drift(t, x, mu, u):
         if seen is not None:
             seen.append(mu)
         return mu.mass_on(0.0, 2.0) - x
 
     model = ControlledModel(
-        drift=drift, vol=lambda t, x, mu, u, s: 0.3 * np.ones_like(x), x0=1.0, horizon=1.0
+        drift=drift, vol=lambda t, x, mu, u: 0.3 * np.ones_like(x), x0=1.0, horizon=1.0
     )
     ctrl = ControlPair(measure_ctrl=lambda t, info: info.law, scalar_ctrl=lambda t, info: 0.0)
     return simulate(model, ctrl, 50, 8, seed=4), ctrl
@@ -264,8 +264,8 @@ def test_delay_pattern_sees_lagged_state():
         return 0.0
 
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: np.ones_like(x),
-        vol=lambda t, x, mu, u, s: np.zeros_like(x),
+        drift=lambda t, x, mu, u: np.ones_like(x),
+        vol=lambda t, x, mu, u: np.zeros_like(x),
         x0=0.0,
         horizon=1.0,
     )
@@ -294,20 +294,20 @@ def _mean_and_se(samples):
 
 def test_performance_constants():
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: np.zeros_like(x),
-        vol=lambda t, x, mu, u, s: np.zeros_like(x),
+        drift=lambda t, x, mu, u: np.zeros_like(x),
+        vol=lambda t, x, mu, u: np.zeros_like(x),
         x0=0.0,
         horizon=1.0,
     )
     bundle = simulate(model, trivial_controls(), 50, 25, seed=0)
     perf_g = PerformanceSpec(
-        running=lambda t, x, m, mu, u, s: np.zeros_like(x),
-        terminal=lambda x, m, s: np.ones_like(x),
+        running=lambda t, x, m, mu, u: np.zeros_like(x),
+        terminal=lambda x, m: np.ones_like(x),
     )
     assert _mean_and_se(performance_samples(bundle, trivial_controls(), perf_g)) == (1.0, 0.0)
     perf_l = PerformanceSpec(
-        running=lambda t, x, m, mu, u, s: np.ones_like(x),
-        terminal=lambda x, m, s: np.zeros_like(x),
+        running=lambda t, x, m, mu, u: np.ones_like(x),
+        terminal=lambda x, m: np.zeros_like(x),
     )
     est, se = _mean_and_se(performance_samples(bundle, trivial_controls(), perf_l))
     assert est == pytest.approx(1.0, abs=1e-12)  # left Riemann sum of 1 over [0, T]
@@ -316,15 +316,15 @@ def test_performance_constants():
 
 def test_performance_nan_raises():
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: np.zeros_like(x),
-        vol=lambda t, x, mu, u, s: np.zeros_like(x),
+        drift=lambda t, x, mu, u: np.zeros_like(x),
+        vol=lambda t, x, mu, u: np.zeros_like(x),
         x0=0.0,
         horizon=1.0,
     )
     bundle = simulate(model, trivial_controls(), 5, 5, seed=0)
     perf = PerformanceSpec(
-        running=lambda t, x, m, mu, u, s: np.zeros_like(x),
-        terminal=lambda x, m, s: np.log(x),  # log(0) = -inf
+        running=lambda t, x, m, mu, u: np.zeros_like(x),
+        terminal=lambda x, m: np.log(x),  # log(0) = -inf
     )
     with np.errstate(divide="ignore"), pytest.raises(SimulationError):
         performance_samples(bundle, trivial_controls(), perf)
@@ -332,8 +332,8 @@ def test_performance_nan_raises():
 
 def test_inadmissible_perturbation_raises():
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: np.zeros_like(x),
-        vol=lambda t, x, mu, u, s: np.zeros_like(x),
+        drift=lambda t, x, mu, u: np.zeros_like(x),
+        vol=lambda t, x, mu, u: np.zeros_like(x),
         x0=0.0,
         horizon=1.0,
     )
@@ -352,8 +352,8 @@ def test_inadmissible_perturbation_raises():
 def _mu_linear_model(c):
     v = (0.0, 2.0)
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: mu.mass_on(*v) * x,
-        vol=lambda t, x, mu, u, s: np.zeros_like(x),
+        drift=lambda t, x, mu, u: mu.mass_on(*v) * x,
+        vol=lambda t, x, mu, u: np.zeros_like(x),
         x0=1.0,
         horizon=1.0,
     )
@@ -385,17 +385,44 @@ def test_derivative_closed_form():
 
 
 def test_derivative_l2_convergence():
-    """The difference quotient converges to Z in L^2(dt x P) as lambda shrinks."""
-    model, ctrl = _mu_linear_model(0.5)
-    bundle = simulate(model, ctrl, N_FAST, 100, seed=21)
-    direction = Direction(kind="measure", t0=0.0, measure=DiscreteMeasure.dirac(1.0))
-    z = simulate_derivative_process(bundle, model, ctrl, direction)
-    errs = []
-    for lam in (0.1, 0.05, 0.025):
-        shifted = simulate(model, perturbed_controls(ctrl, direction, lam), noise=bundle.noise)
-        quot = (shifted.states - bundle.states) / lam
-        errs.append(float(np.mean(np.sum((quot - z) ** 2, axis=1) * bundle.dt)))
-    assert errs[0] > errs[1] > errs[2]
+    """The difference quotient converges to Z in L^2(dt x P) as lambda shrinks.
+
+    The Levy case reads an open-loop control with one value per particle, so
+    the jump terms gather it at each step's event rows."""
+    measure_dir = Direction(kind="measure", t0=0.0, measure=DiscreteMeasure.dirac(1.0))
+    cases = [(*_mu_linear_model(0.5), measure_dir)]
+
+    def mass(m):
+        return m.mass_on(0.0, 2.0)
+
+    levy_model = ControlledModel(
+        drift=lambda t, x, mu, u: (mass(mu) + u) * x,
+        vol=lambda t, x, mu, u: 0.1 * x,
+        jump=lambda t, x, mu, u, z: z * (mass(mu) + u) * x,
+        levy=LevyMeasure([0.1, -0.2], [2.0, 1.0]),
+        x0=1.0,
+        horizon=1.0,
+    )
+    u_rows = np.linspace(0.1, 0.5, N_FAST)
+    rows_ctrl = ControlPair(
+        measure_ctrl=lambda t, info: DiscreteMeasure.dirac(1.0, 0.5),
+        scalar_ctrl=lambda t, info: u_rows,
+    )
+    cases += [
+        (levy_model, rows_ctrl, measure_dir),
+        (levy_model, rows_ctrl, Direction(kind="control", t0=0.0, scalar=1.0)),
+    ]
+    for model, ctrl, direction in cases:
+        bundle = simulate(model, ctrl, N_FAST, 100, seed=21)
+        assert bundle.noise.n_events > 0 or model.levy is None
+        z = simulate_derivative_process(bundle, model, ctrl, direction)
+        errs = []
+        for lam in (0.1, 0.05, 0.025):
+            shifted = simulate(model, perturbed_controls(ctrl, direction, lam), noise=bundle.noise)
+            quot = (shifted.states - bundle.states) / lam
+            errs.append(float(np.mean(np.sum((quot - z) ** 2, axis=1) * bundle.dt)))
+        # O(lambda) quotient error: each halving of lambda quarters its square
+        assert errs[0] > 3 * errs[1] > 9 * errs[2]
 
 
 def test_fd_quotient_slope_converges_with_crn():
@@ -423,10 +450,10 @@ def test_derivative_uses_analytic_partials_when_given():
     c = 0.5
     model, ctrl = _mu_linear_model(c)
     model.partials = CoefficientPartials(
-        drift_dx=lambda t, x, mu, u, s: mu.mass_on(0.0, 2.0) * np.ones_like(x),
-        drift_dmu=lambda t, x, mu, eta, u, s: eta.mass_on(0.0, 2.0) * x,
-        vol_dx=lambda t, x, mu, u, s: np.zeros_like(x),
-        vol_dmu=lambda t, x, mu, eta, u, s: np.zeros_like(x),
+        drift_dx=lambda t, x, mu, u: mu.mass_on(0.0, 2.0) * np.ones_like(x),
+        drift_dmu=lambda t, x, mu, eta, u: eta.mass_on(0.0, 2.0) * x,
+        vol_dx=lambda t, x, mu, u: np.zeros_like(x),
+        vol_dmu=lambda t, x, mu, eta, u: np.zeros_like(x),
     )
     bundle = simulate(model, ctrl, 3, 50, seed=0)
     direction = Direction(kind="measure", t0=0.0, measure=DiscreteMeasure.dirac(1.0))
@@ -440,9 +467,9 @@ def test_derivative_uses_analytic_partials_when_given():
         return m.mass_on(0.0, 2.0)
 
     levy_model = ControlledModel(
-        drift=lambda t, x, mu, u, s: (mass(mu) + u) * x,
-        vol=lambda t, x, mu, u, s: 0.1 * x,
-        jump=lambda t, x, mu, u, z, s: z * (mass(mu) + u) * x,
+        drift=lambda t, x, mu, u: (mass(mu) + u) * x,
+        vol=lambda t, x, mu, u: 0.1 * x,
+        jump=lambda t, x, mu, u, z: z * (mass(mu) + u) * x,
         levy=LevyMeasure([0.1, -0.2], [2.0, 1.0]),
         x0=1.0,
         horizon=1.0,
@@ -452,15 +479,15 @@ def test_derivative_uses_analytic_partials_when_given():
         scalar_ctrl=lambda t, info: 0.3,
     )
     partials = CoefficientPartials(
-        drift_dx=lambda t, x, mu, u, s: (mass(mu) + u) * np.ones_like(x),
-        drift_dmu=lambda t, x, mu, eta, u, s: mass(eta) * x,
-        drift_du=lambda t, x, mu, u, s: x,
-        vol_dx=lambda t, x, mu, u, s: 0.1 * np.ones_like(x),
-        vol_dmu=lambda t, x, mu, eta, u, s: np.zeros_like(x),
-        vol_du=lambda t, x, mu, u, s: np.zeros_like(x),
-        jump_dx=lambda t, x, mu, u, z, s: z * (mass(mu) + u) * np.ones_like(x),
-        jump_dmu=lambda t, x, mu, eta, u, z, s: z * mass(eta) * x,
-        jump_du=lambda t, x, mu, u, z, s: z * x,
+        drift_dx=lambda t, x, mu, u: (mass(mu) + u) * np.ones_like(x),
+        drift_dmu=lambda t, x, mu, eta, u: mass(eta) * x,
+        drift_du=lambda t, x, mu, u: x,
+        vol_dx=lambda t, x, mu, u: 0.1 * np.ones_like(x),
+        vol_dmu=lambda t, x, mu, eta, u: np.zeros_like(x),
+        vol_du=lambda t, x, mu, u: np.zeros_like(x),
+        jump_dx=lambda t, x, mu, u, z: z * (mass(mu) + u) * np.ones_like(x),
+        jump_dmu=lambda t, x, mu, eta, u, z: z * mass(eta) * x,
+        jump_du=lambda t, x, mu, u, z: z * x,
     )
     bundle = simulate(levy_model, levy_ctrl, 20, 50, seed=0)
     assert bundle.noise.n_events > 0
@@ -535,8 +562,8 @@ def test_blocked_noise_draw_is_bitwise_the_whole_array_draw(n, levy):
 def test_noise_bank_mismatch_rejected():
     """The noise comes from (N, M, seed) or from a bank, never from both or neither."""
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: np.zeros_like(x),
-        vol=lambda t, x, mu, u, s: np.zeros_like(x),
+        drift=lambda t, x, mu, u: np.zeros_like(x),
+        vol=lambda t, x, mu, u: np.zeros_like(x),
         x0=0.0,
         horizon=1.0,
     )
@@ -554,8 +581,8 @@ def test_noise_bank_mismatch_rejected():
 def test_noise_bank_for_other_horizon_rejected():
     """A bank drawn on [0, 1] would drive a horizon-4 model with dt = 1/M."""
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: np.zeros_like(x),
-        vol=lambda t, x, mu, u, s: np.ones_like(x),
+        drift=lambda t, x, mu, u: np.zeros_like(x),
+        vol=lambda t, x, mu, u: np.ones_like(x),
         x0=0.0,
         horizon=4.0,
     )
@@ -569,9 +596,9 @@ def test_noise_bank_for_other_horizon_rejected():
 def test_noise_bank_for_other_levy_measure_rejected():
     """A bank drawn without jumps would drive a pure-jump model with Var X(T) = 0."""
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: np.zeros_like(x),
-        vol=lambda t, x, mu, u, s: np.zeros_like(x),
-        jump=lambda t, x, mu, u, z, s: z * np.ones_like(x),
+        drift=lambda t, x, mu, u: np.zeros_like(x),
+        vol=lambda t, x, mu, u: np.zeros_like(x),
+        jump=lambda t, x, mu, u, z: z * np.ones_like(x),
         levy=LevyMeasure([1.0], [5.0]),
         x0=0.0,
         horizon=1.0,
@@ -594,8 +621,8 @@ def test_noise_bank_from_other_seed_rejected():
     """A bank carries its own seed: a seed restated beside it is rejected, and
     the bank alone reproduces the run drawn from that seed bit for bit."""
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: np.zeros_like(x),
-        vol=lambda t, x, mu, u, s: np.ones_like(x),
+        drift=lambda t, x, mu, u: np.zeros_like(x),
+        vol=lambda t, x, mu, u: np.ones_like(x),
         x0=0.0,
         horizon=1.0,
     )
@@ -621,15 +648,15 @@ def test_laws_are_built_on_first_read(monkeypatch):
 
     monkeypatch.setattr(sde_module, "empirical_law", counting_law)
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: -x,
-        vol=lambda t, x, mu, u, s: 0.5 * np.ones_like(x),
+        drift=lambda t, x, mu, u: -x,
+        vol=lambda t, x, mu, u: 0.5 * np.ones_like(x),
         x0=1.0,
         horizon=1.0,
     )
     ctrl = trivial_controls()
     bundle = simulate(model, ctrl, 300, 12, seed=8)
     lawless = PerformanceSpec(
-        running=lambda t, x, m, mu, u, s: x * x, terminal=lambda x, m, s: x,
+        running=lambda t, x, m, mu, u: x * x, terminal=lambda x, m: x,
     )
     performance_samples(bundle, ctrl, lawless)
     assert built == []
@@ -643,8 +670,8 @@ def test_laws_are_built_on_first_read(monkeypatch):
     assert law.n_atoms == expected.n_atoms and law.total_mass() == expected.total_mass()
     assert len(built) == 1
     reading = PerformanceSpec(
-        running=lambda t, x, m, mu, u, s: m.mass_on(0.0, np.inf) * x,
-        terminal=lambda x, m, s: x,
+        running=lambda t, x, m, mu, u: m.mass_on(0.0, np.inf) * x,
+        terminal=lambda x, m: x,
     )
     first = performance_samples(bundle, ctrl, reading)
     # steps 0..M-1 once each (step 5 was cached); the terminal law is unread
@@ -682,9 +709,9 @@ def _assert_read_only(*arrays):
 def test_noise_bank_and_filled_bundle_are_read_only():
     levy = LevyMeasure([-0.2, 0.3], [1.0, 2.0])
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: mu.mass_on(0.0, 2.0) - x,
-        vol=lambda t, x, mu, u, s: 0.5 * np.ones_like(x),
-        jump=lambda t, x, mu, u, zeta, s: zeta * np.ones_like(x),
+        drift=lambda t, x, mu, u: mu.mass_on(0.0, 2.0) - x,
+        vol=lambda t, x, mu, u: 0.5 * np.ones_like(x),
+        jump=lambda t, x, mu, u, zeta: zeta * np.ones_like(x),
         levy=levy,
         x0=1.0,
         horizon=1.0,
@@ -697,7 +724,7 @@ def test_noise_bank_and_filled_bundle_are_read_only():
         bank.dB, bank.ev_particle, bank.ev_step, bank.ev_zeta, bank._step_offsets,
         bank.jump_sizes, bank.jump_rates,
         bundle.states, bundle.law_at(3)._column,
-        SimInfo(bundle, 4, np.arange(200)).x,
+        SimInfo(bundle, 4).x,
     )
     # the sweep read laws while it filled states; their columns were frozen too
     law = bundle.law_at(2)
@@ -724,14 +751,14 @@ def test_perturbed_measure_control_shares_one_sum_per_step_and_base():
     )
     seen = {"drift": [], "running": []}
     model = ControlledModel(
-        drift=lambda t, x, mu, u, s: seen["drift"].append(mu) or mu.mass_on(0.0, 2.0) * x,
-        vol=lambda t, x, mu, u, s: 0.3 * np.ones_like(x),
+        drift=lambda t, x, mu, u: seen["drift"].append(mu) or mu.mass_on(0.0, 2.0) * x,
+        vol=lambda t, x, mu, u: 0.3 * np.ones_like(x),
         x0=1.0,
         horizon=1.0,
     )
     perf = PerformanceSpec(
-        running=lambda t, x, m, mu, u, s: seen["running"].append(mu) or mu.mass_on(0.0, 2.0) * x,
-        terminal=lambda x, m, s: x,
+        running=lambda t, x, m, mu, u: seen["running"].append(mu) or mu.mass_on(0.0, 2.0) * x,
+        terminal=lambda x, m: x,
     )
     direction = Direction(kind="measure", t0=0.3, measure=DiscreteMeasure.dirac(1.0))
     pert = perturbed_controls(controls, direction, 0.1)
@@ -751,7 +778,7 @@ def test_perturbed_measure_control_shares_one_sum_per_step_and_base():
         scalar_ctrl=lambda t, info: 0.0,
     )
     pert = perturbed_controls(fresh, direction, 0.1)
-    info = SimInfo(bundle, 5, np.arange(50))
+    info = SimInfo(bundle, 5)
     first, second = pert.measure_ctrl(info.t, info), pert.measure_ctrl(info.t, info)
     assert first is not second
     assert first.weights.tolist() == second.weights.tolist() == [1.0, -0.25, 0.1]
