@@ -11,9 +11,11 @@ has the closed-form first component
               + integral_t^T Gamma(s)/Gamma(t) phi(s) ds | F_t ],
 
 where dGamma = Gamma^- [alpha dt + beta dB + integral jump_phi dNtilde],
-Gamma(0) = 1.  Q and R are never estimated on their own: every driver in
-scope is absorbed by this linear reduction, and only P enters downstream
-identities.
+Gamma(0) = 1, advanced by the Euler step of ``sde``.  Gamma must stay in
+(0, inf): ``GammaPositivityError``, a ``SimulationError``, names the first
+step and particle that leave it.  Q and R are never estimated on their own:
+every driver in scope is absorbed by this linear reduction, and only P
+enters downstream identities.
 
 Two solvers:
 
@@ -47,8 +49,9 @@ from .sde import (
     ControlledModel,
     ParticleBundle,
     PerformanceSpec,
+    SimulationError,
     _central_difference,
-    _compensated_jump_step,
+    _euler_step,
     _partial_x,
     _step_view,
     _time_major,
@@ -56,8 +59,8 @@ from .sde import (
 )
 
 
-class GammaPositivityError(RuntimeError):
-    """Euler step drove Gamma nonpositive; shrink the step size."""
+class GammaPositivityError(SimulationError):
+    """Euler step drove Gamma out of (0, inf); shrink the step size."""
 
 
 @dataclass
@@ -100,26 +103,24 @@ def _gamma_step(gam: np.ndarray, k: int, alpha, beta, jump_phi, levy, noise) -> 
     ``alpha`` and ``beta`` as returned, ``jump_phi`` one value per Levy atom.
 
     Gamma(0) = 1 and dGamma = Gamma^-[alpha dt + beta dB + jump_phi dNtilde];
-    the compensated-jump Euler factor is
-    1 + alpha dt + beta dB + sum_{events} jump_phi - dt sum_j rate_j jump_phi.
+    the factor Gamma(k + 1)/Gamma(k) is the Euler step of ``sde`` from 1.
     """
-    n, dt = noise.n_particles, noise.dt
-    factor = 1.0 + _column(n, alpha) * dt + _column(n, beta) * noise.dB[:, k]
-    if len(jump_phi):
-        jp = np.empty((len(jump_phi), n))
-        for j, value in enumerate(jump_phi):
-            jp[j] = value
-        if np.any(jp <= -1.0):
-            raise GammaPositivityError(
-                f"jump_phi <= -1 at step {k}; Gamma cannot stay positive"
-            )
-        factor = _compensated_jump_step(factor, dt, levy, noise, k, lambda j, i: jp[j, i])
-    gam[:, k + 1] = gam[:, k] * factor
-    if np.any(gam[:, k + 1] <= 0.0):
-        bad = int(np.flatnonzero(gam[:, k + 1] <= 0.0)[0])
+    jp = np.empty((len(jump_phi), noise.n_particles))
+    for j, value in enumerate(jump_phi):
+        jp[j] = value
+    if np.any(jp <= -1.0):
         raise GammaPositivityError(
-            f"Gamma nonpositive at step {k + 1}, particle {bad}; "
-            "decrease the step size"
+            f"jump_phi <= -1 at step {k}; Gamma cannot stay positive"
+        )
+    factor = _euler_step(1.0, alpha, beta, noise, k, levy, lambda j, i: jp[j, i], "Gamma factor")
+    # an overflow to inf is reported below, not by a numpy warning
+    with np.errstate(over="ignore"):
+        gam[:, k + 1] = gam[:, k] * factor
+    outside = ~((gam[:, k + 1] > 0.0) & (gam[:, k + 1] < np.inf))
+    if outside.any():
+        bad = int(np.flatnonzero(outside)[0])
+        raise GammaPositivityError(
+            f"Gamma outside (0, inf) at step {k + 1}, particle {bad}; decrease the step size"
         )
 
 

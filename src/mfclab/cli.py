@@ -27,8 +27,8 @@ Unknown sections or keys are rejected, and so are a [knobs] key that the
 named experiment does not read (`mfclab list` names the ones each reads)
 and a non-empty [model] section for any experiment but consumption.  Exit
 codes: 0 all checks passed, 1 some check failed, 2 usage or config error,
-3 numerical failure (a non-finite state or a nonpositive Gamma), reported as
-one ``numerical error: ...`` line on stderr.
+3 numerical failure (a non-finite state or a Gamma outside (0, inf)),
+reported as one ``numerical error: ...`` line on stderr.
 """
 from __future__ import annotations
 
@@ -37,7 +37,6 @@ import configparser
 import os
 import sys
 
-from .bsde import GammaPositivityError
 from .experiments import (
     DESCRIPTIONS,
     EXPERIMENTS,
@@ -166,7 +165,7 @@ def main(argv=None) -> int:
 
     try:
         checks = run_experiment(cfg)
-    except (SimulationError, GammaPositivityError) as exc:
+    except SimulationError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     for check in checks:

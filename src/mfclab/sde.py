@@ -6,7 +6,9 @@ Simulates N i.i.d. copies of
          + integral gamma(t, X, mu, u, zeta) Ntilde(dt, dzeta)
 
 by an explicit Euler scheme with left-endpoint coefficients and compensated
-finite-activity jumps.  The measure argument fed to the coefficients is
+finite-activity jumps.  One step, ``_euler_step``, advances X, the derivative
+process Z and the Gamma process of ``bsde`` on the same noise, and rejects a
+non-finite result with ``SimulationError``.  The measure argument fed to the coefficients is
 player 1's measure-valued control.  The classical mean-field coupling
 mu(t) = L(X(t)) is one such control: ``lambda t, info: info.law`` under full
 information hands the coefficients each step's left-endpoint cross-sectional
@@ -398,40 +400,30 @@ def _as_particle_values(u, idx: np.ndarray):
     return u[idx] if isinstance(u, np.ndarray) and u.ndim else u
 
 
-def _step_controls(k, bundle, controls):
-    """Evaluate both controls at step k, checking u against ``u_bounds``."""
-    t = float(bundle.times[k])
-    mu_ctrl = controls.measure_ctrl(t, _info_for(controls.mu_info, k, bundle))
-    u = controls.scalar_ctrl(t, _info_for(controls.u_info, k, bundle))
-    if controls.u_bounds is not None:
-        lo, hi = controls.u_bounds
-        if np.ndim(u) == 0:
-            u_min = u_max = float(u)
-        else:
-            u_min = float(np.min(u))
-            u_max = float(np.max(u))
-        if u_min < lo - 1e-12 or u_max > hi + 1e-12:
-            raise InadmissiblePerturbation(
-                f"scalar control leaves U=[{lo}, {hi}] at t={t:.6g}: "
-                f"range [{u_min:.6g}, {u_max:.6g}]"
-            )
-    return mu_ctrl, u
+def _euler_step(y, drift, vol, noise, k, levy, jump_term, name):
+    """y + drift dt + vol dB_k - dt sum_j rate_j jump_term(j) plus the jumps of
+    step k's events; a non-finite result raises ``SimulationError`` naming it.
 
-
-def _compensated_jump_step(y, dt, levy, noise, k, term):
-    """y - dt sum_j rate_j term(j) plus the jumps of step k's events.
-
-    ``term(j, i)`` is the jump contribution of Levy atom j at particles i:
+    ``jump_term(j, i)`` is the jump contribution of Levy atom j at particles i:
     one atom at every particle (``i`` a full slice) for the compensator, and
-    each event's own atom at its particle for the jumps themselves.
+    each event's own atom at its particle for the jumps themselves.  Without
+    a Levy measure it is never called.
     """
-    comp = np.zeros(y.shape)
-    for j in range(levy.n_atoms):
-        comp += levy.rates[j] * term(j, slice(None))
-    y = y - dt * comp
-    idx, zeta_idx = noise.events_at(k)
-    if idx.size:
-        np.add.at(y, idx, term(zeta_idx, idx))
+    dt = noise.dt
+    y = y + drift * dt + vol * noise.dB[:, k]
+    if levy is not None:
+        comp = np.zeros(y.shape)
+        for j in range(levy.n_atoms):
+            comp += levy.rates[j] * jump_term(j, slice(None))
+        y = y - dt * comp
+        idx, zeta_idx = noise.events_at(k)
+        if idx.size:
+            np.add.at(y, idx, jump_term(zeta_idx, idx))
+    if not np.isfinite(y).all():
+        bad = int(np.flatnonzero(~np.isfinite(y))[0])
+        raise SimulationError(
+            f"non-finite {name} at step {k} (t={k * dt:.6g}), particle {bad}"
+        )
     return y
 
 
@@ -469,34 +461,21 @@ def simulate(
             "not for the model's Levy measure"
         )
     n, m = noise.n_particles, noise.n_steps
-    times = np.linspace(0.0, model.horizon, m + 1)
-    dt = float(times[1] - times[0])
-    bundle = ParticleBundle(times, _time_major(n, m + 1), noise)
+    bundle = ParticleBundle(np.linspace(0.0, model.horizon, m + 1), _time_major(n, m + 1), noise)
     states = bundle.states
     states[:, 0] = model.x0
     levy = model.levy
-    for k in range(m):
-        t = float(times[k])
-        x = states[:, k]
-        mu, u = _step_controls(k, bundle, controls)
-        b = model.drift(t, x, mu, u)
-        s = model.vol(t, x, mu, u)
-        x_next = x + b * dt + s * noise.dB[:, k]
-        if levy is not None:
+    # iter_steps builds step k's view only after this loop has written column k
+    for sv in iter_steps(bundle, controls):
+        t, x, mu, u = sv.t, sv.x, sv.mu_ctrl, sv.u
 
-            def jump_term(j, i):
-                return model.jump(
-                    t, x[i], mu, _as_particle_values(u, i),
-                    levy.jump_sizes[j],
-                )
+        def jump_term(j, i):
+            return model.jump(t, x[i], mu, _as_particle_values(u, i), levy.jump_sizes[j])
 
-            x_next = _compensated_jump_step(x_next, dt, levy, noise, k, jump_term)
-        if not np.isfinite(x_next).all():
-            bad = int(np.flatnonzero(~np.isfinite(x_next))[0])
-            raise SimulationError(
-                f"non-finite state at step {k} (t={t:.6g}), particle {bad}"
-            )
-        states[:, k + 1] = x_next
+        states[:, sv.k + 1] = _euler_step(
+            x, model.drift(t, x, mu, u), model.vol(t, x, mu, u), noise, sv.k, levy, jump_term,
+            "state",
+        )
     _read_only(states)
     return bundle
 
@@ -522,11 +501,23 @@ class StepView:
 
 
 def _step_view(bundle: ParticleBundle, controls: ControlPair, k: int) -> StepView:
-    """The control and measure arguments of a simulation at step k."""
-    mu_ctrl, u = _step_controls(k, bundle, controls)
-    return StepView(
-        k=k, t=float(bundle.times[k]), x=bundle.states[:, k], mu_ctrl=mu_ctrl, u=u, bundle=bundle,
-    )
+    """The control and measure arguments at step k, with u checked against ``u_bounds``."""
+    t = float(bundle.times[k])
+    mu_ctrl = controls.measure_ctrl(t, _info_for(controls.mu_info, k, bundle))
+    u = controls.scalar_ctrl(t, _info_for(controls.u_info, k, bundle))
+    if controls.u_bounds is not None:
+        lo, hi = controls.u_bounds
+        if np.ndim(u) == 0:
+            u_min = u_max = float(u)
+        else:
+            u_min = float(np.min(u))
+            u_max = float(np.max(u))
+        if u_min < lo - 1e-12 or u_max > hi + 1e-12:
+            raise InadmissiblePerturbation(
+                f"scalar control leaves U=[{lo}, {hi}] at t={t:.6g}: "
+                f"range [{u_min:.6g}, {u_max:.6g}]"
+            )
+    return StepView(k=k, t=t, x=bundle.states[:, k], mu_ctrl=mu_ctrl, u=u, bundle=bundle)
 
 
 def iter_steps(bundle: ParticleBundle, controls: ControlPair):
@@ -690,10 +681,8 @@ def simulate_derivative_process(
         gu = _partial_u(model.jump, p.jump_du)
 
     n, m = bundle.n_particles, bundle.n_steps
-    dt = bundle.dt
     z = _time_major(n, m + 1)
     z[:, 0] = 0.0
-    noise = bundle.noise
     levy = model.levy
     for sv in iter_steps(bundle, controls):
         k, t, x, mu, u = sv.k, sv.t, sv.x, sv.mu_ctrl, sv.u
@@ -708,25 +697,19 @@ def simulate_derivative_process(
             s_dir = su(t, x, mu, u) * pi
         else:
             b_dir = s_dir = 0.0
-        z_next = zk + (bx(t, x, mu, u) * zk + b_dir) * dt
-        z_next = z_next + (sx(t, x, mu, u) * zk + s_dir) * noise.dB[:, k]
-        if levy is not None:
 
-            def jump_term(j, i):
-                zeta = levy.jump_sizes[j]
-                x_i, u_i = x[i], _as_particle_values(u, i)
-                term = gx(t, x_i, mu, u_i, zeta) * zk[i]
-                if eta is not None:
-                    term = term + gmu(t, x_i, mu, eta, u_i, zeta)
-                elif pi != 0.0:
-                    term = term + gu(t, x_i, mu, u_i, zeta) * pi
-                return term
+        def jump_term(j, i):
+            zeta = levy.jump_sizes[j]
+            x_i, u_i = x[i], _as_particle_values(u, i)
+            term = gx(t, x_i, mu, u_i, zeta) * zk[i]
+            if eta is not None:
+                term = term + gmu(t, x_i, mu, eta, u_i, zeta)
+            elif pi != 0.0:
+                term = term + gu(t, x_i, mu, u_i, zeta) * pi
+            return term
 
-            z_next = _compensated_jump_step(z_next, dt, levy, noise, k, jump_term)
-        if not np.isfinite(z_next).all():
-            bad = int(np.flatnonzero(~np.isfinite(z_next))[0])
-            raise SimulationError(
-                f"non-finite derivative state at step {k} (t={t:.6g}), particle {bad}"
-            )
-        z[:, k + 1] = z_next
+        z[:, k + 1] = _euler_step(
+            zk, bx(t, x, mu, u) * zk + b_dir, sx(t, x, mu, u) * zk + s_dir,
+            bundle.noise, k, levy, jump_term, "derivative state",
+        )
     return z

@@ -72,3 +72,32 @@ def test_a_seed_run_on_one_side_only_is_refused(tmp_path, bench_record):
     _write(change, "derivatives", 1, 0, 1.0, 1_000_120)
     with pytest.raises(SystemExit, match=r"derivatives seeds \[2\] ran on one side only"):
         bench_record.build(parent, change, "t", None, [])
+
+
+def test_each_metric_gets_its_bound_and_a_no_regression_verdict(tmp_path, bench_record, monkeypatch):
+    """worse: the median is worse by more than the bound; unresolved: the
+    parent's IQR/median exceeds the bound and the change does not beat every
+    parent run; ok otherwise, including a wide parent that every change run
+    beats."""
+    monkeypatch.setattr(bench_record, "git_sha", lambda checkout: checkout.name)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    cases = {
+        "worse": ([10.0] * 5, [20.0] * 5),
+        "unresolved": ([6.0, 8.0, 10.0, 12.0, 14.0], [7.0, 9.0, 11.0, 9.0, 10.0]),
+        "ok": ([10.0, 10.1, 10.2, 10.3, 10.4], [10.4, 10.3, 10.2, 10.1, 10.0]),
+        "beats-all": ([6.0, 8.0, 10.0, 12.0, 14.0], [1.0, 2.0, 3.0, 4.0, 5.0]),
+    }
+    clock = 1_000_000
+    for workload, (parent_values, change_values) in cases.items():
+        for i, (p, c) in enumerate(zip(parent_values, change_values)):
+            _write(parent, workload, 100 + i, 0, p, clock)
+            _write(change, workload, 100 + i, 0, c, clock + 60)
+            clock += 120
+
+    record = bench_record.build(parent, change, "t", None, [])
+    bounds = {"wall_s": 0.25, "cpu_s": 0.25, "peak_rss_mb": 0.1, "setup_s": 0.25}
+    for workload in cases:
+        metrics = record["workloads"][workload]["metrics"]
+        assert {name: m["bound"] for name, m in metrics.items()} == bounds
+        expected = "ok" if workload == "beats-all" else workload
+        assert {m["verdict"] for m in metrics.values()} == {expected}, workload

@@ -19,6 +19,7 @@ from mfclab.bsde import (
 from mfclab.lawproc import LevyMeasure
 from mfclab.measures import DiscreteMeasure
 from mfclab.sde import (
+    CoefficientPartials,
     ControlPair,
     ControlledModel,
     InfoPattern,
@@ -112,6 +113,24 @@ def test_gamma_step_size_error():
     bundle = flat_bundle(n=50, m=4, seed=3)  # dt = 0.25, huge negative drift
     with pytest.raises(GammaPositivityError, match=r"at step \d+, particle \d+; decrease the step"):
         gamma_paths(bundle, alpha=-5.0)
+
+
+def test_gamma_overflow_is_reported_with_step_and_particle():
+    """Every state is finite, but drift_dx = 1e4 makes each Gamma factor 51,
+    so Gamma overflows at step 181 of 200: the solve raises instead of
+    returning an inf and NaN P (or a bare overflow warning)."""
+    model = ControlledModel(
+        drift=lambda t, x, mu, u: np.zeros_like(x),
+        vol=lambda t, x, mu, u: np.full_like(x, 0.1),
+        x0=1.0,
+        horizon=1.0,
+        partials=CoefficientPartials(drift_dx=lambda t, x, mu, u: np.full_like(x, 1e4)),
+    )
+    bundle = simulate(model, trivial_controls(), 50, 200, seed=1)
+    perf = PerformanceSpec(running=lambda t, x, m, mu, u: x, terminal=lambda x, m: x)
+    with pytest.raises(GammaPositivityError,
+                       match=r"outside \(0, inf\) at step 181, particle 0; decrease the step"):
+        adjoint_p0_solve(model, perf, bundle, trivial_controls())
 
 
 # -- closed-form estimator ------------------------------------------------------

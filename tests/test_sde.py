@@ -11,6 +11,7 @@ from mfclab.bsde import _gamma_start, _gamma_step
 from mfclab.lawproc import LevyMeasure
 from mfclab.measures import DiscreteMeasure
 from mfclab.sde import (
+    CoefficientPartials,
     ControlPair,
     SimInfo,
     ControlledModel,
@@ -215,9 +216,24 @@ def test_simulation_error_names_step_and_particle():
             out[7] = np.inf
         return out
 
-    model = ControlledModel(drift=bad_drift, vol=lambda t, x, mu, u: np.zeros_like(x), x0=0.0, horizon=1.0)
+    def bad_drift_dmu(t, x, mu, eta, u):
+        return bad_drift(t, x, mu, u)
+
+    def zero(t, x, mu, u):
+        return np.zeros_like(x)
+
+    model = ControlledModel(drift=bad_drift, vol=zero, x0=0.0, horizon=1.0)
     with pytest.raises(SimulationError, match=r"step 3.*particle 7"):
         simulate(model, trivial_controls(), 10, 10, seed=1)
+
+    # the derivative process steps through the same check
+    model = ControlledModel(drift=zero, vol=zero, x0=0.0, horizon=1.0,
+                            partials=CoefficientPartials(drift_dmu=bad_drift_dmu))
+    bundle = simulate(model, trivial_controls(), 10, 10, seed=1)
+    direction = Direction(kind="measure", measure=DiscreteMeasure.dirac(1.0))
+    with pytest.raises(SimulationError,
+                       match=r"^non-finite derivative state at step 3 \(t=0\.3\), particle 7$"):
+        simulate_derivative_process(bundle, model, trivial_controls(), direction)
 
 
 def _simulate_law_control(seen=None):

@@ -15,7 +15,9 @@ Untraced records (``--trace 0``) pair up by workload and seed; every seed
 must have run on both sides.  For each end-to-end metric that
 ``BENCHMARK.json`` names, the record holds each side's runs, median and
 quartiles (inclusive method), the change's pair wins (strictly better, in
-the metric's direction) and the relative change of the median.  The side
+the metric's direction), the relative change of the median, the metric's
+``bound`` from ``BENCHMARK.json`` and a no-regression ``verdict`` (see
+``verdict``).  The side
 whose record was written first in a pair (file times) ran first.  Traced records
 (``--trace 1``; rename repeated ones so they do not overwrite each other)
 give the medians of every traced metric per side.  A ``--claim`` is met when
@@ -56,6 +58,24 @@ def summary(runs: list[float]) -> dict:
     return {"median": statistics.median(runs), "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": runs}
 
 
+def verdict(spec: dict, parent: dict, change: dict) -> str:
+    """``worse`` when the change's median is worse than the parent's by more
+    than the metric's relative ``bound``; else ``unresolved`` when the
+    parent's IQR/median exceeds the bound and not every change run beats
+    every parent run; else ``ok``."""
+    lower, bound = spec["better"] == "lower", spec["bound"]
+    rel = change["median"] / parent["median"] - 1.0
+    if (rel if lower else -rel) > bound:
+        return "worse"
+    if lower:
+        beats_all = max(change["runs"]) < min(parent["runs"])
+    else:
+        beats_all = min(change["runs"]) > max(parent["runs"])
+    if parent["iqr"] / parent["median"] > bound and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
 def pair_up(records: dict[str, list[dict]], workload: str) -> list[tuple[int, dict[str, dict]]]:
     """(seed, {side: record}) per seed, in the order the pairs ran."""
     by_seed = {
@@ -82,6 +102,7 @@ def workload_record(records: dict[str, list[dict]], workload: str, metrics: list
         out["metrics"][name] = {
             "unit": spec["unit"], "parent": parent, "change": change, "change_wins": wins,
             "median_change_rel": change["median"] / parent["median"] - 1.0,
+            "bound": spec["bound"], "verdict": verdict(spec, parent, change),
         }
     for key in ("failed", "attempted"):
         out[key] = {side: sum(recs[side]["result"][key] for _, recs in pairs) for side in SIDES}
