@@ -69,7 +69,6 @@ from .game import (
 from .consumption import (
     ClosedFormControls,
     ConsumptionModel,
-    ConsumptionGameReport,
     closed_form_controls,
     feedback_pair,
     frozen_pair,

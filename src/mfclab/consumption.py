@@ -2,8 +2,8 @@
 
 The cash flow
 
-    dX = [mu(t)(V) - rho(t)] X dt + sigma(t) X dB
-         + integral gamma(t, zeta) X Ntilde(dt, dzeta),    X(0) = x0 > 0,
+    dX = [mu(t)(V) - rho(t)] X dt + sigma X dB
+         + integral zeta X Ntilde(dt, dzeta),    X(0) = x0 > 0,
 
 is consumed at relative rate rho (player 2, maximizing) while an adversary
 steers the measure process mu (player 1, minimizing), penalized by the
@@ -26,8 +26,13 @@ and the adversarial mass on V ships in BOTH circulating variants,
 the second obtained by substituting the product identity
 p0_hat(t) X_hat(t) = theta + T - t into the stationarity condition
 mu_hat(V) = E[M_hat(V) - p0_hat X_hat / 2 | G^(1)].  The two variants
-disagree; the first-order residual test adjudicates numerically and the
-report records the surviving one rather than silently picking.
+disagree; the first-order residual test adjudicates numerically, and the
+check lines name the surviving one rather than silently picking.
+
+sigma is a constant and the jump amplitude of the cash flow is the Levy atom
+zeta itself (so every atom must exceed -1 to keep X positive).  The closed
+forms read neither: rho_hat and mu_hat hold for any such sigma and Levy
+measure.
 
 mu_hat is realized as the empirical law plus a calibrated signed atom pair
 that moves the mass on V by the required offset while preserving total mass;
@@ -82,10 +87,12 @@ INFLATION = 1.2
 
 @dataclass
 class ConsumptionModel:
-    """Section-scale cash-flow model: deterministic relative coefficients.
+    """Section-scale cash-flow model: plain numbers.
 
-    ``vol(t)`` and ``jump_scale(t, zeta)`` multiply the state; ``theta`` is
-    the terminal utility weight.  V is the interval whose mass the
+    ``sigma`` multiplies the state in the Brownian term, and a jump of Levy
+    atom zeta multiplies it by 1 + zeta, so every atom must exceed -1.
+    ``theta`` is the terminal utility weight.  ``info`` is the information
+    pattern of both players' controls.  V is the interval whose mass the
     adversary's control and penalty read; ``v_probe``, an atom inside V, and
     ``v_outside``, one outside it, are derived from V (the signed pair that
     calibrates mu_hat's mass).
@@ -93,13 +100,11 @@ class ConsumptionModel:
 
     x0: float
     horizon: float
-    vol: Callable[[float], float]
+    sigma: float
     theta: float
     v_interval: tuple[float, float] = (0.25, math.inf)
-    jump_scale: Callable[[float, float], float] | None = None
     levy: LevyMeasure | None = None
-    mu_info: InfoPattern = field(default_factory=InfoPattern)
-    u_info: InfoPattern = field(default_factory=InfoPattern)
+    info: InfoPattern = field(default_factory=InfoPattern)
     v_probe: float = field(init=False)
     v_outside: float = field(init=False)
 
@@ -108,6 +113,8 @@ class ConsumptionModel:
             raise ValueError(f"x0 must be finite and positive (log utility), got {self.x0}")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
+        if not math.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
         self.theta = float(self.theta)
         if not (math.isfinite(self.theta) and self.theta > 0):
             raise ValueError(f"theta must be finite and positive, got {self.theta}")
@@ -116,15 +123,8 @@ class ConsumptionModel:
             raise ValueError("V interval is empty")
         self.v_probe = lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
         self.v_outside = lo - 1.0
-        if (self.levy is None) != (self.jump_scale is None):
-            raise ValueError("jump_scale and levy must come together")
-        if self.levy is not None:
-            for t in np.linspace(0.0, self.horizon, 17):
-                for zeta in self.levy.jump_sizes:
-                    if self.jump_scale(float(t), float(zeta)) <= -1.0:
-                        raise ValueError(
-                            "jump_scale must stay above -1 so X remains positive"
-                        )
+        if self.levy is not None and np.any(self.levy.jump_sizes <= -1.0):
+            raise ValueError("Levy jump sizes must stay above -1 so X remains positive")
 
 
 def state_model(model: ConsumptionModel) -> ControlledModel:
@@ -135,11 +135,11 @@ def state_model(model: ConsumptionModel) -> ControlledModel:
         return (mu.mass_on(lo, hi) - u) * x
 
     def vol(t, x, mu, u):
-        return model.vol(t) * x
+        return model.sigma * x
 
     partials = CoefficientPartials(
         drift_dx=lambda t, x, mu, u: (mu.mass_on(lo, hi) - u) * np.ones_like(x),
-        vol_dx=lambda t, x, mu, u: model.vol(t) * np.ones_like(x),
+        vol_dx=lambda t, x, mu, u: model.sigma * np.ones_like(x),
         drift_du=lambda t, x, mu, u: -x,
         vol_du=lambda t, x, mu, u: np.zeros_like(x),
         drift_dmu=lambda t, x, mu, eta, u: eta.mass_on(lo, hi) * x,
@@ -148,9 +148,9 @@ def state_model(model: ConsumptionModel) -> ControlledModel:
     jump = None
     if model.levy is not None:
         def jump(t, x, mu, u, zeta):
-            return model.jump_scale(t, zeta) * x
+            return zeta * x
 
-        partials.jump_dx = lambda t, x, mu, u, zeta: model.jump_scale(t, zeta) * np.ones_like(x)
+        partials.jump_dx = lambda t, x, mu, u, zeta: zeta * np.ones_like(x)
         partials.jump_du = lambda t, x, mu, u, zeta: np.zeros_like(x)
         partials.jump_dmu = lambda t, x, mu, eta, u, zeta: np.zeros_like(x)
 
@@ -252,8 +252,8 @@ def feedback_pair(model: ConsumptionModel, cf: ClosedFormControls) -> ControlPai
     return ControlPair(
         measure_ctrl=measure_ctrl,
         scalar_ctrl=scalar_ctrl,
-        mu_info=model.mu_info,
-        u_info=model.u_info,
+        mu_info=model.info,
+        u_info=model.info,
         u_bounds=(0.0, math.inf),
     )
 
@@ -290,8 +290,8 @@ def frozen_pair(
     pair = ControlPair(
         measure_ctrl=measure_ctrl,
         scalar_ctrl=_frozen_rate(cf, bundle, rho_scale),
-        mu_info=model.mu_info,
-        u_info=model.u_info,
+        mu_info=model.info,
+        u_info=model.info,
         u_bounds=(0.0, math.inf),
     )
     return pair, mass_path, mu_v_path
@@ -313,31 +313,19 @@ def _frozen_rate(cf: ClosedFormControls, bundle: ParticleBundle, rho_scale: floa
 # product-process identity
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ProductCheck:
-    """Deviation of p0(t) X(t) from theta + T - t."""
-
-    times: np.ndarray
-    profile: np.ndarray
-    max_deviation: float
-
-
 def product_process_check(
     model: ConsumptionModel, bundle: ParticleBundle, adjoint: BsdeSolution
-) -> ProductCheck:
-    """Check the pathwise identity p0(t) X(t) = theta + T - t along the bundle.
+) -> float:
+    """Largest deviation of p0(t) X(t) from theta + T - t along the bundle.
 
-    The profile holds the per-time maximum absolute deviation, taken one
-    time column at a time (a max does not depend on the order it is taken
-    in), so no (N, M+1) product table is built.
+    The maximum is taken one time column at a time (a max does not depend
+    on the order it is taken in), so no (N, M+1) product table is built.
     """
-    times = bundle.times
-    target = model.theta + model.horizon - times
-    profile = np.array([
+    target = model.theta + model.horizon - bundle.times
+    return float(np.max([
         np.abs(adjoint.p_at(k) * bundle.states[:, k] - target[k]).max()
-        for k in range(times.size)
-    ])
-    return ProductCheck(times=times, profile=profile, max_deviation=float(profile.max()))
+        for k in range(bundle.times.size)
+    ]))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +340,7 @@ class VariantRun:
     mu_v_path: np.ndarray
     residuals: ResidualCurves
     passes_residuals: bool
-    product: ProductCheck | None
+    product_deviation: float | None
 
 
 def _variant_run(spec: GameSpec, model: ConsumptionModel, variant: str, noise) -> VariantRun:
@@ -377,7 +365,7 @@ def _variant_run(spec: GameSpec, model: ConsumptionModel, variant: str, noise) -
         mu_v_path=mu_v_path,
         residuals=residuals,
         passes_residuals=passes,
-        product=product_process_check(model, bundle, adjoint.p0[2]) if passes else None,
+        product_deviation=product_process_check(model, bundle, adjoint.p0[2]) if passes else None,
     )
 
 
@@ -393,12 +381,6 @@ def _inflated_sweep(
     return _sweep_rows(spec, controls, plan, samples, noise)
 
 
-@dataclass
-class ConsumptionGameReport:
-    checks: list[CheckResult]
-    selected_variant: str | None
-
-
 def verify_consumption_game(
     model: ConsumptionModel,
     n_particles: int = 10_000,
@@ -406,20 +388,22 @@ def verify_consumption_game(
     seed: int = 2024,
     out_dir: str | None = None,
     lambdas: Sequence[float] = (0.05, 0.1, 0.2, -0.05, -0.1, -0.2),
-) -> ConsumptionGameReport:
+) -> list[CheckResult]:
     """Run the full candidate-verification pipeline on the consumption game.
 
     Simulates the mu_hat variants one at a time, in reverse order of
     ``VARIANTS``: a variant that fails its first-order residuals goes before
     the next one is simulated, and each variant's adjoints go once its
     product identity is checked (`_variant_run`).  The selected variant is
-    the first in ``VARIANTS`` order that passes.  Then runs the saddle perturbation sweep and
+    the first in ``VARIANTS`` order that passes; the first check line's
+    detail lists the passing variants (``passing=[...]``) and the later ones
+    name the selected one (``variant=...``).  Then runs the saddle perturbation sweep and
     re-runs it with the consumption rate inflated by ``INFLATION``, which
     must break the certificate; the inflated base's paths go once its
     samples are taken (`_inflated_sweep`).  Every simulation runs on one noise bank
     drawn from ``seed``.  Writes report.csv and controls.csv when
     ``out_dir`` is given; with no passing variant, controls.csv reads the
-    run of ``VARIANTS[0]``.
+    run of ``VARIANTS[0]``.  Returns the check lines.
     """
     spec = game_spec(model)
     checks: list[CheckResult] = []
@@ -452,9 +436,9 @@ def verify_consumption_game(
         checks.append(
             CheckResult(
                 name="product-process-max-deviation",
-                value=run.product.max_deviation,
+                value=run.product_deviation,
                 threshold=PRODUCT_TOL,
-                passed=run.product.max_deviation <= PRODUCT_TOL,
+                passed=run.product_deviation <= PRODUCT_TOL,
                 detail=f"variant={selected}",
             )
         )
@@ -571,4 +555,4 @@ def verify_consumption_game(
                 os.path.join(out_dir, "residuals.csv"), seed=seed
             )
 
-    return ConsumptionGameReport(checks=checks, selected_variant=selected)
+    return checks

@@ -103,7 +103,6 @@ class ExperimentConfig:
         if self.name == "consumption":
             # the model's own checks, run before any simulation
             model = consumption_model_from(self)
-            cons.state_model(model)
             # the sweeps shift the rate by every lambda from t = 0 on, where
             # rho_hat = 1/(T + theta) is smallest, and the cost takes log u
             rate = cons.closed_form_controls(model).rho_hat(0.0)
@@ -623,7 +622,6 @@ def run_nash_sweep(cfg: ExperimentConfig) -> list[CheckResult]:
 
 def consumption_model_from(cfg: ExperimentConfig) -> cons.ConsumptionModel:
     p = cfg.model
-    sigma = float(p.get("sigma", 0.2))
     jump_size = float(p.get("jump_size", 0.1))
     jump_rate = float(p.get("jump_rate", 0.5))
     if jump_rate < 0:
@@ -632,28 +630,24 @@ def consumption_model_from(cfg: ExperimentConfig) -> cons.ConsumptionModel:
     return cons.ConsumptionModel(
         x0=float(p.get("x0", 1.0)),
         horizon=float(p.get("horizon", 1.0)),
-        vol=lambda t: sigma,
+        sigma=float(p.get("sigma", 0.2)),
         theta=float(p.get("theta", 1.0)),
         v_interval=(float(p.get("v_lo", 0.25)), float(p.get("v_hi", math.inf))),
-        jump_scale=(lambda t, z: z) if levy is not None else None,
         levy=levy,
-        mu_info=InfoPattern(cfg.delay),
-        u_info=InfoPattern(cfg.delay),
+        info=InfoPattern(cfg.delay),
     )
 
 
 def run_consumption(cfg: ExperimentConfig) -> list[CheckResult]:
     """End-to-end verification of the consumption game's closed-form solution."""
-    model = consumption_model_from(cfg)
-    report = cons.verify_consumption_game(
-        model,
+    return cons.verify_consumption_game(
+        consumption_model_from(cfg),
         n_particles=cfg.n_particles,
         n_steps=cfg.n_steps,
         seed=cfg.seed,
         out_dir=cfg.out_dir,
         lambdas=tuple(cfg.lambdas),
     )
-    return report.checks
 
 
 EXPERIMENTS: dict[str, Callable[[ExperimentConfig], list[CheckResult]]] = {

@@ -8,8 +8,10 @@ Simulates N i.i.d. copies of
 by an explicit Euler scheme with left-endpoint coefficients and compensated
 finite-activity jumps.  One step, ``_euler_step``, advances X, the derivative
 process Z and the Gamma process of ``bsde`` on the same noise, and rejects a
-non-finite result with ``SimulationError``.  The measure argument fed to the coefficients is
-player 1's measure-valued control.  The classical mean-field coupling
+non-finite result with ``SimulationError``; the sweeps of X and Z run under
+``np.errstate(all="ignore")``, so that error is the only report of an
+overflow.  The measure argument fed to the coefficients is player 1's
+measure-valued control.  The classical mean-field coupling
 mu(t) = L(X(t)) is one such control: ``lambda t, info: info.law`` under full
 information hands the coefficients each step's left-endpoint cross-sectional
 law, an explicit coupling that avoids a fixed-point solve per step.
@@ -150,6 +152,12 @@ class CoefficientPartials:
     Any entry left as None falls back to a central finite difference with
     step ``FD_STEP``: in x for the ``*_dx`` slots, in the control for
     ``*_du``, and along a measure direction eta for ``*_dmu`` (directional).
+    The Hamiltonian derivatives of ``game.first_order_residuals`` and
+    ``game.gateaux_check`` take the drift's u- and mu-derivatives by central
+    differences even when ``drift_du`` and ``drift_dmu`` are declared:
+    honouring them there moves seeded bits, which ROADMAP leaves to a
+    north-star decision.  ``simulate_derivative_process`` reads every
+    declared entry, and ``bsde.adjoint_p0_solve`` the ``*_dx`` ones.
     """
 
     drift_dx: Callable | None = None
@@ -465,17 +473,20 @@ def simulate(
     states = bundle.states
     states[:, 0] = model.x0
     levy = model.levy
-    # iter_steps builds step k's view only after this loop has written column k
-    for sv in iter_steps(bundle, controls):
-        t, x, mu, u = sv.t, sv.x, sv.mu_ctrl, sv.u
+    # iter_steps builds step k's view only after this loop has written column k;
+    # an overflow is reported once, by _euler_step's SimulationError, not by
+    # numpy warnings on stderr
+    with np.errstate(all="ignore"):
+        for sv in iter_steps(bundle, controls):
+            t, x, mu, u = sv.t, sv.x, sv.mu_ctrl, sv.u
 
-        def jump_term(j, i):
-            return model.jump(t, x[i], mu, _as_particle_values(u, i), levy.jump_sizes[j])
+            def jump_term(j, i):
+                return model.jump(t, x[i], mu, _as_particle_values(u, i), levy.jump_sizes[j])
 
-        states[:, sv.k + 1] = _euler_step(
-            x, model.drift(t, x, mu, u), model.vol(t, x, mu, u), noise, sv.k, levy, jump_term,
-            "state",
-        )
+            states[:, sv.k + 1] = _euler_step(
+                x, model.drift(t, x, mu, u), model.vol(t, x, mu, u), noise, sv.k, levy,
+                jump_term, "state",
+            )
     _read_only(states)
     return bundle
 
@@ -684,32 +695,34 @@ def simulate_derivative_process(
     z = _time_major(n, m + 1)
     z[:, 0] = 0.0
     levy = model.levy
-    for sv in iter_steps(bundle, controls):
-        k, t, x, mu, u = sv.k, sv.t, sv.x, sv.mu_ctrl, sv.u
-        zk = z[:, k]
-        eta = direction.eta_at(t)
-        pi = direction.pi_at(t)
-        if eta is not None:
-            b_dir = bmu(t, x, mu, eta, u)
-            s_dir = smu(t, x, mu, eta, u)
-        elif pi != 0.0:
-            b_dir = bu(t, x, mu, u) * pi
-            s_dir = su(t, x, mu, u) * pi
-        else:
-            b_dir = s_dir = 0.0
-
-        def jump_term(j, i):
-            zeta = levy.jump_sizes[j]
-            x_i, u_i = x[i], _as_particle_values(u, i)
-            term = gx(t, x_i, mu, u_i, zeta) * zk[i]
+    # as in simulate, _euler_step reports an overflow; numpy does not warn
+    with np.errstate(all="ignore"):
+        for sv in iter_steps(bundle, controls):
+            k, t, x, mu, u = sv.k, sv.t, sv.x, sv.mu_ctrl, sv.u
+            zk = z[:, k]
+            eta = direction.eta_at(t)
+            pi = direction.pi_at(t)
             if eta is not None:
-                term = term + gmu(t, x_i, mu, eta, u_i, zeta)
+                b_dir = bmu(t, x, mu, eta, u)
+                s_dir = smu(t, x, mu, eta, u)
             elif pi != 0.0:
-                term = term + gu(t, x_i, mu, u_i, zeta) * pi
-            return term
+                b_dir = bu(t, x, mu, u) * pi
+                s_dir = su(t, x, mu, u) * pi
+            else:
+                b_dir = s_dir = 0.0
 
-        z[:, k + 1] = _euler_step(
-            zk, bx(t, x, mu, u) * zk + b_dir, sx(t, x, mu, u) * zk + s_dir,
-            bundle.noise, k, levy, jump_term, "derivative state",
-        )
+            def jump_term(j, i):
+                zeta = levy.jump_sizes[j]
+                x_i, u_i = x[i], _as_particle_values(u, i)
+                term = gx(t, x_i, mu, u_i, zeta) * zk[i]
+                if eta is not None:
+                    term = term + gmu(t, x_i, mu, eta, u_i, zeta)
+                elif pi != 0.0:
+                    term = term + gu(t, x_i, mu, u_i, zeta) * pi
+                return term
+
+            z[:, k + 1] = _euler_step(
+                zk, bx(t, x, mu, u) * zk + b_dir, sx(t, x, mu, u) * zk + s_dir,
+                bundle.noise, k, levy, jump_term, "derivative state",
+            )
     return z

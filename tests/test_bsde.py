@@ -223,8 +223,7 @@ def test_adjoint_consumption_product_identity(seed, n, m, theta, dt):
 
     horizon = m * dt
     model = cons.ConsumptionModel(
-        x0=1.0, horizon=horizon, vol=lambda t: 0.2, theta=theta,
-        jump_scale=lambda t, z: z, levy=LevyMeasure([0.1], [0.5]),
+        x0=1.0, horizon=horizon, sigma=0.2, theta=theta, levy=LevyMeasure([0.1], [0.5]),
     )
     cf = cons.closed_form_controls(model)
     state = cons.state_model(model)
@@ -246,8 +245,7 @@ def test_adjoint_solve_peak_memory_is_one_gamma_table():
 
     n, m = 2000, 50
     model = cons.ConsumptionModel(
-        x0=1.0, horizon=1.0, vol=lambda t: 0.2, theta=1.0,
-        jump_scale=lambda t, z: z, levy=LevyMeasure([0.1], [0.5]),
+        x0=1.0, horizon=1.0, sigma=0.2, theta=1.0, levy=LevyMeasure([0.1], [0.5]),
     )
     cf = cons.closed_form_controls(model)
     state = cons.state_model(model)

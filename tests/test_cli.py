@@ -386,6 +386,10 @@ def _contract_ini(name, n, m, seed, lambdas, delay, model):
 # an Euler state below 0 puts log x out of its domain: exit 3, and numpy's
 # "invalid value encountered in log" warnings went to stderr beside it
 @example(name="consumption", n=8, m=7, seed=176, lambdas=(0.1,), delay=0.0, model={"sigma": 1.0})
+# sigma * x overflows at step 1: exit 3, and numpy's "overflow encountered in
+# multiply" warning went to stderr before the numerical error line
+@example(name="consumption", n=10, m=10, seed=2024,
+         lambdas=(0.05, 0.1, 0.2, -0.05, -0.1, -0.2), delay=0.0, model={"sigma": 1e200})
 # neither particle jumps, so the standard error is 0: a ZeroDivisionError
 # traceback and exit 1
 @example(name="sde-moments", n=2, m=4, seed=225, lambdas=(0.0,), delay=0.0, model={})

@@ -16,9 +16,8 @@ def canonical_model(**overrides):
     kwargs = dict(
         x0=1.0,
         horizon=1.0,
-        vol=lambda t: 0.2,
+        sigma=0.2,
         theta=1.0,
-        jump_scale=lambda t, z: z,
         levy=LevyMeasure([0.1], [0.5]),
         v_interval=(0.25, math.inf),
     )
@@ -47,6 +46,8 @@ def _controlled(**overrides):
         pytest.param(lambda: _controlled(horizon=INF), "horizon", id="controlled-horizon-inf"),
         pytest.param(lambda: canonical_model(x0=NAN), "x0", id="consumption-x0-nan"),
         pytest.param(lambda: canonical_model(horizon=NAN), "horizon", id="consumption-horizon-nan"),
+        pytest.param(lambda: canonical_model(sigma=NAN), "sigma", id="consumption-sigma-nan"),
+        pytest.param(lambda: canonical_model(sigma=INF), "sigma", id="consumption-sigma-inf"),
         pytest.param(lambda: canonical_model(theta=NAN), "theta", id="consumption-theta-nan"),
         pytest.param(lambda: canonical_model(theta=INF), "theta", id="consumption-theta-inf"),
         pytest.param(lambda: canonical_model(theta=0.0), "theta", id="consumption-theta-zero"),
@@ -101,8 +102,11 @@ def test_variant_and_theta_validation():
 def test_model_validation():
     with pytest.raises(ValueError):
         canonical_model(x0=-1.0)
-    with pytest.raises(ValueError):
-        canonical_model(jump_scale=lambda t, z: -1.5, levy=LevyMeasure([0.1], [0.5]))
+    # a jump of atom zeta multiplies X by 1 + zeta, so zeta <= -1 is rejected exactly
+    for sizes in ([-1.5], [-1.0], [0.1, -1.0]):
+        with pytest.raises(ValueError, match="above -1"):
+            canonical_model(levy=LevyMeasure(sizes, [0.5] * len(sizes)))
+    assert canonical_model(levy=LevyMeasure([-0.999], [0.5])).levy is not None
     with pytest.raises(ValueError):
         canonical_model(v_interval=(2.0, 1.0))
 
@@ -121,15 +125,17 @@ def small_run():
 
 
 def test_product_terminal_exact(small_run):
+    """p0(T) X(T) = theta: the terminal column of the product identity."""
     model, bundle, _, _, _, adjoint = small_run
-    check = cons.product_process_check(model, bundle, adjoint)
-    assert check.profile[-1] <= 1e-12
+    terminal = adjoint.p_at(bundle.n_steps) * bundle.states[:, -1]
+    assert np.max(np.abs(terminal - model.theta)) <= 1e-12
 
 
 def test_product_max_deviation_small(small_run):
     model, bundle, _, _, _, adjoint = small_run
-    check = cons.product_process_check(model, bundle, adjoint)
-    assert check.max_deviation <= 0.05
+    deviation = cons.product_process_check(model, bundle, adjoint)
+    assert type(deviation) is float
+    assert 0.0 < deviation <= 0.05
 
 
 def test_penalty_identity_exact(small_run):
@@ -150,13 +156,27 @@ def test_state_positivity(small_run):
 
 # -- end-to-end verification ---------------------------------------------------------
 
+def _selected(checks):
+    """The selected variant as the check lines name it, or None."""
+    passing = checks[0].detail
+    assert passing.startswith("passing=")
+    named = {c.detail for c in checks[1:] if c.detail.startswith("variant=")}
+    if passing == "passing=none":
+        assert not named
+        return None
+    (detail,) = named
+    selected = detail.removeprefix("variant=")
+    assert passing.startswith(f"passing=['{selected}'")
+    return selected
+
+
 def test_verify_consumption_game_small(tmp_path):
     model = canonical_model()
-    report = cons.verify_consumption_game(
+    checks = cons.verify_consumption_game(
         model, n_particles=2000, n_steps=100, seed=7, out_dir=str(tmp_path)
     )
-    assert report.selected_variant == "first-order-derived"
-    assert all(c.passed for c in report.checks)
+    assert _selected(checks) == "first-order-derived"
+    assert all(c.passed for c in checks)
     assert (tmp_path / "report.csv").exists()
     assert (tmp_path / "controls.csv").exists()
     controls = (tmp_path / "controls.csv").read_text().strip().splitlines()
@@ -168,12 +188,12 @@ def test_verify_consumption_game_small(tmp_path):
 def test_certificate_regime_is_the_law_keeping_its_mass_in_v(tmp_path, horizon, certified):
     """The saddle certificate holds while M(t)(V) stays at 1 and fails, by far
     more than its noise, once the law leaves V, though the residuals pass."""
-    report = cons.verify_consumption_game(
+    lines = cons.verify_consumption_game(
         canonical_model(horizon=horizon), n_particles=2000, n_steps=100, seed=1,
         out_dir=str(tmp_path),
     )
-    checks = {c.name: c for c in report.checks}
-    assert report.selected_variant == "first-order-derived"
+    checks = {c.name: c for c in lines}
+    assert _selected(lines) == "first-order-derived"
     assert checks["first-order-residuals-3se"].passed
     assert checks["saddle-sweep-certified"].passed == certified
     # M(t)(V) = mu_hat_V_derived(t) + (T - t + theta) / 2, theta = 1
@@ -216,17 +236,15 @@ def test_mu_offset_breaks_saddle_in_mu_direction(tmp_path):
 
 def test_delay_information_pattern_runs():
     """The fixed-delay pattern is simulatable and keeps the product identity."""
-    model = canonical_model(
-        mu_info=InfoPattern(delay=0.1),
-        u_info=InfoPattern(delay=0.1),
-    )
+    model = canonical_model(info=InfoPattern(delay=0.1))
     cf = cons.closed_form_controls(model)
     state = cons.state_model(model)
     bundle = simulate(state, cons.feedback_pair(model, cf), 500, 50, seed=9)
     pair, _, _ = cons.frozen_pair(model, cf, bundle)
+    # both players read the one pattern
+    assert pair.mu_info is pair.u_info is model.info
     adjoint = adjoint_p0_solve(state, cons.performance(model), bundle, pair)
-    check = cons.product_process_check(model, bundle, adjoint)
-    assert check.max_deviation <= 0.05
+    assert cons.product_process_check(model, bundle, adjoint) <= 0.05
 
 
 # -- live set -------------------------------------------------------------------------
@@ -247,11 +265,11 @@ def test_verify_consumption_game_peak_memory():
     cons.verify_consumption_game(model, n_particles=50, n_steps=5, seed=1)
     tracemalloc.start()
     try:
-        report = cons.verify_consumption_game(model, n_particles=n, n_steps=m, seed=3)
+        checks = cons.verify_consumption_game(model, n_particles=n, n_steps=m, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.selected_variant == "first-order-derived"
+    assert _selected(checks) == "first-order-derived"
     assert peak < 5 * n * (m + 1) * 8
 
 
@@ -280,8 +298,8 @@ def test_inflated_base_is_gone_before_its_first_deviation(monkeypatch):
     real_cons_simulate, real_game_simulate = cons.simulate, game.simulate
     monkeypatch.setattr(cons, "simulate", spy_base)
     monkeypatch.setattr(game, "simulate", spy_deviation)
-    report = cons.verify_consumption_game(canonical_model(), n_particles=200, n_steps=10, seed=3)
-    assert report.selected_variant == "first-order-derived"
+    checks = cons.verify_consumption_game(canonical_model(), n_particles=200, n_steps=10, seed=3)
+    assert _selected(checks) == "first-order-derived"
     assert len(bases) == 3 and alive_at_deviation == [False] * 6
 
 
@@ -333,13 +351,13 @@ def test_variants_run_one_at_a_time_and_select_in_variants_order(
     real_run, real_residuals = cons._variant_run, cons.first_order_residuals
     monkeypatch.setattr(cons, "_variant_run", spy_run)
     monkeypatch.setattr(cons, "first_order_residuals", forced_residuals)
-    report = cons.verify_consumption_game(
+    checks = cons.verify_consumption_game(
         canonical_model(), n_particles=200, n_steps=10, seed=5, out_dir=str(tmp_path)
     )
     passing = [v for v in cons.VARIANTS if forced[v]]
     assert live_at_call == [[], ["stated-theorem"] if stated_passes else []]
-    assert report.selected_variant == (passing[0] if passing else None)
-    assert report.checks[0].detail == f"passing={passing or 'none'}"
+    assert _selected(checks) == (passing[0] if passing else None)
+    assert checks[0].detail == f"passing={passing or 'none'}"
     rows = [row.split(",") for row in (tmp_path / "controls.csv").read_text().splitlines()[1:-1]]
     read = passing[0] if passing else cons.VARIANTS[0]
     derived = cons.closed_form_controls(canonical_model())

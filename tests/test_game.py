@@ -45,8 +45,7 @@ def lq():
 @pytest.fixture(scope="module")
 def cgame():
     model = cons.ConsumptionModel(
-        x0=1.0, horizon=1.0, vol=lambda t: 0.2, theta=1.0,
-        jump_scale=lambda t, z: z, levy=LevyMeasure([0.1], [0.5]),
+        x0=1.0, horizon=1.0, sigma=0.2, theta=1.0, levy=LevyMeasure([0.1], [0.5]),
     )
     spec = cons.game_spec(model)
     cf = cons.closed_form_controls(model)
@@ -200,8 +199,7 @@ def test_zero_sum_consistency(cgame):
 def test_zero_sum_adjoints_are_exact_negations(levy):
     """Player 1's criterion negates player 2's, and so does its adjoint P, bit for bit."""
     model = cons.ConsumptionModel(
-        x0=1.0, horizon=1.0, vol=lambda t: 0.2, theta=1.0,
-        jump_scale=(lambda t, z: z) if levy is not None else None, levy=levy,
+        x0=1.0, horizon=1.0, sigma=0.2, theta=1.0, levy=levy,
     )
     spec = cons.game_spec(model)
     cf = cons.closed_form_controls(model)

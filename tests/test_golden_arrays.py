@@ -78,11 +78,9 @@ def _digest(a) -> str:
 
 
 def _model(levy: bool, delay: bool) -> cons.ConsumptionModel:
-    info = InfoPattern(DELAY if delay else 0.0)
     return cons.ConsumptionModel(
-        x0=1.0, horizon=1.0, vol=lambda t: 0.3, theta=1.0,
-        jump_scale=(lambda t, z: z) if levy else None, levy=LEVY if levy else None,
-        mu_info=info, u_info=info,
+        x0=1.0, horizon=1.0, sigma=0.3, theta=1.0, levy=LEVY if levy else None,
+        info=InfoPattern(DELAY if delay else 0.0),
     )
 
 

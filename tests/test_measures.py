@@ -717,7 +717,7 @@ def test_frozen_candidate_shares_the_laws_atoms():
     from mfclab.sde import simulate
 
     n, m = 2000, 50
-    model = cons.ConsumptionModel(x0=1.0, horizon=1.0, vol=lambda t: 0.2, theta=1.0)
+    model = cons.ConsumptionModel(x0=1.0, horizon=1.0, sigma=0.2, theta=1.0)
     cf = cons.closed_form_controls(model)
     bundle = simulate(cons.state_model(model), cons.feedback_pair(model, cf), n, m, seed=5)
     for k in range(m + 1):

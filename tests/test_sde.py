@@ -235,6 +235,23 @@ def test_simulation_error_names_step_and_particle():
                        match=r"^non-finite derivative state at step 3 \(t=0\.3\), particle 7$"):
         simulate_derivative_process(bundle, model, trivial_controls(), direction)
 
+    # a finite drift that overflows the state: the error alone, with no
+    # numpy overflow warning before it (a warning is an error in this suite)
+    def huge(t, x, mu, u):
+        return np.full_like(x, 1e308)
+
+    model = ControlledModel(drift=huge, vol=zero, x0=0.0, horizon=10.0)
+    with pytest.raises(SimulationError,
+                       match=r"^non-finite state at step 17 \(t=1\.7\), particle 0$"):
+        simulate(model, trivial_controls(), 5, 100, seed=1)
+    model = ControlledModel(drift=zero, vol=zero, x0=0.0, horizon=10.0,
+                            partials=CoefficientPartials(drift_du=huge))
+    bundle = simulate(model, trivial_controls(), 5, 100, seed=1)
+    with pytest.raises(SimulationError, match=r"^non-finite derivative state at step 17 "):
+        simulate_derivative_process(
+            bundle, model, trivial_controls(), Direction(kind="control", scalar=1.0)
+        )
+
 
 def _simulate_law_control(seen=None):
     """Simulate under the classical coupling mu(t) = L(X(t)): the measure
@@ -705,8 +722,7 @@ def test_consumption_performance_regression_fixture():
     from mfclab.lawproc import LevyMeasure as LM
 
     model = cons.ConsumptionModel(
-        x0=1.0, horizon=1.0, vol=lambda t: 0.2, theta=1.0,
-        jump_scale=lambda t, z: z, levy=LM([0.1], [0.5]),
+        x0=1.0, horizon=1.0, sigma=0.2, theta=1.0, levy=LM([0.1], [0.5]),
     )
     cf = cons.closed_form_controls(model)
     bundle = simulate(cons.state_model(model), cons.feedback_pair(model, cf), 2000, 100, seed=99)
