@@ -7,12 +7,12 @@ experiment and no CLI path reaches.  This test walks the syntax trees of
 to appear as a ``Name`` or an ``Attribute`` outside its own top-level
 ``def`` or ``class``; a mention in a docstring or a comment does not count.
 A public ``def`` in a class body (a method, property or classmethod) must be
-read the same way, anywhere outside its own class or inside it; dataclass
-fields are checked below.  A public ``__slots__`` attribute of a class must be
-read as an attribute (an ``Attribute`` load, in any class or function), so a
-slot that package code only writes fails.  A public field of a top-level
-``@dataclass`` or ``NamedTuple`` must be read the same way, so a field that
-every run fills and only tests read fails.
+read the same way, anywhere outside its own class or inside it.  A public
+``__slots__`` attribute of a class must be read as an attribute (an
+``Attribute`` load, in any class or function), so a slot that package code
+only writes fails.  A public field of a top-level ``@dataclass`` or
+``NamedTuple`` must be read the same way, so a field that every run fills
+and only tests read fails.
 """
 import ast
 import pathlib
