@@ -23,9 +23,12 @@ The config is flat INI with three sections::
     v_lo = 0.25
     v_hi = inf
 
-Unknown sections or keys are rejected, and so are a [knobs] key that the
-named experiment does not read (`mfclab list` names the ones each reads)
-and a non-empty [model] section for any experiment but consumption.  Exit
+The CLI only reads the file.  `ExperimentConfig` validates on construction
+and owns the [model] keys (`experiments.MODEL_DEFAULTS`), so a Python caller
+gets the same checks, an unknown [model] key included.  Unknown sections or
+keys are rejected, and so are a [knobs] key that the named experiment does
+not read (`mfclab list` names the ones each reads) and a non-empty [model]
+section for any experiment but consumption.  Exit
 codes: 0 all checks passed, 1 some check failed, 2 usage or config error,
 3 numerical failure (a non-finite state or a Gamma outside (0, inf)),
 reported as one ``numerical error: ...`` line on stderr.
@@ -36,6 +39,7 @@ import argparse
 import configparser
 import os
 import sys
+from dataclasses import fields
 
 from .experiments import (
     DESCRIPTIONS,
@@ -47,12 +51,20 @@ from .experiments import (
 from .sde import SimulationError
 
 _KNOB_KEYS = set().union(*KNOB_READERS.values())
-_MODEL_KEYS = {"x0", "horizon", "sigma", "jump_size", "jump_rate", "theta", "v_lo", "v_hi"}
+# each knob is parsed to the type of its default: int, float or a tuple of floats
+_KNOB_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.name in _KNOB_KEYS}
 _EXPERIMENT_KEYS = {"name", "out_dir"}
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _parse_knob(key: str, text: str):
+    default = _KNOB_DEFAULTS[key]
+    if isinstance(default, tuple):
+        return tuple(float(v) for v in text.replace(",", " ").split())
+    return type(default)(text)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -74,57 +86,30 @@ def load_config(path: str) -> ExperimentConfig:
     exp = dict(parser.items("experiment"))
     if set(exp) - _EXPERIMENT_KEYS:
         raise ConfigError(f"unknown [experiment] keys: {sorted(set(exp) - _EXPERIMENT_KEYS)}")
-    name = exp["name"]
-    if name not in EXPERIMENTS:
-        raise ConfigError(
-            f"unknown experiment {name!r}; run `mfclab list` for the catalogue"
-        )
-    cfg = ExperimentConfig(name=name, out_dir=exp.get("out_dir", "out"))
-
     knobs = dict(parser.items("knobs")) if parser.has_section("knobs") else {}
-    if knobs:
-        if set(knobs) - _KNOB_KEYS:
-            raise ConfigError(f"unknown [knobs] keys: {sorted(set(knobs) - _KNOB_KEYS)}")
-        try:
-            if "seed" in knobs:
-                cfg.seed = int(knobs["seed"])
-            if "n_particles" in knobs:
-                cfg.n_particles = int(knobs["n_particles"])
-            if "n_steps" in knobs:
-                cfg.n_steps = int(knobs["n_steps"])
-            if "quad_n" in knobs:
-                cfg.quad_n = int(knobs["quad_n"])
-            if "delay" in knobs:
-                cfg.delay = float(knobs["delay"])
-            if "lambdas" in knobs:
-                cfg.lambdas = tuple(
-                    float(v) for v in knobs["lambdas"].replace(",", " ").split()
-                )
-        except ValueError as exc:
-            raise ConfigError(f"bad [knobs] value: {exc}") from exc
-
-    if parser.has_section("model"):
-        model = dict(parser.items("model"))
-        if set(model) - _MODEL_KEYS:
-            raise ConfigError(f"unknown [model] keys: {sorted(set(model) - _MODEL_KEYS)}")
-        try:
-            cfg.model = {k: float(v) for k, v in model.items()}
-        except ValueError as exc:
-            raise ConfigError(f"bad [model] value: {exc}") from exc
-
-    env_out = os.environ.get("MFCLAB_OUT")
-    if env_out:
-        cfg.out_dir = env_out
+    if set(knobs) - _KNOB_KEYS:
+        raise ConfigError(f"unknown [knobs] keys: {sorted(set(knobs) - _KNOB_KEYS)}")
     try:
-        cfg.validate()
+        values = {key: _parse_knob(key, text) for key, text in knobs.items()}
+    except ValueError as exc:
+        raise ConfigError(f"bad [knobs] value: {exc}") from exc
+    model = dict(parser.items("model")) if parser.has_section("model") else {}
+    try:
+        model = {key: float(text) for key, text in model.items()}
+    except ValueError as exc:
+        raise ConfigError(f"bad [model] value: {exc}") from exc
+
+    out_dir = os.environ.get("MFCLAB_OUT") or exp.get("out_dir", "out")
+    try:
+        cfg = ExperimentConfig(name=exp["name"], out_dir=out_dir, model=model, **values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # after validate, so a bad value is reported for its own sake
-    unread = set(knobs) - set(KNOB_READERS[name])
+    # after validation, so a bad value is reported for its own sake
+    unread = set(knobs) - set(KNOB_READERS[cfg.name])
     if unread:
         raise ConfigError(
-            f"experiment {name!r} reads no [knobs] {sorted(unread)}; "
-            f"it reads {list(KNOB_READERS[name])}"
+            f"experiment {cfg.name!r} reads no [knobs] {sorted(unread)}; "
+            f"it reads {list(KNOB_READERS[cfg.name])}"
         )
     return cfg
 

@@ -466,11 +466,10 @@ def verify_consumption_game(
             lambdas=tuple(lambdas),
         )
         sweep = nash_perturbation_sweep(spec, run.controls, plan, run.bundle)
-        worst_row = max((r.delta - 2.0 * r.std_err) for r in sweep.rows)
         checks.append(
             CheckResult(
                 name="saddle-sweep-certified",
-                value=worst_row,
+                value=sweep.max_margin,
                 threshold=0.0,
                 passed=sweep.certified,
                 detail="max over directions of delta - 2se",
@@ -486,11 +485,10 @@ def verify_consumption_game(
             lambdas=tuple(lambdas),
         )
         inflated = _inflated_sweep(spec, inflated_controls, inflated_plan, noise)
-        best_gain = max((r.delta - 2.0 * r.std_err) for r in inflated.rows)
         checks.append(
             CheckResult(
                 name="inflated-rho-breaks-sweep",
-                value=best_gain,
+                value=inflated.max_margin,
                 threshold=0.0,
                 passed=not inflated.certified,
                 detail=f"rho scaled by {INFLATION}",
@@ -523,7 +521,6 @@ def verify_consumption_game(
         )
 
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         write_csv(
             os.path.join(out_dir, "report.csv"),
             ["criterion", "value", "threshold", "pass"],

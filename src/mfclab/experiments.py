@@ -56,11 +56,21 @@ from .sde import (
 _SEED_LIMIT = 2**128 - 2
 # experiments whose checks read a standard error over the particles
 _STANDARD_ERROR_EXPERIMENTS = ("sde-moments", "gateaux", "nash-sweep", "consumption")
+# the consumption game's [model] keys and their defaults; v_hi = inf is the
+# unbounded interval V = (v_lo, inf)
+MODEL_DEFAULTS: dict[str, float] = {
+    "x0": 1.0, "horizon": 1.0, "sigma": 0.2, "jump_size": 0.1,
+    "jump_rate": 0.5, "theta": 1.0, "v_lo": 0.25, "v_hi": math.inf,
+}
 
 
 @dataclass
 class ExperimentConfig:
-    """Knobs shared by the experiment catalogue; see `list_experiments`."""
+    """Knobs shared by the experiment catalogue; see `list_experiments`.
+
+    Construction validates the config, so a bad value, an unknown experiment
+    or an unknown [model] key raises `ValueError` before anything runs.
+    """
 
     name: str
     out_dir: str = "out"
@@ -72,9 +82,12 @@ class ExperimentConfig:
     delay: float = 0.0
     model: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         if self.name not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.name!r}")
+            raise ValueError(f"unknown experiment {self.name!r}; run `mfclab list` for the catalogue")
         if not 0 <= self.seed < _SEED_LIMIT:
             raise ValueError(f"seed must lie in [0, 2**128 - 2), got {self.seed}")
         if self.n_particles < 1:
@@ -97,7 +110,8 @@ class ExperimentConfig:
         if not all(math.isfinite(lam) for lam in self.lambdas):
             raise ValueError(f"lambdas must be finite, got {self.lambdas}")
         for key, value in self.model.items():
-            # v_hi = inf is the unbounded interval V = (v_lo, inf)
+            if key not in MODEL_DEFAULTS:
+                raise ValueError(f"unknown [model] key {key!r}; the keys are {list(MODEL_DEFAULTS)}")
             if not (math.isfinite(value) or (key == "v_hi" and value == math.inf)):
                 raise ValueError(f"model value {key} must be finite, got {value}")
         if self.name == "consumption":
@@ -117,7 +131,6 @@ class ExperimentConfig:
 
 
 def _out(cfg: ExperimentConfig, filename: str) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
     return os.path.join(cfg.out_dir, filename)
 
 
@@ -592,8 +605,7 @@ def run_nash_sweep(cfg: ExperimentConfig) -> list[CheckResult]:
     bundle = simulate(spec.model, candidate, n, m, cfg.seed)
     sweep = nash_perturbation_sweep(spec, candidate, plan, bundle)
     checks = [
-        CheckResult("lq-sweep-certified", float(max(r.delta - 2 * r.std_err for r in sweep.rows)),
-                    0.0, sweep.certified)
+        CheckResult("lq-sweep-certified", sweep.max_margin, 0.0, sweep.certified)
     ]
     # the quadratic expansion is exact for the discrete-grid optimum
     worst = 0.0
@@ -608,8 +620,7 @@ def run_nash_sweep(cfg: ExperimentConfig) -> list[CheckResult]:
     bundle_bad = simulate(spec.model, inflated, n, m, cfg.seed)
     sweep_bad = nash_perturbation_sweep(spec, inflated, plan, bundle_bad)
     checks.append(
-        CheckResult("lq-inflated-breaks", float(max(r.delta - 2 * r.std_err for r in sweep_bad.rows)),
-                    0.0, not sweep_bad.certified,
+        CheckResult("lq-inflated-breaks", sweep_bad.max_margin, 0.0, not sweep_bad.certified,
                     detail="10% inflation must be refuted")
     )
     sweep.to_csv(_out(cfg, "nash_sweep.csv"), seed=cfg.seed)
@@ -621,18 +632,16 @@ def run_nash_sweep(cfg: ExperimentConfig) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def consumption_model_from(cfg: ExperimentConfig) -> cons.ConsumptionModel:
-    p = cfg.model
-    jump_size = float(p.get("jump_size", 0.1))
-    jump_rate = float(p.get("jump_rate", 0.5))
-    if jump_rate < 0:
-        raise ValueError(f"jump_rate must be nonnegative (0 means no jumps), got {jump_rate}")
-    levy = LevyMeasure([jump_size], [jump_rate]) if jump_rate > 0 else None
+    p = {key: float(value) for key, value in {**MODEL_DEFAULTS, **cfg.model}.items()}
+    if p["jump_rate"] < 0:
+        raise ValueError(f"jump_rate must be nonnegative (0 means no jumps), got {p['jump_rate']}")
+    levy = LevyMeasure([p["jump_size"]], [p["jump_rate"]]) if p["jump_rate"] > 0 else None
     return cons.ConsumptionModel(
-        x0=float(p.get("x0", 1.0)),
-        horizon=float(p.get("horizon", 1.0)),
-        sigma=float(p.get("sigma", 0.2)),
-        theta=float(p.get("theta", 1.0)),
-        v_interval=(float(p.get("v_lo", 0.25)), float(p.get("v_hi", math.inf))),
+        x0=p["x0"],
+        horizon=p["horizon"],
+        sigma=p["sigma"],
+        theta=p["theta"],
+        v_interval=(p["v_lo"], p["v_hi"]),
         levy=levy,
         info=InfoPattern(cfg.delay),
     )

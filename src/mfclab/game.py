@@ -304,7 +304,7 @@ class PerturbationPlan:
     """Directions and magnitudes for a Nash/saddle grid search."""
 
     directions: Sequence[Direction]
-    lambdas: Sequence[float] = (0.2, 0.1, 0.05, -0.05, -0.1, -0.2)
+    lambdas: Sequence[float]
 
     def __post_init__(self):
         if not all(math.isfinite(lam) for lam in self.lambdas):
@@ -334,6 +334,12 @@ class SweepTable:
     def certified(self) -> bool:
         """Nash verdict at the tested resolution: no deviation improves."""
         return not any(r.improves for r in self.rows)
+
+    @property
+    def max_margin(self) -> float:
+        """Largest ``delta - 2 se`` over the rows, in row order; a positive
+        value is a deviation that gains beyond noise."""
+        return max(r.delta - 2.0 * r.std_err for r in self.rows)
 
     def to_csv(self, path: str, seed) -> None:
         rows = [(r.direction_id, r.lam, r.delta, r.std_err) for r in self.rows]

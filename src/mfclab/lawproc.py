@@ -130,14 +130,6 @@ class FourierTable:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
 
-    def scaled(self, a: float) -> "FourierTable":
-        return FourierTable(self.nodes, a * self.values)
-
-    def __add__(self, other: "FourierTable") -> "FourierTable":
-        if not np.array_equal(self.nodes, other.nodes):
-            raise ValueError("tables live on different node sets")
-        return FourierTable(self.nodes, self.values + other.values)
-
     def __sub__(self, other: "FourierTable") -> "FourierTable":
         if not np.array_equal(self.nodes, other.nodes):
             raise ValueError("tables live on different node sets")

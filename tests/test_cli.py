@@ -1,8 +1,11 @@
 """Tests for the config-driven experiment runner."""
 import contextlib
 import io
+import itertools
 import math
 import os
+import pathlib
+import re
 import tempfile
 import warnings
 from unittest import mock
@@ -12,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mfclab.bsde import GammaPositivityError
 from mfclab.cli import load_config, main
-from mfclab.experiments import KNOB_READERS, ExperimentConfig
+from mfclab.experiments import KNOB_READERS, MODEL_DEFAULTS, ExperimentConfig
 from mfclab.sde import SimulationError
 
 
@@ -267,6 +270,64 @@ def test_env_var_overrides_out_dir(tmp_path, monkeypatch):
     assert main(["run", cfg]) == 0
     assert (override / "norms.csv").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+@pytest.mark.parametrize(
+    "knob", ["seed = 1.5", "n_steps = 1e3", "lambdas = 0.1, x"], ids=["seed", "n_steps", "lambdas"]
+)
+def test_mistyped_knob_is_config_error(tmp_path, capsys, knob):
+    """Each knob is parsed to the type of its default: an int knob takes no
+    float spelling, and every lambda must be a float."""
+    cfg = write_config(
+        tmp_path, f"[experiment]\nname = consumption\nout_dir = {tmp_path}/out\n\n[knobs]\n{knob}\n"
+    )
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad [knobs] value: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_space_separated_lambdas_are_accepted(tmp_path):
+    cfg = load_config(
+        write_config(tmp_path, "[experiment]\nname = nash-sweep\n\n[knobs]\nlambdas = 0.1 -0.2\n")
+    )
+    assert cfg.lambdas == (0.1, -0.2)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(name="consumption", model={"sigmaa": 0.9}), "unknown [model] key 'sigmaa'"),
+        (dict(name="alchemy"), "unknown experiment 'alchemy'; run `mfclab list`"),
+    ],
+    ids=["model-key", "experiment"],
+)
+def test_library_config_is_validated_on_construction(kwargs, message):
+    """A Python caller gets the checks that the CLI applies: a misspelt
+    [model] key was run with its default before."""
+    with pytest.raises(ValueError) as info:
+        ExperimentConfig(**kwargs)
+    assert message in str(info.value)
+
+
+def _model_example(text):
+    """The ``key = value`` lines under the first ``[model]`` line of an INI example."""
+    lines = text[re.search(r"^\s*\[model\]", text, re.M).end():].splitlines()[1:]
+    pairs = [line.split(";")[0].split("=") for line in itertools.takewhile(lambda l: "=" in l, lines)]
+    return {key.strip(): float(value) for key, value in pairs}
+
+
+@pytest.mark.parametrize("source", ["README.md", "cli"])
+def test_model_examples_match_the_defaults(source):
+    """The README's and the CLI docstring's [model] examples list every key
+    of `MODEL_DEFAULTS` at its default, and no other."""
+    import mfclab.cli
+
+    if source == "cli":
+        text = mfclab.cli.__doc__
+    else:
+        text = (pathlib.Path(__file__).resolve().parents[1] / source).read_text()
+    assert _model_example(text) == MODEL_DEFAULTS
 
 
 def test_lambda_and_model_parsing(tmp_path):

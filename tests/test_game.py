@@ -594,7 +594,7 @@ def test_one_particle_bundle_raises(entry):
             spec, candidate, bundle, solve_adjoints(spec, bundle, candidate)
         ),
         "sweep": lambda: nash_perturbation_sweep(
-            spec, candidate, PerturbationPlan([direction]), bundle
+            spec, candidate, PerturbationPlan([direction], lambdas=(0.1,)), bundle
         ),
         "gateaux": lambda: gateaux_check(spec, candidate, direction, (0.1,), bundle),
     }
