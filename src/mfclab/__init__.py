@@ -4,14 +4,12 @@ from .measures import (
     BoundCheck,
     DiscreteMeasure,
     QuadratureRule,
-    RandomMeasureEnsemble,
     SQRT_PI,
     fourier_tables,
     gauss_hermite_rule,
     inner_product,
     law_distance_bound_check,
     norm_sq,
-    trapezoid_rule,
 )
 from .lawproc import (
     FourierTable,
@@ -23,7 +21,6 @@ from .lawproc import (
     generator_on_test_fn,
     law_derivative_fd,
     loglog_slope,
-    m4_norm_bound_check,
     table_norm_sq,
 )
 from .sde import (
@@ -53,7 +50,6 @@ from .bsde import (
     solve,
 )
 from .game import (
-    AdjointState,
     GameSpec,
     GateauxResult,
     IntervalMass,

@@ -25,8 +25,8 @@ The config is flat INI with three sections::
 
 The CLI only reads the file.  `ExperimentConfig` validates on construction
 and owns the [model] keys (`experiments.MODEL_DEFAULTS`), so a Python caller
-gets the same checks, an unknown [model] key included.  Unknown sections or
-keys are rejected, and so are a [knobs] key that the named experiment does
+gets the same checks, an unknown [model] key included.  Unknown sections
+(INI's [DEFAULT] among them) or keys are rejected, and so are a [knobs] key that the named experiment does
 not read (`mfclab list` names the ones each reads) and a non-empty [model]
 section for any experiment but consumption.  Exit
 codes: 0 all checks passed, 1 some check failed, 2 usage or config error,
@@ -70,7 +70,9 @@ def _parse_knob(key: str, text: str):
 def load_config(path: str) -> ExperimentConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # no section header can name "" (a header holds at least one character),
+    # so [DEFAULT] is a section like any other, and so an unknown one
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), default_section="")
     try:
         with open(path) as fh:
             parser.read_file(fh)

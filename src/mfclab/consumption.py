@@ -50,8 +50,6 @@ import numpy as np
 
 from .bsde import BsdeSolution
 from .game import (
-    RESIDUAL_FLOOR,
-    RESIDUAL_N_SE,
     GameSpec,
     IntervalMass,
     PerturbationPlan,
@@ -259,29 +257,31 @@ def feedback_pair(model: ConsumptionModel, cf: ClosedFormControls) -> ControlPai
 
 
 def frozen_pair(
-    model: ConsumptionModel,
-    cf: ClosedFormControls,
-    bundle: ParticleBundle,
-    rho_scale: float = 1.0,
+    model: ConsumptionModel, cf: ClosedFormControls, bundle: ParticleBundle
 ) -> tuple[ControlPair, np.ndarray, np.ndarray]:
     """Freeze the candidate as explicit control processes pinned to a bundle.
 
     Game-theoretic sweeps must hold one player's control fixed while the
     other deviates, so the feedback rules are evaluated once along the
-    baseline bundle and replayed as exogenous processes.  Returns the pair
-    plus the law masses M(t_k)(V) and the frozen mu_hat(t_k)(V).
+    baseline bundle and replayed as exogenous processes.  At step k the
+    frozen mu_hat reads the law that the feedback control saw there, the
+    law at step k - lag under the model's information delay (the concurrent
+    law at delay 0).  Returns the pair plus the law masses M(t_{k-lag})(V)
+    and the frozen mu_hat(t_k)(V).
     """
     lo, hi = model.v_interval
     times = bundle.times
     m = bundle.n_steps
     dt = bundle.dt
-    mass_path = np.array([bundle.law_at(k).mass_on(lo, hi) for k in range(m)])
+    lag = model.info.lag_steps(dt)
+    laws = [bundle.law_at(max(0, k - lag)) for k in range(m)]
+    mass_path = np.array([law.mass_on(lo, hi) for law in laws])
     mu_v_path = np.array(
         [cf.mu_hat_V(float(times[k]), mass_path[k]) for k in range(m)]
     )
     frozen_measures = [
-        bundle.law_at(k) + _signed_pair(model, mu_v_path[k] - mass_path[k])
-        for k in range(m)
+        law + _signed_pair(model, mu_v - mass)
+        for law, mu_v, mass in zip(laws, mu_v_path, mass_path)
     ]
 
     def measure_ctrl(t, info):
@@ -289,7 +289,7 @@ def frozen_pair(
 
     pair = ControlPair(
         measure_ctrl=measure_ctrl,
-        scalar_ctrl=_frozen_rate(cf, bundle, rho_scale),
+        scalar_ctrl=_frozen_rate(cf, bundle, 1.0),
         mu_info=model.info,
         u_info=model.info,
         u_bounds=(0.0, math.inf),
@@ -365,7 +365,7 @@ def _variant_run(spec: GameSpec, model: ConsumptionModel, variant: str, noise) -
         mu_v_path=mu_v_path,
         residuals=residuals,
         passes_residuals=passes,
-        product_deviation=product_process_check(model, bundle, adjoint.p0[2]) if passes else None,
+        product_deviation=product_process_check(model, bundle, adjoint[2]) if passes else None,
     )
 
 
@@ -397,7 +397,10 @@ def verify_consumption_game(
     product identity is checked (`_variant_run`).  The selected variant is
     the first in ``VARIANTS`` order that passes; the first check line's
     detail lists the passing variants (``passing=[...]``) and the later ones
-    name the selected one (``variant=...``).  Then runs the saddle perturbation sweep and
+    name the selected one (``variant=...``).  Each variant's adjoints,
+    residuals and sweeps read its `frozen_pair`, which replays the feedback
+    control that simulated its bundle; the residual line reports
+    `ResidualCurves.max_margin` against its ``FLOOR``.  Then runs the saddle perturbation sweep and
     re-runs it with the consumption rate inflated by ``INFLATION``, which
     must break the certificate; the inflated base's paths go once its
     samples are taken (`_inflated_sweep`).  Every simulation runs on one noise bank
@@ -442,17 +445,11 @@ def verify_consumption_game(
                 detail=f"variant={selected}",
             )
         )
-        res = run.residuals
-        worst_u = float(np.max(np.abs(res.res_u) - RESIDUAL_N_SE * res.se_u))
-        worst_mu = max(
-            float(np.max(np.abs(r) - RESIDUAL_N_SE * res.se_mu[name]))
-            for name, r in res.res_mu.items()
-        )
         checks.append(
             CheckResult(
                 name="first-order-residuals-3se",
-                value=max(worst_u, worst_mu),
-                threshold=RESIDUAL_FLOOR,
+                value=run.residuals.max_margin,
+                threshold=run.residuals.FLOOR,
                 passed=run.passes_residuals,
                 detail=f"variant={selected}",
             )

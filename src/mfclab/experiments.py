@@ -546,17 +546,17 @@ def run_gateaux(cfg: ExperimentConfig) -> list[CheckResult]:
 # nash-sweep (linear-quadratic toy game)
 # ---------------------------------------------------------------------------
 
-def lq_toy_game(sigma0: float = 0.3, q1: float = 1.0, q2: float = 1.0):
+def lq_toy_game(q1: float = 1.0, q2: float = 1.0):
     """Two-player LQ game with independent first-order systems.
 
-    b = u + mu(V), sigma = sigma0, l_1 = -mu(V)^2/2 + q1 x,
+    b = u + mu(V), sigma = 0.3, l_1 = -mu(V)^2/2 + q1 x,
     l_2 = -u^2/2 + q2 x, g_i = 0.  The adjoints are p_i(t) = q_i (T - t), so
     the Nash candidates are mu_hat(V)(t) = q1 (T - t), u_hat(t) = q2 (T - t).
     """
     v = (-1.0, 1.0)
     model = ControlledModel(
         drift=lambda t, x, mu, u: u + mu.mass_on(*v) + 0.0 * x,
-        vol=lambda t, x, mu, u: sigma0 * np.ones_like(x),
+        vol=lambda t, x, mu, u: 0.3 * np.ones_like(x),
         x0=0.0,
         horizon=1.0,
     )

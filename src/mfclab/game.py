@@ -54,11 +54,6 @@ from .sde import (
 )
 
 
-# a residual is statistically zero within this many standard errors plus the floor
-RESIDUAL_N_SE = 3.0
-RESIDUAL_FLOOR = 1e-8
-
-
 class UnsupportedModelError(RuntimeError):
     """The Hamiltonian derivative needs q0/r0 terms that are not available."""
 
@@ -116,20 +111,12 @@ class _NegatedSolution:
         return -self._solution.p_at(k)
 
 
-@dataclass
-class AdjointState:
-    """Adjoint data needed to evaluate Hamiltonian derivatives along a bundle.
-
-    ``p0`` maps player -> BsdeSolution (player 1's reads as the negation of
-    player 2's in a zero-sum game).
-    """
-
-    p0: dict[int, BsdeSolution | _NegatedSolution]
-
-
-def solve_adjoints(spec: GameSpec, bundle: ParticleBundle, candidate: ControlPair) -> AdjointState:
+def solve_adjoints(
+    spec: GameSpec, bundle: ParticleBundle, candidate: ControlPair
+) -> dict[int, BsdeSolution | _NegatedSolution]:
     """Solve the players' real-valued adjoint BSDEs along the bundle.
 
+    Returns ``{1: p1, 2: p2}``, each read per grid step with ``p_at(k)``.
     When player 1's criterion is the negation of player 2's, player 1's
     adjoint is read as the negation of player 2's: IEEE negation commutes
     exactly with every sum, product, quotient and central difference of
@@ -141,7 +128,7 @@ def solve_adjoints(spec: GameSpec, bundle: ParticleBundle, candidate: ControlPai
         p1 = _NegatedSolution(p2)
     else:
         p1 = adjoint_p0_solve(spec.model, spec.perf1, bundle, candidate)
-    return AdjointState(p0={1: p1, 2: p2})
+    return {1: p1, 2: p2}
 
 
 def _mu_shifts(sv, eta: DiscreteMeasure) -> dict[float, DiscreteMeasure]:
@@ -218,9 +205,13 @@ class ResidualCurves:
 
     Reported as cross-particle means with standard errors (the projection on
     any information pattern preserves the mean, which is what the 3-sigma
-    tests consume).  ``u_at_boundary`` flags times where the candidate sits
-    on the boundary of U and the residual need not vanish.
+    tests consume).  A residual is statistically zero within ``N_SE``
+    standard errors plus ``FLOOR``.  ``u_at_boundary`` flags times where the
+    candidate sits on the boundary of U and the residual need not vanish.
     """
+
+    N_SE = 3.0
+    FLOOR = 1e-8
 
     times: np.ndarray
     res_u: np.ndarray
@@ -230,14 +221,24 @@ class ResidualCurves:
     u_at_boundary: np.ndarray
 
     def u_within(self) -> bool:
-        ok = np.abs(self.res_u) <= RESIDUAL_N_SE * self.se_u + RESIDUAL_FLOOR
+        ok = np.abs(self.res_u) <= self.N_SE * self.se_u + self.FLOOR
         return bool(np.all(ok | self.u_at_boundary))
 
     def mu_within(self) -> bool:
         return all(
-            bool(np.all(np.abs(r) <= RESIDUAL_N_SE * self.se_mu[name] + RESIDUAL_FLOOR))
+            bool(np.all(np.abs(r) <= self.N_SE * self.se_mu[name] + self.FLOOR))
             for name, r in self.res_mu.items()
         )
+
+    @property
+    def max_margin(self) -> float:
+        """Largest ``|residual| - N_SE se`` over every time and curve, u first
+        and then each measure functional; a value above ``FLOOR`` is a
+        residual that is not zero within noise (boundary times included)."""
+        return max([
+            float(np.max(np.abs(self.res_u) - self.N_SE * self.se_u)),
+            *(float(np.max(np.abs(r) - self.N_SE * self.se_mu[name])) for name, r in self.res_mu.items()),
+        ])
 
     def to_csv(self, path: str, seed) -> None:
         rows = []
@@ -253,7 +254,7 @@ def first_order_residuals(
     spec: GameSpec,
     candidate: ControlPair,
     bundle: ParticleBundle,
-    adjoint: AdjointState,
+    adjoint: dict[int, BsdeSolution | _NegatedSolution],
 ) -> ResidualCurves:
     """Residuals of the necessary maximum principle along the candidate.
 
@@ -272,7 +273,7 @@ def first_order_residuals(
         mu_shifts = [_mu_shifts(sv, f.unit_direction()) for f in spec.functionals]
         _check_coefficient_independence(spec, sv, 2, mu_shifts)
         _check_coefficient_independence(spec, sv, 1, mu_shifts)
-        p2 = adjoint.p0[2].p_at(sv.k)
+        p2 = adjoint[2].p_at(sv.k)
         du = _dh_du_samples(spec, sv, p2)
         res_u[sv.k] = du.mean()
         se_u[sv.k] = du.std(ddof=1) / sqrt_n
@@ -280,7 +281,7 @@ def first_order_residuals(
             lo, hi = candidate.u_bounds
             u_min, u_max = float(np.min(sv.u)), float(np.max(sv.u))
             boundary[sv.k] = u_min <= lo + 1e-12 or u_max >= hi - 1e-12
-        p1 = adjoint.p0[1].p_at(sv.k)
+        p1 = adjoint[1].p_at(sv.k)
         for f, pair in zip(spec.functionals, mu_shifts):
             dmu = _dh_dmu_samples(spec, sv, p1, pair, 1)
             res_mu[f.name][sv.k] = dmu.mean()

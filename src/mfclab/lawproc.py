@@ -29,13 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import (
-    DiscreteMeasure,
-    QuadratureRule,
-    _clamp_norm_sq,
-    _read_only,
-    fourier_tables,
-)
+from .measures import DiscreteMeasure, QuadratureRule, _read_only, fourier_tables
 
 
 @dataclass(frozen=True)
@@ -136,12 +130,11 @@ class FourierTable:
         return FourierTable(self.nodes, self.values - other.values)
 
 
-def table_norm_sq(table: FourierTable, rule: QuadratureRule, k: int = 0) -> float:
-    """Squared order-k norm of Fourier data sampled on the rule's nodes."""
+def table_norm_sq(table: FourierTable, rule: QuadratureRule) -> float:
+    """Squared order-0 norm of Fourier data sampled on the rule's nodes."""
     if not np.array_equal(table.nodes, rule.nodes):
         raise ValueError("table nodes do not match the quadrature rule")
-    yk = np.abs(rule.nodes) ** k if k else 1.0
-    return float(rule.integrate(np.abs(table.values) ** 2 * yk))
+    return float(rule.integrate(np.abs(table.values) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +219,16 @@ def _central_step(path: MeasurePath, index: int) -> float:
     return 0.5 * (h_left + h_right)
 
 
-def abs_continuity_scan(
-    path: MeasurePath, rule: QuadratureRule, multiples: Sequence[int] = (1, 2, 4, 8, 16)
-) -> list[tuple[float, float]]:
+#: the dyadic multiples of the grid step that `abs_continuity_scan` takes as lags
+_SCAN_MULTIPLES = (1, 2, 4, 8, 16)
+
+
+def abs_continuity_scan(path: MeasurePath, rule: QuadratureRule) -> list[tuple[float, float]]:
     """Worst-case squared law increment per lag: (h, max_t ||M_{t+h} - M_t||^2).
 
-    Scans dyadic multiples of the grid step; downstream tests fit the log-log
-    slope, which the h^2 bound puts at 2 for smooth paths.
+    Scans the lags ``_SCAN_MULTIPLES`` times the grid step that the path is
+    long enough for; downstream tests fit the log-log slope, which the h^2
+    bound puts at 2 for smooth paths.
     """
     if len(path) < 3:
         raise ValueError("scan needs a path with at least 3 grid points")
@@ -241,8 +237,8 @@ def abs_continuity_scan(
     # differences under the rule.
     tables = fourier_tables(path.values, rule.nodes)
     out: list[tuple[float, float]] = []
-    for mult in multiples:
-        if mult < 1 or mult >= len(path):
+    for mult in _SCAN_MULTIPLES:
+        if mult >= len(path):
             continue
         diffs = tables[mult:] - tables[:-mult]
         sq = (np.abs(diffs) ** 2) @ rule.weights
@@ -259,32 +255,3 @@ def loglog_slope(scan: Sequence[tuple[float, float]]) -> float:
     logv = np.log([p[1] for p in pts])
     slope, _ = np.polyfit(logh, logv, 1)
     return float(slope)
-
-
-def m4_norm_bound_check(path: MeasurePath, rule: QuadratureRule) -> np.ndarray:
-    """Ratios ||M'(t)|| / ||M(t)||_{k=4} over interior grid points.
-
-    The bound's constant is not quantified, so callers assert boundedness and
-    stability under refinement rather than a specific value.  Each law is
-    transformed once; the numerator is ``table_norm_sq`` of
-    ``law_derivative_fd`` and the denominator ``norm_sq(law, 4, rule)``, bit
-    for bit.
-    """
-    if len(path) < 3:
-        raise ValueError("need at least 3 grid points")
-    tables = fourier_tables(path.values, rule.nodes)
-    y4 = np.abs(rule.nodes) ** 4
-    ratios = np.empty(len(path) - 2)
-    for i in range(1, len(path) - 1):
-        deriv = (tables[i + 1] - tables[i - 1]) / (2.0 * _central_step(path, i))
-        num = math.sqrt(rule.integrate(np.abs(deriv) ** 2))
-        law_hat = tables[i]
-        # inner_product's integrand: np.abs(z) ** 2 differs in the last bit
-        den = math.sqrt(_clamp_norm_sq(rule.integrate(np.real(np.conj(law_hat) * law_hat) * y4)))
-        if num == 0.0:
-            ratios[i - 1] = 0.0
-        elif den == 0.0:
-            ratios[i - 1] = math.inf
-        else:
-            ratios[i - 1] = num / den
-    return ratios

@@ -7,15 +7,16 @@ A finite signed measure mu with atoms (x_j, w_j) has Fourier transform
 which is exact (no discretization) for atomic measures.  Atoms and weights
 are real, so mu_hat(-y) = conj(mu_hat(y)): on exactly antisymmetric nodes
 (every Gauss-Hermite rule) ``fourier`` sums only the nonnegative half and
-mirrors the rest.  The order-k inner product of two random measures is
+mirrors the rest.  A random measure is a non-empty sequence of equally
+likely scenario measures, and two random measures pair their scenarios by
+index (common omega).  The order-k inner product of two random measures is
 
     <mu, eta>_k = E[ integral Re(conj(mu_hat(y)) * eta_hat(y)) |y|^k e^{-y^2} dy ],
 
-where the expectation is a weighted average over paired scenarios.  The dy
-integral is evaluated by a quadrature rule against the weight e^{-y^2}:
-Gauss-Hermite by default, with a truncated trapezoid rule as an independent
-cross-check.  The |y|^k factor is folded into the integrand (it is not smooth
-at 0), so a single rule serves every k.
+where the expectation is the plain average over paired scenarios.  The dy
+integral is evaluated by a Gauss-Hermite rule against the weight e^{-y^2}.
+The |y|^k factor is folded into the integrand (it is not smooth at 0), so a
+single rule serves every k.
 
 The induced norm gives a computable distance between laws of random variables;
 for X1, X2 in L^2 the empirical-law distance satisfies
@@ -30,10 +31,9 @@ edit a ``.copy()`` and build a new measure from it.  Because nothing can
 change its atoms, a measure keeps every interval mass it has computed, and
 ``mass_on`` computes each ``(lo, hi]`` once per measure.  For the same
 reason values share arrays instead of copying them: a sum ``a + b`` shares
-``a``'s sorted prefix and copies only the small tail after it, and builds
-its whole ``locations``/``weights`` on their first read (``mass_on`` and
-``n_atoms`` never need them); empirical laws of ``n`` distinct samples share
-one weights array.
+``a``'s sorted prefix and copies only the small tail after it (``mass_on``
+and ``n_atoms`` read the two parts, never their join); empirical laws of
+``n`` distinct samples share one weights array.
 
 ``fourier_tables`` evaluates a list of measures on one node array.  Above a
 small amount of work it shares whole measures between the calling thread and
@@ -59,6 +59,9 @@ SQRT_PI = math.sqrt(math.pi)
 #: negatives of a squared norm larger than this are treated as a real error,
 #: anything closer to zero is quadrature round-off and clamped.
 NORM_SQ_ROUNDOFF = 1e-12
+
+#: quadrature slack of the law-distance bound's verdict
+_BOUND_TOL = 1e-8
 
 _FOURIER_CHUNK = 65536
 
@@ -91,15 +94,12 @@ class DiscreteMeasure:
     prefix.  A sum ``a + b`` shares ``a``'s prefix arrays, without a copy,
     and owns the tail ``a``'s tail then ``b``'s atoms.  ``locations`` and
     ``weights`` are the prefix then the tail: one part's arrays themselves,
-    or, for a sum with both parts, arrays built on their first read and kept.
-    Every array is read-only, and the constructor copies what the caller
-    passed.  ``_masses`` holds the interval masses computed so far, keyed by
+    or, for a sum with both parts, a new join on each read.  Every array is
+    read-only, and the constructor copies what the caller passed.  ``_masses`` holds the interval masses computed so far, keyed by
     ``(lo, hi)``.
     """
 
-    __slots__ = (
-        "locations", "weights", "_sorted_loc", "_sorted_w", "_tail_loc", "_tail_w", "_masses",
-    )
+    __slots__ = ("_sorted_loc", "_sorted_w", "_tail_loc", "_tail_w", "_masses")
 
     def __init__(self, locations, weights):
         # copies: a read-only view would not stop writes through the caller's array
@@ -129,18 +129,14 @@ class DiscreteMeasure:
     def _set_atoms(self, sorted_loc, sorted_w, tail_loc, tail_w) -> None:
         self._sorted_loc, self._sorted_w = _read_only(sorted_loc), _read_only(sorted_w)
         self._tail_loc, self._tail_w = _read_only(tail_loc), _read_only(tail_w)
-        if not tail_loc.size:
-            self.locations, self.weights = sorted_loc, sorted_w
-        elif not sorted_loc.size:
-            self.locations, self.weights = tail_loc, tail_w
 
-    def __getattr__(self, name):
-        # only reached while a slot is unset: a sum's whole arrays before their first read
-        if name not in ("locations", "weights"):
-            raise AttributeError(name)
-        self.locations = _read_only(np.concatenate([self._sorted_loc, self._tail_loc]))
-        self.weights = _read_only(np.concatenate([self._sorted_w, self._tail_w]))
-        return getattr(self, name)
+    @property
+    def locations(self) -> np.ndarray:
+        return _joined(self._sorted_loc, self._tail_loc)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return _joined(self._sorted_w, self._tail_w)
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -153,11 +149,6 @@ class DiscreteMeasure:
     def n_atoms(self) -> int:
         # never builds a sum's whole arrays
         return self._sorted_loc.size + self._tail_loc.size
-
-    @property
-    def _n_sorted(self) -> int:
-        """Length of the sorted prefix."""
-        return self._sorted_loc.size
 
     def total_mass(self) -> float:
         return float(math.fsum(self.weights.tolist()))
@@ -205,16 +196,8 @@ class DiscreteMeasure:
             np.concatenate([self.weights, -other.weights]),
         )
 
-    def __neg__(self) -> "DiscreteMeasure":
-        return DiscreteMeasure(self.locations, -self.weights)
-
     def scaled(self, a: float) -> "DiscreteMeasure":
         return DiscreteMeasure(self.locations, a * self.weights)
-
-    def __mul__(self, a: float) -> "DiscreteMeasure":
-        return self.scaled(float(a))
-
-    __rmul__ = __mul__
 
     # -- Fourier transform ----------------------------------------------------
     def fourier(self, y) -> np.ndarray:
@@ -246,15 +229,25 @@ class DiscreteMeasure:
 
     def _fourier_sum(self, y: np.ndarray, out: np.ndarray) -> None:
         """Add ``sum_j w_j exp(i x_j y)`` into ``out``, in atom chunks."""
-        for start in range(0, self.n_atoms, _FOURIER_CHUNK):
-            x = self.locations[start : start + _FOURIER_CHUNK]
-            w = self.weights[start : start + _FOURIER_CHUNK]
+        loc, wts = self.locations, self.weights
+        for start in range(0, loc.size, _FOURIER_CHUNK):
+            x = loc[start : start + _FOURIER_CHUNK]
+            w = wts[start : start + _FOURIER_CHUNK]
             e = 1j * np.outer(y, x)
             np.exp(e, out=e)
             out += e @ w
 
     def __repr__(self) -> str:
         return f"DiscreteMeasure(n_atoms={self.n_atoms}, mass={self.total_mass():.6g})"
+
+
+def _joined(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """``head`` then ``tail``: one of them itself when the other is empty."""
+    if not tail.size:
+        return head
+    if not head.size:
+        return tail
+    return _read_only(np.concatenate([head, tail]))
 
 
 def _fourier_nodes(y) -> np.ndarray:
@@ -330,36 +323,6 @@ def _share_out(run: Callable[[int], None], count: int, n_threads: int) -> None:
         raise errors[0]
 
 
-class RandomMeasureEnsemble:
-    """A random measure sampled scenario-by-scenario (one measure per omega).
-
-    Scenarios are equally likely, so the expectation in the inner product is
-    a plain average.  Scenarios of two ensembles are paired by index (common
-    omega).
-    """
-
-    __slots__ = ("scenarios",)
-
-    def __init__(self, scenarios: Sequence[DiscreteMeasure]):
-        scenarios = list(scenarios)
-        if not scenarios:
-            raise ValueError("ensemble needs at least one scenario")
-        self.scenarios = scenarios
-
-    @property
-    def n_scenarios(self) -> int:
-        return len(self.scenarios)
-
-
-def as_ensemble(mu) -> RandomMeasureEnsemble:
-    """Coerce a DiscreteMeasure to a one-scenario ensemble."""
-    if isinstance(mu, RandomMeasureEnsemble):
-        return mu
-    if isinstance(mu, DiscreteMeasure):
-        return RandomMeasureEnsemble([mu])
-    raise TypeError(f"expected a measure or ensemble, got {type(mu).__name__}")
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Quadrature for integrals ``integral f(y) e^{-y^2} dy``.
@@ -386,10 +349,6 @@ class QuadratureRule:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
-    @property
-    def n(self) -> int:
-        return self.nodes.size
-
     def integrate(self, f: Callable[[np.ndarray], np.ndarray] | np.ndarray) -> float:
         """Integrate ``f(y) e^{-y^2}`` over the line.
 
@@ -415,25 +374,6 @@ def gauss_hermite_rule(n: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-def trapezoid_rule(n: int = 4096, half_width: float = 8.0) -> QuadratureRule:
-    """Truncated trapezoid rule on [-L, L] with e^{-y^2} folded into the weights.
-
-    Independent cross-check for the Gauss-Hermite rule; spectrally accurate
-    for smooth integrands because every derivative of the Gaussian weight is
-    negligible at +-L for L >= 8.
-    """
-    if n < 2:
-        raise ValueError(f"trapezoid rule needs n >= 2, got {n}")
-    if half_width <= 0:
-        raise ValueError("half_width must be positive")
-    nodes = np.linspace(-half_width, half_width, n)
-    h = nodes[1] - nodes[0]
-    w = np.full(n, h)
-    w[0] = w[-1] = h / 2
-    weights = w * np.exp(-nodes**2)
-    return QuadratureRule(nodes=nodes, weights=weights)
-
-
 # ---------------------------------------------------------------------------
 # inner products, norms, distances
 # ---------------------------------------------------------------------------
@@ -441,7 +381,8 @@ def trapezoid_rule(n: int = 4096, half_width: float = 8.0) -> QuadratureRule:
 def inner_product(mu, eta, k: int, rule: QuadratureRule) -> float:
     """Order-k inner product of two (random) measures.
 
-    Average of
+    Each argument is a measure or a non-empty sequence of equally likely
+    scenario measures; a measure is one scenario.  Average of
     ``integral Re(conj(mu_hat) eta_hat)(y) |y|^k e^{-y^2} dy`` over paired
     scenarios.  Symmetric in its measure arguments and bilinear in the atom
     weights.
@@ -449,28 +390,32 @@ def inner_product(mu, eta, k: int, rule: QuadratureRule) -> float:
     Raises
     ------
     ValueError
-        If the ensembles have different scenario counts (pairing is by
-        scenario index).
+        If an argument has no scenario, or the two have different scenario
+        counts (pairing is by scenario index).
     """
-    mu_e, eta_e = as_ensemble(mu), as_ensemble(eta)
-    if mu_e.n_scenarios != eta_e.n_scenarios:
-        raise ValueError(
-            "scenario pairing error: "
-            f"{mu_e.n_scenarios} vs {eta_e.n_scenarios} scenarios"
-        )
+    mu_s, eta_s = _scenarios(mu), _scenarios(eta)
+    if not mu_s or not eta_s:
+        raise ValueError("a random measure needs at least one scenario")
+    if len(mu_s) != len(eta_s):
+        raise ValueError(f"scenario pairing error: {len(mu_s)} vs {len(eta_s)} scenarios")
     if k < 0:
         raise ValueError("k must be a nonnegative integer")
     y = rule.nodes
     yk = np.abs(y) ** k if k else 1.0
-    weight = 1.0 / mu_e.n_scenarios
+    weight = 1.0 / len(mu_s)
     total = 0.0
-    for m_i, e_i in zip(mu_e.scenarios, eta_e.scenarios):
+    for m_i, e_i in zip(mu_s, eta_s):
         m_hat = m_i.fourier(y)
         # a squared norm pairs each scenario with itself: one transform
         e_hat = m_hat if e_i is m_i else e_i.fourier(y)
         integrand = np.real(np.conj(m_hat) * e_hat) * yk
         total += weight * rule.integrate(integrand)
     return float(total)
+
+
+def _scenarios(mu) -> list[DiscreteMeasure]:
+    """A measure as its one scenario, or a sequence's scenarios as a list."""
+    return [mu] if isinstance(mu, DiscreteMeasure) else list(mu)
 
 
 def norm_sq(mu, k: int, rule: QuadratureRule) -> float:
@@ -493,14 +438,12 @@ class BoundCheck(NamedTuple):
     holds: bool
 
 
-def law_distance_bound_check(
-    x1, x2, rule: QuadratureRule, tol: float = 1e-8
-) -> BoundCheck:
+def law_distance_bound_check(x1, x2, rule: QuadratureRule) -> BoundCheck:
     """Check ||L(X1) - L(X2)||^2 <= sqrt(pi) E[(X1 - X2)^2] on paired samples.
 
     Both sides are computed from the empirical laws (uniform-weight atoms at
     the sample values); the inequality is exact for empirical laws, so
-    ``holds`` is true for every input up to quadrature tolerance.
+    ``holds`` is true for every input up to ``_BOUND_TOL``.
     """
     a = np.asarray(x1, dtype=float).reshape(-1)
     b = np.asarray(x2, dtype=float).reshape(-1)
@@ -513,4 +456,4 @@ def law_distance_bound_check(
     law2 = DiscreteMeasure(b, np.full(n, 1.0 / n))
     lhs = norm_sq(law1 - law2, 0, rule)
     rhs = SQRT_PI * float(np.mean((a - b) ** 2))
-    return BoundCheck(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + tol))
+    return BoundCheck(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + _BOUND_TOL))

@@ -245,6 +245,21 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "unknown" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "default",
+    ["[DEFAULT]\nseed = 3\n", "[DEFAULT]\n"],
+    ids=["with-a-key", "empty"],
+)
+def test_default_section_is_an_unknown_section(tmp_path, capsys, default):
+    """INI's [DEFAULT] would copy its keys into every section; it is rejected
+    by name, before it can misname a key or pass unread."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"{default}[experiment]\nname = norms\nout_dir = {out}\n")
+    assert main(["run", cfg]) == 2
+    assert "unknown config sections: ['DEFAULT']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_experiment_rejected(tmp_path):
     cfg = write_config(tmp_path, "[experiment]\nname = alchemy\n")
     assert main(["run", cfg]) == 2

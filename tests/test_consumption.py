@@ -247,6 +247,48 @@ def test_delay_information_pattern_runs():
     assert cons.product_process_check(model, bundle, adjoint) <= 0.05
 
 
+def _delayed_bundle(delay: float):
+    """The first-order-derived candidate's feedback bundle at T = 2, where the
+    law loses mass on V, so a lagged and a concurrent law read other masses."""
+    model = canonical_model(horizon=2.0, info=InfoPattern(delay=delay))
+    spec = cons.game_spec(model)
+    cf = cons.closed_form_controls(model, "first-order-derived")
+    bundle = simulate(spec.model, cons.feedback_pair(model, cf), 2000, 100, seed=1)
+    return model, spec, cf, bundle
+
+
+@pytest.mark.parametrize("delay", [0.0, 0.1])
+def test_frozen_candidate_replays_its_bundle(delay):
+    """The frozen pair is the control that generated the bundle: each step's
+    mu_hat reads the law that the delayed feedback control saw, so a replay
+    on the bundle's noise gives its states bit for bit."""
+    model, spec, cf, bundle = _delayed_bundle(delay)
+    pair, mass_path, _ = cons.frozen_pair(model, cf, bundle)
+    replay = simulate(spec.model, pair, noise=bundle.noise)
+    assert replay.states.tobytes() == bundle.states.tobytes()
+    # the law at T = 2 does lose mass on V, so the lag is read, not idle
+    assert mass_path.min() < 0.9
+
+
+def test_zero_lambda_sweep_row_is_zero_under_delay():
+    """A deviation by zero gains exactly nothing, under delayed information too."""
+    from mfclab.game import PerturbationPlan, nash_perturbation_sweep
+    from mfclab.measures import DiscreteMeasure
+    from mfclab.sde import Direction
+
+    model, spec, cf, bundle = _delayed_bundle(0.1)
+    pair, _, _ = cons.frozen_pair(model, cf, bundle)
+    plan = PerturbationPlan(
+        directions=[
+            Direction(kind="measure", t0=0.0, measure=DiscreteMeasure.dirac(model.v_probe)),
+            Direction(kind="control", t0=0.0, scalar=1.0),
+        ],
+        lambdas=(0.0,),
+    )
+    sweep = nash_perturbation_sweep(spec, pair, plan, bundle)
+    assert [(r.delta, r.std_err) for r in sweep.rows] == [(0.0, 0.0), (0.0, 0.0)]
+
+
 # -- live set -------------------------------------------------------------------------
 
 def test_verify_consumption_game_peak_memory():

@@ -1,5 +1,6 @@
 """Tests for Hamiltonians, first-order residuals, sweeps and Gateaux checks."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,11 +66,11 @@ def hamiltonian(spec, player, t, x, m, mu, u, adjoint):
     broadcasts against the stored p0 particles.  Raises if ``t`` is not a
     grid point of the adjoint solution.
     """
-    times = adjoint.p0[player].times
+    times = adjoint[player].times
     k = int(round((t - times[0]) / (times[1] - times[0])))
     if not (0 <= k < len(times)) or abs(times[k] - t) > 1e-9:
         raise ValueError(f"no adjoint value at t={t}")
-    p0 = adjoint.p0[player].p_at(k)
+    p0 = adjoint[player].p_at(k)
     perf = spec.performance_for(player)
     value = perf.running(t, x, m, mu, u) + p0 * spec.model.drift(t, x, mu, u)
     return float(value) if np.ndim(value) == 0 else value
@@ -109,7 +110,7 @@ def test_hamiltonian_consumption_formula(cgame):
         if view.k == k:
             sv = view
             break
-    p0 = adjoint.p0[2].p_at(k)
+    p0 = adjoint[2].p_at(k)
     lo, hi = model.v_interval
     mu_v = sv.mu_ctrl.mass_on(lo, hi)
     m_v = sv.law.mass_on(lo, hi)
@@ -169,7 +170,8 @@ def test_consumption_wrong_rho_residual_bounded_away(cgame):
     """rho = 2 rho_hat: dH/du = 1/(2 rho_hat) - (theta + T - t) = -(theta + T - t)/2."""
     model, spec, _, base_bundle, _ = cgame
     cf = cons.closed_form_controls(model)
-    candidate, _, _ = cons.frozen_pair(model, cf, base_bundle, rho_scale=2.0)
+    frozen, _, _ = cons.frozen_pair(model, cf, base_bundle)
+    candidate = replace(frozen, scalar_ctrl=cons._frozen_rate(cf, base_bundle, 2.0))
     bundle = simulate(spec.model, candidate, 2000, 100, seed=51)
     adjoint = solve_adjoints(spec, bundle, candidate)
     res = first_order_residuals(spec, candidate, bundle, adjoint)
@@ -187,8 +189,8 @@ def test_zero_sum_consistency(cgame):
     for sv in iter_steps(bundle, candidate):
         if sv.k not in (0, 25, 50):
             continue
-        p1 = adjoint.p0[1].p_at(sv.k)
-        p2 = adjoint.p0[2].p_at(sv.k)
+        p1 = adjoint[1].p_at(sv.k)
+        p2 = adjoint[2].p_at(sv.k)
         assert np.max(np.abs(p1 + p2)) <= 1e-12 * max(1.0, np.max(np.abs(p2)))
         d1 = _dh_dmu_samples(spec, sv, p1, _mu_shifts(sv, eta), 1)
         d2 = _dh_dmu_samples(spec, sv, p2, _mu_shifts(sv, eta), 2)
@@ -207,7 +209,7 @@ def test_zero_sum_adjoints_are_exact_negations(levy):
     candidate, _, _ = cons.frozen_pair(model, cf, bundle)
     adjoint = solve_adjoints(spec, bundle, candidate)
     for k in range(bundle.n_steps + 1):
-        assert adjoint.p0[1].p_at(k).tobytes() == (-adjoint.p0[2].p_at(k)).tobytes()
+        assert adjoint[1].p_at(k).tobytes() == (-adjoint[2].p_at(k)).tobytes()
 
 
 def _spy_adjoint_solves(monkeypatch):
@@ -234,7 +236,7 @@ def test_zero_sum_game_solves_one_adjoint(cgame, monkeypatch):
     assert len(calls) == 1 and calls[0][1] is spec.perf2
     own = adjoint_p0_solve(spec.model, spec.perf1, bundle, candidate)
     for k in range(bundle.n_steps + 1):
-        assert adjoint.p0[1].p_at(k).tobytes() == own.p_at(k).tobytes()
+        assert adjoint[1].p_at(k).tobytes() == own.p_at(k).tobytes()
 
 
 def test_general_game_solves_both_adjoints(lq, monkeypatch):
@@ -455,7 +457,8 @@ def test_gateaux_consumption_control_direction(cgame):
     """Away from the optimum (rho scaled 1.5) the slope is -(1/3) int_{T/2}^T (theta + T - t) dt."""
     model, spec, _, base_bundle, _ = cgame
     cf = cons.closed_form_controls(model)
-    candidate, _, _ = cons.frozen_pair(model, cf, base_bundle, rho_scale=1.5)
+    frozen, _, _ = cons.frozen_pair(model, cf, base_bundle)
+    candidate = replace(frozen, scalar_ctrl=cons._frozen_rate(cf, base_bundle, 1.5))
     bundle = simulate(spec.model, candidate, 2000, 100, seed=51)
     direction = Direction(kind="control", t0=0.5, scalar=1.0)
     res = gateaux_check(spec, candidate, direction, (0.1, 0.05, 0.025), bundle)
@@ -481,7 +484,7 @@ def test_gateaux_solves_only_the_deviating_players_adjoint(cgame, monkeypatch):
     direction = Direction(kind="control", t0=0.5, scalar=1.0)
     gateaux_check(spec, candidate, direction, (0.1,), bundle)
     assert len(calls) == 1 and calls[0][0][1] is spec.performance_for(2)
-    assert calls[0][1].P.tobytes() == adjoint.p0[2].P.tobytes()
+    assert calls[0][1].P.tobytes() == adjoint[2].P.tobytes()
 
 
 def test_gateaux_consumption_measure_direction(cgame):

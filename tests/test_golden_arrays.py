@@ -92,7 +92,7 @@ def _intervals(mu: DiscreteMeasure, model: cons.ConsumptionModel) -> list[tuple[
         (lo, hi), (lo, 1.5), (lo, lo), (-math.inf, lo), (-0.0, 1.0), (0.0, 1.0),
         (model.v_outside, model.v_probe), (model.v_probe, math.inf),
     ]
-    k = mu._n_sorted
+    k = mu._sorted_loc.size
     if k:
         a, b = mu.locations[k // 4], mu.locations[(3 * k) // 4]
         out += [(a, b), (a, math.inf), (-math.inf, b)]
@@ -240,7 +240,8 @@ def _gateaux_arrays(out: dict, seed: int, n: int, m: int) -> None:
     cf = cons.closed_form_controls(model)
     noise = draw_noise(seed, n, m, model.horizon, model.levy)
     base = simulate(spec.model, cons.feedback_pair(model, cf), noise=noise)
-    candidate, _, _ = cons.frozen_pair(model, cf, base, rho_scale=1.5)
+    frozen, _, _ = cons.frozen_pair(model, cf, base)
+    candidate = replace(frozen, scalar_ctrl=cons._frozen_rate(cf, base, 1.5))
     bundle = simulate(spec.model, candidate, noise=noise)
     direction = Direction(kind="control", t0=0.5, scalar=1.0)
     res = gateaux_check(spec, candidate, direction, (0.1, 0.05), bundle)

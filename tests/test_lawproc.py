@@ -18,7 +18,6 @@ from mfclab.lawproc import (
     generator_on_test_fn,
     law_derivative_fd,
     loglog_slope,
-    m4_norm_bound_check,
     table_norm_sq,
 )
 from mfclab import lawproc, measures, sde
@@ -99,7 +98,7 @@ def test_empirical_law_is_bitwise_unique_counts(x):
     assert law.locations.tobytes() == loc.tobytes()
     assert np.array_equal(np.signbit(law.locations), np.signbit(loc))
     assert law.weights.tobytes() == wts.tobytes()
-    assert law._n_sorted == law.n_atoms
+    assert law._sorted_loc.size == law.n_atoms
 
 
 @settings(max_examples=30, deadline=None)
@@ -118,12 +117,12 @@ def test_empirical_law_rejects_non_finite_sample(x, bad, where):
 def test_lazy_law_fills_sorted_prefix_on_first_read():
     column = np.array([0.3, -1.0, 0.3, 2.0, -0.0, 0.0])
     law = _LazyLaw(column)
-    assert law._n_sorted == 4  # the first read: four distinct values, all sorted
+    assert law._sorted_loc.size == 4  # the first read: four distinct values, all sorted
     expected = empirical_law(column)
     assert law.locations.tobytes() == expected.locations.tobytes()
     assert law.weights.tobytes() == expected.weights.tobytes()
     shifted = _LazyLaw(column) + DiscreteMeasure([0.1], [1.0])
-    assert shifted._n_sorted == 4 and shifted.n_atoms == 5
+    assert shifted._sorted_loc.size == 4 and shifted.n_atoms == 5
 
 
 def test_empirical_law_close_to_binned_normal(rule):
@@ -362,60 +361,6 @@ def test_scan_of_dirac_laws_starts_no_thread(rule, monkeypatch):
     monkeypatch.setattr(measures, "_cpu_count", lambda: 2)
     ts = np.linspace(0.0, 1.0, 101)
     abs_continuity_scan(MeasurePath(ts, [DiscreteMeasure.dirac(t) for t in ts]), rule)
-
-
-# -- the k=4 norm bound -----------------------------------------------------------
-
-def test_m4_constant_path(rule):
-    mu = DiscreteMeasure.dirac(0.2)
-    path = MeasurePath(np.linspace(0, 1, 5), [mu] * 5)
-    assert np.all(m4_norm_bound_check(path, rule) == 0.0)
-
-
-def test_m4_dirac_drift_ratio(rule):
-    """For delta_t the ratio is sqrt((sqrt(pi)/2) / (3 sqrt(pi)/4)) = sqrt(2/3)."""
-    ts = np.linspace(0.4, 0.6, 21)
-    path = MeasurePath(ts, [DiscreteMeasure.dirac(t) for t in ts])
-    ratios = m4_norm_bound_check(path, rule)
-    assert ratios == pytest.approx(math.sqrt(2 / 3), rel=1e-3)
-
-
-def test_m4_brownian_stable_under_refinement(rule):
-    maxima = []
-    for n_pts in (11, 21):
-        ts = np.linspace(0.5, 1.5, n_pts)
-        path = MeasurePath(ts, [_binned_normal(math.sqrt(t)) for t in ts])
-        maxima.append(m4_norm_bound_check(path, rule).max())
-    assert maxima[1] == pytest.approx(maxima[0], rel=0.2)
-
-
-def _m4_reference(path, rule):
-    """The k=4 ratios from law_derivative_fd and norm_sq, law by law."""
-    ratios = []
-    for i in range(1, len(path) - 1):
-        num = math.sqrt(table_norm_sq(law_derivative_fd(path, i, rule), rule, k=0))
-        den = math.sqrt(norm_sq(path.values[i], 4, rule))
-        ratios.append(0.0 if num == 0.0 else math.inf if den == 0.0 else num / den)
-    return np.array(ratios)
-
-
-@pytest.mark.parametrize("law_at", [DiscreteMeasure.dirac, lambda t: _binned_normal(math.sqrt(t))])
-def test_m4_transforms_each_law_once_and_keeps_every_bit(law_at, monkeypatch):
-    rule = gauss_hermite_rule(16)
-    ts = np.linspace(0.5, 1.5, 11)
-    path = MeasurePath(ts, [law_at(t) for t in ts])
-    expected = _m4_reference(path, rule)
-    calls = []
-    kernel = DiscreteMeasure._fourier_sum
-
-    def spy(self, y, out):
-        calls.append(self)
-        kernel(self, y, out)
-
-    monkeypatch.setattr(DiscreteMeasure, "_fourier_sum", spy)
-    ratios = m4_norm_bound_check(path, rule)
-    assert sorted(map(id, calls)) == sorted(map(id, path.values))
-    assert ratios.tobytes() == expected.tobytes()
 
 
 # -- measure path plumbing ---------------------------------------------------------

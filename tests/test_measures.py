@@ -21,15 +21,33 @@ from mfclab import measures as measures_module
 from mfclab.lawproc import empirical_law
 from mfclab.measures import (
     DiscreteMeasure,
-    RandomMeasureEnsemble,
+    QuadratureRule,
     SQRT_PI,
     fourier_tables,
     gauss_hermite_rule,
     inner_product,
     law_distance_bound_check,
     norm_sq,
-    trapezoid_rule,
 )
+
+
+def trapezoid_rule(n: int = 4096, half_width: float = 8.0) -> QuadratureRule:
+    """Truncated trapezoid rule on [-L, L] with e^{-y^2} folded into the weights.
+
+    The tests' reference quadrature, independent of Gauss-Hermite; spectrally
+    accurate for smooth integrands because every derivative of the Gaussian
+    weight is negligible at +-L for L >= 8.
+    """
+    if n < 2:
+        raise ValueError(f"trapezoid rule needs n >= 2, got {n}")
+    if half_width <= 0:
+        raise ValueError("half_width must be positive")
+    nodes = np.linspace(-half_width, half_width, n)
+    h = nodes[1] - nodes[0]
+    w = np.full(n, h)
+    w[0] = w[-1] = h / 2
+    weights = w * np.exp(-nodes**2)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 @pytest.fixture(scope="module")
@@ -158,23 +176,30 @@ def test_norm_sq_never_negative(rule):
     assert norm_sq(mu, 4, rule) >= 0.0
 
 
-# -- ensembles ---------------------------------------------------------------
+# -- random measures: sequences of paired scenarios ----------------------------
 
 def test_ensemble_pairing_error(rule):
-    e1 = RandomMeasureEnsemble([DiscreteMeasure.dirac(0.0)] * 2)
-    e2 = RandomMeasureEnsemble([DiscreteMeasure.dirac(1.0)] * 3)
+    e1 = [DiscreteMeasure.dirac(0.0)] * 2
+    e2 = [DiscreteMeasure.dirac(1.0)] * 3
     with pytest.raises(ValueError, match="pairing"):
         inner_product(e1, e2, 0, rule)
+    with pytest.raises(ValueError, match="pairing"):
+        inner_product(e1, DiscreteMeasure.dirac(1.0), 0, rule)
 
 
-def test_ensemble_weights_validation():
-    with pytest.raises(ValueError):
-        RandomMeasureEnsemble([])
+def test_ensemble_weights_validation(rule):
+    """A random measure with no scenario is rejected, on either side."""
+    mu = DiscreteMeasure.dirac(0.0)
+    for args in (([], []), ([], mu), (mu, ())):
+        with pytest.raises(ValueError, match="at least one scenario"):
+            inner_product(*args, 0, rule)
+    with pytest.raises(ValueError, match="at least one scenario"):
+        norm_sq([], 0, rule)
 
 
 def test_random_ensemble_norm_averages(rule):
     """Ensemble norm is the scenario-weighted average of per-scenario norms."""
-    e = RandomMeasureEnsemble([DiscreteMeasure.dirac(0.0), DiscreteMeasure.dirac(1.0, 2.0)])
+    e = [DiscreteMeasure.dirac(0.0), DiscreteMeasure.dirac(1.0, 2.0)]
     expected = 0.5 * SQRT_PI + 0.5 * 4.0 * SQRT_PI
     assert norm_sq(e, 0, rule) == pytest.approx(expected, rel=1e-12)
 
@@ -397,9 +422,9 @@ def test_norm_sq_transforms_each_scenario_once(rule, monkeypatch):
 
     scenarios = [empirical_law(np.linspace(-1.0, 1.0, 7) * s) for s in (0.5, 1.0, 2.0)]
     copies = [DiscreteMeasure(m.locations, m.weights) for m in scenarios]
-    paired = inner_product(RandomMeasureEnsemble(scenarios), RandomMeasureEnsemble(copies), 2, rule)
+    paired = inner_product(scenarios, copies, 2, rule)
     monkeypatch.setattr(DiscreteMeasure, "_fourier_sum", spy)
-    value = norm_sq(RandomMeasureEnsemble(scenarios), 2, rule)
+    value = norm_sq(tuple(scenarios), 2, rule)
     assert calls == scenarios
     assert np.float64(value).tobytes() == np.float64(paired).tobytes()
 
@@ -495,8 +520,8 @@ def test_fourier_tables_on_one_cpu_start_no_thread(rule, monkeypatch):
     monkeypatch.setattr(measures_module, "_cpu_count", lambda: 1)
     monkeypatch.setattr(measures_module, "_PARALLEL_MIN_WORK", 0)
     ms = _small_laws()[:2]
-    assert fourier_tables(ms, rule.nodes).shape == (2, rule.n)
-    assert fourier_tables([], rule.nodes).shape == (0, rule.n)
+    assert fourier_tables(ms, rule.nodes).shape == (2, rule.nodes.size)
+    assert fourier_tables([], rule.nodes).shape == (0, rule.nodes.size)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -568,7 +593,7 @@ _bounds = st.one_of(_coords, st.sampled_from([-0.0, 0.0, 0.25, -math.inf, math.i
 @settings(max_examples=60, deadline=None)
 @given(mu=sorted_prefix_measures(), lo=_bounds, hi=_bounds)
 def test_mass_on_is_bitwise_mask_sum(mu, lo, hi):
-    assert np.all(np.diff(mu.locations[: mu._n_sorted]) > 0)
+    assert np.all(np.diff(mu.locations[: mu._sorted_loc.size]) > 0)
     bounds = [(lo, hi), (lo, math.inf), (lo, lo), (hi, hi), (0.0, hi), (-0.0, hi), (lo, -0.0)]
     # repeated and interleaved reads: the second pass is served by the memo
     for a, b in bounds + bounds[::-1]:
@@ -577,7 +602,7 @@ def test_mass_on_is_bitwise_mask_sum(mu, lo, hi):
 
 def test_mass_on_unsorted_measure_and_nan_bounds():
     mu = DiscreteMeasure([2.0, -1.0, 0.5, 0.5], [0.1, 0.2, 0.3, 0.4])
-    assert mu._n_sorted == 0
+    assert mu._sorted_loc.size == 0
     assert mu.mass_on(0.0, 2.0) == _mask_mass(mu, 0.0, 2.0)
     law = empirical_law([0.3, 1.2, -0.4])
     for m in (mu, law, law + mu):
@@ -608,7 +633,7 @@ def test_mass_on_computes_each_interval_once(monkeypatch):
         (law, 0.0, 1.0), (law, 0.0, math.inf), (pair, 0.0, 1.0),
     ]
     # a new measure starts with no masses of its own
-    assert (-law).mass_on(0.0, 1.0) == -0.2
+    assert law.scaled(-1.0).mass_on(0.0, 1.0) == -0.2
     assert len(computed) == 4
 
 
@@ -621,7 +646,7 @@ def test_measure_arrays_are_read_only_copies():
     assert mu.locations[0] == 3.0
     law = empirical_law(loc)
     built = [
-        mu, law, law + mu, law - mu, -law, law.scaled(2.0),
+        mu, law, law + mu, law - mu, law.scaled(-1.0), law.scaled(2.0),
         DiscreteMeasure.dirac(0.5), DiscreteMeasure([], []),
     ]
     for m in built:
@@ -636,14 +661,8 @@ def test_measure_arrays_are_read_only_copies():
 
 # -- shared atoms: sums, laws and their memory ---------------------------------
 
-def _whole_arrays_built(mu) -> bool:
-    """True once ``locations`` is set; for a sum of two nonempty parts, only
-    after its first whole read."""
-    try:
-        DiscreteMeasure.locations.__get__(mu)
-    except AttributeError:
-        return False
-    return True
+def _whole_array_read(self):
+    raise AssertionError("a measure's whole atom array was read")
 
 
 @st.composite
@@ -684,21 +703,19 @@ def _masked(loc, wts, lo, hi) -> float:
 @given(chain=measure_chains(), lo=_bounds, hi=_bounds, n=st.integers(2, 40))
 def test_sums_read_as_their_concatenation(chain, lo, hi, n):
     mu, loc, wts = chain
-    assert mu.n_atoms == loc.size
-    two_parts = mu._n_sorted and mu._n_sorted < mu.n_atoms
     bounds = [(lo, hi), (lo, math.inf), (-math.inf, hi), (0.0, hi), (-0.0, hi), (lo, -0.0), (lo, 0.0)]
-    for a, b in bounds:
-        assert np.float64(mu.mass_on(a, b)).tobytes() == np.float64(_masked(loc, wts, a, b)).tobytes()
-    # n_atoms and every mass above leave a two-part sum's whole arrays unbuilt
-    assert _whole_arrays_built(mu) == (not two_parts)
+    # n_atoms and every mass read the two parts, never their join
+    with mock.patch.object(DiscreteMeasure, "locations", property(_whole_array_read)), \
+            mock.patch.object(DiscreteMeasure, "weights", property(_whole_array_read)):
+        assert mu.n_atoms == loc.size
+        for a, b in bounds:
+            assert np.float64(mu.mass_on(a, b)).tobytes() == np.float64(_masked(loc, wts, a, b)).tobytes()
     y = gauss_hermite_rule(n).nodes
     assert mu.fourier(y).tobytes() == DiscreteMeasure(loc, wts).fourier(y).tobytes()
     for mine, expected in ((mu.locations, loc), (mu.weights, wts)):
         assert mine.tobytes() == expected.tobytes()
         with pytest.raises(ValueError, match="read-only"):
             mine[:1] = 1.2
-    # built once and kept
-    assert mu.locations is mu.locations and mu.weights is mu.weights
 
 
 def _kept_bytes(build):

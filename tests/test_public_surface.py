@@ -12,7 +12,10 @@ read the same way, anywhere outside its own class or inside it.  A public
 ``Attribute`` load, in any class or function), so a slot that package code
 only writes fails.  A public field of a top-level ``@dataclass`` or
 ``NamedTuple`` must be read the same way, so a field that every run fills
-and only tests read fails.
+and only tests read fails.  Every optional parameter of a public top-level
+function or of a public method must be passed by some call in package code,
+by position or by keyword, so an option that every caller leaves at its
+default fails.
 """
 import ast
 import pathlib
@@ -20,28 +23,36 @@ import pathlib
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "mfclab"
 
 #: paper formulas that the tests check against closed forms but that no
-#: certificate reads; each is kept as the lab's tested paper content
+#: certificate reads yet
 KEPT_PAPER_FORMULAS = (
-    # the truncated trapezoid rule: an independent cross-check of Gauss-Hermite quadrature
-    "trapezoid_rule",
-    # the generator on exp(ixy) test functions, the paper's law-process generator
+    # the generator on exp(ixy) test functions, the paper's law-process
+    # generator: the candidate reader is the planned law-term experiment
+    # (ROADMAP item 4), which pairs it with the adjoint; if that experiment
+    # settles on the derivative-process estimator instead, it goes
     "generator_on_test_fn",
-    # the paper's bound of ||M'(t)|| by the order-4 norm of M(t)
-    "m4_norm_bound_check",
 )
 
 #: public methods that only the benchmark harness reads, as ``Class.name``
 READ_BY_BENCHMARK = (
-    # perfbench/tracing.py counts a simulation's jump events with it
+    # perfbench/tracing.py counts a simulation's jump events with it; the
+    # planned run record (ROADMAP item 1) is to read it instead
     "NoiseBank.n_events",
 )
 
 #: public dataclass fields that no package code reads, as ``Class.name``
 REPORTED_ONLY_FIELDS = (
     # the standard errors of the finite-difference and adjoint slopes: a
-    # caller's reading of the slope check, pinned by the gateaux/control digest
+    # caller's reading of the slope check, pinned by the gateaux/control
+    # digest; the planned run record (ROADMAP item 1), which holds every
+    # check's inputs, is to read them
     "GateauxResult.fd_se",
     "GateauxResult.adjoint_se",
+)
+
+#: optional parameters that are for callers outside the package, as ``name.param``
+EXTERNAL_OPTIONS = (
+    # the console entry point reads sys.argv unless a caller passes argv
+    "main.argv",
 )
 
 
@@ -198,3 +209,74 @@ def test_reported_only_fields_are_still_unread():
     fields = _public_fields()
     read = sorted(key for key in REPORTED_ONLY_FIELDS if fields[key] in _attribute_loads())
     assert not read, f"read by package code, drop from REPORTED_ONLY_FIELDS: {read}"
+
+
+def _optional_parameters() -> dict[str, tuple[str, int, bool]]:
+    """``name.param`` to (name, position, is a method) for every optional
+    parameter of a public top-level function or a public method of a
+    top-level class.  Keyword-only parameters have position -1; a method's
+    positions count ``self`` or ``cls``."""
+    out = {}
+    for tree in _modules():
+        defs = [(fn, False) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+        defs += [
+            (fn, True)
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+        ]
+        for fn, is_method in defs:
+            if fn.name.startswith("_"):
+                continue
+            positional = fn.args.posonlyargs + fn.args.args
+            first_optional = len(positional) - len(fn.args.defaults)
+            for pos, arg in enumerate(positional[first_optional:], first_optional):
+                out[f"{fn.name}.{arg.arg}"] = (fn.name, pos, is_method)
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    out[f"{fn.name}.{arg.arg}"] = (fn.name, -1, is_method)
+    return out
+
+
+def _passed(name: str, param: str, pos: int, is_method: bool) -> bool:
+    """Does a call in package code pass ``param`` of ``name``?  A method is
+    called as an attribute, with its receiver in the first position."""
+    for tree in _modules():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if isinstance(func, ast.Attribute):
+                callee, offset = func.attr, int(is_method)
+            elif isinstance(func, ast.Name) and not is_method:
+                callee, offset = func.id, 0
+            else:
+                continue
+            if callee != name:
+                continue
+            if any(kw.arg in (param, None) for kw in call.keywords):
+                return True
+            if any(isinstance(a, ast.Starred) for a in call.args):
+                return True
+            if pos >= 0 and len(call.args) + offset > pos:
+                return True
+    return False
+
+
+def test_every_optional_parameter_is_passed_by_package_code():
+    options = _optional_parameters()
+    assert {"simulate.noise", "main.argv"} <= set(options)
+    unpassed = sorted(
+        key for key, (name, pos, is_method) in options.items()
+        if key not in EXTERNAL_OPTIONS and not _passed(name, key.split(".")[1], pos, is_method)
+    )
+    assert not unpassed, f"optional parameters that package code never passes: {unpassed}"
+
+
+def test_external_options_are_still_unpassed():
+    """As for the paper formulas: package code passing one ends its exception."""
+    options = _optional_parameters()
+    passed = sorted(
+        key for key in EXTERNAL_OPTIONS
+        if _passed(options[key][0], key.split(".")[1], *options[key][1:])
+    )
+    assert not passed, f"passed by package code, drop from EXTERNAL_OPTIONS: {passed}"
