@@ -26,11 +26,11 @@ The config is flat INI with three sections::
 The CLI only reads the file.  `ExperimentConfig` validates on construction
 and owns the [model] keys (`experiments.MODEL_DEFAULTS`), so a Python caller
 gets the same checks, an unknown [model] key included.  Unknown sections
-(INI's [DEFAULT] among them) or keys are rejected, and so are a [knobs] key that the named experiment does
-not read (`mfclab list` names the ones each reads) and a non-empty [model]
-section for any experiment but consumption.  Exit
-codes: 0 all checks passed, 1 some check failed, 2 usage or config error,
-3 numerical failure (a non-finite state or a Gamma outside (0, inf)),
+(INI's [DEFAULT] among them) or keys are rejected, and so are a [knobs] key
+that the named experiment does not read (`mfclab list` names the ones each
+reads) and a non-empty [model] section for any experiment but consumption.
+Exit codes: 0 all checks passed, 1 some check failed, 2 usage or config
+error, 3 numerical failure (a non-finite state or a Gamma outside (0, inf)),
 reported as one ``numerical error: ...`` line on stderr.
 """
 from __future__ import annotations

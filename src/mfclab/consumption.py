@@ -398,15 +398,16 @@ def verify_consumption_game(
     the first in ``VARIANTS`` order that passes; the first check line's
     detail lists the passing variants (``passing=[...]``) and the later ones
     name the selected one (``variant=...``).  Each variant's adjoints,
-    residuals and sweeps read its `frozen_pair`, which replays the feedback
-    control that simulated its bundle; the residual line reports
-    `ResidualCurves.max_margin` against its ``FLOOR``.  Then runs the saddle perturbation sweep and
-    re-runs it with the consumption rate inflated by ``INFLATION``, which
-    must break the certificate; the inflated base's paths go once its
-    samples are taken (`_inflated_sweep`).  Every simulation runs on one noise bank
-    drawn from ``seed``.  Writes report.csv and controls.csv when
-    ``out_dir`` is given; with no passing variant, controls.csv reads the
-    run of ``VARIANTS[0]``.  Returns the check lines.
+    residuals and sweeps read its `frozen_pair`: the feedback control that
+    simulated its bundle, frozen along it; the residual line reports
+    `ResidualCurves.max_margin` against its ``FLOOR``.  Then runs the saddle
+    perturbation sweep and re-runs it with the consumption rate inflated by
+    ``INFLATION``, which must break the certificate; the inflated base's
+    paths go once its samples are taken (`_inflated_sweep`).  Every
+    simulation runs on one noise bank drawn from ``seed``.  Writes
+    report.csv and controls.csv when ``out_dir`` is given; with no passing
+    variant, controls.csv reads the run of ``VARIANTS[0]``.  Returns the
+    check lines.
     """
     spec = game_spec(model)
     checks: list[CheckResult] = []

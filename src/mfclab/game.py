@@ -237,7 +237,10 @@ class ResidualCurves:
         residual that is not zero within noise (boundary times included)."""
         return max([
             float(np.max(np.abs(self.res_u) - self.N_SE * self.se_u)),
-            *(float(np.max(np.abs(r) - self.N_SE * self.se_mu[name])) for name, r in self.res_mu.items()),
+            *(
+                float(np.max(np.abs(r) - self.N_SE * self.se_mu[name]))
+                for name, r in self.res_mu.items()
+            ),
         ])
 
     def to_csv(self, path: str, seed) -> None:

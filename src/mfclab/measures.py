@@ -95,7 +95,8 @@ class DiscreteMeasure:
     and owns the tail ``a``'s tail then ``b``'s atoms.  ``locations`` and
     ``weights`` are the prefix then the tail: one part's arrays themselves,
     or, for a sum with both parts, a new join on each read.  Every array is
-    read-only, and the constructor copies what the caller passed.  ``_masses`` holds the interval masses computed so far, keyed by
+    read-only, and the constructor copies what the caller passed.
+    ``_masses`` holds the interval masses computed so far, keyed by
     ``(lo, hi)``.
     """
 
