@@ -117,6 +117,8 @@ class ConsumptionModel:
         if not (math.isfinite(self.theta) and self.theta > 0):
             raise ValueError(f"theta must be finite and positive, got {self.theta}")
         lo, hi = self.v_interval
+        if not math.isfinite(lo):
+            raise ValueError(f"v_interval needs a finite lower end, got {lo}")
         if not lo < hi:
             raise ValueError("V interval is empty")
         self.v_probe = lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)

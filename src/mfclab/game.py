@@ -311,6 +311,9 @@ class PerturbationPlan:
     lambdas: Sequence[float]
 
     def __post_init__(self):
+        for name in ("directions", "lambdas"):
+            if not len(getattr(self, name)):
+                raise ValueError(f"a perturbation plan needs at least one of its {name}")
         if not all(math.isfinite(lam) for lam in self.lambdas):
             raise ValueError(f"lambdas must be finite, got {self.lambdas}")
 
@@ -453,6 +456,8 @@ def gateaux_check(
     n = bundle.n_particles
     sqrt_n = _sqrt_n(bundle.n_particles, "gateaux_check")
     lambdas = np.asarray(sorted(lambdas, key=abs, reverse=True), dtype=float)
+    if not lambdas.size:
+        raise ValueError("gateaux_check needs at least one finite-difference magnitude in lambdas")
     if np.any(lambdas == 0.0):
         raise ValueError("finite-difference magnitudes must be nonzero")
     if not np.all(np.isfinite(lambdas)):

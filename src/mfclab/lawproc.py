@@ -22,14 +22,13 @@ for a finite-activity Levy measure nu = sum_j rate_j delta_{zeta_j}.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import DiscreteMeasure, QuadratureRule, _read_only, fourier_tables
+from .measures import DiscreteMeasure, QuadratureRule, _read_only, _uniform_weights, fourier_tables
 
 
 @dataclass(frozen=True)
@@ -146,8 +145,11 @@ def empirical_law(particles) -> DiscreteMeasure:
 
     Duplicate sample values are coalesced by exact equality, which never
     changes the Fourier transform.  The atoms come out sorted, bit for bit
-    as from ``np.unique(x, return_counts=True)`` with weights counts / n.
-    Laws of ``n`` distinct samples share one read-only weights array.
+    as from ``np.unique(x, return_counts=True)`` with weights counts / n,
+    and the law holds them sorted.  Laws of ``n`` distinct samples share one
+    read-only weights array.  A bundle's cached law (``ParticleBundle.law_at``)
+    calls this once to learn whether its column is distinct; if so it drops
+    the sorted atoms and keeps only the column.
     """
     x = np.asarray(particles, dtype=float).reshape(-1)
     n = x.size
@@ -165,13 +167,6 @@ def empirical_law(particles) -> DiscreteMeasure:
     starts = np.flatnonzero(distinct)
     counts = np.diff(starts, append=n)
     return DiscreteMeasure._from_parts(loc[starts], counts / n)
-
-
-@functools.lru_cache(maxsize=8)
-def _uniform_weights(n: int) -> np.ndarray:
-    """``np.full(n, 1 / n)``, one read-only array per ``n`` that every
-    all-distinct law of ``n`` samples shares."""
-    return _read_only(np.full(n, 1 / n))
 
 
 def generator_on_test_fn(

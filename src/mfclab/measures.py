@@ -31,9 +31,10 @@ edit a ``.copy()`` and build a new measure from it.  Because nothing can
 change its atoms, a measure keeps every interval mass it has computed, and
 ``mass_on`` computes each ``(lo, hi]`` once per measure.  For the same
 reason values share arrays instead of copying them: a sum ``a + b`` shares
-``a``'s sorted prefix and copies only the small tail after it (``mass_on``
-and ``n_atoms`` read the two parts, never their join); empirical laws of
-``n`` distinct samples share one weights array.
+``a``'s head (its sorted atoms, or a law's sample column and the counts
+taken on it) and copies only the small tail after it (``mass_on`` and
+``n_atoms`` read the two parts, never their join); empirical laws of ``n``
+distinct samples share one weights array.
 
 ``fourier_tables`` evaluates a list of measures on one node array.  Above a
 small amount of work it shares whole measures between the calling thread and
@@ -45,6 +46,7 @@ from the BLAS library's own threads (the benchmark pins those to one).
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -78,6 +80,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 _EMPTY = _read_only(np.empty(0))
 
 
+@functools.lru_cache(maxsize=8)
+def _uniform_weights(n: int) -> np.ndarray:
+    """``np.full(n, 1 / n)``, one read-only array per ``n`` that every
+    all-distinct law of ``n`` samples shares."""
+    return _read_only(np.full(n, 1 / n))
+
+
 class DiscreteMeasure:
     """Finite signed measure represented as weighted point masses.
 
@@ -88,19 +97,25 @@ class DiscreteMeasure:
     weights : array_like
         Signed atom weights, same length as ``locations``.
 
-    The atoms are held in two parts: a prefix sorted ascending, which
-    ``mass_on`` binary-searches, followed by a tail in any order, which it
-    masks.  A measure built from arrays is all tail; an empirical law is all
-    prefix.  A sum ``a + b`` shares ``a``'s prefix arrays, without a copy,
-    and owns the tail ``a``'s tail then ``b``'s atoms.  ``locations`` and
-    ``weights`` are the prefix then the tail: one part's arrays themselves,
-    or, for a sum with both parts, a new join on each read.  Every array is
-    read-only, and the constructor copies what the caller passed.
-    ``_masses`` holds the interval masses computed so far, keyed by
-    ``(lo, hi)``.
+    The atoms are held in two parts: a head, which ``mass_on`` reads without
+    a mask, followed by a tail in any order, which it masks.  The head is
+    either sorted ascending, which ``mass_on`` binary-searches, or, when
+    ``_counts`` is a dict, a column of ``n`` distinct samples in any order,
+    each weighing the ``1/n`` of the shared ``_uniform_weights(n)``: the
+    count ``k`` of samples in ``(lo, hi]`` is taken once per interval and
+    kept in ``_counts``, and the head's mass is the sum of ``k`` of those
+    weights, the same bits wherever the ``k`` sit.  A measure built from
+    arrays is all tail; an empirical law is all head.  A sum ``a + b``
+    shares ``a``'s head arrays and counts, without a copy, and owns the
+    tail ``a``'s tail then ``b``'s atoms.  ``locations`` and ``weights`` are
+    the head in ascending order then the tail: one part's arrays
+    themselves, or a new array on each read where the parts are joined or a
+    column is sorted.  Every array is read-only, and the constructor copies
+    what the caller passed.  ``_masses`` holds the interval masses computed
+    so far, keyed by ``(lo, hi)``.
     """
 
-    __slots__ = ("_sorted_loc", "_sorted_w", "_tail_loc", "_tail_w", "_masses")
+    __slots__ = ("_head_loc", "_head_w", "_counts", "_tail_loc", "_tail_w", "_masses")
 
     def __init__(self, locations, weights):
         # copies: a read-only view would not stop writes through the caller's array
@@ -118,26 +133,34 @@ class DiscreteMeasure:
         self._masses = {}
 
     @classmethod
-    def _from_parts(cls, sorted_loc, sorted_w, tail_loc=_EMPTY, tail_w=_EMPTY) -> "DiscreteMeasure":
+    def _from_parts(
+        cls, head_loc, head_w, tail_loc=_EMPTY, tail_w=_EMPTY, counts=None
+    ) -> "DiscreteMeasure":
         """Measure on 1-d float arrays of finite locations and weights, paired
-        by length, whose ``sorted_loc`` ascend; nothing is rescanned or
+        by length, whose ``head_loc`` ascend, or, with ``counts``, are
+        distinct under ``_uniform_weights`` weights; nothing is rescanned or
         copied, and the arrays are frozen in place."""
         mu = cls.__new__(cls)
-        mu._set_atoms(sorted_loc, sorted_w, tail_loc, tail_w)
+        mu._set_atoms(head_loc, head_w, tail_loc, tail_w, counts)
         mu._masses = {}
         return mu
 
-    def _set_atoms(self, sorted_loc, sorted_w, tail_loc, tail_w) -> None:
-        self._sorted_loc, self._sorted_w = _read_only(sorted_loc), _read_only(sorted_w)
+    def _set_atoms(self, head_loc, head_w, tail_loc, tail_w, counts=None) -> None:
+        self._head_loc, self._head_w = _read_only(head_loc), _read_only(head_w)
         self._tail_loc, self._tail_w = _read_only(tail_loc), _read_only(tail_w)
+        self._counts = counts
 
     @property
     def locations(self) -> np.ndarray:
-        return _joined(self._sorted_loc, self._tail_loc)
+        head = self._head_loc
+        if self._counts is not None:
+            # sorted on each read and never kept: the column is the one copy
+            head = _read_only(np.sort(head))
+        return _joined(head, self._tail_loc)
 
     @property
     def weights(self) -> np.ndarray:
-        return _joined(self._sorted_w, self._tail_w)
+        return _joined(self._head_w, self._tail_w)
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -149,7 +172,7 @@ class DiscreteMeasure:
     @property
     def n_atoms(self) -> int:
         # never builds a sum's whole arrays
-        return self._sorted_loc.size + self._tail_loc.size
+        return self._head_loc.size + self._tail_loc.size
 
     def total_mass(self) -> float:
         return float(math.fsum(self.weights.tolist()))
@@ -171,24 +194,39 @@ class DiscreteMeasure:
         return mass
 
     def _mass_on(self, lo: float, hi: float) -> float:
-        """``mass_on`` computed afresh.  The sorted prefix is binary-searched
-        and only the tail is masked; the weights summed, and their order, are
-        those a mask over ``locations`` selects."""
-        i, j = np.searchsorted(self._sorted_loc, (lo, hi), side="right")
+        """``mass_on`` computed afresh.  The head's weights come from
+        `_head_weights_on` and only the tail is masked; the weights summed,
+        and their order, are those a mask over ``locations`` selects (for a
+        counted head, as many equal weights)."""
+        head = self._head_weights_on(lo, hi)
         tail = self._tail_loc
         if not tail.size:
-            return float(self._sorted_w[i:j].sum())
+            return float(head.sum())
         inside = (tail > lo) & (tail <= hi)
-        return float(np.concatenate([self._sorted_w[i:j], self._tail_w[inside]]).sum())
+        return float(np.concatenate([head, self._tail_w[inside]]).sum())
+
+    def _head_weights_on(self, lo: float, hi: float) -> np.ndarray:
+        """The head's weights on ``(lo, hi]``: a binary-searched slice of a
+        sorted head, or the first ``k`` weights of a counted one."""
+        if self._counts is None:
+            i, j = np.searchsorted(self._head_loc, (lo, hi), side="right")
+            return self._head_w[i:j]
+        k = self._counts.get((lo, hi))
+        if k is None:
+            col = self._head_loc
+            k = self._counts[(lo, hi)] = int(np.count_nonzero((col > lo) & (col <= hi)))
+        return self._head_w[:k]
 
     # -- algebra -------------------------------------------------------------
     def __add__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
-        # both operands were checked when built; the prefix is shared, O(tail) is copied
+        # both operands were checked when built; the head and its counts are
+        # shared, O(tail) is copied
         return DiscreteMeasure._from_parts(
-            self._sorted_loc,
-            self._sorted_w,
+            self._head_loc,
+            self._head_w,
             np.concatenate([self._tail_loc, other.locations]),
             np.concatenate([self._tail_w, other.weights]),
+            self._counts,
         )
 
     def __sub__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":

@@ -44,11 +44,9 @@ Noise banks, Levy measures and the measures handed to coefficients are
 read-only values, and so is a bundle's ``states`` array once the Euler sweep
 has filled it (with each law's state column):
 writing to any of them raises ``ValueError``, so edit a ``.copy()``.  Every
-cache here (sorted laws, interval masses, the laws of a bundle, the sums of a
-perturbed measure control) rests on this.  A bundle's law cache may also drop
-a law, since a rebuilt law is the same bits: ``performance_samples`` drops
-each step's law that its running cost's read put in the cache, so a replay
-that nothing else reads holds one law at a time.
+cache here (the laws of a bundle, each a view of its state column, the
+sample counts and interval masses they keep, the sums of a perturbed measure
+control) rests on this.
 """
 from __future__ import annotations
 
@@ -378,7 +376,9 @@ class ParticleBundle:
 
 class _LazyLaw(DiscreteMeasure):
     """Empirical law of one state column; ``empirical_law`` runs on the first
-    read of an atom slot and fills all of them."""
+    read of an atom slot and fills all of them.  A column of distinct values
+    becomes the law's counted head, so the law holds no copy of it; a column
+    with ties keeps ``empirical_law``'s sorted, coalesced atoms."""
 
     __slots__ = ("_column",)
 
@@ -392,7 +392,10 @@ class _LazyLaw(DiscreteMeasure):
         if name not in DiscreteMeasure.__slots__:
             raise AttributeError(name)
         law = empirical_law(self._column)
-        self._set_atoms(law._sorted_loc, law._sorted_w, law._tail_loc, law._tail_w)
+        if law.n_atoms == self._column.size:
+            self._set_atoms(self._column, law._head_w, law._tail_loc, law._tail_w, counts={})
+        else:
+            self._set_atoms(law._head_loc, law._head_w, law._tail_loc, law._tail_w)
         return getattr(self, name)
 
 
@@ -546,13 +549,7 @@ def performance_samples(
     controls: ControlPair,
     perf: PerformanceSpec,
 ) -> np.ndarray:
-    """Per-particle performance: left-endpoint time integral plus terminal cost.
-
-    A step's law that the running cost's read put in the bundle's cache (not
-    an earlier reader, nor this step's controls) leaves the cache again after
-    that read, so a replay that nothing else reads holds one law at a time; a
-    later ``law_at`` rebuilds the same bits.
-    """
+    """Per-particle performance: left-endpoint time integral plus terminal cost."""
     n = bundle.n_particles
     dt = bundle.dt
     total = np.zeros(n)
@@ -560,12 +557,9 @@ def performance_samples(
     # once, by the SimulationError below, not by numpy warnings on stderr
     with np.errstate(all="ignore"):
         for sv in iter_steps(bundle, controls):
-            built_here = sv.k not in bundle._laws
             total += np.broadcast_to(
                 perf.running(sv.t, sv.x, sv.law, sv.mu_ctrl, sv.u), (n,)
             ) * dt
-            if built_here:
-                del bundle._laws[sv.k]
         m_terminal = bundle.law_at(bundle.n_steps)
         total = total + np.broadcast_to(
             perf.terminal(bundle.states[:, -1], m_terminal), (n,)

@@ -18,18 +18,21 @@ def bench_record():
     return module
 
 
-def _write(checkout, workload, seed, trace, value, written, failed=0):
+def _write(checkout, workload, seed, trace, value, written, failed=0, setup_samples=None):
     out = checkout / "perfbench" / "out"
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{workload}-seed{seed}-trace{trace}-{written}.json"
     metrics = {name: {"value": value, "unit": "s"} for name in METRICS}
     if trace:
         metrics = {"sde.simulate.calls": {"value": value, "unit": "count"}}
-    path.write_text(json.dumps({
+    record = {
         "workload": workload, "seed": seed, "seconds": 55.0, "trace": trace,
         "machine": {"nproc": 2},
         "result": {"correct": not failed, "attempted": 20, "failed": failed, "metrics": metrics},
-    }))
+    }
+    if setup_samples is not None:
+        record["setup_samples"] = setup_samples
+    path.write_text(json.dumps(record))
     os.utime(path, (written, written))
 
 
@@ -101,3 +104,24 @@ def test_each_metric_gets_its_bound_and_a_no_regression_verdict(tmp_path, bench_
         assert {name: m["bound"] for name, m in metrics.items()} == bounds
         expected = "ok" if workload == "beats-all" else workload
         assert {m["verdict"] for m in metrics.values()} == {expected}, workload
+
+
+def test_setup_samples_pool_in_pair_order(tmp_path, bench_record, monkeypatch):
+    """Each side's setup probe spawns, pooled in the order the pairs ran (not
+    by seed); a workload where one paired record lacks them gets none."""
+    monkeypatch.setattr(bench_record, "git_sha", lambda checkout: checkout.name)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    clock = 1_000_000
+    for i, seed in enumerate((7, 3, 5)):
+        _write(parent, "consumption", seed, 0, 1.0, clock, setup_samples=[0.1 + i, 0.2 + i])
+        _write(change, "consumption", seed, 0, 1.0, clock + 60, setup_samples=[0.3 + i])
+        _write(parent, "derivatives", seed, 0, 1.0, clock, setup_samples=[0.15])
+        _write(change, "derivatives", seed, 0, 1.0, clock + 60, setup_samples=None if i == 1 else [0.25])
+        clock += 120
+
+    workloads = bench_record.build(parent, change, "t", None, [])["workloads"]
+    assert workloads["consumption"]["seeds"] == [7, 3, 5]
+    assert workloads["consumption"]["setup_samples"] == {
+        "parent": [0.1, 0.2, 1.1, 1.2, 2.1, 2.2], "change": [0.3, 1.3, 2.3],
+    }
+    assert "setup_samples" not in workloads["derivatives"]

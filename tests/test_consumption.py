@@ -109,6 +109,10 @@ def test_model_validation():
     assert canonical_model(levy=LevyMeasure([-0.999], [0.5])).levy is not None
     with pytest.raises(ValueError):
         canonical_model(v_interval=(2.0, 1.0))
+    # an infinite or NaN lower end would put v_probe and v_outside at it
+    for lo in (-math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError, match="v_interval needs a finite lower end"):
+            canonical_model(v_interval=(lo, 1.0))
 
 
 # -- product-process identity ------------------------------------------------------
@@ -292,15 +296,17 @@ def test_zero_lambda_sweep_row_is_zero_under_delay():
 # -- live set -------------------------------------------------------------------------
 
 def test_verify_consumption_game_peak_memory():
-    """At most one variant's adjoint and two particle systems' laws are live.
+    """At most one variant's adjoint is live, and no law copies its column.
 
     A variant that fails its residuals goes before the next one is simulated,
     the adjoint goes once the product identity is checked (column by column,
-    with no (N, M+1) product table) and stores no phi table, a sweep replay
-    lets each law go after its one read, and the inflated base's paths go
-    before its first deviation.  The peak is about 4.3 of the (N, M+1)
-    tables; with a stored phi table or a kept inflated base it is 5.3, and
-    with any one of the first four undone 6.3 to 7.3."""
+    with no (N, M+1) product table) and stores no phi table, a law of
+    distinct values keeps only a view of its state column, and the inflated
+    base's paths go before its first deviation.  The peak is about 3.4 of
+    the (N, M+1) tables: the noise bank, the states and one Gamma/P table or
+    deviated bundle.  It was 4.3 while each law held a sorted copy of its
+    column; with that copy, a stored phi table or a kept inflated base read
+    5.3, and any one of the other releases undone 6.3 to 7.3."""
     n, m = 2000, 50
     model = canonical_model()
     # a small run first, so that lazy imports are not traced
@@ -312,7 +318,7 @@ def test_verify_consumption_game_peak_memory():
     finally:
         tracemalloc.stop()
     assert _selected(checks) == "first-order-derived"
-    assert peak < 5 * n * (m + 1) * 8
+    assert peak < 3.6 * n * (m + 1) * 8
 
 
 def test_inflated_base_is_gone_before_its_first_deviation(monkeypatch):

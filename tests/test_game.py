@@ -584,6 +584,28 @@ def test_non_finite_perturbations_raise(lq, build, message, bad):
         build(lq, bad)
 
 
+@pytest.mark.parametrize("empty", ["directions", "lambdas"])
+def test_empty_perturbation_plan_raises(empty):
+    """A plan with no direction or no lambda has no rows, so its sweep
+    would certify anything and its ``max_margin`` would have no row."""
+    fields = {"directions": [Direction(kind="control")], "lambdas": (0.1,)}
+    fields[empty] = type(fields[empty])()
+    with pytest.raises(ValueError, match=f"at least one of its {empty}"):
+        PerturbationPlan(**fields)
+
+
+def test_gateaux_empty_lambdas_raise_before_simulating(lq, monkeypatch):
+    import mfclab.game as game
+
+    def simulated(*args, **kwargs):
+        raise AssertionError("gateaux_check simulated before checking its lambdas")
+
+    monkeypatch.setattr(game, "simulate", simulated)
+    monkeypatch.setattr(game, "adjoint_p0_solve", simulated)
+    with pytest.raises(ValueError, match="at least one finite-difference magnitude"):
+        gateaux_check(lq[0], lq[1], Direction(kind="control"), [], lq[2])
+
+
 @pytest.mark.parametrize("entry", ["residuals", "sweep", "gateaux"])
 def test_one_particle_bundle_raises(entry):
     """A standard error over one particle would read 0, and a single path

@@ -86,13 +86,14 @@ def _model(levy: bool, delay: bool) -> cons.ConsumptionModel:
 
 def _intervals(mu: DiscreteMeasure, model: cons.ConsumptionModel) -> list[tuple[float, float]]:
     """Bounds that share a ``lo``, signed zeros, infinities, and bounds on
-    atoms of the sorted prefix, where ``side`` decides the answer."""
+    atoms of the head, where ``side`` or the count's comparisons decide the
+    answer."""
     lo, hi = model.v_interval
     out = [
         (lo, hi), (lo, 1.5), (lo, lo), (-math.inf, lo), (-0.0, 1.0), (0.0, 1.0),
         (model.v_outside, model.v_probe), (model.v_probe, math.inf),
     ]
-    k = mu._sorted_loc.size
+    k = mu._head_loc.size
     if k:
         a, b = mu.locations[k // 4], mu.locations[(3 * k) // 4]
         out += [(a, b), (a, math.inf), (-math.inf, b)]

@@ -98,7 +98,7 @@ def test_empirical_law_is_bitwise_unique_counts(x):
     assert law.locations.tobytes() == loc.tobytes()
     assert np.array_equal(np.signbit(law.locations), np.signbit(loc))
     assert law.weights.tobytes() == wts.tobytes()
-    assert law._sorted_loc.size == law.n_atoms
+    assert law._head_loc.size == law.n_atoms and law._counts is None
 
 
 @settings(max_examples=30, deadline=None)
@@ -117,12 +117,29 @@ def test_empirical_law_rejects_non_finite_sample(x, bad, where):
 def test_lazy_law_fills_sorted_prefix_on_first_read():
     column = np.array([0.3, -1.0, 0.3, 2.0, -0.0, 0.0])
     law = _LazyLaw(column)
-    assert law._sorted_loc.size == 4  # the first read: four distinct values, all sorted
+    # the first read: ties, so four distinct values, sorted and coalesced
+    assert law._head_loc.size == 4 and law._counts is None
     expected = empirical_law(column)
     assert law.locations.tobytes() == expected.locations.tobytes()
     assert law.weights.tobytes() == expected.weights.tobytes()
     shifted = _LazyLaw(column) + DiscreteMeasure([0.1], [1.0])
-    assert shifted._sorted_loc.size == 4 and shifted.n_atoms == 5
+    assert shifted._head_loc.size == 4 and shifted.n_atoms == 5
+
+
+def test_lazy_law_of_distinct_values_keeps_only_its_column():
+    column = np.array([0.3, -1.0, 2.0, -0.0, 0.7])
+    law = _LazyLaw(column)
+    assert law.n_atoms == 5
+    # the head is the column view itself, in sample order, with no sorted copy
+    assert law._head_loc is law._column and np.shares_memory(law._head_loc, column)
+    expected = empirical_law(column)
+    assert law.locations.tobytes() == expected.locations.tobytes()
+    assert law.weights is expected.weights
+    shifted = law + DiscreteMeasure([0.1], [1.0])
+    assert shifted._head_loc is law._column and shifted._counts is law._counts
+    # one count per interval, shared by the law and its sums
+    assert shifted.mass_on(0.0, 1.0) == 0.4 + 1.0 and law._counts == {(0.0, 1.0): 2}
+    assert law.mass_on(0.0, 1.0) == 0.4 and law._counts == {(0.0, 1.0): 2}
 
 
 def test_empirical_law_close_to_binned_normal(rule):

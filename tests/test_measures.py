@@ -29,6 +29,7 @@ from mfclab.measures import (
     law_distance_bound_check,
     norm_sq,
 )
+from mfclab.sde import _LazyLaw
 
 
 def trapezoid_rule(n: int = 4096, half_width: float = 8.0) -> QuadratureRule:
@@ -571,13 +572,19 @@ def _mask_mass(mu, lo, hi):
 @st.composite
 def sorted_prefix_measures(draw):
     """An empirical law, law + signed pair (a frozen control) or law + pair +
-    lambda eta (a CRN deviation); repeats and signed zeros included."""
+    lambda eta (a CRN deviation); repeats and signed zeros included.  The law
+    is ``empirical_law``'s sorted one or a bundle's lazy law of a column,
+    which counts on the column when its values are distinct."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(size=draw(st.integers(1, 3000)))
+    column = draw(st.booleans())
     if draw(st.booleans()):
         x = np.round(x, 1)
-    x[:: draw(st.integers(2, 9))] = draw(st.sampled_from([0.0, -0.0, 0.25]))
-    mu = empirical_law(x)
+    if not column or draw(st.booleans()):
+        x[:: draw(st.integers(2, 9))] = draw(st.sampled_from([0.0, -0.0, 0.25]))
+    elif draw(st.booleans()):
+        x[0] = draw(st.sampled_from([0.0, -0.0, 0.25]))
+    mu = _LazyLaw(x) if column else empirical_law(x)
     if draw(st.booleans()):
         offset = draw(st.floats(-1.0, 1.0))
         mu = mu + DiscreteMeasure([0.25, draw(_coords)], [offset, -offset])
@@ -593,16 +600,66 @@ _bounds = st.one_of(_coords, st.sampled_from([-0.0, 0.0, 0.25, -math.inf, math.i
 @settings(max_examples=60, deadline=None)
 @given(mu=sorted_prefix_measures(), lo=_bounds, hi=_bounds)
 def test_mass_on_is_bitwise_mask_sum(mu, lo, hi):
-    assert np.all(np.diff(mu.locations[: mu._sorted_loc.size]) > 0)
+    assert np.all(np.diff(mu.locations[: mu._head_loc.size]) > 0)
     bounds = [(lo, hi), (lo, math.inf), (lo, lo), (hi, hi), (0.0, hi), (-0.0, hi), (lo, -0.0)]
     # repeated and interleaved reads: the second pass is served by the memo
     for a, b in bounds + bounds[::-1]:
         assert np.float64(mu.mass_on(a, b)).tobytes() == np.float64(_mask_mass(mu, a, b)).tobytes()
 
 
+def _sorted_prefix_mass(loc, w, lo, hi, tail=None) -> float:
+    """The kernel of a law that held its sorted atoms ``loc`` and weights
+    ``w``: a binary-searched slice, then the masked tail of a sum."""
+    i, j = np.searchsorted(loc, (lo, hi), side="right")
+    if tail is None:
+        return float(w[i:j].sum())
+    inside = (tail.locations > lo) & (tail.locations <= hi)
+    return float(np.concatenate([w[i:j], tail.weights[inside]]).sum())
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 1000])
+def test_counted_law_mass_is_the_sorted_prefix_slice_sum(n, ties):
+    """A law that counts the k samples of its column in (lo, hi] and sums the
+    first k shared weights gives the bits of the sorted-prefix slice sum
+    w[i:j] with j - i = k, for every k and every window, alone and as the
+    head of a sum.  A column with ties (0.0 and -0.0 among them) keeps the
+    sorted atoms."""
+    x = np.random.default_rng(n).normal(size=n)
+    x[n // 2] = -0.0
+    if ties and n > 1:
+        x[1::3] = x[0]
+        x[n // 2 :: 4] = 0.0
+    loc, counts = np.unique(x, return_counts=True)
+    w = counts / n
+    a = loc.size
+    assert (a == n) != ties or n == 1
+    tail = DiscreteMeasure([0.25, -1.0, float(loc[a // 2]), 0.0], [0.3, -0.3, 0.125, -0.5])
+    laws = [_LazyLaw(x) for _ in range(3)]
+    law, pair = laws[0], laws[1] + tail
+    lonely_pair = laws[2] + tail  # counts before its law has counted anything
+    assert (law._counts is None) == (a < n) and pair._counts is laws[1]._counts
+    for k in range(a + 1):
+        for i in {0, (a - k) // 2, a - k}:
+            lo = float(loc[i - 1]) if i else -math.inf
+            hi = float(loc[i + k - 1]) if k else lo
+            for bounds in ((lo, hi), (lo, math.inf)):
+                for mu, expected in (
+                    (lonely_pair, _sorted_prefix_mass(loc, w, *bounds, tail)),
+                    (law, _sorted_prefix_mass(loc, w, *bounds)),
+                    (pair, _sorted_prefix_mass(loc, w, *bounds, tail)),
+                ):
+                    got = mu.mass_on(*bounds)
+                    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+    for bounds in ((-0.0, 1.0), (0.0, 1.0), (-1.0, -0.0), (-1.0, 0.0), (0.0, 0.0)):
+        for mu, t in ((law, None), (pair, tail)):
+            got = mu.mass_on(*bounds)
+            assert np.float64(got).tobytes() == np.float64(_sorted_prefix_mass(loc, w, *bounds, t)).tobytes()
+
+
 def test_mass_on_unsorted_measure_and_nan_bounds():
     mu = DiscreteMeasure([2.0, -1.0, 0.5, 0.5], [0.1, 0.2, 0.3, 0.4])
-    assert mu._sorted_loc.size == 0
+    assert mu._head_loc.size == 0
     assert mu.mass_on(0.0, 2.0) == _mask_mass(mu, 0.0, 2.0)
     law = empirical_law([0.3, 1.2, -0.4])
     for m in (mu, law, law + mu):
@@ -677,9 +734,12 @@ def measure_chains(draw, depth=2):
         x = rng.normal(size=draw(st.integers(1, 300)))
         if draw(st.booleans()):
             x = np.round(x, 1)
-        x[:: draw(st.integers(2, 9))] = draw(st.sampled_from([0.0, -0.0, 0.25]))
+        if draw(st.booleans()):
+            x[:: draw(st.integers(2, 9))] = draw(st.sampled_from([0.0, -0.0, 0.25]))
         loc, counts = np.unique(x, return_counts=True)
-        return empirical_law(x), loc, counts / x.size
+        # a lazy law of distinct values counts on its unsorted column
+        law = _LazyLaw(x) if draw(st.booleans()) else empirical_law(x)
+        return law, loc, counts / x.size
     if kind == "plain":
         n = draw(st.integers(0, 4))
         loc = np.array(draw(st.lists(_bounds.filter(math.isfinite), min_size=n, max_size=n)), dtype=float)

@@ -699,7 +699,7 @@ def test_laws_are_built_on_first_read(monkeypatch):
     assert law.locations.tobytes() == expected.locations.tobytes()
     assert law.weights.tobytes() == expected.weights.tobytes()
     assert len(built) == 1
-    assert bundle.law_at(5).locations is law.locations
+    assert bundle.law_at(5) is law
     assert law.n_atoms == expected.n_atoms and law.total_mass() == expected.total_mass()
     assert len(built) == 1
     reading = PerformanceSpec(
@@ -709,11 +709,10 @@ def test_laws_are_built_on_first_read(monkeypatch):
     first = performance_samples(bundle, ctrl, reading)
     # steps 0..M-1 once each (step 5 was cached); the terminal law is unread
     assert len(built) == bundle.n_steps
-    # the laws the replays put in the cache left it again; a rerun rebuilds
-    # them bit for bit
-    assert sorted(bundle._laws) == [5, bundle.n_steps]
+    # the laws the replays put in the cache stay there; a rerun builds none
+    assert sorted(bundle._laws) == list(range(bundle.n_steps + 1))
     assert performance_samples(bundle, ctrl, reading).tobytes() == first.tobytes()
-    assert len(built) == 2 * bundle.n_steps - 1
+    assert len(built) == bundle.n_steps
 
 
 def test_consumption_performance_regression_fixture():

@@ -17,7 +17,10 @@ must have run on both sides.  For each end-to-end metric that
 quartiles (inclusive method), the change's pair wins (strictly better, in
 the metric's direction), the relative change of the median, the metric's
 ``bound`` from ``BENCHMARK.json`` and a no-regression ``verdict`` (see
-``verdict``).  The side
+``verdict``).  It also pools each side's ``setup_samples`` (the setup
+probe's spawns, several per run) in pair order, so a ``setup_s`` verdict can
+be read against the probe's spread; a workload where some paired record
+lacks them has none.  The side
 whose record was written first in a pair (file times) ran first.  Traced records
 (``--trace 1``; rename repeated ones so they do not overwrite each other)
 give the medians of every traced metric per side.  A ``--claim`` is met when
@@ -106,6 +109,9 @@ def workload_record(records: dict[str, list[dict]], workload: str, metrics: list
         }
     for key in ("failed", "attempted"):
         out[key] = {side: sum(recs[side]["result"][key] for _, recs in pairs) for side in SIDES}
+    if all("setup_samples" in recs[side] for _, recs in pairs for side in SIDES):
+        out["setup_samples"] = {side: [s for _, recs in pairs for s in recs[side]["setup_samples"]]
+                                for side in SIDES}
     out["first_in_pair"] = [min(SIDES, key=lambda side: recs[side]["_written"]) for _, recs in pairs]
     traced = {side: [r for r in recs if r["workload"] == workload and r["trace"]]
               for side, recs in records.items()}
