@@ -351,8 +351,8 @@ def _variant_run(spec: GameSpec, model: ConsumptionModel, variant: str, noise) -
 
     The adjoints are read by nothing after the product check, so they go
     when this returns.  While the adjoint is solved, the live (N, M+1)
-    tables are the noise bank, the states, the frozen laws and one Gamma/P
-    table: `adjoint_p0_solve` stores no phi table.
+    tables are the noise bank, the states (which the frozen laws view) and
+    one Gamma/P table: `adjoint_p0_solve` stores no phi table.
     """
     cf = closed_form_controls(model, variant)
     bundle = simulate(spec.model, feedback_pair(model, cf), noise=noise)

@@ -353,7 +353,7 @@ def test_inflated_base_is_gone_before_its_first_deviation(monkeypatch):
 
 def test_verify_consumption_game_builds_each_law_once(monkeypatch):
     """21 simulations (two variants, 12 main and 6 inflated deviations, the
-    inflated base) read M laws each; a dropped law is never read again."""
+    inflated base) read M laws each, and each law is built once."""
     built = []
 
     def counting_law(column):
