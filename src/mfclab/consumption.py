@@ -122,6 +122,8 @@ class ConsumptionModel:
         if not lo < hi:
             raise ValueError("V interval is empty")
         self.v_probe = lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
+        if not lo < self.v_probe <= hi:
+            raise ValueError(f"v_interval {self.v_interval} puts its probe atom {self.v_probe} outside it")
         self.v_outside = lo - 1.0
         if self.levy is not None and np.any(self.levy.jump_sizes <= -1.0):
             raise ValueError("Levy jump sizes must stay above -1 so X remains positive")

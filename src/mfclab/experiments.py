@@ -28,6 +28,7 @@ from .lawproc import (
     LevyMeasure,
     MeasurePath,
     abs_continuity_scan,
+    law_derivative_fd,
     loglog_slope,
     table_norm_sq,
 )
@@ -88,6 +89,10 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.name not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.name!r}; run `mfclab list` for the catalogue")
+        for key in ("seed", "n_particles", "n_steps", "quad_n"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if not 0 <= self.seed < _SEED_LIMIT:
             raise ValueError(f"seed must lie in [0, 2**128 - 2), got {self.seed}")
         if self.n_particles < 1:
@@ -238,8 +243,6 @@ def _poisson_pmf_derivative(lam: float, t: float, k_max: int = 30) -> DiscreteMe
 
 def law_derivative_checks(cfg: ExperimentConfig) -> list[CheckResult]:
     """Law-derivative oracles: Brownian density and Poisson pmf t-derivatives."""
-    from .lawproc import law_derivative_fd
-
     rule = gauss_hermite_rule(cfg.quad_n)
     checks = []
     rows = []

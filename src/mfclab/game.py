@@ -366,7 +366,7 @@ def _base_samples(
     the plan deviates, in the order the directions name them."""
     base: dict[int, np.ndarray] = {}
     for direction in plan.directions:
-        player = 1 if direction.kind == "measure" else 2
+        player = direction.player
         if player not in base:
             base[player] = performance_samples(bundle, candidate, spec.performance_for(player))
     return base
@@ -384,7 +384,7 @@ def _sweep_rows(
     rows: list[SweepRow] = []
     sqrt_n = _sqrt_n(noise.n_particles, "nash_perturbation_sweep")
     for d_id, direction in enumerate(plan.directions):
-        player = 1 if direction.kind == "measure" else 2
+        player = direction.player
         perf = spec.performance_for(player)
         for lam in plan.lambdas:
             pert = perturbed_controls(candidate, direction, lam)
@@ -451,7 +451,7 @@ def gateaux_check(
     the smallest lambda within ``tol`` = max(3 combined SE, 5% of the adjoint
     slope, 1e-12), which the result records.
     """
-    player = 1 if direction.kind == "measure" else 2
+    player = direction.player
     perf = spec.performance_for(player)
     n = bundle.n_particles
     sqrt_n = _sqrt_n(bundle.n_particles, "gateaux_check")
@@ -466,11 +466,10 @@ def gateaux_check(
     fd_slopes = np.empty(lambdas.size)
     fd_se = np.empty(lambdas.size)
     for i, lam in enumerate(lambdas):
-        plus = perturbed_controls(candidate, direction, float(lam))
-        minus = perturbed_controls(candidate, direction, -float(lam))
-        s_plus = _crn_samples(spec, plus, perf, bundle.noise)
-        s_minus = _crn_samples(spec, minus, perf, bundle.noise)
-        slope_samples = (s_plus - s_minus) / (2.0 * lam)
+        slope_samples = _central_difference(
+            lambda h: _crn_samples(spec, perturbed_controls(candidate, direction, h), perf, bundle.noise),
+            float(lam),
+        )
         fd_slopes[i] = slope_samples.mean()
         fd_se[i] = slope_samples.std(ddof=1) / sqrt_n
 

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import DiscreteMeasure, QuadratureRule, _read_only, _uniform_weights, fourier_tables
+from .measures import DiscreteMeasure, QuadratureRule, _EMPTY, _read_only, fourier_tables
 
 
 @dataclass(frozen=True)
@@ -145,11 +145,12 @@ def empirical_law(particles) -> DiscreteMeasure:
 
     Duplicate sample values are coalesced by exact equality, which never
     changes the Fourier transform.  The atoms come out sorted, bit for bit
-    as from ``np.unique(x, return_counts=True)`` with weights counts / n,
-    and the law holds them sorted.  Laws of ``n`` distinct samples share one
-    read-only weights array.  A bundle's cached law (``ParticleBundle.law_at``)
-    calls this once to learn whether its column is distinct; if so it drops
-    the sorted atoms and keeps only the column.
+    as from ``np.unique(x, return_counts=True)`` with weights counts / n.
+    ``n`` distinct samples, sorted, are the law's head, under the weights
+    array that all such laws share; a sample with ties gives a law that is
+    all tail.  A bundle's cached law (``ParticleBundle.law_at``) calls this
+    once to learn whether its column is distinct; if so its head is the
+    column instead.
     """
     x = np.asarray(particles, dtype=float).reshape(-1)
     n = x.size
@@ -163,10 +164,10 @@ def empirical_law(particles) -> DiscreteMeasure:
     distinct[0] = True
     np.not_equal(loc[1:], loc[:-1], out=distinct[1:])
     if distinct.all():
-        return DiscreteMeasure._from_parts(loc, _uniform_weights(n))
+        return DiscreteMeasure._from_parts(loc, _EMPTY, _EMPTY, {})
     starts = np.flatnonzero(distinct)
     counts = np.diff(starts, append=n)
-    return DiscreteMeasure._from_parts(loc[starts], counts / n)
+    return DiscreteMeasure._from_parts(_EMPTY, loc[starts], counts / n, {})
 
 
 def generator_on_test_fn(

@@ -31,10 +31,10 @@ edit a ``.copy()`` and build a new measure from it.  Because nothing can
 change its atoms, a measure keeps every interval mass it has computed, and
 ``mass_on`` computes each ``(lo, hi]`` once per measure.  For the same
 reason values share arrays instead of copying them: a sum ``a + b`` shares
-``a``'s head (its sorted atoms, or a law's sample column and the counts
-taken on it) and copies only the small tail after it (``mass_on`` and
-``n_atoms`` read the two parts, never their join); empirical laws of ``n``
-distinct samples share one weights array.
+``a``'s head (a law's sample column and the counts taken on it) and copies
+only the small tail after it (``mass_on`` and ``n_atoms`` read the two
+parts, never their join); empirical laws of ``n`` distinct samples share
+one weights array.
 
 ``fourier_tables`` evaluates a list of measures on one node array.  Above a
 small amount of work it shares whole measures between the calling thread and
@@ -98,21 +98,20 @@ class DiscreteMeasure:
         Signed atom weights, same length as ``locations``.
 
     The atoms are held in two parts: a head, which ``mass_on`` reads without
-    a mask, followed by a tail in any order, which it masks.  The head is
-    either sorted ascending, which ``mass_on`` binary-searches, or, when
-    ``_counts`` is a dict, a column of ``n`` distinct samples in any order,
-    each weighing the ``1/n`` of the shared ``_uniform_weights(n)``: the
-    count ``k`` of samples in ``(lo, hi]`` is taken once per interval and
-    kept in ``_counts``, and the head's mass is the sum of ``k`` of those
-    weights, the same bits wherever the ``k`` sit.  A measure built from
-    arrays is all tail; an empirical law is all head.  A sum ``a + b``
-    shares ``a``'s head arrays and counts, without a copy, and owns the
+    a mask, followed by a tail in any order, which it masks.  The head is a
+    column of ``n`` distinct samples in any order, each weighing the ``1/n``
+    of the shared ``_uniform_weights(n)``: the count ``k`` of samples in
+    ``(lo, hi]`` is taken once per interval and kept in ``_counts``, and the
+    head's mass is the sum of ``k`` of those weights, the same bits wherever
+    the ``k`` sit.  A measure built from arrays is all tail; an empirical
+    law of distinct samples is all head, and one with ties all tail.  A sum
+    ``a + b`` shares ``a``'s head and counts, without a copy, and owns the
     tail ``a``'s tail then ``b``'s atoms.  ``locations`` and ``weights`` are
-    the head in ascending order then the tail: one part's arrays
-    themselves, or a new array on each read where the parts are joined or a
-    column is sorted.  Every array is read-only, and the constructor copies
-    what the caller passed.  ``_masses`` holds the interval masses computed
-    so far, keyed by ``(lo, hi)``.
+    the head in ascending order then the tail: the tail's arrays themselves
+    where the head is empty, else a new array on each read.  Every array is
+    read-only, and the constructor copies what the caller passed.
+    ``_masses`` holds the interval masses computed so far, keyed by
+    ``(lo, hi)``.
     """
 
     __slots__ = ("_head_loc", "_head_w", "_counts", "_tail_loc", "_tail_w", "_masses")
@@ -129,31 +128,30 @@ class DiscreteMeasure:
             raise ValueError("atom locations must be finite")
         if wts.size and not np.isfinite(wts).all():
             raise ValueError("atom weights must be finite")
-        self._set_atoms(_EMPTY, _EMPTY, loc, wts)
+        self._set_atoms(_EMPTY, loc, wts, {})
         self._masses = {}
 
     @classmethod
-    def _from_parts(
-        cls, head_loc, head_w, tail_loc=_EMPTY, tail_w=_EMPTY, counts=None
-    ) -> "DiscreteMeasure":
-        """Measure on 1-d float arrays of finite locations and weights, paired
-        by length, whose ``head_loc`` ascend, or, with ``counts``, are
-        distinct under ``_uniform_weights`` weights; nothing is rescanned or
-        copied, and the arrays are frozen in place."""
+    def _from_parts(cls, head_loc, tail_loc, tail_w, counts: dict) -> "DiscreteMeasure":
+        """Measure of head ``head_loc``, distinct samples that weigh
+        ``_uniform_weights``, with ``counts`` taken on it so far, and tail
+        atoms ``tail_loc``, ``tail_w`` of one length: 1-d float arrays of
+        finite values, neither rescanned nor copied but frozen in place."""
         mu = cls.__new__(cls)
-        mu._set_atoms(head_loc, head_w, tail_loc, tail_w, counts)
+        mu._set_atoms(head_loc, tail_loc, tail_w, counts)
         mu._masses = {}
         return mu
 
-    def _set_atoms(self, head_loc, head_w, tail_loc, tail_w, counts=None) -> None:
-        self._head_loc, self._head_w = _read_only(head_loc), _read_only(head_w)
+    def _set_atoms(self, head_loc, tail_loc, tail_w, counts: dict) -> None:
+        self._head_loc = _read_only(head_loc)
+        self._head_w = _uniform_weights(head_loc.size) if head_loc.size else _EMPTY
         self._tail_loc, self._tail_w = _read_only(tail_loc), _read_only(tail_w)
         self._counts = counts
 
     @property
     def locations(self) -> np.ndarray:
         head = self._head_loc
-        if self._counts is not None:
+        if head.size:
             # sorted on each read and never kept: the column is the one copy
             head = _read_only(np.sort(head))
         return _joined(head, self._tail_loc)
@@ -194,28 +192,20 @@ class DiscreteMeasure:
         return mass
 
     def _mass_on(self, lo: float, hi: float) -> float:
-        """``mass_on`` computed afresh.  The head's weights come from
-        `_head_weights_on` and only the tail is masked; the weights summed,
-        and their order, are those a mask over ``locations`` selects (for a
-        counted head, as many equal weights)."""
-        head = self._head_weights_on(lo, hi)
+        """``mass_on`` computed afresh.  The head's ``k`` samples in the
+        interval are counted once and kept in ``_counts``, and only the tail
+        is masked; the weights summed, and their order, are those a mask over
+        ``locations`` selects (for the head, as many equal weights)."""
+        k = self._counts.get((lo, hi))
+        if k is None:
+            col = self._head_loc
+            k = self._counts[(lo, hi)] = int(np.count_nonzero((col > lo) & (col <= hi)))
+        head = self._head_w[:k]
         tail = self._tail_loc
         if not tail.size:
             return float(head.sum())
         inside = (tail > lo) & (tail <= hi)
         return float(np.concatenate([head, self._tail_w[inside]]).sum())
-
-    def _head_weights_on(self, lo: float, hi: float) -> np.ndarray:
-        """The head's weights on ``(lo, hi]``: a binary-searched slice of a
-        sorted head, or the first ``k`` weights of a counted one."""
-        if self._counts is None:
-            i, j = np.searchsorted(self._head_loc, (lo, hi), side="right")
-            return self._head_w[i:j]
-        k = self._counts.get((lo, hi))
-        if k is None:
-            col = self._head_loc
-            k = self._counts[(lo, hi)] = int(np.count_nonzero((col > lo) & (col <= hi)))
-        return self._head_w[:k]
 
     # -- algebra -------------------------------------------------------------
     def __add__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
@@ -223,7 +213,6 @@ class DiscreteMeasure:
         # shared, O(tail) is copied
         return DiscreteMeasure._from_parts(
             self._head_loc,
-            self._head_w,
             np.concatenate([self._tail_loc, other.locations]),
             np.concatenate([self._tail_w, other.weights]),
             self._counts,

@@ -44,9 +44,9 @@ Noise banks, Levy measures and the measures handed to coefficients are
 read-only values, and so is a bundle's ``states`` array once the Euler sweep
 has filled it (with each law's state column):
 writing to any of them raises ``ValueError``, so edit a ``.copy()``.  Every
-cache here (the laws of a bundle, each a view of its state column, the
-sample counts and interval masses they keep, the sums of a perturbed measure
-control) rests on this.
+cache here (the laws of a bundle, whose head is a view of the state column
+where its values are distinct, the sample counts and interval masses they
+keep, the sums of a perturbed measure control) rests on this.
 """
 from __future__ import annotations
 
@@ -377,8 +377,8 @@ class ParticleBundle:
 class _LazyLaw(DiscreteMeasure):
     """Empirical law of one state column; ``empirical_law`` runs on the first
     read of an atom slot and fills all of them.  A column of distinct values
-    becomes the law's counted head, so the law holds no copy of it; a column
-    with ties keeps ``empirical_law``'s sorted, coalesced atoms."""
+    becomes the law's head, so the law holds no copy of it; with ties the law
+    is all tail, ``empirical_law``'s coalesced atoms."""
 
     __slots__ = ("_column",)
 
@@ -392,10 +392,8 @@ class _LazyLaw(DiscreteMeasure):
         if name not in DiscreteMeasure.__slots__:
             raise AttributeError(name)
         law = empirical_law(self._column)
-        if law.n_atoms == self._column.size:
-            self._set_atoms(self._column, law._head_w, law._tail_loc, law._tail_w, counts={})
-        else:
-            self._set_atoms(law._head_loc, law._head_w, law._tail_loc, law._tail_w)
+        head = self._column if law._head_loc.size else law._head_loc
+        self._set_atoms(head, law._tail_loc, law._tail_w, law._counts)
         return getattr(self, name)
 
 
@@ -591,6 +589,11 @@ class Direction:
         for name in ("t0", "scalar"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+
+    @property
+    def player(self) -> int:
+        """The player whose control the direction moves: 1 for a measure, 2 for a scalar."""
+        return 1 if self.kind == "measure" else 2
 
     def eta_at(self, t: float) -> DiscreteMeasure | None:
         if self.kind != "measure" or t < self.t0:

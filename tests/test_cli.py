@@ -10,6 +10,7 @@ import tempfile
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -325,6 +326,20 @@ def test_library_config_is_validated_on_construction(kwargs, message):
     assert message in str(info.value)
 
 
+def test_integer_knobs_reject_other_numbers():
+    """seed = 1.5 ran as seed 1 (Philox truncates its key) under CSV trailers
+    that said 1.5, and n_steps = 2.5 or quad_n = 3.5 raised numpy's TypeError
+    mid-run; a bool is no count either.  numpy integers stay valid."""
+    for key in ("seed", "n_particles", "n_steps", "quad_n"):
+        for value in (1.5, 4.0, True):
+            with pytest.raises(ValueError, match=f"{key} must be an integer, got {value!r}"):
+                ExperimentConfig(name="norms", **{key: value})
+    cfg = ExperimentConfig(
+        name="norms", seed=np.uint64(3), n_particles=np.int32(5), n_steps=np.int64(4), quad_n=np.int16(8)
+    )
+    assert cfg.seed == 3 and cfg.quad_n == 8
+
+
 def _model_example(text):
     """The ``key = value`` lines under the first ``[model]`` line of an INI example."""
     lines = text[re.search(r"^\s*\[model\]", text, re.M).end():].splitlines()[1:]
@@ -469,6 +484,9 @@ def _contract_ini(name, n, m, seed, lambdas, delay, model):
 # neither particle jumps, so the standard error is 0: a ZeroDivisionError
 # traceback and exit 1
 @example(name="sde-moments", n=2, m=4, seed=225, lambdas=(0.0,), delay=0.0, model={})
+# v_lo + 1.0 == v_lo puts the probe atom outside V: a ValueError traceback
+# from the game's interval functional, mid-run, instead of exit 2
+@example(name="consumption", n=10, m=10, seed=2024, lambdas=(0.1,), delay=0.0, model={"v_lo": 1e16})
 def test_exit_code_contract(name, n, m, seed, lambdas, delay, model):
     """Exit 0, 1, 2 or 3; stderr holds only config and numerical error lines;
     exit 0 exactly when every check line passes; exit 2 writes nothing."""

@@ -113,6 +113,11 @@ def test_model_validation():
     for lo in (-math.inf, math.inf, math.nan):
         with pytest.raises(ValueError, match="v_interval needs a finite lower end"):
             canonical_model(v_interval=(lo, 1.0))
+    # V too narrow in floating point for its probe atom: lo + 1.0 == lo, and
+    # the midpoint of two adjacent floats rounds to an end
+    for v in ((1e16, math.inf), (1.0, math.nextafter(1.0, 2.0))):
+        with pytest.raises(ValueError, match="v_interval"):
+            canonical_model(v_interval=v)
 
 
 # -- product-process identity ------------------------------------------------------

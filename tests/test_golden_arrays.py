@@ -84,24 +84,24 @@ def _model(levy: bool, delay: bool) -> cons.ConsumptionModel:
     )
 
 
-def _intervals(mu: DiscreteMeasure, model: cons.ConsumptionModel) -> list[tuple[float, float]]:
+def _intervals(
+    mu: DiscreteMeasure, model: cons.ConsumptionModel, k: int
+) -> list[tuple[float, float]]:
     """Bounds that share a ``lo``, signed zeros, infinities, and bounds on
-    atoms of the head, where ``side`` or the count's comparisons decide the
+    atoms of the law that ``mu`` was built on, whose ``k`` atoms lead
+    ``mu.locations``, where the count's or the mask's comparisons decide the
     answer."""
     lo, hi = model.v_interval
     out = [
         (lo, hi), (lo, 1.5), (lo, lo), (-math.inf, lo), (-0.0, 1.0), (0.0, 1.0),
         (model.v_outside, model.v_probe), (model.v_probe, math.inf),
     ]
-    k = mu._head_loc.size
-    if k:
-        a, b = mu.locations[k // 4], mu.locations[(3 * k) // 4]
-        out += [(a, b), (a, math.inf), (-math.inf, b)]
-    return out
+    a, b = mu.locations[k // 4], mu.locations[(3 * k) // 4]
+    return out + [(a, b), (a, math.inf), (-math.inf, b)]
 
 
-def _masses(mu: DiscreteMeasure, model: cons.ConsumptionModel) -> list[float]:
-    bounds = _intervals(mu, model)
+def _masses(mu: DiscreteMeasure, model: cons.ConsumptionModel, law: DiscreteMeasure) -> list[float]:
+    bounds = _intervals(mu, model, law.n_atoms)
     return [mu.mass_on(lo, hi) for _ in range(2) for lo, hi in bounds]
 
 
@@ -164,15 +164,15 @@ def _run_arrays(out: dict, seed: int, n: int, m: int) -> None:
             laws = [bundle.law_at(k) for k in range(m + 1)]
             out[f"law/{name}/locations"] = np.concatenate([law.locations for law in laws])
             out[f"law/{name}/weights"] = np.concatenate([law.weights for law in laws])
-            out[f"mass/{name}/laws"] = [_masses(law, model) for law in laws]
+            out[f"mass/{name}/laws"] = [_masses(law, model, law) for law in laws]
             infos = [SimInfo(bundle, k) for k in range(m)]
             out[f"mass/{name}/frozen"] = [
-                _masses(frozen.measure_ctrl(info.t, info), model) for info in infos
+                _masses(frozen.measure_ctrl(info.t, info), model, info.law) for info in infos
             ]
             direction = Direction(kind="measure", measure=DiscreteMeasure.dirac(model.v_probe))
             pert = perturbed_controls(frozen, direction, LAMBDA)
             out[f"mass/{name}/frozen-deviation"] = [
-                _masses(pert.measure_ctrl(info.t, info), model) for info in infos
+                _masses(pert.measure_ctrl(info.t, info), model, info.law) for info in infos
             ]
             nodes = gauss_hermite_rule(32).nodes
             for label, ctrl in (("frozen", frozen), ("frozen-deviation", pert)):
@@ -186,7 +186,7 @@ def _run_arrays(out: dict, seed: int, n: int, m: int) -> None:
             other = simulate(cons.state_model(model), controls, n, m, seed + 1)
             for label, b in (("", bundle), ("-other", other)):
                 out[f"mass/{name}/feedback-deviation{label}"] = [
-                    _masses(pert.measure_ctrl(float(b.times[k]), SimInfo(b, k)), model)
+                    _masses(pert.measure_ctrl(float(b.times[k]), SimInfo(b, k)), model, b.law_at(k))
                     for k in range(m)
                 ]
             for cpus in (1, 2):

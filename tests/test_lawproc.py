@@ -98,7 +98,10 @@ def test_empirical_law_is_bitwise_unique_counts(x):
     assert law.locations.tobytes() == loc.tobytes()
     assert np.array_equal(np.signbit(law.locations), np.signbit(loc))
     assert law.weights.tobytes() == wts.tobytes()
-    assert law._head_loc.size == law.n_atoms and law._counts is None
+    # n distinct samples are all head, a sample with ties all tail
+    distinct = loc.size == x.size
+    assert law._head_loc.size == (x.size if distinct else 0)
+    assert law._tail_loc.size == (0 if distinct else loc.size)
 
 
 @settings(max_examples=30, deadline=None)
@@ -118,12 +121,13 @@ def test_lazy_law_fills_sorted_prefix_on_first_read():
     column = np.array([0.3, -1.0, 0.3, 2.0, -0.0, 0.0])
     law = _LazyLaw(column)
     # the first read: ties, so four distinct values, sorted and coalesced
-    assert law._head_loc.size == 4 and law._counts is None
+    # into the tail
+    assert law._head_loc.size == 0 and law._tail_loc.size == 4
     expected = empirical_law(column)
     assert law.locations.tobytes() == expected.locations.tobytes()
     assert law.weights.tobytes() == expected.weights.tobytes()
     shifted = _LazyLaw(column) + DiscreteMeasure([0.1], [1.0])
-    assert shifted._head_loc.size == 4 and shifted.n_atoms == 5
+    assert shifted._head_loc.size == 0 and shifted.n_atoms == 5
 
 
 def test_lazy_law_of_distinct_values_keeps_only_its_column():

@@ -623,8 +623,8 @@ def test_counted_law_mass_is_the_sorted_prefix_slice_sum(n, ties):
     """A law that counts the k samples of its column in (lo, hi] and sums the
     first k shared weights gives the bits of the sorted-prefix slice sum
     w[i:j] with j - i = k, for every k and every window, alone and as the
-    head of a sum.  A column with ties (0.0 and -0.0 among them) keeps the
-    sorted atoms."""
+    head of a sum.  A column with ties (0.0 and -0.0 among them) gives a
+    law that is all tail, its sorted, coalesced atoms."""
     x = np.random.default_rng(n).normal(size=n)
     x[n // 2] = -0.0
     if ties and n > 1:
@@ -638,7 +638,7 @@ def test_counted_law_mass_is_the_sorted_prefix_slice_sum(n, ties):
     laws = [_LazyLaw(x) for _ in range(3)]
     law, pair = laws[0], laws[1] + tail
     lonely_pair = laws[2] + tail  # counts before its law has counted anything
-    assert (law._counts is None) == (a < n) and pair._counts is laws[1]._counts
+    assert law._head_loc.size == (n if a == n else 0) and pair._counts is laws[1]._counts
     for k in range(a + 1):
         for i in {0, (a - k) // 2, a - k}:
             lo = float(loc[i - 1]) if i else -math.inf
