@@ -12,7 +12,6 @@ from .measures import (
     norm_sq,
 )
 from .lawproc import (
-    FourierTable,
     ItoLevyCoeffs,
     LevyMeasure,
     MeasurePath,
@@ -21,7 +20,6 @@ from .lawproc import (
     generator_on_test_fn,
     law_derivative_fd,
     loglog_slope,
-    table_norm_sq,
 )
 from .sde import (
     CoefficientPartials,

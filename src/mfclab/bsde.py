@@ -82,9 +82,8 @@ class LinearBsdeSpec:
 
 @dataclass
 class BsdeSolution:
-    """P-component estimates on the grid, shape (N, M+1)."""
+    """P-component estimates on the bundle's grid, shape (N, M+1)."""
 
-    times: np.ndarray
     P: np.ndarray
 
     def p_at(self, k: int) -> np.ndarray:
@@ -224,4 +223,4 @@ def adjoint_p0_solve(
         phi = _column(n, lx(sv.t, sv.x, sv.law, sv.mu_ctrl, sv.u))
         acc = acc + p[:, k] * phi * dt
         p[:, k] = acc / p[:, k]
-    return BsdeSolution(times=bundle.times, P=p)
+    return BsdeSolution(P=p)

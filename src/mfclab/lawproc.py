@@ -2,13 +2,14 @@
 
 The marginal law M(t) = L(X(t)) of a jump diffusion, viewed as a path in
 measure space, is absolutely continuous in t with squared increments of order
-h^2; its derivative M'(t) is represented here purely through the Fourier
-table on quadrature nodes
+h^2; its derivative M'(t) is represented here purely through its Fourier
+transform at a quadrature rule's nodes y, a plain complex array
 
-    M'_hat(y) ~= (M_hat(t+h)(y) - M_hat(t-h)(y)) / (2h),
+    M'_hat(y) ~= (M_hat(t+h)(y) - M_hat(t-h)(y)) / (2h)
 
-never as a recovered signed density (inversion is ill-posed and no downstream
-use needs it).  On the test functions phi_y(x) = exp(ixy) the generator of
+that the same rule integrates, never as a recovered signed density
+(inversion is ill-posed and no downstream use needs it).  On the test
+functions phi_y(x) = exp(ixy) the generator of
 
     dX = alpha dt + beta dB + integral gamma(t, zeta) Ntilde(dt, dzeta)
 
@@ -108,34 +109,6 @@ class MeasurePath:
         return h
 
 
-@dataclass(frozen=True)
-class FourierTable:
-    """Fourier data of a (derivative of a) measure on quadrature nodes."""
-
-    nodes: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        values = np.asarray(self.values, dtype=complex)
-        if nodes.shape != values.shape:
-            raise ValueError("nodes and values must have matching shapes")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
-
-    def __sub__(self, other: "FourierTable") -> "FourierTable":
-        if not np.array_equal(self.nodes, other.nodes):
-            raise ValueError("tables live on different node sets")
-        return FourierTable(self.nodes, self.values - other.values)
-
-
-def table_norm_sq(table: FourierTable, rule: QuadratureRule) -> float:
-    """Squared order-0 norm of Fourier data sampled on the rule's nodes."""
-    if not np.array_equal(table.nodes, rule.nodes):
-        raise ValueError("table nodes do not match the quadrature rule")
-    return float(rule.integrate(np.abs(table.values) ** 2))
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -191,11 +164,11 @@ def generator_on_test_fn(
     return out if np.ndim(x) else complex(out)
 
 
-def law_derivative_fd(path: MeasurePath, index: int, rule: QuadratureRule) -> FourierTable:
-    """Central-difference t-derivative of a law path, as a Fourier table.
+def law_derivative_fd(path: MeasurePath, index: int, rule: QuadratureRule) -> np.ndarray:
+    """Central-difference t-derivative of a law path in Fourier space.
 
-    Returns y |-> (M_hat(t+h)(y) - M_hat(t-h)(y)) / (2h) on the rule's nodes;
-    O(h^2)-consistent on smooth law paths.
+    Returns the (n,) complex values (M_hat(t+h)(y) - M_hat(t-h)(y)) / (2h)
+    at the rule's n nodes y; O(h^2)-consistent on smooth law paths.
     """
     if not 1 <= index <= len(path) - 2:
         raise ValueError(f"central difference needs an interior index, got {index}")
@@ -203,7 +176,7 @@ def law_derivative_fd(path: MeasurePath, index: int, rule: QuadratureRule) -> Fo
     y = rule.nodes
     plus = path.values[index + 1].fourier(y)
     minus = path.values[index - 1].fourier(y)
-    return FourierTable(y, (plus - minus) / (2.0 * h))
+    return (plus - minus) / (2.0 * h)
 
 
 def _central_step(path: MeasurePath, index: int) -> float:

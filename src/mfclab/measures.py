@@ -355,9 +355,10 @@ def _share_out(run: Callable[[int], None], count: int, n_threads: int) -> None:
 class QuadratureRule:
     """Quadrature for integrals ``integral f(y) e^{-y^2} dy``.
 
-    ``weights`` already include the Gaussian factor, so
+    ``weights`` already include the Gaussian factor, so for f's values on
+    the nodes, ``f_nodes[i] = f(nodes[i])``,
 
-        rule.integrate(f) == sum_i weights[i] * f(nodes[i]).
+        rule.integrate(f_nodes) == sum_i weights[i] * f_nodes[i].
 
     The |y|^k factor of an order-k integrand is applied by the caller.
     """
@@ -377,13 +378,9 @@ class QuadratureRule:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray] | np.ndarray) -> float:
-        """Integrate ``f(y) e^{-y^2}`` over the line.
-
-        ``f`` is either a callable evaluated on the nodes or an array of
-        values already sampled on them.
-        """
-        vals = f(self.nodes) if callable(f) else np.asarray(f)
+    def integrate(self, f_nodes: np.ndarray) -> float:
+        """Integrate ``f(y) e^{-y^2}`` over the line from f's values on the nodes."""
+        vals = np.asarray(f_nodes)
         if vals.shape != self.nodes.shape:
             raise ValueError("integrand values must match the node count")
         return float(np.dot(self.weights, vals))

@@ -14,7 +14,9 @@ overflow.  The measure argument fed to the coefficients is player 1's
 measure-valued control.  The classical mean-field coupling
 mu(t) = L(X(t)) is one such control: ``lambda t, info: info.law`` under full
 information hands the coefficients each step's left-endpoint cross-sectional
-law, an explicit coupling that avoids a fixed-point solve per step.
+law, an explicit coupling that avoids a fixed-point solve per step.  Each
+control's ``info`` is a ``StepView``, the one per-step view of a bundle,
+taken at the control's observation step (k - lag)+.
 
 Coefficients are numpy-vectorized over particles:
 
@@ -100,26 +102,28 @@ class InfoPattern:
         return int(round(self.delay / dt))
 
 
-class SimInfo:
-    """What a control is allowed to see at evaluation time.
+class StepView:
+    """Everything observable at one grid step k of a bundle.
 
-    Exposes the (possibly delayed) observation time, per-particle states and
-    the cross-sectional empirical law at that time; the law comes from the
-    observed particle system's ``law_at`` cache, and its atoms are built on
-    their first read, at most once per grid step.
+    ``t``, ``x`` and ``law`` are the step's time, state column and the
+    bundle's cached law there, whose atoms are built on their first read, so
+    a replay whose costs read no law builds none.  A control sees the view at
+    its observation step, with ``mu_ctrl`` and ``u`` None; ``iter_steps``
+    yields the view at step k with the controls' values filled in.
     """
 
-    __slots__ = ("t", "step", "x", "_bundle")
+    __slots__ = ("k", "t", "x", "bundle", "mu_ctrl", "u")
 
-    def __init__(self, bundle: "ParticleBundle", step: int):
-        self.t = float(bundle.times[step])
-        self.step = step
-        self.x = bundle.states[:, step]
-        self._bundle = bundle
+    def __init__(self, bundle: ParticleBundle, k: int):
+        self.k = k
+        self.t = float(bundle.times[k])
+        self.x = bundle.states[:, k]
+        self.bundle = bundle
+        self.mu_ctrl = self.u = None
 
     @property
     def law(self) -> DiscreteMeasure:
-        return self._bundle.law_at(self.step)
+        return self.bundle.law_at(self.k)
 
     def law_mass(self, lo: float, hi: float) -> float:
         """Empirical mass on (lo, hi] without building the atom list."""
@@ -132,12 +136,12 @@ class ControlPair:
 
     ``measure_ctrl(t, info) -> DiscreteMeasure`` is the first player's
     control, ``scalar_ctrl(t, info) -> float | array`` the second player's;
-    each sees a SimInfo restricted by its own pattern.  ``u_bounds`` declares
-    the convex admissible set of the scalar control.
+    each sees the StepView at its observation step under its own pattern.
+    ``u_bounds`` declares the convex admissible set of the scalar control.
     """
 
-    measure_ctrl: Callable[[float, SimInfo], DiscreteMeasure]
-    scalar_ctrl: Callable[[float, SimInfo], float | np.ndarray]
+    measure_ctrl: Callable[[float, StepView], DiscreteMeasure]
+    scalar_ctrl: Callable[[float, StepView], float | np.ndarray]
     mu_info: InfoPattern = field(default_factory=InfoPattern)
     u_info: InfoPattern = field(default_factory=InfoPattern)
     u_bounds: tuple[float, float] | None = None
@@ -335,10 +339,10 @@ class ParticleBundle:
     """Simulated paths plus the noise that produced them (for CRN reuse).
 
     ``law_at`` keeps the one cache of cross-sectional laws of this
-    particle system; the Euler sweep, the controls' ``SimInfo`` and
-    ``iter_steps`` all read it.  A cached law builds its atoms on their first
-    read, so a step whose law nothing reads costs no empirical law.  The
-    Euler sweep freezes ``states`` once it has filled them.
+    particle system; the Euler sweep, the controls and ``iter_steps`` all
+    read it through ``StepView.law``.  A cached law builds its atoms on their
+    first read, so a step whose law nothing reads costs no empirical law.
+    The Euler sweep freezes ``states`` once it has filled them.
     """
 
     __slots__ = ("times", "states", "noise", "_laws")
@@ -400,10 +404,6 @@ class _LazyLaw(DiscreteMeasure):
 # ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
-
-def _info_for(pattern: InfoPattern, k: int, bundle: ParticleBundle) -> SimInfo:
-    return SimInfo(bundle, max(0, k - pattern.lag_steps(bundle.dt)))
-
 
 def _as_particle_values(u, idx: np.ndarray):
     return u[idx] if isinstance(u, np.ndarray) and u.ndim else u
@@ -492,31 +492,15 @@ def simulate(
     return bundle
 
 
-@dataclass(frozen=True)
-class StepView:
-    """Everything observable at one grid step of a bundle.
-
-    ``law`` is the bundle's cached law at step k, whose atoms are built on
-    their first read, so a replay whose costs read no law builds none.
-    """
-
-    k: int
-    t: float
-    x: np.ndarray
-    mu_ctrl: DiscreteMeasure
-    u: float | np.ndarray
-    bundle: ParticleBundle = field(repr=False)
-
-    @property
-    def law(self) -> DiscreteMeasure:
-        return self.bundle.law_at(self.k)
-
-
 def _step_view(bundle: ParticleBundle, controls: ControlPair, k: int) -> StepView:
-    """The control and measure arguments at step k, with u checked against ``u_bounds``."""
-    t = float(bundle.times[k])
-    mu_ctrl = controls.measure_ctrl(t, _info_for(controls.mu_info, k, bundle))
-    u = controls.scalar_ctrl(t, _info_for(controls.u_info, k, bundle))
+    """The view at step k with the controls' values, u checked against
+    ``u_bounds``; each control reads the view at its observation step."""
+    view, dt = StepView(bundle, k), bundle.dt
+    t = view.t
+    mu_seen = StepView(bundle, max(0, k - controls.mu_info.lag_steps(dt)))
+    view.mu_ctrl = controls.measure_ctrl(t, mu_seen)
+    u_seen = StepView(bundle, max(0, k - controls.u_info.lag_steps(dt)))
+    view.u = u = controls.scalar_ctrl(t, u_seen)
     if controls.u_bounds is not None:
         lo, hi = controls.u_bounds
         if np.ndim(u) == 0:
@@ -529,7 +513,7 @@ def _step_view(bundle: ParticleBundle, controls: ControlPair, k: int) -> StepVie
                 f"scalar control leaves U=[{lo}, {hi}] at t={t:.6g}: "
                 f"range [{u_min:.6g}, {u_max:.6g}]"
             )
-    return StepView(k=k, t=t, x=bundle.states[:, k], mu_ctrl=mu_ctrl, u=u, bundle=bundle)
+    return view
 
 
 def iter_steps(bundle: ParticleBundle, controls: ControlPair):

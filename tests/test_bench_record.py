@@ -77,6 +77,17 @@ def test_a_seed_run_on_one_side_only_is_refused(tmp_path, bench_record):
         bench_record.build(parent, change, "t", None, [])
 
 
+def test_a_workload_with_one_pair_is_refused_by_name(tmp_path, bench_record):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, clock in ((1, 1_000_000), (2, 1_000_120)):
+        _write(parent, "consumption", seed, 0, 1.0, clock)
+        _write(change, "consumption", seed, 0, 1.0, clock + 60)
+    _write(parent, "derivatives", 1, 0, 1.0, 1_000_240)
+    _write(change, "derivatives", 1, 0, 1.0, 1_000_300)
+    with pytest.raises(SystemExit, match=r"bench_record: derivatives has only 1 pair of runs"):
+        bench_record.build(parent, change, "t", None, [])
+
+
 def test_each_metric_gets_its_bound_and_a_no_regression_verdict(tmp_path, bench_record, monkeypatch):
     """worse: the median is worse by more than the bound; unresolved: the
     parent's IQR/median exceeds the bound and the change does not beat every

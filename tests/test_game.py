@@ -58,15 +58,15 @@ def cgame():
 
 # -- Hamiltonian evaluation ----------------------------------------------------
 
-def hamiltonian(spec, player, t, x, m, mu, u, adjoint):
+def hamiltonian(spec, player, t, x, m, mu, u, bundle, adjoint):
     """H_player = l + p0 b at one grid time along the adjoint's particles:
     the reference that the dH samples of the residuals are checked against.
 
     ``x`` (and ``u``) may be scalars or per-particle arrays; the result
     broadcasts against the stored p0 particles.  Raises if ``t`` is not a
-    grid point of the adjoint solution.
+    grid point of the bundle the adjoint was solved along.
     """
-    times = adjoint[player].times
+    times = bundle.times
     k = int(round((t - times[0]) / (times[1] - times[0])))
     if not (0 <= k < len(times)) or abs(times[k] - t) > 1e-9:
         raise ValueError(f"no adjoint value at t={t}")
@@ -96,7 +96,7 @@ def test_hamiltonian_reduces_to_running_cost(lq):
     bundle = simulate(model, ctrl, 10, 10, seed=0)
     adjoint = solve_adjoints(spec, bundle, ctrl)
     m0 = bundle.law_at(0)
-    val = hamiltonian(spec, 2, 0.0, bundle.states[:, 0], m0, m0, 0.0, adjoint)
+    val = hamiltonian(spec, 2, 0.0, bundle.states[:, 0], m0, m0, 0.0, bundle, adjoint)
     assert np.allclose(val, 1.0)
 
 
@@ -117,14 +117,15 @@ def test_hamiltonian_consumption_formula(cgame):
     manual = (
         np.log(sv.u * sv.x) + (mu_v - m_v) ** 2 + p0 * (mu_v - sv.u) * sv.x
     )
-    val = hamiltonian(spec, 2, t, sv.x, sv.law, sv.mu_ctrl, sv.u, adjoint)
+    val = hamiltonian(spec, 2, t, sv.x, sv.law, sv.mu_ctrl, sv.u, bundle, adjoint)
     assert np.allclose(val, manual, rtol=1e-12)
 
 
 def test_hamiltonian_missing_adjoint_time(lq):
     spec, candidate, bundle, adjoint = lq
+    m0 = bundle.law_at(0)
     with pytest.raises(ValueError, match="adjoint"):
-        hamiltonian(spec, 2, 0.12345, 0.0, bundle.law_at(0), bundle.law_at(0), 0.0, adjoint)
+        hamiltonian(spec, 2, 0.12345, 0.0, m0, m0, 0.0, bundle, adjoint)
 
 
 # -- first-order residuals ---------------------------------------------------------
@@ -529,14 +530,16 @@ def test_consumption_hamiltonian_curvature(cgame):
         dx, du = dx / norm, du / norm
 
         def h_at(s):
-            vals = hamiltonian(spec, 2, t, x0 + s * dx, m0, m0, u0 + s * du, adjoint)
+            vals = hamiltonian(spec, 2, t, x0 + s * dx, m0, m0, u0 + s * du, bundle, adjoint)
             return float(np.asarray(vals)[i])
 
         second = h_at(-h) - 2 * h_at(0.0) + h_at(h)
         assert second <= 1e-10
 
         vals_mu = [
-            float(np.asarray(hamiltonian(spec, 2, t, x0, m0, m0 + eta.scaled(s), u0, adjoint))[i])
+            float(np.asarray(
+                hamiltonian(spec, 2, t, x0, m0, m0 + eta.scaled(s), u0, bundle, adjoint)
+            )[i])
             for s in (-h, 0.0, h)
         ]
         assert vals_mu[0] - 2 * vals_mu[1] + vals_mu[2] >= -1e-10

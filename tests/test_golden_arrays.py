@@ -52,7 +52,7 @@ from mfclab.measures import DiscreteMeasure, fourier_tables, gauss_hermite_rule
 from mfclab.sde import (
     Direction,
     InfoPattern,
-    SimInfo,
+    StepView,
     draw_noise,
     performance_samples,
     perturbed_controls,
@@ -165,7 +165,7 @@ def _run_arrays(out: dict, seed: int, n: int, m: int) -> None:
             out[f"law/{name}/locations"] = np.concatenate([law.locations for law in laws])
             out[f"law/{name}/weights"] = np.concatenate([law.weights for law in laws])
             out[f"mass/{name}/laws"] = [_masses(law, model, law) for law in laws]
-            infos = [SimInfo(bundle, k) for k in range(m)]
+            infos = [StepView(bundle, k) for k in range(m)]
             out[f"mass/{name}/frozen"] = [
                 _masses(frozen.measure_ctrl(info.t, info), model, info.law) for info in infos
             ]
@@ -186,7 +186,7 @@ def _run_arrays(out: dict, seed: int, n: int, m: int) -> None:
             other = simulate(cons.state_model(model), controls, n, m, seed + 1)
             for label, b in (("", bundle), ("-other", other)):
                 out[f"mass/{name}/feedback-deviation{label}"] = [
-                    _masses(pert.measure_ctrl(float(b.times[k]), SimInfo(b, k)), model, b.law_at(k))
+                    _masses(pert.measure_ctrl(float(b.times[k]), StepView(b, k)), model, b.law_at(k))
                     for k in range(m)
                 ]
             for cpus in (1, 2):

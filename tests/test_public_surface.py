@@ -187,7 +187,7 @@ def test_benchmark_read_methods_are_still_unread():
 
 def test_every_public_slot_is_read_by_package_code():
     slots = _public_slots()
-    assert "SimInfo.x" in slots
+    assert "StepView.x" in slots
     read = _attribute_loads()
     unread = sorted(key for key, name in slots.items() if name not in read)
     assert not unread, f"public slots that package code never reads: {unread}"

@@ -13,7 +13,7 @@ from mfclab.measures import DiscreteMeasure
 from mfclab.sde import (
     CoefficientPartials,
     ControlPair,
-    SimInfo,
+    StepView,
     ControlledModel,
     Direction,
     InadmissiblePerturbation,
@@ -311,6 +311,47 @@ def test_delay_pattern_sees_lagged_state():
     assert observed[0.0] == 0.0
     assert observed[0.5] == pytest.approx(0.3)
     assert observed[0.9] == pytest.approx(0.7)
+
+
+@pytest.mark.parametrize("delayed", ["mu", "u"])
+def test_each_control_sees_the_view_at_its_observation_step(delayed):
+    """A control's view is the bundle's step max(0, k - lag) under its own
+    pattern, with the law cached there and no control values."""
+    views = {"mu": [], "u": []}
+
+    def measure_ctrl(t, info):
+        views["mu"].append((t, info))
+        return DiscreteMeasure.dirac(0.0)
+
+    def scalar_ctrl(t, info):
+        views["u"].append((t, info))
+        return 0.0
+
+    model = ControlledModel(
+        drift=lambda t, x, mu, u: np.ones_like(x),
+        vol=lambda t, x, mu, u: 0.5 * np.ones_like(x),
+        x0=0.0,
+        horizon=1.0,
+    )
+    patterns = {"mu": InfoPattern(), "u": InfoPattern()}
+    patterns[delayed] = InfoPattern(delay=0.2)
+    ctrl = ControlPair(
+        measure_ctrl=measure_ctrl,
+        scalar_ctrl=scalar_ctrl,
+        mu_info=patterns["mu"],
+        u_info=patterns["u"],
+    )
+    bundle = simulate(model, ctrl, 6, 10, seed=1)
+    for name, seen in views.items():
+        lag = 2 if name == delayed else 0
+        assert len(seen) == bundle.n_steps
+        for k_now, (t, view) in enumerate(seen):
+            assert t == bundle.times[k_now]
+            assert view.k == max(0, k_now - lag)
+            assert view.t == bundle.times[view.k]
+            assert view.x.tolist() == bundle.states[:, view.k].tolist()
+            assert view.law is bundle.law_at(view.k)
+            assert view.mu_ctrl is None and view.u is None
 
 
 def test_info_pattern_validation():
@@ -755,7 +796,7 @@ def test_noise_bank_and_filled_bundle_are_read_only():
         bank.dB, bank.ev_particle, bank.ev_step, bank.ev_zeta, bank._step_offsets,
         bank.jump_sizes, bank.jump_rates,
         bundle.states, bundle.law_at(3)._column,
-        SimInfo(bundle, 4).x,
+        StepView(bundle, 4).x,
     )
     # the sweep read laws while it filled states; their columns were frozen too
     law = bundle.law_at(2)
@@ -777,7 +818,7 @@ def test_levy_measure_and_its_noise_bank_hold_separate_read_only_arrays():
 def test_perturbed_measure_control_shares_one_sum_per_step_and_base():
     frozen = [DiscreteMeasure([0.5 * k, 3.0], [1.0, -0.25]) for k in range(8)]
     controls = ControlPair(
-        measure_ctrl=lambda t, info: frozen[info.step],
+        measure_ctrl=lambda t, info: frozen[info.k],
         scalar_ctrl=lambda t, info: 0.0,
     )
     seen = {"drift": [], "running": []}
@@ -809,7 +850,7 @@ def test_perturbed_measure_control_shares_one_sum_per_step_and_base():
         scalar_ctrl=lambda t, info: 0.0,
     )
     pert = perturbed_controls(fresh, direction, 0.1)
-    info = SimInfo(bundle, 5)
+    info = StepView(bundle, 5)
     first, second = pert.measure_ctrl(info.t, info), pert.measure_ctrl(info.t, info)
     assert first is not second
     assert first.weights.tolist() == second.weights.tolist() == [1.0, -0.25, 0.1]

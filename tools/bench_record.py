@@ -12,7 +12,7 @@ repository root:
 
 This reads every ``perfbench/out/*.json`` run record of both checkouts.
 Untraced records (``--trace 0``) pair up by workload and seed; every seed
-must have run on both sides.  For each end-to-end metric that
+must have run on both sides, and each workload needs at least two pairs.  For each end-to-end metric that
 ``BENCHMARK.json`` names, the record holds each side's runs, median and
 quartiles (inclusive method), the change's pair wins (strictly better, in
 the metric's direction), the relative change of the median, the metric's
@@ -95,6 +95,10 @@ def pair_up(records: dict[str, list[dict]], workload: str) -> list[tuple[int, di
 
 def workload_record(records: dict[str, list[dict]], workload: str, metrics: list[dict]) -> dict:
     pairs = pair_up(records, workload)
+    if len(pairs) < 2:
+        raise SystemExit(
+            f"bench_record: {workload} has only {len(pairs)} pair of runs; quartiles need two"
+        )
     out: dict = {"seeds": [seed for seed, _ in pairs], "pairs": len(pairs), "metrics": {}}
     for spec in metrics:
         name, lower = spec["name"], spec["better"] == "lower"
