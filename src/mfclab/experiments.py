@@ -293,8 +293,9 @@ def increment_scaling_checks(cfg: ExperimentConfig) -> list[CheckResult]:
         x0=0.0,
         horizon=1.0,
     )
+    origin = DiscreteMeasure.dirac(0.0)
     ctrl = ControlPair(
-        measure_ctrl=lambda t, info: DiscreteMeasure.dirac(0.0),
+        measure_ctrl=lambda t, info: origin,
         scalar_ctrl=lambda t, info: 0.0,
     )
     bundle = simulate(model, ctrl, cfg.n_particles, 100, cfg.seed)
@@ -329,8 +330,9 @@ def _mean_z_score(xt: np.ndarray, target: float) -> tuple[float, float, float]:
 def run_sde_moments(cfg: ExperimentConfig) -> list[CheckResult]:
     """Geometric-dynamics mean oracles and compensated-jump mean preservation."""
     n, m = cfg.n_particles, cfg.n_steps
+    origin = DiscreteMeasure.dirac(0.0)
     ctrl = ControlPair(
-        measure_ctrl=lambda t, info: DiscreteMeasure.dirac(0.0),
+        measure_ctrl=lambda t, info: origin,
         scalar_ctrl=lambda t, info: 0.0,
     )
     rows = []
@@ -503,19 +505,20 @@ def run_gateaux(cfg: ExperimentConfig) -> list[CheckResult]:
 
     # FD slope vs adjoint slope on the drift-control model (p0 = 1)
     model_u = ControlledModel(
-        drift=lambda t, x, mu, u: u * np.ones_like(x),
-        vol=lambda t, x, mu, u: 0.3 * np.ones_like(x),
+        drift=lambda t, x, mu, u: np.full_like(x, u),
+        vol=lambda t, x, mu, u: np.full_like(x, 0.3),
         x0=0.0,
         horizon=1.0,
     )
     perf = PerformanceSpec(
-        running=lambda t, x, m_, mu, u: -0.5 * u * u * np.ones_like(x),
+        running=lambda t, x, m_, mu, u: np.full_like(x, -0.5 * u * u),
         terminal=lambda x, m_: x,
     )
     spec = GameSpec(model_u, perf1=perf, perf2=perf)
     u0 = 0.5
+    origin = DiscreteMeasure.dirac(0.0)
     ctrl_u = ControlPair(
-        measure_ctrl=lambda t, info: DiscreteMeasure.dirac(0.0),
+        measure_ctrl=lambda t, info: origin,
         scalar_ctrl=lambda t, info: u0,
     )
     bundle_u = simulate(model_u, ctrl_u, cfg.n_particles, cfg.n_steps, cfg.seed + 1)
@@ -557,7 +560,7 @@ def lq_toy_game(q1: float = 1.0, q2: float = 1.0):
     v = (-1.0, 1.0)
     model = ControlledModel(
         drift=lambda t, x, mu, u: u + mu.mass_on(*v) + 0.0 * x,
-        vol=lambda t, x, mu, u: 0.3 * np.ones_like(x),
+        vol=lambda t, x, mu, u: np.full_like(x, 0.3),
         x0=0.0,
         horizon=1.0,
     )

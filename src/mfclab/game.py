@@ -39,13 +39,13 @@ from .bsde import BsdeSolution, adjoint_p0_solve
 from .measures import DiscreteMeasure
 from .report import write_csv
 from .sde import (
-    FD_STEP,
     ControlPair,
     ControlledModel,
     Direction,
     ParticleBundle,
     PerformanceSpec,
     _central_difference,
+    _mu_shifts,
     iter_steps,
     negate_performance,
     performance_samples,
@@ -129,12 +129,6 @@ def solve_adjoints(
     else:
         p1 = adjoint_p0_solve(spec.model, spec.perf1, bundle, candidate)
     return {1: p1, 2: p2}
-
-
-def _mu_shifts(sv, eta: DiscreteMeasure) -> dict[float, DiscreteMeasure]:
-    """sv.mu_ctrl + h eta at h = +-FD_STEP, built once per step and direction
-    for every central difference in mu along eta (each concatenates ~N atoms)."""
-    return {h: sv.mu_ctrl + eta.scaled(h) for h in (FD_STEP, -FD_STEP)}
 
 
 def _check_coefficient_independence(spec: GameSpec, sv, player: int, mu_shifts) -> None:
@@ -273,7 +267,7 @@ def first_order_residuals(
     se_mu = {f.name: np.empty(m) for f in spec.functionals}
     sqrt_n = _sqrt_n(bundle.n_particles, "first_order_residuals")
     for sv in iter_steps(bundle, candidate):
-        mu_shifts = [_mu_shifts(sv, f.unit_direction()) for f in spec.functionals]
+        mu_shifts = [_mu_shifts(sv.mu_ctrl, f.unit_direction()) for f in spec.functionals]
         _check_coefficient_independence(spec, sv, 2, mu_shifts)
         _check_coefficient_independence(spec, sv, 1, mu_shifts)
         p2 = adjoint[2].p_at(sv.k)
@@ -480,14 +474,14 @@ def gateaux_check(
     for sv in iter_steps(bundle, candidate):
         mu_shifts = []
         if player == 1:
-            mu_shifts = [_mu_shifts(sv, f.unit_direction()) for f in spec.functionals]
+            mu_shifts = [_mu_shifts(sv.mu_ctrl, f.unit_direction()) for f in spec.functionals]
         _check_coefficient_independence(spec, sv, player, mu_shifts)
         p0 = p0_sol.p_at(sv.k)
         if direction.kind == "measure":
             eta = direction.eta_at(sv.t)
             if eta is None:
                 continue
-            slope_acc += _dh_dmu_samples(spec, sv, p0, _mu_shifts(sv, eta), player) * dt
+            slope_acc += _dh_dmu_samples(spec, sv, p0, _mu_shifts(sv.mu_ctrl, eta), player) * dt
         else:
             pi = direction.pi_at(sv.t)
             if pi == 0.0:

@@ -7,9 +7,23 @@ A finite signed measure mu with atoms (x_j, w_j) has Fourier transform
 which is exact (no discretization) for atomic measures.  Atoms and weights
 are real, so mu_hat(-y) = conj(mu_hat(y)): on exactly antisymmetric nodes
 (every Gauss-Hermite rule) ``fourier`` sums only the nonnegative half and
-mirrors the rest.  A random measure is a non-empty sequence of equally
-likely scenario measures, and two random measures pair their scenarios by
-index (common omega).  The order-k inner product of two random measures is
+mirrors the rest.
+
+The kernel fills one complex block per chunk of atoms, ``cos(y x_j)`` into
+its real half and ``sin(y x_j)`` into its imaginary half, and sums it with
+one complex mat-vec ``e @ w``.  The block is the complex exponential
+``exp(i y x_j)`` bit for bit up to the sign of a zero: glibc's ``cexp`` of
+``+-0 + ib`` is exactly ``(cos b, sin b)``, numpy's float64 ``cos`` and
+``sin`` call the same C library (``tests/test_measures.py`` checks this
+against the exponential), and a signed zero in the block adds nothing to a
+sum that starts from ``+0``.  Two real mat-vecs, ``cos @ w`` and ``sin @ w``,
+would round differently and are not used.  Every atom x node product must be
+finite; a measure and nodes whose largest product overflows are refused with
+``ValueError`` before the kernel runs.
+
+A random measure is a non-empty sequence of equally likely scenario
+measures, and two random measures pair their scenarios by index (common
+omega).  The order-k inner product of two random measures is
 
     <mu, eta>_k = E[ integral Re(conj(mu_hat(y)) * eta_hat(y)) |y|^k e^{-y^2} dy ],
 
@@ -235,9 +249,12 @@ class DiscreteMeasure:
         ``y == -y[::-1]`` exactly (every Gauss-Hermite rule) only the
         nonnegative half is summed and the rest is its conjugate mirror,
         which equals the full sum bit for bit.  A single-node half is not
-        mirrored: numpy rounds a one-row product differently.
+        mirrored: numpy rounds a one-row product differently.  Raises
+        ``ValueError`` for non-finite nodes and for an atom x node product
+        that overflows.
         """
         y = _fourier_nodes(y)
+        _check_products([self], y)
         out = np.zeros(y.shape, dtype=complex)
         self._fourier_into(y, out)
         return out
@@ -256,14 +273,23 @@ class DiscreteMeasure:
             self._fourier_sum(y, out)
 
     def _fourier_sum(self, y: np.ndarray, out: np.ndarray) -> None:
-        """Add ``sum_j w_j exp(i x_j y)`` into ``out``, in atom chunks."""
+        """Add ``sum_j w_j exp(i x_j y)`` into ``out``, in atom chunks, each
+        one complex block of ``cos + i sin`` and one complex mat-vec."""
         loc, wts = self.locations, self.weights
         for start in range(0, loc.size, _FOURIER_CHUNK):
             x = loc[start : start + _FOURIER_CHUNK]
             w = wts[start : start + _FOURIER_CHUNK]
-            e = 1j * np.outer(y, x)
-            np.exp(e, out=e)
+            yx = np.outer(y, x)
+            e = np.empty(yx.shape, complex)
+            np.cos(yx, out=e.real)
+            np.sin(yx, out=e.imag)
             out += e @ w
+
+    def _max_abs_location(self) -> float:
+        """``max |x_j|`` over the atoms, ``0.0`` without one; reads the head
+        and tail in place, never sorting or joining them."""
+        parts = (self._head_loc, self._tail_loc)
+        return max(float(np.abs(part).max(initial=0.0)) for part in parts)
 
     def __repr__(self) -> str:
         return f"DiscreteMeasure(n_atoms={self.n_atoms}, mass={self.total_mass():.6g})"
@@ -289,6 +315,21 @@ def _fourier_nodes(y) -> np.ndarray:
     return y
 
 
+def _check_products(measures: Sequence[DiscreteMeasure], y: np.ndarray) -> None:
+    """Refuse nodes and measures with an atom x node product that overflows.
+
+    Rounding is monotone, so no ``|y_i x_j|`` exceeds the product of the
+    largest ``|y|`` and the largest ``|x|``, itself one of the products:
+    that one is finite exactly when all are.
+    """
+    y_max = float(np.abs(y).max(initial=0.0))
+    x_max = max((mu._max_abs_location() for mu in measures), default=0.0)
+    if not math.isfinite(x_max * y_max):
+        raise ValueError(
+            f"atom x node products overflow: max |x| = {x_max:g} times max |y| = {y_max:g}"
+        )
+
+
 def fourier_tables(measures: Sequence[DiscreteMeasure], y) -> np.ndarray:
     """Fourier transforms of ``measures`` at ``y``, one row per measure.
 
@@ -300,8 +341,9 @@ def fourier_tables(measures: Sequence[DiscreteMeasure], y) -> np.ndarray:
     """
     y = _fourier_nodes(y)
     measures = list(measures)
+    # reads every lazy law's atoms here, on the calling thread
+    _check_products(measures, y)
     out = np.zeros((len(measures), y.size), dtype=complex)
-    # reading n_atoms builds a lazy law here, on the calling thread
     work = sum(mu.n_atoms for mu in measures) * y.size
     n_threads = min(_cpu_count(), len(measures))
     if n_threads < 2 or work < _PARALLEL_MIN_WORK:

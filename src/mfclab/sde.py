@@ -631,11 +631,20 @@ def _partial_x(fn, analytic):
     return lambda t, x, *rest: _central_difference(lambda h: fn(t, x + h, *rest))
 
 
+def _mu_shifts(mu: DiscreteMeasure, eta: DiscreteMeasure) -> dict[float, DiscreteMeasure]:
+    """mu + h eta at h = +-FD_STEP, built once per step and direction for
+    every central difference in mu along eta (each concatenates ~N atoms)."""
+    return {h: mu + eta.scaled(h) for h in (FD_STEP, -FD_STEP)}
+
+
 def _partial_mu(fn, analytic):
+    """Directional measure partial, called as ``(t, x, mu, eta, shifts,
+    *rest)`` with ``shifts = _mu_shifts(mu, eta)``, which the
+    finite-difference fallback reads and an analytic partial ignores."""
     if analytic is not None:
-        return analytic
-    return lambda t, x, mu, eta, *rest: _central_difference(
-        lambda h: fn(t, x, mu + eta.scaled(h), *rest)
+        return lambda t, x, mu, eta, shifts, *rest: analytic(t, x, mu, eta, *rest)
+    return lambda t, x, mu, eta, shifts, *rest: _central_difference(
+        lambda h: fn(t, x, shifts[h], *rest)
     )
 
 
@@ -667,10 +676,12 @@ def simulate_derivative_process(
     smu = _partial_mu(model.vol, p.vol_dmu)
     bu = _partial_u(model.drift, p.drift_du)
     su = _partial_u(model.vol, p.vol_du)
+    fd_mu = p.drift_dmu is None or p.vol_dmu is None
     if model.levy is not None:
         gx = _partial_x(model.jump, p.jump_dx)
         gmu = _partial_mu(model.jump, p.jump_dmu)
         gu = _partial_u(model.jump, p.jump_du)
+        fd_mu = fd_mu or p.jump_dmu is None
 
     n, m = bundle.n_particles, bundle.n_steps
     z = _time_major(n, m + 1)
@@ -683,9 +694,11 @@ def simulate_derivative_process(
             zk = z[:, k]
             eta = direction.eta_at(t)
             pi = direction.pi_at(t)
+            # one shifted pair per step, shared by every fallback
+            shifts = _mu_shifts(mu, eta) if eta is not None and fd_mu else None
             if eta is not None:
-                b_dir = bmu(t, x, mu, eta, u)
-                s_dir = smu(t, x, mu, eta, u)
+                b_dir = bmu(t, x, mu, eta, shifts, u)
+                s_dir = smu(t, x, mu, eta, shifts, u)
             elif pi != 0.0:
                 b_dir = bu(t, x, mu, u) * pi
                 s_dir = su(t, x, mu, u) * pi
@@ -697,7 +710,7 @@ def simulate_derivative_process(
                 x_i, u_i = x[i], _as_particle_values(u, i)
                 term = gx(t, x_i, mu, u_i, zeta) * zk[i]
                 if eta is not None:
-                    term = term + gmu(t, x_i, mu, eta, u_i, zeta)
+                    term = term + gmu(t, x_i, mu, eta, shifts, u_i, zeta)
                 elif pi != 0.0:
                     term = term + gu(t, x_i, mu, u_i, zeta) * pi
                 return term

@@ -16,7 +16,6 @@ from mfclab.game import (
     PerturbationPlan,
     UnsupportedModelError,
     _dh_dmu_samples,
-    _mu_shifts,
     first_order_residuals,
     gateaux_check,
     nash_perturbation_sweep,
@@ -29,6 +28,7 @@ from mfclab.sde import (
     ControlledModel,
     Direction,
     PerformanceSpec,
+    _mu_shifts,
     iter_steps,
     simulate,
 )
@@ -193,8 +193,8 @@ def test_zero_sum_consistency(cgame):
         p1 = adjoint[1].p_at(sv.k)
         p2 = adjoint[2].p_at(sv.k)
         assert np.max(np.abs(p1 + p2)) <= 1e-12 * max(1.0, np.max(np.abs(p2)))
-        d1 = _dh_dmu_samples(spec, sv, p1, _mu_shifts(sv, eta), 1)
-        d2 = _dh_dmu_samples(spec, sv, p2, _mu_shifts(sv, eta), 2)
+        d1 = _dh_dmu_samples(spec, sv, p1, _mu_shifts(sv.mu_ctrl, eta), 1)
+        d2 = _dh_dmu_samples(spec, sv, p2, _mu_shifts(sv.mu_ctrl, eta), 2)
         assert np.max(np.abs(d1 + d2)) <= 1e-12
 
 

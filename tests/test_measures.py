@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -453,6 +454,115 @@ def test_fourier_tables_are_bitwise_stacked_transforms(ms, y, cpus):
             mock.patch.object(measures_module, "_PARALLEL_MIN_WORK", 0):
         tables = fourier_tables(ms, y)
     assert tables.tobytes() == stacked.tobytes()
+
+
+# -- the cos + i sin kernel against the complex exponential -------------------
+
+def _exp_kernel(self, y, out):
+    """The kernel as it was written before: the complex exponential of
+    ``1j * outer(y, x)``, one block and one complex mat-vec per chunk.  The
+    reference that pins the ``cos + i sin`` block bit for bit."""
+    chunk = measures_module._FOURIER_CHUNK
+    loc, wts = self.locations, self.weights
+    for start in range(0, loc.size, chunk):
+        e = 1j * np.outer(y, loc[start : start + chunk])
+        np.exp(e, out=e)
+        out += e @ wts[start : start + chunk]
+
+
+def _assert_exp_bits(mu, y):
+    """``fourier`` and ``fourier_tables`` (serial and shared out) equal the
+    exponential kernel in every float64 half, signed zeros included."""
+    with mock.patch.object(DiscreteMeasure, "_fourier_sum", _exp_kernel):
+        ref = mu.fourier(y)
+    with mock.patch.object(measures_module, "_cpu_count", lambda: 2), \
+            mock.patch.object(measures_module, "_PARALLEL_MIN_WORK", 0):
+        shared = fourier_tables([mu, mu], y)
+    ref_f = ref.view(np.float64)
+    for name, got in (("fourier", mu.fourier(y)), ("fourier_tables", fourier_tables([mu], y)[0]),
+                      ("shared fourier_tables", shared[1])):
+        got_f = got.view(np.float64)
+        differ = np.flatnonzero((got_f != ref_f) | (np.signbit(got_f) != np.signbit(ref_f)))
+        assert not differ.size, (
+            f"{name} differs from the complex exponential in {differ.size} of {ref_f.size} "
+            f"float64 halves, first at {differ[0]}: {got_f[differ[0]]!r} vs {ref_f[differ[0]]!r}; "
+            "numpy's float64 cos/sin do not match its complex exp on this platform"
+        )
+
+
+_magnitudes = st.sampled_from([5e-324, 1e-310, 1e-300, 1e-8, 1.0, 1e3, 1e5, 1e15, 1e290])
+# signed zeros, coordinates at every magnitude from subnormal to 1e290, and
+# any float a product with a node of at most 20 leaves finite
+_kernel_locations = st.one_of(
+    _coords,
+    st.sampled_from([0.0, -0.0]),
+    st.tuples(_coords, _magnitudes).map(lambda p: p[0] * p[1]),
+    st.floats(-1e300, 1e300),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mu=st.one_of(measures(locations=_kernel_locations, max_atoms=40), _edge_measures), y=_nodes)
+def test_cos_sin_kernel_is_the_complex_exponential_bitwise(mu, y):
+    _assert_exp_bits(mu, y)
+
+
+_GH65 = gauss_hermite_rule(65).nodes
+assert _GH65[32] == 0.0
+
+
+@pytest.mark.parametrize("locations, y", [
+    # signed zeros and negative atoms, on even and odd (zero-node) rules
+    ([0.0, -0.0, -1.3, -4.0, 2.5], gauss_hermite_rule(64).nodes),
+    ([0.0, -0.0, -1.3, -4.0, 2.5], _GH65),
+    ([-0.0], _GH65),
+    ([0.0, -2.0], gauss_hermite_rule(3).nodes),
+    # non-symmetric and single nodes take the full sum
+    ([0.0, -0.0, -0.7, 3.1], np.array([0.3, -1.1, 2.0, 0.0, -0.0])),
+    ([0.0, -0.0, -0.7, 3.1], np.array([0.7])),
+    ([0.0, -0.0, -0.7, 3.1], np.array([-0.0])),
+    ([0.0, -0.0, -0.7, 3.1], np.array([0.0])),
+    # subnormal products, glibc's |b| <= DBL_MIN branch of cexp
+    ([5e-324, -5e-324, 1e-310, -3e-309, 2.2e-308, -0.0], _GH65),
+    ([1e-300, -1e-300, 0.0], np.array([1e-10, -1e-12, 3e-9])),
+    # |x y| near 1e6 and beyond, through range reduction
+    ([1e5, -1e5 + 0.3, 123456.789, -98765.4321], gauss_hermite_rule(64).nodes),
+    ([1e15 / 3, -7e20, 1.7e290], _GH65),
+], ids=["signed-zeros-even", "signed-zeros-odd", "minus-zero-alone", "gh3", "asymmetric",
+        "single-node", "single-minus-zero-node", "single-zero-node", "subnormal-atoms",
+        "subnormal-products", "range-1e6", "range-huge"])
+def test_cos_sin_kernel_fixed_cases(locations, y):
+    weights = np.linspace(-1.0, 1.0, len(locations)) + 0.25
+    _assert_exp_bits(DiscreteMeasure(locations, weights), y)
+
+
+def test_cos_sin_kernel_across_the_chunk_boundary():
+    rng = np.random.default_rng(30)
+    n = measures_module._FOURIER_CHUNK + 4465
+    loc = rng.normal(scale=3.0, size=n)
+    loc[::7] = 0.0
+    loc[3::11] = -0.0
+    _assert_exp_bits(DiscreteMeasure(loc, rng.uniform(-1.0, 1.0, size=n) / n), _GH65)
+
+
+def test_overflowing_products_are_refused_before_any_warning(rule):
+    y = rule.nodes
+    wide = DiscreteMeasure([1e308, 0.0], [0.5, 0.5])
+    wide_law = empirical_law([0.0, -1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mu in (wide, wide_law):
+            with pytest.raises(ValueError, match="atom x node products overflow"):
+                mu.fourier(y)
+            with pytest.raises(ValueError, match="atom x node products overflow"):
+                fourier_tables([DiscreteMeasure.dirac(1.0), mu], y)
+            with pytest.raises(ValueError, match="atom x node products overflow"):
+                norm_sq(mu, 0, rule)
+        # one node of 0 or the largest finite product is no overflow
+        assert wide.fourier(0.0) == 1.0
+        y_max = float(np.max(np.abs(y)))
+        edge = DiscreteMeasure([np.nextafter(np.finfo(float).max / y_max, 0.0)], [1.0])
+        assert np.isfinite(edge.fourier(y)).all()
 
 
 def _small_laws():

@@ -576,6 +576,57 @@ def test_derivative_uses_analytic_partials_when_given():
         assert np.max(np.abs(z_analytic - z_fd)) <= 1e-8
 
 
+def test_fd_measure_partials_share_one_shifted_pair_per_step(monkeypatch):
+    """The drift, vol and jump fallbacks of one step read the same two
+    measures mu +- FD_STEP eta, built once per step that has a direction."""
+    base = DiscreteMeasure.dirac(1.0, 0.5)
+    seen = []
+
+    def mass(mu):
+        if mu is not base:
+            seen.append(mu)
+        return mu.mass_on(0.0, 2.0)
+
+    model = ControlledModel(
+        drift=lambda t, x, mu, u: mass(mu) * x,
+        vol=lambda t, x, mu, u: 0.1 * mass(mu) * x,
+        jump=lambda t, x, mu, u, z: z * mass(mu) * x,
+        levy=LevyMeasure([0.1, -0.2], [2.0, 1.0]),
+        x0=1.0,
+        horizon=1.0,
+    )
+    ctrl = ControlPair(measure_ctrl=lambda t, info: base, scalar_ctrl=lambda t, info: 0.0)
+    bundle = simulate(model, ctrl, 20, 50, seed=0)
+    assert bundle.noise.n_events > 0
+    direction = Direction(kind="measure", t0=0.3, measure=DiscreteMeasure.dirac(1.0))
+    expected = simulate_derivative_process(bundle, model, ctrl, direction)
+    pairs = []
+    shifts = sde_module._mu_shifts
+
+    def spy(mu, eta):
+        assert mu is base and eta is direction.measure
+        pairs.append(shifts(mu, eta))
+        return pairs[-1]
+
+    monkeypatch.setattr(sde_module, "_mu_shifts", spy)
+    seen.clear()
+    z = simulate_derivative_process(bundle, model, ctrl, direction)
+    assert z.tobytes() == expected.tobytes()
+    assert len(pairs) == sum(direction.eta_at(t) is not None for t in bundle.times[:-1])
+    shifted = {id(m) for pair in pairs for m in pair.values()}
+    assert seen and {id(m) for m in seen} == shifted
+
+    # analytic measure partials need no shifted pair
+    model.partials = CoefficientPartials(
+        drift_dmu=lambda t, x, mu, eta, u: mass(eta) * x,
+        vol_dmu=lambda t, x, mu, eta, u: 0.1 * mass(eta) * x,
+        jump_dmu=lambda t, x, mu, eta, u, z: z * mass(eta) * x,
+    )
+    pairs.clear()
+    simulate_derivative_process(bundle, model, ctrl, direction)
+    assert not pairs
+
+
 # -- noise bank ------------------------------------------------------------------
 
 def test_draw_noise_validation():
