@@ -285,12 +285,6 @@ class DiscreteMeasure:
             np.sin(yx, out=e.imag)
             out += e @ w
 
-    def _max_abs_location(self) -> float:
-        """``max |x_j|`` over the atoms, ``0.0`` without one; reads the head
-        and tail in place, never sorting or joining them."""
-        parts = (self._head_loc, self._tail_loc)
-        return max(float(np.abs(part).max(initial=0.0)) for part in parts)
-
     def __repr__(self) -> str:
         return f"DiscreteMeasure(n_atoms={self.n_atoms}, mass={self.total_mass():.6g})"
 
@@ -320,10 +314,14 @@ def _check_products(measures: Sequence[DiscreteMeasure], y: np.ndarray) -> None:
 
     Rounding is monotone, so no ``|y_i x_j|`` exceeds the product of the
     largest ``|y|`` and the largest ``|x|``, itself one of the products:
-    that one is finite exactly when all are.
+    that one is finite exactly when all are.  Each measure's head and tail
+    are read in place, never sorted or joined.
     """
     y_max = float(np.abs(y).max(initial=0.0))
-    x_max = max((mu._max_abs_location() for mu in measures), default=0.0)
+    x_max = max(
+        (float(np.abs(part).max(initial=0.0)) for mu in measures for part in (mu._head_loc, mu._tail_loc)),
+        default=0.0,
+    )
     if not math.isfinite(x_max * y_max):
         raise ValueError(
             f"atom x node products overflow: max |x| = {x_max:g} times max |y| = {y_max:g}"
