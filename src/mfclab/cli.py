@@ -41,16 +41,10 @@ import os
 import sys
 from dataclasses import fields
 
-from .experiments import (
-    DESCRIPTIONS,
-    EXPERIMENTS,
-    KNOB_READERS,
-    ExperimentConfig,
-    run_experiment,
-)
+from .experiments import CATALOGUE, ExperimentConfig, run_experiment
 from .sde import SimulationError
 
-_KNOB_KEYS = set().union(*KNOB_READERS.values())
+_KNOB_KEYS = {key for entry in CATALOGUE.values() for key in entry.knobs}
 # each knob is parsed to the type of its default: int, float or a tuple of floats
 _KNOB_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.name in _KNOB_KEYS}
 _EXPERIMENT_KEYS = {"name", "out_dir"}
@@ -107,18 +101,19 @@ def load_config(path: str) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     # after validation, so a bad value is reported for its own sake
-    unread = set(knobs) - set(KNOB_READERS[cfg.name])
+    reads = CATALOGUE[cfg.name].knobs
+    unread = set(knobs) - set(reads)
     if unread:
         raise ConfigError(
-            f"experiment {cfg.name!r} reads no [knobs] {sorted(unread)}; "
-            f"it reads {list(KNOB_READERS[cfg.name])}"
+            f"experiment {cfg.name!r} reads no [knobs] {sorted(unread)}; it reads {list(reads)}"
         )
     return cfg
 
 
 def list_experiments() -> str:
-    lines = [f"{name}: {DESCRIPTIONS[name]}" for name in EXPERIMENTS]
-    return "\n".join(lines)
+    return "\n".join(
+        f"{name}: {entry.summary} ({', '.join(entry.knobs)})" for name, entry in CATALOGUE.items()
+    )
 
 
 def main(argv=None) -> int:

@@ -53,8 +53,9 @@ from .sde import (
 # Philox keys lie in [0, 2**128), and experiments also draw from seed + 1 and
 # seed + 2
 _SEED_LIMIT = 2**128 - 2
-# experiments whose checks read a standard error over the particles
-_STANDARD_ERROR_EXPERIMENTS = ("sde-moments", "gateaux", "nash-sweep", "consumption")
+# the size caps that `mfclab list` states: law-distance's points per paired
+# sample, and nash-sweep's particles and steps
+_LAW_DISTANCE_MAX_SAMPLES, _NASH_MAX_PARTICLES, _NASH_MAX_STEPS = 1000, 4000, 100
 # the consumption game's [model] keys and their defaults; v_hi = inf is the
 # unbounded interval V = (v_lo, inf)
 MODEL_DEFAULTS: dict[str, float] = {
@@ -85,8 +86,10 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.name not in EXPERIMENTS:
+        if self.name not in CATALOGUE:
             raise ValueError(f"unknown experiment {self.name!r}; run `mfclab list` for the catalogue")
+        if not self.out_dir:
+            raise ValueError('out_dir must not be empty; name a directory, "." for the current one')
         for key in ("seed", "n_particles", "n_steps", "quad_n"):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -95,7 +98,7 @@ class ExperimentConfig:
             raise ValueError(f"seed must lie in [0, 2**128 - 2), got {self.seed}")
         if self.n_particles < 1:
             raise ValueError("n_particles must be positive")
-        if self.name in _STANDARD_ERROR_EXPERIMENTS and self.n_particles < 2:
+        if CATALOGUE[self.name].standard_errors and self.n_particles < 2:
             raise ValueError(
                 f"experiment {self.name!r} reports standard errors and needs "
                 f"n_particles >= 2, got {self.n_particles}"
@@ -170,7 +173,7 @@ def run_law_distance(cfg: ExperimentConfig) -> list[CheckResult]:
     rule = gauss_hermite_rule(cfg.quad_n)
     rng = np.random.default_rng(cfg.seed)
     n_instances = 100
-    n_samples = min(cfg.n_particles, 1000)
+    n_samples = min(cfg.n_particles, _LAW_DISTANCE_MAX_SAMPLES)
     rows = []
     worst_margin = -math.inf
     all_hold = True
@@ -593,7 +596,7 @@ def run_nash_sweep(cfg: ExperimentConfig) -> list[CheckResult]:
     q1 = q2 = 1.0
     horizon = 1.0
     spec = lq_toy_game(q1=q1, q2=q2)
-    n, m = min(cfg.n_particles, 4000), min(cfg.n_steps, 100)
+    n, m = min(cfg.n_particles, _NASH_MAX_PARTICLES), min(cfg.n_steps, _NASH_MAX_STEPS)
     dt = horizon / m
     # full-interval step directions: a 10% candidate inflation then shows a
     # first-order gain at the smallest grid lambda
@@ -663,49 +666,43 @@ def run_consumption(cfg: ExperimentConfig) -> list[CheckResult]:
     )
 
 
-EXPERIMENTS: dict[str, Callable[[ExperimentConfig], list[CheckResult]]] = {
-    "norms": run_norms,
-    "law-distance": run_law_distance,
-    "law-derivative": run_law_derivative,
-    "sde-moments": run_sde_moments,
-    "bsde-oracles": run_bsde_oracles,
-    "gateaux": run_gateaux,
-    "nash-sweep": run_nash_sweep,
-    "consumption": run_consumption,
+@dataclass(frozen=True)
+class Experiment:
+    """One catalogue entry: its runner, the [knobs] it reads (a config
+    setting any other is rejected), its `mfclab list` summary, and whether
+    its checks read a standard error over the particles (then it needs
+    n_particles >= 2)."""
+
+    run: Callable[[ExperimentConfig], list[CheckResult]]
+    knobs: tuple[str, ...]
+    summary: str
+    standard_errors: bool = False
+
+
+CATALOGUE: dict[str, Experiment] = {
+    "norms": Experiment(run_norms, ("quad_n", "seed"), "Dirac norm exactness in M0/M^(2)"),
+    "law-distance": Experiment(
+        run_law_distance, ("n_particles", "quad_n", "seed"), "law-distance bound on 100 randomized "
+        f"paired samples of min(n_particles, {_LAW_DISTANCE_MAX_SAMPLES}) draws each"),
+    "law-derivative": Experiment(run_law_derivative, ("n_particles", "quad_n", "seed"),
+                                 "law-derivative oracles and h^2 increment scaling"),
+    "sde-moments": Experiment(run_sde_moments, ("n_particles", "n_steps", "seed"),
+                              "Euler moment oracles and jump compensation", standard_errors=True),
+    "bsde-oracles": Experiment(run_bsde_oracles, ("n_steps", "seed"), "closed-form linear BSDE identities"),
+    "gateaux": Experiment(run_gateaux, ("n_particles", "n_steps", "seed"),
+                          "derivative-process L2 convergence and FD-vs-adjoint slopes", standard_errors=True),
+    "nash-sweep": Experiment(
+        run_nash_sweep, ("n_particles", "n_steps", "seed", "lambdas"), "LQ toy-game Nash certificate and "
+        f"refutation, run at min(n_particles, {_NASH_MAX_PARTICLES}) particles and min(n_steps, "
+        f"{_NASH_MAX_STEPS}) steps", standard_errors=True),
+    "consumption": Experiment(
+        run_consumption, ("n_particles", "n_steps", "seed", "lambdas", "delay"), "consumption-game end-to-end"
+        " verification with a [model] section; its certificate is known to hold only while the law keeps its"
+        " mass in V", standard_errors=True),
 }
 
-# the [knobs] each experiment reads; a config setting any other is rejected
-KNOB_READERS: dict[str, tuple[str, ...]] = {
-    "norms": ("quad_n", "seed"),
-    "law-distance": ("n_particles", "quad_n", "seed"),
-    "law-derivative": ("n_particles", "quad_n", "seed"),
-    "sde-moments": ("n_particles", "n_steps", "seed"),
-    "bsde-oracles": ("n_steps", "seed"),
-    "gateaux": ("n_particles", "n_steps", "seed"),
-    "nash-sweep": ("n_particles", "n_steps", "seed", "lambdas"),
-    "consumption": ("n_particles", "n_steps", "seed", "lambdas", "delay"),
-}
-
-_SUMMARIES = {
-    "norms": "Dirac norm exactness in M0/M^(2)",
-    "law-distance": (
-        "law-distance bound on 100 randomized paired samples of min(n_particles, 1000) draws each"
-    ),
-    "law-derivative": "law-derivative oracles and h^2 increment scaling",
-    "sde-moments": "Euler moment oracles and jump compensation",
-    "bsde-oracles": "closed-form linear BSDE identities",
-    "gateaux": "derivative-process L2 convergence and FD-vs-adjoint slopes",
-    "nash-sweep": (
-        "LQ toy-game Nash certificate and refutation, run at min(n_particles, 4000) particles "
-        "and min(n_steps, 100) steps"
-    ),
-    "consumption": "consumption-game end-to-end verification with a [model] section; its "
-    "certificate is known to hold only while the law keeps its mass in V",
-}
-
-DESCRIPTIONS = {
-    name: f"{summary} ({', '.join(KNOB_READERS[name])})" for name, summary in _SUMMARIES.items()
-}
+# the runners alone, which `run_experiment` calls (a test may swap one in)
+EXPERIMENTS = {name: entry.run for name, entry in CATALOGUE.items()}
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[CheckResult]:

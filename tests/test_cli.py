@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mfclab.bsde import GammaPositivityError
 from mfclab.cli import load_config, main
-from mfclab.experiments import KNOB_READERS, MODEL_DEFAULTS, ExperimentConfig
+from mfclab.experiments import CATALOGUE, MODEL_DEFAULTS, ExperimentConfig
 from mfclab.sde import SimulationError
 
 
@@ -31,6 +31,26 @@ def test_list_has_eight_experiments(capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 8
     assert any(line.startswith("consumption:") for line in out)
+
+
+def test_list_prints_the_catalogue(capsys):
+    """Each line is a name, its summary with the size caps it states, and
+    the [knobs] it reads."""
+    assert main(["list"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "norms: Dirac norm exactness in M0/M^(2) (quad_n, seed)",
+        "law-distance: law-distance bound on 100 randomized paired samples of min(n_particles, 1000) "
+        "draws each (n_particles, quad_n, seed)",
+        "law-derivative: law-derivative oracles and h^2 increment scaling (n_particles, quad_n, seed)",
+        "sde-moments: Euler moment oracles and jump compensation (n_particles, n_steps, seed)",
+        "bsde-oracles: closed-form linear BSDE identities (n_steps, seed)",
+        "gateaux: derivative-process L2 convergence and FD-vs-adjoint slopes (n_particles, n_steps, seed)",
+        "nash-sweep: LQ toy-game Nash certificate and refutation, run at min(n_particles, 4000) particles "
+        "and min(n_steps, 100) steps (n_particles, n_steps, seed, lambdas)",
+        "consumption: consumption-game end-to-end verification with a [model] section; its certificate "
+        "is known to hold only while the law keeps its mass in V "
+        "(n_particles, n_steps, seed, lambdas, delay)",
+    ]
 
 
 def test_unknown_subcommand_usage_error(capsys):
@@ -184,8 +204,8 @@ _KNOB_SAMPLES = {"seed": 3, "n_particles": 10, "n_steps": 5, "quad_n": 8, "lambd
 
 
 def test_knob_readers_match_the_runners(tmp_path):
-    """Each experiment's table entry is the set of ``cfg`` knobs its runner and
-    the helpers it passes ``cfg`` to read; every knob it reads is accepted."""
+    """Each catalogue entry's knobs are the ``cfg`` knobs its runner and the
+    helpers it passes ``cfg`` to read; every knob it reads is accepted."""
     import ast
     import inspect
 
@@ -206,13 +226,11 @@ def test_knob_readers_match_the_runners(tmp_path):
                 out |= knobs_read(callee, seen)
         return out
 
-    knob_names = set().union(*exp.KNOB_READERS.values())
-    assert set(exp.KNOB_READERS) == set(exp.EXPERIMENTS)
-    for name, runner in exp.EXPERIMENTS.items():
-        read = knobs_read(runner.__name__, set()) & knob_names
-        assert read == set(exp.KNOB_READERS[name]), name
-        assert exp.DESCRIPTIONS[name].endswith(f"({', '.join(exp.KNOB_READERS[name])})")
-        knobs = "".join(f"{k} = {_KNOB_SAMPLES[k]}\n" for k in exp.KNOB_READERS[name])
+    knob_names = {key for entry in exp.CATALOGUE.values() for key in entry.knobs}
+    for name, entry in exp.CATALOGUE.items():
+        read = knobs_read(entry.run.__name__, set()) & knob_names
+        assert read == set(entry.knobs), name
+        knobs = "".join(f"{k} = {_KNOB_SAMPLES[k]}\n" for k in entry.knobs)
         load_config(write_config(tmp_path, f"[experiment]\nname = {name}\n\n[knobs]\n{knobs}"))
 
 
@@ -276,6 +294,17 @@ def test_missing_file_is_config_error(capsys):
     assert main(["run", "/nonexistent/conf.ini"]) == 2
 
 
+def test_empty_out_dir_is_config_error(tmp_path, capsys, monkeypatch):
+    """`out_dir =` wrote the CSVs into the current directory and reported
+    ``checks passed -> `` with no path; an empty $MFCLAB_OUT counts as unset."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("MFCLAB_OUT", "")
+    cfg = write_config(tmp_path, "[experiment]\nname = norms\nout_dir =\n")
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: out_dir must not be empty")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_env_var_overrides_out_dir(tmp_path, monkeypatch):
     override = tmp_path / "elsewhere"
     monkeypatch.setenv("MFCLAB_OUT", str(override))
@@ -315,12 +344,14 @@ def test_space_separated_lambdas_are_accepted(tmp_path):
     [
         (dict(name="consumption", model={"sigmaa": 0.9}), "unknown [model] key 'sigmaa'"),
         (dict(name="alchemy"), "unknown experiment 'alchemy'; run `mfclab list`"),
+        (dict(name="norms", out_dir=""), "out_dir must not be empty"),
     ],
-    ids=["model-key", "experiment"],
+    ids=["model-key", "experiment", "out-dir"],
 )
 def test_library_config_is_validated_on_construction(kwargs, message):
     """A Python caller gets the checks that the CLI applies: a misspelt
-    [model] key was run with its default before."""
+    [model] key was run with its default before, and an empty out_dir wrote
+    the CSVs into the current directory."""
     with pytest.raises(ValueError) as info:
         ExperimentConfig(**kwargs)
     assert message in str(info.value)
@@ -449,7 +480,7 @@ def _contract_ini(name, n, m, seed, lambdas, delay, model):
         "seed": seed, "n_particles": n, "n_steps": m, "delay": repr(delay),
         "lambdas": ", ".join(repr(lam) for lam in lambdas),
     }
-    knobs = "".join(f"{k} = {values[k]}\n" for k in KNOB_READERS[name] if k in values)
+    knobs = "".join(f"{k} = {values[k]}\n" for k in CATALOGUE[name].knobs if k in values)
     body = f"[experiment]\nname = {name}\n\n[knobs]\n{knobs}"
     if name == "consumption" and model:
         body += "\n[model]\n" + "".join(f"{k} = {v!r}\n" for k, v in model.items())
@@ -458,7 +489,7 @@ def _contract_ini(name, n, m, seed, lambdas, delay, model):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
-    name=st.sampled_from(sorted(KNOB_READERS)),
+    name=st.sampled_from(sorted(CATALOGUE)),
     n=st.integers(1, 64),
     m=st.integers(1, 16),
     seed=st.integers(0, 1000),

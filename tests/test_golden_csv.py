@@ -22,7 +22,7 @@ import sys
 import numpy as np
 import pytest
 
-from mfclab.experiments import EXPERIMENTS, ExperimentConfig, run_experiment
+from mfclab.experiments import CATALOGUE, ExperimentConfig, run_experiment
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_csv.json")
 KNOBS = dict(seed=2024, n_particles=500, n_steps=40, quad_n=16)
@@ -32,7 +32,7 @@ def catalogue_digests(out_root) -> tuple[dict[str, str], dict[str, str]]:
     """sha256 of every CSV the catalogue writes, keyed ``experiment/file``,
     and of each experiment's printed check lines, keyed by experiment."""
     csvs, check_lines = {}, {}
-    for name in EXPERIMENTS:
+    for name in CATALOGUE:
         out_dir = os.path.join(out_root, name)
         checks = run_experiment(ExperimentConfig(name=name, out_dir=out_dir, **KNOBS))
         printed = "".join(c.line() + "\n" for c in checks).encode()
