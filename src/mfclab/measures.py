@@ -11,12 +11,13 @@ mirrors the rest.
 
 The kernel fills one complex block per chunk of atoms, ``cos(y x_j)`` into
 its real half and ``sin(y x_j)`` into its imaginary half, and sums it with
-one complex mat-vec ``e @ w``.  The block is the complex exponential
-``exp(i y x_j)`` bit for bit up to the sign of a zero: glibc's ``cexp`` of
-``+-0 + ib`` is exactly ``(cos b, sin b)``, numpy's float64 ``cos`` and
-``sin`` call the same C library (``tests/test_measures.py`` checks this
-against the exponential), and a signed zero in the block adds nothing to a
-sum that starts from ``+0``.  Two real mat-vecs, ``cos @ w`` and ``sin @ w``,
+one complex mat-vec ``e @ w``.  The block is the C-contiguous prefix of a
+flat work block that the kernel's caller owns, and it equals the complex
+exponential ``exp(i y x_j)`` bit for bit up to the sign of a zero: glibc's
+``cexp`` of ``+-0 + ib`` is exactly ``(cos b, sin b)``, numpy's float64
+``cos`` and ``sin`` call the same C library (``tests/test_measures.py``
+checks this against the exponential), and a signed zero in the block adds
+nothing to a sum that starts from ``+0``.  Two real mat-vecs, ``cos @ w`` and ``sin @ w``,
 would round differently and are not used.  Every atom x node product must be
 finite; a measure and nodes whose largest product overflows are refused with
 ``ValueError`` before the kernel runs.
@@ -55,7 +56,12 @@ small amount of work it shares whole measures between the calling thread and
 one helper thread per further CPU in the process's affinity set; the helpers
 start with the call and are joined before it returns.  Each measure runs the
 same kernel as ``fourier``, so the table is bitwise independent of the CPU
-count, and ``taskset -c 0`` runs it serially.  These helpers are separate
+count, and ``taskset -c 0`` runs it serially.  The calling thread allocates
+every thread's kernel block before any helper starts, and each thread
+reuses its block for all the measures it claims: glibc serves a thread's
+allocations from an arena of its own, memory a helper frees stays with that
+arena, and the calling thread cannot reuse it, so blocks allocated on the
+helpers would stay resident after the call.  These helpers are separate
 from the BLAS library's own threads (the benchmark pins those to one).
 """
 from __future__ import annotations
@@ -255,35 +261,41 @@ class DiscreteMeasure:
         """
         y = _fourier_nodes(y)
         _check_products([self], y)
+        rows = _summed_rows(y)
         out = np.zeros(y.shape, dtype=complex)
-        self._fourier_into(y, out)
+        self._fourier_into(y, rows, out, _work_blocks([self], rows, 1)[0])
         return out
 
-    def _fourier_into(self, y: np.ndarray, out: np.ndarray) -> None:
-        """Write the transform at the checked 1-d nodes ``y`` into the zeros ``out``."""
-        n = y.size
-        if n > 2 and np.array_equal(y, -y[::-1]):
-            upper = out[n // 2 :]
-            self._fourier_sum(y[n // 2 :], upper)
-            lower = n - upper.size
-            # added into zeros, not assigned, so an exactly cancelled
-            # imaginary part is +0.0 as in the full sum, never -0.0
-            out[:lower] += np.conj(upper[::-1][:lower])
-        else:
-            self._fourier_sum(y, out)
+    def _fourier_into(self, y: np.ndarray, rows: int, out: np.ndarray, work: np.ndarray) -> None:
+        """Write the transform at the checked 1-d nodes ``y`` into the zeros
+        ``out``, summing the last ``rows = _summed_rows(y)`` nodes in the
+        block ``work`` and mirroring the rest."""
+        lower = y.size - rows
+        upper = out[lower:]
+        self._fourier_sum(y[lower:], upper, work)
+        # added into zeros, not assigned, so an exactly cancelled
+        # imaginary part is +0.0 as in the full sum, never -0.0
+        out[:lower] += np.conj(upper[::-1][:lower])
 
-    def _fourier_sum(self, y: np.ndarray, out: np.ndarray) -> None:
+    def _fourier_sum(self, y: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
         """Add ``sum_j w_j exp(i x_j y)`` into ``out``, in atom chunks, each
-        one complex block of ``cos + i sin`` and one complex mat-vec."""
+        one complex block of ``cos + i sin`` and one complex mat-vec.
+
+        Each block is the C-contiguous ``(y.size, chunk)`` prefix of the
+        caller's flat complex ``work``, which holds at least ``y.size *
+        min(n_atoms, _FOURIER_CHUNK)`` values: the products go into its real
+        half, their sines into its imaginary half, then their cosines over
+        the products.  Nothing the size of a block is allocated here.  A row
+        split or a strided block would round the mat-vec differently.
+        """
         loc, wts = self.locations, self.weights
         for start in range(0, loc.size, _FOURIER_CHUNK):
             x = loc[start : start + _FOURIER_CHUNK]
-            w = wts[start : start + _FOURIER_CHUNK]
-            yx = np.outer(y, x)
-            e = np.empty(yx.shape, complex)
-            np.cos(yx, out=e.real)
-            np.sin(yx, out=e.imag)
-            out += e @ w
+            e = work[: y.size * x.size].reshape(y.size, x.size)
+            np.outer(y, x, out=e.real)
+            np.sin(e.real, out=e.imag)
+            np.cos(e.real, out=e.real)
+            out += e @ wts[start : start + _FOURIER_CHUNK]
 
     def __repr__(self) -> str:
         return f"DiscreteMeasure(n_atoms={self.n_atoms}, mass={self.total_mass():.6g})"
@@ -328,6 +340,21 @@ def _check_products(measures: Sequence[DiscreteMeasure], y: np.ndarray) -> None:
         )
 
 
+def _summed_rows(y: np.ndarray) -> int:
+    """Nodes the kernel sums: the nonnegative half ``n - n // 2`` of exactly
+    antisymmetric nodes (``y == -y[::-1]``), whose other half is its mirror,
+    else all ``n``; a half of one node is not mirrored."""
+    n = y.size
+    return n - n // 2 if n > 2 and np.array_equal(y, -y[::-1]) else n
+
+
+def _work_blocks(measures: Sequence[DiscreteMeasure], rows: int, n_threads: int) -> np.ndarray:
+    """One flat complex kernel block per thread, each row big enough for
+    ``rows`` nodes times the largest atom chunk of ``measures``."""
+    atoms = max((min(mu.n_atoms, _FOURIER_CHUNK) for mu in measures), default=0)
+    return np.empty((n_threads, rows * atoms), dtype=complex)
+
+
 def fourier_tables(measures: Sequence[DiscreteMeasure], y) -> np.ndarray:
     """Fourier transforms of ``measures`` at ``y``, one row per measure.
 
@@ -335,20 +362,23 @@ def fourier_tables(measures: Sequence[DiscreteMeasure], y) -> np.ndarray:
     ``_PARALLEL_MIN_WORK`` atom x node products, the calling thread and one
     helper thread per further CPU, started for this call, each claim whole
     measures in turn; every measure still runs the kernel of ``fourier``, so
-    the CPU count changes no bit.
+    the CPU count changes no bit.  Each thread's kernel block is allocated
+    here, on the calling thread, before any helper starts, and each thread
+    reuses its own block for every measure it claims: a helper allocates no
+    block, so nothing it frees stays resident in an allocator arena of its
+    own, which the calling thread cannot reuse.
     """
     y = _fourier_nodes(y)
     measures = list(measures)
     # reads every lazy law's atoms here, on the calling thread
     _check_products(measures, y)
+    rows = _summed_rows(y)
     out = np.zeros((len(measures), y.size), dtype=complex)
-    work = sum(mu.n_atoms for mu in measures) * y.size
-    n_threads = min(_cpu_count(), len(measures))
-    if n_threads < 2 or work < _PARALLEL_MIN_WORK:
-        for mu, row in zip(measures, out):
-            mu._fourier_into(y, row)
-    else:
-        _share_out(lambda i: measures[i]._fourier_into(y, out[i]), len(measures), n_threads)
+    products = sum(mu.n_atoms for mu in measures) * y.size
+    n_threads = min(_cpu_count(), len(measures)) if products >= _PARALLEL_MIN_WORK else 1
+    blocks = _work_blocks(measures, rows, max(n_threads, 1))
+    _share_out(lambda i, slot: measures[i]._fourier_into(y, rows, out[i], blocks[slot]),
+               len(measures), n_threads)
     return out
 
 
@@ -357,34 +387,36 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _share_out(run: Callable[[int], None], count: int, n_threads: int) -> None:
-    """Call ``run(i)`` for every ``i < count`` on the calling thread and
-    ``n_threads - 1`` helper threads, each claiming the next unclaimed index.
+def _share_out(run: Callable[[int, int], None], count: int, n_threads: int) -> None:
+    """Call ``run(i, slot)`` for every ``i < count`` on the calling thread
+    (``slot`` 0) and ``n_threads - 1`` helper threads (slots 1 and up), each
+    claiming the next unclaimed index.
 
     The helpers start here and are joined before this returns, so none
     outlives the call; the first error raised on any thread is then raised
-    here, and no index is claimed after it.
+    here, and no index is claimed after it.  Below two threads no helper
+    starts.
     """
     lock = threading.Lock()
     indices = iter(range(count))
     errors: list[BaseException] = []
 
-    def share() -> None:
+    def share(slot: int) -> None:
         try:
             while True:
                 with lock:
                     i = None if errors else next(indices, None)
                 if i is None:
                     return
-                run(i)
+                run(i, slot)
         except BaseException as exc:  # raised again on the calling thread
             with lock:
                 errors.append(exc)
 
-    helpers = [threading.Thread(target=share) for _ in range(n_threads - 1)]
+    helpers = [threading.Thread(target=share, args=(slot,)) for slot in range(1, n_threads)]
     for helper in helpers:
         helper.start()
-    share()
+    share(0)
     for helper in helpers:
         helper.join()
     if errors:

@@ -351,9 +351,9 @@ def test_scan_reads_laws_on_the_calling_thread(rule, monkeypatch):
     kernel_threads = set()
     kernel = DiscreteMeasure._fourier_sum
 
-    def kernel_spy(self, y, out):
+    def kernel_spy(self, y, out, work):
         kernel_threads.add(threading.get_ident())
-        kernel(self, y, out)
+        kernel(self, y, out, work)
 
     # the lazy law calls sde's name for empirical_law, other callers lawproc's
     monkeypatch.setattr(sde, "empirical_law", spy(lawproc.empirical_law))
