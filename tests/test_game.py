@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfclab.consumption as cons
@@ -204,31 +204,9 @@ _jump_atoms = st.lists(
 )
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    theta=st.floats(0.05, 5.0),
-    sigma=st.floats(-0.5, 0.5),
-    jumps=_jump_atoms,
-    v_lo=st.floats(-1.0, 2.0),
-    v_width=st.one_of(st.just(math.inf), st.floats(0.05, 3.0)),
-    n=st.integers(2, 500),
-    m=st.integers(10, 40),
-    seed=st.integers(0, 2**32 - 1),
-)
-# the two settings this property replaced: no Levy measure, and one atom
-@example(theta=1.0, sigma=0.2, jumps=[], v_lo=0.25, v_width=math.inf, n=400, m=30, seed=3)
-@example(theta=1.0, sigma=0.2, jumps=[(0.1, 0.5)], v_lo=0.25, v_width=math.inf, n=400, m=30, seed=3)
-def test_zero_sum_adjoints_are_exact_negations(theta, sigma, jumps, v_lo, v_width, n, m, seed):
-    """Player 1's criterion negates player 2's, and so does its adjoint P: a
-    solve of player 1's own criterion equals the negated player-2 adjoint
-    that the zero-sum game reads, at every step.  The box: theta in
-    [0.05, 5], |sigma| <= 0.5, up to three jump atoms in (-1, 2] at rates in
-    [0.05, 3], V = (lo, hi] with lo in [-1, 2] and hi up to lo + 3 or
-    infinite, 2 to 500 particles and 10 to 40 steps."""
-    levy = LevyMeasure(*zip(*jumps)) if jumps else None
-    model = cons.ConsumptionModel(
-        x0=1.0, horizon=1.0, sigma=sigma, theta=theta, v_interval=(v_lo, v_lo + v_width), levy=levy,
-    )
+def _assert_zero_sum_negation(model, n, m, seed):
+    """A solve of player 1's own criterion equals the negated player-2
+    adjoint that the zero-sum game reads, at every step."""
     spec = cons.game_spec(model)
     cf = cons.closed_form_controls(model)
     bundle = simulate(spec.model, cons.feedback_pair(model, cf), n, m, seed=seed)
@@ -245,6 +223,36 @@ def test_zero_sum_adjoints_are_exact_negations(theta, sigma, jumps, v_lo, v_widt
     for k in range(bundle.n_steps + 1):
         assert np.array_equal(own.p_at(k), -adjoint[2].p_at(k)), k
         assert adjoint[1].p_at(k).tobytes() == (-adjoint[2].p_at(k)).tobytes()
+
+
+@pytest.mark.parametrize("levy", [None, LevyMeasure([0.1], [0.5])], ids=["no-levy", "levy"])
+def test_zero_sum_adjoints_are_exact_negations(levy):
+    """Player 1's criterion negates player 2's, and so does its adjoint P, bit for bit."""
+    model = cons.ConsumptionModel(x0=1.0, horizon=1.0, sigma=0.2, theta=1.0, levy=levy)
+    _assert_zero_sum_negation(model, 400, 30, 3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    theta=st.floats(0.05, 5.0),
+    sigma=st.floats(-0.5, 0.5),
+    jumps=_jump_atoms,
+    v_lo=st.floats(-1.0, 2.0),
+    v_width=st.one_of(st.just(math.inf), st.floats(0.05, 3.0)),
+    n=st.integers(2, 500),
+    m=st.integers(10, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_zero_sum_adjoints_negate_across_the_box(theta, sigma, jumps, v_lo, v_width, n, m, seed):
+    """The exact negation of the zero-sum adjoints holds over the box: theta
+    in [0.05, 5], |sigma| <= 0.5, up to three jump atoms in (-1, 2] at rates
+    in [0.05, 3], V = (lo, hi] with lo in [-1, 2] and hi up to lo + 3 or
+    infinite, 2 to 500 particles and 10 to 40 steps."""
+    levy = LevyMeasure(*zip(*jumps)) if jumps else None
+    model = cons.ConsumptionModel(
+        x0=1.0, horizon=1.0, sigma=sigma, theta=theta, v_interval=(v_lo, v_lo + v_width), levy=levy,
+    )
+    _assert_zero_sum_negation(model, n, m, seed)
 
 
 def _spy_adjoint_solves(monkeypatch):
