@@ -285,7 +285,9 @@ class DiscreteMeasure:
         caller's flat complex ``work``, which holds at least ``y.size *
         min(n_atoms, _FOURIER_CHUNK)`` values: the products go into its real
         half, their sines into its imaginary half, then their cosines over
-        the products.  Nothing the size of a block is allocated here.  A row
+        the products.  Nothing the size of a block is allocated here, and
+        the products need no buffer of their own, which would add half a
+        block per thread to the peak of a ``law-derivative`` run.  A row
         split or a strided block would round the mat-vec differently.
         """
         loc, wts = self.locations, self.weights

@@ -204,9 +204,11 @@ _jump_atoms = st.lists(
 )
 
 
-def _assert_zero_sum_negation(model, n, m, seed):
+def _assert_zero_sum_negation(model, n, m, seed, allow_refusal=False):
     """A solve of player 1's own criterion equals the negated player-2
-    adjoint that the zero-sum game reads, at every step."""
+    adjoint that the zero-sum game reads, at every step.  With
+    ``allow_refusal`` a grid that player 2's solve refuses passes if player
+    1's own solve refuses it too; otherwise any refusal fails."""
     spec = cons.game_spec(model)
     cf = cons.closed_form_controls(model)
     bundle = simulate(spec.model, cons.feedback_pair(model, cf), n, m, seed=seed)
@@ -214,6 +216,8 @@ def _assert_zero_sum_negation(model, n, m, seed):
     try:
         adjoint = solve_adjoints(spec, bundle, candidate)
     except GammaPositivityError:
+        if not allow_refusal:
+            raise
         # a step too coarse for some particle's Euler factor of Gamma to stay
         # positive: player 1's own solve refuses the same grid
         with pytest.raises(GammaPositivityError):
@@ -252,7 +256,7 @@ def test_zero_sum_adjoints_negate_across_the_box(theta, sigma, jumps, v_lo, v_wi
     model = cons.ConsumptionModel(
         x0=1.0, horizon=1.0, sigma=sigma, theta=theta, v_interval=(v_lo, v_lo + v_width), levy=levy,
     )
-    _assert_zero_sum_negation(model, n, m, seed)
+    _assert_zero_sum_negation(model, n, m, seed, allow_refusal=True)
 
 
 def _spy_adjoint_solves(monkeypatch):
