@@ -130,7 +130,7 @@ class ConsumptionModel:
 
 
 def state_model(model: ConsumptionModel) -> ControlledModel:
-    """The cash flow as a controlled SDE with analytic coefficient partials."""
+    """The cash flow as a controlled SDE with analytic x-partials of its coefficients."""
     lo, hi = model.v_interval
 
     def drift(t, x, mu, u):
@@ -142,10 +142,6 @@ def state_model(model: ConsumptionModel) -> ControlledModel:
     partials = CoefficientPartials(
         drift_dx=lambda t, x, mu, u: (mu.mass_on(lo, hi) - u) * np.ones_like(x),
         vol_dx=lambda t, x, mu, u: model.sigma * np.ones_like(x),
-        drift_du=lambda t, x, mu, u: -x,
-        vol_du=lambda t, x, mu, u: np.zeros_like(x),
-        drift_dmu=lambda t, x, mu, eta, u: eta.mass_on(lo, hi) * x,
-        vol_dmu=lambda t, x, mu, eta, u: np.zeros_like(x),
     )
     jump = None
     if model.levy is not None:
@@ -153,8 +149,6 @@ def state_model(model: ConsumptionModel) -> ControlledModel:
             return zeta * x
 
         partials.jump_dx = lambda t, x, mu, u, zeta: zeta * np.ones_like(x)
-        partials.jump_du = lambda t, x, mu, u, zeta: np.zeros_like(x)
-        partials.jump_dmu = lambda t, x, mu, eta, u, zeta: np.zeros_like(x)
 
     return ControlledModel(
         drift=drift,

@@ -46,6 +46,8 @@ from .sde import (
     PerformanceSpec,
     _central_difference,
     _mu_shifts,
+    _partial_mu,
+    _partial_u,
     iter_steps,
     negate_performance,
     performance_samples,
@@ -139,19 +141,17 @@ def _check_coefficient_independence(spec: GameSpec, sv, player: int, mu_shifts) 
     each `_mu_shifts` pair in ``mu_shifts`` (one per declared functional).
     """
     model = spec.model
-    coeffs = [("sigma", "q0", lambda mu, u: model.vol(sv.t, sv.x, mu, u))]
+    coeffs = [("sigma", "q0", model.vol, ())]
     if model.levy is not None:
-        coeffs += [
-            ("gamma", "r0", lambda mu, u, zeta=zeta: model.jump(sv.t, sv.x, mu, u, zeta))
-            for zeta in model.levy.jump_sizes
-        ]
+        coeffs += [("gamma", "r0", model.jump, (zeta,)) for zeta in model.levy.jump_sizes]
+    # both partials take (t, x, mu or its shifted pair, u, *rest)
     if player == 2:
-        shifts = [("u", lambda h: (sv.mu_ctrl, sv.u + h))]
+        arg, partial, measures = "u", _partial_u, [sv.mu_ctrl]
     else:
-        shifts = [("mu", lambda h, pair=pair: (pair[h], sv.u)) for pair in mu_shifts]
-    for arg, shift in shifts:
-        for name, adjoint, coeff in coeffs:
-            d = _central_difference(lambda h: coeff(*shift(h)))
+        arg, partial, measures = "mu", _partial_mu, mu_shifts
+    for mu in measures:
+        for name, adjoint, coeff, rest in coeffs:
+            d = partial(coeff)(sv.t, sv.x, mu, sv.u, *rest)
             if np.max(np.abs(d)) > 1e-10:
                 raise UnsupportedModelError(
                     f"{name} depends on {arg} but no {adjoint} estimate is available"
@@ -161,25 +161,23 @@ def _check_coefficient_independence(spec: GameSpec, sv, player: int, mu_shifts) 
 def _dh_du_samples(spec: GameSpec, sv, p0_vals) -> np.ndarray:
     """Per-particle dH_2/du at one step (q0/r0 terms checked absent)."""
     perf = spec.performance_for(2)
-    model = spec.model
     if perf.running_du is not None:
         dl = perf.running_du(sv.t, sv.x, sv.law, sv.mu_ctrl, sv.u)
     else:
         dl = _central_difference(
             lambda h: perf.running(sv.t, sv.x, sv.law, sv.mu_ctrl, sv.u + h)
         )
-    db = _central_difference(lambda h: model.drift(sv.t, sv.x, sv.mu_ctrl, sv.u + h))
+    db = _partial_u(spec.model.drift)(sv.t, sv.x, sv.mu_ctrl, sv.u)
     return np.broadcast_to(dl + p0_vals * db, (sv.x.size,))
 
 
 def _dh_dmu_samples(spec: GameSpec, sv, p0_vals, mu_shifts, player: int) -> np.ndarray:
     """Per-particle directional dH_player/dmu at one step along a `_mu_shifts` pair."""
     perf = spec.performance_for(player)
-    model = spec.model
     dl = _central_difference(
         lambda h: perf.running(sv.t, sv.x, sv.law, mu_shifts[h], sv.u)
     )
-    db = _central_difference(lambda h: model.drift(sv.t, sv.x, mu_shifts[h], sv.u))
+    db = _partial_mu(spec.model.drift)(sv.t, sv.x, mu_shifts, sv.u)
     return np.broadcast_to(dl + p0_vals * db, (sv.x.size,))
 
 

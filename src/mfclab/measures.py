@@ -257,14 +257,10 @@ class DiscreteMeasure:
         which equals the full sum bit for bit.  A single-node half is not
         mirrored: numpy rounds a one-row product differently.  Raises
         ``ValueError`` for non-finite nodes and for an atom x node product
-        that overflows.
+        that overflows.  This is the one row of ``fourier_tables([self], y)``,
+        which starts no thread for a single measure.
         """
-        y = _fourier_nodes(y)
-        _check_products([self], y)
-        rows = _summed_rows(y)
-        out = np.zeros(y.shape, dtype=complex)
-        self._fourier_into(y, rows, out, _work_blocks([self], rows, 1)[0])
-        return out
+        return fourier_tables([self], y)[0]
 
     def _fourier_into(self, y: np.ndarray, rows: int, out: np.ndarray, work: np.ndarray) -> None:
         """Write the transform at the checked 1-d nodes ``y`` into the zeros
@@ -360,11 +356,12 @@ def _work_blocks(measures: Sequence[DiscreteMeasure], rows: int, n_threads: int)
 def fourier_tables(measures: Sequence[DiscreteMeasure], y) -> np.ndarray:
     """Fourier transforms of ``measures`` at ``y``, one row per measure.
 
-    Bit for bit ``np.stack([mu.fourier(y) for mu in measures])``.  Above
+    Bit for bit ``np.stack([mu.fourier(y) for mu in measures])``, and the
+    one entry point of the kernel: ``fourier`` is a one-measure table.  Above
     ``_PARALLEL_MIN_WORK`` atom x node products, the calling thread and one
     helper thread per further CPU, started for this call, each claim whole
-    measures in turn; every measure still runs the kernel of ``fourier``, so
-    the CPU count changes no bit.  Each thread's kernel block is allocated
+    measures in turn; every measure runs the same serial kernel, so the CPU
+    count changes no bit.  Each thread's kernel block is allocated
     here, on the calling thread, before any helper starts, and each thread
     reuses its own block for every measure it claims: a helper allocates no
     block, so nothing it frees stays resident in an allocator arena of its

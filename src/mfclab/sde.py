@@ -149,28 +149,17 @@ class ControlPair:
 
 @dataclass
 class CoefficientPartials:
-    """Optional analytic partial derivatives of the model coefficients.
+    """Optional analytic x-derivatives of the model coefficients.
 
-    Any entry left as None falls back to a central finite difference with
-    step ``FD_STEP``: in x for the ``*_dx`` slots, in the control for
-    ``*_du``, and along a measure direction eta for ``*_dmu`` (directional).
-    The Hamiltonian derivatives of ``game.first_order_residuals`` and
-    ``game.gateaux_check`` take the drift's u- and mu-derivatives by central
-    differences even when ``drift_du`` and ``drift_dmu`` are declared:
-    honouring them there moves seeded bits, which ROADMAP leaves to a
-    north-star decision.  ``simulate_derivative_process`` reads every
-    declared entry, and ``bsde.adjoint_p0_solve`` the ``*_dx`` ones.
+    Any entry left as None falls back to a central finite difference in x
+    with step ``FD_STEP``.  ``bsde.adjoint_p0_solve`` and
+    ``simulate_derivative_process`` read them; every derivative in the
+    control or along a measure direction is a central difference.
     """
 
     drift_dx: Callable | None = None
     vol_dx: Callable | None = None
     jump_dx: Callable | None = None
-    drift_du: Callable | None = None
-    vol_du: Callable | None = None
-    jump_du: Callable | None = None
-    drift_dmu: Callable | None = None
-    vol_dmu: Callable | None = None
-    jump_dmu: Callable | None = None
 
 
 @dataclass
@@ -620,10 +609,9 @@ def perturbed_controls(controls: ControlPair, direction: Direction, lam: float) 
     return replace(controls, scalar_ctrl=scalar_ctrl)
 
 
-# Analytic partials, when supplied, use the same argument order as the
-# coefficient they differentiate; directional measure partials insert the
-# direction eta right after mu.  The finite-difference fallbacks serve the
-# jump coefficient too, whose extra zeta argument rides along in ``rest``.
+# An analytic x-partial, when supplied, uses the argument order of the
+# coefficient it differentiates.  The central differences serve the jump
+# coefficient too, whose extra zeta argument rides along in ``rest``.
 
 def _partial_x(fn, analytic):
     if analytic is not None:
@@ -637,20 +625,15 @@ def _mu_shifts(mu: DiscreteMeasure, eta: DiscreteMeasure) -> dict[float, Discret
     return {h: mu + eta.scaled(h) for h in (FD_STEP, -FD_STEP)}
 
 
-def _partial_mu(fn, analytic):
-    """Directional measure partial, called as ``(t, x, mu, eta, shifts,
-    *rest)`` with ``shifts = _mu_shifts(mu, eta)``, which the
-    finite-difference fallback reads and an analytic partial ignores."""
-    if analytic is not None:
-        return lambda t, x, mu, eta, shifts, *rest: analytic(t, x, mu, eta, *rest)
-    return lambda t, x, mu, eta, shifts, *rest: _central_difference(
+def _partial_mu(fn):
+    """Directional measure partial, called as ``(t, x, shifts, *rest)`` with
+    ``shifts = _mu_shifts(mu, eta)`` in place of ``mu``."""
+    return lambda t, x, shifts, *rest: _central_difference(
         lambda h: fn(t, x, shifts[h], *rest)
     )
 
 
-def _partial_u(fn, analytic):
-    if analytic is not None:
-        return analytic
+def _partial_u(fn):
     return lambda t, x, mu, u, *rest: _central_difference(
         lambda h: fn(t, x, mu, u + h, *rest)
     )
@@ -665,23 +648,20 @@ def simulate_derivative_process(
     """Euler integration of the linear derivative SDE along the baseline paths.
 
     Reuses the bundle's Brownian increments and jump events; Z(0) = 0.  The
-    coefficient partials come from the model's declared partials or central
-    finite differences.  The controls are read along the baseline paths (open
-    loop), so a feedback control's response to the state is not differentiated.
+    x-partials come from the model's declared partials or central finite
+    differences; the partials in u and along the measure direction are
+    central differences, the latter on one `_mu_shifts` pair per step.  The
+    controls are read along the baseline paths (open loop), so a feedback
+    control's response to the state is not differentiated.
     """
     p = model.partials or CoefficientPartials()
     bx = _partial_x(model.drift, p.drift_dx)
     sx = _partial_x(model.vol, p.vol_dx)
-    bmu = _partial_mu(model.drift, p.drift_dmu)
-    smu = _partial_mu(model.vol, p.vol_dmu)
-    bu = _partial_u(model.drift, p.drift_du)
-    su = _partial_u(model.vol, p.vol_du)
-    fd_mu = p.drift_dmu is None or p.vol_dmu is None
+    bmu, smu = _partial_mu(model.drift), _partial_mu(model.vol)
+    bu, su = _partial_u(model.drift), _partial_u(model.vol)
     if model.levy is not None:
         gx = _partial_x(model.jump, p.jump_dx)
-        gmu = _partial_mu(model.jump, p.jump_dmu)
-        gu = _partial_u(model.jump, p.jump_du)
-        fd_mu = fd_mu or p.jump_dmu is None
+        gmu, gu = _partial_mu(model.jump), _partial_u(model.jump)
 
     n, m = bundle.n_particles, bundle.n_steps
     z = _time_major(n, m + 1)
@@ -694,11 +674,11 @@ def simulate_derivative_process(
             zk = z[:, k]
             eta = direction.eta_at(t)
             pi = direction.pi_at(t)
-            # one shifted pair per step, shared by every fallback
-            shifts = _mu_shifts(mu, eta) if eta is not None and fd_mu else None
             if eta is not None:
-                b_dir = bmu(t, x, mu, eta, shifts, u)
-                s_dir = smu(t, x, mu, eta, shifts, u)
+                # one shifted pair per step, shared by every measure partial
+                shifts = _mu_shifts(mu, eta)
+                b_dir = bmu(t, x, shifts, u)
+                s_dir = smu(t, x, shifts, u)
             elif pi != 0.0:
                 b_dir = bu(t, x, mu, u) * pi
                 s_dir = su(t, x, mu, u) * pi
@@ -710,7 +690,7 @@ def simulate_derivative_process(
                 x_i, u_i = x[i], _as_particle_values(u, i)
                 term = gx(t, x_i, mu, u_i, zeta) * zk[i]
                 if eta is not None:
-                    term = term + gmu(t, x_i, mu, eta, shifts, u_i, zeta)
+                    term = term + gmu(t, x_i, shifts, u_i, zeta)
                 elif pi != 0.0:
                     term = term + gu(t, x_i, mu, u_i, zeta) * pi
                 return term

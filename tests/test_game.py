@@ -138,6 +138,45 @@ def test_lq_residuals_vanish_at_equilibrium(lq):
     assert res.u_within() and res.mu_within()
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    q1=st.floats(-2.0, 2.0).filter(bool),
+    q2=st.floats(-2.0, 2.0).filter(bool),
+    n=st.integers(2, 500),
+    m=st.integers(10, 40),
+    lam=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lq_sufficient_maximum_principle_across_the_box(q1, q2, n, m, lam, seed):
+    """The LQ game's Nash candidates over the box: nonzero q1, q2 in [-2, 2],
+    2 to 500 particles, 10 to 40 steps, lambda in [0, 1].  The residuals of
+    ``lq_candidates(q1, q2, T)`` vanish; along the grid optimum
+    ``dt_shift = dt`` every sweep row's delta is -lambda^2 (T - t0) / 2
+    within max(2 se, 1e-9), in both players' directions."""
+    spec = lq_toy_game(q1, q2)
+    horizon = spec.model.horizon
+    candidate = lq_candidates(q1, q2, horizon)
+    bundle = simulate(spec.model, candidate, n, m, seed=seed)
+    res = first_order_residuals(spec, candidate, bundle, solve_adjoints(spec, bundle, candidate))
+    assert np.max(np.abs(res.res_u)) <= 1e-9
+    assert np.max(np.abs(res.res_mu["mass_V"])) <= 1e-9
+    assert res.u_within() and res.mu_within()
+
+    grid = lq_candidates(q1, q2, horizon, dt_shift=horizon / m)
+    t0 = 0.0
+    plan = PerturbationPlan(
+        directions=[
+            Direction(kind="measure", t0=t0, measure=DiscreteMeasure.dirac(0.0)),
+            Direction(kind="control", t0=t0, scalar=1.0),
+        ],
+        lambdas=(lam, -lam),
+    )
+    grid_bundle = simulate(spec.model, grid, noise=bundle.noise)
+    for row in nash_perturbation_sweep(spec, grid, plan, grid_bundle).rows:
+        predicted = -0.5 * row.lam**2 * (horizon - t0)
+        assert abs(row.delta - predicted) <= max(2 * row.std_err, 1e-9), row
+
+
 def test_lq_inflated_candidate_breaks_residuals(lq):
     spec, _, _, _ = lq
     bad = lq_candidates(1.1, 1.1, 1.0)
@@ -303,24 +342,30 @@ def test_general_game_solves_both_adjoints(lq, monkeypatch):
 
 
 _LEVY = LevyMeasure([0.1], [0.5])
+_U_DIRECTION = Direction(kind="control", scalar=1.0)
+_MU_DIRECTION = Direction(kind="measure", measure=DiscreteMeasure.dirac(0.0))
 
 
 @pytest.mark.parametrize(
-    "vol,jump,message",
+    "vol,jump,message,direction",
     [
-        (lambda t, x, mu, u: (0.1 + u) * np.ones_like(x), None, "sigma depends on u"),
+        (lambda t, x, mu, u: (0.1 + u) * np.ones_like(x), None, "sigma depends on u",
+         _U_DIRECTION),
         (lambda t, x, mu, u: 0.1 * np.ones_like(x),
-         lambda t, x, mu, u, z: z * (0.1 + u) * np.ones_like(x), "gamma depends on u"),
+         lambda t, x, mu, u, z: z * (0.1 + u) * np.ones_like(x), "gamma depends on u",
+         _U_DIRECTION),
         (lambda t, x, mu, u: (0.1 + mu.mass_on(-1, 1)) * np.ones_like(x), None,
-         "sigma depends on mu"),
+         "sigma depends on mu", _MU_DIRECTION),
         (lambda t, x, mu, u: 0.1 * np.ones_like(x),
          lambda t, x, mu, u, z: z * (0.1 + mu.mass_on(-1, 1)) * np.ones_like(x),
-         "gamma depends on mu"),
+         "gamma depends on mu", _MU_DIRECTION),
     ],
     ids=["sigma-u", "gamma-u", "sigma-mu", "gamma-mu"],
 )
-def test_unsupported_model_raises(vol, jump, message):
-    """sigma or gamma reading a control needs a q0/r0 estimate that is not available."""
+def test_unsupported_model_raises(vol, jump, message, direction):
+    """sigma or gamma reading a control needs a q0/r0 estimate that is not
+    available: the residuals probe both players, and ``gateaux_check`` the
+    player that ``direction`` deviates."""
     model = ControlledModel(
         drift=lambda t, x, mu, u: np.zeros_like(x),
         vol=vol,
@@ -342,6 +387,8 @@ def test_unsupported_model_raises(vol, jump, message):
     adjoint = solve_adjoints(spec, bundle, ctrl)
     with pytest.raises(UnsupportedModelError, match=message):
         first_order_residuals(spec, ctrl, bundle, adjoint)
+    with pytest.raises(UnsupportedModelError, match=message):
+        gateaux_check(spec, ctrl, direction, (0.1,), bundle)
 
 
 def test_control_dependence_after_first_step_raises():

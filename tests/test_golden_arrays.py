@@ -21,7 +21,7 @@ batched kernel, a reordered loop) can prove it by running one test:
 - both players' ``adjoint_p0_solve`` P with and without the Levy measure, and the Gamma paths of state-dependent
   coefficients on the same bundles
 - ``simulate_derivative_process`` in the measure and the control direction,
-  with the model's analytic partials and with finite-difference partials
+  with the model's declared x-partials and with finite-difference partials
 - ``gateaux_check``'s slopes and standard errors on a control direction
 
 Each array is hashed with its dtype and shape.  The digests depend on

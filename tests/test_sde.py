@@ -1,5 +1,6 @@
 """Tests for particle simulation: Euler scheme, CRN, derivative process."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -216,9 +217,6 @@ def test_simulation_error_names_step_and_particle():
             out[7] = np.inf
         return out
 
-    def bad_drift_dmu(t, x, mu, eta, u):
-        return bad_drift(t, x, mu, u)
-
     def zero(t, x, mu, u):
         return np.zeros_like(x)
 
@@ -226,14 +224,18 @@ def test_simulation_error_names_step_and_particle():
     with pytest.raises(SimulationError, match=r"step 3.*particle 7"):
         simulate(model, trivial_controls(), 10, 10, seed=1)
 
-    # the derivative process steps through the same check
+    # the derivative process steps through the same check: the declared
+    # x-partial is infinite where bad_drift is, and inf * Z(0) is NaN there
     model = ControlledModel(drift=zero, vol=zero, x0=0.0, horizon=1.0,
-                            partials=CoefficientPartials(drift_dmu=bad_drift_dmu))
+                            partials=CoefficientPartials(drift_dx=bad_drift))
     bundle = simulate(model, trivial_controls(), 10, 10, seed=1)
-    direction = Direction(kind="measure", measure=DiscreteMeasure.dirac(1.0))
-    with pytest.raises(SimulationError,
-                       match=r"^non-finite derivative state at step 3 \(t=0\.3\), particle 7$"):
-        simulate_derivative_process(bundle, model, trivial_controls(), direction)
+    for direction in (
+        Direction(kind="measure", measure=DiscreteMeasure.dirac(1.0)),
+        Direction(kind="control", scalar=1.0),
+    ):
+        with pytest.raises(SimulationError,
+                           match=r"^non-finite derivative state at step 3 \(t=0\.3\), particle 7$"):
+            simulate_derivative_process(bundle, model, trivial_controls(), direction)
 
     # a finite drift that overflows the state: the error alone, with no
     # numpy overflow warning before it (a warning is an error in this suite)
@@ -244,12 +246,15 @@ def test_simulation_error_names_step_and_particle():
     with pytest.raises(SimulationError,
                        match=r"^non-finite state at step 17 \(t=1\.7\), particle 0$"):
         simulate(model, trivial_controls(), 5, 100, seed=1)
-    model = ControlledModel(drift=zero, vol=zero, x0=0.0, horizon=10.0,
-                            partials=CoefficientPartials(drift_du=huge))
+    # a finite x-partial that overflows Z: the direction, switched on at
+    # t=1.5, makes Z(16) = 0.1 through du b = 1, Z(17) is about 1e306, and
+    # 1e308 Z(17) overflows
+    model = ControlledModel(drift=lambda t, x, mu, u: u * np.ones_like(x), vol=zero, x0=0.0,
+                            horizon=10.0, partials=CoefficientPartials(drift_dx=huge))
     bundle = simulate(model, trivial_controls(), 5, 100, seed=1)
     with pytest.raises(SimulationError, match=r"^non-finite derivative state at step 17 "):
         simulate_derivative_process(
-            bundle, model, trivial_controls(), Direction(kind="control", scalar=1.0)
+            bundle, model, trivial_controls(), Direction(kind="control", t0=1.5, scalar=1.0)
         )
 
 
@@ -519,24 +524,11 @@ def test_fd_quotient_slope_converges_with_crn():
 
 
 def test_derivative_uses_analytic_partials_when_given():
-    from mfclab.sde import CoefficientPartials
+    """Z with declared x-partials matches Z with every partial a central
+    difference, in a measure and a control direction, with and without a
+    Levy measure.  Every coefficient reads x, mu and u; with jumps, the
+    compensator and the event terms do too."""
 
-    c = 0.5
-    model, ctrl = _mu_linear_model(c)
-    model.partials = CoefficientPartials(
-        drift_dx=lambda t, x, mu, u: mu.mass_on(0.0, 2.0) * np.ones_like(x),
-        drift_dmu=lambda t, x, mu, eta, u: eta.mass_on(0.0, 2.0) * x,
-        vol_dx=lambda t, x, mu, u: np.zeros_like(x),
-        vol_dmu=lambda t, x, mu, eta, u: np.zeros_like(x),
-    )
-    bundle = simulate(model, ctrl, 3, 50, seed=0)
-    direction = Direction(kind="measure", t0=0.0, measure=DiscreteMeasure.dirac(1.0))
-    z_analytic = simulate_derivative_process(bundle, model, ctrl, direction)
-    model.partials = None
-    z_fd = simulate_derivative_process(bundle, model, ctrl, direction)
-    assert np.max(np.abs(z_analytic - z_fd)) <= 1e-8
-
-    # jump coefficient reading x, mu and u: the compensator and event terms
     def mass(m):
         return m.mass_on(0.0, 2.0)
 
@@ -548,37 +540,33 @@ def test_derivative_uses_analytic_partials_when_given():
         x0=1.0,
         horizon=1.0,
     )
-    levy_ctrl = ControlPair(
-        measure_ctrl=lambda t, info: DiscreteMeasure.dirac(1.0, c),
+    ctrl = ControlPair(
+        measure_ctrl=lambda t, info: DiscreteMeasure.dirac(1.0, 0.5),
         scalar_ctrl=lambda t, info: 0.3,
     )
     partials = CoefficientPartials(
         drift_dx=lambda t, x, mu, u: (mass(mu) + u) * np.ones_like(x),
-        drift_dmu=lambda t, x, mu, eta, u: mass(eta) * x,
-        drift_du=lambda t, x, mu, u: x,
         vol_dx=lambda t, x, mu, u: 0.1 * np.ones_like(x),
-        vol_dmu=lambda t, x, mu, eta, u: np.zeros_like(x),
-        vol_du=lambda t, x, mu, u: np.zeros_like(x),
         jump_dx=lambda t, x, mu, u, z: z * (mass(mu) + u) * np.ones_like(x),
-        jump_dmu=lambda t, x, mu, eta, u, z: z * mass(eta) * x,
-        jump_du=lambda t, x, mu, u, z: z * x,
     )
-    bundle = simulate(levy_model, levy_ctrl, 20, 50, seed=0)
-    assert bundle.noise.n_events > 0
-    for direction in (
-        Direction(kind="measure", t0=0.3, measure=DiscreteMeasure.dirac(1.0)),
-        Direction(kind="control", t0=0.3, scalar=1.0),
-    ):
-        levy_model.partials = partials
-        z_analytic = simulate_derivative_process(bundle, levy_model, levy_ctrl, direction)
-        levy_model.partials = None
-        z_fd = simulate_derivative_process(bundle, levy_model, levy_ctrl, direction)
-        assert np.max(np.abs(z_analytic - z_fd)) <= 1e-8
+    for model in (replace(levy_model, jump=None, levy=None), levy_model):
+        bundle = simulate(model, ctrl, 20, 50, seed=0)
+        assert (bundle.noise.n_events > 0) == (model.levy is not None)
+        for direction in (
+            Direction(kind="measure", t0=0.3, measure=DiscreteMeasure.dirac(1.0)),
+            Direction(kind="control", t0=0.3, scalar=1.0),
+        ):
+            z_analytic = simulate_derivative_process(
+                bundle, replace(model, partials=partials), ctrl, direction
+            )
+            z_fd = simulate_derivative_process(bundle, model, ctrl, direction)
+            assert np.max(np.abs(z_fd)) > 0.1
+            assert np.max(np.abs(z_analytic - z_fd)) <= 1e-8
 
 
 def test_fd_measure_partials_share_one_shifted_pair_per_step(monkeypatch):
-    """The drift, vol and jump fallbacks of one step read the same two
-    measures mu +- FD_STEP eta, built once per step that has a direction."""
+    """The drift, vol and jump measure partials of one step read the same
+    two measures mu +- FD_STEP eta, built once per step that has a direction."""
     base = DiscreteMeasure.dirac(1.0, 0.5)
     seen = []
 
@@ -615,16 +603,6 @@ def test_fd_measure_partials_share_one_shifted_pair_per_step(monkeypatch):
     assert len(pairs) == sum(direction.eta_at(t) is not None for t in bundle.times[:-1])
     shifted = {id(m) for pair in pairs for m in pair.values()}
     assert seen and {id(m) for m in seen} == shifted
-
-    # analytic measure partials need no shifted pair
-    model.partials = CoefficientPartials(
-        drift_dmu=lambda t, x, mu, eta, u: mass(eta) * x,
-        vol_dmu=lambda t, x, mu, eta, u: 0.1 * mass(eta) * x,
-        jump_dmu=lambda t, x, mu, eta, u, z: z * mass(eta) * x,
-    )
-    pairs.clear()
-    simulate_derivative_process(bundle, model, ctrl, direction)
-    assert not pairs
 
 
 # -- noise bank ------------------------------------------------------------------
