@@ -44,6 +44,7 @@ from .sde import (
     Direction,
     InfoPattern,
     PerformanceSpec,
+    _restrict_rows,
     draw_noise,
     perturbed_controls,
     simulate,
@@ -340,8 +341,9 @@ def run_sde_moments(cfg: ExperimentConfig) -> list[CheckResult]:
     )
     rows = []
     checks = []
-    # both geometric cases replay one bank; each bundle lives only for its
-    # z-score, so one bank and one states table are live at a time
+    # no model here reads the law, so each section simulates one row half of
+    # its bank at a time: one bank and half a states table are live at once;
+    # both geometric cases replay one bank
     bank = draw_noise(cfg.seed, n, m, 1.0)
     for a, s in ((0.1, 0.2), (-0.05, 0.3)):
         model = ControlledModel(
@@ -351,7 +353,7 @@ def run_sde_moments(cfg: ExperimentConfig) -> list[CheckResult]:
             horizon=1.0,
         )
         target = math.exp(a)
-        mean, se, z = _mean_z_score(simulate(model, ctrl, noise=bank).states[:, -1], target)
+        mean, se, z = _mean_z_score(_terminal_states(model, ctrl, bank), target)
         rows.append([f"geometric a={a} s={s}", mean, target, se, z])
         checks.append(
             CheckResult(f"sde-mean-geometric-a={a}", abs(z), 3.0, abs(z) <= 3.0,
@@ -366,7 +368,9 @@ def run_sde_moments(cfg: ExperimentConfig) -> list[CheckResult]:
         x0=1.0,
         horizon=1.0,
     )
-    mean, se, z = _mean_z_score(simulate(model_j, ctrl, n, m, cfg.seed + 1).states[:, -1], 1.0)
+    mean, se, z = _mean_z_score(
+        _terminal_states(model_j, ctrl, draw_noise(cfg.seed + 1, n, m, 1.0, model_j.levy)), 1.0
+    )
     rows.append(["compensated-jump", mean, 1.0, se, z])
     checks.append(CheckResult("sde-mean-compensated-jump", abs(z), 3.0, abs(z) <= 3.0))
 
@@ -384,7 +388,9 @@ def run_sde_moments(cfg: ExperimentConfig) -> list[CheckResult]:
         scalar_ctrl=lambda t, info: r,
     )
     target = math.exp(c_gross - r)
-    mean, se, z = _mean_z_score(simulate(model_c, ctrl_c, n, m, cfg.seed + 2).states[:, -1], target)
+    mean, se, z = _mean_z_score(
+        _terminal_states(model_c, ctrl_c, draw_noise(cfg.seed + 2, n, m, 1.0)), target
+    )
     rows.append(["consumption-drift", mean, target, se, z])
     checks.append(CheckResult("sde-mean-consumption-drift", abs(z), 3.0, abs(z) <= 3.0))
     write_csv(_out(cfg, "sde_moments.csv"), ["case", "mean", "target", "std_err", "z"], rows, cfg.seed)
@@ -445,26 +451,62 @@ _GATEAUX_LAMBDAS = (0.1, 0.05, 0.025)
 _L2_BLOCK_ROWS = 128
 
 
-def _quotient_l2_error(shifted, base, z, lam: float, dt: float) -> float:
-    """E int |(shifted - base)/lam - z|^2 dt over (N, M+1) paths, one block of
-    particle rows at a time.
+def _quotient_row_sums(shifted, base, z, lam: float, out: np.ndarray) -> None:
+    """Write each path's sum over the time grid of |(shifted - base)/lam - z|^2
+    into ``out``, one block of particle rows at a time.
 
-    Bitwise equal to the whole-table expression: each element is the same
-    IEEE operation, each path's time sum is one pairwise sum over its
-    C-ordered row, and the mean runs over the same (N,) vector.
+    Bitwise equal to the whole-table row sums: each element is the same
+    IEEE operation and each path's time sum is one pairwise sum over its
+    C-ordered row.
     """
-    per_path = np.empty(base.shape[0])
     for start in range(0, base.shape[0], _L2_BLOCK_ROWS):
         rows = slice(start, start + _L2_BLOCK_ROWS)
         q = (shifted[rows] - base[rows]) / lam
-        per_path[rows] = np.sum(np.square(q - z[rows], order="C"), axis=1)
-    return float(np.mean(per_path * dt))
+        out[rows] = np.sum(np.square(q - z[rows], order="C"), axis=1)
+
+
+def _row_halves(bank):
+    """(rows, bank of those rows) for the first ceil(N/2) particles and the
+    rest; the experiments that simulate halves need N >= 2."""
+    mid = (bank.n_particles + 1) // 2
+    for rows in (slice(0, mid), slice(mid, bank.n_particles)):
+        yield rows, _restrict_rows(bank, rows.start, rows.stop)
+
+
+def _terminal_states(model: ControlledModel, ctrl: ControlPair, bank) -> np.ndarray:
+    """X(T) of every particle of ``bank``, simulated one row half at a time;
+    bitwise the whole bank's X(T) when nothing reads the law."""
+    xt = np.empty(bank.n_particles)
+    for rows, half in _row_halves(bank):
+        xt[rows] = simulate(model, ctrl, noise=half).states[:, -1]
+    return xt
+
+
+def _quotient_row_sums_on(model, ctrl, direction, bank, outs) -> None:
+    """Row sums of each lambda's quotient error on one bank, into ``outs``.
+    Each lambda's paths go before the next lambda is simulated; the base
+    paths and Z go on return."""
+    bundle = simulate(model, ctrl, noise=bank)
+    z = simulate_derivative_process(bundle, model, ctrl, direction)
+    for lam, out in zip(_GATEAUX_LAMBDAS, outs):
+        _quotient_row_sums(
+            simulate(model, perturbed_controls(ctrl, direction, lam), noise=bank).states,
+            bundle.states, z, lam, out,
+        )
 
 
 def _quotient_l2_errors(cfg: ExperimentConfig) -> list[float]:
-    """L^2 errors of the difference quotient against Z over `_GATEAUX_LAMBDAS`,
-    with jumps and CRN.  Each lambda's paths go before the next lambda is
-    simulated; the base paths, Z and the noise go on return."""
+    """L^2 errors E int |(X^lam - X)/lam - Z|^2 dt of the difference quotient
+    against Z over `_GATEAUX_LAMBDAS`, with jumps and CRN.
+
+    The model reads only the fixed measure control base + lam eta, never the
+    law, and every Euler operation is elementwise, so each particle's path,
+    its Z and its row sum depend on its own noise rows alone.  The bank is
+    drawn once and each row half simulated on its own rows: the halves'
+    row sums are bitwise the whole table's, and each error is the mean over
+    the same (N,) vector.  One bank and half of three (N, M+1) tables are
+    live at a time.
+    """
     v = (0.0, 2.0)
     model = ControlledModel(
         drift=lambda t, x, mu, u: mu.mass_on(*v) * x,
@@ -479,23 +521,21 @@ def _quotient_l2_errors(cfg: ExperimentConfig) -> list[float]:
         measure_ctrl=lambda t, info: base_measure,
         scalar_ctrl=lambda t, info: 0.0,
     )
-    bundle = simulate(model, ctrl, cfg.n_particles, cfg.n_steps, cfg.seed)
     direction = Direction(kind="measure", t0=0.0, measure=DiscreteMeasure.dirac(1.0))
-    z = simulate_derivative_process(bundle, model, ctrl, direction)
-    return [
-        _quotient_l2_error(
-            simulate(model, perturbed_controls(ctrl, direction, lam), noise=bundle.noise).states,
-            bundle.states, z, lam, bundle.dt,
-        )
-        for lam in _GATEAUX_LAMBDAS
-    ]
+    bank = draw_noise(cfg.seed, cfg.n_particles, cfg.n_steps, model.horizon, model.levy)
+    per_path = [np.empty(bank.n_particles) for _ in _GATEAUX_LAMBDAS]
+    for rows, half in _row_halves(bank):
+        _quotient_row_sums_on(model, ctrl, direction, half, [out[rows] for out in per_path])
+    return [float(np.mean(out * bank.dt)) for out in per_path]
 
 
 def run_gateaux(cfg: ExperimentConfig) -> list[CheckResult]:
     """Derivative-process L^2 convergence and FD-vs-adjoint slope agreement.
 
-    The L^2 section's paths, Z and noise are gone before the slope check
-    simulates, so the run never holds both sections' (N, M+1) tables.
+    The L^2 section simulates its particle-independent model one row half
+    of its bank at a time (see `_quotient_l2_errors`), and its paths, Z and
+    noise are gone before the slope check simulates, so the run never holds
+    both sections' (N, M+1) tables.
     """
     checks = []
     errs = _quotient_l2_errors(cfg)

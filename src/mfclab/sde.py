@@ -225,6 +225,36 @@ def _levy_arrays(levy: LevyMeasure | None) -> tuple[np.ndarray, np.ndarray]:
     return levy.jump_sizes.copy(), levy.rates.copy()
 
 
+def _check_bank(n_particles, n_steps, dt, dB, particle, step, zeta, n_atoms) -> None:
+    """Raise ``ValueError`` unless the arrays make a bank: one increment per
+    particle and step, and events in step order naming a particle, a step
+    and a Levy atom that exist."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"noise bank step dt must be finite and positive, got {dt!r}")
+    if dB.shape != (n_particles, n_steps):
+        raise ValueError(
+            f"noise bank dB has shape {dB.shape}, not (n_particles, n_steps) = "
+            f"({n_particles}, {n_steps})"
+        )
+    events = (particle, step, zeta)
+    if any(a.ndim != 1 or a.dtype.kind not in "iu" for a in events) or not (
+        particle.size == step.size == zeta.size
+    ):
+        raise ValueError(
+            "noise bank event arrays must be 1-d integer arrays of equal length, got "
+            + ", ".join(f"{a.dtype} {a.shape}" for a in events)
+        )
+    if not step.size:
+        return
+    if np.any(step[1:] < step[:-1]):
+        raise ValueError("noise bank event steps must be nondecreasing")
+    for name, values, stop in (
+        ("steps", step, n_steps), ("particles", particle, n_particles), ("atoms", zeta, n_atoms),
+    ):
+        if values.min() < 0 or values.max() >= stop:
+            raise ValueError(f"noise bank event {name} must lie in [0, {stop})")
+
+
 class NoiseBank:
     """Brownian increments and jump events for one particle system.
 
@@ -232,6 +262,8 @@ class NoiseBank:
     by step; ``events_at(k)`` returns the slice for one interval.  The bank
     records the Levy jump sizes and rates it was drawn for (its own copies,
     both empty without a Levy measure).  Every array is frozen in place.
+    Construction raises ``ValueError`` on arrays that make no bank (see
+    ``_check_bank``).
     """
 
     __slots__ = (
@@ -240,15 +272,17 @@ class NoiseBank:
     )
 
     def __init__(self, n_particles, n_steps, dt, dB, ev_particle, ev_step, ev_zeta, levy):
+        dB = np.asarray(dB)
+        events = [np.asarray(a) for a in (ev_particle, ev_step, ev_zeta)]
+        jump_sizes, jump_rates = _levy_arrays(levy)
+        _check_bank(n_particles, n_steps, dt, dB, *events, jump_sizes.size)
         self.n_particles = n_particles
         self.n_steps = n_steps
         self.dt = dt
         self.dB = _read_only(dB)
-        self.ev_particle = _read_only(ev_particle)
-        self.ev_step = _read_only(ev_step)
-        self.ev_zeta = _read_only(ev_zeta)
-        self.jump_sizes, self.jump_rates = map(_read_only, _levy_arrays(levy))
-        self._step_offsets = _read_only(np.searchsorted(ev_step, np.arange(n_steps + 1)))
+        self.ev_particle, self.ev_step, self.ev_zeta = map(_read_only, events)
+        self.jump_sizes, self.jump_rates = map(_read_only, (jump_sizes, jump_rates))
+        self._step_offsets = _read_only(np.searchsorted(self.ev_step, np.arange(n_steps + 1)))
 
     @property
     def n_events(self) -> int:
@@ -281,6 +315,10 @@ def draw_noise(
     same bits with no (N, M) temporary; the scaled Brownian block is
     written straight into time-major storage.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
     if n_particles < 1 or n_steps < 1:
         raise ValueError("need at least one particle and one step")
     dt = horizon / n_steps
@@ -318,6 +356,23 @@ def draw_noise(
             order = np.lexsort((particle, step))
             particle, step, zeta = particle[order], step[order], zeta[order]
     return NoiseBank(n_particles, n_steps, dt, dB, particle, step, zeta, levy)
+
+
+def _restrict_rows(noise: NoiseBank, lo: int, hi: int) -> NoiseBank:
+    """The bank of particles lo, ..., hi - 1 of ``noise``: a view of their
+    Brownian rows and their jump events in the same order, re-indexed from 0,
+    with the same step and Levy arrays.
+
+    A model whose coefficients and controls never read the law (a fixed
+    measure control) moves each particle by its own noise alone, so its
+    paths on this bank are bitwise rows lo:hi of its paths on ``noise``.
+    """
+    keep = (noise.ev_particle >= lo) & (noise.ev_particle < hi)
+    levy = LevyMeasure(noise.jump_sizes, noise.jump_rates) if noise.jump_sizes.size else None
+    return NoiseBank(
+        hi - lo, noise.n_steps, noise.dt, noise.dB[lo:hi],
+        noise.ev_particle[keep] - lo, noise.ev_step[keep], noise.ev_zeta[keep], levy,
+    )
 
 
 # ---------------------------------------------------------------------------

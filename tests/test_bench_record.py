@@ -136,3 +136,24 @@ def test_setup_samples_pool_in_pair_order(tmp_path, bench_record, monkeypatch):
         "parent": [0.1, 0.2, 1.1, 1.2, 2.1, 2.2], "change": [0.3, 1.3, 2.3],
     }
     assert "setup_samples" not in workloads["derivatives"]
+
+
+def test_a_claim_with_a_larger_failed_share_is_not_met(tmp_path, bench_record, monkeypatch):
+    """A change that wins every pair but fails a larger share of its runs on
+    the claimed workload than the parent does has not met its claim; an
+    equal share has."""
+    monkeypatch.setattr(bench_record, "git_sha", lambda checkout: checkout.name)
+    for parent_failed, change_failed, met in ((0, 1, False), (2, 3, False), (1, 1, True), (2, 0, True)):
+        root = tmp_path / f"p{parent_failed}-c{change_failed}"
+        parent, change = root / "parent", root / "change"
+        clock = 1_000_000
+        for i in range(10):
+            _write(parent, "derivatives", 100 + i, 0, 20.0 + i, clock,
+                   failed=parent_failed if i == 0 else 0)
+            _write(change, "derivatives", 100 + i, 0, 10.0 + i, clock + 60,
+                   failed=change_failed if i == 0 else 0)
+            clock += 120
+        claim = bench_record.build(parent, change, "t", "derivatives:peak_rss_mb", [])["claim"]
+        assert claim["change_wins"] == 10 and claim["median_gap"] == 10.0
+        assert claim["failed_share"] == {"parent": parent_failed / 200, "change": change_failed / 200}
+        assert claim["met"] is met, (parent_failed, change_failed)

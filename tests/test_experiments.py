@@ -8,15 +8,17 @@ import pytest
 
 import mfclab.experiments as exp
 from mfclab.experiments import ExperimentConfig, run_gateaux, run_law_derivative
-from mfclab.sde import _time_major
+from mfclab.lawproc import LevyMeasure
+from mfclab.sde import _time_major, draw_noise
 
 
 def test_run_gateaux_peak_memory(tmp_path):
-    """The L^2 section's tables are gone before the slope check simulates,
-    each lambda's paths go before the next lambda's, and the quotient's
-    squares are taken one block of rows at a time.  The peak is about 4.3
-    of the (N, M+1) tables.  Undoing one of the three gives 7.2, 5.2 and
-    6.1; undoing all of them gives 9.3."""
+    """The L^2 section simulates one row half of its bank at a time, its
+    tables are gone before the slope check simulates, each lambda's paths go
+    before the next lambda's, and the quotient's squares are taken one block
+    of rows at a time.  The peak is about 3.2 of the (N, M+1) tables, set by
+    the slope check.  Simulating the whole bank at once gives 4.35, whole
+    tables of squares 4.19, and both 7.17."""
     n, m = 2000, 50
     # a small run first, so that lazy imports are not traced
     run_gateaux(ExperimentConfig(name="gateaux", out_dir=str(tmp_path), n_particles=50, n_steps=5, seed=1))
@@ -28,7 +30,7 @@ def test_run_gateaux_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert all(c.passed for c in checks)
-    assert peak < 5 * n * (m + 1) * 8
+    assert peak < 4 * n * (m + 1) * 8
 
 
 def _time_major_normal(gen, n, m):
@@ -42,26 +44,55 @@ def _time_major_normal(gen, n, m):
     ids=["multiple-of-block", "ragged-last-block", "below-one-block"],
 )
 def test_blocked_quotient_l2_error_is_bitwise_the_whole_table_expression(n):
+    """Blocked row sums, whole or written by two row halves, give the
+    whole-table L^2 error bit for bit."""
     gen = np.random.default_rng(n)
     m, lam, dt = 57, 0.05, 1.0 / 57
     s, b, z = (_time_major_normal(gen, n, m) for _ in range(3))
     whole = float(np.mean(np.sum(np.square((s - b) / lam - z, order="C"), axis=1) * dt))
-    assert exp._quotient_l2_error(s, b, z, lam, dt) == whole
+    per_path = np.empty(n)
+    exp._quotient_row_sums(s, b, z, lam, per_path)
+    assert float(np.mean(per_path * dt)) == whole
+    halves = np.empty(n)
+    for rows in (slice(0, (n + 1) // 2), slice((n + 1) // 2, n)):
+        exp._quotient_row_sums(s[rows], b[rows], z[rows], lam, halves[rows])
+    assert halves.tobytes() == per_path.tobytes()
+    assert float(np.mean(halves * dt)) == whole
 
 
 def test_gateaux_simulates_the_configured_particle_count(tmp_path, monkeypatch):
-    """No silent cap: a config above 10,000 particles simulates all of them."""
-    seen = []
+    """No silent cap: a config above 10,000 particles simulates all of them.
+    Each lambda's L^2 paths run on two row halves of one bank, which
+    together are every row of it in order; the slope check simulates the
+    whole count at once."""
+    n = 10_001
+    lam_of = {}
+    banks = {lam: [] for lam in exp._GATEAUX_LAMBDAS}
+    slope = []
 
-    def spy(*args, **kwargs):
-        bundle = real_simulate(*args, **kwargs)
-        seen.append(bundle.n_particles)
+    def perturbed_spy(controls, direction, lam):
+        shifted = real_perturbed(controls, direction, lam)
+        lam_of[id(shifted)] = lam
+        return shifted
+
+    def simulate_spy(model, controls, *args, **kwargs):
+        bundle = real_simulate(model, controls, *args, **kwargs)
+        if id(controls) in lam_of:
+            banks[lam_of[id(controls)]].append(bundle.noise)
+        elif model.levy is None:
+            slope.append(bundle.n_particles)
         return bundle
 
-    real_simulate = exp.simulate
-    monkeypatch.setattr(exp, "simulate", spy)
-    run_gateaux(ExperimentConfig(name="gateaux", out_dir=str(tmp_path), n_particles=10_001, n_steps=4))
-    assert seen and set(seen) == {10_001}
+    real_simulate, real_perturbed = exp.simulate, exp.perturbed_controls
+    monkeypatch.setattr(exp, "simulate", simulate_spy)
+    monkeypatch.setattr(exp, "perturbed_controls", perturbed_spy)
+    cfg = ExperimentConfig(name="gateaux", out_dir=str(tmp_path), n_particles=n, n_steps=4)
+    run_gateaux(cfg)
+    full = draw_noise(cfg.seed, n, cfg.n_steps, 1.0, LevyMeasure([0.1], [0.5]))
+    for lam, halves in banks.items():
+        assert [h.n_particles for h in halves] == [5_001, 5_000], lam
+        assert np.concatenate([h.dB for h in halves]).tobytes() == full.dB.tobytes(), lam
+    assert slope == [n]
 
 
 def test_law_derivative_simulates_the_configured_particle_count(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for particle simulation: Euler scheme, CRN, derivative process."""
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -610,6 +611,95 @@ def test_fd_measure_partials_share_one_shifted_pair_per_step(monkeypatch):
 def test_draw_noise_validation():
     with pytest.raises(ValueError):
         draw_noise(0, 0, 10, 1.0)
+    # a seed is a Python or numpy integer, never a bool, as ExperimentConfig
+    # requires; 1.5 and True used to run as seed 1
+    for seed in (1.5, True, np.float64(2.0), "3"):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            draw_noise(seed, 5, 10, 1.0)
+    model = ControlledModel(
+        drift=lambda t, x, mu, u: x, vol=lambda t, x, mu, u: x, x0=1.0, horizon=1.0
+    )
+    with pytest.raises(ValueError, match="seed must be an integer, got True"):
+        simulate(model, trivial_controls(), 5, 10, seed=True)
+    # these gave NaN, inf or zero increments, or a math domain error
+    for horizon in (math.nan, math.inf, 0.0, -1.0):
+        message = f"horizon must be finite and positive, got {horizon!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            draw_noise(0, 5, 10, horizon)
+    assert draw_noise(np.int64(3), 5, 10, 1.0).dB.tobytes() == draw_noise(3, 5, 10, 1.0).dB.tobytes()
+
+
+def test_noise_bank_rejects_inconsistent_arrays():
+    """A bank's events must be in step order and name an existing particle,
+    step and atom; an unsorted one would apply a later jump too early."""
+    levy = LevyMeasure([0.5], [1.0])
+    dB = np.zeros((2, 3))
+
+    def bank(dB=dB, particle=(0, 1), step=(0, 2), zeta=(0, 0), dt=1 / 3, levy=levy):
+        return sde_module.NoiseBank(2, 3, dt, dB, list(particle), list(step), list(zeta), levy)
+
+    assert bank().events_at(2)[0].tolist() == [1]
+    cases = [
+        ({"particle": (1, 0), "step": (2, 0)}, "nondecreasing"),
+        ({"dB": np.zeros((5, 7))}, r"shape \(5, 7\), not \(n_particles, n_steps\) = \(2, 3\)"),
+        ({"dB": np.zeros((3, 2))}, "shape"),
+        ({"zeta": (0,)}, "equal length"),
+        ({"particle": np.zeros((1, 2), dtype=int)}, "1-d"),
+        ({"step": (0.0, 2.0)}, "integer"),
+        ({"step": (-1, 2)}, r"steps must lie in \[0, 3\)"),
+        ({"step": (0, 3)}, r"steps must lie in \[0, 3\)"),
+        ({"particle": (0, 2)}, r"particles must lie in \[0, 2\)"),
+        ({"particle": (-1, 0)}, r"particles must lie in \[0, 2\)"),
+        ({"zeta": (0, 1)}, r"atoms must lie in \[0, 1\)"),
+        ({"levy": None}, r"atoms must lie in \[0, 0\)"),
+        ({"dt": 0.0}, "dt must be finite and positive"),
+        ({"dt": math.nan}, "dt must be finite and positive"),
+        ({"dt": -1 / 3}, "dt must be finite and positive"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(ValueError, match=message):
+            bank(**kwargs)
+    empty = np.empty(0, dtype=np.int64)
+    assert sde_module.NoiseBank(2, 3, 1 / 3, dB, empty, empty, empty, None).n_events == 0
+
+
+@pytest.mark.parametrize("n", [101, 2], ids=["odd", "two-rows"])
+def test_restricted_bank_rows_are_bitwise_the_full_bank_rows(n):
+    """A model that reads only a fixed measure control moves each particle by
+    its own noise, so paths and Z on a range of a bank's rows are bitwise
+    those rows of the paths and Z on the whole bank, jumps included."""
+    levy = LevyMeasure([0.1, -0.2], [0.2, 0.1])
+    model = ControlledModel(
+        drift=lambda t, x, mu, u: mu.mass_on(0.0, 2.0) * x,
+        vol=lambda t, x, mu, u: 0.2 * x,
+        jump=lambda t, x, mu, u, zeta: zeta * x,
+        levy=levy,
+        x0=1.0,
+        horizon=1.0,
+    )
+    base = DiscreteMeasure.dirac(1.0, 0.5)
+    ctrl = ControlPair(measure_ctrl=lambda t, info: base, scalar_ctrl=lambda t, info: 0.0)
+    direction = Direction(kind="measure", measure=DiscreteMeasure.dirac(1.0))
+    bank = draw_noise(11, n, 30, 1.0, levy)
+    full = simulate(model, ctrl, noise=bank)
+    z_full = simulate_derivative_process(full, model, ctrl, direction)
+    counts = np.bincount(bank.ev_particle, minlength=n)
+    # the halves, the whole bank and a last single row
+    ranges = [(0, (n + 1) // 2), ((n + 1) // 2, n), (0, n), (n - 1, n)]
+    if n > 2:
+        # three rows without events, and the single row with the most
+        quiet = next(p for p in range(n - 2) if not counts[p:p + 3].any())
+        busy = int(counts.argmax())
+        assert counts[busy] >= 2
+        ranges += [(quiet, quiet + 3), (busy, busy + 1)]
+    for lo, hi in ranges:
+        rows = sde_module._restrict_rows(bank, lo, hi)
+        assert rows.n_particles == hi - lo and rows.dt == bank.dt and rows.drawn_for(levy)
+        assert rows.n_events == counts[lo:hi].sum()
+        part = simulate(model, ctrl, noise=rows)
+        z = simulate_derivative_process(part, model, ctrl, direction)
+        assert part.states.tobytes() == full.states[lo:hi].tobytes(), (lo, hi)
+        assert z.tobytes() == z_full[lo:hi].tobytes(), (lo, hi)
 
 
 def _whole_array_noise(seed, n, m, horizon, levy):

@@ -24,8 +24,10 @@ lacks them has none.  The side
 whose record was written first in a pair (file times) ran first.  Traced records
 (``--trace 1``; rename repeated ones so they do not overwrite each other)
 give the medians of every traced metric per side.  A ``--claim`` is met when
-the change wins at least nine tenths of the pairs and its median is better
-than the parent's by more than the parent's interquartile range.
+the change wins at least nine tenths of the pairs, its median is better
+than the parent's by more than the parent's interquartile range, and its
+share of failed runs (failed / attempted over the claimed workload's
+pairs) is no larger than the parent's.
 """
 from __future__ import annotations
 
@@ -142,11 +144,14 @@ def claim_record(workloads: dict, claim: str, metrics: list[dict]) -> dict:
     gap = m["parent"]["median"] - m["change"]["median"]
     gap = gap if lower else -gap
     pairs = workloads[workload]["pairs"]
+    failed, attempted = workloads[workload]["failed"], workloads[workload]["attempted"]
+    failed_share = {side: failed[side] / attempted[side] if attempted[side] else 0.0 for side in SIDES}
     return {
         "workload": workload, "metric": metric, "unit": m["unit"],
         "change_wins": m["change_wins"], "pairs": pairs,
-        "median_gap": gap, "parent_iqr": m["parent"]["iqr"],
-        "met": m["change_wins"] >= WIN_SHARE * pairs and gap > m["parent"]["iqr"],
+        "median_gap": gap, "parent_iqr": m["parent"]["iqr"], "failed_share": failed_share,
+        "met": (m["change_wins"] >= WIN_SHARE * pairs and gap > m["parent"]["iqr"]
+                and failed_share["change"] <= failed_share["parent"]),
     }
 
 
