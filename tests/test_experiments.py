@@ -72,13 +72,14 @@ def test_gateaux_simulates_the_configured_particle_count(tmp_path, monkeypatch):
 
     def perturbed_spy(controls, direction, lam):
         shifted = real_perturbed(controls, direction, lam)
-        lam_of[id(shifted)] = lam
+        # keep the pair alive, so that no later object reuses its id
+        lam_of[id(shifted)] = lam, shifted
         return shifted
 
     def simulate_spy(model, controls, *args, **kwargs):
         bundle = real_simulate(model, controls, *args, **kwargs)
         if id(controls) in lam_of:
-            banks[lam_of[id(controls)]].append(bundle.noise)
+            banks[lam_of[id(controls)][0]].append(bundle.noise)
         elif model.levy is None:
             slope.append(bundle.n_particles)
         return bundle
