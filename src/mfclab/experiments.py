@@ -535,7 +535,11 @@ def run_gateaux(cfg: ExperimentConfig) -> list[CheckResult]:
     The L^2 section simulates its particle-independent model one row half
     of its bank at a time (see `_quotient_l2_errors`), and its paths, Z and
     noise are gone before the slope check simulates, so the run never holds
-    both sections' (N, M+1) tables.
+    both sections' (N, M+1) tables.  The slope model reads neither the law
+    nor another particle (b = u, sigma = 0.3, a fixed measure control,
+    l = -u^2/2, g = x), so `gateaux_check` takes its candidate's paths as
+    two row halves of one bank: its outputs are bitwise the whole bundle's,
+    and one bank and half of two (N, M+1) tables are live at a time.
     """
     checks = []
     errs = _quotient_l2_errors(cfg)
@@ -564,9 +568,11 @@ def run_gateaux(cfg: ExperimentConfig) -> list[CheckResult]:
         measure_ctrl=lambda t, info: origin,
         scalar_ctrl=lambda t, info: u0,
     )
-    bundle_u = simulate(model_u, ctrl_u, cfg.n_particles, cfg.n_steps, cfg.seed + 1)
+    # the bank simulate(model_u, ctrl_u, N, M, seed + 1) would draw
+    bank_u = draw_noise(cfg.seed + 1, cfg.n_particles, cfg.n_steps, model_u.horizon)
+    halves = (simulate(model_u, ctrl_u, noise=half) for _, half in _row_halves(bank_u))
     direction_u = Direction(kind="control", t0=0.0, scalar=1.0)
-    result = gateaux_check(spec, ctrl_u, direction_u, _GATEAUX_LAMBDAS, bundle_u)
+    result = gateaux_check(spec, ctrl_u, direction_u, _GATEAUX_LAMBDAS, halves)
     analytic = (1.0 - u0) * 1.0
     rows_fd = [["drift-control", lam, slope, result.adjoint_slope]
                for lam, slope in zip(result.lambdas, result.fd_slopes)]

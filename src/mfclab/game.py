@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -425,50 +425,33 @@ class GateauxResult:
     agree: bool
 
 
-def gateaux_check(
+def _gateaux_block(
     spec: GameSpec,
     candidate: ControlPair,
     direction: Direction,
-    lambdas: Sequence[float],
+    lambdas: np.ndarray,
     bundle: ParticleBundle,
-) -> GateauxResult:
-    """Compare finite-difference dJ/dlambda against the adjoint expression.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One block's per-particle samples for `gateaux_check`: each lambda's
+    central-difference slope of J, shape (L, n), and the adjoint integral
+    int dH/dmu . eta dt (or dH/du . pi dt), shape (n,).
 
-    The finite-difference slopes are central differences under common random
-    numbers; the adjoint slope is E[integral dH/dmu . eta dt] (or
-    dH/du . pi) with the controls read along the baseline paths (open loop):
-    a feedback control's response to the state is not differentiated, so the
-    two slopes estimate one derivative only for a candidate that reads no
-    state, such as ``consumption.frozen_pair``.  The verdict is agreement at
-    the smallest lambda within ``tol`` = max(3 combined SE, 5% of the adjoint
-    slope, 1e-12), which the result records.
+    Each deviation's paths go once its performance samples are taken, and
+    the Gamma/P table on return.
     """
     player = direction.player
     perf = spec.performance_for(player)
-    n = bundle.n_particles
-    sqrt_n = _sqrt_n(bundle.n_particles, "gateaux_check")
-    lambdas = np.asarray(sorted(lambdas, key=abs, reverse=True), dtype=float)
-    if not lambdas.size:
-        raise ValueError("gateaux_check needs at least one finite-difference magnitude in lambdas")
-    if np.any(lambdas == 0.0):
-        raise ValueError("finite-difference magnitudes must be nonzero")
-    if not np.all(np.isfinite(lambdas)):
-        raise ValueError(f"finite-difference magnitudes must be finite, got {lambdas}")
-
-    fd_slopes = np.empty(lambdas.size)
-    fd_se = np.empty(lambdas.size)
+    fd = np.empty((lambdas.size, bundle.n_particles))
     for i, lam in enumerate(lambdas):
-        slope_samples = _central_difference(
+        fd[i] = _central_difference(
             lambda h: _crn_samples(spec, perturbed_controls(candidate, direction, h), perf, bundle.noise),
             float(lam),
         )
-        fd_slopes[i] = slope_samples.mean()
-        fd_se[i] = slope_samples.std(ddof=1) / sqrt_n
 
     # only the deviating player's adjoint is read
     p0_sol = adjoint_p0_solve(spec.model, perf, bundle, candidate)
     dt = bundle.dt
-    slope_acc = np.zeros(n)
+    slope_acc = np.zeros(bundle.n_particles)
     for sv in iter_steps(bundle, candidate):
         mu_shifts = []
         if player == 1:
@@ -485,6 +468,71 @@ def gateaux_check(
             if pi == 0.0:
                 continue
             slope_acc += _dh_du_samples(spec, sv, p0) * pi * dt
+    return fd, slope_acc
+
+
+def gateaux_check(
+    spec: GameSpec,
+    candidate: ControlPair,
+    direction: Direction,
+    lambdas: Sequence[float],
+    bundles: Iterable[ParticleBundle],
+) -> GateauxResult:
+    """Compare finite-difference dJ/dlambda against the adjoint expression.
+
+    The finite-difference slopes are central differences under common random
+    numbers; the adjoint slope is E[integral dH/dmu . eta dt] (or
+    dH/du . pi) with the controls read along the baseline paths (open loop):
+    a feedback control's response to the state is not differentiated, so the
+    two slopes estimate one derivative only for a candidate that reads no
+    state, such as ``consumption.frozen_pair``.  The verdict is agreement at
+    the smallest lambda within ``tol`` = max(3 combined SE, 5% of the adjoint
+    slope, 1e-12), which the result records.
+
+    ``bundles`` yields the candidate's paths as blocks over consecutive
+    particle rows of one noise bank, in row order; a whole bundle is the
+    one block ``(bundle,)``.  Each block's samples are taken on its own
+    noise, and the block, its deviations and its Gamma/P table go before the
+    next block is drawn from ``bundles``.  The means, standard errors and
+    verdict are taken once, over every block's samples joined in row order.
+    Row blocks give the whole bundle's bits only when no coefficient,
+    control or cost reads the law or another particle: each particle's
+    paths, deviations, Gamma/P row and integral then depend on its own noise
+    rows alone.  Any other candidate, such as the consumption game's, whose
+    cost reads M(V), is passed as one block.  Raises ``ValueError`` when
+    ``bundles`` yields no block, when a block's time grid differs from the
+    first block's, or when the blocks hold fewer than 2 particles together.
+    """
+    lambdas = np.asarray(sorted(lambdas, key=abs, reverse=True), dtype=float)
+    if not lambdas.size:
+        raise ValueError("gateaux_check needs at least one finite-difference magnitude in lambdas")
+    if np.any(lambdas == 0.0):
+        raise ValueError("finite-difference magnitudes must be nonzero")
+    if not np.all(np.isfinite(lambdas)):
+        raise ValueError(f"finite-difference magnitudes must be finite, got {lambdas}")
+
+    fd_blocks, slope_blocks, times = [], [], None
+    for bundle in bundles:
+        if times is None:
+            times = bundle.times
+        elif not np.array_equal(bundle.times, times):
+            raise ValueError("gateaux_check blocks must share the first block's time grid")
+        fd, slope_acc = _gateaux_block(spec, candidate, direction, lambdas, bundle)
+        fd_blocks.append(fd)
+        slope_blocks.append(slope_acc)
+        # the next block is simulated only after this one is released
+        del bundle
+    if times is None:
+        raise ValueError("gateaux_check needs at least one bundle block")
+    fd = np.concatenate(fd_blocks, axis=1)
+    slope_acc = np.concatenate(slope_blocks)
+    sqrt_n = _sqrt_n(slope_acc.size, "gateaux_check")
+
+    fd_slopes = np.empty(lambdas.size)
+    fd_se = np.empty(lambdas.size)
+    for i, slope_samples in enumerate(fd):
+        fd_slopes[i] = slope_samples.mean()
+        fd_se[i] = slope_samples.std(ddof=1) / sqrt_n
     adjoint_slope = float(slope_acc.mean())
     adjoint_se = float(slope_acc.std(ddof=1) / sqrt_n)
 

@@ -16,9 +16,11 @@ def test_run_gateaux_peak_memory(tmp_path):
     """The L^2 section simulates one row half of its bank at a time, its
     tables are gone before the slope check simulates, each lambda's paths go
     before the next lambda's, and the quotient's squares are taken one block
-    of rows at a time.  The peak is about 3.2 of the (N, M+1) tables, set by
-    the slope check.  Simulating the whole bank at once gives 4.35, whole
-    tables of squares 4.19, and both 7.17."""
+    of rows at a time.  The slope check also runs on two row halves of its
+    bank.  The peak is about 2.86 of the (N, M+1) tables, set by the L^2
+    section.  The slope check on the whole bundle gives 3.19, the L^2
+    section on its whole bank 4.35, whole tables of squares 4.19, and both
+    7.17."""
     n, m = 2000, 50
     # a small run first, so that lazy imports are not traced
     run_gateaux(ExperimentConfig(name="gateaux", out_dir=str(tmp_path), n_particles=50, n_steps=5, seed=1))
@@ -30,7 +32,7 @@ def test_run_gateaux_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert all(c.passed for c in checks)
-    assert peak < 4 * n * (m + 1) * 8
+    assert peak < 3 * n * (m + 1) * 8
 
 
 def _time_major_normal(gen, n, m):
@@ -62,9 +64,8 @@ def test_blocked_quotient_l2_error_is_bitwise_the_whole_table_expression(n):
 
 def test_gateaux_simulates_the_configured_particle_count(tmp_path, monkeypatch):
     """No silent cap: a config above 10,000 particles simulates all of them.
-    Each lambda's L^2 paths run on two row halves of one bank, which
-    together are every row of it in order; the slope check simulates the
-    whole count at once."""
+    Each lambda's L^2 paths, and the slope check's candidate, run on two
+    row halves of one bank, which together are every row of it in order."""
     n = 10_001
     lam_of = {}
     banks = {lam: [] for lam in exp._GATEAUX_LAMBDAS}
@@ -81,7 +82,7 @@ def test_gateaux_simulates_the_configured_particle_count(tmp_path, monkeypatch):
         if id(controls) in lam_of:
             banks[lam_of[id(controls)][0]].append(bundle.noise)
         elif model.levy is None:
-            slope.append(bundle.n_particles)
+            slope.append(bundle.noise)
         return bundle
 
     real_simulate, real_perturbed = exp.simulate, exp.perturbed_controls
@@ -93,7 +94,9 @@ def test_gateaux_simulates_the_configured_particle_count(tmp_path, monkeypatch):
     for lam, halves in banks.items():
         assert [h.n_particles for h in halves] == [5_001, 5_000], lam
         assert np.concatenate([h.dB for h in halves]).tobytes() == full.dB.tobytes(), lam
-    assert slope == [n]
+    assert [h.n_particles for h in slope] == [5_001, 5_000]
+    slope_bank = draw_noise(cfg.seed + 1, n, cfg.n_steps, 1.0)
+    assert np.concatenate([h.dB for h in slope]).tobytes() == slope_bank.dB.tobytes()
 
 
 def test_law_derivative_simulates_the_configured_particle_count(tmp_path, monkeypatch):

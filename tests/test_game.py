@@ -1,10 +1,10 @@
 """Tests for Hamiltonians, first-order residuals, sweeps and Gateaux checks."""
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mfclab.consumption as cons
@@ -12,6 +12,7 @@ from mfclab.bsde import GammaPositivityError, adjoint_p0_solve
 from mfclab.experiments import lq_candidates, lq_toy_game
 from mfclab.game import (
     GameSpec,
+    GateauxResult,
     IntervalMass,
     PerturbationPlan,
     UnsupportedModelError,
@@ -29,6 +30,8 @@ from mfclab.sde import (
     Direction,
     PerformanceSpec,
     _mu_shifts,
+    _restrict_rows,
+    draw_noise,
     iter_steps,
     simulate,
 )
@@ -388,7 +391,7 @@ def test_unsupported_model_raises(vol, jump, message, direction):
     with pytest.raises(UnsupportedModelError, match=message):
         first_order_residuals(spec, ctrl, bundle, adjoint)
     with pytest.raises(UnsupportedModelError, match=message):
-        gateaux_check(spec, ctrl, direction, (0.1,), bundle)
+        gateaux_check(spec, ctrl, direction, (0.1,), (bundle,))
 
 
 def test_control_dependence_after_first_step_raises():
@@ -414,7 +417,7 @@ def test_control_dependence_after_first_step_raises():
         first_order_residuals(spec, ctrl, bundle, adjoint)
     direction = Direction(kind="control", t0=0.0, scalar=1.0)
     with pytest.raises(UnsupportedModelError, match="sigma depends on u"):
-        gateaux_check(spec, ctrl, direction, (0.1,), bundle)
+        gateaux_check(spec, ctrl, direction, (0.1,), (bundle,))
 
 
 # -- perturbation sweeps ------------------------------------------------------------
@@ -489,7 +492,7 @@ def test_gateaux_zero_direction():
     candidate = lq_candidates(1.0, 1.0, 1.0)
     bundle = simulate(spec.model, candidate, 500, 20, seed=3)
     res = gateaux_check(
-        spec, candidate, Direction(kind="control", t0=0.0, scalar=0.0), (0.1, 0.05), bundle
+        spec, candidate, Direction(kind="control", t0=0.0, scalar=0.0), (0.1, 0.05), (bundle,)
     )
     assert res.agree
     assert np.allclose(res.fd_slopes, 0.0)
@@ -516,7 +519,7 @@ def test_gateaux_drift_control_toy():
     )
     bundle = simulate(model, ctrl, 2000, 100, seed=4)
     direction = Direction(kind="control", t0=0.5, scalar=1.0)
-    res = gateaux_check(spec, ctrl, direction, (0.1, 0.05, 0.025), bundle)
+    res = gateaux_check(spec, ctrl, direction, (0.1, 0.05, 0.025), (bundle,))
     assert res.agree
     assert res.adjoint_slope == pytest.approx((1.0 - u0) * 0.5, abs=1e-8)
 
@@ -540,7 +543,7 @@ def test_gateaux_verdict_uses_recorded_tolerance():
         scalar_ctrl=lambda t, info: 0.5,
     )
     bundle = simulate(model, ctrl, 500, 40, seed=8)
-    res = gateaux_check(spec, ctrl, Direction(kind="control", t0=0.0, scalar=1.0), (0.1, 0.05), bundle)
+    res = gateaux_check(spec, ctrl, Direction(kind="control", t0=0.0, scalar=1.0), (0.1, 0.05), (bundle,))
     assert res.adjoint_se > 0.0
     expected = max(3.0 * math.hypot(res.fd_se[-1], res.adjoint_se), 0.05 * abs(res.adjoint_slope), 1e-12)
     assert res.tol == expected
@@ -555,7 +558,7 @@ def test_gateaux_consumption_control_direction(cgame):
     candidate = replace(frozen, scalar_ctrl=cons._frozen_rate(cf, base_bundle, 1.5))
     bundle = simulate(spec.model, candidate, 2000, 100, seed=51)
     direction = Direction(kind="control", t0=0.5, scalar=1.0)
-    res = gateaux_check(spec, candidate, direction, (0.1, 0.05, 0.025), bundle)
+    res = gateaux_check(spec, candidate, direction, (0.1, 0.05, 0.025), (bundle,))
     assert res.agree
     analytic = -(1.0 / 3.0) * 0.625  # int_{1/2}^1 (2 - t)/3 dt, sign flipped
     assert res.adjoint_slope == pytest.approx(analytic, rel=0.02)
@@ -576,7 +579,7 @@ def test_gateaux_solves_only_the_deviating_players_adjoint(cgame, monkeypatch):
 
     monkeypatch.setattr(game_module, "adjoint_p0_solve", spy)
     direction = Direction(kind="control", t0=0.5, scalar=1.0)
-    gateaux_check(spec, candidate, direction, (0.1,), bundle)
+    gateaux_check(spec, candidate, direction, (0.1,), (bundle,))
     assert len(calls) == 1 and calls[0][0][1] is spec.performance_for(2)
     assert calls[0][1].P.tobytes() == adjoint[2].P.tobytes()
 
@@ -592,9 +595,138 @@ def test_gateaux_consumption_measure_direction(cgame):
     candidate = perturbed_controls(base_pair, shift, 0.3)
     bundle = simulate(spec.model, candidate, 2000, 100, seed=51)
     direction = Direction(kind="measure", t0=0.5, measure=DiscreteMeasure.dirac(model.v_probe))
-    res = gateaux_check(spec, candidate, direction, (0.1, 0.05, 0.025), bundle)
+    res = gateaux_check(spec, candidate, direction, (0.1, 0.05, 0.025), (bundle,))
     assert res.agree
     assert res.adjoint_slope == pytest.approx(-0.3, rel=0.05)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the FD slope carries an O(dt) Euler bias that 3 SE cannot absorb "
+    "when the adjoint slope is 0 (see CHANGES.md FOUND)",
+)
+@settings(max_examples=30, deadline=None)
+@example(theta=1.0, sigma=0.2, jump=None, t0=0.5, n=500, m=40, seed=1)
+@given(
+    theta=st.floats(0.5, 2.0),
+    sigma=st.floats(-0.3, 0.3),
+    jump=st.none() | st.tuples(st.floats(-0.3, 0.3), st.floats(0.05, 2.0)),
+    t0=st.floats(0.0, 0.9),
+    n=st.integers(2, 500),
+    m=st.integers(10, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gateaux_frozen_consumption_control_direction_across_the_box(
+    theta, sigma, jump, t0, n, m, seed
+):
+    """Along the control direction from t0, the frozen first-order-derived
+    consumption candidate's FD and adjoint slopes agree within the check's
+    own tolerance, inside the M(V) = 1 regime, over the box: theta in
+    [0.5, 2], |sigma| <= 0.3, no Levy measure or one atom in [-0.3, 0.3] at
+    a rate in [0.05, 2], t0 in [0, 0.9], 2 to 500 particles and 10 to 40
+    steps, T = 1.  The cost reads M(V), so the bundle is one block.
+
+    It fails: the adjoint slope is 0 to about 1e-12 (p0 X = theta + T - t
+    on the grid), and the FD slope at lambda = 0.025 halves with each
+    doubling of M, so it is an Euler bias.  At the explicit example it reads
+    0.0053 against a tolerance of 6.2e-4."""
+    levy = None if jump is None else LevyMeasure([jump[0]], [jump[1]])
+    model = cons.ConsumptionModel(x0=1.0, horizon=1.0, sigma=sigma, theta=theta, levy=levy)
+    spec = cons.game_spec(model)
+    cf = cons.closed_form_controls(model)
+    bundle = simulate(spec.model, cons.feedback_pair(model, cf), n, m, seed=seed)
+    candidate, mass_v, _ = cons.frozen_pair(model, cf, bundle)
+    assume(mass_v.min() == 1.0)
+    direction = Direction(kind="control", t0=t0, scalar=1.0)
+    res = gateaux_check(spec, candidate, direction, (0.1, 0.05, 0.025), (bundle,))
+    assert abs(res.adjoint_slope) <= 1e-9
+    assert res.agree, (res.fd_slopes[-1], res.adjoint_slope, res.tol)
+
+
+def _row_block_game():
+    """A game whose coefficients, controls and costs read neither the law nor
+    another particle: one Levy atom and a fixed measure control, as in the
+    `gateaux` L^2 model, with a control that enters the drift."""
+
+    def mass(mu):
+        return mu.mass_on(0.0, 2.0)
+
+    model = ControlledModel(
+        drift=lambda t, x, mu, u: (mass(mu) + u) * x,
+        vol=lambda t, x, mu, u: 0.2 * x,
+        jump=lambda t, x, mu, u, z: z * x,
+        levy=LevyMeasure([0.1], [0.5]),
+        x0=1.0,
+        horizon=1.0,
+    )
+    perf = PerformanceSpec(
+        running=lambda t, x, m, mu, u: -0.5 * u * u - 0.5 * mass(mu) ** 2 + x,
+        terminal=lambda x, m: x,
+    )
+    spec = GameSpec.zero_sum_game(model, perf, functionals=(IntervalMass(0.0, 2.0, 1.0),))
+    base = DiscreteMeasure.dirac(1.0, 0.5)
+    ctrl = ControlPair(measure_ctrl=lambda t, info: base, scalar_ctrl=lambda t, info: 0.3)
+    return spec, ctrl
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 16),
+    lambdas=st.lists(
+        st.one_of(st.floats(-0.5, -0.01), st.floats(0.01, 0.5)), min_size=1, max_size=3
+    ),
+    kind=st.sampled_from(["control", "measure"]),
+    t0=st.floats(0.0, 0.9),
+    data=st.data(),
+)
+def test_gateaux_row_blocks_give_the_whole_bundles_bits(seed, m, lambdas, kind, t0, data):
+    """On a particle-independent game, 1 to 4 row blocks of one bank (cut at
+    drawn rows, so a block may hold one particle) give every field of the
+    whole bundle's result bit for bit, in the control direction (player 2)
+    and a measure direction (player 1), over 2 to 64 particles, 2 to 16
+    steps and 1 to 3 lambdas."""
+    n = data.draw(st.integers(2, 64), label="n")
+    cuts = data.draw(st.lists(st.integers(1, n - 1), max_size=3, unique=True), label="cuts")
+    bounds = [0, *sorted(cuts), n]
+    spec, ctrl = _row_block_game()
+    direction = Direction(kind=kind, t0=t0, scalar=1.0, measure=DiscreteMeasure.dirac(1.0))
+    bank = draw_noise(seed, n, m, spec.model.horizon, spec.model.levy)
+    whole = gateaux_check(spec, ctrl, direction, lambdas, (simulate(spec.model, ctrl, noise=bank),))
+    blocks = (
+        simulate(spec.model, ctrl, noise=_restrict_rows(bank, lo, hi))
+        for lo, hi in zip(bounds, bounds[1:])
+    )
+    joined = gateaux_check(spec, ctrl, direction, lambdas, blocks)
+    for field in fields(GateauxResult):
+        mine, theirs = getattr(joined, field.name), getattr(whole, field.name)
+        if isinstance(theirs, np.ndarray):
+            assert np.array_equal(mine, theirs), field.name
+        else:
+            assert mine == theirs, field.name
+
+
+def test_gateaux_rejects_an_empty_or_mixed_grid_block_sequence():
+    """No block has no samples, and blocks on two time grids would be
+    averaged as if they were one bank's rows."""
+    spec, ctrl = _row_block_game()
+    direction = Direction(kind="control", t0=0.0, scalar=1.0)
+    with pytest.raises(ValueError, match="at least one bundle block"):
+        gateaux_check(spec, ctrl, direction, (0.1,), ())
+    blocks = (simulate(spec.model, ctrl, 5, m, seed=3) for m in (10, 20))
+    with pytest.raises(ValueError, match="share the first block's time grid"):
+        gateaux_check(spec, ctrl, direction, (0.1,), blocks)
+
+
+def test_gateaux_counts_particles_over_all_blocks():
+    """Two one-particle blocks make a two-particle check: a block is a
+    sample source, never a standard error of its own."""
+    spec, ctrl = _row_block_game()
+    direction = Direction(kind="control", t0=0.0, scalar=1.0)
+    bank = draw_noise(4, 2, 8, spec.model.horizon, spec.model.levy)
+    halves = (simulate(spec.model, ctrl, noise=_restrict_rows(bank, i, i + 1)) for i in (0, 1))
+    assert gateaux_check(spec, ctrl, direction, (0.1,), halves).fd_se[0] > 0.0
 
 
 # -- concavity probes ----------------------------------------------------------------
@@ -667,7 +799,7 @@ def test_game_spec_validation():
             "lambdas must be finite",
         ),
         (
-            lambda lq, bad: gateaux_check(lq[0], lq[1], Direction(kind="control"), (0.1, bad), lq[2]),
+            lambda lq, bad: gateaux_check(lq[0], lq[1], Direction(kind="control"), (0.1, bad), (lq[2],)),
             "magnitudes must be finite",
         ),
     ],
@@ -699,7 +831,7 @@ def test_gateaux_empty_lambdas_raise_before_simulating(lq, monkeypatch):
     monkeypatch.setattr(game, "simulate", simulated)
     monkeypatch.setattr(game, "adjoint_p0_solve", simulated)
     with pytest.raises(ValueError, match="at least one finite-difference magnitude"):
-        gateaux_check(lq[0], lq[1], Direction(kind="control"), [], lq[2])
+        gateaux_check(lq[0], lq[1], Direction(kind="control"), [], (lq[2],))
 
 
 @pytest.mark.parametrize("entry", ["residuals", "sweep", "gateaux"])
@@ -717,7 +849,7 @@ def test_one_particle_bundle_raises(entry):
         "sweep": lambda: nash_perturbation_sweep(
             spec, candidate, PerturbationPlan([direction], lambdas=(0.1,)), bundle
         ),
-        "gateaux": lambda: gateaux_check(spec, candidate, direction, (0.1,), bundle),
+        "gateaux": lambda: gateaux_check(spec, candidate, direction, (0.1,), (bundle,)),
     }
     with pytest.raises(ValueError, match="needs at least 2 particles, got 1"):
         calls[entry]()

@@ -245,7 +245,7 @@ def _gateaux_arrays(out: dict, seed: int, n: int, m: int) -> None:
     candidate = replace(frozen, scalar_ctrl=cons._frozen_rate(cf, base, 1.5))
     bundle = simulate(spec.model, candidate, noise=noise)
     direction = Direction(kind="control", t0=0.5, scalar=1.0)
-    res = gateaux_check(spec, candidate, direction, (0.1, 0.05), bundle)
+    res = gateaux_check(spec, candidate, direction, (0.1, 0.05), (bundle,))
     out["gateaux/control"] = [*res.fd_slopes, *res.fd_se, res.adjoint_slope, res.adjoint_se]
 
 
